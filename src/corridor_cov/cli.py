@@ -363,7 +363,7 @@ def cmd_coverage(args):
     batch_size = _get_int(cfg, "run", "batch_size")
     theta_db = _get_float(cfg, "run", "theta_db")
     chash = config_hash(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     rows = []
     if axis == "theta":
@@ -405,8 +405,8 @@ def cmd_coverage(args):
         "config": cfg,
         "config_hash": chash,
         "seed": seed,
-        "runtime_s": round(time.time() - t0, 3),
     }
+    log.info("coverage: %d rows in %.3f s", len(rows), time.perf_counter() - t0)
     _emit(rows, metadata, args)
     return EXIT_OK
 
@@ -446,7 +446,7 @@ def cmd_replay(args):
     values = _sweep_values(cfg)
     chash = config_hash(cfg)
     trace = Trace.from_csv(args.trace)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     rows = []
     sir_tables = {}
@@ -467,8 +467,8 @@ def cmd_replay(args):
         "config": cfg,
         "config_hash": chash,
         "seed": seed,
-        "runtime_s": round(time.time() - t0, 3),
     }
+    log.info("replay: %d rows in %.3f s", len(rows), time.perf_counter() - t0)
     _emit(rows, metadata, args)
 
     if args.out is not None:
@@ -526,7 +526,7 @@ def cmd_height_study(args):
     kl_trials = _get_int(cfg, "height_study", "kl_trials")
     values = _sweep_values(cfg)
     chash = config_hash(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     mu, sigma = simulator.fit_normal_height(heights)
     lo, hi = simulator.fit_uniform_height(heights)
@@ -573,8 +573,8 @@ def cmd_height_study(args):
         "kl_uniform": kl_uniform,
         "normal_preferred": bool(kl_normal <= kl_uniform),
         "config_hash": chash,
-        "runtime_s": round(time.time() - t0, 3),
     }
+    log.info("height-study: %d rows in %.3f s", len(rows), time.perf_counter() - t0)
 
     metadata = {"command": "height-study", "config": cfg, "config_hash": chash, "seed": seed}
     metadata["report"] = report

@@ -1,7 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature with semi-infinite maps and nested rules.
 
-All analytic coverage expressions in this package reduce to one-, two- or
-three-fold integrals whose integrands are smooth except for integrable
+All analytic coverage expressions in this package reduce to one- or
+two-fold integrals whose integrands are smooth except for integrable
 endpoint singularities (inverse square roots) and sharp parameter-dependent
 peaks.  A global adaptive G7/K15 scheme handles both: Kronrod nodes are
 strictly interior, so endpoints are never evaluated, and the panels with the
@@ -25,7 +25,6 @@ __all__ = [
     "SemiInfiniteMap",
     "integrate",
     "nested_integrate_2d",
-    "nested_integrate_3d",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -273,38 +272,6 @@ def nested_integrate_2d(f, outer_bounds, inner_bounds, config=None):
                     best_estimate=exc.best_estimate,
                     error_estimate=exc.error_estimate,
                     level="inner",
-                ) from exc
-        return out
-
-    return integrate(outer_integrand, outer_bounds[0], outer_bounds[1], cfg)
-
-
-def nested_integrate_3d(f, outer_bounds, mid_bounds, inner_bounds, config=None):
-    """Iterated integral of f(x, y, z); bounds may depend on outer variables.
-
-    mid_bounds(x) -> (lo, hi) for y, inner_bounds(x, y) -> (lo, hi) for z.
-    Tolerance budget shrinks by 10 per nesting level.
-    """
-    cfg = config or DEFAULT_CONFIG
-    mid_cfg = cfg.scaled(0.1)
-
-    def outer_integrand(xs):
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            try:
-                out[i] = nested_integrate_2d(
-                    lambda y, z: f(x, y, z),
-                    mid_bounds(x),
-                    lambda y: inner_bounds(x, y),
-                    mid_cfg,
-                ).value
-            except QuadratureError as exc:
-                level = "middle" if exc.level is None else f"middle/{exc.level}"
-                raise QuadratureError(
-                    f"nested integral failed at outer point {x!r}: {exc}",
-                    best_estimate=exc.best_estimate,
-                    error_estimate=exc.error_estimate,
-                    level=level,
                 ) from exc
         return out
 

@@ -20,6 +20,7 @@ from .core import (
     InverseGammaShadowing,
     NakagamiFadingPower,
     link_distance_cdf,
+    path_loss,
 )
 from .quadrature import integrate
 from .simulator import simulate_sir
@@ -91,6 +92,17 @@ def run(trials=200_000, seed=20250811):
     exact = bpp.coverage(theta)
     tol = 0.005 + 4.0 / math.sqrt(trials)
     checks.append((f"exact BPP coverage vs MC ({exact:.4f} vs {mc:.4f})", abs(exact - mc) <= tol))
+
+    # single-dominant approximation vs a direct draw of its approximate SIR:
+    # top-two received powers exact, the other interferers dropped
+    d = np.hypot(rng.uniform(-geom.R, geom.R, (trials, 10)), 100.0)
+    top2 = np.partition(shadow.sample(rng, (trials, 10)) * path_loss(d, channel), (8, 9), axis=1)
+    h0, h1 = NakagamiFadingPower(channel.m).sample(rng, (2, trials))
+    mc = float((h0 * top2[:, 9] > theta * h1 * top2[:, 8]).mean())
+    approx = bpp.coverage_single_dominant(theta)
+    checks.append(
+        (f"single-dominant BPP coverage vs its MC ({approx:.4f} vs {mc:.4f})", abs(approx - mc) <= tol)
+    )
 
     sirs, _ = simulate_sir(FiniteHPPP(lam), geom, channel, trials, seed=seed + 2)
     mc = float((sirs > theta).mean())

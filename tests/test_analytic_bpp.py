@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from corridor_cov import (
     BPP,
@@ -11,6 +11,7 @@ from corridor_cov import (
     FixedHeight,
     ParameterError,
     QuadratureConfig,
+    QuadratureError,
     ReceivedPowerDistribution,
     bpp_model,
     carrier_factor_from_frequency,
@@ -19,6 +20,7 @@ from corridor_cov import (
     received_power_pdf,
     simulate_sir,
 )
+from corridor_cov.analytic import _LAGUERRE_NODES, _fading_tail_expectation
 from conftest import ks_statistic
 
 N = 10
@@ -376,6 +378,69 @@ class TestDominantInterferer:
         model = bpp_model(N, geom, ch)
         val = model.coverage_dominant(10 ** (-3 / 10))
         assert 0.0 < val < 1.0
+
+    # (m, N, theta dB) -> (dominant, single-dominant) from the former 3D
+    # nested quadrature, which integrated the fading adaptively
+    ADAPTIVE_FADING_VALUES = {
+        (2.5, 10, 0.0): (0.27814043509873027, 0.7399026845016949),
+        (0.5, 10, 0.0): (0.26466096561284735, 0.6117228223501998),
+        (0.5, 10, 20.0): (0.00016873839766672513, 0.0981566676479201),
+        (0.5, 2, 0.0): (0.7034838529353242, 0.7034838529353242),
+        (1.0, 10, 20.0): (0.00010149196934548837, 0.027433068059209562),
+    }
+
+    @pytest.mark.parametrize("m, n, theta_db", list(ADAPTIVE_FADING_VALUES))
+    def test_matches_adaptive_fading_integral(self, geom, m, n, theta_db):
+        model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        th = 10 ** (theta_db / 10)
+        got = (model.coverage_dominant(th), model.coverage_single_dominant(th))
+        for value, ref in zip(got, self.ADAPTIVE_FADING_VALUES[(m, n, theta_db)]):
+            assert abs(value - ref) <= 1e-5
+            assert abs(value - ref) <= 1e-3 * ref
+
+    def test_coarse_fading_rule_fails_certification(self, geom):
+        # at m=0.5 a 2-node rule is off by ~3e-4 in the integrated value,
+        # far beyond the dominant tolerance, so the 2- vs 4-node check trips
+        model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=0.5))
+        with pytest.raises(QuadratureError) as err:
+            model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=2)
+        assert err.value.level == "fading"
+
+
+class TestFadingTailExpectation:
+    """T(a, b) = E[Q(m, a + b Y)], Y ~ Gamma(m, 1): the dominant-interferer
+    integrand after the fading of the strongest interferer is integrated."""
+
+    @staticmethod
+    def adaptive(m, a, b):
+        cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-15)
+
+        def f(y):
+            return np.exp((m - 1) * np.log(y) - y - math.lgamma(m)) * special.gammaincc(m, a + b * y)
+
+        return integrate(f, 0.0, 1.0, cfg).value + integrate(f, 1.0, math.inf, cfg).value
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 8.0])
+    def test_matches_adaptive_integral(self, m):
+        for a in (0.0, 1e-2, 1.0, 10.0):
+            for b in (1e-4, 1e-2, 1.0, 100.0):
+                ref = self.adaptive(m, a, b)
+                coarse = _fading_tail_expectation(m, a, b)
+                fine = _fading_tail_expectation(m, a, b, 2 * _LAGUERRE_NODES)
+                # the rule converges slowly only for m < 1 near a = 0 (the
+                # integrand has a y^m kink at y = 0); there the n- vs
+                # 2n-node gap, which certifies the coverage, bounds the error
+                assert abs(fine - ref) <= 1e-4
+                assert abs(fine - ref) <= abs(coarse - fine) + 1e-9 * ref
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 8.0])
+    def test_zero_offset_is_incomplete_beta(self, m):
+        b = np.array([1e-4, 1e-2, 1.0, 100.0])
+        a = np.array([0.0, 1.0, 0.0, 1.0])  # closed form also inside a mixed batch
+        got = _fading_tail_expectation(m, a, b)
+        expected = special.betainc(m, m, 1.0 / (1.0 + b))
+        assert got[0] == expected[0] and got[2] == expected[2]
+        assert _fading_tail_expectation(m, 0.0, 3.0) == special.betainc(m, m, 0.25)
 
 
 class TestCoverageQueryDispatch:

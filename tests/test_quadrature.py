@@ -10,7 +10,6 @@ from corridor_cov import (
     integrate,
     link_distance_pdf,
     nested_integrate_2d,
-    nested_integrate_3d,
 )
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
@@ -93,24 +92,6 @@ def test_nested_2d_semi_infinite():
         lambda x, y: np.exp(-x - y), (0.0, math.inf), lambda x: (0.0, math.inf)
     )
     assert res.value == pytest.approx(1.0, rel=1e-6)
-
-
-def test_nested_3d_box_and_dependent_bounds():
-    res = nested_integrate_3d(
-        lambda x, y, z: np.ones_like(z),
-        (0.0, 1.0),
-        lambda x: (0.0, 1.0),
-        lambda x, y: (0.0, 1.0),
-    )
-    assert res.value == pytest.approx(1.0, rel=1e-9)
-    # volume of the simplex x+y+z <= 1 via dependent bounds
-    res = nested_integrate_3d(
-        lambda x, y, z: np.ones_like(z),
-        (0.0, 1.0),
-        lambda x: (0.0, 1.0 - x),
-        lambda x, y: (0.0, 1.0 - x - y),
-    )
-    assert res.value == pytest.approx(1.0 / 6.0, rel=1e-8)
 
 
 def test_inner_failure_annotated():
