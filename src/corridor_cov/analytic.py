@@ -12,9 +12,15 @@ kept exactly, the remaining ones replaced by their conditional mean, or
 dropped).  Their expectation over the dominant interferer's fading is taken
 outside the quadrature: in closed form (a regularized incomplete beta
 function) when the residual is dropped, and by a fixed generalized
-Gauss-Laguerre rule, certified against twice its nodes on the integrated
-value, when it is replaced by its mean.  What remains is a 2D integral over
-the top-two received powers.
+Gauss-Laguerre rule when it is replaced by its mean (certified against
+twice its nodes unless the rule is exact, i.e. for integer m).  What
+remains is a 2D integral over the top-two received powers.
+
+Given the serving power x0, the two spatial models differ only in how many
+interferers lie below it: n-1 for the BPP, a Poisson count for the finite
+HPPP.  Either way each interferer's received power has the density f
+truncated to (0, x0), so one 1D moment integral against f (`_moment_series`)
+feeds both conditional Laplace transforms.
 
 Numerical strategy: the single-UAV received-power pdf/cdf are cached as
 monotone splines on a log-spaced grid (refined until the interpolation
@@ -85,10 +91,10 @@ _PDF_QUAD = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
 _PDF_EXACT_QUAD = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-280, max_subdivisions=4000)
 _LAPLACE_QUAD = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-280)
 _COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-_ETA_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
 _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7)
 # Generalized Gauss-Laguerre nodes for the mean-residual fading expectation;
-# each coverage value is certified against a rule with twice as many.
+# unless the rule is exact, each coverage value is certified against a rule
+# with twice as many.
 _LAGUERRE_NODES = 32
 
 _TAIL_EPS = 1e-13
@@ -321,11 +327,76 @@ def _exp_derivatives(u, value0):
 
 
 # ---------------------------------------------------------------------------
+# Moment kernel shared by both conditional Laplace transforms
+# ---------------------------------------------------------------------------
+
+
+def _moment_integral(dist, m, j, s, x0, cfg, complement=False):
+    """int_0^{x0} p^j (1 + s p / m)^(-m-j) f(p) dp, in log space.
+
+    With `complement` (j = 0) the kernel is 1 - (1 + s p / m)^-m instead,
+    written as -expm1(-m log1p(s p / m)) so that it keeps its relative
+    accuracy at small s p.
+    """
+    t_hi = math.log(min(x0, dist.x_hi))
+    t_lo = math.log(dist.x_lo)
+    if t_hi <= t_lo:
+        return 0.0
+
+    if complement:
+        def integrand(t):
+            p = np.exp(t)
+            return -np.expm1(-m * np.log1p(s * p / m)) * p * dist.pdf(p)
+    else:
+        def integrand(t):
+            p = np.exp(t)
+            return p ** (j + 1) * (1.0 + s * p / m) ** (-(m + j)) * dist.pdf(p)
+
+    return integrate(integrand, t_lo, t_hi, cfg).value
+
+
+def _moment_series(dist, m, s, x0, order, cfg, complement=False):
+    """[M_0, M_1, ..., M_order]: M_j = poch(m, j) (-1/m)^j times the j-th
+    moment integral, i.e. the s-derivatives of int_0^{x0} (1 + s p / m)^-m f(p) dp.
+    With `complement`, M_0 is int_0^{x0} (1 - (1 + s p / m)^-m) f(p) dp."""
+    out = [_moment_integral(dist, m, 0, s, x0, cfg, complement)]
+    for j in range(1, order + 1):
+        coeff = special.poch(m, j) * (-1.0 / m) ** j
+        out.append(coeff * _moment_integral(dist, m, j, s, x0, cfg))
+    return out
+
+
+class _ConditionalLaplace:
+    """Checks and accessors shared by the conditional Laplace transforms;
+    a subclass defines `derivative_series(s, x0, order)` -> [L, ..., L^(order)]."""
+
+    def evaluate(self, s, x0):
+        if s < 0:
+            raise ParameterError("Laplace argument s must be >= 0")
+        if x0 <= 0:
+            raise ParameterError("conditioning power must be positive")
+        if s == 0.0:
+            return 1.0
+        return self.derivative_series(s, x0, 0)[0]
+
+    def derivative(self, k, s, x0):
+        """k-th derivative of L(s | x0) in s; k = 0 is evaluate."""
+        k = int(k)
+        if k < 0:
+            raise ParameterError("derivative order must be >= 0")
+        if k >= self.m:
+            raise ParameterError(
+                f"derivative order k={k} violates the k <= m-1 contract (m={self.m})"
+            )
+        return self.derivative_series(s, x0, k)[k]
+
+
+# ---------------------------------------------------------------------------
 # BPP: conditional interference Laplace transform and coverage
 # ---------------------------------------------------------------------------
 
 
-class InterferenceLaplaceBPP:
+class InterferenceLaplaceBPP(_ConditionalLaplace):
     """Conditional Laplace transform of the aggregate interference given the
     maximum received power x0 under the BPP model:
 
@@ -344,50 +415,11 @@ class InterferenceLaplaceBPP:
         self.m = float(m)
         self.cfg = config or _LAPLACE_QUAD
 
-    def _moment_integral(self, j, s, x0):
-        """int_0^{x0} p^j (1 + s p / m)^(-m-j) f(p) dp, in log space."""
-        dist, m = self.dist, self.m
-        t_hi = math.log(min(x0, dist.x_hi))
-        t_lo = math.log(dist.x_lo)
-        if t_hi <= t_lo:
-            return 0.0
-
-        def integrand(t):
-            p = np.exp(t)
-            return p ** (j + 1) * (1.0 + s * p / m) ** (-(m + j)) * dist.pdf(p)
-
-        return integrate(integrand, t_lo, t_hi, self.cfg).value
-
     def _g_series(self, s, x0, order):
         fx0 = self.dist.cdf(x0)
         if fx0 <= 1e-300:
             raise ParameterError("conditioning power x0 has zero mass below it")
-        out = []
-        for j in range(order + 1):
-            coeff = special.poch(self.m, j) * (-1.0 / self.m) ** j
-            out.append(coeff * self._moment_integral(j, s, x0) / fx0)
-        return out
-
-    def evaluate(self, s, x0):
-        if s < 0:
-            raise ParameterError("Laplace argument s must be >= 0")
-        if x0 <= 0:
-            raise ParameterError("conditioning power x0 must be positive")
-        if s == 0.0:
-            return 1.0
-        g0 = self._g_series(s, x0, 0)[0]
-        return g0 ** (self.n - 1)
-
-    def derivative(self, k, s, x0):
-        """k-th derivative of L(s | x0) in s; k = 0 is evaluate."""
-        k = int(k)
-        if k < 0:
-            raise ParameterError("derivative order must be >= 0")
-        if k >= self.m:
-            raise ParameterError(
-                f"derivative order k={k} violates the k <= m-1 contract (m={self.m})"
-            )
-        return self.derivative_series(s, x0, k)[k]
+        return [v / fx0 for v in _moment_series(self.dist, self.m, s, x0, order, self.cfg)]
 
     def derivative_series(self, s, x0, order):
         """[L, L', ..., L^(order)] at (s | x0)."""
@@ -440,7 +472,7 @@ class BppCoverageModel:
         self.n = int(n)
         self.geom = geom
         self.channel = channel
-        self.dist = ReceivedPowerDistribution(geom, channel)
+        self.dist = _cached_dist(geom, channel)
         self.m = channel.m
         self._laplace = None
 
@@ -538,9 +570,11 @@ class BppCoverageModel:
         E[Q(m, a + b Y)] with Y = m H1, a = m theta omega / x0 and
         b = theta x_i / x0 (omega = 0 drops the residual).
 
-        With a residual the fading expectation uses a `laguerre_nodes` rule;
-        the value is then recomputed with twice the nodes, and the two must
-        agree to the `_DOMINANT_QUAD` tolerance.
+        With a residual the fading expectation uses a `laguerre_nodes` rule.
+        For integer m <= 2 `laguerre_nodes` the rule is exact (the rescaled
+        integrand exp(beta z) Q(m, a + beta z) is a polynomial of degree
+        m - 1).  Otherwise the value is recomputed with twice the nodes, and
+        the two must agree to the `_DOMINANT_QUAD` tolerance.
         """
         if theta <= 0:
             raise ParameterError("theta must be positive (linear scale)")
@@ -572,7 +606,8 @@ class BppCoverageModel:
             ).value
 
         value = integral(laguerre_nodes)
-        if with_residual_mean:
+        rule_exact = float(m).is_integer() and m <= 2 * laguerre_nodes
+        if with_residual_mean and not rule_exact:
             check = integral(2 * laguerre_nodes)
             tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(check))
             if abs(check - value) > tol:
@@ -601,100 +636,43 @@ class BppCoverageModel:
 # ---------------------------------------------------------------------------
 
 
-class InterferenceLaplaceHPPP:
+class InterferenceLaplaceHPPP(_ConditionalLaplace):
     """Conditional Laplace transform of the aggregate interference given the
-    maximum received power s0 under the finite HPPP model:
+    maximum received power s0 under the finite HPPP model.
 
-        L(s | s0) = exp( -2 lam int_h^{sqrt(h^2+R^2)} int_0^{s0 d^a / K}
-                         (1 - (1 + s sig K d^-a / m)^-m)
-                         d / sqrt(d^2 - h^2) f_S(sig) dsig dd ).
+    Given s0, the other UAVs' received powers form a Poisson process on
+    (0, s0) with intensity mu f(p), mu = lam |L| the mean UAV count (the
+    marking theorem), so its probability generating functional gives
 
-    Evaluation substitutes u = sqrt(d^2 - h^2) (removing the inverse-root
-    Jacobian) and v = gamma / sig (turning the inverse-gamma weight into a
-    Gamma(q) density with O(1) scale); both are exact changes of variables.
+        L(s | s0) = exp(eta(s)),
+        eta(s) = -mu int_0^{s0} (1 - (1 + s p / m)^-m) f(p) dp,
+        eta^(j)(s) = mu poch(m, j) (-1/m)^j int_0^{s0} p^j (1 + s p / m)^(-m-j) f(p) dp.
+
+    These are the BPP model's moment integrals (`_moment_series`); the BPP
+    transform raises the truncated mean to the power n-1 instead.
     """
 
-    def __init__(self, geom: CorridorGeometry, channel: ChannelParams, intensity, config=None):
-        if intensity <= 0:
-            raise ParameterError("intensity must be positive")
-        self.geom = geom
-        self.channel = channel
-        self.lam = float(intensity)
-        self.h = geom.fixed_height
-        self.R = geom.R
-        self.alpha = channel.alpha
-        self.k = channel.k_factor
-        self.q = channel.q
-        self.gam = channel.gamma
-        self.m = float(channel.m)
-        self.cfg = config or _ETA_QUAD
-        # Gamma(q) weight in v is negligible beyond this point.
-        self._v_hi = self.q + 40.0 * math.sqrt(self.q) + 60.0
-        self._log_gamma_q = math.lgamma(self.q)
-
-    def _eta_term(self, j, s, s0):
-        """The (u, v) double integral behind eta or its j-th s-derivative."""
-        m, q, gam, k = self.m, self.q, self.gam, self.k
-        log_v_hi = math.log(self._v_hi)
-
-        def v_bounds(u):
-            d_pow = (self.h**2 + u**2) ** (self.alpha / 2.0)
-            smax = s0 * d_pow / k
-            lo = math.log(gam / smax)
-            # the Gamma(q) weight is negligible beyond v_hi; an exclusion
-            # bound past it leaves no shadowing mass to integrate over
-            return (min(lo, log_v_hi), log_v_hi)
-
-        def integrand(u, y):
-            v = np.exp(y)
-            sig = gam / v
-            a_coef = k * (self.h**2 + u**2) ** (-self.alpha / 2.0)
-            base = 1.0 + s * a_coef * sig / m
-            gamma_w = np.exp((q - 1.0) * y - v - self._log_gamma_q + y)
-            if j == 0:
-                return (1.0 - base ** (-m)) * gamma_w
-            return (a_coef * sig) ** j * base ** (-(m + j)) * gamma_w
-
-        res = nested_integrate_2d(integrand, (0.0, self.R), v_bounds, self.cfg)
-        return res.value
+    def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float, config=None):
+        if mean_count <= 0:
+            raise ParameterError("the mean UAV count must be positive")
+        self.dist = dist
+        self.mu = float(mean_count)
+        self.m = float(m)
+        self.cfg = config or _LAPLACE_QUAD
 
     def _eta_series(self, s, s0, order):
         """[eta(s), eta'(s), ..., eta^(order)(s)] conditioned on s0."""
-        out = [-2.0 * self.lam * self._eta_term(0, s, s0)]
-        for j in range(1, order + 1):
-            coeff = 2.0 * self.lam * special.poch(self.m, j) * (-1.0 / self.m) ** j
-            out.append(coeff * self._eta_term(j, s, s0))
-        return out
-
-    def evaluate(self, s, s0):
-        if s < 0:
-            raise ParameterError("Laplace argument s must be >= 0")
-        if s0 <= 0:
-            raise ParameterError("conditioning power s0 must be positive")
-        if s == 0.0:
-            return 1.0
-        return math.exp(self._eta_series(s, s0, 0)[0])
-
-    def derivative(self, k, s, s0):
-        k = int(k)
-        if k < 0:
-            raise ParameterError("derivative order must be >= 0")
-        if k >= self.m:
-            raise ParameterError(
-                f"derivative order k={k} violates the k <= m-1 contract (m={self.m})"
-            )
-        return self.derivative_series(s, s0, k)[k]
+        series = _moment_series(self.dist, self.m, s, s0, order, self.cfg, complement=True)
+        return [-self.mu * series[0]] + [self.mu * v for v in series[1:]]
 
     def derivative_series(self, s, s0, order):
+        """[L, L', ..., L^(order)] at (s | s0)."""
         eta = self._eta_series(s, s0, order)
-        value0 = math.exp(eta[0])
-        if order == 0:
-            return [value0]
-        return _exp_derivatives(eta, value0)
+        return _exp_derivatives(eta, math.exp(eta[0]))
 
     def mean_interference(self, s0):
-        """E[I | Pr0 = s0] = -dL/ds at s = 0 (equals -eta'(0))."""
-        return -self._eta_series(0.0, s0, 1)[1]
+        """E[I | Pr0 = s0] = -dL/ds at s = 0 = -eta'(0) = mu int_0^{s0} p f(p) dp."""
+        return self.mu * _moment_integral(self.dist, self.m, 1, 0.0, s0, self.cfg)
 
 
 class HpppCoverageModel:
@@ -707,14 +685,14 @@ class HpppCoverageModel:
         self.lam = float(intensity)
         self.geom = geom
         self.channel = channel
-        self.dist = ReceivedPowerDistribution(geom, channel)
+        self.dist = _cached_dist(geom, channel)
         self.mu = self.lam * geom.length  # mean UAV count
         self._laplace = None
 
     @property
     def laplace(self) -> InterferenceLaplaceHPPP:
         if self._laplace is None:
-            self._laplace = InterferenceLaplaceHPPP(self.geom, self.channel, self.lam)
+            self._laplace = InterferenceLaplaceHPPP(self.dist, self.mu, self.channel.m)
         return self._laplace
 
     def max_power_pdf(self, s0):
@@ -885,5 +863,5 @@ def coverage_probability(query: CoverageQuery) -> float:
             raise ParameterError("dominant-interferer methods are defined for the BPP model only")
         return hppp_model(spatial.intensity, query.geom, query.channel).coverage(query.theta)
     if isinstance(spatial, Disc2D):
-        raise ParameterError("the 2D disc baseline is simulation-only; use the simulator")
+        raise ParameterError("the 2D disc baseline has no analytic engine; use method mc")
     raise ParameterError(f"unsupported spatial model {spatial!r}")

@@ -309,19 +309,9 @@ def _parse_methods(cfg):
 
 
 def _analytic_coverage(method, theta_linear, spatial, geom, channel):
-    if isinstance(spatial, Disc2D):
-        raise ConfigError("the 2D disc baseline has no analytic engine; use method=mc")
+    query = analytic.CoverageQuery(theta_linear, spatial, channel, geom, method)
     try:
-        if isinstance(spatial, FiniteHPPP):
-            if method != "exact":
-                raise ConfigError("dominant-interferer methods apply to the BPP model only")
-            return analytic.coverage_hppp(theta_linear, spatial.intensity, geom, channel)
-        model = analytic.bpp_model(spatial.n, geom, channel)
-        if method == "exact":
-            return model.coverage(theta_linear)
-        if method == "dominant":
-            return model.coverage_dominant(theta_linear)
-        return model.coverage_single_dominant(theta_linear)
+        return analytic.coverage_probability(query)
     except QuadratureError as exc:
         raise QuadratureError(
             f"coverage method {method!r} failed at theta={theta_linear!r}: {exc}",

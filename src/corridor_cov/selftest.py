@@ -84,6 +84,10 @@ def run(trials=200_000, seed=20250811):
     lam = 10.0 / geom.length
     hppp = analytic.hppp_model(lam, geom, channel)
     checks.append(("HPPP Laplace at s=0", hppp.laplace.evaluate(0.0, 3e-6) == 1.0))
+    hppp3 = analytic.hppp_model(lam, geom, ch3)
+    d1 = hppp3.laplace.derivative(1, sarg, x0)
+    fd = (hppp3.laplace.evaluate(sarg + h_fd, x0) - hppp3.laplace.evaluate(sarg - h_fd, x0)) / (2 * h_fd)
+    checks.append(("HPPP Laplace derivative vs FD", abs(d1 - fd) <= 1e-5 * abs(fd)))
 
     # analytic vs Monte Carlo coverage at the default operating point
     theta = 10 ** (-3.0 / 10.0)

@@ -20,6 +20,7 @@ from corridor_cov import (
     received_power_pdf,
     simulate_sir,
 )
+from corridor_cov import analytic
 from corridor_cov.analytic import _LAGUERRE_NODES, _fading_tail_expectation
 from conftest import ks_statistic
 
@@ -405,6 +406,41 @@ class TestDominantInterferer:
         with pytest.raises(QuadratureError) as err:
             model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=2)
         assert err.value.level == "fading"
+
+
+class TestExactFadingRuleAtIntegerM:
+    """For integer m the mean-residual fading rule is exact, so the dominant
+    coverage is one 2D integral with no certifying second integral."""
+
+    # (m, N, theta dB) -> mean-residual dominant coverage computed with the
+    # 32-node rule certified against (and replaced by) the 64-node rule
+    CERTIFIED_VALUES = {
+        (1.0, 10, 0.0): 0.2813456897645872,
+        (3.0, 10, 0.0): 0.27558248481263464,
+        (2.0, 3, -3.0): 0.8683173455548663,
+    }
+
+    @pytest.mark.parametrize("m, n, theta_db", list(CERTIFIED_VALUES))
+    def test_one_integral_equals_certified_value(self, geom, monkeypatch, m, n, theta_db):
+        calls = []
+        nested = analytic.nested_integrate_2d
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nested(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "nested_integrate_2d", counted)
+        model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        value = model.coverage_dominant(10 ** (theta_db / 10))
+        assert value == pytest.approx(self.CERTIFIED_VALUES[(m, n, theta_db)], rel=1e-9)
+        assert len(calls) == 1
+
+    def test_two_node_rule_exact_up_to_m4(self, geom):
+        # a 2-node Gauss rule integrates polynomials of degree <= 3 exactly,
+        # which covers the degree m-1 = 2 integrand at m = 3
+        model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=3.0))
+        value = model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=2)
+        assert value == pytest.approx(self.CERTIFIED_VALUES[(3.0, 10, 0.0)], rel=1e-9)
 
 
 class TestFadingTailExpectation:

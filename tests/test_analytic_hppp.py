@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from corridor_cov import (
     ChannelParams,
     FiniteHPPP,
+    InterferenceLaplaceBPP,
     ParameterError,
     QuadratureConfig,
     bpp_model,
     hppp_model,
     integrate,
+    nested_integrate_2d,
     simulate_sir,
 )
 from conftest import ks_statistic
@@ -27,6 +30,44 @@ def simulate_hppp_maxima(rng, trials, lam=LAM, q=2.0, gamma=1.0, alpha=2.2):
     p = s * np.hypot(pos, H) ** -alpha
     p[np.arange(k)[None, :] >= counts[:, None]] = 0.0
     return p.max(axis=1)[counts > 0]
+
+
+def eta_series_2d(geom, channel, lam, s, s0, order):
+    """[eta, eta', ..., eta^(order)] of log L(s | s0) from the double integral
+    over the ground offset u = sqrt(d^2 - h^2) and v = gamma / shadowing:
+
+        eta = -2 lam int_0^R int (1 - (1 + s a(u) gamma / (v m))^-m) g_q(v) dv du,
+
+    a(u) = K d^-alpha, g_q the Gamma(q, 1) density, and v above the value at
+    which the UAV's power reaches s0.  Independent of the received-power cache.
+    """
+    h, R, alpha, k = geom.fixed_height, geom.R, channel.alpha, channel.k_factor
+    q, gam, m = channel.q, channel.gamma, float(channel.m)
+    # the Gamma(q) weight is negligible beyond v_hi
+    log_v_hi = math.log(q + 40.0 * math.sqrt(q) + 60.0)
+    log_gamma_q = math.lgamma(q)
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
+
+    def v_bounds(u):
+        smax = s0 * (h**2 + u**2) ** (alpha / 2.0) / k
+        return (min(math.log(gam / smax), log_v_hi), log_v_hi)
+
+    def term(j):
+        def integrand(u, y):
+            v = np.exp(y)
+            a_sig = k * (h**2 + u**2) ** (-alpha / 2.0) * gam / v
+            base = 1.0 + s * a_sig / m
+            gamma_w = np.exp(q * y - v - log_gamma_q)
+            if j == 0:
+                return (1.0 - base ** (-m)) * gamma_w
+            return a_sig**j * base ** (-(m + j)) * gamma_w
+
+        return nested_integrate_2d(integrand, (0.0, R), v_bounds, cfg).value
+
+    out = [-2.0 * lam * term(0)]
+    for j in range(1, order + 1):
+        out.append(2.0 * lam * special.poch(m, j) * (-1.0 / m) ** j * term(j))
+    return out
 
 
 class TestMaxPowerPdfHPPP:
@@ -96,6 +137,33 @@ class TestLaplaceHPPP:
         with pytest.raises(ParameterError):
             hmodel.laplace.derivative(1, 1e5, 3e-6)  # m=1
 
+    @pytest.mark.parametrize("m", [1.0, 3.0])
+    def test_poisson_mixture_of_bpp_transforms(self, geom, m):
+        # given s0 the interferer count is Poisson(mu F(s0)); given k of them
+        # the transform is the BPP one with n = k + 1
+        model = hppp_model(LAM, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        order = int(m) - 1
+        for s0, s in ((3e-6, 1e5), (1e-5, 3e6), (1e-4, 1e3)):
+            mean = model.mu * model.dist.cdf(s0)
+            expected = np.zeros(order + 1)
+            expected[0] = math.exp(-mean)  # k = 0: no interference
+            for k in range(1, int(mean + 12 * math.sqrt(mean) + 20)):
+                weight = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                bpp = InterferenceLaplaceBPP(model.dist, k + 1, m)
+                expected += weight * np.array(bpp.derivative_series(s, s0, order))
+            got = model.laplace.derivative_series(s, s0, order)
+            assert got == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("s, s0", [(1e5, 3e-6), (3e6, 1e-5), (1e3, 1e-4)])
+    def test_matches_double_integral_over_offset_and_shadowing(self, geom, s, s0):
+        ch = ChannelParams(alpha=2.2, q=2.0, m=3.0)
+        eta = eta_series_2d(geom, ch, LAM, s, s0, 2)
+        value = math.exp(eta[0])
+        expected = [value, eta[1] * value, (eta[2] + eta[1] ** 2) * value]
+        got = hppp_model(LAM, geom, ch).laplace.derivative_series(s, s0, 2)
+        # the double integral is certified to rel 1e-6 in eta, |eta| <= mu = 10
+        assert got == pytest.approx(expected, rel=1e-5)
+
     def test_conditional_mean_interference_oracle(self, hmodel):
         # condition the simulation on the maximum power falling in a
         # +-0.25 dB window around the conditioning point; the mean aggregate
@@ -144,6 +212,24 @@ class TestCoverageHPPP:
             hppp_model(n / 1000.0, geom, channel).coverage(theta) for n in (5, 10, 20, 40)
         ]
         assert all(a > b for a, b in zip(cov, cov[1:]))
+
+    # m = 3 coverage from the double-integral (offset, shadowing) transform
+    PINNED_M3 = {-6.0: 0.845061782510, 0.0: 0.331195466556, 6.0: 0.052922001237}
+
+    @pytest.mark.parametrize("theta_db", list(PINNED_M3))
+    def test_m3_pinned_values(self, geom, channel_m3, theta_db):
+        cov = hppp_model(LAM, geom, channel_m3).coverage(10 ** (theta_db / 10))
+        assert cov == pytest.approx(self.PINNED_M3[theta_db], abs=1e-6)
+
+    def test_shares_received_power_cache_with_bpp(self, geom, channel):
+        assert bpp_model(10, geom, channel).dist is hppp_model(0.01, geom, channel).dist
+
+    @pytest.mark.parametrize("m", [1.0, 8.0])
+    @pytest.mark.parametrize("mean_count", [2.0, 200.0])
+    @pytest.mark.parametrize("theta_db", [-20.0, 20.0])
+    def test_converges_at_domain_corners(self, geom, m, mean_count, theta_db):
+        model = hppp_model(mean_count / geom.length, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        assert 0.0 < model.coverage(10 ** (theta_db / 10)) < 1.0
 
     def test_requires_integer_m(self, geom):
         ch = ChannelParams(alpha=2.2, q=2.0, m=2.5)
