@@ -35,7 +35,9 @@ recursions); finite differences are used only as test oracles.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,7 +56,13 @@ from .core import (
     SpatialModel,
     pathloss_value_pdf,
 )
-from .quadrature import QuadratureConfig, QuadratureError, integrate, nested_integrate_2d
+from .quadrature import (
+    QuadratureConfig,
+    QuadratureError,
+    integrate,
+    integrate_batch,
+    nested_integrate_2d,
+)
 
 __all__ = [
     "ReceivedPowerDistribution",
@@ -100,6 +108,22 @@ _LAGUERRE_NODES = 32
 _TAIL_EPS = 1e-13
 _GRID_PER_DECADE = 40
 
+log = logging.getLogger(__name__)
+
+
+def _integrate_at_points(x, integrand, a, b, cfg):
+    """int_a^b integrand(x, y) dy at every x > 0 (0 elsewhere), one batched rule.
+
+    Returns the values, shaped like x, and the number of node evaluations.
+    """
+    x = np.asarray(x, dtype=float)
+    values = np.zeros(x.shape)
+    pos = x > 0
+    xs = x[pos]
+    res = integrate_batch(lambda rows, y: integrand(xs[rows], y), xs.size, a, b, cfg)
+    values[pos] = res.value
+    return values, res.n_evals
+
 
 class ReceivedPowerDistribution:
     """Distribution of Pr = S * l(d) for one uniformly placed corridor UAV.
@@ -132,17 +156,15 @@ class ReceivedPowerDistribution:
     # -- exact evaluations ---------------------------------------------------
 
     def pdf_exact(self, x):
-        """Product-distribution integral over w, one adaptive quadrature."""
-        x = float(x)
-        if x <= 0:
-            return 0.0
+        """Product-distribution integral over w at each x, one batched quadrature."""
         shadow = self.shadowing
 
-        def integrand(w):
+        def integrand(x, w):
             fl = pathloss_value_pdf(w / self.k, self.h, self.R, self.alpha) / self.k
             return fl * shadow.pdf(x / w) / w
 
-        return integrate(integrand, self.w_min, self.w_max, _PDF_EXACT_QUAD).value
+        out, _ = _integrate_at_points(x, integrand, self.w_min, self.w_max, _PDF_EXACT_QUAD)
+        return float(out) if out.ndim == 0 else out
 
     def _pdf_smooth(self, x):
         """Same integral after substituting w = K d(u)^-alpha, u in [0, R].
@@ -151,37 +173,56 @@ class ReceivedPowerDistribution:
         singularity of f_l, leaving (1/R) * int_0^R (d^a/K) f_S(x d^a / K) du.
         Used to build the cache; agrees with pdf_exact to quadrature accuracy.
         """
-        x = float(x)
-        if x <= 0:
-            return 0.0
+        out = self._smooth_integral(x)[0] / self.R
+        return float(out) if out.ndim == 0 else out
+
+    def _smooth_integral(self, x):
+        """(R times `_pdf_smooth` at each x, node evaluations)."""
         shadow = self.shadowing
 
-        def integrand(u):
+        def integrand(x, u):
             da = (self.h**2 + u**2) ** (self.alpha / 2.0) / self.k
             return da * shadow.pdf(x * da)
 
-        return integrate(integrand, 0.0, self.R, _PDF_QUAD).value / self.R
+        return _integrate_at_points(x, integrand, 0.0, self.R, _PDF_QUAD)
 
     # -- cache ---------------------------------------------------------------
 
     def _build_cache(self):
+        start = time.perf_counter()
+        n_evals = 0
+
+        def log_pdf_at(t):
+            nonlocal n_evals
+            values, nev = self._smooth_integral(np.exp(t))
+            n_evals += nev
+            return np.log(np.maximum(values / self.R, 1e-300))
+
         q, gam = self.q, self.gam
         x_lo = self.w_min * gam / special.gammainccinv(q, _TAIL_EPS)
         x_hi = self.w_max * gam / special.gammaincinv(q, _TAIL_EPS)
         n0 = max(64, int(math.log10(x_hi / x_lo) * _GRID_PER_DECADE))
         t = np.linspace(math.log(x_lo), math.log(x_hi), n0)
-        logf = np.array([self._log_pdf_point(ti) for ti in t])
-
-        for _ in range(6):
+        logf = log_pdf_at(t)
+        # Check each interval at its midpoint; a failing midpoint joins the
+        # grid with its value.  Intervals that pass keep their midpoint value
+        # (NaN marks the halves still to evaluate), so no point is integrated
+        # twice.
+        t_mid = 0.5 * (t[:-1] + t[1:])
+        f_mid = np.full(t_mid.shape, np.nan)
+        for rounds in range(1, 7):
+            new = np.isnan(f_mid)
+            f_mid[new] = log_pdf_at(t_mid[new])
             interp = PchipInterpolator(t, logf, extrapolate=False)
-            t_mid = 0.5 * (t[:-1] + t[1:])
-            exact = np.array([self._log_pdf_point(ti) for ti in t_mid])
-            rel = np.abs(np.expm1(interp(t_mid) - exact))
-            bad = (rel > self._interp_tol) & (exact > math.log(1e-250))
+            rel = np.abs(np.expm1(interp(t_mid) - f_mid))
+            bad = (rel > self._interp_tol) & (f_mid > math.log(1e-250))
             if not bad.any():
                 break
-            t = np.sort(np.concatenate([t, t_mid[bad]]))
-            logf = np.array([self._log_pdf_point(ti) for ti in t])
+            order = np.argsort(np.concatenate([t, t_mid[bad]]))
+            t = np.concatenate([t, t_mid[bad]])[order]
+            logf = np.concatenate([logf, f_mid[bad]])[order]
+            f_mid = np.repeat(np.where(bad, np.nan, f_mid), 1 + bad)
+            t_mid = 0.5 * (t[:-1] + t[1:])
 
         log_pdf = PchipInterpolator(t, logf, extrapolate=False)
 
@@ -227,10 +268,11 @@ class ReceivedPowerDistribution:
             "p_max": cdf_vals[inc][-1],
             "n_grid": len(t),
         }
-
-    def _log_pdf_point(self, t):
-        val = self._pdf_smooth(math.exp(t))
-        return math.log(max(val, 1e-300))
+        log.debug(
+            "received-power cache: %d grid points, %d refinement rounds, "
+            "%d node evaluations, %.3f s",
+            len(t), rounds, n_evals, time.perf_counter() - start,
+        )
 
     def _ensure(self):
         if self._cache is None:
@@ -290,11 +332,11 @@ class ReceivedPowerDistribution:
         cfg = config or QuadratureConfig(rel_tol=1e-7, abs_tol=1e-12)
         c = self._ensure()
 
-        def f(x):
-            return np.array([self.pdf_exact(xi) for xi in np.atleast_1d(x)])
+        def f(t):
+            x = np.exp(t)
+            return self.pdf_exact(x) * x
 
-        lo, hi = c["x_lo"], c["x_hi"]
-        return integrate(lambda t: f(np.exp(t)) * np.exp(t), math.log(lo), math.log(hi), cfg).value
+        return integrate(f, math.log(c["x_lo"]), math.log(c["x_hi"]), cfg).value
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +819,7 @@ def hppp_model(intensity, geom, channel) -> HpppCoverageModel:
 def received_power_pdf(x, geom, channel):
     """Density of the received power S l(d) of one uniform corridor UAV."""
     dist = _cached_dist(geom, channel)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([dist.pdf_exact(xi) for xi in xs])
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return dist.pdf_exact(x)
 
 
 def max_power_pdf_bpp(x0, n, geom, channel):

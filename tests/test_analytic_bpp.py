@@ -9,6 +9,7 @@ from corridor_cov import (
     ChannelParams,
     CorridorGeometry,
     FixedHeight,
+    InverseGammaShadowing,
     ParameterError,
     QuadratureConfig,
     QuadratureError,
@@ -63,6 +64,29 @@ class TestReceivedPowerDistribution:
         for x in (0.3 * w, 1.0 * w, 3.0 * w):
             assert dist._pdf_smooth(x) == pytest.approx(ig.pdf(x / w) / w, rel=1e-5)
             assert dist.pdf(x) == pytest.approx(ig.pdf(x / w) / w, rel=1e-4)
+
+    @pytest.mark.parametrize("r", [250.0, 1000.0])
+    def test_batched_smooth_pdf_matches_per_point_integrals(self, channel, r):
+        dist = ReceivedPowerDistribution(CorridorGeometry(r, FixedHeight(H)), channel)
+        shadow = InverseGammaShadowing(channel.q, channel.gamma)
+        xs = np.geomspace(dist.x_lo, dist.x_hi, 40)
+        refs = []
+        for x in xs:
+
+            def integrand(u, x=x):
+                da = (H**2 + u**2) ** (ALPHA / 2.0) / channel.k_factor
+                return da * shadow.pdf(x * da)
+
+            refs.append(integrate(integrand, 0.0, r, analytic._PDF_QUAD))
+        if r == 1000.0:  # some points need panels beyond the initial eight
+            assert max(ref.n_evals for ref in refs) > 8 * 15
+        expected = [ref.value / r for ref in refs]
+        np.testing.assert_allclose(dist._pdf_smooth(xs), expected, rtol=1e-12, atol=0)
+
+    def test_cached_pdf_matches_exact_across_support(self, model10):
+        dist = model10.dist
+        xs = np.geomspace(dist.x_lo, dist.x_hi, 22)[1:-1]
+        np.testing.assert_allclose(dist.pdf(xs), dist.pdf_exact(xs), rtol=1e-5, atol=0)
 
     def test_received_power_pdf_operation(self, geom, channel):
         x = 3e-6

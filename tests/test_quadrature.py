@@ -11,6 +11,7 @@ from corridor_cov import (
     link_distance_pdf,
     nested_integrate_2d,
 )
+from corridor_cov.quadrature import integrate_batch
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
 
@@ -113,3 +114,35 @@ def test_nonintegrable_pole_rejected():
 def test_nonfinite_integrand_rejected():
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+def _gaussian_peaks(n):
+    """Peaks of width 1e-1 down to 1e-4, each just off a Kronrod node of the
+    initial panels so the narrow ones are seen; deeper refinement per row."""
+    widths = np.geomspace(1e-1, 1e-4, n)
+    centers = (np.arange(n) % 8 + 0.5) / 8 + 0.3 * widths
+    return lambda rows, x: np.exp(-0.5 * ((x - centers[rows]) / widths[rows]) ** 2)
+
+
+def test_integrate_batch_matches_integrate_row_by_row():
+    n = 300  # more than two chunks of rows
+    f = _gaussian_peaks(n)
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    batch = integrate_batch(f, n, 0.0, 1.0, cfg)
+    single = [integrate(lambda x, i=i: f(np.full(x.shape, i), x), 0.0, 1.0, cfg) for i in range(n)]
+    assert len({r.n_evals for r in single}) > 3  # rows refine to different depths
+    assert batch.n_evals == sum(r.n_evals for r in single)
+    ref = np.array([r.value for r in single])
+    assert np.all(ref > 0)
+    np.testing.assert_allclose(batch.value, ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(batch.error, [r.error for r in single], rtol=1e-12, atol=0)
+
+
+def test_integrate_batch_failure_names_row():
+    def f(rows, x):
+        return np.where(rows == 5, 1.0 / np.sqrt(x), 1.0)
+
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=12)
+    with pytest.raises(QuadratureError, match="row 5") as err:
+        integrate_batch(f, 9, 0.0, 1.0, cfg)
+    assert abs(err.value.best_estimate - 2.0) < 0.05
