@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from . import analytic
 from .core import (
@@ -79,6 +80,27 @@ def run(trials=200_000, seed=20250811):
     h_fd = 1e-3 * sarg
     fd = (bpp3.laplace.evaluate(sarg + h_fd, x0) - bpp3.laplace.evaluate(sarg - h_fd, x0)) / (2 * h_fd)
     checks.append(("BPP Laplace derivative vs FD", abs(d1 - fd) <= 1e-5 * abs(fd)))
+
+    # batched moment kernel against one scalar integral per point
+    dist, cfg = bpp3.dist, analytic._LAPLACE_QUAD
+    x0s = np.geomspace(1e-7, 1e-4, 5)
+    batched, _ = analytic._moment_series(dist, 3.0, sarg, x0s, 2, cfg)
+
+    def moment(j, x0):
+        def f(t):
+            p = np.exp(t)
+            return p ** (j + 1) * (1.0 + sarg * p / 3.0) ** (-3.0 - j) * dist.pdf(p)
+
+        value = integrate(f, math.log(dist.x_lo), math.log(min(x0, dist.x_hi)), cfg).value
+        return special.poch(3.0, j) * (-1.0 / 3.0) ** j * value
+
+    ref = np.array([[moment(j, x) for x in x0s] for j in range(3)])
+    checks.append(
+        (
+            "batched moment series vs per-point integrals",
+            bool(np.all(np.abs(batched - ref) <= 1e-10 * np.abs(ref))),
+        )
+    )
 
     lam = 10.0 / geom.length
     hppp = analytic.hppp_model(lam, geom, channel)
