@@ -37,7 +37,6 @@ from .quadrature import (
     QuadratureError,
     SemiInfiniteMap,
     integrate,
-    nested_integrate_2d,
 )
 from .analytic import (
     BppCoverageModel,
@@ -47,21 +46,9 @@ from .analytic import (
     InterferenceLaplaceHPPP,
     ReceivedPowerDistribution,
     bpp_model,
-    coverage_bpp,
-    coverage_dominant_bpp,
-    coverage_hppp,
     coverage_probability,
-    coverage_single_dominant_bpp,
     hppp_model,
-    joint_top_two_pdf,
-    laplace_bpp,
-    laplace_bpp_derivative,
-    laplace_hppp,
-    laplace_hppp_derivative,
-    max_power_pdf_bpp,
-    max_power_pdf_hppp,
     received_power_pdf,
-    residual_mean_interference,
 )
 from .simulator import (
     CoverageCurve,

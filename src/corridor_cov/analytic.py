@@ -14,7 +14,9 @@ outside the quadrature: in closed form (a regularized incomplete beta
 function) when the residual is dropped, and by a fixed generalized
 Gauss-Laguerre rule when it is replaced by its mean (certified against
 twice its nodes unless the rule is exact, i.e. for integer m).  What
-remains is a 2D integral over the top-two received powers.
+remains is a 2D integral over the top-two received powers; each call of its
+outer integrand computes the inner integrals of all its nodes with one
+batched rule.
 
 Given the serving power x0, the two spatial models differ only in how many
 interferers lie below it: n-1 for the BPP, a Poisson count for the finite
@@ -60,13 +62,7 @@ from .core import (
     SpatialModel,
     pathloss_value_pdf,
 )
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureError,
-    integrate,
-    integrate_batch,
-    nested_integrate_2d,
-)
+from .quadrature import QuadratureConfig, QuadratureError, integrate, integrate_batch
 
 __all__ = [
     "ReceivedPowerDistribution",
@@ -77,18 +73,6 @@ __all__ = [
     "CoverageQuery",
     "coverage_probability",
     "received_power_pdf",
-    "max_power_pdf_bpp",
-    "max_power_pdf_hppp",
-    "laplace_bpp",
-    "laplace_bpp_derivative",
-    "laplace_hppp",
-    "laplace_hppp_derivative",
-    "residual_mean_interference",
-    "joint_top_two_pdf",
-    "coverage_bpp",
-    "coverage_dominant_bpp",
-    "coverage_single_dominant_bpp",
-    "coverage_hppp",
     "bpp_model",
     "hppp_model",
 ]
@@ -108,6 +92,8 @@ _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7)
 # unless the rule is exact, each coverage value is certified against a rule
 # with twice as many.
 _LAGUERRE_NODES = 32
+_LAGUERRE_DROP = 1e-17
+_TERM_BLOCK = 8192
 
 _TAIL_EPS = 1e-13
 _GRID_PER_DECADE = 40
@@ -553,11 +539,31 @@ class InterferenceLaplaceBPP(_ConditionalLaplace):
         return _exp_derivatives(u, value0), n_evals
 
 
+def _fading_term_bound(m, z):
+    """Upper bound B(z) on exp(beta z) Q(m, a + beta z) for a >= 0 and
+    0 < beta < 1, the g of the mean-residual Laguerre rule.
+
+    Q decreases, so the term is at most e^y Q(m, y), y = beta z < z, and
+    e^y Q(m, y) = int_0^inf (y + s)^(m-1) e^-s ds / Gamma(m).  For m <= 1
+    that is at most 1; for m > 1, (y + s)^(m-1) <= 2^max(m-2, 0) (y^(m-1) + s^(m-1))
+    gives B(z) = 2^max(m-2, 0) (1 + z^(m-1) / Gamma(m)).
+    """
+    if m <= 1:
+        return np.ones_like(z)
+    return 2.0 ** max(m - 2.0, 0.0) * (1.0 + z ** (m - 1.0) / special.gamma(m))
+
+
 @lru_cache(maxsize=64)
 def _gen_laguerre_rule(m, n_nodes):
-    """Nodes and weights for int_0^inf z^(m-1) e^-z g(z) dz / Gamma(m)."""
+    """Nodes and weights for int_0^inf z^(m-1) e^-z g(z) dz / Gamma(m) with
+    0 <= g <= `_fading_term_bound`: the n-node generalized Gauss-Laguerre
+    rule without its largest nodes whose summed w_k B(z_k) is at most
+    `_LAGUERRE_DROP`, which bounds what they could add."""
     z, w = special.roots_genlaguerre(n_nodes, m - 1.0)
-    return z, w / special.gamma(m)
+    w = w / special.gamma(m)
+    tail = np.cumsum((w * _fading_term_bound(m, z))[::-1])[::-1]
+    keep = tail > _LAGUERRE_DROP
+    return z[keep], w[keep]
 
 
 def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
@@ -570,7 +576,8 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
     z = (1+b) y the Gamma weight becomes z^(m-1) e^-z times
     exp(beta z) Q(m, a + beta z), beta = b/(1+b), which grows at most
     polynomially, so a fixed generalized Gauss-Laguerre rule applies:
-    T = (1+b)^-m sum_k w_k exp(beta z_k) Q(m, a + beta z_k).
+    T = (1+b)^-m sum_k w_k exp(beta z_k) Q(m, a + beta z_k).  The terms are
+    formed in blocks of about `_TERM_BLOCK` values, which keeps memory flat.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     out = np.array(special.betainc(m, m, 1.0 / (1.0 + b)), dtype=float)
@@ -579,8 +586,13 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
         z, w = _gen_laguerre_rule(m, n_nodes)
         am, bm = a[shifted], b[shifted]
         beta = (bm / (1.0 + bm))[:, None]
-        terms = np.exp(beta * z) * special.gammaincc(m, am[:, None] + beta * z)
-        out[shifted] = (1.0 + bm) ** -m * (terms @ w)
+        sums = np.empty(am.size)
+        step = max(1, _TERM_BLOCK // z.size)
+        for i in range(0, am.size, step):
+            bz = beta[i : i + step] * z
+            terms = np.exp(bz) * special.gammaincc(m, am[i : i + step, None] + bz)
+            sums[i : i + step] = terms @ w
+        out[shifted] = (1.0 + bm) ** -m * sums
     return float(out) if out.ndim == 0 else out
 
 
@@ -676,55 +688,84 @@ class BppCoverageModel:
         E[Q(m, a + b Y)] with Y = m H1, a = m theta omega / x0 and
         b = theta x_i / x0 (omega = 0 drops the residual).
 
+        Each outer-integrand call over t0 integrates ti over [t_lo, t0_i] for
+        all its nodes with one batched rule, at a nested rule's inner
+        tolerance; row i maps [t_lo, t0_i] affinely onto [0, 1] (the width is
+        the Jacobian), which keeps the scalar rule's panels.
+
         With a residual the fading expectation uses a `laguerre_nodes` rule.
         For integer m <= 2 `laguerre_nodes` the rule is exact (the rescaled
         integrand exp(beta z) Q(m, a + beta z) is a polynomial of degree
         m - 1).  Otherwise the value is recomputed with twice the nodes, and
-        the two must agree to the `_DOMINANT_QUAD` tolerance.
+        the two must agree to the `_DOMINANT_QUAD` tolerance.  Logs the work
+        done at debug level.
         """
         if theta <= 0:
             raise ParameterError("theta must be positive (linear scale)")
         if self.n < 2:
             raise ParameterError("needs n >= 2")
+        start = time.perf_counter()
         m = self.m
         dist = self.dist
         lo, hi = self._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         n_minus_2 = self.n - 2
         with_residual_mean = with_residual_mean and n_minus_2 > 0
+        inner_cfg = _DOMINANT_QUAD.scaled(0.1)
+        outer_nodes = rows = inner_nodes = 0
 
         def integral(n_nodes):
-            def integrand(t0, ti):
-                x0 = math.exp(t0)
-                xi = np.exp(ti)
-                if with_residual_mean:
-                    fxi = dist.cdf(xi)
-                    omega = np.where(
-                        fxi > 1e-250, n_minus_2 * dist.mean_below(xi) / np.maximum(fxi, 1e-250), 0.0
-                    )
-                else:
-                    omega = 0.0
-                tail = _fading_tail_expectation(m, m * theta * omega / x0, theta * xi / x0, n_nodes)
-                return tail * self.joint_top_two_pdf(x0, xi) * x0 * xi
+            nonlocal outer_nodes
 
-            return nested_integrate_2d(
-                integrand, (t_lo, t_hi), lambda t0: (t_lo, t0), _DOMINANT_QUAD
-            ).value
+            def outer(t0):
+                nonlocal rows, inner_nodes
+                width = t0 - t_lo
+
+                def inner(r, u):
+                    x0, w = np.exp(t0[r]), width[r]
+                    xi = np.exp(t_lo + u * w)
+                    omega = 0.0
+                    if with_residual_mean:
+                        fxi = dist.cdf(xi)
+                        omega = np.where(
+                            fxi > 1e-250, n_minus_2 * dist.mean_below(xi) / np.maximum(fxi, 1e-250), 0.0
+                        )
+                    tail = _fading_tail_expectation(m, m * theta * omega / x0, theta * xi / x0, n_nodes)
+                    return tail * self.joint_top_two_pdf(x0, xi) * x0 * xi * w
+
+                res = integrate_batch(inner, t0.size, 0.0, 1.0, inner_cfg)
+                rows += t0.size
+                inner_nodes += res.n_evals
+                return res.value
+
+            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
+            outer_nodes += res.n_evals
+            return res.value
 
         value = integral(laguerre_nodes)
         rule_exact = float(m).is_integer() and m <= 2 * laguerre_nodes
-        if with_residual_mean and not rule_exact:
-            check = integral(2 * laguerre_nodes)
+        certified = with_residual_mean and not rule_exact
+        n_rule = 2 * laguerre_nodes if certified else laguerre_nodes
+        if certified:
+            check = integral(n_rule)
             tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(check))
             if abs(check - value) > tol:
                 raise QuadratureError(
-                    f"{laguerre_nodes}- and {2 * laguerre_nodes}-node fading rules disagree "
+                    f"{laguerre_nodes}- and {n_rule}-node fading rules disagree "
                     f"({value:.10g} vs {check:.10g}, tolerance {tol:.3e})",
                     best_estimate=check,
                     error_estimate=abs(check - value),
                     level="fading",
                 )
             value = check
+        kept = _gen_laguerre_rule(m, n_rule)[0].size if with_residual_mean else 0
+        log.debug(
+            "dominant coverage at theta=%.6g: residual %s, %d outer nodes, %d inner rows, "
+            "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s",
+            theta, "mean" if with_residual_mean else "dropped", outer_nodes, rows,
+            inner_nodes, kept, n_rule if with_residual_mean else 0,
+            "yes" if certified else "no", time.perf_counter() - start,
+        )
         return min(max(value, 0.0), 1.0)
 
     def coverage_dominant(self, theta):
@@ -844,7 +885,7 @@ class HpppCoverageModel:
 
 
 # ---------------------------------------------------------------------------
-# Model caches and functional API
+# Model caches and the query API
 # ---------------------------------------------------------------------------
 
 
@@ -867,54 +908,6 @@ def received_power_pdf(x, geom, channel):
     """Density of the received power S l(d) of one uniform corridor UAV."""
     dist = _cached_dist(geom, channel)
     return dist.pdf_exact(x)
-
-
-def max_power_pdf_bpp(x0, n, geom, channel):
-    return bpp_model(n, geom, channel).max_power_pdf(x0)
-
-
-def max_power_pdf_hppp(s0, intensity, geom, channel):
-    return hppp_model(intensity, geom, channel).max_power_pdf(s0)
-
-
-def laplace_bpp(s, x0, n, geom, channel):
-    return bpp_model(n, geom, channel).laplace.evaluate(s, x0)
-
-
-def laplace_bpp_derivative(k, s, x0, n, geom, channel):
-    return bpp_model(n, geom, channel).laplace.derivative(k, s, x0)
-
-
-def laplace_hppp(s, s0, intensity, geom, channel):
-    return hppp_model(intensity, geom, channel).laplace.evaluate(s, s0)
-
-
-def laplace_hppp_derivative(k, s, s0, intensity, geom, channel):
-    return hppp_model(intensity, geom, channel).laplace.derivative(k, s, s0)
-
-
-def residual_mean_interference(x0, x_i, n, geom, channel):
-    return bpp_model(n, geom, channel).residual_mean_interference(x0, x_i)
-
-
-def joint_top_two_pdf(x0, x_i, n, geom, channel):
-    return bpp_model(n, geom, channel).joint_top_two_pdf(x0, x_i)
-
-
-def coverage_bpp(theta, n, geom, channel):
-    return bpp_model(n, geom, channel).coverage(theta)
-
-
-def coverage_dominant_bpp(theta, n, geom, channel):
-    return bpp_model(n, geom, channel).coverage_dominant(theta)
-
-
-def coverage_single_dominant_bpp(theta, n, geom, channel):
-    return bpp_model(n, geom, channel).coverage_single_dominant(theta)
-
-
-def coverage_hppp(theta, intensity, geom, channel):
-    return hppp_model(intensity, geom, channel).coverage(theta)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature with semi-infinite maps and nested rules.
+"""Adaptive Gauss-Kronrod quadrature with semi-infinite maps and batched rules.
 
 All analytic coverage expressions in this package reduce to one- or
 two-fold integrals whose integrands are smooth except for integrable
@@ -25,7 +25,6 @@ __all__ = [
     "SemiInfiniteMap",
     "integrate",
     "integrate_batch",
-    "nested_integrate_2d",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -352,7 +351,9 @@ def nested_integrate_2d(f, outer_bounds, inner_bounds, config=None):
 
     outer_bounds is (a, b); inner_bounds maps an outer point x to (lo, hi).
     The inner rule runs at a tolerance ten times tighter than the outer one.
-    Inner non-convergence is re-raised with a level annotation.
+    Inner non-convergence is re-raised with a level annotation.  One scalar
+    `integrate` per outer node: the reference that the batched
+    dominant-interferer integral is checked against.
     """
     cfg = config or DEFAULT_CONFIG
     inner_cfg = cfg.scaled(0.1)

@@ -23,7 +23,7 @@ from .core import (
     link_distance_cdf,
     path_loss,
 )
-from .quadrature import integrate
+from .quadrature import integrate, nested_integrate_2d
 from .simulator import simulate_sir
 
 
@@ -101,6 +101,21 @@ def run(trials=200_000, seed=20250811):
             bool(np.all(np.abs(batched - ref) <= 1e-10 * np.abs(ref))),
         )
     )
+
+    # batched mean-residual dominant coverage against the nested scalar rule
+    bpp25 = analytic.bpp_model(10, geom, ChannelParams(alpha=2.2, q=2.0, m=2.5))
+    t_lo, t_hi = np.log(bpp25._outer_bounds(1e-10))
+
+    def top_two(t0, ti):
+        x0, xi = math.exp(t0), np.exp(ti)
+        omega = 8 * bpp25.dist.mean_below(xi) / np.maximum(bpp25.dist.cdf(xi), 1e-250)
+        tail = analytic._fading_tail_expectation(2.5, 2.5 * omega / x0, xi / x0, 64)
+        return tail * bpp25.joint_top_two_pdf(x0, xi) * x0 * xi
+
+    nested = nested_integrate_2d(top_two, (t_lo, t_hi), lambda t0: (t_lo, t0), analytic._DOMINANT_QUAD)
+    dominant = bpp25.coverage_dominant(1.0)
+    ok = abs(dominant - nested.value) <= 1e-10 * nested.value
+    checks.append(("batched dominant coverage vs nested scalar rule", ok))
 
     lam = 10.0 / geom.length
     hppp = analytic.hppp_model(lam, geom, channel)

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,12 +19,12 @@ from corridor_cov import (
     bpp_model,
     carrier_factor_from_frequency,
     integrate,
-    nested_integrate_2d,
     received_power_pdf,
     simulate_sir,
 )
 from corridor_cov import analytic
 from corridor_cov.analytic import _LAGUERRE_NODES, _fading_tail_expectation
+from corridor_cov.quadrature import nested_integrate_2d
 from conftest import ks_statistic
 
 N = 10
@@ -33,6 +35,17 @@ def draw_powers(rng, trials, n=N, h=H, r=R, alpha=ALPHA, q=2.0, gamma=1.0):
     d = np.hypot(rng.uniform(-r, r, (trials, n)), h)
     s = 1.0 / rng.gamma(q, 1.0 / gamma, (trials, n))
     return s * d**-alpha
+
+
+def full_rule_tail(m, a, b, n_nodes):
+    """T(a, b) = E[Q(m, a + b Y)] with the untrimmed n-node generalized
+    Gauss-Laguerre rule at a > 0 and the incomplete beta function at a = 0."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    z, w = special.roots_genlaguerre(n_nodes, m - 1.0)
+    beta = (b / (1.0 + b))[..., None]
+    terms = np.exp(beta * z) * special.gammaincc(m, a[..., None] + beta * z)
+    shifted = (1.0 + b) ** -m * (terms @ (w / special.gamma(m)))
+    return np.where(a > 0, shifted, special.betainc(m, m, 1.0 / (1.0 + b)))
 
 
 class TestReceivedPowerDistribution:
@@ -432,6 +445,74 @@ class TestDominantInterferer:
         assert err.value.level == "fading"
 
 
+class TestBatchedDominantIntegral:
+    """The dominant-interferer 2D integral with one batched inner rule per
+    outer-integrand call, against the nested scalar rule it replaced."""
+
+    @staticmethod
+    def nested(model, theta, with_residual_mean):
+        """The former per-outer-node `integrate` loop over the old integrand,
+        with the untrimmed Laguerre rule whose value the method returns."""
+        dist, m, n = model.dist, model.m, model.n
+        lo, hi = model._outer_bounds(1e-10)
+        t_lo, t_hi = math.log(lo), math.log(hi)
+        residual = with_residual_mean and n > 2
+        n_nodes = _LAGUERRE_NODES if float(m).is_integer() or not residual else 2 * _LAGUERRE_NODES
+
+        def integrand(t0, ti):
+            x0 = math.exp(t0)
+            xi = np.exp(ti)
+            omega = 0.0
+            if residual:
+                fxi = dist.cdf(xi)
+                omega = np.where(
+                    fxi > 1e-250, (n - 2) * dist.mean_below(xi) / np.maximum(fxi, 1e-250), 0.0
+                )
+            tail = full_rule_tail(m, m * theta * omega / x0, theta * xi / x0, n_nodes)
+            return tail * model.joint_top_two_pdf(x0, xi) * x0 * xi
+
+        value = nested_integrate_2d(
+            integrand, (t_lo, t_hi), lambda t0: (t_lo, t0), analytic._DOMINANT_QUAD
+        ).value
+        return min(max(value, 0.0), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("m", [0.5, 2.5, 3.0])
+    def test_matches_nested_scalar_rule(self, geom, m, n):
+        model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        dominant = model.coverage_dominant(1.0)
+        single = model.coverage_single_dominant(1.0)
+        assert dominant == pytest.approx(self.nested(model, 1.0, True), rel=1e-12, abs=0.0)
+        assert single == pytest.approx(self.nested(model, 1.0, False), rel=1e-12, abs=0.0)
+
+    LINE = re.compile(
+        r"dominant coverage at theta=1: residual (mean|dropped), (\d+) outer nodes, "
+        r"(\d+) inner rows, (\d+) inner node evaluations, (\d+)/(\d+) Laguerre nodes kept, "
+        r"certified (yes|no), [0-9.]+ s"
+    )
+
+    def test_logs_its_work(self, geom, caplog):
+        model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=2.5))
+        model.dist.x_lo  # build the cache outside the captured calls
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            model.coverage_dominant(1.0)
+            model.coverage_single_dominant(1.0)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        assert len(lines) == 2
+        fields = [self.LINE.fullmatch(line) for line in lines]
+        assert all(fields), lines
+        (res, outer, rows, inner, kept, n_rule, cert), single = (f.groups() for f in fields)
+        # m = 2.5: two 2D passes, the second with the 64-node rule
+        assert (res, cert, int(n_rule)) == ("mean", "yes", 2 * _LAGUERRE_NODES)
+        assert 0 < int(kept) < int(n_rule)
+        assert int(outer) % 15 == 0  # one G7/K15 panel is 15 nodes
+        assert int(rows) == int(outer)  # one inner row per outer node
+        assert int(inner) >= 120 * int(rows)  # at least 8 panels per row
+        res, outer, rows, inner, kept, n_rule, cert = single
+        assert (res, kept, n_rule, cert) == ("dropped", "0", "0", "no")
+        assert int(rows) == int(outer) > 0 and int(inner) > 0
+
+
 class TestExactFadingRuleAtIntegerM:
     """For integer m the mean-residual fading rule is exact, so the dominant
     coverage is one 2D integral with no certifying second integral."""
@@ -446,14 +527,15 @@ class TestExactFadingRuleAtIntegerM:
 
     @pytest.mark.parametrize("m, n, theta_db", list(CERTIFIED_VALUES))
     def test_one_integral_equals_certified_value(self, geom, monkeypatch, m, n, theta_db):
+        # each 2D pass is one outer `integrate` call over t0
         calls = []
-        nested = analytic.nested_integrate_2d
+        outer = analytic.integrate
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return nested(*args, **kwargs)
+            return outer(*args, **kwargs)
 
-        monkeypatch.setattr(analytic, "nested_integrate_2d", counted)
+        monkeypatch.setattr(analytic, "integrate", counted)
         model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
         value = model.coverage_dominant(10 ** (theta_db / 10))
         assert value == pytest.approx(self.CERTIFIED_VALUES[(m, n, theta_db)], rel=1e-9)
@@ -502,6 +584,37 @@ class TestFadingTailExpectation:
         assert got[0] == expected[0] and got[2] == expected[2]
         assert _fading_tail_expectation(m, 0.0, 3.0) == special.betainc(m, m, 0.25)
 
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 8.0])
+    def test_trimmed_rule_matches_full_rule(self, m):
+        a, b = np.meshgrid(np.geomspace(1e-4, 1e3, 15), np.geomspace(1e-4, 1e4, 17))
+        for n_nodes in (_LAGUERRE_NODES, 2 * _LAGUERRE_NODES):
+            z, w = analytic._gen_laguerre_rule(m, n_nodes)
+            z_full, w_full = special.roots_genlaguerre(n_nodes, m - 1.0)
+            kept = z.size
+            assert kept < n_nodes
+            np.testing.assert_array_equal(z, z_full[:kept])
+            # what the dropped nodes add, on the grid: at most the 1e-17 budget
+            beta = (b / (1.0 + b))[..., None]
+            zd = z_full[kept:]
+            dropped = np.exp(beta * zd) * special.gammaincc(m, a[..., None] + beta * zd)
+            dropped = (1.0 + b) ** -m * (dropped @ (w_full[kept:] / special.gamma(m)))
+            assert np.all(dropped <= 1e-17)
+            # end to end: within 1e-16, plus the few ulps by which dot
+            # products of different lengths may round apart
+            full = full_rule_tail(m, a, b, n_nodes)
+            got = _fading_tail_expectation(m, a, b, n_nodes)
+            assert np.all(np.abs(got - full) <= 1e-16 + 4 * np.finfo(float).eps * full)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 8.0])
+    def test_term_bound_holds(self, m):
+        # exp(beta z) Q(m, a + beta z) <= B(z) for a >= 0, 0 < beta < 1
+        z = np.geomspace(1e-3, 600.0, 200)
+        bound = analytic._fading_term_bound(m, z)
+        for a in (0.0, 1e-3, 1.0, 10.0):
+            for beta in (1e-3, 0.1, 0.5, 0.9, 0.999):
+                term = np.exp(beta * z) * special.gammaincc(m, a + beta * z)
+                assert np.all(term <= bound * (1.0 + 1e-12)), (a, beta)
 
 class TestCoverageQueryDispatch:
     def test_bpp_methods(self, geom, channel, model10):

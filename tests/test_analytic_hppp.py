@@ -13,9 +13,9 @@ from corridor_cov import (
     bpp_model,
     hppp_model,
     integrate,
-    nested_integrate_2d,
     simulate_sir,
 )
+from corridor_cov.quadrature import nested_integrate_2d
 from conftest import ks_statistic
 
 LAM = 10.0 / 1000.0

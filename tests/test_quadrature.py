@@ -9,9 +9,8 @@ from corridor_cov import (
     SemiInfiniteMap,
     integrate,
     link_distance_pdf,
-    nested_integrate_2d,
 )
-from corridor_cov.quadrature import integrate_batch
+from corridor_cov.quadrature import integrate_batch, nested_integrate_2d
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
 
