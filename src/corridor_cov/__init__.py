@@ -53,16 +53,12 @@ from .analytic import (
 from .simulator import (
     CoverageCurve,
     EmpiricalDistribution,
-    EmptyNetworkError,
     GridMismatchError,
     HeightStudyResult,
     MappingError,
-    NetworkRealization,
     ReplayResult,
-    SirSample,
     Trace,
     TraceFormatError,
-    associate,
     coverage_from_sirs,
     empirical_coverage,
     fit_normal_height,
@@ -71,10 +67,8 @@ from .simulator import (
     HeightKlResult,
     kl_divergence,
     sir_distribution,
-    sample_network,
     simulate_sir,
     simulate_sir_paired,
-    sir_sample,
     synthesize_trace,
     trace_replay,
     variable_height_study,

@@ -5,13 +5,22 @@ realizations under BPP / finite-HPPP / 2D-disc spatial models, max-power and
 min-distance association, SIR sampling, empirical coverage curves, variable
 height studies, KL model comparison, and measurement-trace replay.
 
-Reproducibility: trials are processed in fixed-size batches; batch b draws
-from the counter-based substream Philox(key=seed).jumped(b), so the same
-master seed gives bit-identical results regardless of worker parallelism.
-Within a batch the draw order is fixed: counts (HPPP only), positions,
-heights, shadowing, then fading.  Shadowing is applied at realization time
-(association measures S * l(d), agnostic to fast fading); fading is drawn at
-SIR time.
+Reproducibility: every entry point runs its trials through `_map_batches` in
+fixed-size batches; batch b draws from the counter-based substream
+Philox(key=seed).jumped(b), so the same master seed gives bit-identical
+results regardless of worker parallelism.  Within a batch the draw order is
+fixed per entry point:
+
+- `simulate_sir` and `simulate_sir_paired`: counts (HPPP only), positions,
+  heights, shadowing, then fading.  Shadowing is applied at realization time
+  (association measures S * l(d), agnostic to fast fading); fading is drawn
+  at SIR time, and the paired run shares it between both policies.
+- `height_model_kl_study`: counts, positions, height uniforms (where the
+  height model would draw), shadowing, then fading.
+- `trace_replay`: counts, positions, then fading ("redraw" mode only); the
+  trace supplies everything else.
+- `synthesize_trace` draws from batch 0's substream: heights, shadowing,
+  then fading (when requested).
 """
 
 from __future__ import annotations
@@ -38,20 +47,14 @@ from .core import (
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "EmptyNetworkError",
     "GridMismatchError",
     "TraceFormatError",
     "MappingError",
-    "NetworkRealization",
-    "SirSample",
     "CoverageCurve",
     "EmpiricalDistribution",
     "HeightStudyResult",
     "ReplayResult",
     "Trace",
-    "sample_network",
-    "associate",
-    "sir_sample",
     "simulate_sir",
     "simulate_sir_paired",
     "empirical_coverage",
@@ -72,10 +75,6 @@ DEFAULT_BATCH_SIZE = 1 << 16
 MAX_POWER = "max_power"
 MIN_DISTANCE = "min_distance"
 _POLICIES = (MAX_POWER, MIN_DISTANCE)
-
-
-class EmptyNetworkError(ValueError):
-    """Raised when an operation needs at least one UAV in the realization."""
 
 
 class GridMismatchError(ValueError):
@@ -104,35 +103,29 @@ def _check_policy(policy):
 
 
 # ---------------------------------------------------------------------------
-# Single realizations (object API; the batch engine below is the hot path)
+# Batch engine
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NetworkRealization:
-    """One network draw.  `positions` are corridor coordinates in [-R, R]
-    (ground radii for the 2D-disc baseline); `rx_powers` = S * l(d) exclude
-    fast fading, which is drawn at SIR time."""
+def _map_batches(fn, trials, batch_size, seed, workers=1):
+    """[fn(rng_b, size_b) for each batch b], in batch order.
 
-    positions: np.ndarray
-    heights: np.ndarray
-    shadowing: np.ndarray
-    rx_powers: np.ndarray
-    fading: Optional[np.ndarray] = None
+    Batch b holds `batch_size` trials (the last one the remainder) and draws
+    from `_substream(seed, b)`, so the results do not depend on `workers`.
+    """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    if batch_size < 1:
+        raise ParameterError("batch_size must be >= 1")
+    sizes = [min(batch_size, trials - start) for start in range(0, trials, batch_size)]
 
-    @property
-    def n(self):
-        return len(self.positions)
+    def run(b):
+        return fn(_substream(seed, b), sizes[b])
 
-    def distances(self):
-        return np.hypot(self.positions, self.heights)
-
-
-@dataclass(frozen=True)
-class SirSample:
-    serving_index: int
-    sir: float  # linear; inf for single-UAV realizations
-    n_uavs: int
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(len(sizes))))
+    return [run(b) for b in range(len(sizes))]
 
 
 def _draw_positions(spatial, geom, rng, size):
@@ -153,78 +146,43 @@ def _draw_positions(spatial, geom, rng, size):
     return pos, counts
 
 
+def _rx_powers(pos, heights, shadowing, channel):
+    """(S * K * d^-alpha, d): received powers without fast fading, and link
+    distances, for UAVs at corridor coordinates `pos` and `heights`."""
+    dist = np.hypot(pos, heights)
+    return shadowing * channel.k_factor * dist ** (-channel.alpha), dist
+
+
+def _pad(powers, dist, counts):
+    """Give the slots past each row's UAV count zero power and infinite
+    distance, in place, so they never serve or interfere."""
+    padding = np.arange(powers.shape[1])[None, :] >= counts[:, None]
+    powers[padding] = 0.0
+    dist[padding] = np.inf
+
+
 def _realize_batch(spatial, geom, channel, size, rng):
-    """Vectorized batch of realizations.
-
-    Returns (powers, distances, mask, counts); masked-out padding slots have
-    zero power and infinite distance so they never win an association.
-    """
+    """Vectorized batch of `size` realizations: (powers, distances, counts),
+    padded by `_pad`."""
     pos, counts = _draw_positions(spatial, geom, rng, size)
-    k = pos.shape[1]
-    heights = geom.height_model.sample(rng, (size, k))
-    shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, (size, k))
-    dist = np.hypot(pos, heights)
-    powers = shadowing * channel.k_factor * dist ** (-channel.alpha)
-    mask = np.arange(k)[None, :] < counts[:, None]
-    powers = np.where(mask, powers, 0.0)
-    dist = np.where(mask, dist, np.inf)
-    return powers, dist, mask, counts
+    heights = geom.height_model.sample(rng, pos.shape)
+    shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
+    powers, dist = _rx_powers(pos, heights, shadowing, channel)
+    _pad(powers, dist, counts)
+    return powers, dist, counts
 
 
-def sample_network(spatial, geom, channel, rng) -> NetworkRealization:
-    """Draw one realization: positions, heights, shadowing, received powers."""
-    pos, counts = _draw_positions(spatial, geom, rng, 1)
-    n = int(counts[0])
-    pos = pos[0, :n]
-    heights = np.atleast_1d(geom.height_model.sample(rng, (1, len(pos))))[0] if n else np.empty(0)
-    shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n) if n else np.empty(0)
-    dist = np.hypot(pos, heights)
-    powers = shadowing * channel.k_factor * dist ** (-channel.alpha)
-    return NetworkRealization(pos, heights, shadowing, powers)
-
-
-def associate(realization: NetworkRealization, policy) -> int:
-    """Serving index under the policy; ties break to the lowest index."""
-    _check_policy(policy)
-    if realization.n == 0:
-        raise EmptyNetworkError("cannot associate in an empty network")
-    if policy == MAX_POWER:
-        return int(np.argmax(realization.rx_powers))
-    return int(np.argmin(realization.distances()))
-
-
-def sir_sample(realization: NetworkRealization, policy, channel, rng) -> SirSample:
-    """Draw independent per-UAV fading and form the SIR for one realization."""
-    if realization.n == 0:
-        raise EmptyNetworkError("cannot form an SIR in an empty network")
-    serving = associate(realization, policy)
-    fading = rng.gamma(channel.m, 1.0 / channel.m, (1, realization.n))[0]
-    faded = fading * realization.rx_powers
-    interference = faded.sum() - faded[serving]
-    sir = math.inf if realization.n == 1 else float(faded[serving] / interference)
-    return SirSample(serving_index=serving, sir=sir, n_uavs=realization.n)
-
-
-# ---------------------------------------------------------------------------
-# Batch SIR engine
-# ---------------------------------------------------------------------------
-
-
-def _sir_of_batch(powers, dist, mask, counts, channel, rng, policy):
-    fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
-    return _combine_sir(powers, dist, mask, counts, fading, policy)
-
-
-def _combine_sir(powers, dist, mask, counts, fading, policy):
-    keep = counts > 0
+def _combine_sir(powers, dist, counts, fading, policy):
+    """Linear SIR of each non-empty realization (row) of a padded batch;
+    a row with no interferer gets SIR = inf.  `fading` is an array of the
+    batch's shape or a scalar.  Ties break to the lowest index."""
     if policy == MAX_POWER:
         serving = np.argmax(powers, axis=1)
     else:
         serving = np.argmin(dist, axis=1)
-    faded = np.where(mask, fading * powers, 0.0)
+    faded = fading * powers
     total = faded.sum(axis=1)
-    rows = np.arange(powers.shape[0])
-    signal = faded[rows, serving]
+    signal = faded[np.arange(powers.shape[0]), serving]
     interference = np.maximum(total - signal, 0.0)
     sir = np.divide(
         signal,
@@ -232,12 +190,7 @@ def _combine_sir(powers, dist, mask, counts, fading, policy):
         out=np.full_like(signal, np.inf),
         where=interference > 0,
     )
-    return sir[keep]
-
-
-def _batch_plan(trials, batch_size):
-    n_batches = (trials + batch_size - 1) // batch_size
-    return [(b, min(batch_size, trials - b * batch_size)) for b in range(n_batches)]
+    return sir[counts > 0]
 
 
 def simulate_sir(
@@ -257,24 +210,14 @@ def simulate_sir(
     (sirs, n_excluded).
     """
     _check_policy(policy)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    plan = _batch_plan(trials, batch_size)
 
-    def run(item):
-        b, size = item
-        rng = _substream(seed, b)
-        powers, dist, mask, counts = _realize_batch(spatial, geom, channel, size, rng)
-        return _sir_of_batch(powers, dist, mask, counts, channel, rng, policy), size - (
-            counts > 0
-        ).sum()
+    def run(rng, size):
+        powers, dist, counts = _realize_batch(spatial, geom, channel, size, rng)
+        fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
+        return _combine_sir(powers, dist, counts, fading, policy), size - (counts > 0).sum()
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, plan))
-    else:
-        results = [run(item) for item in plan]
-    sirs = np.concatenate([r[0] for r in results]) if results else np.empty(0)
+    results = _map_batches(run, trials, batch_size, seed, workers)
+    sirs = np.concatenate([r[0] for r in results])
     n_excluded = int(sum(r[1] for r in results))
     return sirs, n_excluded
 
@@ -290,30 +233,21 @@ def simulate_sir_paired(
 ):
     """SIRs under both association policies on the SAME realizations (common
     random numbers).  Returns (sir_max_power, sir_min_distance,
-    disagreement_fraction)."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    plan = _batch_plan(trials, batch_size)
+    disagreement_fraction); raises ParameterError when every realization is
+    empty."""
 
-    def run(item):
-        b, size = item
-        rng = _substream(seed, b)
-        powers, dist, mask, counts = _realize_batch(spatial, geom, channel, size, rng)
+    def run(rng, size):
+        powers, dist, counts = _realize_batch(spatial, geom, channel, size, rng)
         fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
-        keep = counts > 0
-        sir_mp = _combine_sir(powers, dist, mask, counts, fading, MAX_POWER)
-        sir_md = _combine_sir(powers, dist, mask, counts, fading, MIN_DISTANCE)
-        disagree = (np.argmax(powers, axis=1) != np.argmin(dist, axis=1))[keep]
+        sir_mp = _combine_sir(powers, dist, counts, fading, MAX_POWER)
+        sir_md = _combine_sir(powers, dist, counts, fading, MIN_DISTANCE)
+        disagree = (np.argmax(powers, axis=1) != np.argmin(dist, axis=1))[counts > 0]
         return sir_mp, sir_md, disagree
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, plan))
-    else:
-        results = [run(item) for item in plan]
-    sir_mp = np.concatenate([r[0] for r in results])
-    sir_md = np.concatenate([r[1] for r in results])
-    disagree = np.concatenate([r[2] for r in results])
+    results = _map_batches(run, trials, batch_size, seed, workers)
+    sir_mp, sir_md, disagree = (np.concatenate(col) for col in zip(*results))
+    if len(disagree) == 0:
+        raise ParameterError("no SIR samples (all realizations empty?)")
     return sir_mp, sir_md, float(disagree.mean())
 
 
@@ -466,35 +400,32 @@ def height_model_kl_study(
         return {"true": h_true, "normal": h_norm, "uniform": np.maximum(h_unif, 1e-9)}
 
     geom = CorridorGeometry(R, FixedHeight(max(mu, 1e-9)))
-    counts_hist = {k: np.zeros(len(edges_db) - 1, dtype=np.int64) for k in ("true", "normal", "uniform")}
-    n_kept = {k: 0 for k in counts_hist}
 
-    for b, size in _batch_plan(trials, batch_size):
-        rng = _substream(seed, b)
+    def run(rng, size):
         pos, counts = _draw_positions(spatial, geom, rng, size)
-        shape = pos.shape
-        u_h = rng.uniform(0.0, 1.0, shape)
-        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, shape)
-        fading = rng.gamma(channel.m, 1.0 / channel.m, shape)
-        mask = np.arange(shape[1])[None, :] < counts[:, None]
+        u_h = rng.uniform(0.0, 1.0, pos.shape)
+        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
+        fading = rng.gamma(channel.m, 1.0 / channel.m, pos.shape)
+        hists = {}
         for key, heights in transforms(u_h).items():
-            dist = np.hypot(pos, heights)
-            powers = shadowing * channel.k_factor * dist ** (-channel.alpha)
-            powers = np.where(mask, powers, 0.0)
-            dist = np.where(mask, dist, np.inf)
-            sir = _combine_sir(powers, dist, mask, counts, fading, MAX_POWER)
+            powers, dist = _rx_powers(pos, heights, shadowing, channel)
+            _pad(powers, dist, counts)
+            sir = _combine_sir(powers, dist, counts, fading, MAX_POWER)
             sir_db = linear_to_db(sir[np.isfinite(sir) & (sir > 0)])
-            inside = sir_db[(sir_db >= edges_db[0]) & (sir_db <= edges_db[-1])]
-            counts_hist[key] += np.histogram(inside, bins=edges_db)[0]
-            n_kept[key] += len(inside)
+            # np.histogram drops the SIRs that fall outside the grid
+            hists[key] = np.histogram(sir_db, bins=edges_db)[0]
+        return hists
 
+    batches = _map_batches(run, trials, batch_size, seed)
     dists = {}
     widths = np.diff(edges_db)
-    for key, counts_k in counts_hist.items():
-        if counts_k.sum() == 0:
+    for key in batches[0]:
+        counts_k = sum(hists[key] for hists in batches)
+        n_kept = int(counts_k.sum())
+        if n_kept == 0:
             raise ParameterError("no SIR samples fell inside the histogram grid")
         dists[key] = EmpiricalDistribution(
-            edges=edges_db, density=counts_k / (counts_k.sum() * widths), n_samples=n_kept[key]
+            edges=edges_db, density=counts_k / (n_kept * widths), n_samples=n_kept
         )
 
     return HeightKlResult(
@@ -692,7 +623,7 @@ def synthesize_trace(geom, channel, spacing, seed, include_fading=False):
     pos = np.linspace(-geom.R, geom.R, n)
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
     shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n)
-    powers = shadowing * channel.k_factor * np.hypot(pos, heights) ** (-channel.alpha)
+    powers, _ = _rx_powers(pos, heights, shadowing, channel)
     if include_fading:
         powers = powers * rng.gamma(channel.m, 1.0 / channel.m, n)
     actual_spacing = pos[1] - pos[0]
@@ -742,24 +673,15 @@ def trace_replay(
     trace_power = np.asarray(db_to_linear(trace.rx_power_dbm))
     trace_dist = np.hypot(trace.position_m, trace.height_m)
 
-    all_sirs = []
-    for b, size in _batch_plan(trials, batch_size):
-        rng = _substream(seed, b)
+    def run(rng, size):
         pos, counts = _draw_positions(spatial, geom, rng, size)
         idx = trace.nearest_index(pos)
-        powers = trace_power[idx]
-        dist = trace_dist[idx]
-        k = pos.shape[1]
-        mask = np.arange(k)[None, :] < counts[:, None]
-        powers = np.where(mask, powers, 0.0)
-        dist = np.where(mask, dist, np.inf)
-        if fading_mode == "redraw":
-            fading = rng.gamma(m, 1.0 / m, powers.shape)
-        else:
-            fading = np.ones_like(powers)
-        all_sirs.append(_combine_sir(powers, dist, mask, counts, fading, policy))
+        powers, dist = trace_power[idx], trace_dist[idx]
+        _pad(powers, dist, counts)
+        fading = rng.gamma(m, 1.0 / m, powers.shape) if fading_mode == "redraw" else 1.0
+        return _combine_sir(powers, dist, counts, fading, policy)
 
-    sirs = np.concatenate(all_sirs)
+    sirs = np.concatenate(_map_batches(run, trials, batch_size, seed))
     curve = coverage_from_sirs(sirs, theta_db, provenance="replayed")
     dist_est = sir_distribution(sirs, sir_edges_db)
     return ReplayResult(coverage=curve, sir=dist_est, n_trials=len(sirs))

@@ -136,6 +136,16 @@ class TestCoverageCommand:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[4] == "1"  # flag wins over file
 
+    def test_zero_batch_size_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "batch.ini"
+        cfg.write_text("[run]\ntrials = 1000\nbatch_size = 0\n")
+        code = run_cli(
+            ["coverage", "--config", str(cfg), "--methods", "mc",
+             "--sweep", "theta", "--values", "-3"]
+        )
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+
 
 class TestReplayCommand:
     def test_missing_trace_is_io_error(self, replay_config):

@@ -9,50 +9,55 @@ from corridor_cov import (
     CorridorGeometry,
     Disc2D,
     EmpiricalDistribution,
-    EmptyNetworkError,
     FiniteHPPP,
     FixedHeight,
     GridMismatchError,
-    NetworkRealization,
     NormalHeight,
     ParameterError,
     UniformHeight,
-    associate,
     empirical_coverage,
     fit_normal_height,
     fit_uniform_height,
     height_model_kl_study,
     kl_divergence,
-    sample_network,
     simulate_sir,
     simulate_sir_paired,
-    sir_sample,
+    synthesize_trace,
+    trace_replay,
     variable_height_study,
 )
-from corridor_cov.simulator import MAX_POWER, MIN_DISTANCE, _substream
+from corridor_cov.simulator import (
+    MAX_POWER,
+    MIN_DISTANCE,
+    _combine_sir,
+    _draw_positions,
+    _realize_batch,
+    _substream,
+)
 from conftest import ks_statistic
 
 
 class TestSampleNetwork:
     def test_bpp_counts_and_support(self, geom, channel):
+        powers, dist, counts = _realize_batch(BPP(10), geom, channel, 1, _substream(1, 0))
+        # replay the batch's draws: positions, heights, then shadowing
         rng = _substream(1, 0)
-        net = sample_network(BPP(10), geom, channel, rng)
-        assert net.n == 10
-        assert np.all(np.abs(net.positions) <= geom.R)
-        assert np.all(net.heights == 100.0)
-        assert np.allclose(net.rx_powers, net.shadowing * net.distances() ** -2.2, rtol=1e-12)
+        pos, _ = _draw_positions(BPP(10), geom, rng, 1)
+        heights = geom.height_model.sample(rng, pos.shape)
+        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
+        assert counts[0] == 10 and powers.shape == (1, 10)
+        assert np.all(np.abs(pos) <= geom.R)
+        assert np.all(heights == 100.0)
+        assert np.array_equal(dist, np.hypot(pos, heights))
+        assert np.allclose(powers, shadowing * dist ** -2.2, rtol=1e-12)
 
     def test_bpp_positions_uniform_ks(self, geom, channel):
-        from corridor_cov.simulator import _draw_positions
-
         rng = _substream(2, 0)
         pos, _ = _draw_positions(BPP(10), geom, rng, 10**5)
         u = pos.ravel()  # 1e6 positions
         assert ks_statistic(u, lambda x: np.clip((x + 500.0) / 1000.0, 0, 1)) < 0.005
 
     def test_hppp_count_mean_sanity(self, geom, channel):
-        from corridor_cov.simulator import _draw_positions
-
         rng = _substream(3, 0)
         _, counts = _draw_positions(FiniteHPPP(0.01), geom, rng, 10**6)
         mean = counts.mean()
@@ -63,9 +68,6 @@ class TestSampleNetwork:
         # ground radius density 2r/R^2 -> distance CDF (d^2 - h^2)/R^2
         geom = CorridorGeometry(250.0, FixedHeight(50.0))
         rng = _substream(4, 0)
-        net_d = []
-        from corridor_cov.simulator import _draw_positions
-
         pos, _ = _draw_positions(Disc2D(10, 250.0), geom, rng, 10**5)
         d = np.hypot(pos, 50.0).ravel()
         cdf = lambda x: np.clip((x * x - 2500.0) / 250.0**2, 0.0, 1.0)
@@ -74,79 +76,75 @@ class TestSampleNetwork:
 
 class TestAssociation:
     def test_single_uav_both_policies(self, geom, channel):
-        rng = _substream(5, 0)
-        net = sample_network(BPP(1), geom, channel, rng)
-        assert associate(net, MAX_POWER) == 0
-        assert associate(net, MIN_DISTANCE) == 0
+        # the lone UAV serves under both policies: they never disagree and
+        # nothing interferes
+        mp, md, frac = simulate_sir_paired(BPP(1), geom, channel, 1000, seed=5)
+        assert frac == 0.0
+        assert len(mp) == len(md) == 1000
+        assert np.all(np.isinf(mp)) and np.all(np.isinf(md))
 
     def test_unit_shadowing_reduces_to_min_distance(self):
         # with all shadowing gains equal the max-power choice is the nearest
         positions = np.array([-300.0, 50.0, 400.0])
         heights = np.full(3, 100.0)
         shadowing = np.ones(3)
-        powers = shadowing * np.hypot(positions, heights) ** -2.2
-        net = NetworkRealization(positions, heights, shadowing, powers)
-        assert associate(net, MAX_POWER) == associate(net, MIN_DISTANCE) == 1
+        dist = np.hypot(positions, heights)[None, :]
+        powers = shadowing * dist ** -2.2
+        counts = np.array([3])
+        sir_mp = _combine_sir(powers, dist, counts, 1.0, MAX_POWER)
+        sir_md = _combine_sir(powers, dist, counts, 1.0, MIN_DISTANCE)
+        p = powers[0]
+        assert sir_mp[0] == sir_md[0] == pytest.approx(p[1] / (p[0] + p[2]), rel=1e-12)
 
     def test_policies_disagree_often_under_shadowing(self, geom, channel):
         _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 50_000, seed=6)
         assert frac > 0.3
 
-    def test_empty_network_signalled(self, channel):
-        empty = NetworkRealization(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
-        with pytest.raises(EmptyNetworkError):
-            associate(empty, MAX_POWER)
-        with pytest.raises(EmptyNetworkError):
-            sir_sample(empty, MAX_POWER, channel, _substream(0, 0))
-
     def test_unknown_policy_rejected(self, geom, channel):
-        net = sample_network(BPP(2), geom, channel, _substream(7, 0))
         with pytest.raises(ParameterError):
-            associate(net, "strongest")
+            simulate_sir(BPP(2), geom, channel, 10, seed=7, policy="strongest")
 
 
 class TestSirSample:
     def test_two_equal_powers_no_fading_gives_unit_sir(self, channel):
-        net = NetworkRealization(
-            np.array([-100.0, 100.0]),
-            np.full(2, 100.0),
-            np.ones(2),
-            np.array([2e-5, 2e-5]),
-        )
+        powers = np.array([[2e-5, 2e-5]])
+        dist = np.hypot([[-100.0, 100.0]], 100.0)
+        counts = np.array([2])
         ch = ChannelParams(alpha=2.2, q=2.0, m=1e7)  # m -> inf: fading collapses to 1
-        s = sir_sample(net, MAX_POWER, ch, _substream(8, 0))
-        assert s.sir == pytest.approx(1.0, abs=2e-3)
-        assert s.n_uavs == 2
+        fading = _substream(8, 0).gamma(ch.m, 1.0 / ch.m, powers.shape)
+        sir = _combine_sir(powers, dist, counts, fading, MAX_POWER)
+        assert sir.shape == (1,)  # one SIR for the one two-UAV realization
+        assert sir[0] == pytest.approx(1.0, abs=2e-3)
 
     def test_single_uav_infinite_sir(self, geom, channel):
-        net = sample_network(BPP(1), geom, channel, _substream(9, 0))
-        assert math.isinf(sir_sample(net, MAX_POWER, channel, _substream(9, 1)).sir)
+        sirs, excluded = simulate_sir(BPP(1), geom, channel, 1000, seed=9)
+        assert excluded == 0
+        assert np.all(np.isinf(sirs))
 
     def test_two_uav_exponential_ratio_law(self, channel):
         # N=2, m=1, power ratio rho: P(SIR > theta) = 1 / (1 + theta/rho)
-        net = NetworkRealization(
-            np.array([-100.0, 100.0]),
-            np.full(2, 100.0),
-            np.ones(2),
-            np.array([3e-6, 3e-6]),  # rho = 1
-        )
-        rng = _substream(10, 0)
-        hits = 0
         trials = 20_000
-        for _ in range(trials):
-            if sir_sample(net, MAX_POWER, channel, rng).sir > 1.0:
-                hits += 1
-        assert hits / trials == pytest.approx(0.5, abs=0.01)
+        powers = np.full((trials, 2), 3e-6)  # rho = 1
+        dist = np.broadcast_to(np.hypot([-100.0, 100.0], 100.0), powers.shape)
+        counts = np.full(trials, 2)
+        fading = _substream(10, 0).gamma(channel.m, 1.0 / channel.m, powers.shape)
+        sir = _combine_sir(powers, dist, counts, fading, MAX_POWER)
+        assert np.mean(sir > 1.0) == pytest.approx(0.5, abs=0.01)
 
     def test_batch_engine_agrees_with_object_path(self, geom, channel):
-        # same substream, BPP: the vectorized engine must reproduce the
-        # object-by-object draw sequence exactly
+        # same substream, BPP: the vectorized engine must reproduce a
+        # trial-by-trial loop over the documented draw order exactly
         sirs, _ = simulate_sir(BPP(10), geom, channel, trials=3, batch_size=1, seed=77)
         manual = []
         for b in range(3):
             rng = _substream(77, b)
-            net = sample_network(BPP(10), geom, channel, rng)
-            manual.append(sir_sample(net, MAX_POWER, channel, rng).sir)
+            pos = rng.uniform(-geom.R, geom.R, 10)
+            heights = geom.height_model.sample(rng, 10)
+            shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, 10)
+            powers = shadowing * channel.k_factor * np.hypot(pos, heights) ** -channel.alpha
+            serving = int(np.argmax(powers))
+            faded = rng.gamma(channel.m, 1.0 / channel.m, 10) * powers
+            manual.append(faded[serving] / (faded.sum() - faded[serving]))
         assert np.allclose(sirs, manual, rtol=1e-12)
 
 
@@ -170,12 +168,11 @@ class TestEmpiricalCoverage:
             assert (mp > th).mean() >= (md > th).mean()
 
     def test_max_power_serving_dominates_per_realization(self, geom, channel):
-        rng = _substream(15, 0)
-        for _ in range(200):
-            net = sample_network(BPP(10), geom, channel, rng)
-            i_mp = associate(net, MAX_POWER)
-            i_md = associate(net, MIN_DISTANCE)
-            assert net.rx_powers[i_mp] >= net.rx_powers[i_md]
+        powers, dist, _ = _realize_batch(BPP(10), geom, channel, 200, _substream(15, 0))
+        rows = np.arange(200)
+        i_mp = np.argmax(powers, axis=1)
+        i_md = np.argmin(dist, axis=1)
+        assert np.all(powers[rows, i_mp] >= powers[rows, i_md])
 
     def test_deterministic_rerun(self, geom, channel):
         a, _ = simulate_sir(BPP(10), geom, channel, 30_000, seed=16)
@@ -264,3 +261,93 @@ class TestKlDivergence:
         p = EmpiricalDistribution.from_samples(rng.normal(0, 1, 5000), edges)
         assert np.sum(p.density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
         assert np.all(p.density >= 0.0)
+
+
+class TestBatchRunner:
+    @pytest.mark.parametrize("trials, batch_size", [(0, 1000), (100, 0), (100, -5)])
+    @pytest.mark.parametrize(
+        "entry", ["simulate_sir", "simulate_sir_paired", "height_model_kl_study", "trace_replay"]
+    )
+    def test_trials_and_batch_size_validated(self, geom, channel, entry, trials, batch_size):
+        small = CorridorGeometry(200.0, FixedHeight(200.0))
+        calls = {
+            "simulate_sir": lambda: simulate_sir(
+                BPP(10), geom, channel, trials, seed=1, batch_size=batch_size
+            ),
+            "simulate_sir_paired": lambda: simulate_sir_paired(
+                BPP(10), geom, channel, trials, seed=1, batch_size=batch_size
+            ),
+            "height_model_kl_study": lambda: height_model_kl_study(
+                BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, trials, seed=1,
+                batch_size=batch_size,
+            ),
+            "trace_replay": lambda: trace_replay(
+                synthesize_trace(small, channel, spacing=0.5, seed=1), BPP(10), small, trials,
+                [0.0], seed=1, batch_size=batch_size,
+            ),
+        }
+        name = "trials" if trials < 1 else "batch_size"
+        with pytest.raises(ParameterError, match=f"{name} must be >= 1"):
+            calls[entry]()
+
+    def test_paired_all_empty_realizations_rejected(self, geom, channel):
+        # lam|L| = 1e-4: every one of the 100 realizations is empty, so there
+        # is no disagreement fraction to report
+        with pytest.raises(ParameterError, match="no SIR samples"):
+            simulate_sir_paired(FiniteHPPP(1e-7), geom, channel, 100, seed=3)
+
+
+class TestPinnedStreams:
+    """Values the engine produced before its batch loops were merged.
+
+    The determinism tests compare two runs of the same code; these catch a
+    change of draw order within a batch or of the batch layout.
+    """
+
+    @pytest.mark.parametrize(
+        "spatial, height, policy, n_sirs, excluded, pinned",
+        [
+            (BPP(10), FixedHeight(100.0), MAX_POWER, 3000, 0,
+             [3.2377260623992554, 0.2086688402700516, 1.7283066261024338, 2.153006107469264]),
+            (BPP(10), UniformHeight(80.0, 120.0), MAX_POWER, 3000, 0,
+             [1.6103346028901264, 1.588996163452671, 0.8828022052373171, 0.10650035299033363]),
+            (FiniteHPPP(0.01), FixedHeight(100.0), MAX_POWER, 3000, 0,
+             [24.237419149093924, 0.21313545421720492, 0.1387034063197885, 0.21086567618667043]),
+            (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2589, 411,
+             [1.4054601261533917, 4.3516522351207705, 25.73796467473776, 0.7544915391111718]),
+            (Disc2D(10, 500.0), FixedHeight(100.0), MAX_POWER, 3000, 0,
+             [1.164935337140479, 1.6398752473172649, 0.10974964582291692, 0.6733346236930339]),
+        ],
+    )
+    def test_simulate_sir(self, channel, spatial, height, policy, n_sirs, excluded, pinned):
+        geom = CorridorGeometry(500.0, height)
+        sirs, n_excluded = simulate_sir(
+            spatial, geom, channel, 3000, seed=2024, policy=policy, batch_size=1024
+        )
+        assert (len(sirs), n_excluded) == (n_sirs, excluded)
+        assert sirs[[0, 1, 1500, -1]] == pytest.approx(pinned, rel=1e-12)
+
+    def test_paired_disagreement(self, geom, channel):
+        _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 5000, seed=2025, batch_size=2048)
+        assert frac == pytest.approx(2654 / 5000, rel=1e-12)
+
+    def test_kl_study(self, channel):
+        data = np.random.default_rng(7).normal(200.0, 15.0, 5000)
+        res = height_model_kl_study(
+            FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=2026, batch_size=8192
+        )
+        assert res.kl_normal == pytest.approx(7.786423167542884e-05, rel=1e-12)
+        assert res.kl_uniform == pytest.approx(0.00029116829537854846, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "fading_mode, pinned",
+        [("redraw", [0.3608, 0.1776, 0.0702]), ("fromtrace", [0.366, 0.1068, 0.0308])],
+    )
+    def test_trace_replay(self, channel, fading_mode, pinned):
+        geom = CorridorGeometry(200.0, FixedHeight(200.0))
+        trace = synthesize_trace(geom, channel, spacing=0.05, seed=2027)
+        res = trace_replay(
+            trace, BPP(10), geom, 5000, [-3.0, 0.0, 3.0], seed=2028, fading_mode=fading_mode,
+            batch_size=2048,
+        )
+        assert res.coverage.coverage == pytest.approx(pinned, rel=1e-12)
