@@ -34,9 +34,9 @@ against the received-power density runs in log space so that distributions
 spanning many decades cannot alias past the adaptive rule, and exact
 coverage computes all the inner moment integrals of one outer-integrand
 call with one batched rule.
-Laplace-transform derivatives are computed analytically (rising-factorial
-derivatives of the integrand plus logarithmic/exponential chain
-recursions); finite differences are used only as test oracles.
+Laplace-transform derivatives are analytic Taylor coefficients: each model
+raises or exponentiates the kernel's non-negative series as a truncated
+power series, with no subtraction; finite differences are test oracles only.
 """
 
 from __future__ import annotations
@@ -337,46 +337,20 @@ class ReceivedPowerDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Derivative chain recursions
+# Taylor-coefficient kernel shared by both conditional Laplace transforms
 # ---------------------------------------------------------------------------
 
 
-def _log_derivatives(g):
-    """Derivatives of v = ln g(s) given [g, g', ..., g^(k)], elementwise."""
-    k = len(g) - 1
-    v = [np.log(g[0])]
-    for j in range(1, k + 1):
-        acc = g[j]
-        for i in range(1, j):
-            acc = acc - math.comb(j - 1, i) * g[i] * v[j - i]
-        v.append(acc / g[0])
-    return v
+def _moment_series(dist, m, s, tau, x0, order, cfg):
+    """Rows [D, h_1, ..., h_order] at every triple (s_i, tau_i, x0_i) of the
+    broadcast arrays s, tau, x0, the Taylor coefficients of
 
+        z -> int_0^{x0} (1 + (s - tau z) p / m)^-m f(p) dp = F(x0) - D + sum_j h_j z^j,
+        D   = int_0^{x0} (1 - (1 + s p / m)^-m) f(p) dp,
+        h_j = poch(m, j) / j! int_0^{x0} (tau p / m)^j (1 + s p / m)^(-m-j) f(p) dp.
 
-def _exp_derivatives(u, value0):
-    """Derivatives of L = exp(u(s)) given [_, u', ..., u^(k)] and L(s), elementwise."""
-    k = len(u) - 1
-    out = [value0]
-    for j in range(1, k + 1):
-        acc = 0.0
-        for i in range(1, j + 1):
-            acc = acc + math.comb(j - 1, i - 1) * u[i] * out[j - i]
-        out.append(acc)
-    return np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# Moment kernel shared by both conditional Laplace transforms
-# ---------------------------------------------------------------------------
-
-
-def _moment_series(dist, m, s, x0, order, cfg, complement=False):
-    """[M_0, M_1, ..., M_order] at every pair (s_i, x0_i) of the broadcast
-    arrays s, x0: M_j = poch(m, j) (-1/m)^j int_0^{x0} p^j (1 + s p / m)^(-m-j) f(p) dp,
-    the s-derivatives of int_0^{x0} (1 + s p / m)^-m f(p) dp.  With
-    `complement`, M_0 is int_0^{x0} (1 - (1 + s p / m)^-m) f(p) dp, written
-    as -expm1(-m log1p(s p / m)) so that it keeps its relative accuracy at
-    small s p.
+    Every row is >= 0 for tau >= 0.  D is written as -expm1(-m log1p(s p / m)),
+    which keeps its relative accuracy at small s p and is exactly 0 at s = 0.
 
     Every integral runs in log space, and all of them in one `integrate_batch`
     call with one row per (i, j).  Row (i, j) maps [log x_lo, log min(x0_i, x_hi)]
@@ -386,8 +360,8 @@ def _moment_series(dist, m, s, x0, order, cfg, complement=False):
     interval give 0.  Returns the (order + 1, n) array and the number of node
     evaluations.
     """
-    s, x0 = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
-                                np.atleast_1d(np.asarray(x0, dtype=float)))
+    s, tau, x0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                       for a in (s, tau, x0)))
     if np.any(x0 <= 0):
         raise ParameterError("conditioning power must be positive")
     out = np.zeros((order + 1, x0.size))
@@ -396,7 +370,7 @@ def _moment_series(dist, m, s, x0, order, cfg, complement=False):
     live = np.flatnonzero(t_hi > t_lo)
     if live.size == 0:
         return out, 0
-    width, s_live = t_hi[live] - t_lo, s[live]
+    width, s_live, tau_live = t_hi[live] - t_lo, s[live], tau[live]
     point = np.repeat(np.arange(live.size), order + 1)  # row -> live pair
     power = np.tile(np.arange(order + 1), live.size)  # row -> j
 
@@ -404,36 +378,47 @@ def _moment_series(dist, m, s, x0, order, cfg, complement=False):
         i, j = point[rows], power[rows]
         w, si = width[i], s_live[i]
         p = np.exp(t_lo + u * w)
-        kern = p ** (j + 1) * (1.0 + si * p / m) ** (-(m + j))
-        if complement:
-            c = j == 0
-            kern[c] = -np.expm1(-m * np.log1p(si[c] * p[c] / m)) * p[c]
+        kern = (tau_live[i] * p / m) ** j * (1.0 + si * p / m) ** (-(m + j)) * p
+        c = j == 0
+        kern[c] = -np.expm1(-m * np.log1p(si[c] * p[c] / m)) * p[c]
         return kern * dist.pdf(p) * w
 
     res = integrate_batch(integrand, point.size, 0.0, 1.0, cfg)
-    coeff = np.array([special.poch(m, j) * (-1.0 / m) ** j for j in range(order + 1)])
+    coeff = np.array([special.poch(m, j) / math.factorial(j) for j in range(order + 1)])
     out[:, live] = coeff[:, None] * res.value.reshape(live.size, order + 1).T
     return out, res.n_evals
 
 
+def _taylor_sum(weights, h):
+    """Taylor coefficients up to z^order of sum_r weights[r] h(z)^r, h the
+    (order + 1, n) coefficient rows of a series whose constant row is ignored:
+    the Toeplitz form of Yu, Zhang, Haenggi & Letaief (IEEE JSAC 2017)."""
+    h = np.concatenate([np.zeros_like(h[:1]), h[1:]])
+    power = np.zeros_like(h)
+    power[0] = 1.0
+    out = weights[0] * power
+    for w in weights[1:]:
+        power = np.array([(power[: k + 1] * h[k::-1]).sum(axis=0) for k in range(len(h))])
+        out = out + w * power
+    return out
+
+
 class _ConditionalLaplace:
     """Checks and accessors shared by the conditional Laplace transforms;
-    a subclass defines `_series(s, x0, order)`, which returns the
-    (order + 1, n) array [L, ..., L^(order)] at every pair (s_i | x0_i) and
-    the number of node evaluations."""
+    a subclass defines `_series(s, tau, x0, order)`, which returns the Taylor
+    coefficients (-tau)^k / k! L^(k)(s | x0), k <= order, of z -> L(s - tau z)
+    at every (s_i, tau_i, x0_i), the count of floored pairs and node evaluations."""
 
     def derivative_series(self, s, x0, order):
         """[L, L', ..., L^(order)] at (s | x0), as floats."""
-        series, _ = self._series(np.array([s], dtype=float), np.array([x0], dtype=float), order)
-        return series[:, 0].tolist()
+        coeffs, _, _ = self._series(np.array([float(s)]), 1.0, np.array([float(x0)]), order)
+        return [float((-1) ** k * math.factorial(k) * c) for k, c in enumerate(coeffs[:, 0])]
 
     def evaluate(self, s, x0):
         if s < 0:
             raise ParameterError("Laplace argument s must be >= 0")
         if x0 <= 0:
             raise ParameterError("conditioning power must be positive")
-        if s == 0.0:
-            return 1.0
         return self.derivative_series(s, x0, 0)[0]
 
     def derivative(self, k, s, x0):
@@ -450,19 +435,15 @@ class _ConditionalLaplace:
 
 def _conditional_coverage(theta, m, x0, series):
     """P(SIR > theta | serving power x0) at every x0, for integer m: the
-    Laplace-derivative sum of the coverage theorem, sum_k (-s)^k / k! L^(k)(s | x0)
-    at s = m theta / x0, clamped to [0, 1].  `series` is a Laplace `_series`.
-
-    Returns the clamped values, how many of them the clamp moved and the
-    number of node evaluations.
+    coverage theorem's sum_k (-s)^k / k! L^(k)(s | x0), k < m, at
+    s = m theta / x0: the column sum of the Taylor coefficients of
+    z -> L(s - s z) from the Laplace `_series` `series`, each >= 0 because L
+    is completely monotone.  Returns the values, the count of floored nodes
+    and the number of node evaluations.
     """
     s = m * theta / x0
-    terms, n_evals = series(s, x0, m - 1)
-    acc = np.zeros_like(x0)
-    for k in range(m):
-        acc = acc + (-s) ** k / math.factorial(k) * terms[k]
-    clamped = np.count_nonzero((acc < 0.0) | (acc > 1.0))
-    return np.minimum(np.maximum(acc, 0.0), 1.0), clamped, n_evals
+    coeffs, floored, n_evals = series(s, s, x0, m - 1)
+    return coeffs.sum(axis=0), floored, n_evals
 
 
 def _exact_coverage(theta, m, dist, max_power_pdf, bounds, series):
@@ -474,29 +455,29 @@ def _exact_coverage(theta, m, dist, max_power_pdf, bounds, series):
     them) contribute 0.  Logs the work done at debug level.
     """
     start = time.perf_counter()
-    calls = rows = inner_nodes = clamped = 0
+    calls = rows = inner_nodes = floored = 0
 
     def integrand(t):
-        nonlocal calls, rows, inner_nodes, clamped
+        nonlocal calls, rows, inner_nodes, floored
         x0 = np.exp(t)
         f0 = max_power_pdf(x0)
         out = np.zeros_like(x0)
         live = (f0 > 0) & (dist.cdf(x0) >= 1e-12)
         x0, f0 = x0[live], f0[live]
-        cov, n_clamped, n_evals = _conditional_coverage(theta, m, x0, series)
+        cov, n_floored, n_evals = _conditional_coverage(theta, m, x0, series)
         out[live] = cov * f0 * x0
         calls += 1
         rows += x0.size * m
         inner_nodes += n_evals
-        clamped += n_clamped
+        floored += n_floored
         return out
 
     lo, hi = bounds
     res = integrate(integrand, math.log(lo), math.log(hi), _COVERAGE_QUAD)
     log.debug(
         "exact coverage at theta=%.6g: %d outer-integrand calls, %d outer nodes, "
-        "%d inner rows, %d inner node evaluations, %d clamped, %.3f s",
-        theta, calls, res.n_evals, rows, inner_nodes, clamped, time.perf_counter() - start,
+        "%d inner rows, %d inner node evaluations, %d floored, %.3f s",
+        theta, calls, res.n_evals, rows, inner_nodes, floored, time.perf_counter() - start,
     )
     return min(max(res.value, 0.0), 1.0)
 
@@ -512,9 +493,10 @@ class InterferenceLaplaceBPP(_ConditionalLaplace):
 
         L(s | x0) = [ int_0^{x0} (1 + s p / m)^{-m} f(p) / F(x0) dp ]^(n-1).
 
-    Derivatives in s are analytic: the integrand derivative is a rising
-    factorial times (1 + s p / m)^(-m-k), and the (n-1) power is chained
-    through logarithmic/exponential derivative recursions.
+    At s - tau z the base is gamma0 + h(z) / F(x0), gamma0 = 1 - D / F(x0)
+    (kernel rows of `_moment_series`), so L(s - tau z) has the non-negative
+    binomial series sum_r C(n-1, r) gamma0^(n-1-r) (h(z) / F(x0))^r.  Where
+    kernel error makes D / F(x0) exceed 1, gamma0 is floored at 0 and counted.
     """
 
     def __init__(self, dist: ReceivedPowerDistribution, n: int, m: float, config=None):
@@ -525,18 +507,17 @@ class InterferenceLaplaceBPP(_ConditionalLaplace):
         self.m = float(m)
         self.cfg = config or _LAPLACE_QUAD
 
-    def _series(self, s, x0, order):
+    def _series(self, s, tau, x0, order):
         fx0 = self.dist.cdf(x0)
         if np.any(fx0 <= 1e-300):
             raise ParameterError("conditioning power x0 has zero mass below it")
-        moments, n_evals = _moment_series(self.dist, self.m, s, x0, order, self.cfg)
-        g = moments / fx0
-        value0 = g[0] ** (self.n - 1)
-        if order == 0:
-            return value0[None, :], n_evals
-        v = _log_derivatives(g)
-        u = [0.0] + [(self.n - 1) * vj for vj in v[1:]]
-        return _exp_derivatives(u, value0), n_evals
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, self.cfg)
+        gamma0 = 1.0 - rows[0] / fx0
+        floored = np.count_nonzero(gamma0 < 0.0)
+        gamma0 = np.maximum(gamma0, 0.0)
+        k = self.n - 1
+        weights = [math.comb(k, r) * gamma0 ** (k - r) for r in range(min(order, k) + 1)]
+        return _taylor_sum(weights, rows / fx0), floored, n_evals
 
 
 def _fading_term_bound(m, z):
@@ -792,11 +773,10 @@ class InterferenceLaplaceHPPP(_ConditionalLaplace):
     marking theorem), so its probability generating functional gives
 
         L(s | s0) = exp(eta(s)),
-        eta(s) = -mu int_0^{s0} (1 - (1 + s p / m)^-m) f(p) dp,
-        eta^(j)(s) = mu poch(m, j) (-1/m)^j int_0^{s0} p^j (1 + s p / m)^(-m-j) f(p) dp.
+        eta(s) = -mu int_0^{s0} (1 - (1 + s p / m)^-m) f(p) dp.
 
-    These are the BPP model's moment integrals (`_moment_series`); the BPP
-    transform raises the truncated mean to the power n-1 instead.
+    With the BPP model's kernel rows, eta(s - tau z) = -mu D + mu h(z), so
+    L(s - tau z) has the non-negative series exp(-mu D) sum_r (mu h(z))^r / r!.
     """
 
     def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float, config=None):
@@ -807,17 +787,15 @@ class InterferenceLaplaceHPPP(_ConditionalLaplace):
         self.m = float(m)
         self.cfg = config or _LAPLACE_QUAD
 
-    def _series(self, s, s0, order):
-        moments, n_evals = _moment_series(
-            self.dist, self.m, s, s0, order, self.cfg, complement=True
-        )
-        eta = np.concatenate([-self.mu * moments[:1], self.mu * moments[1:]])
-        return _exp_derivatives(eta, np.exp(eta[0])), n_evals
+    def _series(self, s, tau, s0, order):
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, s0, order, self.cfg)
+        weights = [np.exp(-self.mu * rows[0]) / math.factorial(r) for r in range(order + 1)]
+        return _taylor_sum(weights, self.mu * rows), 0, n_evals
 
     def mean_interference(self, s0):
-        """E[I | Pr0 = s0] = -dL/ds at s = 0 = -eta'(0) = mu int_0^{s0} p f(p) dp."""
-        moments, _ = _moment_series(self.dist, self.m, 0.0, s0, 1, self.cfg)
-        return -self.mu * float(moments[1, 0])
+        """E[I | Pr0 = s0] = -dL/ds at s = 0 = mu int_0^{s0} p f(p) dp = mu h_1 at tau = 1."""
+        rows, _ = _moment_series(self.dist, self.m, 0.0, 1.0, s0, 1, self.cfg)
+        return self.mu * float(rows[1, 0])
 
 
 class HpppCoverageModel:

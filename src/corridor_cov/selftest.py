@@ -23,7 +23,7 @@ from .core import (
     link_distance_cdf,
     path_loss,
 )
-from .quadrature import integrate, nested_integrate_2d
+from .quadrature import QuadratureError, integrate, nested_integrate_2d
 from .simulator import simulate_sir
 
 
@@ -81,18 +81,21 @@ def run(trials=200_000, seed=20250811):
     fd = (bpp3.laplace.evaluate(sarg + h_fd, x0) - bpp3.laplace.evaluate(sarg - h_fd, x0)) / (2 * h_fd)
     checks.append(("BPP Laplace derivative vs FD", abs(d1 - fd) <= 1e-5 * abs(fd)))
 
-    # batched moment kernel against one scalar integral per point
+    # batched moment kernel (rows D, h_1, h_2 of the coverage expansion,
+    # tau = s) against one scalar integral per point
     dist, cfg = bpp3.dist, analytic._LAPLACE_QUAD
     x0s = np.geomspace(1e-7, 1e-4, 5)
-    batched, _ = analytic._moment_series(dist, 3.0, sarg, x0s, 2, cfg)
+    batched, _ = analytic._moment_series(dist, 3.0, sarg, sarg, x0s, 2, cfg)
 
     def moment(j, x0):
         def f(t):
             p = np.exp(t)
-            return p ** (j + 1) * (1.0 + sarg * p / 3.0) ** (-3.0 - j) * dist.pdf(p)
+            y = sarg * p / 3.0
+            row = -np.expm1(-3.0 * np.log1p(y)) if j == 0 else y**j * (1.0 + y) ** (-3.0 - j)
+            return row * p * dist.pdf(p)
 
         value = integrate(f, math.log(dist.x_lo), math.log(min(x0, dist.x_hi)), cfg).value
-        return special.poch(3.0, j) * (-1.0 / 3.0) ** j * value
+        return special.poch(3.0, j) / math.factorial(j) * value
 
     ref = np.array([[moment(j, x) for x in x0s] for j in range(3)])
     checks.append(
@@ -132,6 +135,12 @@ def run(trials=200_000, seed=20250811):
     exact = bpp.coverage(theta)
     tol = 0.005 + 4.0 / math.sqrt(trials)
     checks.append((f"exact BPP coverage vs MC ({exact:.4f} vs {mc:.4f})", abs(exact - mc) <= tol))
+
+    try:
+        ok = 0.0 <= analytic.bpp_model(200, geom, channel).coverage(theta) <= 1.0
+    except QuadratureError:
+        ok = False
+    checks.append(("exact BPP coverage at N=200 converges", ok))
 
     # single-dominant approximation vs a direct draw of its approximate SIR:
     # top-two received powers exact, the other interferers dropped

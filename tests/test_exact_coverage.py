@@ -10,54 +10,58 @@ import numpy as np
 import pytest
 from scipy import special
 
-from corridor_cov import ChannelParams, bpp_model, hppp_model, integrate
+from corridor_cov import BPP, ChannelParams, bpp_model, hppp_model, integrate, simulate_sir
 from corridor_cov import analytic
 
 N = 10
 LAM = 10.0 / 1000.0
 
 
-def scalar_moment(dist, m, j, s, x0, cfg, complement=False):
-    """M_j at one (s, x0) from one `integrate` call over log p (the oracle)."""
+def scalar_moment(dist, m, j, s, tau, x0, cfg):
+    """Kernel row j at one (s, tau, x0) from one `integrate` call over log p
+    (the oracle): D for j = 0, h_j for j >= 1."""
     t_lo, t_hi = math.log(dist.x_lo), math.log(min(x0, dist.x_hi))
     if t_hi <= t_lo:
         return 0.0
 
     def integrand(t):
         p = np.exp(t)
-        if complement and j == 0:
+        if j == 0:
             return -np.expm1(-m * np.log1p(s * p / m)) * p * dist.pdf(p)
-        return p ** (j + 1) * (1.0 + s * p / m) ** (-(m + j)) * dist.pdf(p)
+        return (tau * p / m) ** j * (1.0 + s * p / m) ** (-(m + j)) * p * dist.pdf(p)
 
-    return special.poch(m, j) * (-1.0 / m) ** j * integrate(integrand, t_lo, t_hi, cfg).value
+    return special.poch(m, j) / math.factorial(j) * integrate(integrand, t_lo, t_hi, cfg).value
 
 
-@pytest.mark.parametrize("complement", [False, True])
+# tau = s is the coverage expansion, tau = 1 the derivative one
+@pytest.mark.parametrize("tau_is_s", [False, True])
 @pytest.mark.parametrize("m", [1, 3, 8])
-def test_batched_moment_series_matches_scalar_integrals(geom, m, complement):
+def test_batched_moment_series_matches_scalar_integrals(geom, m, tau_is_s):
     dist = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m))).dist
     cfg = analytic._LAPLACE_QUAD
     # below the support, across it (both tails and the bulk) and above it
     x0 = np.array([0.5 * dist.x_lo, 3e-8 + dist.x_lo, 1e-6, 3e-6, 1e-4, 1e-2, 2.0 * dist.x_hi])
     s = m * np.array([0.3, 1.0, 0.1, 1.0, 10.0, 100.0, 1.0]) / x0
+    tau = s if tau_is_s else np.ones_like(s)
     order = m - 1
-    got, n_evals = analytic._moment_series(dist, float(m), s, x0, order, cfg, complement)
+    got, n_evals = analytic._moment_series(dist, float(m), s, tau, x0, order, cfg)
     assert got.shape == (order + 1, x0.size)
     assert n_evals > 0
     assert np.all(got[:, 0] == 0.0)
+    assert np.all(got >= 0.0)
     for i in range(1, x0.size):
         for j in range(order + 1):
-            ref = scalar_moment(dist, float(m), j, s[i], x0[i], cfg, complement)
+            ref = scalar_moment(dist, float(m), j, s[i], tau[i], x0[i], cfg)
             assert got[j, i] == pytest.approx(ref, rel=1e-12, abs=0.0), (i, j)
     # the last point lies above the support: its integrals stop at x_hi
-    full, _ = analytic._moment_series(dist, float(m), s[-1], dist.x_hi, order, cfg, complement)
+    full, _ = analytic._moment_series(dist, float(m), s[-1], tau[-1], dist.x_hi, order, cfg)
     np.testing.assert_allclose(got[:, -1], full[:, 0], rtol=1e-12)
 
 
 def test_batched_moment_series_without_live_points_is_zero(model10):
     dist = model10.dist
     got, n_evals = analytic._moment_series(
-        dist, 1.0, 1e6, [0.1 * dist.x_lo, 0.5 * dist.x_lo], 2, analytic._LAPLACE_QUAD
+        dist, 1.0, 1e6, 1e6, [0.1 * dist.x_lo, 0.5 * dist.x_lo], 2, analytic._LAPLACE_QUAD
     )
     assert n_evals == 0
     assert np.all(got == 0.0)
@@ -71,28 +75,90 @@ def test_array_series_equals_scalar_derivative_series(geom, channel_m3, spatial)
         laplace = hppp_model(LAM, geom, channel_m3).laplace
     x0 = np.array([1e-7, 1e-6, 3e-6, 3e-5, 1e-3])
     s = np.array([3e7, 1e5, 1e6, 3e5, 3e3])
-    series, _ = laplace._series(s, x0, 2)
+    signed_factorial = np.array([(-1) ** k * math.factorial(k) for k in range(3)])
+    # tau = 1: the array form of the scalar wrapper, same arithmetic
+    series, floored, _ = laplace._series(s, 1.0, x0, 2)
+    assert floored == 0
+    # tau = s: the coverage coefficients (-s)^k / k! L^(k), all >= 0
+    coeffs, floored, _ = laplace._series(s, s, x0, 2)
+    assert floored == 0
+    assert np.all(coeffs >= 0.0)
     for i in range(x0.size):
-        np.testing.assert_allclose(
-            series[:, i], laplace.derivative_series(s[i], x0[i], 2), rtol=1e-14, atol=0.0
+        derivs = laplace.derivative_series(s[i], x0[i], 2)
+        np.testing.assert_allclose(series[:, i] * signed_factorial, derivs, rtol=1e-14, atol=0.0)
+        expected = [(-s[i]) ** k / math.factorial(k) * derivs[k] for k in range(3)]
+        np.testing.assert_allclose(coeffs[:, i], expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("spatial", ["bpp", "hppp"])
+def test_derivative_series_is_exactly_one_at_the_origin(geom, channel_m3, spatial):
+    if spatial == "bpp":
+        laplace = bpp_model(N, geom, channel_m3).laplace
+    else:
+        laplace = hppp_model(LAM, geom, channel_m3).laplace
+    for x0 in (1e-7, 3e-6, 1e-3):
+        assert laplace.derivative_series(0.0, x0, 2)[0] == 1.0
+
+
+def test_hppp_derivative_at_origin_is_minus_mean_interference(geom, channel_m3):
+    laplace = hppp_model(LAM, geom, channel_m3).laplace
+    for s0 in (1e-7, 3e-6, 1e-3):
+        assert laplace.derivative(1, 0.0, s0) == pytest.approx(
+            -laplace.mean_interference(s0), rel=1e-12, abs=0.0
         )
 
 
-# Exact coverage values before the inner integrals were batched (one scalar
-# `integrate` per outer node and derivative order).
+# Oracle: the same Taylor-series formulation with inner integrals at rel 1e-10
+# and the outer integral at rel 1e-9.  The log/exp derivative recursion it
+# replaced was off by 6.1e-8 and 1.1e-6 at these points.
+@pytest.mark.parametrize(
+    "n, m, theta_db, oracle, tol",
+    [(10, 3, 0, 0.3045337119, 2e-8), (50, 1, -20, 0.9534317805, 2e-7)],
+)
+def test_bpp_coverage_matches_tight_tolerance_oracle(geom, n, m, theta_db, oracle, tol):
+    model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
+    assert model.coverage(10 ** (theta_db / 10)) == pytest.approx(oracle, rel=0.0, abs=tol)
+
+
+# Points where the clamped derivative recursion did not converge.
+@pytest.mark.parametrize("m, n, theta_db", [(1, 200, -3), (1, 400, -20), (3, 400, 0), (8, 400, -3)])
+def test_bpp_coverage_converges_for_many_uavs(geom, m, n, theta_db):
+    model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
+    value = model.coverage(10 ** (theta_db / 10))
+    assert 0.0 <= value <= 1.0
+    if (m, n, theta_db) == (1, 200, -3):
+        sirs, _ = simulate_sir(BPP(n), geom, model.channel, 10**5, seed=7)
+        assert value == pytest.approx(float((sirs > 10 ** (-0.3)).mean()), abs=0.01)
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 8])
+def test_conditional_coverage_stays_in_unit_interval(geom, m, n):
+    model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
+    # serving powers across the maximum-power distribution's bulk and tails
+    x0 = model.dist.ppf(np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9]) ** (1.0 / n))
+    for theta_db in (-20, -10, 0, 10, 20):
+        cov, _, _ = analytic._conditional_coverage(10 ** (theta_db / 10), m, x0, model.laplace._series)
+        assert np.all(cov >= 0.0) and np.all(cov <= 1.0 + 1e-8), (theta_db, cov)
+
+
+# Exact coverage values of the Taylor-series conditional coverage.  Against
+# the derivative recursion they replaced they moved by at most 1.8e-7 (the
+# recursion's kernel error; see the oracle test above).  The HPPP values
+# predate the batched inner integrals: at m = 1 the arithmetic is unchanged.
 BPP_M3_DB = list(range(-20, 21, 4))
 BPP_M3_COVERAGE = [
-    0.999956379513655,
-    0.9993768907752172,
-    0.9924342749452209,
-    0.9345216752252369,
-    0.6901469758027898,
-    0.3045337727004001,
-    0.08168486864441636,
-    0.016632527715506475,
-    0.0029582085048147455,
-    0.0004927775324730074,
-    7.972298334331024e-05,
+    0.9999563090494658,
+    0.999376708292838,
+    0.9924340908296291,
+    0.9345215059528784,
+    0.690146847983381,
+    0.30453371778643246,
+    0.0816848474334434,
+    0.016632522675206884,
+    0.0029582076636736608,
+    0.0004927774050580868,
+    7.972296471395403e-05,
 ]
 HPPP_M1_DB = [-6, 0, 6]
 HPPP_M1_COVERAGE = [0.6983282034312299, 0.3316911548162276, 0.07892636904886025]
@@ -118,13 +184,13 @@ def test_coverage_logs_its_work(geom, channel_m3, caplog):
     assert len(lines) == 1
     fields = re.search(
         r"(\d+) outer-integrand calls, (\d+) outer nodes, (\d+) inner rows, "
-        r"(\d+) inner node evaluations, (\d+) clamped, [0-9.]+ s",
+        r"(\d+) inner node evaluations, (\d+) floored, [0-9.]+ s",
         lines[0],
     )
     assert fields is not None, lines[0]
-    calls, outer, rows, inner, clamped = map(int, fields.groups())
+    calls, outer, rows, inner, floored = map(int, fields.groups())
     assert calls >= 1 and outer % 15 == 0  # one G7/K15 panel is 15 nodes
     assert rows == 3 * outer  # m = 3: orders 0..2 at every outer node
     assert inner > 0
-    # the alternating sum leaves [0, 1] at some nodes for m = 3
-    assert 0 < clamped <= outer
+    # every Taylor coefficient is >= 0, and at m = 3 no kernel error needs flooring
+    assert floored == 0
