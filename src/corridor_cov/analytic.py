@@ -24,15 +24,13 @@ HPPP.  Either way each interferer's received power has the density f
 truncated to (0, x0), so one 1D moment integral against f (`_moment_series`)
 feeds both conditional Laplace transforms.
 
-Numerical strategy: the single-UAV received-power pdf/cdf are cached as
-monotone splines on a log-spaced grid, because they appear inside two
-further integral layers and naive nesting would be cubic in quadrature
-cost.  The grid is refined toward a relative interpolation tolerance for at
-most six rounds; intervals that still miss it then are kept, and each build
-logs how many there were and the worst relative error.  Every integral
-against the received-power density runs in log space so that distributions
-spanning many decades cannot alias past the adaptive rule, and exact
-coverage computes all the inner moment integrals of one outer-integrand
+Numerical strategy: the single-UAV received-power pdf, cdf and first moment
+are cached as piecewise Chebyshev interpolants of their logarithms in log x
+(`ReceivedPowerDistribution`), because they appear inside two further
+integral layers and naive nesting would be cubic in quadrature cost.  Every
+integral against the received-power density runs in log space so that
+distributions spanning many decades cannot alias past the adaptive rule, and
+exact coverage computes all the inner moment integrals of one outer-integrand
 call with one batched rule.
 Laplace-transform derivatives are analytic Taylor coefficients: each model
 raises or exponentiates the kernel's non-negative series as a truncated
@@ -49,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PPoly
 
 from .core import (
     BPP,
@@ -96,7 +94,23 @@ _LAGUERRE_DROP = 1e-17
 _TERM_BLOCK = 8192
 
 _TAIL_EPS = 1e-13
-_GRID_PER_DECADE = 40
+# Received-power cache: pieces of first-kind Chebyshev points, halved until
+# the two trailing coefficients of log f, log F and log M1 are below the
+# sampling rule's relative accuracy (a stricter target chases its noise,
+# about 1e-11 in log F near F = 1); the last of `_CHEB_ROUNDS` rounds keeps
+# every piece, and the build's debug line counts those still above it.
+_CHEB_POINTS = 16
+_CHEB_PIECES = 8
+_CHEB_ROUNDS = 8
+_CHEB_TOL = _PDF_QUAD.rel_tol
+_CHEB_NODES = np.cos(np.pi * (np.arange(_CHEB_POINTS)[::-1] + 0.5) / _CHEB_POINTS)
+# samples -> Chebyshev coefficients -> power coefficients in (s + 1) / 2
+_CHEB_FIT = np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_NODES, _CHEB_POINTS - 1))
+_CHEB_TO_POWER = np.column_stack([
+    np.pad(c, (0, _CHEB_POINTS - c.size)) for c in (
+        np.polynomial.Chebyshev.basis(k, [0.0, 1.0]).convert(kind=np.polynomial.Polynomial).coef
+        for k in range(_CHEB_POINTS))
+])
 
 log = logging.getLogger(__name__)
 
@@ -123,18 +137,16 @@ class ReceivedPowerDistribution:
 
         f(x) = int_{w_min}^{w_max} (1/w) f_l(w) f_S(x/w) dw,
 
-    by adaptive quadrature; `pdf`/`cdf`/`mean_below` use cached monotone
-    splines built on a log grid.  Each refinement round checks every
-    interval's midpoint against `interp_tol` (relative) and adds the failing
-    midpoints to the grid; the build stops after six rounds even if some
-    intervals still miss the tolerance (hundreds do at the default
-    operating point, the worst near 6e-5 relative), and its debug log line
-    reports their count and the worst error at the last check.  The cache
-    covers the central [tail_eps, 1 - tail_eps] quantile range; outside it
-    the pdf is treated as zero (total neglected mass < 2e-13).
+    by adaptive quadrature.  `pdf`, `cdf`, `mean_below` and `ppf` use cached
+    piecewise Chebyshev interpolants, in t = log x, of log f, log F and
+    log M1, M1(x) = int_0^x p f(p) dp, sampled from closed forms.  These
+    are analytic in t, so the interpolants converge geometrically, to about
+    1e-11 relative, and agree with one another.  The cache covers the central
+    [tail_eps, 1 - tail_eps] quantile range; outside it the pdf is treated
+    as zero (total neglected mass < 2e-13).
     """
 
-    def __init__(self, geom: CorridorGeometry, channel: ChannelParams, interp_tol=1e-8):
+    def __init__(self, geom: CorridorGeometry, channel: ChannelParams):
         self.h = geom.fixed_height
         self.R = geom.R
         self.alpha = channel.alpha
@@ -144,7 +156,6 @@ class ReceivedPowerDistribution:
         self.shadowing = InverseGammaShadowing(self.q, self.gam)
         self.w_min = self.k * (self.h**2 + self.R**2) ** (-self.alpha / 2.0)
         self.w_max = self.k * self.h ** (-self.alpha)
-        self._interp_tol = interp_tol
         self._cache = None
 
     # -- exact evaluations ---------------------------------------------------
@@ -167,107 +178,82 @@ class ReceivedPowerDistribution:
         singularity of f_l, leaving (1/R) * int_0^R (d^a/K) f_S(x d^a / K) du.
         Used to build the cache; agrees with pdf_exact to quadrature accuracy.
         """
-        out = self._smooth_integral(x)[0] / self.R
+        pdf = self._smooth_integrands()[0]
+        out = _integrate_at_points(x, pdf, 0.0, self.R, _PDF_QUAD)[0] / self.R
         return float(out) if out.ndim == 0 else out
 
-    def _smooth_integral(self, x):
-        """(R times `_pdf_smooth` at each x, node evaluations)."""
-        shadow = self.shadowing
+    def _smooth_integrands(self):
+        """Integrands g(x, u), with f, F, M1 = (1/R) int_0^R g du: closed forms
+        of the shadowing S at y = x / w, w = K d(u)^-alpha, namely f_S(y) / w,
+        P(S <= y) and w E[S; S <= y] = w gamma / (q - 1) Q(q - 1, gamma / y).
+        Q(q - 1, z) is taken as Q(q, z) - z^(q-1) e^-z / Gamma(q): scipy's Q is
+        up to 25 times slower near order 0, and the subtraction loses at most
+        a factor z / (q - 1) in relative accuracy, only where Q is tiny."""
+        shadow, q, gam = self.shadowing, self.q, self.gam
+        lg_q = math.lgamma(q)
 
-        def integrand(x, u):
-            da = (self.h**2 + u**2) ** (self.alpha / 2.0) / self.k
-            return da * shadow.pdf(x * da)
+        def w_of(u):
+            return self.k * (self.h**2 + u**2) ** (-self.alpha / 2.0)
 
-        return _integrate_at_points(x, integrand, 0.0, self.R, _PDF_QUAD)
+        def pdf(x, u):
+            w = w_of(u)
+            return shadow.pdf(x / w) / w
+
+        def cdf(x, u):
+            return shadow.cdf(x / w_of(u))
+
+        def m1(x, u):  # w gamma = z x
+            z = gam * w_of(u) / x
+            q_below = special.gammaincc(q, z) - np.exp((q - 1.0) * np.log(z) - z - lg_q)
+            return x * z / (q - 1.0) * q_below
+
+        return pdf, cdf, m1
 
     # -- cache ---------------------------------------------------------------
 
     def _build_cache(self):
         start = time.perf_counter()
-        n_evals = 0
-
-        def log_pdf_at(t):
-            nonlocal n_evals
-            values, nev = self._smooth_integral(np.exp(t))
-            n_evals += nev
-            return np.log(np.maximum(values / self.R, 1e-300))
-
-        q, gam = self.q, self.gam
-        x_lo = self.w_min * gam / special.gammainccinv(q, _TAIL_EPS)
-        x_hi = self.w_max * gam / special.gammaincinv(q, _TAIL_EPS)
-        n0 = max(64, int(math.log10(x_hi / x_lo) * _GRID_PER_DECADE))
-        t = np.linspace(math.log(x_lo), math.log(x_hi), n0)
-        logf = log_pdf_at(t)
-        # Check each interval at its midpoint; a failing midpoint joins the
-        # grid with its value.  Intervals that pass keep their midpoint value
-        # (NaN marks the halves still to evaluate), so no point is integrated
-        # twice.
-        t_mid = 0.5 * (t[:-1] + t[1:])
-        f_mid = np.full(t_mid.shape, np.nan)
-        for rounds in range(1, 7):
-            new = np.isnan(f_mid)
-            f_mid[new] = log_pdf_at(t_mid[new])
-            interp = PchipInterpolator(t, logf, extrapolate=False)
-            rel = np.abs(np.expm1(interp(t_mid) - f_mid))
-            checked = f_mid > math.log(1e-250)
-            bad = (rel > self._interp_tol) & checked
-            if not bad.any():
+        t_lo = math.log(self.w_min * self.gam / special.gammainccinv(self.q, _TAIL_EPS))
+        t_hi = math.log(self.w_max * self.gam / special.gammaincinv(self.q, _TAIL_EPS))
+        left = np.linspace(t_lo, t_hi, _CHEB_PIECES + 1)[:-1]
+        width = (t_hi - t_lo) / _CHEB_PIECES  # of every piece sampled in this round
+        integrands, kept, n_evals = self._smooth_integrands(), [], 0
+        for rounds in range(1, _CHEB_ROUNDS + 1):
+            x = np.exp(left[:, None] + 0.5 * width * (_CHEB_NODES + 1.0))
+            samples = [_integrate_at_points(x, g, 0.0, self.R, _PDF_QUAD) for g in integrands]
+            n_evals += sum(nev for _, nev in samples)
+            coeffs = np.log([v / self.R for v, _ in samples]).transpose(1, 0, 2) @ _CHEB_FIT.T
+            tail = np.abs(coeffs[:, :, -2:]).max(axis=(1, 2))  # coeffs: (piece, function, k)
+            done = (tail <= _CHEB_TOL) | (rounds == _CHEB_ROUNDS)
+            kept.append((left[done], coeffs[done], tail[done]))
+            width /= 2.0
+            left = np.concatenate([left[~done], left[~done] + width])
+            if left.size == 0:
                 break
-            order = np.argsort(np.concatenate([t, t_mid[bad]]))
-            t = np.concatenate([t, t_mid[bad]])[order]
-            logf = np.concatenate([logf, f_mid[bad]])[order]
-            f_mid = np.repeat(np.where(bad, np.nan, f_mid), 1 + bad)
-            t_mid = 0.5 * (t[:-1] + t[1:])
 
-        log_pdf = PchipInterpolator(t, logf, extrapolate=False)
-
-        # Cumulative mass and first moment: one Kronrod panel per interval of
-        # a 4x-refined grid (the refinement keeps the PCHIP interpolation
-        # error of the cumulative curves far below the pdf certification).
-        from .quadrature import _KRONROD_W, _NODES  # rule constants
-
-        t_fine = np.unique(np.concatenate([t + k * np.diff(np.concatenate([t, [t[-1]]])) / 4
-                                           for k in range(4)]))
-        t_fine = np.union1d(t_fine, t)
-        c = 0.5 * (t_fine[:-1] + t_fine[1:])
-        hw = 0.5 * np.diff(t_fine)
-        nodes = c[:, None] + hw[:, None] * _NODES[None, :]
-        lp = log_pdf(nodes.ravel()).reshape(nodes.shape)
-        mass = ((np.exp(lp + nodes) * _KRONROD_W).sum(axis=1)) * hw
-        m1 = ((np.exp(lp + 2.0 * nodes) * _KRONROD_W).sum(axis=1)) * hw
-
-        cdf_raw = np.concatenate([[0.0], np.cumsum(mass)])
-        m1_raw = np.concatenate([[0.0], np.cumsum(m1)])
-        z = cdf_raw[-1]
-        cdf_vals = cdf_raw / z
-        m1_vals = m1_raw / z
-
-        cdf_interp = PchipInterpolator(t_fine, cdf_vals, extrapolate=False)
-        m1_interp = PchipInterpolator(t_fine, m1_vals, extrapolate=False)
-
-        # Inverse CDF on the strictly increasing portion of the grid values.
-        inc = np.concatenate([[True], np.diff(cdf_vals) > 0])
-        ppf_interp = PchipInterpolator(cdf_vals[inc], t_fine[inc], extrapolate=False)
-
+        left, coeffs, tail = (np.concatenate(parts) for parts in zip(*kept))
+        order = np.argsort(left)
+        breaks = np.append(left[order], t_hi)
+        # power-basis coefficients in t - left, highest power first, per function
+        scale = np.diff(breaks)[:, None, None] ** -np.arange(_CHEB_POINTS)
+        power = (coeffs[order] @ _CHEB_TO_POWER.T * scale)[..., ::-1].transpose(1, 2, 0)
+        log_pdf, log_cdf, log_m1 = (PPoly(c, breaks, extrapolate=False) for c in power)
+        t_table = np.linspace(t_lo, t_hi, 4097)
         self._cache = {
-            "t_lo": t[0],
-            "t_hi": t[-1],
-            "x_lo": math.exp(t[0]),
-            "x_hi": math.exp(t[-1]),
-            "log_z": math.log(z),
+            "t_lo": t_lo,
+            "t_hi": t_hi,
+            "x_lo": math.exp(t_lo),
+            "x_hi": math.exp(t_hi),
             "log_pdf": log_pdf,
-            "cdf": cdf_interp,
-            "m1": m1_interp,
-            "ppf": ppf_interp,
-            "p_min": cdf_vals[inc][0],
-            "p_max": cdf_vals[inc][-1],
-            "n_grid": len(t),
+            "log_cdf": log_cdf,
+            "log_m1": log_m1,
+            "t_table": t_table,
+            "log_cdf_table": log_cdf(t_table),
         }
         log.debug(
-            "received-power cache: %d grid points, %d refinement rounds, "
-            "%d intervals above interp_tol at the last check (worst relative "
-            "error %.2e), %d node evaluations, %.3f s",
-            len(t), rounds, np.count_nonzero(bad), rel[checked].max(initial=0.0),
+            "received-power cache: %d pieces, %d rounds, worst trailing coefficient "
+            "%.2e, %d pieces above tolerance, %d node evaluations, %.3f s",
+            left.size, rounds, tail.max(), np.count_nonzero(~(tail <= _CHEB_TOL)),
             n_evals, time.perf_counter() - start,
         )
 
@@ -275,6 +261,16 @@ class ReceivedPowerDistribution:
         if self._cache is None:
             self._build_cache()
         return self._cache
+
+    def _interpolated(self, name, x, above):
+        """exp(interpolant `name`) at each x in (x_lo, x_hi), 0 below, `above` above."""
+        c = self._ensure()
+        x = np.asarray(x, dtype=float)
+        out = np.where(x >= c["x_hi"], above, 0.0)
+        ok = (x > c["x_lo"]) & (x < c["x_hi"])
+        if ok.any():
+            out[ok] = np.exp(c[name](np.log(x[ok])))
+        return float(out) if out.ndim == 0 else out
 
     # -- cached API ------------------------------------------------------------
 
@@ -287,41 +283,32 @@ class ReceivedPowerDistribution:
         return self._ensure()["x_hi"]
 
     def pdf(self, x):
-        c = self._ensure()
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        ok = (x > c["x_lo"]) & (x < c["x_hi"])
-        if ok.any():
-            out[ok] = np.exp(c["log_pdf"](np.log(x[ok])) - c["log_z"])
-        return float(out) if out.ndim == 0 else out
+        return self._interpolated("log_pdf", x, 0.0)
 
     def cdf(self, x):
-        c = self._ensure()
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= c["x_hi"], 1.0, 0.0)
-        ok = (x > c["x_lo"]) & (x < c["x_hi"])
-        if ok.any():
-            out[ok] = np.clip(c["cdf"](np.log(x[ok])), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return self._interpolated("log_cdf", x, 1.0)
 
     def mean_below(self, x):
         """int_0^x p f(p) dp (first moment of the truncated distribution)."""
         c = self._ensure()
-        x = np.asarray(x, dtype=float)
-        full = c["m1"](np.array(c["t_hi"]))
-        out = np.where(x >= c["x_hi"], full, 0.0)
-        ok = (x > c["x_lo"]) & (x < c["x_hi"])
-        if ok.any():
-            out[ok] = c["m1"](np.log(x[ok]))
-        return float(out) if out.ndim == 0 else out
+        return self._interpolated("log_m1", x, math.exp(c["log_m1"](c["t_hi"])))
 
     def ppf(self, p):
+        """Quantile: two Newton steps on log F(e^t) = log p (slope x f / F) bring
+        linear interpolation in a table of log F (below 1e-3 off in t) to
+        rounding; levels outside (F(x_lo), F(x_hi)) give x_lo or x_hi."""
         c = self._ensure()
         p = np.asarray(p, dtype=float)
         if np.any((p < 0) | (p > 1)):
             raise ParameterError("quantile level must lie in [0, 1]")
-        pc = np.clip(p, c["p_min"], c["p_max"])
-        out = np.exp(c["ppf"](pc))
+        with np.errstate(divide="ignore"):
+            log_p = np.log(p)
+        t = np.interp(log_p, c["log_cdf_table"], c["t_table"])
+        for _ in range(2):
+            log_cdf = c["log_cdf"](t)
+            step = (log_cdf - log_p) * np.exp(log_cdf - t - c["log_pdf"](t))
+            t = np.clip(t - step, c["t_lo"], c["t_hi"])
+        out = np.exp(t)
         return float(out) if out.ndim == 0 else out
 
     def normalization(self, config=None):
@@ -333,7 +320,7 @@ class ReceivedPowerDistribution:
             x = np.exp(t)
             return self.pdf_exact(x) * x
 
-        return integrate(f, math.log(c["x_lo"]), math.log(c["x_hi"]), cfg).value
+        return integrate(f, c["t_lo"], c["t_hi"], cfg).value
 
 
 # ---------------------------------------------------------------------------

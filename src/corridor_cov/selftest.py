@@ -23,7 +23,7 @@ from .core import (
     link_distance_cdf,
     path_loss,
 )
-from .quadrature import QuadratureError, integrate, nested_integrate_2d
+from .quadrature import QuadratureConfig, QuadratureError, integrate, nested_integrate_2d
 from .simulator import simulate_sir
 
 
@@ -69,6 +69,16 @@ def run(trials=200_000, seed=20250811):
     # received power pdf normalization, on the cache the models share
     bpp = analytic.bpp_model(10, geom, channel)
     checks.append(("received power pdf normalizes", abs(bpp.dist.normalization() - 1.0) < 1e-6))
+
+    # cached cdf against its closed form F(x) = (1/R) int_0^R P(S <= x / l(d(u))) du
+    def cdf_integrand(x, u):
+        return shadow.cdf(x / path_loss(np.hypot(u, 100.0), channel))
+
+    xs = bpp.dist.ppf(np.array([1e-6, 0.5, 0.999]))
+    tight = QuadratureConfig(rel_tol=1e-12)
+    cdf = analytic._integrate_at_points(xs, cdf_integrand, 0.0, geom.R, tight)[0] / geom.R
+    ok = np.allclose(bpp.dist.cdf(xs), cdf, rtol=1e-9, atol=0.0)
+    checks.append(("cached received power cdf vs closed form", bool(ok)))
 
     # Laplace transforms at the origin and against finite differences
     checks.append(("BPP Laplace at s=0", bpp.laplace.evaluate(0.0, 3e-6) == 1.0))

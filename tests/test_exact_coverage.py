@@ -1,6 +1,7 @@
 """Exact coverage on the batched moment kernel: the kernel against scalar
-integrals, the array Laplace series against the scalar wrapper, pinned
-coverage values and the per-call debug line."""
+integrals, the array Laplace series against the scalar wrapper, coverage
+against a cache-free oracle, pinned coverage values and the per-call debug
+line."""
 
 import logging
 import math
@@ -10,8 +11,17 @@ import numpy as np
 import pytest
 from scipy import special
 
-from corridor_cov import BPP, ChannelParams, bpp_model, hppp_model, integrate, simulate_sir
+from corridor_cov import (
+    BPP,
+    ChannelParams,
+    QuadratureConfig,
+    bpp_model,
+    hppp_model,
+    integrate,
+    simulate_sir,
+)
 from corridor_cov import analytic
+from conftest import closed_form_cdf_and_moment
 
 N = 10
 LAM = 10.0 / 1000.0
@@ -109,15 +119,47 @@ def test_hppp_derivative_at_origin_is_minus_mean_interference(geom, channel_m3):
 
 
 # Oracle: the same Taylor-series formulation with inner integrals at rel 1e-10
-# and the outer integral at rel 1e-9.  The log/exp derivative recursion it
-# replaced was off by 6.1e-8 and 1.1e-6 at these points.
+# and the outer integral at rel 1e-9, on the pdf and cdf computed without the
+# received-power cache (`test_bpp_coverage_matches_cache_free_oracle`).  The
+# log/exp derivative recursion it replaced was off by 6.1e-8 and 1.1e-6 at
+# these points.
 @pytest.mark.parametrize(
     "n, m, theta_db, oracle, tol",
-    [(10, 3, 0, 0.3045337119, 2e-8), (50, 1, -20, 0.9534317805, 2e-7)],
+    [(10, 3, 0, 0.3045337092, 2e-8), (50, 1, -20, 0.9534317808, 2e-7)],
 )
 def test_bpp_coverage_matches_tight_tolerance_oracle(geom, n, m, theta_db, oracle, tol):
     model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
     assert model.coverage(10 ** (theta_db / 10)) == pytest.approx(oracle, rel=0.0, abs=tol)
+
+
+@pytest.mark.parametrize("n, m, theta_db", [(10, 3, 0), (50, 1, -20)])
+def test_bpp_coverage_matches_cache_free_oracle(geom, monkeypatch, n, m, theta_db):
+    theta = 10 ** (theta_db / 10)
+    model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
+    value = model.coverage(theta)
+    dist = model.dist
+    monkeypatch.setattr(dist, "pdf", dist._pdf_smooth)
+    monkeypatch.setattr(dist, "cdf", lambda x: closed_form_cdf_and_moment(dist, x)[0])
+    monkeypatch.setattr(analytic, "_COVERAGE_QUAD", QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15))
+    inner = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    series = analytic.InterferenceLaplaceBPP(dist, n, m, inner)._series
+    bounds = model._outer_bounds()
+    oracle = analytic._exact_coverage(theta, m, dist, model.max_power_pdf, bounds, series)
+    assert value == pytest.approx(oracle, rel=0.0, abs=1e-9)
+
+
+# Where kernel error made D / F(x0) exceed 1 with the spline cache (48 nodes
+# over this grid), which `gamma0 = 1 - D / F(x0)` floors at 0.
+@pytest.mark.parametrize("theta_db", [10, 20])
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("m", [6, 8])
+def test_bpp_kernel_needs_no_flooring(geom, caplog, m, n, theta_db):
+    model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
+    with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+        model.coverage(10 ** (theta_db / 10))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact coverage")]
+    assert len(lines) == 1
+    assert re.search(r", 0 floored, ", lines[0]), lines[0]
 
 
 # Points where the clamped derivative recursion did not converge.
@@ -142,26 +184,26 @@ def test_conditional_coverage_stays_in_unit_interval(geom, m, n):
         assert np.all(cov >= 0.0) and np.all(cov <= 1.0 + 1e-8), (theta_db, cov)
 
 
-# Exact coverage values of the Taylor-series conditional coverage.  Against
-# the derivative recursion they replaced they moved by at most 1.8e-7 (the
-# recursion's kernel error; see the oracle test above).  The HPPP values
-# predate the batched inner integrals: at m = 1 the arithmetic is unchanged.
+# Exact coverage values on the Chebyshev received-power cache.  Each lies
+# within 2e-13 of the cache-free oracle (tight tolerances, pdf and cdf
+# computed without the cache); the spline-cache values they replaced were up
+# to 2.7e-7 (BPP) and 1.6e-8 (HPPP) from it.
 BPP_M3_DB = list(range(-20, 21, 4))
 BPP_M3_COVERAGE = [
-    0.9999563090494658,
-    0.999376708292838,
-    0.9924340908296291,
-    0.9345215059528784,
-    0.690146847983381,
-    0.30453371778643246,
-    0.0816848474334434,
-    0.016632522675206884,
-    0.0029582076636736608,
-    0.0004927774050580868,
-    7.972296471395403e-05,
+    0.9999560341856042,
+    0.9993764337717366,
+    0.9924338180208881,
+    0.9345212489410581,
+    0.6901466638378118,
+    0.30453370917700345,
+    0.08168484674664786,
+    0.016632523589050045,
+    0.0029582079144950396,
+    0.0004927774463263016,
+    7.972296885740887e-05,
 ]
 HPPP_M1_DB = [-6, 0, 6]
-HPPP_M1_COVERAGE = [0.6983282034312299, 0.3316911548162276, 0.07892636904886025]
+HPPP_M1_COVERAGE = [0.6983282074816954, 0.3316911389158729, 0.07892636828872343]
 
 
 def test_bpp_m3_coverage_pinned(geom, channel_m3):

@@ -1,0 +1,62 @@
+"""The received-power cache: piecewise Chebyshev interpolants of log f, log F
+and log M1 against closed forms computed without it, and its debug line."""
+
+import logging
+import re
+
+import numpy as np
+import pytest
+
+from corridor_cov import ChannelParams, CorridorGeometry, FixedHeight, ReceivedPowerDistribution
+from corridor_cov import analytic
+from conftest import closed_form_cdf_and_moment
+
+H = 100.0
+LINE = re.compile(
+    r"received-power cache: (\d+) pieces, (\d+) rounds, worst trailing coefficient "
+    r"([0-9.e+-]+), (\d+) pieces above tolerance, (\d+) node evaluations, [0-9.]+ s"
+)
+
+
+def build(q, alpha, r_over_h, caplog):
+    """A fresh distribution, its cache built, and the fields of its debug line."""
+    geom = CorridorGeometry(r_over_h * H, FixedHeight(H))
+    dist = ReceivedPowerDistribution(geom, ChannelParams(alpha=alpha, q=q, m=1.0))
+    with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+        dist.x_lo
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("received-power")]
+    caplog.clear()
+    assert len(lines) == 1
+    fields = LINE.fullmatch(lines[0])
+    assert fields is not None, lines[0]
+    pieces, rounds, worst, above, nodes = fields.groups()
+    return dist, (int(pieces), int(rounds), float(worst), int(above), int(nodes))
+
+
+def test_build_logs_its_work(caplog):
+    _, (pieces, rounds, worst, above, nodes) = build(2.0, 2.2, 5.0, caplog)
+    assert pieces >= analytic._CHEB_PIECES
+    assert 1 <= rounds <= analytic._CHEB_ROUNDS
+    assert 0.0 < worst <= analytic._CHEB_TOL
+    assert above == 0
+    # three integrals per Chebyshev point, each at least the initial 8 G7/K15 panels
+    assert nodes % 15 == 0 and nodes >= 3 * pieces * analytic._CHEB_POINTS * 8 * 15
+
+
+# The documented domain's corners and middle: q down to 1.05, alpha 2 to 6,
+# R/h up to 500.
+@pytest.mark.parametrize("r_over_h", [1.0, 5.0, 500.0])
+@pytest.mark.parametrize("alpha", [2.0, 6.0])
+@pytest.mark.parametrize("q", [1.05, 2.0, 20.0])
+def test_cache_matches_closed_forms(caplog, q, alpha, r_over_h):
+    dist, (_, _, _, above, _) = build(q, alpha, r_over_h, caplog)
+    assert above == 0
+    x = np.geomspace(dist.x_lo, dist.x_hi, 32)[1:-1]
+    cdf, moment = closed_form_cdf_and_moment(dist, x)
+    np.testing.assert_allclose(dist.pdf(x), dist._pdf_smooth(x), rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(dist.cdf(x), cdf, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(dist.mean_below(x), moment, rtol=1e-9, atol=0.0)
+    p = np.array([1e-12, 1e-6, 0.5, 1.0 - 1e-9])
+    x = dist.ppf(p)
+    np.testing.assert_allclose(dist.cdf(x), p, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(closed_form_cdf_and_moment(dist, x)[0], p, rtol=1e-9, atol=0.0)
