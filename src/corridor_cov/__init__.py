@@ -57,6 +57,7 @@ from .simulator import (
     HeightStudyResult,
     MappingError,
     ReplayResult,
+    SirTally,
     Trace,
     TraceFormatError,
     coverage_from_sirs,

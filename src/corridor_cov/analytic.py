@@ -263,10 +263,14 @@ class ReceivedPowerDistribution:
         return self._cache
 
     def _interpolated(self, name, x, above):
-        """exp(interpolant `name`) at each x in (x_lo, x_hi), 0 below, `above` above."""
+        """exp(interpolant `name`) at each x in (x_lo, x_hi), 0 below, and
+        above(x) at the x >= x_hi."""
         c = self._ensure()
         x = np.asarray(x, dtype=float)
-        out = np.where(x >= c["x_hi"], above, 0.0)
+        out = np.zeros(x.shape)
+        high = x >= c["x_hi"]
+        if high.any():
+            out[high] = above(x[high])
         ok = (x > c["x_lo"]) & (x < c["x_hi"])
         if ok.any():
             out[ok] = np.exp(c[name](np.log(x[ok])))
@@ -283,15 +287,23 @@ class ReceivedPowerDistribution:
         return self._ensure()["x_hi"]
 
     def pdf(self, x):
-        return self._interpolated("log_pdf", x, 0.0)
+        return self._interpolated("log_pdf", x, lambda x: 0.0)
 
     def cdf(self, x):
-        return self._interpolated("log_cdf", x, 1.0)
+        return self._interpolated("log_cdf", x, lambda x: 1.0)
 
     def mean_below(self, x):
-        """int_0^x p f(p) dp (first moment of the truncated distribution)."""
-        c = self._ensure()
-        return self._interpolated("log_m1", x, math.exp(c["log_m1"](c["t_hi"])))
+        """int_0^x p f(p) dp (first moment of the truncated distribution).
+
+        Above x_hi the mass is below 1e-13, but with heavy shadowing not the
+        first moment (at q = 1.05 about a quarter of E[P]), so there M1 is
+        integrated from its closed form, as the cache samples it."""
+
+        def exact(x):
+            m1 = self._smooth_integrands()[2]
+            return _integrate_at_points(x, m1, 0.0, self.R, _PDF_QUAD)[0] / self.R
+
+        return self._interpolated("log_m1", x, exact)
 
     def ppf(self, p):
         """Quantile: two Newton steps on log F(e^t) = log p (slope x f / F) bring
@@ -534,6 +546,13 @@ def _gen_laguerre_rule(m, n_nodes):
     return z[keep], w[keep]
 
 
+def _upper_gamma_q(m, x):
+    """Regularized upper incomplete gamma Q(m, x).  Q(1/2, x) = erfc(sqrt x)
+    costs about 0.03 us per element, against 0.7 us for scipy's gammaincc
+    at order 1/2."""
+    return special.erfc(np.sqrt(x)) if m == 0.5 else special.gammaincc(m, x)
+
+
 def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
     """T(a, b) = E[Q(m, a + b Y)] for Y ~ Gamma(m, 1), elementwise over
     broadcast arrays a >= 0, b > 0; Q is the regularized upper incomplete
@@ -558,7 +577,7 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
         step = max(1, _TERM_BLOCK // z.size)
         for i in range(0, am.size, step):
             bz = beta[i : i + step] * z
-            terms = np.exp(bz) * special.gammaincc(m, am[i : i + step, None] + bz)
+            terms = np.exp(bz) * _upper_gamma_q(m, am[i : i + step, None] + bz)
             sums[i : i + step] = terms @ w
         out[shifted] = (1.0 + bm) ** -m * sums
     return float(out) if out.ndim == 0 else out

@@ -8,17 +8,23 @@ height studies, KL model comparison, and measurement-trace replay.
 Reproducibility: every entry point runs its trials through `_map_batches` in
 fixed-size batches; batch b draws from the counter-based substream
 Philox(key=seed).jumped(b), so the same master seed gives bit-identical
-results regardless of worker parallelism.  Within a batch the draw order is
-fixed per entry point:
+results regardless of worker parallelism.  Within a batch the UAV count of
+every trial is drawn first (HPPP only; BPP and Disc2D counts are fixed).
+The trials are then sorted stably by count, and every per-UAV quantity is
+drawn as one flat array of counts.sum() values, holding the UAVs of the
+sorted trials one after another.  The trials of each count form a dense
+block, with no padding; SIRs are returned in trial order.  A BPP or Disc2D
+batch is one block in trial order.  The per-UAV draws come in a fixed
+order per entry point:
 
-- `simulate_sir` and `simulate_sir_paired`: counts (HPPP only), positions,
-  heights, shadowing, then fading.  Shadowing is applied at realization time
-  (association measures S * l(d), agnostic to fast fading); fading is drawn
-  at SIR time, and the paired run shares it between both policies.
-- `height_model_kl_study`: counts, positions, height uniforms (where the
-  height model would draw), shadowing, then fading.
-- `trace_replay`: counts, positions, then fading ("redraw" mode only); the
-  trace supplies everything else.
+- `simulate_sir` and `simulate_sir_paired`: positions, heights, shadowing,
+  then fading.  Shadowing is applied at realization time (association
+  measures S * l(d), agnostic to fast fading); fading is drawn at SIR time,
+  and the paired run shares it between both policies.
+- `height_model_kl_study`: positions, height uniforms (where the height
+  model would draw), shadowing, then fading.
+- `trace_replay`: positions, then fading ("redraw" mode only); the trace
+  supplies everything else.
 - `synthesize_trace` draws from batch 0's substream: heights, shadowing,
   then fading (when requested).
 """
@@ -51,6 +57,7 @@ __all__ = [
     "TraceFormatError",
     "MappingError",
     "CoverageCurve",
+    "SirTally",
     "EmpiricalDistribution",
     "HeightStudyResult",
     "ReplayResult",
@@ -129,53 +136,87 @@ def _map_batches(fn, trials, batch_size, seed, workers=1):
 
 
 def _draw_positions(spatial, geom, rng, size):
-    """(positions, counts) for `size` trials; positions padded to the max count."""
+    """(positions, counts): the UAV count of each of `size` trials, then the
+    coordinates of all counts.sum() UAVs as one flat array, in the
+    count-sorted trial order of `_Layout`."""
     if isinstance(spatial, BPP):
         counts = np.full(size, spatial.n)
-        pos = rng.uniform(-geom.R, geom.R, (size, spatial.n))
+        pos = rng.uniform(-geom.R, geom.R, size * spatial.n)
     elif isinstance(spatial, FiniteHPPP):
         counts = rng.poisson(spatial.intensity * geom.length, size)
-        k = max(int(counts.max()), 1)
-        pos = rng.uniform(-geom.R, geom.R, (size, k))
+        pos = rng.uniform(-geom.R, geom.R, int(counts.sum()))
     elif isinstance(spatial, Disc2D):
         counts = np.full(size, spatial.n)
         # Uniform in the disc: ground radius density 2r/radius^2.
-        pos = spatial.radius * np.sqrt(rng.uniform(0.0, 1.0, (size, spatial.n)))
+        pos = spatial.radius * np.sqrt(rng.uniform(0.0, 1.0, size * spatial.n))
     else:
         raise ParameterError(f"unsupported spatial model {spatial!r}")
     return pos, counts
 
 
+class _Layout:
+    """Count-sorted layout of one batch.
+
+    The trials are sorted stably by UAV count, and every flat per-UAV array
+    of the batch holds the UAVs of the sorted trials one after another.  The
+    trials of each count c > 0 then form one contiguous slice, which reshapes
+    without a copy into a dense (n_c, c) block.  A BPP or Disc2D batch is one
+    block in trial order.
+    """
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.order = np.argsort(counts, kind="stable")
+        self.sorted_counts = counts[self.order]
+        n_trials = np.bincount(counts)  # per count c
+        n_uavs = n_trials * np.arange(n_trials.size)
+        first_trial = np.cumsum(n_trials) - n_trials
+        first_uav = np.cumsum(n_uavs) - n_uavs
+        self._blocks = [
+            (c, int(first_trial[c]), int(n_trials[c]), int(first_uav[c]))
+            for c in range(1, n_trials.size)
+            if n_trials[c]
+        ]
+
+    def blocks(self, *flat):
+        """Per block: its trials' counts, then the dense (n_c, c) view of each
+        flat per-UAV array."""
+        for c, f, k, start in self._blocks:
+            views = (a[start : start + k * c].reshape(k, c) for a in flat)
+            yield (self.sorted_counts[f : f + k], *views)
+
+    def unsort(self, parts):
+        """Per-trial values, given block by block, in trial order; empty
+        trials are dropped."""
+        values = np.concatenate(parts) if parts else np.empty(0)
+        out = np.empty(self.counts.size, values.dtype)
+        out[self.order[self.counts.size - values.size :]] = values
+        return out[self.counts > 0]
+
+
 def _rx_powers(pos, heights, shadowing, channel):
-    """(S * K * d^-alpha, d): received powers without fast fading, and link
-    distances, for UAVs at corridor coordinates `pos` and `heights`."""
-    dist = np.hypot(pos, heights)
-    return shadowing * channel.k_factor * dist ** (-channel.alpha), dist
-
-
-def _pad(powers, dist, counts):
-    """Give the slots past each row's UAV count zero power and infinite
-    distance, in place, so they never serve or interfere."""
-    padding = np.arange(powers.shape[1])[None, :] >= counts[:, None]
-    powers[padding] = 0.0
-    dist[padding] = np.inf
+    """(S * K * (d^2)^(-alpha/2), d^2): received powers without fast fading,
+    and squared link distances, for UAVs at corridor coordinates `pos` and
+    `heights`.  d^2 orders the links as the distances do."""
+    d2 = pos * pos + heights * heights
+    return shadowing * channel.k_factor * d2 ** (-0.5 * channel.alpha), d2
 
 
 def _realize_batch(spatial, geom, channel, size, rng):
-    """Vectorized batch of `size` realizations: (powers, distances, counts),
-    padded by `_pad`."""
+    """One batch of `size` realizations: (powers, d2, counts), the per-UAV
+    arrays flat in the count-sorted order of `_Layout`."""
     pos, counts = _draw_positions(spatial, geom, rng, size)
     heights = geom.height_model.sample(rng, pos.shape)
     shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
-    powers, dist = _rx_powers(pos, heights, shadowing, channel)
-    _pad(powers, dist, counts)
-    return powers, dist, counts
+    powers, d2 = _rx_powers(pos, heights, shadowing, channel)
+    return powers, d2, counts
 
 
 def _combine_sir(powers, dist, counts, fading, policy):
-    """Linear SIR of each non-empty realization (row) of a padded batch;
-    a row with no interferer gets SIR = inf.  `fading` is an array of the
-    batch's shape or a scalar.  Ties break to the lowest index."""
+    """Linear SIR of each non-empty realization (row) of a dense block; a
+    row with no interferer gets SIR = inf.  `dist` may be the link distances
+    or any increasing function of them, such as d^2.  `fading` is an array of
+    the block's shape or a scalar.  Ties break to the lowest index."""
     if policy == MAX_POWER:
         serving = np.argmax(powers, axis=1)
     else:
@@ -193,6 +234,13 @@ def _combine_sir(powers, dist, counts, fading, policy):
     return sir[counts > 0]
 
 
+def _sirs(layout, powers, d2, fading, policy):
+    """SIR of each non-empty trial of a batch, in trial order."""
+    return layout.unsort(
+        [_combine_sir(p, d, c, f, policy) for c, p, d, f in layout.blocks(powers, d2, fading)]
+    )
+
+
 def simulate_sir(
     spatial,
     geom,
@@ -202,24 +250,32 @@ def simulate_sir(
     policy=MAX_POWER,
     batch_size=DEFAULT_BATCH_SIZE,
     workers=1,
+    theta_db=None,
 ):
     """Linear SIR samples over `trials` network draws.
 
     Empty HPPP realizations are excluded (the analytic side conditions on a
     non-empty corridor); single-UAV realizations yield SIR = inf.  Returns
-    (sirs, n_excluded).
+    (sirs, n_excluded).  With a dB grid `theta_db`, each batch is reduced as
+    it is drawn, and `sirs` is the `SirTally` of the samples on that grid.
     """
     _check_policy(policy)
+    if theta_db is not None:
+        theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
 
     def run(rng, size):
-        powers, dist, counts = _realize_batch(spatial, geom, channel, size, rng)
+        powers, d2, counts = _realize_batch(spatial, geom, channel, size, rng)
         fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
-        return _combine_sir(powers, dist, counts, fading, policy), size - (counts > 0).sum()
+        sirs = _sirs(_Layout(counts), powers, d2, fading, policy)
+        n_excluded = size - sirs.size
+        return (sirs if theta_db is None else SirTally.of(sirs, theta_db)), n_excluded
 
-    results = _map_batches(run, trials, batch_size, seed, workers)
-    sirs = np.concatenate([r[0] for r in results])
-    n_excluded = int(sum(r[1] for r in results))
-    return sirs, n_excluded
+    parts, excluded = zip(*_map_batches(run, trials, batch_size, seed, workers))
+    if theta_db is None:
+        sirs = np.concatenate(parts)
+    else:
+        sirs = SirTally(theta_db, sum(t.above for t in parts), sum(t.n for t in parts))
+    return sirs, int(sum(excluded))
 
 
 def simulate_sir_paired(
@@ -237,11 +293,14 @@ def simulate_sir_paired(
     empty."""
 
     def run(rng, size):
-        powers, dist, counts = _realize_batch(spatial, geom, channel, size, rng)
+        powers, d2, counts = _realize_batch(spatial, geom, channel, size, rng)
         fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
-        sir_mp = _combine_sir(powers, dist, counts, fading, MAX_POWER)
-        sir_md = _combine_sir(powers, dist, counts, fading, MIN_DISTANCE)
-        disagree = (np.argmax(powers, axis=1) != np.argmin(dist, axis=1))[counts > 0]
+        layout = _Layout(counts)
+        sir_mp = _sirs(layout, powers, d2, fading, MAX_POWER)
+        sir_md = _sirs(layout, powers, d2, fading, MIN_DISTANCE)
+        disagree = layout.unsort(
+            [np.argmax(p, axis=1) != np.argmin(d, axis=1) for _, p, d in layout.blocks(powers, d2)]
+        )
         return sir_mp, sir_md, disagree
 
     results = _map_batches(run, trials, batch_size, seed, workers)
@@ -272,14 +331,37 @@ class CoverageCurve:
         return float(np.max(np.abs(self.coverage - other.coverage)))
 
 
+@dataclass
+class SirTally:
+    """Linear SIR samples reduced to what a coverage curve needs: how many
+    exceed each threshold of the dB grid `theta_db`.  len() is the number of
+    samples."""
+
+    theta_db: np.ndarray
+    above: np.ndarray
+    n: int
+
+    @classmethod
+    def of(cls, sirs, theta_db):
+        above = [np.count_nonzero(sirs > th) for th in db_to_linear(theta_db)]
+        return cls(theta_db, np.array(above, dtype=np.int64), len(sirs))
+
+    def __len__(self):
+        return self.n
+
+
 def coverage_from_sirs(sirs, theta_db, provenance="simulated"):
-    """Empirical survival function of the SIR samples on a dB grid."""
+    """Empirical survival function of the SIR samples on a dB grid.  `sirs`
+    is an array of linear SIRs or their `SirTally` on the same grid."""
     theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
-    thetas = db_to_linear(theta_db)
+    if not isinstance(sirs, SirTally):
+        sirs = SirTally.of(sirs, theta_db)
+    elif not np.array_equal(sirs.theta_db, theta_db):
+        raise GridMismatchError("the SIR tally uses a different theta grid")
     n = len(sirs)
     if n == 0:
         raise ParameterError("no SIR samples (all realizations empty?)")
-    cov = np.array([(sirs > th).mean() for th in thetas])
+    cov = sirs.above / n
     stderr = np.sqrt(cov * (1.0 - cov) / n)
     return CoverageCurve(theta_db, cov, provenance, n_trials=n, stderr=stderr)
 
@@ -297,11 +379,13 @@ def empirical_coverage(
 ):
     """Monte Carlo coverage curve: fraction of SIR samples above each
     threshold.  Empty HPPP realizations are excluded from the denominator;
-    single-UAV realizations count as covered (infinite SIR)."""
-    sirs, _ = simulate_sir(
-        spatial, geom, channel, trials, seed, policy=policy, batch_size=batch_size, workers=workers
+    single-UAV realizations count as covered (infinite SIR).  Each batch is
+    reduced to threshold counts as it is drawn; the SIRs are not kept."""
+    tally, _ = simulate_sir(
+        spatial, geom, channel, trials, seed, policy=policy, batch_size=batch_size,
+        workers=workers, theta_db=theta_db,
     )
-    return coverage_from_sirs(sirs, theta_db)
+    return coverage_from_sirs(tally, theta_db)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +490,11 @@ def height_model_kl_study(
         u_h = rng.uniform(0.0, 1.0, pos.shape)
         shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
         fading = rng.gamma(channel.m, 1.0 / channel.m, pos.shape)
+        layout = _Layout(counts)
         hists = {}
         for key, heights in transforms(u_h).items():
-            powers, dist = _rx_powers(pos, heights, shadowing, channel)
-            _pad(powers, dist, counts)
-            sir = _combine_sir(powers, dist, counts, fading, MAX_POWER)
+            powers, d2 = _rx_powers(pos, heights, shadowing, channel)
+            sir = _sirs(layout, powers, d2, fading, MAX_POWER)
             sir_db = linear_to_db(sir[np.isfinite(sir) & (sir > 0)])
             # np.histogram drops the SIRs that fall outside the grid
             hists[key] = np.histogram(sir_db, bins=edges_db)[0]
@@ -671,15 +755,16 @@ def trace_replay(
         sir_edges_db = np.arange(-40.0, 40.5, 0.5)
 
     trace_power = np.asarray(db_to_linear(trace.rx_power_dbm))
-    trace_dist = np.hypot(trace.position_m, trace.height_m)
+    trace_d2 = trace.position_m**2 + trace.height_m**2
 
     def run(rng, size):
         pos, counts = _draw_positions(spatial, geom, rng, size)
         idx = trace.nearest_index(pos)
-        powers, dist = trace_power[idx], trace_dist[idx]
-        _pad(powers, dist, counts)
-        fading = rng.gamma(m, 1.0 / m, powers.shape) if fading_mode == "redraw" else 1.0
-        return _combine_sir(powers, dist, counts, fading, policy)
+        if fading_mode == "redraw":
+            fading = rng.gamma(m, 1.0 / m, pos.shape)
+        else:
+            fading = np.ones(pos.shape)
+        return _sirs(_Layout(counts), trace_power[idx], trace_d2[idx], fading, policy)
 
     sirs = np.concatenate(_map_batches(run, trials, batch_size, seed))
     curve = coverage_from_sirs(sirs, theta_db, provenance="replayed")

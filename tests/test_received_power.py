@@ -4,6 +4,8 @@ and log M1 against closed forms computed without it, and its debug line."""
 import logging
 import re
 
+from scipy import integrate
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,19 @@ def test_cache_matches_closed_forms(caplog, q, alpha, r_over_h):
     x = dist.ppf(p)
     np.testing.assert_allclose(dist.cdf(x), p, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(closed_form_cdf_and_moment(dist, x)[0], p, rtol=1e-9, atol=0.0)
+
+
+def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
+    # At q = 1.05 the mass above x_hi is below 1e-13, but the first moment
+    # beyond x decays only like x^(1 - q): x_hi holds 0.76 of E[P] and
+    # 10 x_hi 0.79, and E[P] is reached only as x grows without bound.
+    dist, _ = build(1.05, 2.2, 5.0, caplog)
+    x = dist.x_hi * np.array([1.0, 10.0, 1e250])
+    got = dist.mean_below(x)
+    np.testing.assert_allclose(got, closed_form_cdf_and_moment(dist, x)[1], rtol=1e-9, atol=0.0)
+    assert dist.mean_below(x[1]) == got[1] and got[1] > 1.03 * got[0]
+    mean_w = integrate.quad(
+        lambda u: dist.k * (H * H + u * u) ** (-dist.alpha / 2.0), 0.0, dist.R,
+        epsabs=0.0, epsrel=1e-13,
+    )[0] / dist.R
+    assert got[2] == pytest.approx(dist.gam / (dist.q - 1.0) * mean_w, rel=1e-8)

@@ -15,6 +15,8 @@ from corridor_cov import (
     NormalHeight,
     ParameterError,
     UniformHeight,
+    coverage_from_sirs,
+    db_to_linear,
     empirical_coverage,
     fit_normal_height,
     fit_uniform_height,
@@ -39,17 +41,17 @@ from conftest import ks_statistic
 
 class TestSampleNetwork:
     def test_bpp_counts_and_support(self, geom, channel):
-        powers, dist, counts = _realize_batch(BPP(10), geom, channel, 1, _substream(1, 0))
+        powers, d2, counts = _realize_batch(BPP(10), geom, channel, 1, _substream(1, 0))
         # replay the batch's draws: positions, heights, then shadowing
         rng = _substream(1, 0)
         pos, _ = _draw_positions(BPP(10), geom, rng, 1)
         heights = geom.height_model.sample(rng, pos.shape)
         shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
-        assert counts[0] == 10 and powers.shape == (1, 10)
+        assert counts[0] == 10 and powers.shape == (10,)
         assert np.all(np.abs(pos) <= geom.R)
         assert np.all(heights == 100.0)
-        assert np.array_equal(dist, np.hypot(pos, heights))
-        assert np.allclose(powers, shadowing * dist ** -2.2, rtol=1e-12)
+        assert np.array_equal(d2, pos * pos + heights * heights)
+        assert np.allclose(powers, shadowing * np.hypot(pos, heights) ** -2.2, rtol=1e-12)
 
     def test_bpp_positions_uniform_ks(self, geom, channel):
         rng = _substream(2, 0)
@@ -147,6 +149,51 @@ class TestSirSample:
             manual.append(faded[serving] / (faded.sum() - faded[serving]))
         assert np.allclose(sirs, manual, rtol=1e-12)
 
+    @pytest.mark.parametrize("policy", [MAX_POWER, MIN_DISTANCE])
+    def test_hppp_batch_agrees_with_per_trial_loop(self, geom, channel, policy):
+        # lam|L| = 2: counts 0..8 or so, so the batch has empty trials, lone
+        # UAVs and several count blocks; replay the documented order by hand
+        size, spatial = 400, FiniteHPPP(0.002)
+        sirs, excluded = simulate_sir(
+            spatial, geom, channel, size, seed=78, policy=policy, batch_size=size
+        )
+        rng = _substream(78, 0)
+        counts = rng.poisson(spatial.intensity * geom.length, size)
+        n = counts.sum()
+        pos = rng.uniform(-geom.R, geom.R, n)
+        heights = geom.height_model.sample(rng, n)
+        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n)
+        fading = rng.gamma(channel.m, 1.0 / channel.m, n)
+        # the UAVs of trial t follow those of every trial sorted before it
+        order = np.argsort(counts, kind="stable")
+        first = np.empty(size, dtype=int)
+        first[order] = np.cumsum(counts[order]) - counts[order]
+        manual = []
+        for t in range(size):
+            if counts[t] == 0:
+                continue
+            uavs = slice(first[t], first[t] + counts[t])
+            dist = np.hypot(pos[uavs], heights[uavs])
+            powers = shadowing[uavs] * channel.k_factor * dist**-channel.alpha
+            serving = int(np.argmax(powers) if policy == MAX_POWER else np.argmin(dist))
+            faded = fading[uavs] * powers
+            interference = faded.sum() - faded[serving]
+            manual.append(faded[serving] / interference if interference > 0 else np.inf)
+        assert len(np.unique(counts)) > 5 and np.any(counts == 0) and np.any(counts == 1)
+        assert excluded == np.count_nonzero(counts == 0)
+        assert np.allclose(sirs, manual, rtol=1e-12)
+
+    def test_hppp_batch_draws_one_value_per_uav(self, geom, channel):
+        # the batch consumes counts, then exactly counts.sum() positions and
+        # shadowing values (fixed heights draw nothing)
+        engine = _substream(79, 0)
+        _, _, counts = _realize_batch(FiniteHPPP(0.01), geom, channel, 500, engine)
+        rng = _substream(79, 0)
+        assert np.array_equal(rng.poisson(0.01 * geom.length, 500), counts)
+        rng.uniform(-geom.R, geom.R, counts.sum())
+        rng.gamma(channel.q, 1.0 / channel.gamma, counts.sum())
+        assert engine.random() == rng.random()
+
 
 class TestEmpiricalCoverage:
     def test_matches_analytic_twin(self, geom, channel, model10):
@@ -161,6 +208,22 @@ class TestEmpiricalCoverage:
         curve = empirical_coverage(BPP(10), geom, channel, np.arange(-10, 11.0), 20_000, seed=13)
         assert np.all(np.diff(curve.coverage) <= 0.0)
 
+    @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.0005)])
+    def test_streamed_curve_equals_curve_of_all_sirs(self, geom, channel, spatial):
+        # per-batch threshold counts must give the curve of the pooled SIRs
+        # bit for bit; lam|L| = 0.5 leaves ~61% of HPPP trials empty
+        thetas = np.arange(-10.0, 11.0, 2.5)
+        kwargs = dict(seed=30, batch_size=3000, workers=2)
+        streamed = empirical_coverage(spatial, geom, channel, thetas, 20_000, **kwargs)
+        sirs, _ = simulate_sir(spatial, geom, channel, 20_000, **kwargs)
+        pooled = coverage_from_sirs(sirs, thetas)
+        assert streamed.n_trials == pooled.n_trials == len(sirs)
+        assert np.array_equal(streamed.coverage, pooled.coverage)
+        assert np.array_equal(streamed.stderr, pooled.stderr)
+        assert np.array_equal(
+            pooled.coverage, [np.mean(sirs > th) for th in db_to_linear(thetas)]
+        )
+
     def test_min_distance_underestimates_coverage(self, geom, channel):
         mp, md, _ = simulate_sir_paired(BPP(10), geom, channel, 200_000, seed=14)
         for th_db in (-10.0, -3.0, 0.0, 5.0):
@@ -168,10 +231,15 @@ class TestEmpiricalCoverage:
             assert (mp > th).mean() >= (md > th).mean()
 
     def test_max_power_serving_dominates_per_realization(self, geom, channel):
-        powers, dist, _ = _realize_batch(BPP(10), geom, channel, 200, _substream(15, 0))
+        powers, d2, _ = _realize_batch(BPP(10), geom, channel, 200, _substream(15, 0))
+        # a BPP batch is one dense block in trial order
+        powers, d2 = powers.reshape(200, 10), d2.reshape(200, 10)
+        rng = _substream(15, 0)
+        pos, _ = _draw_positions(BPP(10), geom, rng, 200)
+        assert np.array_equal(d2, (pos * pos + 100.0**2).reshape(200, 10))
         rows = np.arange(200)
         i_mp = np.argmax(powers, axis=1)
-        i_md = np.argmin(dist, axis=1)
+        i_md = np.argmin(d2, axis=1)
         assert np.all(powers[rows, i_mp] >= powers[rows, i_md])
 
     def test_deterministic_rerun(self, geom, channel):
@@ -298,7 +366,8 @@ class TestBatchRunner:
 
 
 class TestPinnedStreams:
-    """Values the engine produced before its batch loops were merged.
+    """Values the engine produced before its batch loops were merged (the
+    FiniteHPPP values since the count-sorted batch layout).
 
     The determinism tests compare two runs of the same code; these catch a
     change of draw order within a batch or of the batch layout.
@@ -312,9 +381,9 @@ class TestPinnedStreams:
             (BPP(10), UniformHeight(80.0, 120.0), MAX_POWER, 3000, 0,
              [1.6103346028901264, 1.588996163452671, 0.8828022052373171, 0.10650035299033363]),
             (FiniteHPPP(0.01), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [24.237419149093924, 0.21313545421720492, 0.1387034063197885, 0.21086567618667043]),
+             [0.22270446220977355, 0.6882603961346133, 2.1474418606928047, 6.907658269564721]),
             (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2589, 411,
-             [1.4054601261533917, 4.3516522351207705, 25.73796467473776, 0.7544915391111718]),
+             [17.028301587815065, 0.4209588401215801, 23.635639314823095, 0.15249914064358536]),
             (Disc2D(10, 500.0), FixedHeight(100.0), MAX_POWER, 3000, 0,
              [1.164935337140479, 1.6398752473172649, 0.10974964582291692, 0.6733346236930339]),
         ],
@@ -336,8 +405,8 @@ class TestPinnedStreams:
         res = height_model_kl_study(
             FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=2026, batch_size=8192
         )
-        assert res.kl_normal == pytest.approx(7.786423167542884e-05, rel=1e-12)
-        assert res.kl_uniform == pytest.approx(0.00029116829537854846, rel=1e-12)
+        assert res.kl_normal == pytest.approx(0.0008641129911683854, rel=1e-12)
+        assert res.kl_uniform == pytest.approx(0.0019498759865283013, rel=1e-12)
 
     @pytest.mark.parametrize(
         "fading_mode, pinned",
