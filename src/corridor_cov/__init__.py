@@ -35,7 +35,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     QuadratureError,
-    SemiInfiniteMap,
     integrate,
 )
 from .analytic import (

@@ -1,14 +1,16 @@
-"""Adaptive Gauss-Kronrod quadrature with semi-infinite maps and batched rules.
+"""Adaptive Gauss-Kronrod quadrature over finite intervals.
 
 All analytic coverage expressions in this package reduce to one- or
-two-fold integrals whose integrands are smooth except for integrable
-endpoint singularities (inverse square roots) and sharp parameter-dependent
-peaks.  A global adaptive G7/K15 scheme handles both: Kronrod nodes are
-strictly interior, so endpoints are never evaluated, and the panels with the
-largest error estimates are bisected until the error budget is met.
+two-fold integrals over finite log-power intervals, smooth except for
+integrable endpoint singularities (inverse square roots) and sharp
+parameter-dependent peaks.  A global adaptive G7/K15 scheme handles both:
+Kronrod nodes are strictly interior, so endpoints are never evaluated, and
+the panels with the largest error estimates are bisected until the error
+budget is met.
 
-Integrands must accept and return numpy arrays; panels are evaluated in
-batches, which keeps the Python overhead per refinement step constant.
+There is one adaptive rule: `integrate_batch` integrates a family f(rows, x)
+over one interval, evaluating the panels of all rows in one batch per
+sweep, and `integrate` is its one-row case.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "IntegralResult",
-    "SemiInfiniteMap",
     "integrate",
     "integrate_batch",
 ]
@@ -65,38 +66,10 @@ _BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
-class SemiInfiniteMap:
-    """Change of variables sending [0, inf) onto the open unit interval.
-
-    kind="rational" uses x = a + t/(1-t); kind="exp" uses x = a - log(1-t).
-    Both have a positive finite Jacobian on (0, 1), so mapped integrands are
-    evaluated only at interior points.
-    """
-
-    kind: str = "rational"
-
-    def __post_init__(self):
-        if self.kind not in ("rational", "exp"):
-            raise ValueError(f"unknown semi-infinite map {self.kind!r}")
-
-    def transform(self, t, origin):
-        """Return (x, jacobian) for parameters t in (0, 1)."""
-        one_m_t = 1.0 - t
-        if self.kind == "rational":
-            x = origin + t / one_m_t
-            jac = 1.0 / one_m_t**2
-        else:
-            x = origin - np.log(one_m_t)
-            jac = 1.0 / one_m_t
-        return x, jac
-
-
-@dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    infinite_map: SemiInfiniteMap = SemiInfiniteMap("rational")
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -110,7 +83,6 @@ class QuadratureConfig:
             rel_tol=self.rel_tol * factor,
             abs_tol=self.abs_tol * factor,
             max_subdivisions=self.max_subdivisions,
-            infinite_map=self.infinite_map,
         )
 
 
@@ -172,92 +144,14 @@ def _evaluate_panels(f, lo, hi):
     return kron, err, fy.size
 
 
-def _adaptive(f, a, b, cfg):
-    width = (b - a) / _INITIAL_PANELS
-    lo = a + width * np.arange(_INITIAL_PANELS)
-    hi = lo + width
-    hi[-1] = b
-    values, errors, n_evals = _evaluate_panels(f, lo, hi)
-
-    while True:
-        total = values.sum()
-        err = errors.sum()
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err <= tol:
-            return IntegralResult(total, err, n_evals)
-        n_panels = len(values)
-        if n_panels >= cfg.max_subdivisions:
-            raise QuadratureError(
-                f"no convergence after {n_panels} subdivisions "
-                f"(error {err:.3e} > tolerance {tol:.3e})",
-                best_estimate=total,
-                error_estimate=err,
-            )
-        # Bisect every panel whose error exceeds its fair share of the
-        # budget; this keeps the number of refinement sweeps small.
-        split = errors > tol / n_panels
-        if not split.any():
-            split[np.argmax(errors)] = True
-        budget = cfg.max_subdivisions - n_panels
-        if split.sum() > budget:
-            keep = np.argsort(errors[split])[::-1][:budget]
-            idx = np.flatnonzero(split)[keep]
-            split = np.zeros_like(split)
-            split[idx] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, nev = _evaluate_panels(f, new_lo, new_hi)
-        n_evals += nev
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        values = np.concatenate([values[~split], new_vals])
-        errors = np.concatenate([errors[~split], new_errs])
-
-
-def integrate(f, a, b, config=None):
-    """Integrate f over [a, b] adaptively; a and/or b may be infinite.
-
-    f must be vectorized (ndarray in, ndarray out).  Integrable endpoint
-    singularities are allowed: nodes are strictly interior.  Raises
-    QuadratureError (carrying the best estimate) on non-convergence.
-    """
-    cfg = config or DEFAULT_CONFIG
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return IntegralResult(0.0, 0.0, 0)
-    if a > b:
-        res = integrate(f, b, a, cfg)
-        return IntegralResult(-res.value, res.error, res.n_evals)
-    if math.isinf(a) and math.isinf(b):
-        left = integrate(f, a, 0.0, cfg)
-        right = integrate(f, 0.0, b, cfg)
-        return IntegralResult(
-            left.value + right.value, left.error + right.error, left.n_evals + right.n_evals
-        )
-    if math.isinf(a):
-        return integrate(lambda x: f(-x), -b, math.inf, cfg)
-    if math.isinf(b):
-        smap = cfg.infinite_map
-
-        def mapped(t):
-            x, jac = smap.transform(t, a)
-            ok = np.isfinite(x) & np.isfinite(jac)
-            out = np.zeros_like(t)
-            if ok.any():
-                out[ok] = f(x[ok]) * jac[ok]
-            return out
-
-        return _adaptive(mapped, 0.0, 1.0, cfg)
-    return _adaptive(f, a, b, cfg)
-
-
 def _adaptive_rows(f, rows, a, b, cfg):
-    """`_adaptive` run for every row of `rows` at once; returns (values, errors, nev).
+    """The adaptive rule for every row of `rows` at once; returns (values,
+    errors, nev).
 
-    Panels of all unfinished rows are evaluated in one batch per sweep; each
-    row keeps its own stop rule, bisection set and subdivision limit.
+    Each row starts from `_INITIAL_PANELS` equal panels and stops once its
+    summed error estimate is within max(abs_tol, rel_tol |value|).  Panels of
+    all unfinished rows are evaluated in one batch per sweep; each row keeps
+    its own stop rule, bisection set and subdivision limit.
     """
     n = len(rows)
     width = (b - a) / _INITIAL_PANELS
@@ -298,9 +192,9 @@ def _adaptive_rows(f, rows, a, b, cfg):
         order = live[np.lexsort((-errors[live], owner[live]))]
         owner, lo, hi, values, errors = (v[order] for v in (owner, lo, hi, values, errors))
         first = np.concatenate([[True], owner[1:] != owner[:-1]])
-        # The same bisection policy as `_adaptive`, per row: split every panel
-        # above its fair share of the budget (the worst one if none is), at
-        # most as many as the subdivision limit leaves room for.
+        # Per row, split every panel above its fair share of the budget (the
+        # worst one if none is), at most as many as the subdivision limit
+        # leaves room for; this keeps the number of refinement sweeps small.
         split = errors > tol[owner] / n_panels[owner]
         split |= first & (np.bincount(owner, split, n) == 0)[owner]
         before = np.cumsum(split) - split
@@ -319,23 +213,34 @@ def _adaptive_rows(f, rows, a, b, cfg):
         errors = np.concatenate([errors[~split], new_errs])
 
 
+def integrate(f, a, b, config=None):
+    """Integrate a vectorized f (ndarray in, ndarray out) over a finite
+    [a, b], a < b: the one-row case of `integrate_batch`.  Integrable
+    endpoint singularities are allowed: nodes are strictly interior.  Raises
+    QuadratureError (carrying the best estimate) on non-convergence.
+    """
+    res = integrate_batch(lambda rows, x: f(x), 1, a, b, config)
+    return IntegralResult(float(res.value[0]), float(res.error[0]), res.n_evals)
+
+
 def integrate_batch(f, n_rows, a, b, config=None):
-    """Integrate f(rows, x) over a finite [a, b] for every row 0..n_rows-1.
+    """Integrate f(rows, x) over a finite [a, b], a < b, for every row
+    0..n_rows-1; `integrate` is the one-row case.
 
     Many integrals of one family share a single batched adaptive rule: f
     receives an int array of row indices and an equally shaped array of
-    nodes.  Each row gets exactly the stop rule, bisection policy and
-    subdivision limit `integrate` applies to one integral, so row values
-    match separate `integrate` calls to rounding.  Rows run in chunks of
-    `_BATCH_ROWS` to bound memory.  Returns an IntegralResult whose value
-    and error are arrays over the rows; raises QuadratureError naming the
-    first row that does not converge.
+    nodes.  Each row keeps its own stop rule, bisection set and subdivision
+    limit, so its value does not depend on the other rows.  Rows run in
+    chunks of `_BATCH_ROWS` to bound memory.  Returns an IntegralResult whose
+    value and error are arrays over the rows; raises ValueError on infinite,
+    reversed or equal bounds and QuadratureError naming the first row that
+    does not converge.
     """
     cfg = config or DEFAULT_CONFIG
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError("integrate_batch needs finite bounds a < b")
+        raise ValueError(f"quadrature needs finite bounds a < b, got [{a!r}, {b!r}]")
     values = np.empty(n_rows)
     errors = np.empty(n_rows)
     n_evals = 0

