@@ -22,14 +22,12 @@ from .core import (
     UniformHeight,
     carrier_factor_from_frequency,
     db_to_linear,
-    fading_distribution,
     linear_to_db,
     link_distance_cdf,
     link_distance_pdf,
     path_loss,
     pathloss_value_cdf,
     pathloss_value_pdf,
-    shadowing_distribution,
 )
 from .quadrature import (
     IntegralResult,
@@ -47,7 +45,6 @@ from .analytic import (
     bpp_model,
     coverage_probability,
     hppp_model,
-    received_power_pdf,
 )
 from .simulator import (
     CoverageCurve,

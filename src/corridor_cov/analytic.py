@@ -18,11 +18,14 @@ remains is a 2D integral over the top-two received powers; each call of its
 outer integrand computes the inner integrals of all its nodes with one
 batched rule.
 
-Given the serving power x0, the two spatial models differ only in how many
-interferers lie below it: n-1 for the BPP, a Poisson count for the finite
-HPPP.  Either way each interferer's received power has the density f
-truncated to (0, x0), so one 1D moment integral against f (`_moment_series`)
-feeds both conditional Laplace transforms.
+The two spatial models differ only in their UAV count law: a fixed n for
+the BPP, a Poisson count for the finite HPPP.  It sets the maximum-power
+density, the outer quantile range and the weights of the Laplace series;
+the coverage theorem and its outer integral live in one base class,
+`_CoverageModel`, that both models inherit.  Given the serving power x0,
+each interferer's received power has the density f truncated to (0, x0),
+so one 1D moment integral against f (`_moment_series`) feeds both
+conditional Laplace transforms.
 
 Numerical strategy: the single-UAV received-power pdf, cdf and first moment
 are cached as piecewise Chebyshev interpolants of their logarithms in log x
@@ -43,7 +46,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -70,7 +73,6 @@ __all__ = [
     "HpppCoverageModel",
     "CoverageQuery",
     "coverage_probability",
-    "received_power_pdf",
     "bpp_model",
     "hppp_model",
 ]
@@ -339,7 +341,8 @@ class ReceivedPowerDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Taylor-coefficient kernel shared by both conditional Laplace transforms
+# Shared by both spatial models: the Taylor-coefficient kernel, the Laplace
+# accessor and the exact coverage
 # ---------------------------------------------------------------------------
 
 
@@ -428,53 +431,74 @@ class _ConditionalLaplace:
         return [float((-1) ** k * math.factorial(k) * c) for k, c in enumerate(coeffs[:, 0])]
 
 
-def _conditional_coverage(theta, m, x0, series):
-    """P(SIR > theta | serving power x0) at every x0, for integer m: the
-    coverage theorem's sum_k (-s)^k / k! L^(k)(s | x0), k < m, at
-    s = m theta / x0: the column sum of the Taylor coefficients of
-    z -> L(s - s z) from the Laplace `_series` `series`, each >= 0 because L
-    is completely monotone.  Returns the values, the count of floored nodes
-    and the number of node evaluations.
-    """
-    s = m * theta / x0
-    coeffs, floored, n_evals = series(s, s, x0, m - 1)
-    return coeffs.sum(axis=0), floored, n_evals
+class _CoverageModel:
+    """Exact coverage for one (UAV count law, geometry, channel) triple; a
+    subclass defines what the count law sets: `max_power_pdf`, the outer
+    quantile range `_outer_bounds(eps)` and the Laplace transform `laplace`."""
 
+    def __init__(self, geom: CorridorGeometry, channel: ChannelParams):
+        self.geom = geom
+        self.channel = channel
+        self.dist = _cached_dist(geom, channel)
 
-def _exact_coverage(theta, m, dist, max_power_pdf, bounds, series):
-    """Exact coverage P(SIR > theta) shared by both spatial models: the
-    integral of the conditional coverage against the maximum-power density
-    `max_power_pdf`, in log space over `bounds`.  Each call of the outer
-    integrand computes the inner moment integrals of all its nodes in one
-    batched rule; nodes without density (or with less than 1e-12 mass below
-    them) contribute 0.  Logs the work done at debug level.
-    """
-    start = time.perf_counter()
-    calls = rows = inner_nodes = floored = 0
+    def _conditional_coverage(self, theta, m, x0):
+        """P(SIR > theta | serving power x0) at every x0, for integer m: the
+        coverage theorem's sum_k (-s)^k / k! L^(k)(s | x0), k < m, at
+        s = m theta / x0: the column sum of the Taylor coefficients of
+        z -> L(s - s z), each >= 0 because L is completely monotone.  Returns
+        the values, the count of floored nodes and the number of node
+        evaluations.
+        """
+        s = m * theta / x0
+        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1)
+        return coeffs.sum(axis=0), floored, n_evals
 
-    def integrand(t):
-        nonlocal calls, rows, inner_nodes, floored
-        x0 = np.exp(t)
-        f0 = max_power_pdf(x0)
-        out = np.zeros_like(x0)
-        live = (f0 > 0) & (dist.cdf(x0) >= 1e-12)
-        x0, f0 = x0[live], f0[live]
-        cov, n_floored, n_evals = _conditional_coverage(theta, m, x0, series)
-        out[live] = cov * f0 * x0
-        calls += 1
-        rows += x0.size * m
-        inner_nodes += n_evals
-        floored += n_floored
-        return out
+    def conditional_coverage(self, theta, x0):
+        """P(SIR > theta | Pr0 = x0), for integer m."""
+        m = self.channel.require_integer_m()
+        cov, _, _ = self._conditional_coverage(theta, m, np.array([x0], dtype=float))
+        return float(cov[0])
 
-    lo, hi = bounds
-    res = integrate(integrand, math.log(lo), math.log(hi), _COVERAGE_QUAD)
-    log.debug(
-        "exact coverage at theta=%.6g: %d outer-integrand calls, %d outer nodes, "
-        "%d inner rows, %d inner node evaluations, %d floored, %.3f s",
-        theta, calls, res.n_evals, rows, inner_nodes, floored, time.perf_counter() - start,
-    )
-    return min(max(res.value, 0.0), 1.0)
+    def coverage(self, theta):
+        """Exact coverage probability P(SIR > theta), theta linear.
+
+        The integral of the conditional coverage against the maximum-power
+        density, in log space over the quantile range that carries all but
+        ~1e-12 of its mass.  Each call of the outer integrand computes the
+        inner moment integrals of all its nodes in one batched rule; nodes
+        without density (or with less than 1e-12 mass below them) contribute
+        0.  Logs the work done at debug level.
+        """
+        if theta <= 0:
+            raise ParameterError("theta must be positive (linear scale)")
+        m = self.channel.require_integer_m()
+        self.laplace  # noqa: B018 -- a 1-UAV BPP raises here, before any quadrature
+        lo, hi = self._outer_bounds()
+        start = time.perf_counter()
+        calls = rows = inner_nodes = floored = 0
+
+        def integrand(t):
+            nonlocal calls, rows, inner_nodes, floored
+            x0 = np.exp(t)
+            f0 = self.max_power_pdf(x0)
+            out = np.zeros_like(x0)
+            live = (f0 > 0) & (self.dist.cdf(x0) >= 1e-12)
+            x0, f0 = x0[live], f0[live]
+            cov, n_floored, n_evals = self._conditional_coverage(theta, m, x0)
+            out[live] = cov * f0 * x0
+            calls += 1
+            rows += x0.size * m
+            inner_nodes += n_evals
+            floored += n_floored
+            return out
+
+        res = integrate(integrand, math.log(lo), math.log(hi), _COVERAGE_QUAD)
+        log.debug(
+            "exact coverage at theta=%.6g: %d outer-integrand calls, %d outer nodes, "
+            "%d inner rows, %d inner node evaluations, %d floored, %.3f s",
+            theta, calls, res.n_evals, rows, inner_nodes, floored, time.perf_counter() - start,
+        )
+        return min(max(res.value, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -579,24 +603,19 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
     return float(out) if out.ndim == 0 else out
 
 
-class BppCoverageModel:
+class BppCoverageModel(_CoverageModel):
     """All analytic BPP quantities for one (n, geometry, channel) triple."""
 
     def __init__(self, n: int, geom: CorridorGeometry, channel: ChannelParams):
         if n < 1:
             raise ParameterError("n must be >= 1")
+        super().__init__(geom, channel)
         self.n = int(n)
-        self.geom = geom
-        self.channel = channel
-        self.dist = _cached_dist(geom, channel)
         self.m = channel.m
-        self._laplace = None
 
-    @property
+    @cached_property
     def laplace(self) -> InterferenceLaplaceBPP:
-        if self._laplace is None:
-            self._laplace = InterferenceLaplaceBPP(self.dist, self.n, self.m)
-        return self._laplace
+        return InterferenceLaplaceBPP(self.dist, self.n, self.m)
 
     def max_power_pdf(self, x0):
         """Order-statistics density n F^(n-1) f of the strongest received power."""
@@ -608,32 +627,6 @@ class BppCoverageModel:
         lo = self.dist.ppf(eps ** (1.0 / self.n))
         hi = self.dist.ppf(1.0 - eps / self.n)
         return lo, hi
-
-    def conditional_coverage(self, theta, x0):
-        """P(SIR > theta | Pr0 = x0): the Laplace-derivative sum of the
-        coverage theorem, evaluated at s = m * theta / x0."""
-        m = self.channel.require_integer_m()
-        cov, _, _ = _conditional_coverage(theta, m, np.array([x0], dtype=float), self.laplace._series)
-        return float(cov[0])
-
-    def coverage(self, theta):
-        """Exact coverage probability P(SIR > theta), theta linear.
-
-        Outer integral of the conditional coverage against the
-        maximum-power density, run in log space over the quantile range
-        that carries all but ~1e-12 of the maximum-power mass.
-        """
-        if theta <= 0:
-            raise ParameterError("theta must be positive (linear scale)")
-        if self.n < 2:
-            raise ParameterError("coverage needs n >= 2 (SIR undefined without interferers)")
-        m = self.channel.require_integer_m()
-        return _exact_coverage(
-            theta, m, self.dist, self.max_power_pdf, self._outer_bounds(), self.laplace._series
-        )
-
-    def coverage_curve(self, thetas_linear):
-        return np.array([self.coverage(th) for th in np.atleast_1d(thetas_linear)])
 
     # -- dominant interferer -------------------------------------------------
 
@@ -794,25 +787,20 @@ class InterferenceLaplaceHPPP(_ConditionalLaplace):
         return self.mu * float(rows[1, 0])
 
 
-class HpppCoverageModel:
+class HpppCoverageModel(_CoverageModel):
     """All analytic finite-HPPP quantities for one (intensity, geometry,
     channel) triple; everything is conditioned on a non-empty corridor."""
 
     def __init__(self, intensity, geom: CorridorGeometry, channel: ChannelParams):
         if intensity <= 0:
             raise ParameterError("intensity must be positive")
+        super().__init__(geom, channel)
         self.lam = float(intensity)
-        self.geom = geom
-        self.channel = channel
-        self.dist = _cached_dist(geom, channel)
         self.mu = self.lam * geom.length  # mean UAV count
-        self._laplace = None
 
-    @property
+    @cached_property
     def laplace(self) -> InterferenceLaplaceHPPP:
-        if self._laplace is None:
-            self._laplace = InterferenceLaplaceHPPP(self.dist, self.mu, self.channel.m)
-        return self._laplace
+        return InterferenceLaplaceHPPP(self.dist, self.mu, self.channel.m)
 
     def max_power_pdf(self, s0):
         """Void-conditioned maximum-power density
@@ -840,23 +828,6 @@ class HpppCoverageModel:
         p_hi = 1.0 - eps * (-math.expm1(-mu)) / mu
         return self.dist.ppf(p_lo), self.dist.ppf(p_hi)
 
-    def conditional_coverage(self, theta, s0):
-        m = self.channel.require_integer_m()
-        cov, _, _ = _conditional_coverage(theta, m, np.array([s0], dtype=float), self.laplace._series)
-        return float(cov[0])
-
-    def coverage(self, theta):
-        """Coverage probability conditioned on at least one UAV present."""
-        if theta <= 0:
-            raise ParameterError("theta must be positive (linear scale)")
-        m = self.channel.require_integer_m()
-        return _exact_coverage(
-            theta, m, self.dist, self.max_power_pdf, self._outer_bounds(), self.laplace._series
-        )
-
-    def coverage_curve(self, thetas_linear):
-        return np.array([self.coverage(th) for th in np.atleast_1d(thetas_linear)])
-
 
 # ---------------------------------------------------------------------------
 # Model caches and the query API
@@ -876,12 +847,6 @@ def bpp_model(n, geom, channel) -> BppCoverageModel:
 @lru_cache(maxsize=32)
 def hppp_model(intensity, geom, channel) -> HpppCoverageModel:
     return HpppCoverageModel(intensity, geom, channel)
-
-
-def received_power_pdf(x, geom, channel):
-    """Density of the received power S l(d) of one uniform corridor UAV."""
-    dist = _cached_dist(geom, channel)
-    return dist.pdf_exact(x)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,6 @@ DEFAULTS = {
         "fading": "redraw",
     },
     "height_study": {
-        "source": "synthetic",  # synthetic | trace
         "dist": "normal",
         "mean": "200.0",
         "sigma": "15.0",
@@ -355,40 +354,26 @@ def cmd_coverage(args):
     chash = config_hash(cfg)
     t0 = time.perf_counter()
 
-    rows = []
+    # one operating point for the whole theta grid, or one per sweep value at theta_db
     if axis == "theta":
-        spatial, geom, channel = (lambda g: (build_spatial(cfg, g), g, build_channel(cfg)))(
-            build_geometry(cfg)
-        )
-        theta_lin = db_to_linear(np.array(values))
+        geom = build_geometry(cfg)
+        points = [(values, values, (build_spatial(cfg, geom), geom, build_channel(cfg)))]
+    else:
+        points = (([v], [theta_db], _with_sweep_value(cfg, axis, v)) for v in values)
+    rows = []
+    for sweep_values, thetas_db, (spatial, geom, channel) in points:
         for method in methods:
             if method == "mc":
                 curve = simulator.empirical_coverage(
-                    spatial, geom, channel, values, trials, seed,
+                    spatial, geom, channel, thetas_db, trials, seed,
                     batch_size=batch_size, workers=workers,
                 )
-                for v, c, se in zip(values, curve.coverage, curve.stderr):
+                for v, c, se in zip(sweep_values, curve.coverage, curve.stderr):
                     rows.append(_row(v, "mc", c, se, seed, chash))
             else:
-                for v, th in zip(values, theta_lin):
+                for v, th in zip(sweep_values, db_to_linear(np.array(thetas_db))):
                     cov = _analytic_coverage(method, float(th), spatial, geom, channel)
                     rows.append(_row(v, method, cov, None, seed, chash))
-    else:
-        theta_lin = float(db_to_linear(theta_db))
-        for value in values:
-            spatial, geom, channel = _with_sweep_value(cfg, axis, value)
-            for method in methods:
-                if method == "mc":
-                    curve = simulator.empirical_coverage(
-                        spatial, geom, channel, [theta_db], trials, seed,
-                        batch_size=batch_size, workers=workers,
-                    )
-                    rows.append(
-                        _row(value, "mc", float(curve.coverage[0]), float(curve.stderr[0]), seed, chash)
-                    )
-                else:
-                    cov = _analytic_coverage(method, theta_lin, spatial, geom, channel)
-                    rows.append(_row(value, method, cov, None, seed, chash))
 
     metadata = {
         "command": "coverage",
@@ -492,7 +477,9 @@ def _height_samples(cfg, args):
     if dist == "normal":
         mu = _get_float(cfg, "height_study", "mean")
         sigma = _get_float(cfg, "height_study", "sigma")
-        samples = NormalHeight(mu, max(sigma, 1e-12)).sample(rng, count) if sigma > 0 else np.full(count, mu)
+        if sigma < 0:
+            raise ConfigError(f"[height_study] sigma={sigma!r} must be >= 0")
+        samples = NormalHeight(mu, sigma).sample(rng, count) if sigma > 0 else np.full(count, mu)
     elif dist == "uniform":
         lo = _get_float(cfg, "height_study", "low")
         hi = _get_float(cfg, "height_study", "high")
@@ -607,13 +594,13 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
-        p.add_argument("--workers", type=int, help="parallel simulation workers")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_cov = sub.add_parser("coverage", help="coverage-probability sweeps")
     common(p_cov)
+    p_cov.add_argument("--trials", type=int, help="Monte Carlo trials")
+    p_cov.add_argument("--workers", type=int, help="parallel simulation workers")
     p_cov.add_argument("--sweep", choices=("theta", "lambda", "R", "h", "N"))
     p_cov.add_argument("--from", dest="start", type=float, help="sweep start")
     p_cov.add_argument("--to", dest="stop", type=float, help="sweep end (inclusive)")
@@ -624,6 +611,7 @@ def build_parser():
 
     p_rep = sub.add_parser("replay", help="measurement-trace replay")
     common(p_rep)
+    p_rep.add_argument("--trials", type=int, help="Monte Carlo trials per association policy")
     p_rep.add_argument("--trace", required=True, help="trace CSV (position_m,height_m,rx_power_dbm)")
     p_rep.add_argument("--fading", choices=("redraw", "fromtrace"), help="fading mode")
     p_rep.add_argument("--from", dest="start", type=float, help="theta grid start (dB)")

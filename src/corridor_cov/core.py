@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Union, runtime_checkable
+from typing import Union
 
 import numpy as np
 from scipy import special
@@ -31,7 +31,6 @@ __all__ = [
     "FiniteHPPP",
     "Disc2D",
     "SpatialModel",
-    "DistributionHandle",
     "db_to_linear",
     "linear_to_db",
     "carrier_factor_from_frequency",
@@ -43,8 +42,6 @@ __all__ = [
     "LinkDistanceDistribution",
     "InverseGammaShadowing",
     "NakagamiFadingPower",
-    "shadowing_distribution",
-    "fading_distribution",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -263,24 +260,6 @@ SpatialModel = Union[BPP, FiniteHPPP, Disc2D]
 
 
 # ---------------------------------------------------------------------------
-# Distribution contract
-# ---------------------------------------------------------------------------
-
-
-@runtime_checkable
-class DistributionHandle(Protocol):
-    """Minimal probability-distribution contract used throughout the package."""
-
-    def pdf(self, x): ...
-
-    def cdf(self, x): ...
-
-    def sample(self, rng, size=None): ...
-
-    def mean(self): ...
-
-
-# ---------------------------------------------------------------------------
 # Path loss
 # ---------------------------------------------------------------------------
 
@@ -458,22 +437,8 @@ class NakagamiFadingPower:
         out = special.gammainc(self.m, self.m * np.clip(x, 0.0, None))
         return float(out) if out.ndim == 0 else out
 
-    def sf(self, x):
-        """Survival function Gamma(m, m x)/Gamma(m) (upper incomplete, regularized)."""
-        x = np.asarray(x, dtype=float)
-        out = special.gammaincc(self.m, self.m * np.clip(x, 0.0, None))
-        return float(out) if out.ndim == 0 else out
-
     def sample(self, rng, size=None):
         return rng.gamma(self.m, 1.0 / self.m, size)
 
     def mean(self):
         return 1.0
-
-
-def shadowing_distribution(q, gamma) -> InverseGammaShadowing:
-    return InverseGammaShadowing(q, gamma)
-
-
-def fading_distribution(m) -> NakagamiFadingPower:
-    return NakagamiFadingPower(m)

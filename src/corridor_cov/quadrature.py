@@ -111,9 +111,6 @@ class IntegralResult:
     error: float
     n_evals: int
 
-    def __float__(self):
-        return self.value
-
 
 def _evaluate_panels(f, lo, hi):
     """Gauss-Kronrod pair on a batch of panels. Returns (kronrod, err, nev).

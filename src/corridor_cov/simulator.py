@@ -320,11 +320,10 @@ def simulate_sir_paired(
 
 @dataclass
 class CoverageCurve:
-    """Coverage values over a theta grid (dB), plus provenance metadata."""
+    """Coverage values over a theta grid (dB)."""
 
     theta_db: np.ndarray
     coverage: np.ndarray
-    provenance: str  # analytic | simulated | replayed
     n_trials: int = 0
     stderr: Optional[np.ndarray] = None
 
@@ -353,7 +352,7 @@ class SirTally:
         return self.n
 
 
-def coverage_from_sirs(sirs, theta_db, provenance="simulated"):
+def coverage_from_sirs(sirs, theta_db):
     """Empirical survival function of the SIR samples on a dB grid.  `sirs`
     is an array of linear SIRs or their `SirTally` on the same grid."""
     theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
@@ -366,7 +365,7 @@ def coverage_from_sirs(sirs, theta_db, provenance="simulated"):
         raise ParameterError("no SIR samples (all realizations empty?)")
     cov = sirs.above / n
     stderr = np.sqrt(cov * (1.0 - cov) / n)
-    return CoverageCurve(theta_db, cov, provenance, n_trials=n, stderr=stderr)
+    return CoverageCurve(theta_db, cov, n_trials=n, stderr=stderr)
 
 
 def empirical_coverage(
@@ -649,7 +648,7 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path, mapping_accuracy_m=None):
-        positions, heights, powers = [], [], []
+        positions, heights, powers, line_nos = [], [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -669,9 +668,10 @@ class Trace:
                 positions.append(p)
                 heights.append(h)
                 powers.append(z)
+                line_nos.append(line_no)
         pos = np.array(positions)
         if len(pos) >= 2 and np.any(np.diff(pos) <= 0):
-            bad = int(np.argmax(np.diff(pos) <= 0)) + 3  # header + 1-based + next row
+            bad = line_nos[int(np.argmax(np.diff(pos) <= 0)) + 1]
             raise TraceFormatError("positions must be strictly increasing", line_no=bad)
         if mapping_accuracy_m is None:
             mapping_accuracy_m = float(np.diff(pos).max() / 2.0) if len(pos) >= 2 else 5e-4
@@ -770,6 +770,6 @@ def trace_replay(
         return _sirs(_Layout(counts), trace_power[idx], trace_d2[idx], fading, policy)
 
     sirs = np.concatenate(_map_batches(run, trials, batch_size, seed))
-    curve = coverage_from_sirs(sirs, theta_db, provenance="replayed")
+    curve = coverage_from_sirs(sirs, theta_db)
     dist_est = sir_distribution(sirs, sir_edges_db)
     return ReplayResult(coverage=curve, sir=dist_est, n_trials=len(sirs))

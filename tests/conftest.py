@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -45,6 +48,13 @@ def model3(geom, channel):
 @pytest.fixture(scope="session")
 def hmodel(geom, channel):
     return hppp_model(DEFAULT_LAMBDA, geom, channel)
+
+
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH, so that
+    a subprocess imports the code under test, not an installed copy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def ks_statistic(samples, cdf):

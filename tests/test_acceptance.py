@@ -53,13 +53,15 @@ def hppp_coverage(theta, lam, h, R, q):
 @pytest.fixture(scope="module")
 def exact10():
     t0 = time.perf_counter()
-    cov = bpp_model(10, GEOM, CHANNEL).coverage_curve(THETA_LIN)
+    model = bpp_model(10, GEOM, CHANNEL)
+    cov = np.array([model.coverage(th) for th in THETA_LIN])
     return cov, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def exact3():
-    return bpp_model(3, GEOM, CHANNEL).coverage_curve(THETA_LIN)
+    model = bpp_model(3, GEOM, CHANNEL)
+    return np.array([model.coverage(th) for th in THETA_LIN])
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +97,8 @@ def test_criterion_01_bpp_oracle_equivalence(exact10, mc10):
 def test_criterion_02_hppp_oracle_equivalence():
     """Exact HPPP coverage vs conditioned Monte Carlo, lambda = 10/1000 per m."""
     t0 = time.perf_counter()
-    cov = hppp_model(LAMBDA, GEOM, CHANNEL).coverage_curve(THETA_LIN)
+    model = hppp_model(LAMBDA, GEOM, CHANNEL)
+    cov = np.array([model.coverage(th) for th in THETA_LIN])
     t_exact = time.perf_counter() - t0
     sirs, _ = simulate_sir(FiniteHPPP(LAMBDA), GEOM, CHANNEL, N_TRIALS, seed=1002)
     mc = coverage_from_sirs(sirs, THETA_DB)

@@ -20,7 +20,6 @@ from corridor_cov import (
     bpp_model,
     carrier_factor_from_frequency,
     integrate,
-    received_power_pdf,
     simulate_sir,
 )
 from corridor_cov import analytic
@@ -73,9 +72,7 @@ class TestReceivedPowerDistribution:
         geom = CorridorGeometry(1e-3, FixedHeight(H))
         dist = ReceivedPowerDistribution(geom, channel)
         w = H**-ALPHA
-        from corridor_cov import shadowing_distribution
-
-        ig = shadowing_distribution(2.0, 1.0)
+        ig = InverseGammaShadowing(2.0, 1.0)
         for x in (0.3 * w, 1.0 * w, 3.0 * w):
             assert dist._pdf_smooth(x) == pytest.approx(ig.pdf(x / w) / w, rel=1e-5)
             assert dist.pdf(x) == pytest.approx(ig.pdf(x / w) / w, rel=1e-4)
@@ -105,9 +102,9 @@ class TestReceivedPowerDistribution:
 
     def test_received_power_pdf_operation(self, geom, channel):
         x = 3e-6
-        val = received_power_pdf(x, geom, channel)
-        assert val == pytest.approx(bpp_model(N, geom, channel).dist.pdf_exact(x), rel=1e-10)
-        assert received_power_pdf(-1.0, geom, channel) == 0.0
+        dist = ReceivedPowerDistribution(geom, channel)
+        assert dist.pdf_exact(x) == pytest.approx(bpp_model(N, geom, channel).dist.pdf_exact(x), rel=1e-10)
+        assert dist.pdf_exact(-1.0) == 0.0
 
 
 class TestMaxPowerPdf:
@@ -218,7 +215,8 @@ class TestCoverageBPP:
             bpp_model(N, geom, ch).coverage(0.5)
 
     def test_in_unit_interval_and_monotone(self, model10):
-        cov = model10.coverage_curve(10 ** (np.array([-6.0, -3.0, 0.0, 3.0, 6.0]) / 10))
+        thetas = 10 ** (np.array([-6.0, -3.0, 0.0, 3.0, 6.0]) / 10)
+        cov = np.array([model10.coverage(th) for th in thetas])
         assert np.all((cov >= 0.0) & (cov <= 1.0))
         assert np.all(np.diff(cov) <= 5e-6)
 

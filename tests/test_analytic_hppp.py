@@ -236,6 +236,6 @@ class TestCoverageHPPP:
             hppp_model(LAM, geom, ch).coverage(0.5)
 
     def test_in_unit_interval_and_monotone(self, hmodel):
-        cov = hmodel.coverage_curve(10 ** (np.array([-6.0, 0.0, 6.0]) / 10))
+        cov = np.array([hmodel.coverage(th) for th in 10 ** (np.array([-6.0, 0.0, 6.0]) / 10)])
         assert np.all((cov >= 0.0) & (cov <= 1.0))
         assert np.all(np.diff(cov) <= 5e-6)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import corridor_cov
+from conftest import checkout_env
 
 RETIRED = (
     "EmptyNetworkError",
@@ -33,6 +35,7 @@ def test_package_root_imports_cleanly():
         capture_output=True,
         text=True,
         timeout=120,
+        env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -46,6 +49,45 @@ def test_retired_names_are_gone(name):
     assert not hasattr(simulator, name)
     assert name not in simulator.__all__
 
+
+# Names removed with no caller left: aliases, wrappers and per-model copies.
+REMOVED = [
+    "analytic._exact_coverage",
+    "analytic._conditional_coverage",
+    "analytic.received_power_pdf",
+    "analytic.BppCoverageModel.coverage_curve",
+    "analytic.HpppCoverageModel.coverage_curve",
+    "core.DistributionHandle",
+    "core.shadowing_distribution",
+    "core.fading_distribution",
+    "core.NakagamiFadingPower.sf",
+    "quadrature.IntegralResult.__float__",
+]
+
+
+@pytest.mark.parametrize("path", REMOVED)
+def test_removed_names_are_gone(path):
+    module, *attrs, name = path.split(".")
+    mod = owner = importlib.import_module(f"corridor_cov.{module}")
+    for attr in attrs:
+        owner = getattr(owner, attr)
+    assert not hasattr(owner, name)
+    assert not hasattr(corridor_cov, name)
+    assert name not in getattr(mod, "__all__", ())
+
+
+def test_coverage_curves_carry_no_provenance():
+    from corridor_cov import simulator
+
+    assert "provenance" not in {f.name for f in dataclasses.fields(simulator.CoverageCurve)}
+    assert "provenance" not in inspect.signature(simulator.coverage_from_sirs).parameters
+
+
+def test_both_spatial_models_share_one_coverage():
+    from corridor_cov import analytic
+
+    for name in ("coverage", "conditional_coverage", "_conditional_coverage"):
+        assert getattr(analytic.BppCoverageModel, name) is getattr(analytic.HpppCoverageModel, name)
 
 
 # Every attribute covbench/tracer.py patches: a rename would silently stop

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corridor_cov import cli
+from conftest import checkout_env
 
 
 def run_cli(argv):
@@ -179,7 +180,7 @@ class TestHeightStudyCommand:
     def test_synthetic_normal_study(self, tmp_path):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\nsource = synthetic\ndist = normal\nmean = 200\nsigma = 15\n"
+            "[height_study]\ndist = normal\nmean = 200\nsigma = 15\n"
             "count = 100000\nr = 200\nkl_trials = 40000\ncurve_trials = 20000\n\n"
             "[sweep]\naxis = theta\nstart = -10\nstop = 10\nstep = 2\nmethods = mc\n"
         )
@@ -199,7 +200,7 @@ class TestHeightStudyCommand:
     def test_constant_heights_degenerate(self, tmp_path):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\nsource = synthetic\ndist = normal\nmean = 200\nsigma = 0\n"
+            "[height_study]\ndist = normal\nmean = 200\nsigma = 0\n"
             "count = 1000\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
             "[sweep]\naxis = theta\nvalues = -3\nmethods = mc\n"
         )
@@ -208,6 +209,16 @@ class TestHeightStudyCommand:
         report = json.loads((tmp_path / "hs_report.json").read_text())
         assert report["fitted_normal"]["sigma"] == pytest.approx(0.0, abs=1e-9)
         assert report["kl_normal"] == 0.0 and report["kl_uniform"] == 0.0
+
+    def test_negative_sigma_is_config_error(self, tmp_path):
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text("[height_study]\ndist = normal\nsigma = -1\ncount = 1000\n")
+        assert run_cli(["height-study", "--config", str(cfg)]) == 2
+
+    def test_source_key_is_gone(self, tmp_path):
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text("[height_study]\nsource = synthetic\n")
+        assert run_cli(["height-study", "--config", str(cfg)]) == 2
 
     def test_too_few_samples_is_data_error(self, tmp_path):
         cfg = tmp_path / "hs.ini"
@@ -229,6 +240,23 @@ class TestHeightStudyCommand:
         assert report["fitted_normal"]["mu"] == pytest.approx(200.0, abs=1e-9)
 
 
+# height-study takes its trial counts from [height_study]; only coverage
+# runs Monte Carlo workers
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height-study", "--trials", "1000"],
+        ["height-study", "--workers", "2"],
+        ["replay", "--trace", "trace.csv", "--workers", "2"],
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest", "--trials", "50000"]) == 0
@@ -247,7 +275,7 @@ def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "corridor_cov.cli", "coverage", "--sweep", "theta",
          "--values=-3", "--methods", "mc", "--trials", "2000", "--seed", "1"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=checkout_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sweep_value,method,coverage")

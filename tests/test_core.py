@@ -11,21 +11,21 @@ from corridor_cov import (
     ChannelParams,
     CorridorGeometry,
     FixedHeight,
+    InverseGammaShadowing,
     LinkDistanceDistribution,
+    NakagamiFadingPower,
     NormalHeight,
     ParameterError,
     QuadratureConfig,
     UniformHeight,
     carrier_factor_from_frequency,
     db_to_linear,
-    fading_distribution,
     integrate,
     linear_to_db,
     link_distance_cdf,
     path_loss,
     pathloss_value_cdf,
     pathloss_value_pdf,
-    shadowing_distribution,
 )
 from conftest import ks_statistic
 
@@ -134,24 +134,24 @@ class TestPathlossValuePdf:
 
 class TestShadowing:
     def test_mean(self):
-        assert shadowing_distribution(2.0, 1.0).mean() == 1.0
-        assert shadowing_distribution(5.0, 4.0).mean() == 1.0
+        assert InverseGammaShadowing(2.0, 1.0).mean() == 1.0
+        assert InverseGammaShadowing(5.0, 4.0).mean() == 1.0
 
     def test_mode(self):
-        dist = shadowing_distribution(2.0, 1.0)
+        dist = InverseGammaShadowing(2.0, 1.0)
         assert dist.mode() == pytest.approx(1.0 / 3.0, rel=1e-12)
         xs = np.linspace(0.05, 2.0, 2001)
         assert xs[np.argmax(dist.pdf(xs))] == pytest.approx(1.0 / 3.0, abs=2e-3)
 
     def test_pdf_normalizes_and_cdf_limits(self):
-        dist = shadowing_distribution(2.0, 1.0)
+        dist = InverseGammaShadowing(2.0, 1.0)
         value = sp_integrate.quad(dist.pdf, 0.0, math.inf, epsabs=1e-14, epsrel=1e-9)[0]
         assert value == pytest.approx(1.0, abs=1e-7)
         assert dist.cdf(1e12) == pytest.approx(1.0, abs=1e-9)
         assert dist.cdf(0.0) == 0.0
 
     def test_sampler_moments_and_median(self):
-        dist = shadowing_distribution(2.0, 1.0)
+        dist = InverseGammaShadowing(2.0, 1.0)
         rng = np.random.default_rng(5)
         s = dist.sample(rng, 10**6)
         # q=2: mean exists, variance infinite -> slow but unbiased sample mean
@@ -161,7 +161,7 @@ class TestShadowing:
         assert np.median(s) == pytest.approx(dist.median(), rel=5e-3)
 
     def test_sampler_pdf_consistency_ks(self):
-        dist = shadowing_distribution(2.0, 1.0)
+        dist = InverseGammaShadowing(2.0, 1.0)
         rng = np.random.default_rng(6)
         s = dist.sample(rng, 10**6)
         # KS critical value at significance 0.01 for n = 1e6
@@ -169,39 +169,39 @@ class TestShadowing:
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ParameterError):
-            shadowing_distribution(1.0, 1.0)
+            InverseGammaShadowing(1.0, 1.0)
         with pytest.raises(ParameterError):
-            shadowing_distribution(0.5, 1.0)
+            InverseGammaShadowing(0.5, 1.0)
         with pytest.raises(ParameterError):
-            shadowing_distribution(2.0, 0.0)
+            InverseGammaShadowing(2.0, 0.0)
 
 
 class TestFading:
     def test_m1_is_exponential(self):
-        dist = fading_distribution(1.0)
+        dist = NakagamiFadingPower(1.0)
         xs = np.linspace(0.01, 8.0, 50)
         assert np.allclose(dist.pdf(xs), np.exp(-xs), rtol=1e-12)
 
     def test_unit_mean_any_m(self):
         rng = np.random.default_rng(7)
         for m in (0.5, 1.0, 2.7, 6.0):
-            dist = fading_distribution(m)
+            dist = NakagamiFadingPower(m)
             assert dist.mean() == 1.0
             assert dist.sample(rng, 200_000).mean() == pytest.approx(1.0, abs=0.01)
 
     def test_sampler_ks_m3(self):
-        dist = fading_distribution(3.0)
+        dist = NakagamiFadingPower(3.0)
         rng = np.random.default_rng(8)
         assert ks_statistic(dist.sample(rng, 10**6), dist.cdf) < KS_BOUND_1M
 
     def test_pdf_normalizes(self):
-        dist = fading_distribution(3.0)
+        dist = NakagamiFadingPower(3.0)
         value = sp_integrate.quad(dist.pdf, 0.0, math.inf, epsabs=1e-14, epsrel=1e-9)[0]
         assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_invalid_m_rejected(self):
         with pytest.raises(ParameterError):
-            fading_distribution(0.0)
+            NakagamiFadingPower(0.0)
         with pytest.raises(ParameterError):
             ChannelParams(alpha=2.2, q=2.0, m=-1.0)
 

@@ -142,9 +142,10 @@ def test_bpp_coverage_matches_cache_free_oracle(geom, monkeypatch, n, m, theta_d
     monkeypatch.setattr(dist, "cdf", lambda x: closed_form_cdf_and_moment(dist, x)[0])
     monkeypatch.setattr(analytic, "_COVERAGE_QUAD", QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15))
     inner = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
-    series = analytic.InterferenceLaplaceBPP(dist, n, m, inner)._series
-    bounds = model._outer_bounds()
-    oracle = analytic._exact_coverage(theta, m, dist, model.max_power_pdf, bounds, series)
+    tight = analytic.BppCoverageModel(n, geom, model.channel)
+    assert tight.dist is dist
+    tight.laplace = analytic.InterferenceLaplaceBPP(dist, n, m, inner)
+    oracle = tight.coverage(theta)
     assert value == pytest.approx(oracle, rel=0.0, abs=1e-9)
 
 
@@ -180,7 +181,7 @@ def test_conditional_coverage_stays_in_unit_interval(geom, m, n):
     # serving powers across the maximum-power distribution's bulk and tails
     x0 = model.dist.ppf(np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9]) ** (1.0 / n))
     for theta_db in (-20, -10, 0, 10, 20):
-        cov, _, _ = analytic._conditional_coverage(10 ** (theta_db / 10), m, x0, model.laplace._series)
+        cov, _, _ = model._conditional_coverage(10 ** (theta_db / 10), m, x0)
         assert np.all(cov >= 0.0) and np.all(cov <= 1.0 + 1e-8), (theta_db, cov)
 
 

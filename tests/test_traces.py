@@ -62,6 +62,17 @@ class TestTraceType:
         with pytest.raises(TraceFormatError):
             Trace.from_csv(path)
 
+    def test_non_increasing_position_reports_its_line(self, tmp_path):
+        # blank lines are skipped but still counted: the offending row is line 6
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "position_m,height_m,rx_power_dbm\n0.0,200.0,-50.0\n\n\n"
+            "1.0,200.0,-51.0\n0.5,200.0,-52.0\n"
+        )
+        with pytest.raises(TraceFormatError) as err:
+            Trace.from_csv(path)
+        assert err.value.line_no == 6
+
     def test_spacing_must_honor_accuracy(self):
         with pytest.raises(TraceFormatError):
             Trace(
