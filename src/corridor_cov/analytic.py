@@ -12,8 +12,11 @@ kept exactly, the remaining ones replaced by their conditional mean, or
 dropped).  Their expectation over the dominant interferer's fading is taken
 outside the quadrature: in closed form (a regularized incomplete beta
 function) when the residual is dropped, and by a fixed generalized
-Gauss-Laguerre rule when it is replaced by its mean (certified against
-twice its nodes unless the rule is exact, i.e. for integer m).  What
+Gauss-Laguerre rule when it is replaced by its mean.  Where 2m is an
+integer the rule's terms are elementary, e^x Q(m, x) summed by the order
+recurrence of Q, and for integer m they are polynomials of degree m - 1,
+which the ceil(m/2)-node rule integrates exactly; non-integer m takes a
+32-node rule, certified against twice its nodes.  What
 remains is a 2D integral over the top-two received powers; each call of its
 outer integrand computes the inner integrals of all its nodes with one
 batched rule.
@@ -88,9 +91,9 @@ _PDF_EXACT_QUAD = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-280, max_subdivision
 _LAPLACE_QUAD = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-280)
 _COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
 _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7)
-# Generalized Gauss-Laguerre nodes for the mean-residual fading expectation;
-# unless the rule is exact, each coverage value is certified against a rule
-# with twice as many.
+# Generalized Gauss-Laguerre nodes for the mean-residual fading expectation
+# at non-integer m, where each coverage value is certified against a rule
+# with twice as many; integer m takes the ceil(m/2)-node rule, which is exact.
 _LAGUERRE_NODES = 32
 _LAGUERRE_DROP = 1e-17
 _TERM_BLOCK = 8192
@@ -566,11 +569,51 @@ def _gen_laguerre_rule(m, n_nodes):
     return z[keep], w[keep]
 
 
-def _upper_gamma_q(m, x):
-    """Regularized upper incomplete gamma Q(m, x).  Q(1/2, x) = erfc(sqrt x)
-    costs about 0.03 us per element, against 0.7 us for scipy's gammaincc
-    at order 1/2."""
-    return special.erfc(np.sqrt(x)) if m == 0.5 else special.gammaincc(m, x)
+def _scaled_upper_gamma(m, x):
+    """S(x) = e^x Q(m, x) for 2m a positive integer, by the order recurrence
+    Q(f + 1, x) = Q(f, x) + x^f e^-x / Gamma(f + 1): with m = k + f, f in {1/2, 1},
+
+        S(x) = e^x Q(f, x) + sum_{j<k} x^(f+j) / Gamma(f + j + 1),
+
+    where e^x Q(1, x) = 1 and e^x Q(1/2, x) = erfcx(sqrt x).  Every term is
+    >= 0, so nothing cancels, and S grows only like x^(m-1), so it cannot
+    overflow."""
+    k = math.ceil(m) - 1
+    f = m - k
+    if f == 1.0:
+        out, term = np.ones_like(x), x
+    else:
+        root = np.sqrt(x)
+        out, term = special.erfcx(root), root * (2.0 / math.sqrt(math.pi))
+    for j in range(k):
+        out = out + term
+        term = term * x / (f + j + 1.0)
+    return out
+
+
+def _laguerre_tail(m, a, b, z, w):
+    """T(a, b) = E[Q(m, a + b Y)], Y ~ Gamma(m, 1), at 1D arrays a > 0, b > 0
+    by the Laguerre rule (z, w) of weight z^(m-1) e^-z / Gamma(m).
+
+    With z = (1+b) y the Gamma weight becomes z^(m-1) e^-z times
+    exp(beta z) Q(m, a + beta z), beta = b/(1+b), which grows at most
+    polynomially: T = (1+b)^-m sum_k w_k exp(beta z_k) Q(m, a + beta z_k).
+    Where 2m is an integer each term is e^-a S(a + beta z_k)
+    (`_scaled_upper_gamma`), with e^-a taken once per row; for any other m
+    it is exp(beta z_k) times scipy's Q.  The terms are formed in blocks of
+    about `_TERM_BLOCK` values, which keeps memory flat.
+    """
+    elementary = float(2.0 * m).is_integer()
+    beta = (b / (1.0 + b))[:, None]
+    sums = np.empty(a.size)
+    step = max(1, _TERM_BLOCK // z.size)
+    for i in range(0, a.size, step):
+        bz = beta[i : i + step] * z
+        x = a[i : i + step, None] + bz
+        terms = _scaled_upper_gamma(m, x) if elementary else np.exp(bz) * special.gammaincc(m, x)
+        sums[i : i + step] = terms @ w
+    scale = (1.0 + b) ** -m
+    return np.exp(-a) * scale * sums if elementary else scale * sums
 
 
 def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
@@ -579,27 +622,16 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
     gamma function.
 
     a = 0: T = P(G0 > b G1) for i.i.d. Gamma(m, 1) G0, G1, which is the
-    regularized incomplete beta function I_{1/(1+b)}(m, m).  a > 0: with
-    z = (1+b) y the Gamma weight becomes z^(m-1) e^-z times
-    exp(beta z) Q(m, a + beta z), beta = b/(1+b), which grows at most
-    polynomially, so a fixed generalized Gauss-Laguerre rule applies:
-    T = (1+b)^-m sum_k w_k exp(beta z_k) Q(m, a + beta z_k).  The terms are
-    formed in blocks of about `_TERM_BLOCK` values, which keeps memory flat.
+    regularized incomplete beta function I_{1/(1+b)}(m, m), computed on
+    those elements only.  a > 0: `_laguerre_tail` with the trimmed
+    `n_nodes` rule.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    out = np.array(special.betainc(m, m, 1.0 / (1.0 + b)), dtype=float)
+    out = np.empty(a.shape)
     shifted = a > 0
+    out[~shifted] = special.betainc(m, m, 1.0 / (1.0 + b[~shifted]))
     if shifted.any():
-        z, w = _gen_laguerre_rule(m, n_nodes)
-        am, bm = a[shifted], b[shifted]
-        beta = (bm / (1.0 + bm))[:, None]
-        sums = np.empty(am.size)
-        step = max(1, _TERM_BLOCK // z.size)
-        for i in range(0, am.size, step):
-            bz = beta[i : i + step] * z
-            terms = np.exp(bz) * _upper_gamma_q(m, am[i : i + step, None] + bz)
-            sums[i : i + step] = terms @ w
-        out[shifted] = (1.0 + bm) ** -m * sums
+        out[shifted] = _laguerre_tail(m, a[shifted], b[shifted], *_gen_laguerre_rule(m, n_nodes))
     return float(out) if out.ndim == 0 else out
 
 
@@ -660,7 +692,7 @@ class BppCoverageModel(_CoverageModel):
         out = np.asarray(np.where(x_i < x0, out, 0.0))
         return float(out) if out.ndim == 0 else out
 
-    def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=_LAGUERRE_NODES):
+    def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=None):
         """2D integral over the top-two powers (t0, ti) = log(x0, x_i) of
         E[Q(m, a + b Y)] with Y = m H1, a = m theta omega / x0 and
         b = theta x_i / x0 (omega = 0 drops the residual).
@@ -670,12 +702,14 @@ class BppCoverageModel(_CoverageModel):
         tolerance; row i maps [t_lo, t0_i] affinely onto [0, 1] (the width is
         the Jacobian), which keeps the scalar rule's panels.
 
-        With a residual the fading expectation uses a `laguerre_nodes` rule.
-        For integer m <= 2 `laguerre_nodes` the rule is exact (the rescaled
-        integrand exp(beta z) Q(m, a + beta z) is a polynomial of degree
-        m - 1).  Otherwise the value is recomputed with twice the nodes, and
-        the two must agree to the `_DOMINANT_QUAD` tolerance.  Logs the work
-        done at debug level.
+        With a residual the fading expectation uses a `laguerre_nodes` rule,
+        by default ceil(m/2) nodes for integer m and `_LAGUERRE_NODES`
+        otherwise.  For integer m <= 2 `laguerre_nodes` the rule is exact:
+        the rescaled integrand exp(beta z) Q(m, a + beta z) is e^-a times
+        the order recurrence's polynomial S(a + beta z) of degree m - 1, so
+        there is one 2D pass and no certification.  Otherwise the value is
+        recomputed with twice the nodes, and the two must agree to the
+        `_DOMINANT_QUAD` tolerance.  Logs the work done at debug level.
         """
         if theta <= 0:
             raise ParameterError("theta must be positive (linear scale)")
@@ -683,6 +717,9 @@ class BppCoverageModel(_CoverageModel):
             raise ParameterError("needs n >= 2")
         start = time.perf_counter()
         m = self.m
+        integer_m = float(m).is_integer()
+        if laguerre_nodes is None:
+            laguerre_nodes = math.ceil(m / 2) if integer_m else _LAGUERRE_NODES
         lo, hi = self._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         with_residual_mean = with_residual_mean and self.n > 2
@@ -713,7 +750,7 @@ class BppCoverageModel(_CoverageModel):
             return res.value
 
         value = integral(laguerre_nodes)
-        rule_exact = float(m).is_integer() and m <= 2 * laguerre_nodes
+        rule_exact = integer_m and m <= 2 * laguerre_nodes
         certified = with_residual_mean and not rule_exact
         n_rule = 2 * laguerre_nodes if certified else laguerre_nodes
         if certified:

@@ -293,6 +293,14 @@ def _sweep_values(cfg):
     return values
 
 
+def _theta_grid_db(cfg, command):
+    """The [sweep] values of a command whose only sweep axis is theta (dB)."""
+    axis = cfg["sweep"]["axis"].strip()
+    if axis != "theta":
+        raise ConfigError(f"{command} sweeps theta only, not [sweep] axis = {axis!r}")
+    return _sweep_values(cfg)
+
+
 def _parse_methods(cfg):
     methods = []
     for token in cfg["sweep"]["methods"].split(","):
@@ -418,7 +426,7 @@ def cmd_replay(args):
     trials = _get_int(cfg, "run", "trials")
     channel = build_channel(cfg)
     fading_mode = cfg["replay"]["fading"].strip().lower()
-    values = _sweep_values(cfg)
+    values = _theta_grid_db(cfg, "replay")
     chash = config_hash(cfg)
     trace = Trace.from_csv(args.trace)
     t0 = time.perf_counter()
@@ -491,6 +499,7 @@ def _height_samples(cfg, args):
 
 def cmd_height_study(args):
     cfg = _apply_overrides(_load_config(args.config), args)
+    values = _theta_grid_db(cfg, "height-study")
     heights, source = _height_samples(cfg, args)
     if len(heights) < 30:
         raise DataInsufficiencyError(
@@ -501,7 +510,6 @@ def cmd_height_study(args):
     radius = _get_float(cfg, "height_study", "r")
     curve_trials = _get_int(cfg, "height_study", "curve_trials")
     kl_trials = _get_int(cfg, "height_study", "kl_trials")
-    values = _sweep_values(cfg)
     chash = config_hash(cfg)
     t0 = time.perf_counter()
 

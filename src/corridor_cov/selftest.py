@@ -118,6 +118,14 @@ def run(trials=200_000, seed=20250811):
         )
     )
 
+    # elementary scaled fading-tail terms e^x Q(m, x) against scipy's Q
+    x = np.geomspace(1e-8, 700.0, 200)
+    ok = all(
+        np.allclose(analytic._scaled_upper_gamma(m, x), np.exp(x) * special.gammaincc(m, x), rtol=1e-13, atol=0.0)
+        for m in (2.5, 3.0)
+    )
+    checks.append(("elementary fading-tail terms vs gammaincc", ok))
+
     # batched mean-residual dominant coverage against the nested scalar rule
     bpp25 = analytic.bpp_model(10, geom, ChannelParams(alpha=2.2, q=2.0, m=2.5))
     t_lo, t_hi = np.log(bpp25._outer_bounds(1e-10))

@@ -40,13 +40,11 @@ def draw_powers(rng, trials, n=N, h=H, r=R, alpha=ALPHA, q=2.0, gamma=1.0):
 def full_rule_tail(m, a, b, n_nodes):
     """T(a, b) = E[Q(m, a + b Y)] with the untrimmed n-node generalized
     Gauss-Laguerre rule at a > 0 and the incomplete beta function at a = 0.
-    Q is the engine's, so a comparison isolates the trimming."""
+    The rule's terms are the engine's, so a comparison isolates the trimming."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     z, w = special.roots_genlaguerre(n_nodes, m - 1.0)
-    beta = (b / (1.0 + b))[..., None]
-    terms = np.exp(beta * z) * analytic._upper_gamma_q(m, a[..., None] + beta * z)
-    shifted = (1.0 + b) ** -m * (terms @ (w / special.gamma(m)))
-    return np.where(a > 0, shifted, special.betainc(m, m, 1.0 / (1.0 + b)))
+    shifted = analytic._laguerre_tail(m, a.ravel(), b.ravel(), z, w / special.gamma(m))
+    return np.where(a > 0, shifted.reshape(a.shape), special.betainc(m, m, 1.0 / (1.0 + b)))
 
 
 class TestReceivedPowerDistribution:
@@ -448,6 +446,19 @@ class TestDominantInterferer:
         assert err.value.level == "fading"
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 8.0])
+def test_dominant_grid_converges(geom, m):
+    # no QuadratureError over N in {2, 10, 200} and theta in {-20, 0, +20} dB
+    for n in (2, 10, 200):
+        model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        for theta_db in (-20.0, 0.0, 20.0):
+            th = 10 ** (theta_db / 10)
+            dominant = model.coverage_dominant(th)
+            single = model.coverage_single_dominant(th)
+            assert 0.0 <= dominant <= 1.0 and 0.0 <= single <= 1.0
+            assert single >= dominant - 1e-4, (n, theta_db)
+
+
 class TestBatchedDominantIntegral:
     """The dominant-interferer 2D integral with one batched inner rule per
     outer-integrand call, against the nested scalar rule it replaced."""
@@ -546,6 +557,18 @@ class TestExactFadingRuleAtIntegerM:
         assert value == pytest.approx(self.CERTIFIED_VALUES[(m, n, theta_db)], rel=1e-9)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("m", [1.0, 3.0, 8.0])
+    def test_default_rule_has_ceil_half_m_nodes(self, geom, caplog, m):
+        model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+        model.dist.x_lo  # build the cache outside the captured call
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            model.coverage_dominant(1.0)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        fields = TestBatchedDominantIntegral.LINE.fullmatch(line)
+        assert fields, line
+        res, _, _, _, kept, n_rule, cert = fields.groups()
+        assert (res, int(kept), int(n_rule), cert) == ("mean", math.ceil(m / 2), math.ceil(m / 2), "no")
+
     def test_two_node_rule_exact_up_to_m4(self, geom):
         # a 2-node Gauss rule integrates polynomials of degree <= 3 exactly,
         # which covers the degree m-1 = 2 integrand at m = 3
@@ -581,18 +604,39 @@ class TestFadingTailExpectation:
                 assert abs(fine - ref) <= 1e-4
                 assert abs(fine - ref) <= abs(coarse - fine) + 1e-9 * ref
 
-    def test_half_order_closed_form_matches_gammaincc(self, monkeypatch):
-        # m = 1/2 takes Q(1/2, x) = erfc(sqrt x) in place of scipy's gammaincc;
-        # each is within about 1e-13 relative of a 40-digit reference here
+    @staticmethod
+    def gammaincc_tail(m, a, b, n_nodes):
+        """T(a, b) on the engine's trimmed rule with every term formed as
+        exp(beta z) gammaincc(m, a + beta z), the incomplete beta at a = 0."""
+        a, b = (np.ravel(v) for v in np.broadcast_arrays(a, b))
+        z, w = analytic._gen_laguerre_rule(m, n_nodes)
+        beta = (b / (1.0 + b))[:, None]
+        terms = np.exp(beta * z) * special.gammaincc(m, a[:, None] + beta * z)
+        return np.where(a > 0, (1.0 + b) ** -m * (terms @ w), special.betainc(m, m, 1.0 / (1.0 + b)))
+
+    @pytest.mark.parametrize("n_nodes", [_LAGUERRE_NODES, 2 * _LAGUERRE_NODES])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 8.0])
+    def test_elementary_terms_match_gammaincc(self, m, n_nodes):
+        # where 2m is an integer the terms are e^-a S(a + beta z), S from the
+        # order recurrence of Q, in place of exp(beta z) gammaincc(m, a + beta z)
         x = np.geomspace(1e-8, 700.0, 200)
         np.testing.assert_allclose(
-            analytic._upper_gamma_q(0.5, x), special.gammaincc(0.5, x), rtol=2e-13, atol=0.0
+            analytic._scaled_upper_gamma(m, x), np.exp(x) * special.gammaincc(m, x), rtol=1e-13, atol=0.0
         )
         a, b = np.meshgrid(np.geomspace(1e-4, 1e3, 15), np.geomspace(1e-4, 1e4, 17))
-        fast = _fading_tail_expectation(0.5, a, b)
-        monkeypatch.setattr(analytic, "_upper_gamma_q", special.gammaincc)
-        slow = _fading_tail_expectation(0.5, a, b)
-        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-14)
+        got = _fading_tail_expectation(m, a, b, n_nodes).ravel()
+        np.testing.assert_allclose(got, self.gammaincc_tail(m, a, b, n_nodes), rtol=0.0, atol=1e-14)
+        # far offsets: e^-a underflows to 0, and S does not overflow
+        a, b = np.meshgrid([800.0, 1e4, 1e6], np.geomspace(1e-4, 1e4, 5))
+        far = _fading_tail_expectation(m, a, b, n_nodes)
+        assert np.all(np.isfinite(far) & (far >= 0.0))
+
+    def test_other_orders_keep_gammaincc_terms(self):
+        # 2m not an integer: the terms are still exp(beta z) gammaincc(m, .),
+        # bit for bit
+        a, b = np.meshgrid(np.geomspace(1e-4, 1e3, 15), np.geomspace(1e-4, 1e4, 17))
+        got = _fading_tail_expectation(1.3, a, b).ravel()
+        np.testing.assert_array_equal(got, self.gammaincc_tail(1.3, a, b, _LAGUERRE_NODES))
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 8.0])
     def test_zero_offset_is_incomplete_beta(self, m):

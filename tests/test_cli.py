@@ -158,6 +158,14 @@ class TestReplayCommand:
         bad.write_text("position_m,height_m,rx_power_dbm\n1.0,200,-50\n0.5,200,-51\n")
         assert run_cli(["replay", "--trace", str(bad), "--config", replay_config]) == 4
 
+    def test_non_theta_sweep_axis_is_config_error(self, tmp_path, trace_csv, replay_config, capsys):
+        cfg = tmp_path / "replay_r.ini"
+        with open(replay_config) as fh:
+            cfg.write_text(fh.read() + "\n[sweep]\naxis = R\nvalues = 250\n")
+        out = tmp_path / "replay.csv"
+        assert run_cli(["replay", "--trace", trace_csv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists() and capsys.readouterr().out == ""
+
     def test_replay_outputs(self, tmp_path, trace_csv, replay_config):
         out = tmp_path / "replay.csv"
         code = run_cli(
@@ -219,6 +227,18 @@ class TestHeightStudyCommand:
         cfg = tmp_path / "hs.ini"
         cfg.write_text("[height_study]\nsource = synthetic\n")
         assert run_cli(["height-study", "--config", str(cfg)]) == 2
+
+    def test_non_theta_sweep_axis_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(
+            "[height_study]\ndist = normal\nmean = 200\nsigma = 15\n"
+            "count = 1000\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
+            "[sweep]\naxis = R\nvalues = 250\nmethods = exact\n"
+        )
+        out = tmp_path / "hs.csv"
+        assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists() and not (tmp_path / "hs_report.json").exists()
+        assert capsys.readouterr().out == ""
 
     def test_too_few_samples_is_data_error(self, tmp_path):
         cfg = tmp_path / "hs.ini"
