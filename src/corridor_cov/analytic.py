@@ -16,10 +16,10 @@ Gauss-Laguerre rule when it is replaced by its mean.  Where 2m is an
 integer the rule's terms are elementary, e^x Q(m, x) summed by the order
 recurrence of Q, and for integer m they are polynomials of degree m - 1,
 which the ceil(m/2)-node rule integrates exactly; non-integer m takes a
-32-node rule, certified against twice its nodes.  What
-remains is a 2D integral over the top-two received powers; each call of its
-outer integrand computes the inner integrals of all its nodes with one
-batched rule.
+32-node rule, certified against twice its nodes as a second component of the
+same integral, on the same panels.  What remains is a 2D integral over the
+top-two received powers; each call of its outer integrand computes the inner
+integrals of all its nodes with one batched rule.
 
 The two spatial models differ only in their UAV count law: a fixed n for
 the BPP, a Poisson count for the finite HPPP.  It sets the maximum-power
@@ -35,9 +35,11 @@ are cached as piecewise Chebyshev interpolants of their logarithms in log x
 (`ReceivedPowerDistribution`), because they appear inside two further
 integral layers and naive nesting would be cubic in quadrature cost.  Every
 integral against the received-power density runs in log space so that
-distributions spanning many decades cannot alias past the adaptive rule, and
-exact coverage computes all the inner moment integrals of one outer-integrand
-call with one batched rule.
+distributions spanning many decades cannot alias past the adaptive rule.
+Integrals over the same nodes share one vector-valued integrand, so each node
+is evaluated once: the cache samples f, F and M1 as one 3-component integral,
+and exact coverage computes the inner moment integrals of one outer-integrand
+call with one batched rule whose rows carry all the Taylor orders.
 Laplace-transform derivatives are analytic Taylor coefficients: each model
 raises or exponentiates the kernel's non-negative series as a truncated
 power series, with no subtraction; finite differences are test oracles only.
@@ -123,14 +125,15 @@ log = logging.getLogger(__name__)
 def _integrate_at_points(x, integrand, a, b, cfg):
     """int_a^b integrand(x, y) dy at every x > 0 (0 elsewhere), one batched rule.
 
-    Returns the values, shaped like x, and the number of node evaluations.
+    Returns the values, shaped like x (with a leading axis of k for an
+    integrand that returns k rows), and the number of node evaluations.
     """
     x = np.asarray(x, dtype=float)
-    values = np.zeros(x.shape)
     pos = x > 0
     xs = x[pos]
     res = integrate_batch(lambda rows, y: integrand(xs[rows], y), xs.size, a, b, cfg)
-    values[pos] = res.value
+    values = np.zeros(res.value.shape[:-1] + x.shape)
+    values[..., pos] = res.value
     return values, res.n_evals
 
 
@@ -144,7 +147,8 @@ class ReceivedPowerDistribution:
 
     by adaptive quadrature.  `pdf`, `cdf`, `mean_below` and `ppf` use cached
     piecewise Chebyshev interpolants, in t = log x, of log f, log F and
-    log M1, M1(x) = int_0^x p f(p) dp, sampled from closed forms.  These
+    log M1, M1(x) = int_0^x p f(p) dp, sampled from closed forms, all three
+    from one 3-component integral per sample (`_smooth_integrals`).  These
     are analytic in t, so the interpolants converge geometrically, to about
     1e-11 relative, and agree with one another.  The cache covers the central
     [tail_eps, 1 - tail_eps] quantile range; outside it the pdf is treated
@@ -161,6 +165,8 @@ class ReceivedPowerDistribution:
         self.shadowing = InverseGammaShadowing(self.q, self.gam)
         self.w_min = self.k * (self.h**2 + self.R**2) ** (-self.alpha / 2.0)
         self.w_max = self.k * self.h ** (-self.alpha)
+        self._lgamma_q = math.lgamma(self.q)
+        self._elementary_q = self.q >= 1.5 and float(2.0 * self.q).is_integer()
         self._cache = None
 
     # -- exact evaluations ---------------------------------------------------
@@ -182,37 +188,47 @@ class ReceivedPowerDistribution:
         The substitution removes the inverse-square-root endpoint
         singularity of f_l, leaving (1/R) * int_0^R (d^a/K) f_S(x d^a / K) du.
         Used to build the cache; agrees with pdf_exact to quadrature accuracy.
+        The pdf component of `_smooth_integrals`, at x > 0.
         """
-        pdf = self._smooth_integrands()[0]
-        out = _integrate_at_points(x, pdf, 0.0, self.R, _PDF_QUAD)[0] / self.R
+        out = self._smooth_integrals(x)[0][0]
         return float(out) if out.ndim == 0 else out
 
-    def _smooth_integrands(self):
-        """Integrands g(x, u), with f, F, M1 = (1/R) int_0^R g du: closed forms
-        of the shadowing S at y = x / w, w = K d(u)^-alpha, namely f_S(y) / w,
-        P(S <= y) and w E[S; S <= y] = w gamma / (q - 1) Q(q - 1, gamma / y).
-        Q(q - 1, z) is taken as Q(q, z) - z^(q-1) e^-z / Gamma(q): scipy's Q is
-        up to 25 times slower near order 0, and the subtraction loses at most
-        a factor z / (q - 1) in relative accuracy, only where Q is tiny."""
-        shadow, q, gam = self.shadowing, self.q, self.gam
-        lg_q = math.lgamma(q)
+    def _smooth_integrals(self, x):
+        """(f, F, M1) at each x > 0, a (3, *x.shape) array, as one 3-component
+        integral per x of `_smooth_integrand` over [0, R]; and the number of
+        node evaluations."""
+        values, n_evals = _integrate_at_points(x, self._smooth_integrand, 0.0, self.R, _PDF_QUAD)
+        return values / self.R, n_evals
 
-        def w_of(u):
-            return self.k * (self.h**2 + u**2) ** (-self.alpha / 2.0)
+    def _smooth_integrand(self, x, u):
+        """Rows g of f, F, M1 = (1/R) int_0^R g du: closed forms of the
+        shadowing S at y = x / w, w = K d(u)^-alpha, all from z = gamma / y:
 
-        def pdf(x, u):
-            w = w_of(u)
-            return shadow.pdf(x / w) / w
+            f_S(y) / w = z e1 / x,   P(S <= y) = Q(q, z),
+            w E[S; S <= y] = x z / (q - 1) Q(q - 1, z),
 
-        def cdf(x, u):
-            return shadow.cdf(x / w_of(u))
-
-        def m1(x, u):  # w gamma = z x
-            z = gam * w_of(u) / x
-            q_below = special.gammaincc(q, z) - np.exp((q - 1.0) * np.log(z) - z - lg_q)
-            return x * z / (q - 1.0) * q_below
-
-        return pdf, cdf, m1
+        with e1 = z^(q-1) e^-z / Gamma(q) and Q(q, z) = Q(q - 1, z) + e1.
+        Where 2q is an integer and q >= 1.5, Q(q - 1, z) is e^-z S(z) by the
+        order recurrence (`_scaled_upper_gamma`, taken in logs so that neither
+        factor under- or overflows alone) and nothing is subtracted.  Any
+        other q takes scipy's Q(q, z) and Q(q - 1, z) = Q(q, z) - e1: scipy's
+        Q is up to 25 times slower near order 0, and the subtraction loses at
+        most a factor z / (q - 1) in relative accuracy, only where Q is tiny."""
+        q = self.q
+        z = self.gam * self.k * (self.h**2 + u**2) ** (-self.alpha / 2.0) / x
+        e1 = np.exp((q - 1.0) * np.log(z) - z - self._lgamma_q)
+        out = np.empty((3, z.size))
+        if self._elementary_q:
+            with np.errstate(over="ignore"):
+                scaled = np.minimum(_scaled_upper_gamma(q - 1.0, z), np.finfo(float).max)
+            below = np.exp(np.log(scaled) - z)
+            out[1] = below + e1
+        else:
+            out[1] = special.gammaincc(q, z)
+            below = out[1] - e1
+        out[0] = z * e1 / x
+        out[2] = x * z / (q - 1.0) * below
+        return out
 
     # -- cache ---------------------------------------------------------------
 
@@ -222,12 +238,12 @@ class ReceivedPowerDistribution:
         t_hi = math.log(self.w_max * self.gam / special.gammaincinv(self.q, _TAIL_EPS))
         left = np.linspace(t_lo, t_hi, _CHEB_PIECES + 1)[:-1]
         width = (t_hi - t_lo) / _CHEB_PIECES  # of every piece sampled in this round
-        integrands, kept, n_evals = self._smooth_integrands(), [], 0
+        kept, n_evals = [], 0
         for rounds in range(1, _CHEB_ROUNDS + 1):
             x = np.exp(left[:, None] + 0.5 * width * (_CHEB_NODES + 1.0))
-            samples = [_integrate_at_points(x, g, 0.0, self.R, _PDF_QUAD) for g in integrands]
-            n_evals += sum(nev for _, nev in samples)
-            coeffs = np.log([v / self.R for v, _ in samples]).transpose(1, 0, 2) @ _CHEB_FIT.T
+            samples, nev = self._smooth_integrals(x)
+            n_evals += nev
+            coeffs = np.log(samples).transpose(1, 0, 2) @ _CHEB_FIT.T
             tail = np.abs(coeffs[:, :, -2:]).max(axis=(1, 2))  # coeffs: (piece, function, k)
             done = (tail <= _CHEB_TOL) | (rounds == _CHEB_ROUNDS)
             kept.append((left[done], coeffs[done], tail[done]))
@@ -306,12 +322,7 @@ class ReceivedPowerDistribution:
         Above x_hi the mass is below 1e-13, but with heavy shadowing not the
         first moment (at q = 1.05 about a quarter of E[P]), so there M1 is
         integrated from its closed form, as the cache samples it."""
-
-        def exact(x):
-            m1 = self._smooth_integrands()[2]
-            return _integrate_at_points(x, m1, 0.0, self.R, _PDF_QUAD)[0] / self.R
-
-        return self._interpolated("log_m1", x, exact)
+        return self._interpolated("log_m1", x, lambda x: self._smooth_integrals(x)[0][2])
 
     def ppf(self, p):
         """Quantile: two Newton steps on log F(e^t) = log p (slope x f / F) bring
@@ -361,11 +372,15 @@ def _moment_series(dist, m, s, tau, x0, order, cfg):
     which keeps its relative accuracy at small s p and is exactly 0 at s = 0.
 
     Every integral runs in log space, and all of them in one `integrate_batch`
-    call with one row per (i, j).  Row (i, j) maps [log x_lo, log min(x0_i, x_hi)]
+    call with one row per point i and the order + 1 kernels as its
+    components, so each node reads f(p) once (through `dist.pdf`) and forms
+    the kernels by the recurrence r^j (1 + y)^-m, y = s p / m,
+    r = tau p / (m (1 + y)).  Row i maps [log x_lo, log min(x0_i, x_hi)]
     affinely onto [0, 1] (times the width as the Jacobian), which keeps the
-    adaptive rule's panels and bisections, so each value matches a scalar
-    `integrate` over the log interval to rounding.  Pairs with an empty
-    interval give 0.  Returns the (order + 1, n) array and the number of node
+    adaptive rule's panels and bisections; the row is refined until every
+    kernel meets the tolerance, so each value matches a scalar `integrate`
+    over the log interval to well within it.  Points with an empty interval
+    give 0.  Returns the (order + 1, n) array and the number of node
     evaluations.
     """
     s, tau, x0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
@@ -379,22 +394,33 @@ def _moment_series(dist, m, s, tau, x0, order, cfg):
     if live.size == 0:
         return out, 0
     width, s_live, tau_live = t_hi[live] - t_lo, s[live], tau[live]
-    point = np.repeat(np.arange(live.size), order + 1)  # row -> live pair
-    power = np.tile(np.arange(order + 1), live.size)  # row -> j
 
-    def integrand(rows, u):
-        i, j = point[rows], power[rows]
-        w, si = width[i], s_live[i]
+    def integrand(i, u):
+        w = width[i]
         p = np.exp(t_lo + u * w)
-        kern = (tau_live[i] * p / m) ** j * (1.0 + si * p / m) ** (-(m + j)) * p
-        c = j == 0
-        kern[c] = -np.expm1(-m * np.log1p(si[c] * p[c] / m)) * p[c]
-        return kern * dist.pdf(p) * w
+        y = s_live[i] * p / m
+        log_base = -m * np.log1p(y)
+        density = dist.pdf(p) * p * w
+        kern = np.empty((order + 1, p.size))
+        kern[0] = -np.expm1(log_base) * density
+        if order:
+            r = tau_live[i] * p / (m * (1.0 + y))
+            kern[1] = np.exp(log_base) * density * r
+            for j in range(2, order + 1):
+                kern[j] = kern[j - 1] * r
+        return kern
 
-    res = integrate_batch(integrand, point.size, 0.0, 1.0, cfg)
+    res = integrate_batch(integrand, live.size, 0.0, 1.0, cfg)
     coeff = np.array([special.poch(m, j) / math.factorial(j) for j in range(order + 1)])
-    out[:, live] = coeff[:, None] * res.value.reshape(live.size, order + 1).T
+    out[:, live] = coeff[:, None] * res.value
     return out, res.n_evals
+
+
+def _clamp(value):
+    """value clipped to [0, 1], and a note for the debug line that gives the
+    unclipped value when the clip changed it (empty otherwise)."""
+    clipped = min(max(value, 0.0), 1.0)
+    return clipped, "" if clipped == value else f", clamped from {value!r}"
 
 
 def _taylor_sum(weights, h):
@@ -496,12 +522,14 @@ class _CoverageModel:
             return out
 
         res = integrate(integrand, math.log(lo), math.log(hi), _COVERAGE_QUAD)
+        value, clamp_note = _clamp(res.value)
         log.debug(
             "exact coverage at theta=%.6g: %d outer-integrand calls, %d outer nodes, "
-            "%d inner rows, %d inner node evaluations, %d floored, %.3f s",
+            "%d inner rows, %d inner node evaluations, %d floored, %.3f s%s",
             theta, calls, res.n_evals, rows, inner_nodes, floored, time.perf_counter() - start,
+            clamp_note,
         )
-        return min(max(res.value, 0.0), 1.0)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -671,26 +699,27 @@ class BppCoverageModel(_CoverageModel):
         x_i = np.asarray(x_i, dtype=float)
         if not np.all((0 < x_i) & (x_i <= x0)):
             raise ParameterError("require 0 < x_i <= x0")
-        fxi = self.dist.cdf(x_i)
-        out = np.where(
+        out = self._residual_mean(x_i, self.dist.cdf(x_i))
+        return float(out) if out.ndim == 0 else out
+
+    def _residual_mean(self, x_i, fxi):
+        """`residual_mean_interference` given F(x_i) = fxi."""
+        return np.where(
             fxi > 1e-250, (self.n - 2) * self.dist.mean_below(x_i) / np.maximum(fxi, 1e-250), 0.0
         )
-        return float(out) if out.ndim == 0 else out
 
     def joint_top_two_pdf(self, x0, x_i):
         """Order-statistics joint density of (max, second max):
         n (n-1) f(x0) f(x_i) F(x_i)^(n-2) on 0 < x_i < x0."""
         x0 = np.asarray(x0, dtype=float)
         x_i = np.asarray(x_i, dtype=float)
-        out = (
-            self.n
-            * (self.n - 1)
-            * self.dist.pdf(x0)
-            * self.dist.pdf(x_i)
-            * self.dist.cdf(x_i) ** (self.n - 2)
-        )
-        out = np.asarray(np.where(x_i < x0, out, 0.0))
+        out = np.asarray(self._joint_top_two(x0, self.dist.pdf(x0), x_i, self.dist.cdf(x_i)))
         return float(out) if out.ndim == 0 else out
+
+    def _joint_top_two(self, x0, fx0, x_i, fxi):
+        """`joint_top_two_pdf` given f(x0) = fx0 and F(x_i) = fxi."""
+        out = self.n * (self.n - 1) * fx0 * self.dist.pdf(x_i) * fxi ** (self.n - 2)
+        return np.where(x_i < x0, out, 0.0)
 
     def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=None):
         """2D integral over the top-two powers (t0, ti) = log(x0, x_i) of
@@ -700,80 +729,81 @@ class BppCoverageModel(_CoverageModel):
         Each outer-integrand call over t0 integrates ti over [t_lo, t0_i] for
         all its nodes with one batched rule, at a nested rule's inner
         tolerance; row i maps [t_lo, t0_i] affinely onto [0, 1] (the width is
-        the Jacobian), which keeps the scalar rule's panels.
+        the Jacobian), which keeps the scalar rule's panels.  f(x0) is read
+        once per row, and F(x_i) once per node.
 
         With a residual the fading expectation uses a `laguerre_nodes` rule,
         by default ceil(m/2) nodes for integer m and `_LAGUERRE_NODES`
         otherwise.  For integer m <= 2 `laguerre_nodes` the rule is exact:
         the rescaled integrand exp(beta z) Q(m, a + beta z) is e^-a times
         the order recurrence's polynomial S(a + beta z) of degree m - 1, so
-        there is one 2D pass and no certification.  Otherwise the value is
-        recomputed with twice the nodes, and the two must agree to the
-        `_DOMINANT_QUAD` tolerance.  Logs the work done at debug level.
+        there is no certification.  Otherwise the integrand has two
+        components, the fading expectation by twice the nodes and by the
+        rule itself, integrated on the same panels in one 2D pass; the two
+        values must agree to the `_DOMINANT_QUAD` tolerance, and the first
+        is returned.  Logs the work done at debug level.
         """
         if theta <= 0:
             raise ParameterError("theta must be positive (linear scale)")
         if self.n < 2:
             raise ParameterError("needs n >= 2")
         start = time.perf_counter()
-        m = self.m
+        m, dist = self.m, self.dist
         integer_m = float(m).is_integer()
         if laguerre_nodes is None:
             laguerre_nodes = math.ceil(m / 2) if integer_m else _LAGUERRE_NODES
         lo, hi = self._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         with_residual_mean = with_residual_mean and self.n > 2
+        certified = with_residual_mean and not (integer_m and m <= 2 * laguerre_nodes)
+        rules = [2 * laguerre_nodes, laguerre_nodes] if certified else [laguerre_nodes]
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
-        outer_nodes = rows = inner_nodes = 0
+        rows = inner_nodes = 0
 
-        def integral(n_nodes):
-            nonlocal outer_nodes
+        def outer(t0):
+            nonlocal rows, inner_nodes
+            x0 = np.exp(t0)
+            fx0 = dist.pdf(x0)
+            width = t0 - t_lo
 
-            def outer(t0):
-                nonlocal rows, inner_nodes
-                width = t0 - t_lo
+            def inner(r, u):
+                x0_r, w = x0[r], width[r]
+                xi = np.exp(t_lo + u * w)
+                fxi = dist.cdf(xi)
+                omega = self._residual_mean(xi, fxi) if with_residual_mean else 0.0
+                a, b = m * theta * omega / x0_r, theta * xi / x0_r
+                joint = self._joint_top_two(x0_r, fx0[r], xi, fxi)
+                return np.array(
+                    [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
+                )
 
-                def inner(r, u):
-                    x0, w = np.exp(t0[r]), width[r]
-                    xi = np.exp(t_lo + u * w)
-                    omega = self.residual_mean_interference(x0, xi) if with_residual_mean else 0.0
-                    tail = _fading_tail_expectation(m, m * theta * omega / x0, theta * xi / x0, n_nodes)
-                    return tail * self.joint_top_two_pdf(x0, xi) * x0 * xi * w
-
-                res = integrate_batch(inner, t0.size, 0.0, 1.0, inner_cfg)
-                rows += t0.size
-                inner_nodes += res.n_evals
-                return res.value
-
-            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
-            outer_nodes += res.n_evals
+            res = integrate_batch(inner, t0.size, 0.0, 1.0, inner_cfg)
+            rows += t0.size
+            inner_nodes += res.n_evals
             return res.value
 
-        value = integral(laguerre_nodes)
-        rule_exact = integer_m and m <= 2 * laguerre_nodes
-        certified = with_residual_mean and not rule_exact
-        n_rule = 2 * laguerre_nodes if certified else laguerre_nodes
+        res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
+        value = res.value[0]
         if certified:
-            check = integral(n_rule)
-            tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(check))
-            if abs(check - value) > tol:
+            tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(value))
+            if abs(value - res.value[1]) > tol:
                 raise QuadratureError(
-                    f"{laguerre_nodes}- and {n_rule}-node fading rules disagree "
-                    f"({value:.10g} vs {check:.10g}, tolerance {tol:.3e})",
-                    best_estimate=check,
-                    error_estimate=abs(check - value),
+                    f"{laguerre_nodes}- and {rules[0]}-node fading rules disagree "
+                    f"({res.value[1]:.10g} vs {value:.10g}, tolerance {tol:.3e})",
+                    best_estimate=value,
+                    error_estimate=abs(value - res.value[1]),
                     level="fading",
                 )
-            value = check
-        kept = _gen_laguerre_rule(m, n_rule)[0].size if with_residual_mean else 0
+        value, clamp_note = _clamp(float(value))
         log.debug(
             "dominant coverage at theta=%.6g: residual %s, %d outer nodes, %d inner rows, "
-            "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s",
-            theta, "mean" if with_residual_mean else "dropped", outer_nodes, rows,
-            inner_nodes, kept, n_rule if with_residual_mean else 0,
-            "yes" if certified else "no", time.perf_counter() - start,
+            "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s%s",
+            theta, "mean" if with_residual_mean else "dropped", res.n_evals, rows, inner_nodes,
+            _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
+            rules[0] if with_residual_mean else 0, "yes" if certified else "no",
+            time.perf_counter() - start, clamp_note,
         )
-        return min(max(value, 0.0), 1.0)
+        return value
 
     def coverage_dominant(self, theta):
         """Dominant-interferer coverage: second-strongest interferer exact,

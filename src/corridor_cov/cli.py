@@ -301,6 +301,12 @@ def _theta_grid_db(cfg, command):
     return _sweep_values(cfg)
 
 
+def _require_mc(cfg, command):
+    """Reject a [sweep] methods list without mc: `command` only simulates."""
+    if "mc" not in _parse_methods(cfg):
+        raise ConfigError(f"{command} runs Monte Carlo only; [sweep] methods must include mc")
+
+
 def _parse_methods(cfg):
     methods = []
     for token in cfg["sweep"]["methods"].split(","):
@@ -427,6 +433,7 @@ def cmd_replay(args):
     channel = build_channel(cfg)
     fading_mode = cfg["replay"]["fading"].strip().lower()
     values = _theta_grid_db(cfg, "replay")
+    _require_mc(cfg, "replay")
     chash = config_hash(cfg)
     trace = Trace.from_csv(args.trace)
     t0 = time.perf_counter()
@@ -500,6 +507,8 @@ def _height_samples(cfg, args):
 def cmd_height_study(args):
     cfg = _apply_overrides(_load_config(args.config), args)
     values = _theta_grid_db(cfg, "height-study")
+    _require_mc(cfg, "height-study")
+    workers = _get_int(cfg, "run", "workers")
     heights, source = _height_samples(cfg, args)
     if len(heights) < 30:
         raise DataInsufficiencyError(
@@ -532,7 +541,8 @@ def cmd_height_study(args):
         ]
     for name, hm in model_list:
         curve = simulator.empirical_coverage(
-            spatial, CorridorGeometry(radius, hm), channel, values, curve_trials, seed
+            spatial, CorridorGeometry(radius, hm), channel, values, curve_trials, seed,
+            workers=workers,
         )
         for v, c, se in zip(values, curve.coverage, curve.stderr):
             rows.append(_row(v, name, c, se, seed, chash))

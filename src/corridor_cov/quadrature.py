@@ -10,7 +10,10 @@ budget is met.
 
 There is one adaptive rule: `integrate_batch` integrates a family f(rows, x)
 over one interval, evaluating the panels of all rows in one batch per
-sweep, and `integrate` is its one-row case.
+sweep, and `integrate` is its one-row case.  An integrand may be
+vector-valued, returning a (k, nodes) array: the k integrals of a row then
+share its panels and each node is evaluated once, which is cheaper than k
+scalar rows whenever the components share work (a density lookup, an exp).
 """
 
 from __future__ import annotations
@@ -113,7 +116,10 @@ class IntegralResult:
 
 
 def _evaluate_panels(f, lo, hi):
-    """Gauss-Kronrod pair on a batch of panels. Returns (kronrod, err, nev).
+    """Gauss-Kronrod pair on a batch of panels. Returns (kronrod, err, nev,
+    vector): kronrod and err are (k, panels) arrays for a k-component
+    integrand (k = 1 for a scalar one, which `vector` tells apart), and nev
+    counts nodes.
 
     The error estimate uses the QUADPACK rescaling: on panels where the
     integrand varies strongly (resasc comparable to |K - G|), the estimate
@@ -123,32 +129,36 @@ def _evaluate_panels(f, lo, hi):
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center[:, None] + half[:, None] * _NODES[None, :]
-    fy = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(fy)):
-        bad = x.ravel()[~np.isfinite(fy.ravel())][0]
+    fy = np.asarray(f(x.ravel()), dtype=float)
+    vector = fy.ndim == 2
+    fy = fy.reshape(-1, *x.shape)
+    finite = np.isfinite(fy).all(axis=0)
+    if not finite.all():
+        bad = x[~finite][0]
         raise QuadratureError(
             f"integrand returned a non-finite value at x={bad!r}",
         )
-    kron = (fy * _KRONROD_W).sum(axis=1) * half
-    gauss = (fy * _GAUSS_W).sum(axis=1) * half
+    kron = (fy * _KRONROD_W).sum(axis=-1) * half
+    gauss = (fy * _GAUSS_W).sum(axis=-1) * half
     mean = kron / (2.0 * half)
-    resasc = (np.abs(fy - mean[:, None]) * _KRONROD_W).sum(axis=1) * half
+    resasc = (np.abs(fy - mean[..., None]) * _KRONROD_W).sum(axis=-1) * half
     err = np.abs(kron - gauss)
     scale = resasc > 0
     ratio = np.empty_like(err)
     ratio[scale] = np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
     err[scale] = resasc[scale] * ratio[scale]
-    return kron, err, fy.size
+    return kron, err, x.size, vector
 
 
 def _adaptive_rows(f, rows, a, b, cfg):
     """The adaptive rule for every row of `rows` at once; returns (values,
-    errors, nev).
+    errors, nev, vector), values and errors as (k, rows) arrays.
 
-    Each row starts from `_INITIAL_PANELS` equal panels and stops once its
-    summed error estimate is within max(abs_tol, rel_tol |value|).  Panels of
-    all unfinished rows are evaluated in one batch per sweep; each row keeps
-    its own stop rule, bisection set and subdivision limit.
+    Each row starts from `_INITIAL_PANELS` equal panels and stops once the
+    summed error estimate of every component c is within
+    max(abs_tol, rel_tol |value_c|).  Panels of all unfinished rows are
+    evaluated in one batch per sweep; each row keeps its own stop rule,
+    bisection set and subdivision limit.
     """
     n = len(rows)
     width = (b - a) / _INITIAL_PANELS
@@ -162,37 +172,45 @@ def _adaptive_rows(f, rows, a, b, cfg):
         node_rows = np.repeat(rows[owner], len(_NODES))
         return _evaluate_panels(lambda x: f(node_rows, x), lo, hi)
 
-    values, errors, n_evals = evaluate(owner, lo, hi)
-    out_values = np.empty(n)
-    out_errors = np.empty(n)
+    def per_row(panel_values):  # (k, panels) -> (k, rows) sums
+        return np.array([np.bincount(owner, v, n) for v in panel_values])
+
+    values, errors, n_evals, vector = evaluate(owner, lo, hi)
+    out_values = np.empty((len(values), n))
+    out_errors = np.empty((len(values), n))
     while True:
-        total = np.bincount(owner, values, n)
-        err = np.bincount(owner, errors, n)
+        total = per_row(values)
+        err = per_row(errors)
         n_panels = np.bincount(owner, minlength=n)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        done = (err <= tol) & (n_panels > 0)
-        out_values[done] = total[done]
-        out_errors[done] = err[done]
+        done = (err <= tol).all(axis=0) & (n_panels > 0)
+        out_values[:, done] = total[:, done]
+        out_errors[:, done] = err[:, done]
         failed = ~done & (n_panels >= cfg.max_subdivisions)
         if failed.any():
             i = np.flatnonzero(failed)[0]
+            c = np.argmax(err[:, i] / tol[:, i])
             raise QuadratureError(
-                f"row {rows[i]}: no convergence after {n_panels[i]} subdivisions "
-                f"(error {err[i]:.3e} > tolerance {tol[i]:.3e})",
-                best_estimate=total[i],
-                error_estimate=err[i],
+                f"row {rows[i]}{f' component {c}' if vector else ''}: no convergence after "
+                f"{n_panels[i]} subdivisions (error {err[c, i]:.3e} > tolerance {tol[c, i]:.3e})",
+                best_estimate=total[:, i] if vector else total[0, i],
+                error_estimate=err[:, i] if vector else err[0, i],
             )
-        # Drop finished rows; order the rest by row, largest error first.
+        # Drop finished rows; order the rest by row, largest error first (in
+        # units of its component's budget).
         live = np.flatnonzero(~done[owner])
         if live.size == 0:
-            return out_values, out_errors, n_evals
-        order = live[np.lexsort((-errors[live], owner[live]))]
-        owner, lo, hi, values, errors = (v[order] for v in (owner, lo, hi, values, errors))
+            return out_values, out_errors, n_evals, vector
+        excess = (errors[:, live] / tol[:, owner[live]]).max(axis=0)
+        order = live[np.lexsort((-excess, owner[live]))]
+        owner, lo, hi = (v[order] for v in (owner, lo, hi))
+        values, errors = values[:, order], errors[:, order]
         first = np.concatenate([[True], owner[1:] != owner[:-1]])
-        # Per row, split every panel above its fair share of the budget (the
-        # worst one if none is), at most as many as the subdivision limit
-        # leaves room for; this keeps the number of refinement sweeps small.
-        split = errors > tol[owner] / n_panels[owner]
+        # Per row, split every panel where some component is above its fair
+        # share of that component's budget (the worst panel if none is), at
+        # most as many as the subdivision limit leaves room for; this keeps
+        # the number of refinement sweeps small.
+        split = (errors > tol[:, owner] / n_panels[owner]).any(axis=0)
         split |= first & (np.bincount(owner, split, n) == 0)[owner]
         before = np.cumsum(split) - split
         rank = before - before[first][np.cumsum(first) - 1]
@@ -201,23 +219,27 @@ def _adaptive_rows(f, rows, a, b, cfg):
         new_owner = np.concatenate([owner[split], owner[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, nev = evaluate(new_owner, new_lo, new_hi)
+        new_vals, new_errs, nev, _ = evaluate(new_owner, new_lo, new_hi)
         n_evals += nev
         owner = np.concatenate([owner[~split], new_owner])
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
-        values = np.concatenate([values[~split], new_vals])
-        errors = np.concatenate([errors[~split], new_errs])
+        values = np.concatenate([values[:, ~split], new_vals], axis=1)
+        errors = np.concatenate([errors[:, ~split], new_errs], axis=1)
 
 
 def integrate(f, a, b, config=None):
     """Integrate a vectorized f (ndarray in, ndarray out) over a finite
-    [a, b], a < b: the one-row case of `integrate_batch`.  Integrable
+    [a, b], a < b: the one-row case of `integrate_batch`.  f may return a
+    (k, nodes) array, and value and error are then (k,) arrays.  Integrable
     endpoint singularities are allowed: nodes are strictly interior.  Raises
     QuadratureError (carrying the best estimate) on non-convergence.
     """
     res = integrate_batch(lambda rows, x: f(x), 1, a, b, config)
-    return IntegralResult(float(res.value[0]), float(res.error[0]), res.n_evals)
+    value, error = res.value[..., 0], res.error[..., 0]
+    if value.ndim == 0:
+        value, error = float(value), float(error)
+    return IntegralResult(value, error, res.n_evals)
 
 
 def integrate_batch(f, n_rows, a, b, config=None):
@@ -226,26 +248,32 @@ def integrate_batch(f, n_rows, a, b, config=None):
 
     Many integrals of one family share a single batched adaptive rule: f
     receives an int array of row indices and an equally shaped array of
-    nodes.  Each row keeps its own stop rule, bisection set and subdivision
-    limit, so its value does not depend on the other rows.  Rows run in
-    chunks of `_BATCH_ROWS` to bound memory.  Returns an IntegralResult whose
-    value and error are arrays over the rows; raises ValueError on infinite,
-    reversed or equal bounds and QuadratureError naming the first row that
-    does not converge.
+    nodes.  It returns one value per node, or a (k, nodes) array for k
+    integrals of the same row that share the nodes; such a row is finished
+    once every component meets its own tolerance, and a panel is bisected
+    where any component's error is above its share.  Each row keeps its own
+    stop rule, bisection set and subdivision limit, so its value does not
+    depend on the other rows.  Rows run in chunks of `_BATCH_ROWS` to bound
+    memory.  Returns an IntegralResult whose value and error are arrays over
+    the rows, (k, n_rows) for a k-component f, and whose n_evals counts
+    nodes; raises ValueError on infinite, reversed or equal bounds and
+    QuadratureError naming the first row that does not converge.
     """
     cfg = config or DEFAULT_CONFIG
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"quadrature needs finite bounds a < b, got [{a!r}, {b!r}]")
-    values = np.empty(n_rows)
-    errors = np.empty(n_rows)
-    n_evals = 0
-    for start in range(0, n_rows, _BATCH_ROWS):
-        chunk = np.arange(start, min(start + _BATCH_ROWS, n_rows))
-        values[chunk], errors[chunk], nev = _adaptive_rows(f, chunk, a, b, cfg)
-        n_evals += nev
-    return IntegralResult(values, errors, n_evals)
+    chunks = [
+        _adaptive_rows(f, np.arange(start, min(start + _BATCH_ROWS, n_rows)), a, b, cfg)
+        for start in range(0, n_rows, _BATCH_ROWS)
+    ]
+    if not chunks:
+        return IntegralResult(np.empty(0), np.empty(0), 0)
+    values, errors = (np.concatenate(parts, axis=1) for parts in zip(*(c[:2] for c in chunks)))
+    if not chunks[0][3]:
+        values, errors = values[0], errors[0]
+    return IntegralResult(values, errors, sum(c[2] for c in chunks))
 
 
 def nested_integrate_2d(f, outer_bounds, inner_bounds, config=None):

@@ -207,9 +207,11 @@ def _rx_powers(pos, heights, shadowing, channel):
 
 def _realize_batch(spatial, geom, channel, size, rng):
     """One batch of `size` realizations: (powers, d2, counts), the per-UAV
-    arrays flat in the count-sorted order of `_Layout`."""
+    arrays flat in the count-sorted order of `_Layout`.  A fixed height draws
+    nothing and enters as a scalar, which gives the same d2."""
     pos, counts = _draw_positions(spatial, geom, rng, size)
-    heights = geom.height_model.sample(rng, pos.shape)
+    model = geom.height_model
+    heights = model.h if isinstance(model, FixedHeight) else model.sample(rng, pos.shape)
     shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
     powers, d2 = _rx_powers(pos, heights, shadowing, channel)
     return powers, d2, counts

@@ -24,7 +24,7 @@ from corridor_cov import (
 )
 from corridor_cov import analytic
 from corridor_cov.analytic import _LAGUERRE_NODES, _fading_tail_expectation
-from corridor_cov.quadrature import nested_integrate_2d
+from corridor_cov.quadrature import IntegralResult, nested_integrate_2d
 from conftest import ks_statistic
 
 N = 10
@@ -529,20 +529,24 @@ class TestBatchedDominantIntegral:
 
 class TestExactFadingRuleAtIntegerM:
     """For integer m the mean-residual fading rule is exact, so the dominant
-    coverage is one 2D integral with no certifying second integral."""
+    coverage is one 2D integral with no certifying second integral; at
+    half-integer m the certifying rule is a second component of that one
+    integral."""
 
     # (m, N, theta dB) -> mean-residual dominant coverage computed with the
-    # 32-node rule certified against (and replaced by) the 64-node rule.  Each
-    # lies within 1e-14 of the same rule run on the pdf, cdf and first moment
-    # computed without the received-power cache.
+    # 32-node rule certified against (and replaced by) the 64-node rule, each
+    # rule in its own 2D pass.  The integer-m values lie within 1e-14 of the
+    # same rule run on the pdf, cdf and first moment computed without the
+    # received-power cache.
     CERTIFIED_VALUES = {
         (1.0, 10, 0.0): 0.2813456249428171,
         (3.0, 10, 0.0): 0.27558242491171553,
         (2.0, 3, -3.0): 0.8683173367121796,
+        (2.5, 10, 0.0): 0.2781403719720366,
     }
 
     @pytest.mark.parametrize("m, n, theta_db", list(CERTIFIED_VALUES))
-    def test_one_integral_equals_certified_value(self, geom, monkeypatch, m, n, theta_db):
+    def test_one_integral_equals_certified_value(self, geom, monkeypatch, caplog, m, n, theta_db):
         # each 2D pass is one outer `integrate` call over t0
         calls = []
         outer = analytic.integrate
@@ -553,9 +557,13 @@ class TestExactFadingRuleAtIntegerM:
 
         monkeypatch.setattr(analytic, "integrate", counted)
         model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
-        value = model.coverage_dominant(10 ** (theta_db / 10))
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            value = model.coverage_dominant(10 ** (theta_db / 10))
         assert value == pytest.approx(self.CERTIFIED_VALUES[(m, n, theta_db)], rel=1e-9)
         assert len(calls) == 1
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        certified = re.search(r"certified (yes|no)", line).group(1)
+        assert certified == ("no" if float(m).is_integer() else "yes"), line
 
     @pytest.mark.parametrize("m", [1.0, 3.0, 8.0])
     def test_default_rule_has_ceil_half_m_nodes(self, geom, caplog, m):
@@ -575,6 +583,30 @@ class TestExactFadingRuleAtIntegerM:
         model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=3.0))
         value = model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=2)
         assert value == pytest.approx(self.CERTIFIED_VALUES[(3.0, 10, 0.0)], rel=1e-9)
+
+
+@pytest.mark.parametrize("method, shift, clipped", [("coverage", 1.0, 1.0), ("coverage_dominant", -1.0, 0.0)])
+def test_clamp_reports_the_unclipped_value(geom, monkeypatch, caplog, method, shift, clipped):
+    # an outer integral shifted out of [0, 1] is clipped, and its debug line
+    # gives the value before the clip; an unshifted one names no clamp
+    model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=1.0))
+    model.dist.x_lo  # build the cache outside the captured calls
+    with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+        getattr(model, method)(1.0)
+    assert not any("clamped" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    outer, raw = analytic.integrate, []
+
+    def shifted(*args, **kwargs):
+        res = outer(*args, **kwargs)
+        raw.append(float(np.ravel(res.value)[0] + shift))
+        return IntegralResult(res.value + shift, res.error, res.n_evals)
+
+    monkeypatch.setattr(analytic, "integrate", shifted)
+    with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+        assert getattr(model, method)(1.0) == clipped
+    (line,) = [r.getMessage() for r in caplog.records if "coverage at theta" in r.getMessage()]
+    assert line.endswith(f" s, clamped from {raw[0]!r}"), line
 
 
 class TestFadingTailExpectation:

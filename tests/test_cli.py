@@ -166,6 +166,14 @@ class TestReplayCommand:
         assert run_cli(["replay", "--trace", trace_csv, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists() and capsys.readouterr().out == ""
 
+    def test_methods_without_mc_is_config_error(self, tmp_path, trace_csv, replay_config, capsys):
+        cfg = tmp_path / "replay_exact.ini"
+        with open(replay_config) as fh:
+            cfg.write_text(fh.read() + "\n[sweep]\naxis = theta\nvalues = -3\nmethods = exact\n")
+        out = tmp_path / "replay.csv"
+        assert run_cli(["replay", "--trace", trace_csv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists() and capsys.readouterr().out == ""
+
     def test_replay_outputs(self, tmp_path, trace_csv, replay_config):
         out = tmp_path / "replay.csv"
         code = run_cli(
@@ -239,6 +247,42 @@ class TestHeightStudyCommand:
         assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists() and not (tmp_path / "hs_report.json").exists()
         assert capsys.readouterr().out == ""
+
+    def test_methods_without_mc_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(
+            "[height_study]\ndist = normal\nmean = 200\nsigma = 15\n"
+            "count = 1000\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
+            "[sweep]\naxis = theta\nvalues = -3\nmethods = exact\n"
+        )
+        out = tmp_path / "hs.csv"
+        assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists() and not (tmp_path / "hs_report.json").exists()
+        assert capsys.readouterr().out == ""
+
+    def test_workers_reach_the_simulator_and_keep_rows(self, tmp_path, monkeypatch):
+        # 70,000 trials run as two batches, one per worker at workers = 2
+        seen = []
+        simulate = cli.simulator.empirical_coverage
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli.simulator, "empirical_coverage", recorded)
+        rows = []
+        for workers in (1, 2):
+            cfg = tmp_path / f"hs{workers}.ini"
+            cfg.write_text(
+                "[height_study]\ndist = normal\nmean = 200\nsigma = 0\n"
+                "count = 1000\nr = 200\ncurve_trials = 70000\nkl_trials = 1000\n\n"
+                f"[run]\nworkers = {workers}\n\n[sweep]\naxis = theta\nvalues = -3\n"
+            )
+            out = tmp_path / f"hs{workers}.csv"
+            assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 0
+            rows.append([line.split(",") for line in out.read_text().strip().splitlines()[1:]])
+        assert seen == [1, 2]
+        assert [r[:5] for r in rows[0]] == [r[:5] for r in rows[1]]
 
     def test_too_few_samples_is_data_error(self, tmp_path):
         cfg = tmp_path / "hs.ini"

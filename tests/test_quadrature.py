@@ -115,3 +115,37 @@ def test_integrate_batch_failure_names_row():
     with pytest.raises(QuadratureError, match="row 5") as err:
         integrate_batch(f, 9, 0.0, 1.0, cfg)
     assert abs(err.value.best_estimate - 2.0) < 0.05
+
+
+def _three_components(n):
+    """A peak, its first moment and a smooth decay per row: components with
+    different refinement needs that share the row's nodes."""
+    peaks = _gaussian_peaks(n)
+    return [peaks, lambda rows, x: x * peaks(rows, x), lambda rows, x: np.exp(-x * (1.0 + rows))]
+
+
+def test_vector_integrand_matches_its_scalar_runs():
+    n = 40
+    comps = _three_components(n)
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    joint = integrate_batch(lambda rows, x: np.array([g(rows, x) for g in comps]), n, 0.0, 1.0, cfg)
+    assert joint.value.shape == joint.error.shape == (3, n)
+    scalar = [integrate_batch(g, n, 0.0, 1.0, cfg) for g in comps]
+    assert joint.n_evals <= sum(r.n_evals for r in scalar)
+    for c, ref in enumerate(scalar):
+        for i in range(n):
+            assert joint.value[c, i] == pytest.approx(ref.value[i], rel=2 * cfg.rel_tol, abs=0), (c, i)
+            assert joint.error[c, i] <= cfg.rel_tol * abs(joint.value[c, i]), (c, i)
+    one = integrate(lambda x: np.array([g(np.full(x.shape, 7), x) for g in comps]), 0.0, 1.0, cfg)
+    assert one.value.shape == one.error.shape == (3,)
+    np.testing.assert_allclose(one.value, joint.value[:, 7], rtol=1e-13, atol=0)
+
+
+def test_vector_integrand_failure_names_row_and_component():
+    def f(rows, x):
+        return np.array([np.ones_like(x), np.where(rows == 5, 1.0 / np.sqrt(x), 1.0)])
+
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=12)
+    with pytest.raises(QuadratureError, match="row 5 component 1") as err:
+        integrate_batch(f, 9, 0.0, 1.0, cfg)
+    assert abs(err.value.best_estimate[1] - 2.0) < 0.05

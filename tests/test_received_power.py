@@ -41,8 +41,9 @@ def test_build_logs_its_work(caplog):
     assert 1 <= rounds <= analytic._CHEB_ROUNDS
     assert 0.0 < worst <= analytic._CHEB_TOL
     assert above == 0
-    # three integrals per Chebyshev point, each at least the initial 8 G7/K15 panels
-    assert nodes % 15 == 0 and nodes >= 3 * pieces * analytic._CHEB_POINTS * 8 * 15
+    # one 3-component integral (pdf, cdf, first moment) per Chebyshev point,
+    # each at least the initial 8 G7/K15 panels, whose nodes all three share
+    assert nodes % 15 == 0 and nodes >= pieces * analytic._CHEB_POINTS * 8 * 15
 
 
 # The documented domain's corners and middle: q down to 1.05, alpha 2 to 6,
