@@ -63,7 +63,6 @@ from .simulator import (
     height_model_kl_study,
     HeightKlResult,
     kl_divergence,
-    sir_distribution,
     simulate_sir,
     simulate_sir_paired,
     synthesize_trace,

@@ -54,9 +54,7 @@ _METHOD_ALIASES = {
     "exact": "exact",
     "dominant": "dominant",
     "single-dominant": "single_dominant",
-    "single_dominant": "single_dominant",
     "mc": "mc",
-    "montecarlo": "mc",
 }
 
 
@@ -95,7 +93,6 @@ DEFAULTS = {
         "theta_db": "-3.0",
         "trials": "10000",
         "seed": "1",
-        "workers": "1",
         "batch_size": "65536",
     },
     "sweep": {
@@ -147,7 +144,6 @@ def _apply_overrides(cfg, args):
     pairs = [
         ("run", "seed", "seed"),
         ("run", "trials", "trials"),
-        ("run", "workers", "workers"),
         ("run", "theta_db", "theta_db"),
         ("sweep", "axis", "sweep"),
         ("sweep", "start", "start"),
@@ -362,7 +358,6 @@ def cmd_coverage(args):
     methods = _parse_methods(cfg)
     seed = _get_int(cfg, "run", "seed")
     trials = _get_int(cfg, "run", "trials")
-    workers = _get_int(cfg, "run", "workers")
     batch_size = _get_int(cfg, "run", "batch_size")
     theta_db = _get_float(cfg, "run", "theta_db")
     chash = config_hash(cfg)
@@ -379,8 +374,7 @@ def cmd_coverage(args):
         for method in methods:
             if method == "mc":
                 curve = simulator.empirical_coverage(
-                    spatial, geom, channel, thetas_db, trials, seed,
-                    batch_size=batch_size, workers=workers,
+                    spatial, geom, channel, thetas_db, trials, seed, batch_size
                 )
                 for v, c, se in zip(sweep_values, curve.coverage, curve.stderr):
                     rows.append(_row(v, "mc", c, se, seed, chash))
@@ -430,6 +424,7 @@ def cmd_replay(args):
         raise ConfigError("trace replay is defined for corridor models (bpp or hppp)")
     seed = _get_int(cfg, "run", "seed")
     trials = _get_int(cfg, "run", "trials")
+    batch_size = _get_int(cfg, "run", "batch_size")
     channel = build_channel(cfg)
     fading_mode = cfg["replay"]["fading"].strip().lower()
     values = _theta_grid_db(cfg, "replay")
@@ -443,7 +438,7 @@ def cmd_replay(args):
     for policy in (simulator.MAX_POWER, simulator.MIN_DISTANCE):
         result = simulator.trace_replay(
             trace, spatial, geom, trials, values, seed,
-            policy=policy, fading_mode=fading_mode, m=channel.m,
+            policy=policy, fading_mode=fading_mode, m=channel.m, batch_size=batch_size,
         )
         method = f"replay_{policy}"
         for v, c, se in zip(values, result.coverage.coverage, result.coverage.stderr):
@@ -508,7 +503,7 @@ def cmd_height_study(args):
     cfg = _apply_overrides(_load_config(args.config), args)
     values = _theta_grid_db(cfg, "height-study")
     _require_mc(cfg, "height-study")
-    workers = _get_int(cfg, "run", "workers")
+    batch_size = _get_int(cfg, "run", "batch_size")
     heights, source = _height_samples(cfg, args)
     if len(heights) < 30:
         raise DataInsufficiencyError(
@@ -542,7 +537,7 @@ def cmd_height_study(args):
     for name, hm in model_list:
         curve = simulator.empirical_coverage(
             spatial, CorridorGeometry(radius, hm), channel, values, curve_trials, seed,
-            workers=workers,
+            batch_size,
         )
         for v, c, se in zip(values, curve.coverage, curve.stderr):
             rows.append(_row(v, name, c, se, seed, chash))
@@ -555,7 +550,9 @@ def cmd_height_study(args):
     if degenerate:
         kl_normal = kl_uniform = 0.0
     else:
-        kl = simulator.height_model_kl_study(spatial, radius, heights, channel, kl_trials, seed)
+        kl = simulator.height_model_kl_study(
+            spatial, radius, heights, channel, kl_trials, seed, batch_size
+        )
         kl_normal, kl_uniform = kl.kl_normal, kl.kl_uniform
 
     report = {
@@ -618,7 +615,6 @@ def build_parser():
     p_cov = sub.add_parser("coverage", help="coverage-probability sweeps")
     common(p_cov)
     p_cov.add_argument("--trials", type=int, help="Monte Carlo trials")
-    p_cov.add_argument("--workers", type=int, help="parallel simulation workers")
     p_cov.add_argument("--sweep", choices=("theta", "lambda", "R", "h", "N"))
     p_cov.add_argument("--from", dest="start", type=float, help="sweep start")
     p_cov.add_argument("--to", dest="stop", type=float, help="sweep end (inclusive)")

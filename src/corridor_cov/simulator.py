@@ -8,7 +8,9 @@ height studies, KL model comparison, and measurement-trace replay.
 Reproducibility: every entry point runs its trials through `_map_batches` in
 fixed-size batches; batch b draws from the counter-based substream
 Philox(key=seed).jumped(b), so the same master seed gives bit-identical
-results regardless of worker parallelism.  Within a batch the UAV count of
+results however many threads run the batches.  `_map_batches` runs one
+thread per CPU the process may use, and no more than there are batches;
+`taskset` limits it.  Within a batch the UAV count of
 every trial is drawn first (HPPP only; BPP and Disc2D counts are fixed).
 The trials are then sorted stably by count, and every per-UAV quantity is
 drawn as one flat array of counts.sum() values, holding the UAVs of the
@@ -25,14 +27,15 @@ order per entry point:
   model would draw), shadowing, then fading.
 - `trace_replay`: positions, then fading ("redraw" mode only); the trace
   supplies everything else.
-- `synthesize_trace` draws from batch 0's substream: heights, shadowing,
-  then fading (when requested).
+- `synthesize_trace` draws from batch 0's substream: heights, then
+  shadowing.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -72,7 +75,6 @@ __all__ = [
     "kl_divergence",
     "fit_normal_height",
     "fit_uniform_height",
-    "sir_distribution",
     "synthesize_trace",
     "trace_replay",
 ]
@@ -114,11 +116,19 @@ def _check_policy(policy):
 # ---------------------------------------------------------------------------
 
 
-def _map_batches(fn, trials, batch_size, seed, workers=1):
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_batches(fn, trials, batch_size, seed):
     """[fn(rng_b, size_b) for each batch b], in batch order.
 
     Batch b holds `batch_size` trials (the last one the remainder) and draws
-    from `_substream(seed, b)`, so the results do not depend on `workers`.
+    from `_substream(seed, b)`, so the results do not depend on the thread
+    count: min(number of batches, `_cpu_count()`).
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -129,8 +139,9 @@ def _map_batches(fn, trials, batch_size, seed, workers=1):
     def run(b):
         return fn(_substream(seed, b), sizes[b])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(len(sizes), _cpu_count())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(len(sizes))))
     return [run(b) for b in range(len(sizes))]
 
@@ -254,7 +265,6 @@ def simulate_sir(
     seed,
     policy=MAX_POWER,
     batch_size=DEFAULT_BATCH_SIZE,
-    workers=1,
     theta_db=None,
 ):
     """Linear SIR samples over `trials` network draws.
@@ -275,11 +285,8 @@ def simulate_sir(
         n_excluded = size - sirs.size
         return (sirs if theta_db is None else SirTally.of(sirs, theta_db)), n_excluded
 
-    parts, excluded = zip(*_map_batches(run, trials, batch_size, seed, workers))
-    if theta_db is None:
-        sirs = np.concatenate(parts)
-    else:
-        sirs = SirTally(theta_db, sum(t.above for t in parts), sum(t.n for t in parts))
+    parts, excluded = zip(*_map_batches(run, trials, batch_size, seed))
+    sirs = np.concatenate(parts) if theta_db is None else SirTally.pooled(parts)
     return sirs, int(sum(excluded))
 
 
@@ -290,7 +297,6 @@ def simulate_sir_paired(
     trials,
     seed,
     batch_size=DEFAULT_BATCH_SIZE,
-    workers=1,
 ):
     """SIRs under both association policies on the SAME realizations (common
     random numbers).  Returns (sir_max_power, sir_min_distance,
@@ -308,7 +314,7 @@ def simulate_sir_paired(
         )
         return sir_mp, sir_md, disagree
 
-    results = _map_batches(run, trials, batch_size, seed, workers)
+    results = _map_batches(run, trials, batch_size, seed)
     sir_mp, sir_md, disagree = (np.concatenate(col) for col in zip(*results))
     if len(disagree) == 0:
         raise ParameterError("no SIR samples (all realizations empty?)")
@@ -350,6 +356,11 @@ class SirTally:
         above = [np.count_nonzero(sirs > th) for th in db_to_linear(theta_db)]
         return cls(theta_db, np.array(above, dtype=np.int64), len(sirs))
 
+    @classmethod
+    def pooled(cls, tallies):
+        """One tally of the samples of several tallies on the same grid."""
+        return cls(tallies[0].theta_db, sum(t.above for t in tallies), sum(t.n for t in tallies))
+
     def __len__(self):
         return self.n
 
@@ -371,23 +382,15 @@ def coverage_from_sirs(sirs, theta_db):
 
 
 def empirical_coverage(
-    spatial,
-    geom,
-    channel,
-    theta_db,
-    trials,
-    seed,
-    policy=MAX_POWER,
-    batch_size=DEFAULT_BATCH_SIZE,
-    workers=1,
+    spatial, geom, channel, theta_db, trials, seed, batch_size=DEFAULT_BATCH_SIZE
 ):
-    """Monte Carlo coverage curve: fraction of SIR samples above each
-    threshold.  Empty HPPP realizations are excluded from the denominator;
-    single-UAV realizations count as covered (infinite SIR).  Each batch is
-    reduced to threshold counts as it is drawn; the SIRs are not kept."""
+    """Monte Carlo coverage curve under max-power association: fraction of
+    SIR samples above each threshold.  Empty HPPP realizations are excluded
+    from the denominator; single-UAV realizations count as covered (infinite
+    SIR).  Each batch is reduced to threshold counts as it is drawn; the
+    SIRs are not kept."""
     tally, _ = simulate_sir(
-        spatial, geom, channel, trials, seed, policy=policy, batch_size=batch_size,
-        workers=workers, theta_db=theta_db,
+        spatial, geom, channel, trials, seed, batch_size=batch_size, theta_db=theta_db
     )
     return coverage_from_sirs(tally, theta_db)
 
@@ -413,8 +416,6 @@ def variable_height_study(
     theta_db,
     trials,
     seed,
-    policy=MAX_POWER,
-    workers=1,
 ):
     """Coverage under a fixed height vs a variable-height model.
 
@@ -424,12 +425,8 @@ def variable_height_study(
     """
     geom_fixed = CorridorGeometry(R, FixedHeight(fixed_h))
     geom_var = CorridorGeometry(R, height_model)
-    fixed = empirical_coverage(
-        spatial, geom_fixed, channel, theta_db, trials, seed, policy=policy, workers=workers
-    )
-    var = empirical_coverage(
-        spatial, geom_var, channel, theta_db, trials, seed, policy=policy, workers=workers
-    )
+    fixed = empirical_coverage(spatial, geom_fixed, channel, theta_db, trials, seed)
+    var = empirical_coverage(spatial, geom_var, channel, theta_db, trials, seed)
     return HeightStudyResult(fixed=fixed, variable=var, max_gap=fixed.max_gap(var))
 
 
@@ -447,9 +444,6 @@ class HeightKlResult:
     uniform_high: float
     kl_normal: float
     kl_uniform: float
-    sir_true: "EmpiricalDistribution"
-    sir_normal: "EmpiricalDistribution"
-    sir_uniform: "EmpiricalDistribution"
 
 
 def height_model_kl_study(
@@ -459,7 +453,6 @@ def height_model_kl_study(
     channel,
     trials,
     seed,
-    edges_db=None,
     batch_size=DEFAULT_BATCH_SIZE,
 ):
     """KL comparison of fitted Normal vs Uniform height models.
@@ -476,9 +469,7 @@ def height_model_kl_study(
     data = np.sort(np.asarray(data_heights, dtype=float))
     mu, sigma = fit_normal_height(data)
     lo, hi = fit_uniform_height(data)
-    if edges_db is None:
-        edges_db = np.arange(-30.0, 30.5, 1.0)
-    edges_db = np.asarray(edges_db, dtype=float)
+    edges_db = np.arange(-30.0, 30.5, 1.0)
     data_probs = np.linspace(0.0, 1.0, len(data))
 
     def transforms(u):
@@ -498,24 +489,14 @@ def height_model_kl_study(
         hists = {}
         for key, heights in transforms(u_h).items():
             powers, d2 = _rx_powers(pos, heights, shadowing, channel)
-            sir = _sirs(layout, powers, d2, fading, MAX_POWER)
-            sir_db = linear_to_db(sir[np.isfinite(sir) & (sir > 0)])
-            # np.histogram drops the SIRs that fall outside the grid
-            hists[key] = np.histogram(sir_db, bins=edges_db)[0]
+            hists[key] = _sir_db_counts(_sirs(layout, powers, d2, fading, MAX_POWER), edges_db)
         return hists
 
     batches = _map_batches(run, trials, batch_size, seed)
-    dists = {}
-    widths = np.diff(edges_db)
-    for key in batches[0]:
-        counts_k = sum(hists[key] for hists in batches)
-        n_kept = int(counts_k.sum())
-        if n_kept == 0:
-            raise ParameterError("no SIR samples fell inside the histogram grid")
-        dists[key] = EmpiricalDistribution(
-            edges=edges_db, density=counts_k / (n_kept * widths), n_samples=n_kept
-        )
-
+    dists = {
+        key: EmpiricalDistribution.from_counts(sum(hists[key] for hists in batches), edges_db)
+        for key in batches[0]
+    }
     return HeightKlResult(
         mu=mu,
         sigma=sigma,
@@ -523,9 +504,6 @@ def height_model_kl_study(
         uniform_high=hi,
         kl_normal=kl_divergence(dists["true"], dists["normal"]),
         kl_uniform=kl_divergence(dists["true"], dists["uniform"]),
-        sir_true=dists["true"],
-        sir_normal=dists["normal"],
-        sir_uniform=dists["uniform"],
     )
 
 
@@ -551,36 +529,32 @@ class EmpiricalDistribution:
     n_samples: int = 0
 
     @classmethod
+    def from_counts(cls, counts, edges):
+        """The density of per-bin sample counts on the grid `edges`."""
+        n = int(counts.sum())
+        if n == 0:
+            raise ParameterError("no samples fall inside the histogram grid")
+        return cls(edges=edges, density=counts / (n * np.diff(edges)), n_samples=n)
+
+    @classmethod
     def from_samples(cls, samples, edges):
         samples = np.asarray(samples, dtype=float)
         edges = np.asarray(edges, dtype=float)
-        finite = samples[np.isfinite(samples)]
-        inside = finite[(finite >= edges[0]) & (finite <= edges[-1])]
-        if len(inside) == 0:
-            raise ParameterError("no samples fall inside the histogram grid")
-        counts, _ = np.histogram(inside, bins=edges)
-        widths = np.diff(edges)
-        density = counts / (counts.sum() * widths)
-        return cls(edges=edges, density=density, n_samples=len(inside))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.density) - 1)
-        out = np.where((x >= self.edges[0]) & (x <= self.edges[-1]), self.density[idx], 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x):
-        widths = np.diff(self.edges)
-        cum = np.concatenate([[0.0], np.cumsum(self.density * widths)])
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.edges, cum)
-        return float(out) if out.ndim == 0 else out
+        # np.histogram drops the samples outside the grid
+        return cls.from_counts(np.histogram(samples[np.isfinite(samples)], bins=edges)[0], edges)
 
 
-def kl_divergence(p: EmpiricalDistribution, q: EmpiricalDistribution, epsilon=1e-12):
+def _sir_db_counts(sirs, edges_db):
+    """Counts per dB bin of the linear SIRs; infinite SIRs and those outside
+    the grid are dropped."""
+    kept = sirs[np.isfinite(sirs) & (sirs > 0)]
+    return np.histogram(linear_to_db(kept), bins=edges_db)[0]
+
+
+def kl_divergence(p: EmpiricalDistribution, q: EmpiricalDistribution):
     """KL(p || q) in nats on a shared grid.
 
-    q-bins that are empty where p has mass get an additive epsilon so the
+    q-bins that are empty where p has mass get an additive 1e-12 so the
     sum stays finite; bins are otherwise untouched, which keeps KL(p, p)
     exactly zero and preserves the Gibbs bound KL >= 0.
     """
@@ -588,16 +562,8 @@ def kl_divergence(p: EmpiricalDistribution, q: EmpiricalDistribution, epsilon=1e
         raise GridMismatchError("KL divergence needs a shared bin grid")
     widths = np.diff(p.edges)
     mask = p.density > 0
-    qd = np.maximum(q.density[mask], epsilon)
+    qd = np.maximum(q.density[mask], 1e-12)
     return float(np.sum(p.density[mask] * np.log(p.density[mask] / qd) * widths[mask]))
-
-
-def sir_distribution(sirs, edges_db):
-    """Empirical SIR pdf in dB from linear SIR samples (infinite SIRs are
-    outside any finite grid and are dropped)."""
-    sirs = np.asarray(sirs, dtype=float)
-    finite = sirs[np.isfinite(sirs) & (sirs > 0)]
-    return EmpiricalDistribution.from_samples(linear_to_db(finite), np.asarray(edges_db, float))
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +669,8 @@ class Trace:
         return np.where(pick_right, right, left)
 
 
-def synthesize_trace(geom, channel, spacing, seed, include_fading=False):
-    """Model-generated trace: one shadowing (and optionally fading) draw per
+def synthesize_trace(geom, channel, spacing, seed):
+    """Model-generated trace without fast fading: one shadowing draw per
     recorded position, powers from the channel model, heights from the
     geometry's height model.  Used for replay closure tests."""
     rng = _substream(seed, 0)
@@ -713,8 +679,6 @@ def synthesize_trace(geom, channel, spacing, seed, include_fading=False):
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
     shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n)
     powers, _ = _rx_powers(pos, heights, shadowing, channel)
-    if include_fading:
-        powers = powers * rng.gamma(channel.m, 1.0 / channel.m, n)
     actual_spacing = pos[1] - pos[0]
     return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=actual_spacing / 2)
 
@@ -736,7 +700,6 @@ def trace_replay(
     policy=MAX_POWER,
     fading_mode="redraw",
     m=1.0,
-    sir_edges_db=None,
     batch_size=DEFAULT_BATCH_SIZE,
 ):
     """Emulate a multi-UAV network from a recorded trace.
@@ -746,7 +709,8 @@ def trace_replay(
     serves and the rest interfere.  fading_mode="redraw" draws fresh
     Nakagami-m fading per mapped UAV (matching the simulator's SIR
     convention); "fromtrace" uses the recorded powers as-is, i.e. whatever
-    fast fading the trace embeds.
+    fast fading the trace embeds.  Each batch is reduced to threshold counts
+    and SIR histogram counts (0.5 dB bins over -40..40 dB) as it is drawn.
     """
     _check_policy(policy)
     if fading_mode not in ("redraw", "fromtrace"):
@@ -756,9 +720,8 @@ def trace_replay(
             f"trace extent [{trace.position_m[0]:.6g}, {trace.position_m[-1]:.6g}] m "
             f"does not cover the corridor [-{geom.R:.6g}, {geom.R:.6g}] m"
         )
-    if sir_edges_db is None:
-        sir_edges_db = np.arange(-40.0, 40.5, 0.5)
-
+    theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
+    edges_db = np.arange(-40.0, 40.5, 0.5)
     trace_power = np.asarray(db_to_linear(trace.rx_power_dbm))
     trace_d2 = trace.position_m**2 + trace.height_m**2
 
@@ -769,9 +732,11 @@ def trace_replay(
             fading = rng.gamma(m, 1.0 / m, pos.shape)
         else:
             fading = np.ones(pos.shape)
-        return _sirs(_Layout(counts), trace_power[idx], trace_d2[idx], fading, policy)
+        sirs = _sirs(_Layout(counts), trace_power[idx], trace_d2[idx], fading, policy)
+        return SirTally.of(sirs, theta_db), _sir_db_counts(sirs, edges_db)
 
-    sirs = np.concatenate(_map_batches(run, trials, batch_size, seed))
-    curve = coverage_from_sirs(sirs, theta_db)
-    dist_est = sir_distribution(sirs, sir_edges_db)
-    return ReplayResult(coverage=curve, sir=dist_est, n_trials=len(sirs))
+    tallies, hists = zip(*_map_batches(run, trials, batch_size, seed))
+    tally = SirTally.pooled(tallies)
+    curve = coverage_from_sirs(tally, theta_db)
+    dist_est = EmpiricalDistribution.from_counts(sum(hists), edges_db)
+    return ReplayResult(coverage=curve, sir=dist_est, n_trials=tally.n)

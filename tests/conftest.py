@@ -50,6 +50,32 @@ def hmodel(geom, channel):
     return hppp_model(DEFAULT_LAMBDA, geom, channel)
 
 
+@pytest.fixture()
+def set_cpus(monkeypatch):
+    """set_cpus(n) makes the simulator see n CPUs, as `taskset` would."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus
+
+
+@pytest.fixture()
+def thread_pools(monkeypatch):
+    """The thread count of every pool the simulator starts, in order."""
+    from corridor_cov import simulator
+
+    pools = []
+
+    class RecordingPool(simulator.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
 def checkout_env():
     """The environment with this checkout's src first on PYTHONPATH, so that
     a subprocess imports the code under test, not an installed copy."""

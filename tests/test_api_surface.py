@@ -62,6 +62,9 @@ REMOVED = [
     "core.fading_distribution",
     "core.NakagamiFadingPower.sf",
     "quadrature.IntegralResult.__float__",
+    "simulator.sir_distribution",
+    "simulator.EmpiricalDistribution.pdf",
+    "simulator.EmpiricalDistribution.cdf",
 ]
 
 
@@ -74,6 +77,37 @@ def test_removed_names_are_gone(path):
     assert not hasattr(owner, name)
     assert not hasattr(corridor_cov, name)
     assert name not in getattr(mod, "__all__", ())
+
+
+# Settings that are derived (the thread count is the CPU count) or that no
+# caller set.
+REMOVED_PARAMETERS = [
+    ("_map_batches", "workers"),
+    ("simulate_sir", "workers"),
+    ("simulate_sir_paired", "workers"),
+    ("empirical_coverage", "workers"),
+    ("empirical_coverage", "policy"),
+    ("variable_height_study", "workers"),
+    ("variable_height_study", "policy"),
+    ("height_model_kl_study", "edges_db"),
+    ("trace_replay", "sir_edges_db"),
+    ("synthesize_trace", "include_fading"),
+    ("kl_divergence", "epsilon"),
+]
+
+
+@pytest.mark.parametrize("function, parameter", REMOVED_PARAMETERS)
+def test_removed_parameters_are_gone(function, parameter):
+    from corridor_cov import simulator
+
+    assert parameter not in inspect.signature(getattr(simulator, function)).parameters
+
+
+def test_kl_result_keeps_no_distributions():
+    from corridor_cov import simulator
+
+    fields = {f.name for f in dataclasses.fields(simulator.HeightKlResult)}
+    assert fields.isdisjoint({"sir_true", "sir_normal", "sir_uniform"})
 
 
 def test_coverage_curves_carry_no_provenance():

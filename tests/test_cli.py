@@ -78,6 +78,16 @@ class TestCoverageCommand:
     def test_unknown_method_is_config_error(self):
         assert run_cli(["coverage", "--methods", "telepathy"]) == 2
 
+    @pytest.mark.parametrize("method", ["montecarlo", "single_dominant"])
+    def test_undocumented_method_spellings_are_gone(self, method):
+        assert run_cli(["coverage", "--methods", method]) == 2
+
+    def test_workers_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "workers.ini"
+        cfg.write_text("[run]\nworkers = 2\n")
+        assert run_cli(["coverage", "--config", str(cfg)]) == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_dominant_requires_bpp(self, tmp_path):
         cfg = tmp_path / "hppp.ini"
         cfg.write_text("[spatial]\nmodel = hppp\nintensity = 0.01\n")
@@ -137,15 +147,22 @@ class TestCoverageCommand:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[4] == "1"  # flag wins over file
 
-    def test_zero_batch_size_is_config_error(self, tmp_path, capsys):
+    def test_zero_batch_size_is_config_error(self, tmp_path, trace_csv, capsys):
         cfg = tmp_path / "batch.ini"
-        cfg.write_text("[run]\ntrials = 1000\nbatch_size = 0\n")
-        code = run_cli(
-            ["coverage", "--config", str(cfg), "--methods", "mc",
-             "--sweep", "theta", "--values", "-3"]
+        cfg.write_text(
+            "[geometry]\nr = 200\nheight = 200\n\n[run]\ntrials = 1000\nbatch_size = 0\n\n"
+            "[height_study]\ncount = 1000\ncurve_trials = 1000\nkl_trials = 1000\n"
         )
-        assert code == 2
-        assert "batch_size" in capsys.readouterr().err
+        for argv in (
+            ["coverage", "--methods", "mc", "--sweep", "theta", "--values", "-3"],
+            ["replay", "--trace", trace_csv],
+            ["height-study"],
+        ):
+            code = run_cli(argv + ["--config", str(cfg)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "batch_size" in captured.err
+            assert captured.out == ""
 
 
 class TestReplayCommand:
@@ -260,29 +277,22 @@ class TestHeightStudyCommand:
         assert not out.exists() and not (tmp_path / "hs_report.json").exists()
         assert capsys.readouterr().out == ""
 
-    def test_workers_reach_the_simulator_and_keep_rows(self, tmp_path, monkeypatch):
-        # 70,000 trials run as two batches, one per worker at workers = 2
-        seen = []
-        simulate = cli.simulator.empirical_coverage
-
-        def recorded(*args, **kwargs):
-            seen.append(kwargs.get("workers"))
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(cli.simulator, "empirical_coverage", recorded)
+    def test_rows_do_not_depend_on_cpus(self, tmp_path, set_cpus, thread_pools):
+        # 70,000 trials run as two batches, one per thread on 2 CPUs
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(
+            "[height_study]\ndist = normal\nmean = 200\nsigma = 0\n"
+            "count = 1000\nr = 200\ncurve_trials = 70000\nkl_trials = 1000\n\n"
+            "[sweep]\naxis = theta\nvalues = -3\n"
+        )
         rows = []
-        for workers in (1, 2):
-            cfg = tmp_path / f"hs{workers}.ini"
-            cfg.write_text(
-                "[height_study]\ndist = normal\nmean = 200\nsigma = 0\n"
-                "count = 1000\nr = 200\ncurve_trials = 70000\nkl_trials = 1000\n\n"
-                f"[run]\nworkers = {workers}\n\n[sweep]\naxis = theta\nvalues = -3\n"
-            )
-            out = tmp_path / f"hs{workers}.csv"
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            out = tmp_path / f"hs{cpus}.csv"
             assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 0
-            rows.append([line.split(",") for line in out.read_text().strip().splitlines()[1:]])
-        assert seen == [1, 2]
-        assert [r[:5] for r in rows[0]] == [r[:5] for r in rows[1]]
+            rows.append(out.read_text())
+        assert thread_pools == [2]
+        assert rows[0] == rows[1]
 
     def test_too_few_samples_is_data_error(self, tmp_path):
         cfg = tmp_path / "hs.ini"
@@ -304,14 +314,15 @@ class TestHeightStudyCommand:
         assert report["fitted_normal"]["mu"] == pytest.approx(200.0, abs=1e-9)
 
 
-# height-study takes its trial counts from [height_study]; only coverage
-# runs Monte Carlo workers
+# height-study takes its trial counts from [height_study]; the Monte Carlo
+# thread count is the CPU count, so no command takes a worker count
 @pytest.mark.parametrize(
     "argv",
     [
         ["height-study", "--trials", "1000"],
         ["height-study", "--workers", "2"],
         ["replay", "--trace", "trace.csv", "--workers", "2"],
+        ["coverage", "--workers", "2"],
     ],
 )
 def test_flags_a_command_ignores_are_rejected(argv, capsys):

@@ -34,6 +34,7 @@ from corridor_cov.simulator import (
     _Layout,
     _combine_sir,
     _draw_positions,
+    _map_batches,
     _realize_batch,
     _substream,
 )
@@ -210,11 +211,12 @@ class TestEmpiricalCoverage:
         assert np.all(np.diff(curve.coverage) <= 0.0)
 
     @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.0005)])
-    def test_streamed_curve_equals_curve_of_all_sirs(self, geom, channel, spatial):
+    def test_streamed_curve_equals_curve_of_all_sirs(self, geom, channel, spatial, set_cpus):
         # per-batch threshold counts must give the curve of the pooled SIRs
         # bit for bit; lam|L| = 0.5 leaves ~61% of HPPP trials empty
+        set_cpus(2)
         thetas = np.arange(-10.0, 11.0, 2.5)
-        kwargs = dict(seed=30, batch_size=3000, workers=2)
+        kwargs = dict(seed=30, batch_size=3000)
         streamed = empirical_coverage(spatial, geom, channel, thetas, 20_000, **kwargs)
         sirs, _ = simulate_sir(spatial, geom, channel, 20_000, **kwargs)
         pooled = coverage_from_sirs(sirs, thetas)
@@ -248,11 +250,11 @@ class TestEmpiricalCoverage:
         b, _ = simulate_sir(BPP(10), geom, channel, 30_000, seed=16)
         assert np.array_equal(a, b)
 
-    def test_worker_count_does_not_change_results(self, geom, channel):
+    def test_worker_count_does_not_change_results(self, geom, channel, set_cpus):
+        set_cpus(1)
         a, _ = simulate_sir(FiniteHPPP(0.01), geom, channel, 70_000, seed=17, batch_size=2**14)
-        b, _ = simulate_sir(
-            FiniteHPPP(0.01), geom, channel, 70_000, seed=17, batch_size=2**14, workers=2
-        )
+        set_cpus(2)
+        b, _ = simulate_sir(FiniteHPPP(0.01), geom, channel, 70_000, seed=17, batch_size=2**14)
         assert np.array_equal(a, b)
 
     def test_hppp_exclusions_counted(self, geom, channel):
@@ -364,6 +366,38 @@ class TestBatchRunner:
         # is no disagreement fraction to report
         with pytest.raises(ParameterError, match="no SIR samples"):
             simulate_sir_paired(FiniteHPPP(1e-7), geom, channel, 100, seed=3)
+
+
+class TestCpuCount:
+    @pytest.mark.parametrize(
+        "trials, cpus, threads", [(100, 4, []), (400, 1, []), (300, 2, [2]), (500, 8, [5])]
+    )
+    def test_threads_are_min_of_batches_and_cpus(self, set_cpus, thread_pools, trials, cpus, threads):
+        set_cpus(cpus)
+        sizes = _map_batches(lambda rng, size: size, trials, 100, seed=1)
+        assert sizes == [100] * (trials // 100)
+        assert thread_pools == threads
+
+    def test_replay_and_kl_study_do_not_depend_on_cpus(self, channel, set_cpus):
+        data = np.random.default_rng(8).normal(200.0, 15.0, 2000)
+        geom = CorridorGeometry(200.0, FixedHeight(200.0))
+        trace = synthesize_trace(geom, channel, spacing=0.05, seed=9)
+        results = []
+        for cpus in (1, 4):
+            set_cpus(cpus)
+            kl = height_model_kl_study(
+                FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=10, batch_size=4096
+            )
+            out = [kl.kl_normal, kl.kl_uniform]
+            for fading_mode in ("redraw", "fromtrace"):
+                res = trace_replay(
+                    trace, FiniteHPPP(0.025), geom, 20_000, [-3.0, 0.0, 3.0], seed=11,
+                    fading_mode=fading_mode, batch_size=4096,
+                )
+                out += [res.coverage.coverage, res.coverage.stderr, res.sir.density, res.n_trials]
+            results.append(out)
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
 
 
 class TestPinnedStreams:
