@@ -10,14 +10,14 @@ fixed-size batches; batch b draws from the counter-based substream
 Philox(key=seed).jumped(b), so the same master seed gives bit-identical
 results however many threads run the batches.  `_map_batches` runs one
 thread per CPU the process may use, and no more than there are batches;
-`taskset` limits it.  Within a batch the UAV count of
-every trial is drawn first (HPPP only; BPP and Disc2D counts are fixed).
-The trials are then sorted stably by count, and every per-UAV quantity is
-drawn as one flat array of counts.sum() values, holding the UAVs of the
-sorted trials one after another.  The trials of each count form a dense
-block, with no padding; SIRs are returned in trial order.  A BPP or Disc2D
-batch is one block in trial order.  The per-UAV draws come in a fixed
-order per entry point:
+`taskset` limits it.  With CORRIDOR_COV_LOG=debug it logs one line per
+call.  Within a batch the UAV count of every trial is drawn first (HPPP
+only; BPP and Disc2D counts are fixed).  The trials are then sorted stably
+by count, and every per-UAV quantity is drawn as one flat stream of
+counts.sum() values, holding the UAVs of the sorted trials one after
+another.  The trials of each count form a dense block, with no padding;
+SIRs are returned in trial order.  A BPP or Disc2D batch is one block in
+trial order.  The per-UAV draws come in a fixed order per entry point:
 
 - `simulate_sir` and `simulate_sir_paired`: positions, heights, shadowing,
   then fading.  Shadowing is applied at realization time (association
@@ -29,13 +29,35 @@ order per entry point:
   supplies everything else.
 - `synthesize_trace` draws from batch 0's substream: heights, then
   shadowing.
+
+Memory: the blocks are cut at trial boundaries into pieces of about
+`_PIECE_UAVS` UAVs, and the per-UAV work after the whole-batch draws runs
+piece by piece.  Gamma draws made piece by piece give the values of one
+whole-batch call and leave the stream where it would, so the draw order
+above holds.  Besides the per-trial counts and sort order, these per-UAV
+arrays span a batch:
+
+- `simulate_sir`, max-power: one array, which holds the positions, then the
+  squared distances, then the powers (drawn heights add a second until the
+  distances are formed);
+- `simulate_sir`, min-distance, and `simulate_sir_paired`: the squared
+  distances and the powers;
+- `height_model_kl_study`: the positions, the height uniforms and the
+  shadowing;
+- `trace_replay`: the positions.
+
+Everything else (shadowing in `simulate_sir` and `simulate_sir_paired`,
+fading, faded powers, serving indices, SIRs, tallies and histogram counts)
+is per piece.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -81,9 +103,16 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 1 << 16
 
+# UAVs per piece of a batch (see `_Layout`): the per-piece arrays of 2**15
+# float64 values, 256 KiB each, stay in a 2 MiB L2 cache together.
+_PIECE_UAVS = 1 << 15
+
 MAX_POWER = "max_power"
 MIN_DISTANCE = "min_distance"
 _POLICIES = (MAX_POWER, MIN_DISTANCE)
+
+
+log = logging.getLogger(__name__)
 
 
 class GridMismatchError(ValueError):
@@ -123,18 +152,22 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _map_batches(fn, trials, batch_size, seed):
-    """[fn(rng_b, size_b) for each batch b], in batch order.
+def _map_batches(entry, fn, trials, batch_size, seed):
+    """([result_b for each batch b], kept): fn(rng_b, size_b) returns
+    (result_b, kept_b), kept_b being the number of the batch's trials with at
+    least one UAV.
 
     Batch b holds `batch_size` trials (the last one the remainder) and draws
     from `_substream(seed, b)`, so the results do not depend on the thread
-    count: min(number of batches, `_cpu_count()`).
+    count: min(number of batches, `_cpu_count()`).  Logs one debug line per
+    call, naming the calling `entry` point.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if batch_size < 1:
         raise ParameterError("batch_size must be >= 1")
-    sizes = [min(batch_size, trials - start) for start in range(0, trials, batch_size)]
+    start = time.perf_counter()
+    sizes = [min(batch_size, trials - first) for first in range(0, trials, batch_size)]
 
     def run(b):
         return fn(_substream(seed, b), sizes[b])
@@ -142,8 +175,16 @@ def _map_batches(fn, trials, batch_size, seed):
     threads = min(len(sizes), _cpu_count())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(sizes))))
-    return [run(b) for b in range(len(sizes))]
+            batches = list(pool.map(run, range(len(sizes))))
+    else:
+        batches = [run(b) for b in range(len(sizes))]
+    results, kept_per_batch = zip(*batches)
+    kept = sum(kept_per_batch)
+    log.debug(
+        "%s: %d trials in %d batches on %d threads, %d kept, %d excluded, %.3f s",
+        entry, trials, len(sizes), threads, kept, trials - kept, time.perf_counter() - start,
+    )
+    return list(results), kept
 
 
 def _draw_positions(spatial, geom, rng, size):
@@ -166,13 +207,14 @@ def _draw_positions(spatial, geom, rng, size):
 
 
 class _Layout:
-    """Count-sorted layout of one batch.
+    """Count-sorted layout of one batch, cut into pieces.
 
     The trials are sorted stably by UAV count, and every flat per-UAV array
     of the batch holds the UAVs of the sorted trials one after another.  The
     trials of each count c > 0 then form one contiguous slice, which reshapes
     without a copy into a dense (n_c, c) block.  A BPP or Disc2D batch is one
-    block in trial order.
+    block in trial order.  Each block is cut at trial boundaries into
+    pieces of at most max(_PIECE_UAVS, c) UAVs.
     """
 
     def __init__(self, counts):
@@ -181,26 +223,30 @@ class _Layout:
         # faster than the timsort it uses for int64 keys
         key = counts.astype(np.int16) if counts.max(initial=0) < 2**15 else counts
         self.order = np.argsort(key, kind="stable")
-        self.sorted_counts = counts[self.order]
         n_trials = np.bincount(counts)  # per count c
         n_uavs = n_trials * np.arange(n_trials.size)
-        first_trial = np.cumsum(n_trials) - n_trials
         first_uav = np.cumsum(n_uavs) - n_uavs
         self._blocks = [
-            (c, int(first_trial[c]), int(n_trials[c]), int(first_uav[c]))
-            for c in range(1, n_trials.size)
-            if n_trials[c]
+            (c, int(n_trials[c]), int(first_uav[c])) for c in range(1, n_trials.size) if n_trials[c]
         ]
+        self.kept = sum(k for _, k, _ in self._blocks)
+        # no piece holds more than the batch, or than max(_PIECE_UAVS, c)
+        self._largest_piece = min(int(n_uavs.sum()), max(_PIECE_UAVS, n_trials.size - 1))
 
-    def blocks(self, *flat):
-        """Per block: its trials' counts, then the dense (n_c, c) view of each
-        flat per-UAV array."""
-        for c, f, k, start in self._blocks:
-            views = (a[start : start + k * c].reshape(k, c) for a in flat)
-            yield (self.sorted_counts[f : f + k], *views)
+    def pieces(self, *flat):
+        """Per piece, in the flat order: the dense (rows, c) view of each flat
+        per-UAV array (None stays None), then a scratch array of that shape,
+        which the next piece reuses."""
+        buf = np.empty(self._largest_piece)
+        for c, k, start in self._blocks:
+            step = max(1, _PIECE_UAVS // c)
+            for first in range(0, k, step):
+                uavs = slice(start + first * c, start + min(k, first + step) * c)
+                views = [None if a is None else a[uavs].reshape(-1, c) for a in flat]
+                yield (*views, buf[: uavs.stop - uavs.start].reshape(-1, c))
 
     def unsort(self, parts):
-        """Per-trial values, given block by block, in trial order; empty
+        """Per-trial values, given piece by piece, in trial order; empty
         trials are dropped."""
         values = np.concatenate(parts) if parts else np.empty(0)
         out = np.empty(self.counts.size, values.dtype)
@@ -208,52 +254,72 @@ class _Layout:
         return out[self.counts > 0]
 
 
+def _gamma(rng, shape, scale, out):
+    """Gamma(shape, scale) values drawn into `out`.  Successive calls give
+    the values of one rng.gamma(shape, scale, n) call for all of them, and
+    leave the stream where that call would."""
+    rng.standard_gamma(shape, out=out)
+    out *= scale
+    return out
+
+
 def _rx_powers(pos, heights, shadowing, channel):
-    """(S * K * (d^2)^(-alpha/2), d^2): received powers without fast fading,
-    and squared link distances, for UAVs at corridor coordinates `pos` and
-    `heights`.  d^2 orders the links as the distances do."""
+    """S * K * (d^2)^(-alpha/2): received powers without fast fading, for
+    UAVs at corridor coordinates `pos` and `heights`."""
     d2 = pos * pos + heights * heights
-    return shadowing * channel.k_factor * d2 ** (-0.5 * channel.alpha), d2
+    return shadowing * channel.k_factor * d2 ** (-0.5 * channel.alpha)
 
 
-def _realize_batch(spatial, geom, channel, size, rng):
-    """One batch of `size` realizations: (powers, d2, counts), the per-UAV
-    arrays flat in the count-sorted order of `_Layout`.  A fixed height draws
-    nothing and enters as a scalar, which gives the same d2."""
+def _draw_batch(spatial, geom, channel, size, rng, keep_d2):
+    """One batch of `size` realizations, drawn as far as association needs:
+    (layout, powers, d2).
+
+    Counts, positions, heights and shadowing are drawn in that order, each
+    for the whole batch; the shadowing piece by piece.  `powers` are the
+    values of `_rx_powers`, their products grouped alike as
+    (S * K) * (d^2)^(-alpha/2), flat per UAV in the order of `layout`.  They
+    are written over the positions unless `keep_d2`, which keeps the squared
+    link distances as `d2` (None otherwise).  A fixed height draws nothing
+    and enters as a scalar, which gives the same d2.
+    """
     pos, counts = _draw_positions(spatial, geom, rng, size)
+    layout = _Layout(counts)
     model = geom.height_model
     heights = model.h if isinstance(model, FixedHeight) else model.sample(rng, pos.shape)
-    shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
-    powers, d2 = _rx_powers(pos, heights, shadowing, channel)
-    return powers, d2, counts
+    d2 = pos  # formed in place
+    d2 *= d2
+    d2 += heights * heights
+    powers = np.empty_like(d2) if keep_d2 else d2
+    for d, p, scratch in layout.pieces(d2, powers):
+        shadowing = _gamma(rng, channel.q, 1.0 / channel.gamma, scratch)
+        np.divide(1.0, shadowing, out=shadowing)
+        shadowing *= channel.k_factor
+        if keep_d2:
+            p[...] = d
+        p **= -0.5 * channel.alpha
+        p *= shadowing
+    return layout, powers, d2 if keep_d2 else None
 
 
-def _combine_sir(powers, dist, counts, fading, policy):
-    """Linear SIR of each non-empty realization (row) of a dense block; a
-    row with no interferer gets SIR = inf.  `dist` may be the link distances
-    or any increasing function of them, such as d^2.  `fading` is an array of
-    the block's shape or a scalar.  Ties break to the lowest index."""
-    if policy == MAX_POWER:
-        serving = np.argmax(powers, axis=1)
-    else:
-        serving = np.argmin(dist, axis=1)
-    faded = fading * powers
+def _serving(policy, powers, dist):
+    """Index of the serving UAV of each row of a dense block: the strongest
+    without fast fading, or the nearest.  `dist` may be the link distances
+    or any increasing function of them, such as d^2.  Ties break to the
+    lowest index."""
+    return np.argmax(powers, axis=1) if policy == MAX_POWER else np.argmin(dist, axis=1)
+
+
+def _combine_sir(faded, serving):
+    """Linear SIR of each row of a dense block of faded received powers,
+    served by its UAV `serving`; a row with no interference gets SIR = inf."""
     total = faded.sum(axis=1)
-    signal = faded[np.arange(powers.shape[0]), serving]
+    signal = faded[np.arange(faded.shape[0]), serving]
     interference = np.maximum(total - signal, 0.0)
-    sir = np.divide(
+    return np.divide(
         signal,
         interference,
         out=np.full_like(signal, np.inf),
         where=interference > 0,
-    )
-    return sir[counts > 0]
-
-
-def _sirs(layout, powers, d2, fading, policy):
-    """SIR of each non-empty trial of a batch, in trial order."""
-    return layout.unsort(
-        [_combine_sir(p, d, c, f, policy) for c, p, d, f in layout.blocks(powers, d2, fading)]
     )
 
 
@@ -279,15 +345,22 @@ def simulate_sir(
         theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
 
     def run(rng, size):
-        powers, d2, counts = _realize_batch(spatial, geom, channel, size, rng)
-        fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
-        sirs = _sirs(_Layout(counts), powers, d2, fading, policy)
-        n_excluded = size - sirs.size
-        return (sirs if theta_db is None else SirTally.of(sirs, theta_db)), n_excluded
+        layout, powers, d2 = _draw_batch(
+            spatial, geom, channel, size, rng, keep_d2=policy == MIN_DISTANCE
+        )
+        parts = []
+        for p, d, scratch in layout.pieces(powers, d2):
+            faded = _gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            faded *= p
+            sirs = _combine_sir(faded, _serving(policy, p, d))
+            parts.append(sirs if theta_db is None else SirTally.of(sirs, theta_db))
+        if theta_db is None:
+            return layout.unsort(parts), layout.kept
+        return SirTally.pooled(parts, theta_db), layout.kept
 
-    parts, excluded = zip(*_map_batches(run, trials, batch_size, seed))
-    sirs = np.concatenate(parts) if theta_db is None else SirTally.pooled(parts)
-    return sirs, int(sum(excluded))
+    parts, kept = _map_batches("simulate_sir", run, trials, batch_size, seed)
+    sirs = np.concatenate(parts) if theta_db is None else SirTally.pooled(parts, theta_db)
+    return sirs, trials - kept
 
 
 def simulate_sir_paired(
@@ -304,21 +377,22 @@ def simulate_sir_paired(
     empty."""
 
     def run(rng, size):
-        powers, d2, counts = _realize_batch(spatial, geom, channel, size, rng)
-        fading = rng.gamma(channel.m, 1.0 / channel.m, powers.shape)
-        layout = _Layout(counts)
-        sir_mp = _sirs(layout, powers, d2, fading, MAX_POWER)
-        sir_md = _sirs(layout, powers, d2, fading, MIN_DISTANCE)
-        disagree = layout.unsort(
-            [np.argmax(p, axis=1) != np.argmin(d, axis=1) for _, p, d in layout.blocks(powers, d2)]
-        )
-        return sir_mp, sir_md, disagree
+        layout, powers, d2 = _draw_batch(spatial, geom, channel, size, rng, keep_d2=True)
+        sir_mp, sir_md, disagree = [], [], 0
+        for p, d, scratch in layout.pieces(powers, d2):
+            faded = _gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            faded *= p
+            i_mp, i_md = _serving(MAX_POWER, p, d), _serving(MIN_DISTANCE, p, d)
+            sir_mp.append(_combine_sir(faded, i_mp))
+            sir_md.append(_combine_sir(faded, i_md))
+            disagree += int(np.count_nonzero(i_mp != i_md))
+        return (layout.unsort(sir_mp), layout.unsort(sir_md), disagree), layout.kept
 
-    results = _map_batches(run, trials, batch_size, seed)
-    sir_mp, sir_md, disagree = (np.concatenate(col) for col in zip(*results))
-    if len(disagree) == 0:
+    results, kept = _map_batches("simulate_sir_paired", run, trials, batch_size, seed)
+    if kept == 0:
         raise ParameterError("no SIR samples (all realizations empty?)")
-    return sir_mp, sir_md, float(disagree.mean())
+    sir_mp, sir_md, disagree = zip(*results)
+    return np.concatenate(sir_mp), np.concatenate(sir_md), sum(disagree) / kept
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +431,10 @@ class SirTally:
         return cls(theta_db, np.array(above, dtype=np.int64), len(sirs))
 
     @classmethod
-    def pooled(cls, tallies):
-        """One tally of the samples of several tallies on the same grid."""
-        return cls(tallies[0].theta_db, sum(t.above for t in tallies), sum(t.n for t in tallies))
+    def pooled(cls, tallies, theta_db):
+        """One tally of the samples of several tallies on the grid `theta_db`."""
+        above = sum((t.above for t in tallies), np.zeros(theta_db.size, dtype=np.int64))
+        return cls(theta_db, above, sum(t.n for t in tallies))
 
     def __len__(self):
         return self.n
@@ -482,17 +557,19 @@ def height_model_kl_study(
 
     def run(rng, size):
         pos, counts = _draw_positions(spatial, geom, rng, size)
+        layout = _Layout(counts)
         u_h = rng.uniform(0.0, 1.0, pos.shape)
         shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
-        fading = rng.gamma(channel.m, 1.0 / channel.m, pos.shape)
-        layout = _Layout(counts)
-        hists = {}
-        for key, heights in transforms(u_h).items():
-            powers, d2 = _rx_powers(pos, heights, shadowing, channel)
-            hists[key] = _sir_db_counts(_sirs(layout, powers, d2, fading, MAX_POWER), edges_db)
-        return hists
+        hists = {key: np.zeros(edges_db.size - 1, np.int64) for key in ("true", "normal", "uniform")}
+        for x, u, s, scratch in layout.pieces(pos, u_h, shadowing):
+            fading = _gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            for key, heights in transforms(u).items():
+                powers = _rx_powers(x, heights, s, channel)
+                sirs = _combine_sir(fading * powers, _serving(MAX_POWER, powers, None))
+                hists[key] += _sir_db_counts(sirs, edges_db)
+        return hists, layout.kept
 
-    batches = _map_batches(run, trials, batch_size, seed)
+    batches, _ = _map_batches("height_model_kl_study", run, trials, batch_size, seed)
     dists = {
         key: EmpiricalDistribution.from_counts(sum(hists[key] for hists in batches), edges_db)
         for key in batches[0]
@@ -678,7 +755,7 @@ def synthesize_trace(geom, channel, spacing, seed):
     pos = np.linspace(-geom.R, geom.R, n)
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
     shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n)
-    powers, _ = _rx_powers(pos, heights, shadowing, channel)
+    powers = _rx_powers(pos, heights, shadowing, channel)
     actual_spacing = pos[1] - pos[0]
     return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=actual_spacing / 2)
 
@@ -727,16 +804,25 @@ def trace_replay(
 
     def run(rng, size):
         pos, counts = _draw_positions(spatial, geom, rng, size)
-        idx = trace.nearest_index(pos)
-        if fading_mode == "redraw":
-            fading = rng.gamma(m, 1.0 / m, pos.shape)
-        else:
-            fading = np.ones(pos.shape)
-        sirs = _sirs(_Layout(counts), trace_power[idx], trace_d2[idx], fading, policy)
-        return SirTally.of(sirs, theta_db), _sir_db_counts(sirs, edges_db)
+        layout = _Layout(counts)
+        tallies, hist = [], np.zeros(edges_db.size - 1, dtype=np.int64)
+        for x, scratch in layout.pieces(pos):
+            idx = trace.nearest_index(x)
+            powers = trace_power[idx]
+            if fading_mode == "redraw":
+                faded = _gamma(rng, m, 1.0 / m, scratch)
+                faded *= powers
+            else:
+                faded = powers
+            d2 = trace_d2[idx] if policy == MIN_DISTANCE else None
+            sirs = _combine_sir(faded, _serving(policy, powers, d2))
+            tallies.append(SirTally.of(sirs, theta_db))
+            hist += _sir_db_counts(sirs, edges_db)
+        return (SirTally.pooled(tallies, theta_db), hist), layout.kept
 
-    tallies, hists = zip(*_map_batches(run, trials, batch_size, seed))
-    tally = SirTally.pooled(tallies)
+    results, _ = _map_batches("trace_replay", run, trials, batch_size, seed)
+    tallies, hists = zip(*results)
+    tally = SirTally.pooled(tallies, theta_db)
     curve = coverage_from_sirs(tally, theta_db)
     dist_est = EmpiricalDistribution.from_counts(sum(hists), edges_db)
     return ReplayResult(coverage=curve, sir=dist_est, n_trials=tally.n)

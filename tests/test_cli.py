@@ -346,6 +346,28 @@ def test_log_env_var(monkeypatch, tmp_path):
                     "--trials", "1000", "--out", str(out)]) == 0
 
 
+def test_debug_log_line_per_monte_carlo_call():
+    # the simulator logs one debug line per call; stdout does not change
+    argv = [sys.executable, "-m", "corridor_cov.cli", "coverage", "--sweep", "theta",
+            "--values=-3,0", "--methods", "mc", "--trials", "3000", "--seed", "1"]
+    runs = {}
+    for level in ("warning", "debug"):
+        env = dict(checkout_env(), CORRIDOR_COV_LOG=level)
+        runs[level] = subprocess.run(argv, capture_output=True, timeout=300, env=env)
+        assert runs[level].returncode == 0
+    assert runs["debug"].stdout == runs["warning"].stdout
+    lines = [
+        line for line in runs["debug"].stderr.decode().splitlines()
+        if line.startswith("DEBUG corridor_cov.simulator: ")
+    ]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "DEBUG corridor_cov.simulator: simulate_sir: 3000 trials in 1 batches on 1 threads, "
+        "3000 kept, 0 excluded, "
+    )
+    assert "corridor_cov.simulator" not in runs["warning"].stderr.decode()
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "corridor_cov.cli", "coverage", "--sweep", "theta",

@@ -28,14 +28,16 @@ from corridor_cov import (
     trace_replay,
     variable_height_study,
 )
+from corridor_cov import simulator
 from corridor_cov.simulator import (
     MAX_POWER,
     MIN_DISTANCE,
     _Layout,
     _combine_sir,
+    _draw_batch,
     _draw_positions,
     _map_batches,
-    _realize_batch,
+    _serving,
     _substream,
 )
 from conftest import ks_statistic
@@ -43,7 +45,8 @@ from conftest import ks_statistic
 
 class TestSampleNetwork:
     def test_bpp_counts_and_support(self, geom, channel):
-        powers, d2, counts = _realize_batch(BPP(10), geom, channel, 1, _substream(1, 0))
+        layout, powers, d2 = _draw_batch(BPP(10), geom, channel, 1, _substream(1, 0), keep_d2=True)
+        counts = layout.counts
         # replay the batch's draws: positions, heights, then shadowing
         rng = _substream(1, 0)
         pos, _ = _draw_positions(BPP(10), geom, rng, 1)
@@ -94,15 +97,26 @@ class TestAssociation:
         shadowing = np.ones(3)
         dist = np.hypot(positions, heights)[None, :]
         powers = shadowing * dist ** -2.2
-        counts = np.array([3])
-        sir_mp = _combine_sir(powers, dist, counts, 1.0, MAX_POWER)
-        sir_md = _combine_sir(powers, dist, counts, 1.0, MIN_DISTANCE)
+        sir_mp = _combine_sir(powers, _serving(MAX_POWER, powers, dist))
+        sir_md = _combine_sir(powers, _serving(MIN_DISTANCE, powers, dist))
         p = powers[0]
         assert sir_mp[0] == sir_md[0] == pytest.approx(p[1] / (p[0] + p[2]), rel=1e-12)
 
     def test_policies_disagree_often_under_shadowing(self, geom, channel):
         _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 50_000, seed=6)
         assert frac > 0.3
+
+    @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.005)])
+    def test_paired_run_equals_one_run_per_policy(self, channel, spatial):
+        # the paired and min-distance runs keep d^2 beside the powers, the
+        # max-power run writes the powers over it: the SIRs must not differ
+        geom = CorridorGeometry(500.0, UniformHeight(80.0, 120.0))
+        kwargs = dict(seed=48, batch_size=1024)
+        mp, md, _ = simulate_sir_paired(spatial, geom, channel, 3000, **kwargs)
+        assert np.array_equal(mp, simulate_sir(spatial, geom, channel, 3000, **kwargs)[0])
+        assert np.array_equal(
+            md, simulate_sir(spatial, geom, channel, 3000, policy=MIN_DISTANCE, **kwargs)[0]
+        )
 
     def test_unknown_policy_rejected(self, geom, channel):
         with pytest.raises(ParameterError):
@@ -112,11 +126,9 @@ class TestAssociation:
 class TestSirSample:
     def test_two_equal_powers_no_fading_gives_unit_sir(self, channel):
         powers = np.array([[2e-5, 2e-5]])
-        dist = np.hypot([[-100.0, 100.0]], 100.0)
-        counts = np.array([2])
         ch = ChannelParams(alpha=2.2, q=2.0, m=1e7)  # m -> inf: fading collapses to 1
         fading = _substream(8, 0).gamma(ch.m, 1.0 / ch.m, powers.shape)
-        sir = _combine_sir(powers, dist, counts, fading, MAX_POWER)
+        sir = _combine_sir(fading * powers, _serving(MAX_POWER, powers, None))
         assert sir.shape == (1,)  # one SIR for the one two-UAV realization
         assert sir[0] == pytest.approx(1.0, abs=2e-3)
 
@@ -129,10 +141,8 @@ class TestSirSample:
         # N=2, m=1, power ratio rho: P(SIR > theta) = 1 / (1 + theta/rho)
         trials = 20_000
         powers = np.full((trials, 2), 3e-6)  # rho = 1
-        dist = np.broadcast_to(np.hypot([-100.0, 100.0], 100.0), powers.shape)
-        counts = np.full(trials, 2)
         fading = _substream(10, 0).gamma(channel.m, 1.0 / channel.m, powers.shape)
-        sir = _combine_sir(powers, dist, counts, fading, MAX_POWER)
+        sir = _combine_sir(fading * powers, _serving(MAX_POWER, powers, None))
         assert np.mean(sir > 1.0) == pytest.approx(0.5, abs=0.01)
 
     def test_batch_engine_agrees_with_object_path(self, geom, channel):
@@ -189,7 +199,8 @@ class TestSirSample:
         # the batch consumes counts, then exactly counts.sum() positions and
         # shadowing values (fixed heights draw nothing)
         engine = _substream(79, 0)
-        _, _, counts = _realize_batch(FiniteHPPP(0.01), geom, channel, 500, engine)
+        layout, _, _ = _draw_batch(FiniteHPPP(0.01), geom, channel, 500, engine, keep_d2=False)
+        counts = layout.counts
         rng = _substream(79, 0)
         assert np.array_equal(rng.poisson(0.01 * geom.length, 500), counts)
         rng.uniform(-geom.R, geom.R, counts.sum())
@@ -234,7 +245,7 @@ class TestEmpiricalCoverage:
             assert (mp > th).mean() >= (md > th).mean()
 
     def test_max_power_serving_dominates_per_realization(self, geom, channel):
-        powers, d2, _ = _realize_batch(BPP(10), geom, channel, 200, _substream(15, 0))
+        _, powers, d2 = _draw_batch(BPP(10), geom, channel, 200, _substream(15, 0), keep_d2=True)
         # a BPP batch is one dense block in trial order
         powers, d2 = powers.reshape(200, 10), d2.reshape(200, 10)
         rng = _substream(15, 0)
@@ -374,8 +385,8 @@ class TestCpuCount:
     )
     def test_threads_are_min_of_batches_and_cpus(self, set_cpus, thread_pools, trials, cpus, threads):
         set_cpus(cpus)
-        sizes = _map_batches(lambda rng, size: size, trials, 100, seed=1)
-        assert sizes == [100] * (trials // 100)
+        sizes, kept = _map_batches("test", lambda rng, size: (size, size), trials, 100, seed=1)
+        assert sizes == [100] * (trials // 100) and kept == trials
         assert thread_pools == threads
 
     def test_replay_and_kl_study_do_not_depend_on_cpus(self, channel, set_cpus):
@@ -398,6 +409,78 @@ class TestCpuCount:
             results.append(out)
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+
+class TestPieceSize:
+    """Results do not depend on `_PIECE_UAVS`.  At a mean of 5 UAVs per HPPP
+    trial, 7 UAVs per piece cut the count blocks between single trials and
+    leave every trial of more than 7 UAVs a piece of its own; 100 cut the
+    blocks mid-way.  The batches hold empty and single-UAV trials."""
+
+    @staticmethod
+    def outputs(geom, channel):
+        small = CorridorGeometry(200.0, FixedHeight(200.0))
+        trace = synthesize_trace(small, channel, spacing=0.05, seed=41)
+        data = np.random.default_rng(42).normal(200.0, 15.0, 2000)
+        out = []
+        for spatial in (BPP(10), FiniteHPPP(0.005)):
+            for policy in (MAX_POWER, MIN_DISTANCE):
+                for theta_db in (None, [-3.0, 0.0, 3.0]):
+                    sirs, excluded = simulate_sir(
+                        spatial, geom, channel, 3000, seed=43, policy=policy, batch_size=1024,
+                        theta_db=theta_db,
+                    )
+                    out += [sirs if theta_db is None else sirs.above, len(sirs), excluded]
+            out += simulate_sir_paired(spatial, geom, channel, 3000, seed=44, batch_size=1024)
+        kl = height_model_kl_study(
+            FiniteHPPP(0.0125), 200.0, data, channel, 3000, seed=45, batch_size=1024
+        )
+        out += [kl.kl_normal, kl.kl_uniform]
+        for fading_mode in ("redraw", "fromtrace"):
+            for policy in (MAX_POWER, MIN_DISTANCE):
+                res = trace_replay(
+                    trace, FiniteHPPP(0.0125), small, 3000, [-3.0, 0.0, 3.0], seed=46,
+                    policy=policy, fading_mode=fading_mode, batch_size=1024,
+                )
+                out += [res.coverage.coverage, res.sir.density, res.n_trials]
+        return out
+
+    def test_batches_hold_every_kind_of_piece(self, geom):
+        _, counts = _draw_positions(FiniteHPPP(0.005), geom, _substream(43, 0), 1024)
+        assert np.any(counts == 0) and np.any(counts == 1) and np.any(counts > 7)
+
+    def test_outputs_do_not_depend_on_piece_size(self, monkeypatch, geom, channel):
+        default = self.outputs(geom, channel)
+        for piece_uavs in (7, 100):
+            monkeypatch.setattr(simulator, "_PIECE_UAVS", piece_uavs)
+            for a, b in zip(default, self.outputs(geom, channel), strict=True):
+                assert np.array_equal(a, b)
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 2.5, 3.0, 1e7])
+def test_numpy_piecewise_standard_gamma_equals_one_gamma_call(shape):
+    # the engine draws shadowing and fading piece by piece into a buffer; this
+    # is bit-identical to the whole-batch rng.gamma call only while numpy's
+    # gamma(s, scale) is scale * standard_gamma(s), one value after another
+    scale = 1.0 / shape
+    whole = _substream(47, 3)
+    expected = whole.gamma(shape, scale, 1000)
+    rng = _substream(47, 3)
+    buf = np.empty(300)
+    parts = []
+    for n in (300, 7, 1, 292, 300, 100):
+        rng.standard_gamma(shape, out=buf[:n])
+        parts.append(buf[:n] * scale)
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert _philox_state(rng) == _philox_state(whole)
 
 
 class TestPinnedStreams:
