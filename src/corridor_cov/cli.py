@@ -173,8 +173,13 @@ def _get_float(cfg, section, key, allow_blank=False):
 
 
 def _get_int(cfg, section, key):
+    try:
+        # exact however large: a seed above 2**53 does not pass through a float
+        return int(cfg[section][key].strip())
+    except ValueError:
+        pass
     value = _get_float(cfg, section, key)
-    if value != int(value):
+    if not value.is_integer():
         raise ConfigError(f"[{section}] {key} must be an integer")
     return int(value)
 
@@ -483,20 +488,23 @@ def _height_samples(cfg, args):
         return np.asarray(trace.height_m, dtype=float), f"trace:{args.trace}"
     dist = cfg["height_study"]["dist"].strip().lower()
     count = _get_int(cfg, "height_study", "count")
-    rng = np.random.Generator(np.random.Philox(key=_get_int(cfg, "run", "seed")))
+    seed = _get_int(cfg, "run", "seed")
     if dist == "normal":
         mu = _get_float(cfg, "height_study", "mean")
         sigma = _get_float(cfg, "height_study", "sigma")
         if sigma < 0:
             raise ConfigError(f"[height_study] sigma={sigma!r} must be >= 0")
-        samples = NormalHeight(mu, sigma).sample(rng, count) if sigma > 0 else np.full(count, mu)
+        if sigma > 0:
+            samples = simulator.sample_heights(NormalHeight(mu, sigma), count, seed)
+        else:
+            samples = np.full(count, mu)
     elif dist == "uniform":
         lo = _get_float(cfg, "height_study", "low")
         hi = _get_float(cfg, "height_study", "high")
-        samples = UniformHeight(lo, hi).sample(rng, count)
+        samples = simulator.sample_heights(UniformHeight(lo, hi), count, seed)
     else:
         raise ConfigError(f"unknown synthetic height distribution {dist!r}")
-    return np.asarray(samples, dtype=float), f"synthetic:{dist}"
+    return samples, f"synthetic:{dist}"
 
 
 def cmd_height_study(args):

@@ -6,9 +6,14 @@ min-distance association, SIR sampling, empirical coverage curves, variable
 height studies, KL model comparison, and measurement-trace replay.
 
 Reproducibility: every entry point runs its trials through `_map_batches` in
-fixed-size batches; batch b draws from the counter-based substream
-Philox(key=seed).jumped(b), so the same master seed gives bit-identical
-results however many threads run the batches.  `_map_batches` runs one
+fixed-size batches; batch b draws from its own SFC64 generator, seeded by
+SeedSequence(seed) with spawn key (b,) (the b-th child of
+SeedSequence(seed).spawn), so the same master seed gives bit-identical
+results however many threads run the batches.  The seed must be >= 0 and
+may have any number of bits.  Releases before the SFC64 substreams drew
+batch b from Philox(key=seed).jumped(b), so their same-seed results
+differ.  `sample_heights` draws from SeedSequence(seed) with an empty spawn
+key, a stream apart from every batch's.  `_map_batches` runs one
 thread per CPU the process may use, and no more than there are batches;
 `taskset` limits it.  With CORRIDOR_COV_LOG=debug it logs one line per
 call.  Within a batch the UAV count of every trial is drawn first (HPPP
@@ -97,6 +102,7 @@ __all__ = [
     "kl_divergence",
     "fit_normal_height",
     "fit_uniform_height",
+    "sample_heights",
     "synthesize_trace",
     "trace_replay",
 ]
@@ -131,8 +137,27 @@ class MappingError(ValueError):
     """A simulated position cannot be mapped onto the trace."""
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
+
+
 def _substream(seed, batch_index):
-    return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
+    """The generator of batch `batch_index`: SFC64 seeded by the child of
+    SeedSequence(seed) with spawn key (batch_index,), the one that
+    SeedSequence(seed).spawn gives at that index."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
+    )
+
+
+def sample_heights(height_model, count, seed):
+    """`count` heights from `height_model`, as data apart from any
+    simulation: drawn by SFC64 on SeedSequence(seed) with an empty spawn
+    key, a stream disjoint from every batch's `_substream(seed, b)`."""
+    _check_seed(seed)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    return np.asarray(height_model.sample(rng, count), dtype=float)
 
 
 def _check_policy(policy):
@@ -166,6 +191,7 @@ def _map_batches(entry, fn, trials, batch_size, seed):
         raise ParameterError("trials must be >= 1")
     if batch_size < 1:
         raise ParameterError("batch_size must be >= 1")
+    _check_seed(seed)
     start = time.perf_counter()
     sizes = [min(batch_size, trials - first) for first in range(0, trials, batch_size)]
 
@@ -494,9 +520,11 @@ def variable_height_study(
 ):
     """Coverage under a fixed height vs a variable-height model.
 
-    The two runs use the same master seed but are statistically independent
-    (height sampling consumes different amounts of the stream), so the
-    reported max_gap carries Monte Carlo noise from both curves.
+    The two runs use the same master seed, hence the same batch substreams,
+    and draw identical positions.  The variable heights are drawn next, so
+    the variable run's shadowing and fading come from later in the stream
+    than the fixed run's: the reported max_gap carries the Monte Carlo
+    noise of both curves.
     """
     geom_fixed = CorridorGeometry(R, FixedHeight(fixed_h))
     geom_var = CorridorGeometry(R, height_model)
@@ -750,6 +778,7 @@ def synthesize_trace(geom, channel, spacing, seed):
     """Model-generated trace without fast fading: one shadowing draw per
     recorded position, powers from the channel model, heights from the
     geometry's height model.  Used for replay closure tests."""
+    _check_seed(seed)
     rng = _substream(seed, 0)
     n = int(round(geom.length / spacing)) + 1
     pos = np.linspace(-geom.R, geom.R, n)

@@ -164,6 +164,37 @@ class TestCoverageCommand:
             assert "batch_size" in captured.err
             assert captured.out == ""
 
+    def test_negative_seed_is_config_error(self, tmp_path, trace_csv, capsys):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(
+            "[geometry]\nr = 200\nheight = 200\n\n[run]\ntrials = 1000\n\n"
+            "[height_study]\ncount = 1000\ncurve_trials = 1000\nkl_trials = 1000\n"
+        )
+        for argv in (
+            ["coverage", "--methods", "mc", "--sweep", "theta", "--values", "-3"],
+            ["replay", "--trace", trace_csv],
+            ["height-study"],
+            ["height-study", "--trace", trace_csv],
+        ):
+            code = run_cli(argv + ["--config", str(cfg), "--seed", "-1"])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err.strip().splitlines()[-1] == "error: seed must be >= 0"
+            assert captured.out == ""
+
+    def test_seed_above_2_to_the_53_is_kept_exactly(self, tmp_path):
+        seed = 2**64 + 1
+        out = {}
+        for s in (seed, seed - 1):
+            out[s] = tmp_path / f"cov{s}.csv"
+            assert run_cli(["coverage", "--methods", "mc", "--sweep", "theta", "--values=-3,0",
+                            "--trials", "2000", "--seed", str(s), "--out", str(out[s])]) == 0
+        rows = {s: [line.split(",") for line in path.read_text().splitlines()[1:]]
+                for s, path in out.items()}
+        assert {row[4] for row in rows[seed]} == {str(seed)}
+        # a seed rounded to a float would be 2**64, the other run's seed
+        assert [row[2] for row in rows[seed]] != [row[2] for row in rows[seed - 1]]
+
 
 class TestReplayCommand:
     def test_missing_trace_is_io_error(self, replay_config):

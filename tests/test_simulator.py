@@ -39,6 +39,7 @@ from corridor_cov.simulator import (
     _map_batches,
     _serving,
     _substream,
+    sample_heights,
 )
 from conftest import ks_statistic
 
@@ -379,6 +380,66 @@ class TestBatchRunner:
             simulate_sir_paired(FiniteHPPP(1e-7), geom, channel, 100, seed=3)
 
 
+class TestSeeds:
+    @staticmethod
+    def calls(geom, channel, seed):
+        small = CorridorGeometry(200.0, FixedHeight(200.0))
+        trace = synthesize_trace(small, channel, spacing=0.5, seed=1)
+        return {
+            "simulate_sir": lambda: simulate_sir(BPP(10), geom, channel, 100, seed=seed),
+            "simulate_sir_paired": lambda: simulate_sir_paired(
+                BPP(10), geom, channel, 100, seed=seed
+            ),
+            "height_model_kl_study": lambda: height_model_kl_study(
+                BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, 100, seed=seed
+            ),
+            "trace_replay": lambda: trace_replay(trace, BPP(10), small, 100, [0.0], seed=seed),
+            "synthesize_trace": lambda: synthesize_trace(small, channel, spacing=0.5, seed=seed),
+            "sample_heights": lambda: sample_heights(UniformHeight(80.0, 120.0), 10, seed),
+        }
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["simulate_sir", "simulate_sir_paired", "height_model_kl_study", "trace_replay",
+         "synthesize_trace", "sample_heights"],
+    )
+    def test_negative_seed_rejected(self, geom, channel, entry):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            self.calls(geom, channel, -1)[entry]()
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**200])
+    def test_seeds_of_64_bits_and_more_work(self, geom, channel, seed):
+        for call in self.calls(geom, channel, seed).values():
+            call()
+        a, _ = simulate_sir(BPP(10), geom, channel, 100, seed=seed)
+        b, _ = simulate_sir(BPP(10), geom, channel, 100, seed=seed)
+        assert np.array_equal(a, b)
+        assert np.all(np.isfinite(a))
+
+    def test_substreams_are_distinct(self):
+        words = [
+            _substream(s, b).bit_generator.random_raw(4)
+            for s in (0, 1, 2, 2**64)
+            for b in range(64)
+        ]
+        assert len(set(np.concatenate(words).tolist())) == 4 * 64 * 4
+
+    @pytest.mark.parametrize("seed", [0, 8, 2**64])
+    def test_height_data_stream_is_apart_from_the_batches(self, seed):
+        class RawWords:
+            """A height model whose samples are the stream's raw words."""
+
+            def sample(self, rng, size):
+                return rng.bit_generator.random_raw(size)
+
+        # the helper returns floats, so the batches' words are compared as floats
+        data = set(sample_heights(RawWords(), 4, seed).tolist())
+        assert len(data) == 4
+        for b in range(64):
+            words = _substream(seed, b).bit_generator.random_raw(4).astype(float)
+            assert data.isdisjoint(words.tolist())
+
+
 class TestCpuCount:
     @pytest.mark.parametrize(
         "trials, cpus, threads", [(100, 4, []), (400, 1, []), (300, 2, [2]), (500, 8, [5])]
@@ -457,12 +518,16 @@ class TestPieceSize:
                 assert np.array_equal(a, b)
 
 
-def _philox_state(rng):
-    state = rng.bit_generator.state
-    return (
-        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
-        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
-    )
+def _stream_state(rng):
+    """The bit generator's state, its arrays turned into lists, so that two
+    states compare with ==."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 2.5, 3.0, 1e7])
@@ -480,30 +545,31 @@ def test_numpy_piecewise_standard_gamma_equals_one_gamma_call(shape):
         rng.standard_gamma(shape, out=buf[:n])
         parts.append(buf[:n] * scale)
     assert np.array_equal(np.concatenate(parts), expected)
-    assert _philox_state(rng) == _philox_state(whole)
+    assert _stream_state(rng) == _stream_state(whole)
 
 
 class TestPinnedStreams:
-    """Values the engine produced before its batch loops were merged (the
-    FiniteHPPP values since the count-sorted batch layout).
+    """Values the engine produces on its SFC64 batch substreams (see
+    `_substream`), pinned when the substreams moved there from Philox.
 
     The determinism tests compare two runs of the same code; these catch a
-    change of draw order within a batch or of the batch layout.
+    change of draw order within a batch, of the batch layout or of the
+    substreams.
     """
 
     @pytest.mark.parametrize(
         "spatial, height, policy, n_sirs, excluded, pinned",
         [
             (BPP(10), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [3.2377260623992554, 0.2086688402700516, 1.7283066261024338, 2.153006107469264]),
+             [0.37522669739905795, 0.02616579195975149, 1.065431383382443, 3.545003315634161]),
             (BPP(10), UniformHeight(80.0, 120.0), MAX_POWER, 3000, 0,
-             [1.6103346028901264, 1.588996163452671, 0.8828022052373171, 0.10650035299033363]),
+             [0.0023302613972101547, 3.211504804281165, 0.4746714091146611, 0.2999198851388339]),
             (FiniteHPPP(0.01), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [0.22270446220977355, 0.6882603961346133, 2.1474418606928047, 6.907658269564721]),
-            (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2589, 411,
-             [17.028301587815065, 0.4209588401215801, 23.635639314823095, 0.15249914064358536]),
+             [0.32751063727905827, 0.22382946082277935, 0.006244752444179122, 1.5508188802395086]),
+            (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2596, 404,
+             [1095.6064642430817, 28.4451076680629, 0.3999335085061901, 8.268258180726022]),
             (Disc2D(10, 500.0), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [1.164935337140479, 1.6398752473172649, 0.10974964582291692, 0.6733346236930339]),
+             [0.3175955511612489, 0.050050438723162435, 1.4336440281674048, 0.34197526062513167]),
         ],
     )
     def test_simulate_sir(self, channel, spatial, height, policy, n_sirs, excluded, pinned):
@@ -516,19 +582,19 @@ class TestPinnedStreams:
 
     def test_paired_disagreement(self, geom, channel):
         _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 5000, seed=2025, batch_size=2048)
-        assert frac == pytest.approx(2654 / 5000, rel=1e-12)
+        assert frac == pytest.approx(2706 / 5000, rel=1e-12)
 
     def test_kl_study(self, channel):
         data = np.random.default_rng(7).normal(200.0, 15.0, 5000)
         res = height_model_kl_study(
             FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=2026, batch_size=8192
         )
-        assert res.kl_normal == pytest.approx(0.0008641129911683854, rel=1e-12)
-        assert res.kl_uniform == pytest.approx(0.0019498759865283013, rel=1e-12)
+        assert res.kl_normal == pytest.approx(3.4415729207414275e-05, rel=1e-12)
+        assert res.kl_uniform == pytest.approx(0.0011767946114046878, rel=1e-12)
 
     @pytest.mark.parametrize(
         "fading_mode, pinned",
-        [("redraw", [0.3608, 0.1776, 0.0702]), ("fromtrace", [0.366, 0.1068, 0.0308])],
+        [("redraw", [0.346, 0.1684, 0.0666]), ("fromtrace", [0.3432, 0.0966, 0.0228])],
     )
     def test_trace_replay(self, channel, fading_mode, pinned):
         geom = CorridorGeometry(200.0, FixedHeight(200.0))
