@@ -21,14 +21,14 @@ same integral, on the same panels.  What remains is a 2D integral over the
 top-two received powers; each call of its outer integrand computes the inner
 integrals of all its nodes with one batched rule.
 
-The two spatial models differ only in their UAV count law: a fixed n for
-the BPP, a Poisson count for the finite HPPP.  It sets the maximum-power
-density, the outer quantile range and the weights of the Laplace series;
-the coverage theorem and its outer integral live in one base class,
-`_CoverageModel`, that both models inherit.  Given the serving power x0,
-each interferer's received power has the density f truncated to (0, x0),
-so one 1D moment integral against f (`_moment_series`) feeds both
-conditional Laplace transforms.
+The two spatial models differ only in their UAV count law, through its
+probability generating function G: z^n for the BPP, e^(mu (z - 1)) for the
+finite HPPP.  The maximum-power density, the outer quantile range, the
+Laplace series' weights, the top-two density and the residual mean are all
+derivatives of G, so one `_CoverageModel` holds exact and dominant coverage
+for either law (`_CountLaw`).  Given the serving power x0, each interferer's
+power has the density f truncated to (0, x0), so one 1D moment integral
+against f (`_moment_series`) feeds the conditional Laplace transform.
 
 Numerical strategy: the single-UAV received-power pdf, cdf and first moment
 are cached as piecewise Chebyshev interpolants of their logarithms in log x
@@ -40,9 +40,9 @@ Integrals over the same nodes share one vector-valued integrand, so each node
 is evaluated once: the cache samples f, F and M1 as one 3-component integral,
 and exact coverage computes the inner moment integrals of one outer-integrand
 call with one batched rule whose rows carry all the Taylor orders.
-Laplace-transform derivatives are analytic Taylor coefficients: each model
-raises or exponentiates the kernel's non-negative series as a truncated
-power series, with no subtraction; finite differences are test oracles only.
+Laplace-transform derivatives are analytic Taylor coefficients: G' is
+expanded about F - D in the kernel's non-negative series, a truncated power
+series with no subtraction; finite differences are test oracles only.
 """
 
 from __future__ import annotations
@@ -353,11 +353,48 @@ class ReceivedPowerDistribution:
 
         return integrate(f, c["t_lo"], c["t_hi"], cfg).value
 
+# ---------------------------------------------------------------------------
+# Shared by both spatial models: the UAV count law, the Taylor-coefficient
+# kernel, the conditional Laplace transform and the coverage model
+# ---------------------------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Shared by both spatial models: the Taylor-coefficient kernel, the Laplace
-# accessor and the exact coverage
-# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _CountLaw:
+    """The UAV count N through its probability generating function (PGF)
+    G(z) = E[z^N]: a fixed count n (the BPP, G = z^n), or a Poisson count of
+    mean mu (the finite HPPP, n = inf, G = e^(mu (z - 1)))."""
+
+    n: float = math.inf
+    mu: float = 0.0
+
+    @property
+    def p_nonempty(self):
+        """1 - G(0) = P(N >= 1)."""
+        return -math.expm1(-self.mu) if self.mu else 1.0
+
+    def log_derivative(self, k, y):
+        """log G^(k)(y) elementwise, -inf where G^(k) vanishes: log(n! / (n-k)!)
+        + (n - k) log y (y floored at 0, 0 log 0 = 0), or k log mu + mu (y - 1).
+        Their differences stay finite where F^(n-1) alone would underflow."""
+        if self.mu:
+            return k * math.log(self.mu) + self.mu * (np.asarray(y) - 1.0)
+        if k > self.n:
+            return np.full(np.shape(y), -np.inf)
+        log_falling = math.fsum(math.log(self.n - j) for j in range(k))
+        return log_falling + special.xlogy(self.n - k, np.maximum(y, 0.0))
+
+    def derivative_ratio(self, k, y):
+        """G^(k+1)(y) / G^(k)(y): (n - k) / y, or mu."""
+        return self.mu if self.mu else (self.n - k) / y
+
+    def quantile_levels(self, eps):
+        """Levels of F that leave about eps of the maximum power's mass,
+        (G(F) - G(0)) / (1 - G(0)), below the first and above the second."""
+        mu = self.mu
+        if mu:
+            return math.log1p(eps * math.expm1(mu)) / mu, 1.0 - eps * (-math.expm1(-mu)) / mu
+        return eps ** (1.0 / self.n), 1.0 - eps / self.n
 
 
 def _moment_series(dist, m, s, tau, x0, order, cfg):
@@ -438,10 +475,44 @@ def _taylor_sum(weights, h):
 
 
 class _ConditionalLaplace:
-    """The accessor shared by the conditional Laplace transforms; a subclass
-    defines `_series(s, tau, x0, order)`, which returns the Taylor
-    coefficients (-tau)^k / k! L^(k)(s | x0), k <= order, of z -> L(s - tau z)
-    at every (s_i, tau_i, x0_i), the count of floored pairs and node evaluations."""
+    """Conditional Laplace transform of the aggregate interference given the
+    maximum received power x0, for a UAV count with PGF G.  Given x0 the
+    other UAVs' powers are i.i.d. with density f truncated to (0, x0) and
+    their count has the PGF G'(F z) / G'(F), F = F(x0), so
+
+        L(s | x0) = G'(F - D) / G'(F):  [1 - D / F]^(n-1) (BPP), exp(-mu D) (HPPP),
+
+    with D = D(s) the kernel row of `_moment_series`.  At s - tau z the
+    argument is F - D + h(z), so Taylor's theorem for G' about F - D gives
+    the non-negative series sum_r G^(r+1)(F - D) / (r! G'(F)) h(z)^r.  Only
+    a fixed count floors F - D at 0 where kernel error makes it negative,
+    and counts it as floored: z^n needs z >= 0, e^(mu (z - 1)) does not.
+    """
+
+    def __init__(self, dist: ReceivedPowerDistribution, law: _CountLaw, m: float, config=None):
+        if law.n < 2:
+            raise ParameterError("interference needs n >= 2 UAVs")
+        self.dist = dist
+        self.law = law
+        self.m = float(m)
+        self.cfg = config or _LAPLACE_QUAD
+
+    def _series(self, s, tau, x0, order, fx0=None):
+        """Taylor coefficients (-tau)^k / k! L^(k)(s | x0), k <= order, of
+        z -> L(s - tau z) at every (s_i, tau_i, x0_i), given F(x0) = fx0 if
+        the caller has it; the count of floored points; and the number of
+        node evaluations."""
+        law = self.law
+        fx0 = self.dist.cdf(x0) if fx0 is None else fx0
+        log_g1 = law.log_derivative(1, fx0)
+        if np.any(np.isneginf(log_g1)):
+            raise ParameterError("conditioning power x0 has zero mass below it")
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, self.cfg)
+        y = fx0 - rows[0]
+        floored = np.count_nonzero(y < 0.0) if law.n < math.inf else 0
+        weights = [np.exp(law.log_derivative(r + 1, y) - log_g1 - math.lgamma(r + 1))
+                   for r in range(min(order, law.n - 1) + 1)]
+        return _taylor_sum(weights, rows), floored, n_evals
 
     def derivative_series(self, s, x0, order):
         """[L, L', ..., L^(order)] at (s | x0), as floats: L(s | x0) is
@@ -459,27 +530,60 @@ class _ConditionalLaplace:
         coeffs, _, _ = self._series(np.array([float(s)]), 1.0, np.array([float(x0)]), order)
         return [float((-1) ** k * math.factorial(k) * c) for k, c in enumerate(coeffs[:, 0])]
 
+    def mean_interference(self, x0):
+        """E[I | Pr0 = x0] = -dL/ds at s = 0 = G''(F) / G'(F) int_0^{x0} p f(p) dp:
+        (n - 1) E[P | P <= x0] for the BPP, mu int_0^{x0} p f(p) dp for the HPPP."""
+        coeffs, _, _ = self._series(np.array([0.0]), 1.0, np.array([float(x0)]), 1)
+        return float(coeffs[1, 0])
+
 
 class _CoverageModel:
-    """Exact coverage for one (UAV count law, geometry, channel) triple; a
-    subclass defines what the count law sets: `max_power_pdf`, the outer
-    quantile range `_outer_bounds(eps)` and the Laplace transform `laplace`."""
+    """All analytic quantities for one (UAV count law, geometry, channel)
+    triple, conditioned on a non-empty corridor; each count-law quantity is a
+    derivative of the count's PGF G.  A subclass picks the law."""
 
-    def __init__(self, geom: CorridorGeometry, channel: ChannelParams):
-        self.geom = geom
+    def __init__(self, law: _CountLaw, geom: CorridorGeometry, channel: ChannelParams):
+        self.law = law
         self.channel = channel
+        self.m = channel.m
         self.dist = _cached_dist(geom, channel)
 
-    def _conditional_coverage(self, theta, m, x0):
-        """P(SIR > theta | serving power x0) at every x0, for integer m: the
-        coverage theorem's sum_k (-s)^k / k! L^(k)(s | x0), k < m, at
-        s = m theta / x0: the column sum of the Taylor coefficients of
-        z -> L(s - s z), each >= 0 because L is completely monotone.  Returns
-        the values, the count of floored nodes and the number of node
-        evaluations.
+    @cached_property
+    def laplace(self) -> _ConditionalLaplace:
+        return _ConditionalLaplace(self.dist, self.law, self.m)
+
+    def max_power_pdf(self, x0):
+        """Density G'(F(x0)) f(x0) / (1 - G(0)) of the strongest received
+        power: n F^(n-1) f for the BPP, the void-conditioned
+        mu f e^(mu (F - 1)) / (1 - e^-mu) for the finite HPPP."""
+        out = self._max_power_pdf(x0, self.dist.cdf(x0))
+        return float(out) if out.ndim == 0 else out
+
+    def _max_power_pdf(self, x0, fx0):
+        """`max_power_pdf` given F(x0) = fx0."""
+        return np.exp(self.law.log_derivative(1, fx0)) * self.dist.pdf(x0) / self.law.p_nonempty
+
+    def max_power_cdf(self, x0):
+        """(G(F(x0)) - G(0)) / (1 - G(0)): F^n for the BPP,
+        (e^(mu F) - 1) / (e^mu - 1) for the finite HPPP."""
+        g = np.exp(self.law.log_derivative(0, self.dist.cdf(x0)))
+        out = (g - (1.0 - self.law.p_nonempty)) / self.law.p_nonempty
+        return float(out) if out.ndim == 0 else out
+
+    def _outer_bounds(self, eps=1e-12):
+        lo, hi = self.law.quantile_levels(eps)
+        return self.dist.ppf(lo), self.dist.ppf(hi)
+
+    def _conditional_coverage(self, theta, m, x0, fx0=None):
+        """P(SIR > theta | serving power x0) at every x0 (F(x0) = fx0 if
+        given), for integer m: the coverage theorem's sum_k (-s)^k / k!
+        L^(k)(s | x0), k < m, at s = m theta / x0: the column sum of the
+        Taylor coefficients of z -> L(s - s z), each >= 0 because L is
+        completely monotone.  Returns the values, the count of floored nodes
+        and the number of node evaluations.
         """
         s = m * theta / x0
-        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1)
+        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1, fx0)
         return coeffs.sum(axis=0), floored, n_evals
 
     def conditional_coverage(self, theta, x0):
@@ -509,11 +613,12 @@ class _CoverageModel:
         def integrand(t):
             nonlocal calls, rows, inner_nodes, floored
             x0 = np.exp(t)
-            f0 = self.max_power_pdf(x0)
+            fx0 = self.dist.cdf(x0)
+            f0 = self._max_power_pdf(x0, fx0)
             out = np.zeros_like(x0)
-            live = (f0 > 0) & (self.dist.cdf(x0) >= 1e-12)
+            live = (f0 > 0) & (fx0 >= 1e-12)
             x0, f0 = x0[live], f0[live]
-            cov, n_floored, n_evals = self._conditional_coverage(theta, m, x0)
+            cov, n_floored, n_evals = self._conditional_coverage(theta, m, x0, fx0[live])
             out[live] = cov * f0 * x0
             calls += 1
             rows += x0.size * m
@@ -531,43 +636,134 @@ class _CoverageModel:
         )
         return value
 
+    # -- dominant interferer -------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# BPP: conditional interference Laplace transform and coverage
-# ---------------------------------------------------------------------------
+    def residual_mean_interference(self, x0, x_i):
+        """Conditional mean of the interference below the top two powers
+        (x0, x_i): G'''(F) / G''(F) M1(x_i), F = F(x_i), which is (n-2)
+        E[P | P <= x_i] (BPP) or mu M1(x_i) (HPPP); elementwise."""
+        if self.law.n < 2:
+            raise ParameterError("needs n >= 2")
+        x_i = np.asarray(x_i, dtype=float)
+        if not np.all((0 < x_i) & (x_i <= x0)):
+            raise ParameterError("require 0 < x_i <= x0")
+        out = self._residual_mean(x_i, self.dist.cdf(x_i))
+        return float(out) if out.ndim == 0 else out
 
+    def _residual_mean(self, x_i, fxi):
+        """`residual_mean_interference` given F(x_i) = fxi."""
+        ratio = self.law.derivative_ratio(2, np.maximum(fxi, 1e-250))
+        return np.where(fxi > 1e-250, ratio * self.dist.mean_below(x_i), 0.0)
 
-class InterferenceLaplaceBPP(_ConditionalLaplace):
-    """Conditional Laplace transform of the aggregate interference given the
-    maximum received power x0 under the BPP model:
+    def joint_top_two_pdf(self, x0, x_i):
+        """Joint density G''(F(x_i)) f(x0) f(x_i) / (1 - G(0)) of the top two
+        powers on 0 < x_i < x0 (BPP: n (n-1) f f F^(n-2)); it integrates to
+        1 - G'(0) / (1 - G(0)), the rest being a lone serving UAV."""
+        x0, x_i = np.asarray(x0, dtype=float), np.asarray(x_i, dtype=float)
+        out = np.asarray(self._joint_top_two(x0, self.dist.pdf(x0), x_i, self.dist.cdf(x_i)))
+        return float(out) if out.ndim == 0 else out
 
-        L(s | x0) = [ int_0^{x0} (1 + s p / m)^{-m} f(p) / F(x0) dp ]^(n-1).
+    def _joint_top_two(self, x0, fx0, x_i, fxi):
+        """`joint_top_two_pdf` given f(x0) = fx0 and F(x_i) = fxi."""
+        law = self.law
+        out = np.exp(law.log_derivative(2, fxi)) * fx0 * self.dist.pdf(x_i) / law.p_nonempty
+        return np.where(x_i < x0, out, 0.0)
 
-    At s - tau z the base is gamma0 + h(z) / F(x0), gamma0 = 1 - D / F(x0)
-    (kernel rows of `_moment_series`), so L(s - tau z) has the non-negative
-    binomial series sum_r C(n-1, r) gamma0^(n-1-r) (h(z) / F(x0))^r.  Where
-    kernel error makes D / F(x0) exceed 1, gamma0 is floored at 0 and counted.
-    """
+    def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=None):
+        """G'(0) / (1 - G(0)), the chance of a lone serving UAV, plus a 2D
+        integral over the top-two powers (t0, ti) = log(x0, x_i) of
+        E[Q(m, a + b Y)], Y = m H1, a = m theta omega / x0, b = theta x_i / x0
+        (omega = 0 drops the residual).
 
-    def __init__(self, dist: ReceivedPowerDistribution, n: int, m: float, config=None):
-        if n < 2:
-            raise ParameterError("interference needs n >= 2 UAVs")
-        self.dist = dist
-        self.n = int(n)
-        self.m = float(m)
-        self.cfg = config or _LAPLACE_QUAD
+        Each outer-integrand call over t0 integrates ti over [t_lo, t0_i] for
+        all its nodes with one batched rule, at a nested rule's inner
+        tolerance; row i maps [t_lo, t0_i] affinely onto [0, 1] (the width is
+        the Jacobian), which keeps the scalar rule's panels.  f(x0) is read
+        once per row, and F(x_i) once per node.
 
-    def _series(self, s, tau, x0, order):
-        fx0 = self.dist.cdf(x0)
-        if np.any(fx0 <= 1e-300):
-            raise ParameterError("conditioning power x0 has zero mass below it")
-        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, self.cfg)
-        gamma0 = 1.0 - rows[0] / fx0
-        floored = np.count_nonzero(gamma0 < 0.0)
-        gamma0 = np.maximum(gamma0, 0.0)
-        k = self.n - 1
-        weights = [math.comb(k, r) * gamma0 ** (k - r) for r in range(min(order, k) + 1)]
-        return _taylor_sum(weights, rows / fx0), floored, n_evals
+        With a residual the fading expectation uses a `laguerre_nodes` rule,
+        by default ceil(m/2) nodes for integer m and `_LAGUERRE_NODES`
+        otherwise.  For integer m <= 2 `laguerre_nodes` the rule is exact:
+        the rescaled integrand exp(beta z) Q(m, a + beta z) is e^-a times
+        the order recurrence's polynomial S(a + beta z) of degree m - 1, so
+        there is no certification.  Otherwise the integrand has two
+        components, the fading expectation by twice the nodes and by the
+        rule itself, integrated on the same panels in one 2D pass; the two
+        values must agree to the `_DOMINANT_QUAD` tolerance, and the first
+        is returned.  Logs the work done at debug level.
+        """
+        if theta <= 0:
+            raise ParameterError("theta must be positive (linear scale)")
+        law = self.law
+        if law.n < 2:
+            raise ParameterError("needs n >= 2")
+        start = time.perf_counter()
+        m, dist = self.m, self.dist
+        integer_m = float(m).is_integer()
+        if laguerre_nodes is None:
+            laguerre_nodes = math.ceil(m / 2) if integer_m else _LAGUERRE_NODES
+        lo, hi = self._outer_bounds(1e-10)
+        t_lo, t_hi = math.log(lo), math.log(hi)
+        with_residual_mean = with_residual_mean and law.n > 2
+        certified = with_residual_mean and not (integer_m and m <= 2 * laguerre_nodes)
+        rules = [2 * laguerre_nodes, laguerre_nodes] if certified else [laguerre_nodes]
+        inner_cfg = _DOMINANT_QUAD.scaled(0.1)
+        rows = inner_nodes = 0
+
+        def outer(t0):
+            nonlocal rows, inner_nodes
+            x0 = np.exp(t0)
+            fx0 = dist.pdf(x0)
+            width = t0 - t_lo
+
+            def inner(r, u):
+                x0_r, w = x0[r], width[r]
+                xi = np.exp(t_lo + u * w)
+                fxi = dist.cdf(xi)
+                omega = self._residual_mean(xi, fxi) if with_residual_mean else 0.0
+                a, b = m * theta * omega / x0_r, theta * xi / x0_r
+                joint = self._joint_top_two(x0_r, fx0[r], xi, fxi)
+                return np.array(
+                    [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
+                )
+
+            res = integrate_batch(inner, t0.size, 0.0, 1.0, inner_cfg)
+            rows += t0.size
+            inner_nodes += res.n_evals
+            return res.value
+
+        res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
+        value = res.value[0]
+        if certified:
+            tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(value))
+            if abs(value - res.value[1]) > tol:
+                raise QuadratureError(
+                    f"{laguerre_nodes}- and {rules[0]}-node fading rules disagree "
+                    f"({res.value[1]:.10g} vs {value:.10g}, tolerance {tol:.3e})",
+                    best_estimate=value,
+                    error_estimate=abs(value - res.value[1]),
+                    level="fading",
+                )
+        alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
+        value, clamp_note = _clamp(float(alone + value))
+        log.debug(
+            "dominant coverage at theta=%.6g: residual %s, %d outer nodes, %d inner rows, "
+            "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s%s",
+            theta, "mean" if with_residual_mean else "dropped", res.n_evals, rows, inner_nodes,
+            _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
+            rules[0] if with_residual_mean else 0, "yes" if certified else "no",
+            time.perf_counter() - start, clamp_note,
+        )
+        return value
+
+    def coverage_dominant(self, theta):
+        """Dominant-interferer coverage: second-strongest interferer exact,
+        the rest replaced by their conditional mean.  Valid for any m > 0."""
+        return self._coverage_dominant_generic(theta, with_residual_mean=True)
+
+    def coverage_single_dominant(self, theta):
+        """Single-dominant-interferer coverage (residual interference dropped)."""
+        return self._coverage_dominant_generic(theta, with_residual_mean=False)
 
 
 def _fading_term_bound(m, z):
@@ -663,195 +859,30 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
     return float(out) if out.ndim == 0 else out
 
 
+class InterferenceLaplaceBPP(_ConditionalLaplace):
+    """The BPP's conditional Laplace transform, n UAVs: G(z) = z^n."""
+
+    def __init__(self, dist: ReceivedPowerDistribution, n: int, m: float, config=None):
+        super().__init__(dist, _CountLaw(n=int(n)), m, config)
+
+
+class InterferenceLaplaceHPPP(_ConditionalLaplace):
+    """The finite HPPP's conditional Laplace transform, mean UAV count mu: G(z) = e^(mu (z - 1))."""
+
+    def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float, config=None):
+        if mean_count <= 0:
+            raise ParameterError("the mean UAV count must be positive")
+        super().__init__(dist, _CountLaw(mu=float(mean_count)), m, config)
+
+
 class BppCoverageModel(_CoverageModel):
     """All analytic BPP quantities for one (n, geometry, channel) triple."""
 
     def __init__(self, n: int, geom: CorridorGeometry, channel: ChannelParams):
         if n < 1:
             raise ParameterError("n must be >= 1")
-        super().__init__(geom, channel)
         self.n = int(n)
-        self.m = channel.m
-
-    @cached_property
-    def laplace(self) -> InterferenceLaplaceBPP:
-        return InterferenceLaplaceBPP(self.dist, self.n, self.m)
-
-    def max_power_pdf(self, x0):
-        """Order-statistics density n F^(n-1) f of the strongest received power."""
-        x0 = np.asarray(x0, dtype=float)
-        out = np.asarray(self.n * self.dist.cdf(x0) ** (self.n - 1) * self.dist.pdf(x0))
-        return float(out) if out.ndim == 0 else out
-
-    def _outer_bounds(self, eps=1e-12):
-        lo = self.dist.ppf(eps ** (1.0 / self.n))
-        hi = self.dist.ppf(1.0 - eps / self.n)
-        return lo, hi
-
-    # -- dominant interferer -------------------------------------------------
-
-    def residual_mean_interference(self, x0, x_i):
-        """Conditional mean of the interference from the n-2 non-dominant
-        UAVs given top-two powers (x0, x_i): (n-2) * E[P | P <= x_i],
-        elementwise over broadcast arrays."""
-        if self.n < 2:
-            raise ParameterError("needs n >= 2")
-        x_i = np.asarray(x_i, dtype=float)
-        if not np.all((0 < x_i) & (x_i <= x0)):
-            raise ParameterError("require 0 < x_i <= x0")
-        out = self._residual_mean(x_i, self.dist.cdf(x_i))
-        return float(out) if out.ndim == 0 else out
-
-    def _residual_mean(self, x_i, fxi):
-        """`residual_mean_interference` given F(x_i) = fxi."""
-        return np.where(
-            fxi > 1e-250, (self.n - 2) * self.dist.mean_below(x_i) / np.maximum(fxi, 1e-250), 0.0
-        )
-
-    def joint_top_two_pdf(self, x0, x_i):
-        """Order-statistics joint density of (max, second max):
-        n (n-1) f(x0) f(x_i) F(x_i)^(n-2) on 0 < x_i < x0."""
-        x0 = np.asarray(x0, dtype=float)
-        x_i = np.asarray(x_i, dtype=float)
-        out = np.asarray(self._joint_top_two(x0, self.dist.pdf(x0), x_i, self.dist.cdf(x_i)))
-        return float(out) if out.ndim == 0 else out
-
-    def _joint_top_two(self, x0, fx0, x_i, fxi):
-        """`joint_top_two_pdf` given f(x0) = fx0 and F(x_i) = fxi."""
-        out = self.n * (self.n - 1) * fx0 * self.dist.pdf(x_i) * fxi ** (self.n - 2)
-        return np.where(x_i < x0, out, 0.0)
-
-    def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=None):
-        """2D integral over the top-two powers (t0, ti) = log(x0, x_i) of
-        E[Q(m, a + b Y)] with Y = m H1, a = m theta omega / x0 and
-        b = theta x_i / x0 (omega = 0 drops the residual).
-
-        Each outer-integrand call over t0 integrates ti over [t_lo, t0_i] for
-        all its nodes with one batched rule, at a nested rule's inner
-        tolerance; row i maps [t_lo, t0_i] affinely onto [0, 1] (the width is
-        the Jacobian), which keeps the scalar rule's panels.  f(x0) is read
-        once per row, and F(x_i) once per node.
-
-        With a residual the fading expectation uses a `laguerre_nodes` rule,
-        by default ceil(m/2) nodes for integer m and `_LAGUERRE_NODES`
-        otherwise.  For integer m <= 2 `laguerre_nodes` the rule is exact:
-        the rescaled integrand exp(beta z) Q(m, a + beta z) is e^-a times
-        the order recurrence's polynomial S(a + beta z) of degree m - 1, so
-        there is no certification.  Otherwise the integrand has two
-        components, the fading expectation by twice the nodes and by the
-        rule itself, integrated on the same panels in one 2D pass; the two
-        values must agree to the `_DOMINANT_QUAD` tolerance, and the first
-        is returned.  Logs the work done at debug level.
-        """
-        if theta <= 0:
-            raise ParameterError("theta must be positive (linear scale)")
-        if self.n < 2:
-            raise ParameterError("needs n >= 2")
-        start = time.perf_counter()
-        m, dist = self.m, self.dist
-        integer_m = float(m).is_integer()
-        if laguerre_nodes is None:
-            laguerre_nodes = math.ceil(m / 2) if integer_m else _LAGUERRE_NODES
-        lo, hi = self._outer_bounds(1e-10)
-        t_lo, t_hi = math.log(lo), math.log(hi)
-        with_residual_mean = with_residual_mean and self.n > 2
-        certified = with_residual_mean and not (integer_m and m <= 2 * laguerre_nodes)
-        rules = [2 * laguerre_nodes, laguerre_nodes] if certified else [laguerre_nodes]
-        inner_cfg = _DOMINANT_QUAD.scaled(0.1)
-        rows = inner_nodes = 0
-
-        def outer(t0):
-            nonlocal rows, inner_nodes
-            x0 = np.exp(t0)
-            fx0 = dist.pdf(x0)
-            width = t0 - t_lo
-
-            def inner(r, u):
-                x0_r, w = x0[r], width[r]
-                xi = np.exp(t_lo + u * w)
-                fxi = dist.cdf(xi)
-                omega = self._residual_mean(xi, fxi) if with_residual_mean else 0.0
-                a, b = m * theta * omega / x0_r, theta * xi / x0_r
-                joint = self._joint_top_two(x0_r, fx0[r], xi, fxi)
-                return np.array(
-                    [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
-                )
-
-            res = integrate_batch(inner, t0.size, 0.0, 1.0, inner_cfg)
-            rows += t0.size
-            inner_nodes += res.n_evals
-            return res.value
-
-        res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
-        value = res.value[0]
-        if certified:
-            tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(value))
-            if abs(value - res.value[1]) > tol:
-                raise QuadratureError(
-                    f"{laguerre_nodes}- and {rules[0]}-node fading rules disagree "
-                    f"({res.value[1]:.10g} vs {value:.10g}, tolerance {tol:.3e})",
-                    best_estimate=value,
-                    error_estimate=abs(value - res.value[1]),
-                    level="fading",
-                )
-        value, clamp_note = _clamp(float(value))
-        log.debug(
-            "dominant coverage at theta=%.6g: residual %s, %d outer nodes, %d inner rows, "
-            "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s%s",
-            theta, "mean" if with_residual_mean else "dropped", res.n_evals, rows, inner_nodes,
-            _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
-            rules[0] if with_residual_mean else 0, "yes" if certified else "no",
-            time.perf_counter() - start, clamp_note,
-        )
-        return value
-
-    def coverage_dominant(self, theta):
-        """Dominant-interferer coverage: second-strongest interferer exact,
-        the rest replaced by their conditional mean.  Valid for any m > 0."""
-        return self._coverage_dominant_generic(theta, with_residual_mean=True)
-
-    def coverage_single_dominant(self, theta):
-        """Single-dominant-interferer coverage (residual interference dropped)."""
-        return self._coverage_dominant_generic(theta, with_residual_mean=False)
-
-
-# ---------------------------------------------------------------------------
-# HPPP: conditional Laplace transform and coverage
-# ---------------------------------------------------------------------------
-
-
-class InterferenceLaplaceHPPP(_ConditionalLaplace):
-    """Conditional Laplace transform of the aggregate interference given the
-    maximum received power s0 under the finite HPPP model.
-
-    Given s0, the other UAVs' received powers form a Poisson process on
-    (0, s0) with intensity mu f(p), mu = lam |L| the mean UAV count (the
-    marking theorem), so its probability generating functional gives
-
-        L(s | s0) = exp(eta(s)),
-        eta(s) = -mu int_0^{s0} (1 - (1 + s p / m)^-m) f(p) dp.
-
-    With the BPP model's kernel rows, eta(s - tau z) = -mu D + mu h(z), so
-    L(s - tau z) has the non-negative series exp(-mu D) sum_r (mu h(z))^r / r!.
-    """
-
-    def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float, config=None):
-        if mean_count <= 0:
-            raise ParameterError("the mean UAV count must be positive")
-        self.dist = dist
-        self.mu = float(mean_count)
-        self.m = float(m)
-        self.cfg = config or _LAPLACE_QUAD
-
-    def _series(self, s, tau, s0, order):
-        rows, n_evals = _moment_series(self.dist, self.m, s, tau, s0, order, self.cfg)
-        weights = [np.exp(-self.mu * rows[0]) / math.factorial(r) for r in range(order + 1)]
-        return _taylor_sum(weights, self.mu * rows), 0, n_evals
-
-    def mean_interference(self, s0):
-        """E[I | Pr0 = s0] = -dL/ds at s = 0 = mu int_0^{s0} p f(p) dp = mu h_1 at tau = 1."""
-        rows, _ = _moment_series(self.dist, self.m, 0.0, 1.0, s0, 1, self.cfg)
-        return self.mu * float(rows[1, 0])
+        super().__init__(_CountLaw(n=self.n), geom, channel)
 
 
 class HpppCoverageModel(_CoverageModel):
@@ -861,39 +892,8 @@ class HpppCoverageModel(_CoverageModel):
     def __init__(self, intensity, geom: CorridorGeometry, channel: ChannelParams):
         if intensity <= 0:
             raise ParameterError("intensity must be positive")
-        super().__init__(geom, channel)
-        self.lam = float(intensity)
-        self.mu = self.lam * geom.length  # mean UAV count
-
-    @cached_property
-    def laplace(self) -> InterferenceLaplaceHPPP:
-        return InterferenceLaplaceHPPP(self.dist, self.mu, self.channel.m)
-
-    def max_power_pdf(self, s0):
-        """Void-conditioned maximum-power density
-
-        mu f(s0) exp(mu (F(s0) - 1)) / (1 - exp(-mu)),   mu = lam |L|."""
-        s0 = np.asarray(s0, dtype=float)
-        mu = self.mu
-        out = np.asarray(
-            mu
-            * self.dist.pdf(s0)
-            * np.exp(mu * (self.dist.cdf(s0) - 1.0))
-            / (-math.expm1(-mu))
-        )
-        return float(out) if out.ndim == 0 else out
-
-    def max_power_cdf(self, s0):
-        s0 = np.asarray(s0, dtype=float)
-        mu = self.mu
-        out = np.asarray(np.expm1(mu * self.dist.cdf(s0)) / math.expm1(mu))
-        return float(out) if out.ndim == 0 else out
-
-    def _outer_bounds(self, eps=1e-12):
-        mu = self.mu
-        p_lo = math.log1p(eps * math.expm1(mu)) / mu
-        p_hi = 1.0 - eps * (-math.expm1(-mu)) / mu
-        return self.dist.ppf(p_lo), self.dist.ppf(p_hi)
+        self.mu = float(intensity) * geom.length  # mean UAV count
+        super().__init__(_CountLaw(mu=self.mu), geom, channel)
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +916,10 @@ def hppp_model(intensity, geom, channel) -> HpppCoverageModel:
     return HpppCoverageModel(intensity, geom, channel)
 
 
+_METHODS = {"exact": "coverage", "dominant": "coverage_dominant",
+            "single_dominant": "coverage_single_dominant"}
+
+
 @dataclass(frozen=True)
 class CoverageQuery:
     """A coverage-probability request: threshold theta is LINEAR here;
@@ -925,12 +929,12 @@ class CoverageQuery:
     spatial: SpatialModel
     channel: ChannelParams
     geom: CorridorGeometry
-    method: str = "exact"  # exact | dominant | single_dominant
+    method: str = "exact"  # exact | dominant | single_dominant, for BPP and HPPP
 
     def __post_init__(self):
         if self.theta <= 0:
             raise ParameterError("theta must be positive (linear scale)")
-        if self.method not in ("exact", "dominant", "single_dominant"):
+        if self.method not in _METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
 
 
@@ -939,15 +943,10 @@ def coverage_probability(query: CoverageQuery) -> float:
     spatial = query.spatial
     if isinstance(spatial, BPP):
         model = bpp_model(spatial.n, query.geom, query.channel)
-        if query.method == "exact":
-            return model.coverage(query.theta)
-        if query.method == "dominant":
-            return model.coverage_dominant(query.theta)
-        return model.coverage_single_dominant(query.theta)
-    if isinstance(spatial, FiniteHPPP):
-        if query.method != "exact":
-            raise ParameterError("dominant-interferer methods are defined for the BPP model only")
-        return hppp_model(spatial.intensity, query.geom, query.channel).coverage(query.theta)
-    if isinstance(spatial, Disc2D):
+    elif isinstance(spatial, FiniteHPPP):
+        model = hppp_model(spatial.intensity, query.geom, query.channel)
+    elif isinstance(spatial, Disc2D):
         raise ParameterError("the 2D disc baseline has no analytic engine; use method mc")
-    raise ParameterError(f"unsupported spatial model {spatial!r}")
+    else:
+        raise ParameterError(f"unsupported spatial model {spatial!r}")
+    return getattr(model, _METHODS[query.method])(query.theta)

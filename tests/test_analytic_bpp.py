@@ -19,6 +19,7 @@ from corridor_cov import (
     ReceivedPowerDistribution,
     bpp_model,
     carrier_factor_from_frequency,
+    hppp_model,
     integrate,
     simulate_sir,
 )
@@ -377,6 +378,37 @@ class TestDominantInterferer:
             th = 10 ** (th_db / 10)
             assert model10.coverage_dominant(th) == pytest.approx((sir > th).mean(), abs=0.01)
 
+    @staticmethod
+    def mc_approximate_sir_hppp(model, trials, seed):
+        """The same approximate SIR for the finite HPPP: Poisson counts
+        conditioned on N >= 1, the residual replaced by mu M1(x_i); a lone
+        UAV has no interferer, so its SIR is infinite."""
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(model.mu, trials)
+        counts = counts[counts > 0]
+        x0, xi = np.empty(counts.size), np.zeros(counts.size)
+        for n in np.unique(counts):
+            rows = counts == n
+            p = np.sort(draw_powers(rng, np.count_nonzero(rows), n=n), axis=1)
+            x0[rows] = p[:, -1]
+            if n > 1:
+                xi[rows] = p[:, -2]
+        h0 = rng.exponential(1.0, counts.size)
+        hi = rng.exponential(1.0, counts.size)
+        omega = model.mu * model.dist.mean_below(xi)
+        with np.errstate(divide="ignore"):
+            return h0 * x0 / (hi * xi + omega)
+
+    @pytest.mark.parametrize("mean_count", [10.0, 0.5])
+    def test_hppp_dominant_matches_approximate_sir_simulation(self, geom, channel, mean_count):
+        # at mean count 0.5 a lone serving UAV is most of the mass
+        model = hppp_model(mean_count / geom.length, geom, channel)
+        sir = self.mc_approximate_sir_hppp(model, 400_000, 17)
+        for th_db in (-3.0, 3.0):
+            th = 10 ** (th_db / 10)
+            assert model.coverage_dominant(th) == pytest.approx((sir > th).mean(), abs=0.01)
+        assert model.coverage_dominant(1e-6) == pytest.approx(1.0, abs=1e-3)
+
     def test_single_dominant_matches_its_simulation(self, model10):
         sir = self.mc_approximate_sir(model10, 400_000, 16, single=True)
         th = 10 ** (-3 / 10)
@@ -721,16 +753,15 @@ class TestCoverageQueryDispatch:
         q_dom = CoverageQuery(th, BPP(N), channel, geom, method="dominant")
         assert coverage_probability(q_dom) == pytest.approx(model10.coverage_dominant(th), rel=1e-6)
 
-    def test_hppp_exact_only(self, geom, channel):
-        from corridor_cov import CoverageQuery, FiniteHPPP, coverage_probability, hppp_model
+    def test_hppp_methods(self, geom, channel):
+        from corridor_cov import CoverageQuery, FiniteHPPP, coverage_probability
 
         th = 10 ** (-3 / 10)
+        model = hppp_model(0.01, geom, channel)
         q = CoverageQuery(th, FiniteHPPP(0.01), channel, geom)
-        assert coverage_probability(q) == pytest.approx(
-            hppp_model(0.01, geom, channel).coverage(th), rel=1e-9
-        )
-        with pytest.raises(ParameterError):
-            coverage_probability(CoverageQuery(th, FiniteHPPP(0.01), channel, geom, "dominant"))
+        assert coverage_probability(q) == pytest.approx(model.coverage(th), rel=1e-9)
+        q_dom = CoverageQuery(th, FiniteHPPP(0.01), channel, geom, "dominant")
+        assert coverage_probability(q_dom) == pytest.approx(model.coverage_dominant(th), rel=1e-6)
 
     def test_disc_is_simulation_only(self, geom, channel):
         from corridor_cov import CoverageQuery, Disc2D, coverage_probability

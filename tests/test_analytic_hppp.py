@@ -96,7 +96,9 @@ class TestMaxPowerPdfHPPP:
             xs = np.exp(
                 np.linspace(math.log(bm.dist.x_lo * 1.01), math.log(bm.dist.x_hi * 0.99), 4000)
             )
-            return np.max(np.abs(hm.max_power_cdf(xs) - bm.dist.cdf(xs) ** n))
+            bpp_cdf = bm.dist.cdf(xs) ** n
+            np.testing.assert_allclose(bm.max_power_cdf(xs), bpp_cdf, rtol=1e-13, atol=0.0)
+            return np.max(np.abs(hm.max_power_cdf(xs) - bpp_cdf))
 
         d5, d10, d20 = sup_distance(5), sup_distance(10), sup_distance(20)
         assert d5 > d10 > d20

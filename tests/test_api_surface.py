@@ -117,11 +117,23 @@ def test_coverage_curves_carry_no_provenance():
     assert "provenance" not in inspect.signature(simulator.coverage_from_sirs).parameters
 
 
+SHARED_MODEL_METHODS = (
+    "coverage", "conditional_coverage", "_conditional_coverage", "max_power_pdf", "max_power_cdf",
+    "_outer_bounds", "coverage_dominant", "coverage_single_dominant",
+    "residual_mean_interference", "joint_top_two_pdf",
+)
+
+
 def test_both_spatial_models_share_one_coverage():
     from corridor_cov import analytic
 
-    for name in ("coverage", "conditional_coverage", "_conditional_coverage"):
+    for name in SHARED_MODEL_METHODS:
         assert getattr(analytic.BppCoverageModel, name) is getattr(analytic.HpppCoverageModel, name)
+    assert analytic.InterferenceLaplaceBPP._series is analytic.InterferenceLaplaceHPPP._series
+    # the per-model classes only validate their arguments and pick a count law
+    for cls in (analytic.BppCoverageModel, analytic.HpppCoverageModel,
+                analytic.InterferenceLaplaceBPP, analytic.InterferenceLaplaceHPPP):
+        assert [name for name, v in vars(cls).items() if callable(v)] == ["__init__"]
 
 
 # Every attribute covbench/tracer.py patches: a rename would silently stop

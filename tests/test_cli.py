@@ -88,14 +88,24 @@ class TestCoverageCommand:
         assert run_cli(["coverage", "--config", str(cfg)]) == 2
         assert "workers" in capsys.readouterr().err
 
-    def test_dominant_requires_bpp(self, tmp_path):
-        cfg = tmp_path / "hppp.ini"
-        cfg.write_text("[spatial]\nmodel = hppp\nintensity = 0.01\n")
-        code = run_cli(
-            ["coverage", "--config", str(cfg), "--methods", "dominant",
-             "--sweep", "theta", "--values", "-3"]
-        )
-        assert code == 2
+    def test_dominant_covers_hppp_not_disc(self, tmp_path, geom, channel):
+        from corridor_cov import hppp_model
+
+        def run(model_lines, out):
+            cfg = tmp_path / "spatial.ini"
+            cfg.write_text("[spatial]\n" + model_lines)
+            return run_cli(
+                ["coverage", "--config", str(cfg), "--methods", "dominant",
+                 "--sweep", "theta", "--values", "-3", "--out", str(out)]
+            )
+
+        out = tmp_path / "hppp.csv"
+        assert run("model = hppp\nintensity = 0.01\n", out) == 0
+        (row,) = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert row[1] == "dominant"
+        assert float(row[2]) == hppp_model(0.01, geom, channel).coverage_dominant(10 ** (-3 / 10))
+        # the 2D disc baseline stays simulation only
+        assert run("model = disc\n", tmp_path / "disc.csv") == 2
 
     def test_missing_config_file(self):
         assert run_cli(["coverage", "--config", "/nonexistent.ini"]) == 2

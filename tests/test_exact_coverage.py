@@ -111,11 +111,15 @@ def test_derivative_series_is_exactly_one_at_the_origin(geom, channel_m3, spatia
 
 
 def test_hppp_derivative_at_origin_is_minus_mean_interference(geom, channel_m3):
-    laplace = hppp_model(LAM, geom, channel_m3).laplace
-    for s0 in (1e-7, 3e-6, 1e-3):
-        assert laplace.derivative_series(0.0, s0, 1)[1] == pytest.approx(
-            -laplace.mean_interference(s0), rel=1e-12, abs=0.0
-        )
+    # and the BPP's; both are G''(F) / G'(F) M1(s0): mu M1 and (n - 1) M1 / F
+    hppp, bpp = hppp_model(LAM, geom, channel_m3), bpp_model(N, geom, channel_m3)
+    for model, ratio in ((hppp, lambda F: hppp.mu), (bpp, lambda F: (N - 1) / F)):
+        laplace, dist = model.laplace, model.dist
+        for s0 in (1e-7, 3e-6, 1e-3):
+            mean = laplace.mean_interference(s0)
+            derivative = laplace.derivative_series(0.0, s0, 1)[1]
+            assert derivative == pytest.approx(-mean, rel=1e-12, abs=0.0)
+            assert mean == pytest.approx(ratio(dist.cdf(s0)) * dist.mean_below(s0), rel=1e-8)
 
 
 # Oracle: the same Taylor-series formulation with inner integrals at rel 1e-10
