@@ -42,6 +42,7 @@ __all__ = [
     "LinkDistanceDistribution",
     "InverseGammaShadowing",
     "NakagamiFadingPower",
+    "sample_gamma",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -364,11 +365,53 @@ def pathloss_value_cdf(x, h, R, alpha):
 # Shadowing and fading
 # ---------------------------------------------------------------------------
 
+# Integer gamma shapes from 2 up to this one are drawn from uniforms (see
+# `sample_gamma`).  With SFC64 on one x86_64 CPU that took about 13, 19 and
+# 20-25 ns per value at shapes 2, 3 and 4, against 32-35 ns for numpy's
+# standard_gamma, and the two drew within about 10% of each other at shape
+# 5 (BENCH_19.json).
+_ERLANG_MAX_SHAPE = 4
+# Values per block of uniforms, so that a call of any size holds at most
+# _ERLANG_MAX_SHAPE * _ERLANG_BLOCK uniforms (256 KiB) at once.
+_ERLANG_BLOCK = 1 << 13
+
+
+def sample_gamma(rng, shape, scale, out):
+    """Gamma(shape, scale) values drawn into `out`, a C-contiguous float64
+    array, which is returned.
+
+    An integer shape k from 2 to _ERLANG_MAX_SHAPE is drawn exactly, as
+    -scale * log((1 - U_1) ... (1 - U_k)) (the Erlang identity), where the
+    k uniforms of each value come one after another from rng.random; every
+    factor lies in (0, 1], so the log is finite.  Every other shape draws
+    scale * rng.standard_gamma(shape), the values of rng.gamma.  Either way,
+    successive calls give the values of one call for all of them, and leave
+    the stream where that call would.
+    """
+    if not (2 <= shape <= _ERLANG_MAX_SHAPE and float(shape).is_integer()):
+        rng.standard_gamma(shape, out=out)
+        out *= scale
+        return out
+    k = int(shape)
+    flat = out.reshape(-1)
+    block = np.empty(k * min(flat.size, _ERLANG_BLOCK))
+    for first in range(0, flat.size, _ERLANG_BLOCK):
+        prod = flat[first : first + _ERLANG_BLOCK]
+        u = rng.random(out=block[: k * prod.size]).reshape(-1, k)
+        np.subtract(1.0, u, out=u)
+        np.multiply(u[:, 0], u[:, 1], out=prod)
+        for j in range(2, k):
+            prod *= u[:, j]
+    np.log(out, out=out)
+    out *= -scale
+    return out
+
 
 class InverseGammaShadowing:
     """Inverse-gamma shadowing gain: pdf gamma^q / (Gamma(q) x^(q+1)) exp(-gamma/x).
 
-    Sampling uses the reciprocal of a Gamma(q, 1/gamma) draw, which is exact.
+    Sampling uses the reciprocal of a Gamma(q, 1/gamma) draw of
+    `sample_gamma`, which is exact.
     The mean gamma/(q-1) exists only for q > 1 (enforced); the variance is
     infinite for q <= 2, so sample means converge slowly there.
     """
@@ -398,7 +441,8 @@ class InverseGammaShadowing:
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, size=None):
-        return 1.0 / rng.gamma(self.q, 1.0 / self.gamma, size)
+        g = sample_gamma(rng, self.q, 1.0 / self.gamma, np.empty(() if size is None else size))
+        return 1.0 / g[()]  # a scalar when size is None
 
     def mean(self):
         return self.gamma / (self.q - 1.0)
@@ -416,7 +460,8 @@ class InverseGammaShadowing:
 
 
 class NakagamiFadingPower:
-    """Nakagami-m fading power gain: Gamma(m, 1/m), unit mean; m=1 is Exp(1)."""
+    """Nakagami-m fading power gain: Gamma(m, 1/m), unit mean; m=1 is Exp(1).
+    Sampling uses `sample_gamma`."""
 
     def __init__(self, m):
         if m <= 0:
@@ -438,7 +483,8 @@ class NakagamiFadingPower:
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, size=None):
-        return rng.gamma(self.m, 1.0 / self.m, size)
+        g = sample_gamma(rng, self.m, 1.0 / self.m, np.empty(() if size is None else size))
+        return g[()]  # a scalar when size is None
 
     def mean(self):
         return 1.0

@@ -24,16 +24,23 @@ another.  The trials of each count form a dense block, with no padding;
 SIRs are returned in trial order.  A BPP or Disc2D batch is one block in
 trial order.  The per-UAV draws come in a fixed order per entry point:
 
-- `simulate_sir` and `simulate_sir_paired`: positions, heights, shadowing,
-  then fading.  Shadowing is applied at realization time (association
-  measures S * l(d), agnostic to fast fading); fading is drawn at SIR time,
-  and the paired run shares it between both policies.
-- `height_model_kl_study`: positions, height uniforms (where the height
-  model would draw), shadowing, then fading.
+- `simulate_sir` and `simulate_sir_paired`: positions, shadowing, then
+  fading.  Heights that are not fixed come from the batch's height stream,
+  the first child of its generator (SeedSequence spawn key (b, 0)), so the
+  runs of a fixed and a variable height under one seed share positions,
+  shadowing and fading.  Shadowing is applied at realization time
+  (association measures S * l(d), agnostic to fast fading); fading is
+  drawn at SIR time, and the paired run shares it between both policies.
+- `height_model_kl_study`: positions, shadowing, then fading; the height
+  uniforms come from the batch's height stream.
 - `trace_replay`: positions, then fading ("redraw" mode only); the trace
   supplies everything else.
 - `synthesize_trace` draws from batch 0's substream: heights, then
   shadowing.
+
+Shadowing and fading are Gamma draws of `core.sample_gamma`: an integer
+shape from 2 to 4 (q = 2 or m = 3, say) takes that many uniforms per
+value, and every other shape numpy's standard_gamma.
 
 Memory: the blocks are cut at trial boundaries into pieces of about
 `_PIECE_UAVS` UAVs, and the per-UAV work after the whole-batch draws runs
@@ -53,7 +60,8 @@ arrays span a batch:
 
 Everything else (shadowing in `simulate_sir` and `simulate_sir_paired`,
 fading, faded powers, serving indices, SIRs, tallies and histogram counts)
-is per piece.
+is per piece, and so is the block of uniforms that an integer-shape Gamma
+draw takes them from, of at most 4 * 2**13 values (256 KiB).
 """
 
 from __future__ import annotations
@@ -76,9 +84,11 @@ from .core import (
     FiniteHPPP,
     FixedHeight,
     HeightModel,
+    InverseGammaShadowing,
     ParameterError,
     db_to_linear,
     linear_to_db,
+    sample_gamma,
 )
 
 __all__ = [
@@ -280,15 +290,6 @@ class _Layout:
         return out[self.counts > 0]
 
 
-def _gamma(rng, shape, scale, out):
-    """Gamma(shape, scale) values drawn into `out`.  Successive calls give
-    the values of one rng.gamma(shape, scale, n) call for all of them, and
-    leave the stream where that call would."""
-    rng.standard_gamma(shape, out=out)
-    out *= scale
-    return out
-
-
 def _rx_powers(pos, heights, shadowing, channel):
     """S * K * (d^2)^(-alpha/2): received powers without fast fading, for
     UAVs at corridor coordinates `pos` and `heights`."""
@@ -300,8 +301,10 @@ def _draw_batch(spatial, geom, channel, size, rng, keep_d2):
     """One batch of `size` realizations, drawn as far as association needs:
     (layout, powers, d2).
 
-    Counts, positions, heights and shadowing are drawn in that order, each
-    for the whole batch; the shadowing piece by piece.  `powers` are the
+    Counts, positions and shadowing are drawn in that order, each for the
+    whole batch; the shadowing piece by piece.  Heights that are not fixed
+    come from the batch generator's first child (`rng.spawn`), so they
+    leave the draws of `rng` as a fixed height does.  `powers` are the
     values of `_rx_powers`, their products grouped alike as
     (S * K) * (d^2)^(-alpha/2), flat per UAV in the order of `layout`.  They
     are written over the positions unless `keep_d2`, which keeps the squared
@@ -311,13 +314,16 @@ def _draw_batch(spatial, geom, channel, size, rng, keep_d2):
     pos, counts = _draw_positions(spatial, geom, rng, size)
     layout = _Layout(counts)
     model = geom.height_model
-    heights = model.h if isinstance(model, FixedHeight) else model.sample(rng, pos.shape)
+    if isinstance(model, FixedHeight):
+        heights = model.h
+    else:
+        heights = model.sample(rng.spawn(1)[0], pos.shape)
     d2 = pos  # formed in place
     d2 *= d2
     d2 += heights * heights
     powers = np.empty_like(d2) if keep_d2 else d2
     for d, p, scratch in layout.pieces(d2, powers):
-        shadowing = _gamma(rng, channel.q, 1.0 / channel.gamma, scratch)
+        shadowing = sample_gamma(rng, channel.q, 1.0 / channel.gamma, scratch)
         np.divide(1.0, shadowing, out=shadowing)
         shadowing *= channel.k_factor
         if keep_d2:
@@ -376,7 +382,7 @@ def simulate_sir(
         )
         parts = []
         for p, d, scratch in layout.pieces(powers, d2):
-            faded = _gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
             faded *= p
             sirs = _combine_sir(faded, _serving(policy, p, d))
             parts.append(sirs if theta_db is None else SirTally.of(sirs, theta_db))
@@ -406,7 +412,7 @@ def simulate_sir_paired(
         layout, powers, d2 = _draw_batch(spatial, geom, channel, size, rng, keep_d2=True)
         sir_mp, sir_md, disagree = [], [], 0
         for p, d, scratch in layout.pieces(powers, d2):
-            faded = _gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
             faded *= p
             i_mp, i_md = _serving(MAX_POWER, p, d), _serving(MIN_DISTANCE, p, d)
             sir_mp.append(_combine_sir(faded, i_mp))
@@ -521,10 +527,10 @@ def variable_height_study(
     """Coverage under a fixed height vs a variable-height model.
 
     The two runs use the same master seed, hence the same batch substreams,
-    and draw identical positions.  The variable heights are drawn next, so
-    the variable run's shadowing and fading come from later in the stream
-    than the fixed run's: the reported max_gap carries the Monte Carlo
-    noise of both curves.
+    and the variable heights come from each batch's own height stream (see
+    `_draw_batch`), so both runs draw identical positions, shadowing and
+    fading.  Only the heights differ, and the reported max_gap measures the
+    height effect, not the Monte Carlo noise of two curves.
     """
     geom_fixed = CorridorGeometry(R, FixedHeight(fixed_h))
     geom_var = CorridorGeometry(R, height_model)
@@ -586,11 +592,11 @@ def height_model_kl_study(
     def run(rng, size):
         pos, counts = _draw_positions(spatial, geom, rng, size)
         layout = _Layout(counts)
-        u_h = rng.uniform(0.0, 1.0, pos.shape)
-        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
+        u_h = rng.spawn(1)[0].uniform(0.0, 1.0, pos.shape)
+        shadowing = InverseGammaShadowing(channel.q, channel.gamma).sample(rng, pos.shape)
         hists = {key: np.zeros(edges_db.size - 1, np.int64) for key in ("true", "normal", "uniform")}
         for x, u, s, scratch in layout.pieces(pos, u_h, shadowing):
-            fading = _gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            fading = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
             for key, heights in transforms(u).items():
                 powers = _rx_powers(x, heights, s, channel)
                 sirs = _combine_sir(fading * powers, _serving(MAX_POWER, powers, None))
@@ -783,7 +789,7 @@ def synthesize_trace(geom, channel, spacing, seed):
     n = int(round(geom.length / spacing)) + 1
     pos = np.linspace(-geom.R, geom.R, n)
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
-    shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n)
+    shadowing = InverseGammaShadowing(channel.q, channel.gamma).sample(rng, n)
     powers = _rx_powers(pos, heights, shadowing, channel)
     actual_spacing = pos[1] - pos[0]
     return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=actual_spacing / 2)
@@ -839,7 +845,7 @@ def trace_replay(
             idx = trace.nearest_index(x)
             powers = trace_power[idx]
             if fading_mode == "redraw":
-                faded = _gamma(rng, m, 1.0 / m, scratch)
+                faded = sample_gamma(rng, m, 1.0 / m, scratch)
                 faded *= powers
             else:
                 faded = powers

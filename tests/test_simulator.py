@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from corridor_cov import (
     BPP,
@@ -28,7 +29,8 @@ from corridor_cov import (
     trace_replay,
     variable_height_study,
 )
-from corridor_cov import simulator
+from corridor_cov import core, simulator
+from corridor_cov.core import sample_gamma
 from corridor_cov.simulator import (
     MAX_POWER,
     MIN_DISTANCE,
@@ -52,7 +54,7 @@ class TestSampleNetwork:
         rng = _substream(1, 0)
         pos, _ = _draw_positions(BPP(10), geom, rng, 1)
         heights = geom.height_model.sample(rng, pos.shape)
-        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, pos.shape)
+        shadowing = 1.0 / sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(pos.shape))
         assert counts[0] == 10 and powers.shape == (10,)
         assert np.all(np.abs(pos) <= geom.R)
         assert np.all(heights == 100.0)
@@ -155,10 +157,10 @@ class TestSirSample:
             rng = _substream(77, b)
             pos = rng.uniform(-geom.R, geom.R, 10)
             heights = geom.height_model.sample(rng, 10)
-            shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, 10)
+            shadowing = 1.0 / sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(10))
             powers = shadowing * channel.k_factor * np.hypot(pos, heights) ** -channel.alpha
             serving = int(np.argmax(powers))
-            faded = rng.gamma(channel.m, 1.0 / channel.m, 10) * powers
+            faded = sample_gamma(rng, channel.m, 1.0 / channel.m, np.empty(10)) * powers
             manual.append(faded[serving] / (faded.sum() - faded[serving]))
         assert np.allclose(sirs, manual, rtol=1e-12)
 
@@ -175,8 +177,8 @@ class TestSirSample:
         n = counts.sum()
         pos = rng.uniform(-geom.R, geom.R, n)
         heights = geom.height_model.sample(rng, n)
-        shadowing = 1.0 / rng.gamma(channel.q, 1.0 / channel.gamma, n)
-        fading = rng.gamma(channel.m, 1.0 / channel.m, n)
+        shadowing = 1.0 / sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(n))
+        fading = sample_gamma(rng, channel.m, 1.0 / channel.m, np.empty(n))
         # the UAVs of trial t follow those of every trial sorted before it
         order = np.argsort(counts, kind="stable")
         first = np.empty(size, dtype=int)
@@ -205,7 +207,7 @@ class TestSirSample:
         rng = _substream(79, 0)
         assert np.array_equal(rng.poisson(0.01 * geom.length, 500), counts)
         rng.uniform(-geom.R, geom.R, counts.sum())
-        rng.gamma(channel.q, 1.0 / channel.gamma, counts.sum())
+        sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(counts.sum()))
         assert engine.random() == rng.random()
 
 
@@ -289,8 +291,22 @@ class TestVariableHeight:
             BPP(10), 200.0, 200.0, NormalHeight(200.0, 1e-6), channel,
             np.arange(-10, 11.0), 30_000, seed=20,
         )
-        # identical up to Monte Carlo noise (independent streams)
+        # the runs share every draw but the heights
         assert res.max_gap <= 3.5 * math.sqrt(0.25 / 30_000) * 2
+
+    @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.01)])
+    def test_near_fixed_uniform_height_matches_fixed_trial_by_trial(self, channel, spatial):
+        # heights come from their own stream, so the runs share positions,
+        # shadowing and fading, and heights within 1e-6 m move each SIR by
+        # well under 1e-6
+        runs = [
+            simulate_sir(spatial, CorridorGeometry(500.0, height), channel, 3000, seed=31,
+                         batch_size=1024)
+            for height in (FixedHeight(100.0), UniformHeight(100.0 - 1e-6, 100.0 + 1e-6))
+        ]
+        (fixed, excluded), (variable, excluded_var) = runs
+        assert excluded == excluded_var
+        assert np.allclose(variable, fixed, rtol=1e-6, atol=0.0)
 
     def test_height_fitting(self):
         rng = np.random.default_rng(21)
@@ -548,9 +564,65 @@ def test_numpy_piecewise_standard_gamma_equals_one_gamma_call(shape):
     assert _stream_state(rng) == _stream_state(whole)
 
 
+class _Extreme:
+    """A stand-in generator whose uniforms are all `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+        return out
+
+
+class TestSampleGamma:
+    SHAPES_FALLBACK = (0.5, 1.0, 2.5, 5.0, 1e7)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_integer_shapes_follow_the_gamma_law(self, k):
+        scale, n = 0.7, 10**6
+        x = sample_gamma(_substream(48, 0), k, scale, np.empty(n))
+        assert ks_statistic(x, stats.gamma(k, scale=scale).cdf) < 1.63 / 1000.0
+        mean, var = k * scale, k * scale**2
+        assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / n)
+        # Var(sample variance) = var^2 (2 + excess kurtosis 6/k) / n
+        assert abs(x.var() - var) < 4.0 * var * math.sqrt((2.0 + 6.0 / k) / n)
+
+    @pytest.mark.parametrize("shape", [2, 3.0, 4, 1.0, 2.5])
+    def test_pieces_equal_one_call(self, monkeypatch, shape):
+        # pieces of any size, across blocks of uniforms, give the values of
+        # one call and leave the stream where it would
+        whole = _substream(49, 2)
+        expected = sample_gamma(whole, shape, 0.25, np.empty(1000))
+        monkeypatch.setattr(core, "_ERLANG_BLOCK", 128)
+        rng = _substream(49, 2)
+        parts = [sample_gamma(rng, shape, 0.25, np.empty(n)) for n in (300, 7, 1, 292, 400)]
+        assert np.array_equal(np.concatenate(parts), expected)
+        assert _stream_state(rng) == _stream_state(whole)
+
+    @pytest.mark.parametrize("shape", SHAPES_FALLBACK)
+    def test_other_shapes_draw_numpys_gamma(self, shape):
+        got = sample_gamma(_substream(50, 1), shape, 1.0 / shape, np.empty(1000))
+        assert np.array_equal(got, _substream(50, 1).gamma(shape, 1.0 / shape, 1000))
+
+    @pytest.mark.parametrize("shape", (2, 3, 4) + SHAPES_FALLBACK)
+    def test_draws_are_finite_and_not_negative(self, shape):
+        x = sample_gamma(_substream(51, 0), shape, 2.0, np.empty(10**5))
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_extreme_uniforms_give_finite_draws(self, k):
+        # U = 0 gives the factor 1, the largest U below 1 gives 2**-53
+        assert np.all(sample_gamma(_Extreme(0.0), k, 1.0, np.empty(5)) == 0.0)
+        top = sample_gamma(_Extreme(1.0 - 2.0**-53), k, 1.0, np.empty(5))
+        assert np.allclose(top, 53 * k * math.log(2.0), rtol=1e-15)
+
+
 class TestPinnedStreams:
     """Values the engine produces on its SFC64 batch substreams (see
-    `_substream`), pinned when the substreams moved there from Philox.
+    `_substream`), pinned when integer Gamma shapes from 2 to 4 moved to
+    `sample_gamma`'s draw from uniforms and non-fixed heights to each
+    batch's height stream.
 
     The determinism tests compare two runs of the same code; these catch a
     change of draw order within a batch, of the batch layout or of the
@@ -561,15 +633,15 @@ class TestPinnedStreams:
         "spatial, height, policy, n_sirs, excluded, pinned",
         [
             (BPP(10), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [0.37522669739905795, 0.02616579195975149, 1.065431383382443, 3.545003315634161]),
+             [1.2166104652355039, 1.2054685739284425, 2.9087395919772825, 0.4564436665132074]),
             (BPP(10), UniformHeight(80.0, 120.0), MAX_POWER, 3000, 0,
-             [0.0023302613972101547, 3.211504804281165, 0.4746714091146611, 0.2999198851388339]),
+             [0.8712612870119855, 0.7217296330380203, 2.68822654601186, 0.7861215992945807]),
             (FiniteHPPP(0.01), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [0.32751063727905827, 0.22382946082277935, 0.006244752444179122, 1.5508188802395086]),
+             [2.81873995489471, 0.10987308759926759, 0.5682369124902827, 1.0343281034385257]),
             (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2596, 404,
-             [1095.6064642430817, 28.4451076680629, 0.3999335085061901, 8.268258180726022]),
+             [0.8425677783612727, 8.400319060940282, 7.831034869549338, 0.23585801042159735]),
             (Disc2D(10, 500.0), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [0.3175955511612489, 0.050050438723162435, 1.4336440281674048, 0.34197526062513167]),
+             [0.5542248066907278, 0.4832045112268625, 0.20701387540853827, 0.10288888202341347]),
         ],
     )
     def test_simulate_sir(self, channel, spatial, height, policy, n_sirs, excluded, pinned):
@@ -582,19 +654,19 @@ class TestPinnedStreams:
 
     def test_paired_disagreement(self, geom, channel):
         _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 5000, seed=2025, batch_size=2048)
-        assert frac == pytest.approx(2706 / 5000, rel=1e-12)
+        assert frac == pytest.approx(2698 / 5000, rel=1e-12)
 
     def test_kl_study(self, channel):
         data = np.random.default_rng(7).normal(200.0, 15.0, 5000)
         res = height_model_kl_study(
             FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=2026, batch_size=8192
         )
-        assert res.kl_normal == pytest.approx(3.4415729207414275e-05, rel=1e-12)
-        assert res.kl_uniform == pytest.approx(0.0011767946114046878, rel=1e-12)
+        assert res.kl_normal == pytest.approx(1.8991456958628917e-05, rel=1e-12)
+        assert res.kl_uniform == pytest.approx(0.00038678963309309765, rel=1e-12)
 
     @pytest.mark.parametrize(
         "fading_mode, pinned",
-        [("redraw", [0.346, 0.1684, 0.0666]), ("fromtrace", [0.3432, 0.0966, 0.0228])],
+        [("redraw", [0.353, 0.1742, 0.0672]), ("fromtrace", [0.3294, 0.0976, 0.0272])],
     )
     def test_trace_replay(self, channel, fading_mode, pinned):
         geom = CorridorGeometry(200.0, FixedHeight(200.0))
