@@ -50,7 +50,6 @@ from .simulator import (
     CoverageCurve,
     EmpiricalDistribution,
     GridMismatchError,
-    HeightStudyResult,
     MappingError,
     ReplayResult,
     SirTally,
@@ -64,10 +63,8 @@ from .simulator import (
     HeightKlResult,
     kl_divergence,
     simulate_sir,
-    simulate_sir_paired,
     synthesize_trace,
     trace_replay,
-    variable_height_study,
 )
 
 __version__ = "0.1.0"

@@ -167,9 +167,12 @@ def _get_float(cfg, section, key, allow_blank=False):
             return None
         raise ConfigError(f"[{section}] {key} must be set")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}={raw!r} is not a finite number")
+    return value
 
 
 def _get_int(cfg, section, key):
@@ -281,6 +284,8 @@ def _sweep_values(cfg):
             values = [float(v) for v in raw.split(",") if v.strip() != ""]
         except ValueError:
             raise ConfigError(f"bad sweep values {raw!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"sweep values {raw!r} are not all finite numbers")
     else:
         start = _get_float(cfg, "sweep", "start")
         stop = _get_float(cfg, "sweep", "stop")
@@ -488,6 +493,8 @@ def _height_samples(cfg, args):
         return np.asarray(trace.height_m, dtype=float), f"trace:{args.trace}"
     dist = cfg["height_study"]["dist"].strip().lower()
     count = _get_int(cfg, "height_study", "count")
+    if count < 0:
+        raise ConfigError(f"[height_study] count={count!r} must be >= 0")
     seed = _get_int(cfg, "run", "seed")
     if dist == "normal":
         mu = _get_float(cfg, "height_study", "mean")

@@ -2,8 +2,8 @@
 
 Everything analytic in this package has a simulation twin here: network
 realizations under BPP / finite-HPPP / 2D-disc spatial models, max-power and
-min-distance association, SIR sampling, empirical coverage curves, variable
-height studies, KL model comparison, and measurement-trace replay.
+min-distance association, SIR sampling, empirical coverage curves, KL
+comparison of height models, and measurement-trace replay.
 
 Reproducibility: every entry point runs its trials through `_map_batches` in
 fixed-size batches; batch b draws from its own SFC64 generator, seeded by
@@ -24,15 +24,13 @@ another.  The trials of each count form a dense block, with no padding;
 SIRs are returned in trial order.  A BPP or Disc2D batch is one block in
 trial order.  The per-UAV draws come in a fixed order per entry point:
 
-- `simulate_sir` and `simulate_sir_paired`: positions, shadowing, then
-  fading.  Heights that are not fixed come from the batch's height stream,
-  the first child of its generator (SeedSequence spawn key (b, 0)), so the
-  runs of a fixed and a variable height under one seed share positions,
-  shadowing and fading.  Shadowing is applied at realization time
-  (association measures S * l(d), agnostic to fast fading); fading is
-  drawn at SIR time, and the paired run shares it between both policies.
-- `height_model_kl_study`: positions, shadowing, then fading; the height
-  uniforms come from the batch's height stream.
+- `simulate_sir`: positions, shadowing, then fading.  Heights that are not
+  fixed come from the batch's height stream, the first child of its
+  generator (SeedSequence spawn key (b, 0)), so runs under one seed share
+  positions, shadowing and fading whatever the policy or height model:
+  coupled comparisons (common random numbers) call it once per model.
+  Shadowing is applied at realization time (association measures S * l(d),
+  agnostic to fast fading); fading is drawn at SIR time.
 - `trace_replay`: positions, then fading ("redraw" mode only); the trace
   supplies everything else.
 - `synthesize_trace` draws from batch 0's substream: heights, then
@@ -52,16 +50,13 @@ arrays span a batch:
 - `simulate_sir`, max-power: one array, which holds the positions, then the
   squared distances, then the powers (drawn heights add a second until the
   distances are formed);
-- `simulate_sir`, min-distance, and `simulate_sir_paired`: the squared
-  distances and the powers;
-- `height_model_kl_study`: the positions, the height uniforms and the
-  shadowing;
+- `simulate_sir`, min-distance: the squared distances and the powers;
 - `trace_replay`: the positions.
 
-Everything else (shadowing in `simulate_sir` and `simulate_sir_paired`,
-fading, faded powers, serving indices, SIRs, tallies and histogram counts)
-is per piece, and so is the block of uniforms that an integer-shape Gamma
-draw takes them from, of at most 4 * 2**13 values (256 KiB).
+Everything else (shadowing, fading, faded powers, serving indices, SIRs,
+tallies and histogram counts) is per piece, and so is the block of
+uniforms that an integer-shape Gamma draw takes them from, of at most
+4 * 2**13 values (256 KiB).
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,7 +78,6 @@ from .core import (
     Disc2D,
     FiniteHPPP,
     FixedHeight,
-    HeightModel,
     InverseGammaShadowing,
     ParameterError,
     db_to_linear,
@@ -99,14 +93,11 @@ __all__ = [
     "CoverageCurve",
     "SirTally",
     "EmpiricalDistribution",
-    "HeightStudyResult",
     "ReplayResult",
     "Trace",
     "simulate_sir",
-    "simulate_sir_paired",
     "empirical_coverage",
     "coverage_from_sirs",
-    "variable_height_study",
     "height_model_kl_study",
     "HeightKlResult",
     "kl_divergence",
@@ -371,6 +362,8 @@ def simulate_sir(
     non-empty corridor); single-UAV realizations yield SIR = inf.  Returns
     (sirs, n_excluded).  With a dB grid `theta_db`, each batch is reduced as
     it is drawn, and `sirs` is the `SirTally` of the samples on that grid.
+    Calls with one seed share positions, shadowing and fading, whatever
+    the policy or height model (common random numbers).
     """
     _check_policy(policy)
     if theta_db is not None:
@@ -393,38 +386,6 @@ def simulate_sir(
     parts, kept = _map_batches("simulate_sir", run, trials, batch_size, seed)
     sirs = np.concatenate(parts) if theta_db is None else SirTally.pooled(parts, theta_db)
     return sirs, trials - kept
-
-
-def simulate_sir_paired(
-    spatial,
-    geom,
-    channel,
-    trials,
-    seed,
-    batch_size=DEFAULT_BATCH_SIZE,
-):
-    """SIRs under both association policies on the SAME realizations (common
-    random numbers).  Returns (sir_max_power, sir_min_distance,
-    disagreement_fraction); raises ParameterError when every realization is
-    empty."""
-
-    def run(rng, size):
-        layout, powers, d2 = _draw_batch(spatial, geom, channel, size, rng, keep_d2=True)
-        sir_mp, sir_md, disagree = [], [], 0
-        for p, d, scratch in layout.pieces(powers, d2):
-            faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
-            faded *= p
-            i_mp, i_md = _serving(MAX_POWER, p, d), _serving(MIN_DISTANCE, p, d)
-            sir_mp.append(_combine_sir(faded, i_mp))
-            sir_md.append(_combine_sir(faded, i_md))
-            disagree += int(np.count_nonzero(i_mp != i_md))
-        return (layout.unsort(sir_mp), layout.unsort(sir_md), disagree), layout.kept
-
-    results, kept = _map_batches("simulate_sir_paired", run, trials, batch_size, seed)
-    if kept == 0:
-        raise ParameterError("no SIR samples (all realizations empty?)")
-    sir_mp, sir_md, disagree = zip(*results)
-    return np.concatenate(sir_mp), np.concatenate(sir_md), sum(disagree) / kept
 
 
 # ---------------------------------------------------------------------------
@@ -503,46 +464,25 @@ def empirical_coverage(
 
 
 # ---------------------------------------------------------------------------
-# Variable-height studies
+# Height-model studies
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class HeightStudyResult:
-    fixed: CoverageCurve
-    variable: CoverageCurve
-    max_gap: float
-
-
-def variable_height_study(
-    spatial,
-    R,
-    fixed_h,
-    height_model: HeightModel,
-    channel,
-    theta_db,
-    trials,
-    seed,
-):
-    """Coverage under a fixed height vs a variable-height model.
-
-    The two runs use the same master seed, hence the same batch substreams,
-    and the variable heights come from each batch's own height stream (see
-    `_draw_batch`), so both runs draw identical positions, shadowing and
-    fading.  Only the heights differ, and the reported max_gap measures the
-    height effect, not the Monte Carlo noise of two curves.
-    """
-    geom_fixed = CorridorGeometry(R, FixedHeight(fixed_h))
-    geom_var = CorridorGeometry(R, height_model)
-    fixed = empirical_coverage(spatial, geom_fixed, channel, theta_db, trials, seed)
-    var = empirical_coverage(spatial, geom_var, channel, theta_db, trials, seed)
-    return HeightStudyResult(fixed=fixed, variable=var, max_gap=fixed.max_gap(var))
 
 
 def fit_normal_height(samples):
     """Moment fit of a Normal height model: (mu, sigma)."""
     samples = np.asarray(samples, dtype=float)
     return float(samples.mean()), float(samples.std(ddof=1))
+
+
+@dataclass(frozen=True)
+class _QuantileHeight:
+    """Heights quantile(U) of uniforms U from the height stream: models
+    sharing that stream map the same U."""
+
+    quantile: Callable
+
+    def sample(self, rng, size):
+        return self.quantile(rng.uniform(0.0, 1.0, size))
 
 
 @dataclass
@@ -566,9 +506,9 @@ def height_model_kl_study(
 ):
     """KL comparison of fitted Normal vs Uniform height models.
 
-    Simulates the SIR distribution three times with identical positions,
-    shadowing and fading; only the per-UAV heights differ, all derived from
-    the same underlying uniforms through the inverse CDF of (a) the data's
+    Runs `simulate_sir` once per height model under one seed, so the three
+    runs share positions, shadowing and fading.  Their heights map the same
+    height-stream uniforms through the quantile function of (a) the data's
     empirical distribution, (b) the moment-fitted Normal, (c) the
     moment-fitted Uniform.  The coupling removes the shared Monte Carlo
     noise, so the reported KL values isolate the height-model mismatch.
@@ -580,34 +520,18 @@ def height_model_kl_study(
     lo, hi = fit_uniform_height(data)
     edges_db = np.arange(-30.0, 30.5, 1.0)
     data_probs = np.linspace(0.0, 1.0, len(data))
-
-    def transforms(u):
-        h_true = np.interp(u, data_probs, data)
-        h_norm = np.maximum(mu + sigma * ndtri(u), 1e-9)
-        h_unif = lo + (hi - lo) * u
-        return {"true": h_true, "normal": h_norm, "uniform": np.maximum(h_unif, 1e-9)}
-
-    geom = CorridorGeometry(R, FixedHeight(max(mu, 1e-9)))
-
-    def run(rng, size):
-        pos, counts = _draw_positions(spatial, geom, rng, size)
-        layout = _Layout(counts)
-        u_h = rng.spawn(1)[0].uniform(0.0, 1.0, pos.shape)
-        shadowing = InverseGammaShadowing(channel.q, channel.gamma).sample(rng, pos.shape)
-        hists = {key: np.zeros(edges_db.size - 1, np.int64) for key in ("true", "normal", "uniform")}
-        for x, u, s, scratch in layout.pieces(pos, u_h, shadowing):
-            fading = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
-            for key, heights in transforms(u).items():
-                powers = _rx_powers(x, heights, s, channel)
-                sirs = _combine_sir(fading * powers, _serving(MAX_POWER, powers, None))
-                hists[key] += _sir_db_counts(sirs, edges_db)
-        return hists, layout.kept
-
-    batches, _ = _map_batches("height_model_kl_study", run, trials, batch_size, seed)
-    dists = {
-        key: EmpiricalDistribution.from_counts(sum(hists[key] for hists in batches), edges_db)
-        for key in batches[0]
+    quantiles = {
+        "true": lambda u: np.interp(u, data_probs, data),
+        "normal": lambda u: np.maximum(mu + sigma * ndtri(u), 1e-9),
+        "uniform": lambda u: np.maximum(lo + (hi - lo) * u, 1e-9),
     }
+
+    def sir_distribution(quantile):
+        geom = CorridorGeometry(R, _QuantileHeight(quantile))
+        sirs, _ = simulate_sir(spatial, geom, channel, trials, seed, batch_size=batch_size)
+        return EmpiricalDistribution.from_counts(_sir_db_counts(sirs, edges_db), edges_db)
+
+    dists = {key: sir_distribution(quantile) for key, quantile in quantiles.items()}
     return HeightKlResult(
         mu=mu,
         sigma=sigma,

@@ -27,12 +27,11 @@ from corridor_cov import (
     fit_normal_height,
     hppp_model,
     simulate_sir,
-    simulate_sir_paired,
     synthesize_trace,
     trace_replay,
-    variable_height_study,
 )
 from corridor_cov import cli
+from corridor_cov.simulator import MAX_POWER, MIN_DISTANCE
 
 THETA_DB = np.arange(-10.0, 11.0)
 THETA_LIN = 10 ** (THETA_DB / 10.0)
@@ -185,7 +184,12 @@ def test_criterion_07_corridor_beats_disc():
 
 def test_criterion_08_policy_gap():
     """Max-power association dominates min-distance; SIR laws differ (KS)."""
-    sir_mp, sir_md, disagree = simulate_sir_paired(BPP(10), GEOM, CHANNEL, N_TRIALS, seed=1005)
+    # one seed: both runs share positions, shadowing and fading
+    sir_mp, sir_md = (
+        simulate_sir(BPP(10), GEOM, CHANNEL, N_TRIALS, seed=1005, policy=policy)[0]
+        for policy in (MAX_POWER, MIN_DISTANCE)
+    )
+    disagree = np.mean(sir_mp != sir_md)
     cov_mp = np.array([(sir_mp > th).mean() for th in THETA_LIN])
     cov_md = np.array([(sir_md > th).mean() for th in THETA_LIN])
     print(f"[C8] min pointwise margin = {(cov_mp - cov_md).min():.5f}, "
@@ -208,10 +212,13 @@ def test_criterion_09_variable_height_gap():
     for name, spatial in spatials.items():
         for label, hm in (("uniform", UniformHeight(160.0, 240.0)),
                           ("normal", NormalHeight(mu, sigma))):
-            res = variable_height_study(
-                spatial, 200.0, 200.0, hm, CHANNEL, THETA_DB, 10**5, seed=seed
+            # one seed: the runs share every draw but the heights
+            fixed, variable = (
+                empirical_coverage(spatial, CorridorGeometry(200.0, model), CHANNEL, THETA_DB,
+                                   10**5, seed=seed)
+                for model in (FixedHeight(200.0), hm)
             )
-            gaps[(name, label)] = res.max_gap
+            gaps[(name, label)] = fixed.max_gap(variable)
             seed += 1
     print(f"[C9] gaps = {gaps}")
     assert all(g <= 0.02 for g in gaps.values())

@@ -65,6 +65,9 @@ REMOVED = [
     "simulator.sir_distribution",
     "simulator.EmpiricalDistribution.pdf",
     "simulator.EmpiricalDistribution.cdf",
+    "simulator.simulate_sir_paired",
+    "simulator.variable_height_study",
+    "simulator.HeightStudyResult",
 ]
 
 
@@ -84,11 +87,8 @@ def test_removed_names_are_gone(path):
 REMOVED_PARAMETERS = [
     ("_map_batches", "workers"),
     ("simulate_sir", "workers"),
-    ("simulate_sir_paired", "workers"),
     ("empirical_coverage", "workers"),
     ("empirical_coverage", "policy"),
-    ("variable_height_study", "workers"),
-    ("variable_height_study", "policy"),
     ("height_model_kl_study", "edges_db"),
     ("trace_replay", "sir_edges_db"),
     ("synthesize_trace", "include_fading"),

@@ -157,6 +157,30 @@ class TestCoverageCommand:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[4] == "1"  # flag wins over file
 
+    @pytest.mark.parametrize(
+        "config, flags, named",
+        [
+            ("[channel]\nm = nan\n", [], "[channel] m="),
+            ("[channel]\nalpha = nan\n", [], "[channel] alpha="),
+            ("[geometry]\nr = inf\n", [], "[geometry] r="),
+            ("[spatial]\nmodel = hppp\nintensity = -inf\n", [], "[spatial] intensity="),
+            ("", ["--values=nan", "--methods", "mc"], "sweep values"),
+            ("", ["--values=nan", "--methods", "exact"], "sweep values"),
+            ("", ["--values=-3,inf", "--methods", "exact,mc"], "sweep values"),
+            ("", ["--values=", "--from", "nan"], "[sweep] start="),
+            ("", ["--sweep", "h", "--values=100", "--theta-db", "inf"], "[run] theta_db="),
+        ],
+        ids=["m-nan", "alpha-nan", "r-inf", "intensity-neg-inf", "values-nan-mc",
+             "values-nan-exact", "values-inf", "from-nan", "theta-db-inf"],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, config, flags, named):
+        cfg = tmp_path / "nonfinite.ini"
+        cfg.write_text(config + "\n[run]\ntrials = 1000\n\n[sweep]\nvalues = -3\nmethods = mc\n")
+        assert run_cli(["coverage", "--config", str(cfg)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == ""
+
     def test_zero_batch_size_is_config_error(self, tmp_path, trace_csv, capsys):
         cfg = tmp_path / "batch.ini"
         cfg.write_text(
@@ -288,6 +312,15 @@ class TestHeightStudyCommand:
         cfg = tmp_path / "hs.ini"
         cfg.write_text("[height_study]\ndist = normal\nsigma = -1\ncount = 1000\n")
         assert run_cli(["height-study", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("sigma", ["15", "0"])
+    def test_negative_count_is_config_error(self, tmp_path, capsys, sigma):
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(f"[height_study]\ndist = normal\nsigma = {sigma}\ncount = -5\n")
+        assert run_cli(["height-study", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [height_study] count=-5")
+        assert captured.out == ""
 
     def test_source_key_is_gone(self, tmp_path):
         cfg = tmp_path / "hs.ini"

@@ -24,10 +24,8 @@ from corridor_cov import (
     height_model_kl_study,
     kl_divergence,
     simulate_sir,
-    simulate_sir_paired,
     synthesize_trace,
     trace_replay,
-    variable_height_study,
 )
 from corridor_cov import core, simulator
 from corridor_cov.core import sample_gamma
@@ -44,6 +42,43 @@ from corridor_cov.simulator import (
     sample_heights,
 )
 from conftest import ks_statistic
+
+
+def policy_pair(spatial, geom, channel, trials, **kwargs):
+    """SIRs under max-power and under min-distance association: one
+    `simulate_sir` call per policy, which share their draws under one seed."""
+    return [
+        simulate_sir(spatial, geom, channel, trials, policy=policy, **kwargs)[0]
+        for policy in (MAX_POWER, MIN_DISTANCE)
+    ]
+
+
+def served_both_ways(spatial, geom, channel, trials, seed, batch_size):
+    """SIRs under max-power and under min-distance association from a
+    single draw, each realization served once per policy."""
+
+    def run(rng, size):
+        layout, powers, d2 = _draw_batch(spatial, geom, channel, size, rng, keep_d2=True)
+        sir_mp, sir_md = [], []
+        for p, d, scratch in layout.pieces(powers, d2):
+            faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
+            faded *= p
+            sir_mp.append(_combine_sir(faded, _serving(MAX_POWER, p, d)))
+            sir_md.append(_combine_sir(faded, _serving(MIN_DISTANCE, p, d)))
+        return (layout.unsort(sir_mp), layout.unsort(sir_md)), layout.kept
+
+    batches, _ = _map_batches("test", run, trials, batch_size, seed)
+    return [np.concatenate(sirs) for sirs in zip(*batches)]
+
+
+def fixed_vs_variable_gap(spatial, R, fixed_h, height_model, channel, theta_db, trials, seed):
+    """Largest coverage gap between a fixed height and `height_model`, the
+    two runs sharing one seed and so every draw but the heights."""
+    fixed, variable = (
+        empirical_coverage(spatial, CorridorGeometry(R, model), channel, theta_db, trials, seed)
+        for model in (FixedHeight(fixed_h), height_model)
+    )
+    return fixed.max_gap(variable)
 
 
 class TestSampleNetwork:
@@ -88,8 +123,8 @@ class TestAssociation:
     def test_single_uav_both_policies(self, geom, channel):
         # the lone UAV serves under both policies: they never disagree and
         # nothing interferes
-        mp, md, frac = simulate_sir_paired(BPP(1), geom, channel, 1000, seed=5)
-        assert frac == 0.0
+        mp, md = policy_pair(BPP(1), geom, channel, 1000, seed=5)
+        assert np.mean(mp != md) == 0.0
         assert len(mp) == len(md) == 1000
         assert np.all(np.isinf(mp)) and np.all(np.isinf(md))
 
@@ -106,16 +141,17 @@ class TestAssociation:
         assert sir_mp[0] == sir_md[0] == pytest.approx(p[1] / (p[0] + p[2]), rel=1e-12)
 
     def test_policies_disagree_often_under_shadowing(self, geom, channel):
-        _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 50_000, seed=6)
-        assert frac > 0.3
+        mp, md = policy_pair(BPP(10), geom, channel, 50_000, seed=6)
+        assert np.mean(mp != md) > 0.3
 
     @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.005)])
     def test_paired_run_equals_one_run_per_policy(self, channel, spatial):
-        # the paired and min-distance runs keep d^2 beside the powers, the
-        # max-power run writes the powers over it: the SIRs must not differ
+        # one draw served both ways keeps d^2 beside the powers, as the
+        # min-distance run does; the max-power run writes the powers over it:
+        # the SIRs must not differ
         geom = CorridorGeometry(500.0, UniformHeight(80.0, 120.0))
         kwargs = dict(seed=48, batch_size=1024)
-        mp, md, _ = simulate_sir_paired(spatial, geom, channel, 3000, **kwargs)
+        mp, md = served_both_ways(spatial, geom, channel, 3000, **kwargs)
         assert np.array_equal(mp, simulate_sir(spatial, geom, channel, 3000, **kwargs)[0])
         assert np.array_equal(
             md, simulate_sir(spatial, geom, channel, 3000, policy=MIN_DISTANCE, **kwargs)[0]
@@ -242,7 +278,7 @@ class TestEmpiricalCoverage:
         )
 
     def test_min_distance_underestimates_coverage(self, geom, channel):
-        mp, md, _ = simulate_sir_paired(BPP(10), geom, channel, 200_000, seed=14)
+        mp, md = policy_pair(BPP(10), geom, channel, 200_000, seed=14)
         for th_db in (-10.0, -3.0, 0.0, 5.0):
             th = 10 ** (th_db / 10)
             assert (mp > th).mean() >= (md > th).mean()
@@ -280,19 +316,19 @@ class TestEmpiricalCoverage:
 
 class TestVariableHeight:
     def test_uniform_close_to_fixed(self, channel):
-        res = variable_height_study(
+        gap = fixed_vs_variable_gap(
             BPP(10), 200.0, 200.0, UniformHeight(160.0, 240.0), channel,
             np.arange(-10, 11.0), 30_000, seed=19,
         )
-        assert res.max_gap <= 0.02
+        assert gap <= 0.02
 
     def test_degenerate_normal_matches_fixed(self, channel):
-        res = variable_height_study(
+        gap = fixed_vs_variable_gap(
             BPP(10), 200.0, 200.0, NormalHeight(200.0, 1e-6), channel,
             np.arange(-10, 11.0), 30_000, seed=20,
         )
         # the runs share every draw but the heights
-        assert res.max_gap <= 3.5 * math.sqrt(0.25 / 30_000) * 2
+        assert gap <= 3.5 * math.sqrt(0.25 / 30_000) * 2
 
     @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.01)])
     def test_near_fixed_uniform_height_matches_fixed_trial_by_trial(self, channel, spatial):
@@ -365,7 +401,8 @@ class TestKlDivergence:
 class TestBatchRunner:
     @pytest.mark.parametrize("trials, batch_size", [(0, 1000), (100, 0), (100, -5)])
     @pytest.mark.parametrize(
-        "entry", ["simulate_sir", "simulate_sir_paired", "height_model_kl_study", "trace_replay"]
+        "entry",
+        ["simulate_sir", "sir_min_distance", "height_model_kl_study", "trace_replay"],
     )
     def test_trials_and_batch_size_validated(self, geom, channel, entry, trials, batch_size):
         small = CorridorGeometry(200.0, FixedHeight(200.0))
@@ -373,8 +410,9 @@ class TestBatchRunner:
             "simulate_sir": lambda: simulate_sir(
                 BPP(10), geom, channel, trials, seed=1, batch_size=batch_size
             ),
-            "simulate_sir_paired": lambda: simulate_sir_paired(
-                BPP(10), geom, channel, trials, seed=1, batch_size=batch_size
+            "sir_min_distance": lambda: simulate_sir(
+                BPP(10), geom, channel, trials, seed=1, policy=MIN_DISTANCE,
+                batch_size=batch_size,
             ),
             "height_model_kl_study": lambda: height_model_kl_study(
                 BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, trials, seed=1,
@@ -389,12 +427,6 @@ class TestBatchRunner:
         with pytest.raises(ParameterError, match=f"{name} must be >= 1"):
             calls[entry]()
 
-    def test_paired_all_empty_realizations_rejected(self, geom, channel):
-        # lam|L| = 1e-4: every one of the 100 realizations is empty, so there
-        # is no disagreement fraction to report
-        with pytest.raises(ParameterError, match="no SIR samples"):
-            simulate_sir_paired(FiniteHPPP(1e-7), geom, channel, 100, seed=3)
-
 
 class TestSeeds:
     @staticmethod
@@ -403,8 +435,8 @@ class TestSeeds:
         trace = synthesize_trace(small, channel, spacing=0.5, seed=1)
         return {
             "simulate_sir": lambda: simulate_sir(BPP(10), geom, channel, 100, seed=seed),
-            "simulate_sir_paired": lambda: simulate_sir_paired(
-                BPP(10), geom, channel, 100, seed=seed
+            "sir_min_distance": lambda: simulate_sir(
+                BPP(10), geom, channel, 100, seed=seed, policy=MIN_DISTANCE
             ),
             "height_model_kl_study": lambda: height_model_kl_study(
                 BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, 100, seed=seed
@@ -416,7 +448,7 @@ class TestSeeds:
 
     @pytest.mark.parametrize(
         "entry",
-        ["simulate_sir", "simulate_sir_paired", "height_model_kl_study", "trace_replay",
+        ["simulate_sir", "sir_min_distance", "height_model_kl_study", "trace_replay",
          "synthesize_trace", "sample_heights"],
     )
     def test_negative_seed_rejected(self, geom, channel, entry):
@@ -508,7 +540,6 @@ class TestPieceSize:
                         theta_db=theta_db,
                     )
                     out += [sirs if theta_db is None else sirs.above, len(sirs), excluded]
-            out += simulate_sir_paired(spatial, geom, channel, 3000, seed=44, batch_size=1024)
         kl = height_model_kl_study(
             FiniteHPPP(0.0125), 200.0, data, channel, 3000, seed=45, batch_size=1024
         )
@@ -653,8 +684,8 @@ class TestPinnedStreams:
         assert sirs[[0, 1, 1500, -1]] == pytest.approx(pinned, rel=1e-12)
 
     def test_paired_disagreement(self, geom, channel):
-        _, _, frac = simulate_sir_paired(BPP(10), geom, channel, 5000, seed=2025, batch_size=2048)
-        assert frac == pytest.approx(2698 / 5000, rel=1e-12)
+        mp, md = policy_pair(BPP(10), geom, channel, 5000, seed=2025, batch_size=2048)
+        assert np.mean(mp != md) == pytest.approx(2698 / 5000, rel=1e-12)
 
     def test_kl_study(self, channel):
         data = np.random.default_rng(7).normal(200.0, 15.0, 5000)
