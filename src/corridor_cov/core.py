@@ -52,6 +52,13 @@ class ParameterError(ValueError):
     """A parameter violates its documented domain."""
 
 
+def _require(ok, message, *values):
+    """Raise ParameterError(message) unless `ok` holds and every value is
+    finite: nan passes no `x <= bound` check, and inf passes most."""
+    if not (ok and all(map(math.isfinite, values))):
+        raise ParameterError(message)
+
+
 def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
@@ -70,8 +77,7 @@ class FixedHeight:
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ParameterError("fixed height must be positive")
+        _require(self.h > 0, "fixed height must be positive and finite", self.h)
 
     def mean(self):
         return self.h
@@ -86,8 +92,8 @@ class UniformHeight:
     high: float
 
     def __post_init__(self):
-        if not (0 < self.low <= self.high):
-            raise ParameterError("uniform height needs 0 < low <= high")
+        _require(0 < self.low <= self.high, "uniform height needs finite 0 < low <= high",
+                 self.low, self.high)
 
     def mean(self):
         return 0.5 * (self.low + self.high)
@@ -107,8 +113,8 @@ class NormalHeight:
     sigma: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.sigma <= 0:
-            raise ParameterError("normal height needs mu > 0 and sigma > 0")
+        _require(self.mu > 0 and self.sigma > 0, "normal height needs finite mu > 0 and sigma > 0",
+                 self.mu, self.sigma)
 
     def mean(self):
         return self.mu
@@ -143,8 +149,7 @@ class CorridorGeometry:
     height_model: HeightModel
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ParameterError("corridor half-length R must be positive")
+        _require(self.R > 0, "corridor half-length R must be positive and finite", self.R)
 
     @property
     def length(self):
@@ -183,18 +188,15 @@ class ChannelParams:
     carrier_factor: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError("path-loss exponent alpha must be positive")
-        if self.q <= 1:
-            raise ParameterError("shadowing shape q must exceed 1 (finite mean)")
+        _require(self.alpha > 0, "path-loss exponent alpha must be positive and finite", self.alpha)
+        _require(self.q > 1, "shadowing shape q must be finite and exceed 1 (finite mean)", self.q)
         if self.gamma is None:
             object.__setattr__(self, "gamma", float(self.q - 1.0))
-        if self.gamma <= 0:
-            raise ParameterError("shadowing scale gamma must be positive")
-        if self.m <= 0:
-            raise ParameterError("fading shape m must be positive")
-        if self.carrier_factor is not None and self.carrier_factor <= 0:
-            raise ParameterError("carrier factor must be positive when set")
+        _require(self.gamma > 0, "shadowing scale gamma must be positive and finite", self.gamma)
+        _require(self.m > 0, "fading shape m must be positive and finite", self.m)
+        if self.carrier_factor is not None:
+            _require(self.carrier_factor > 0, "carrier factor must be positive and finite when set",
+                     self.carrier_factor)
 
     @property
     def k_factor(self):
@@ -235,8 +237,7 @@ class FiniteHPPP:
     intensity: float
 
     def __post_init__(self):
-        if self.intensity <= 0:
-            raise ParameterError("HPPP intensity must be positive")
+        _require(self.intensity > 0, "HPPP intensity must be positive and finite", self.intensity)
 
     def mean_count(self, geom):
         return self.intensity * geom.length
@@ -253,8 +254,7 @@ class Disc2D:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("Disc2D needs at least one UAV")
-        if self.radius <= 0:
-            raise ParameterError("disc radius must be positive")
+        _require(self.radius > 0, "disc radius must be positive and finite", self.radius)
 
 
 SpatialModel = Union[BPP, FiniteHPPP, Disc2D]

@@ -5,8 +5,10 @@ realizations under BPP / finite-HPPP / 2D-disc spatial models, max-power and
 min-distance association, SIR sampling, empirical coverage curves, KL
 comparison of height models, and measurement-trace replay.
 
-Reproducibility: every entry point runs its trials through `_map_batches` in
-fixed-size batches; batch b draws from its own SFC64 generator, seeded by
+Reproducibility: every entry point runs its trials through one batch loop,
+`_simulate`, which `_draw_batch` feeds from the channel model or a trace.
+The loop runs the trials through `_map_batches` in fixed-size batches;
+batch b draws from its own SFC64 generator, seeded by
 SeedSequence(seed) with spawn key (b,) (the b-th child of
 SeedSequence(seed).spawn), so the same master seed gives bit-identical
 results however many threads run the batches.  The seed must be >= 0 and
@@ -32,7 +34,7 @@ trial order.  The per-UAV draws come in a fixed order per entry point:
   Shadowing is applied at realization time (association measures S * l(d),
   agnostic to fast fading); fading is drawn at SIR time.
 - `trace_replay`: positions, then fading ("redraw" mode only); the trace
-  supplies everything else.
+  supplies the powers and distances (`_draw_batch`).
 - `synthesize_trace` draws from batch 0's substream: heights, then
   shadowing.
 
@@ -47,16 +49,16 @@ whole-batch call and leave the stream where it would, so the draw order
 above holds.  Besides the per-trial counts and sort order, these per-UAV
 arrays span a batch:
 
-- `simulate_sir`, max-power: one array, which holds the positions, then the
-  squared distances, then the powers (drawn heights add a second until the
-  distances are formed);
-- `simulate_sir`, min-distance: the squared distances and the powers;
-- `trace_replay`: the positions.
+- max-power: one array, which holds the positions, then (from the channel
+  model) the squared distances, then the powers; drawn heights add a
+  second array until the distances are formed;
+- min-distance: the squared distances and the powers.
 
 Everything else (shadowing, fading, faded powers, serving indices, SIRs,
 tallies and histogram counts) is per piece, and so is the block of
 uniforms that an integer-shape Gamma draw takes them from, of at most
-4 * 2**13 values (256 KiB).
+4 * 2**13 values (256 KiB).  Only `simulate_sir` without a grid keeps a
+run's SIRs, to return them; the other entry points tally each piece.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ _PIECE_UAVS = 1 << 15
 
 MAX_POWER = "max_power"
 MIN_DISTANCE = "min_distance"
-_POLICIES = (MAX_POWER, MIN_DISTANCE)
 
 
 log = logging.getLogger(__name__)
@@ -159,11 +160,6 @@ def sample_heights(height_model, count, seed):
     _check_seed(seed)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     return np.asarray(height_model.sample(rng, count), dtype=float)
-
-
-def _check_policy(policy):
-    if policy not in _POLICIES:
-        raise ParameterError(f"unknown association policy {policy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +277,31 @@ class _Layout:
         return out[self.counts > 0]
 
 
-def _rx_powers(pos, heights, shadowing, channel):
-    """S * K * (d^2)^(-alpha/2): received powers without fast fading, for
-    UAVs at corridor coordinates `pos` and `heights`."""
-    d2 = pos * pos + heights * heights
-    return shadowing * channel.k_factor * d2 ** (-0.5 * channel.alpha)
-
-
-def _draw_batch(spatial, geom, channel, size, rng, keep_d2):
+def _draw_batch(spatial, geom, source, size, rng, keep_d2):
     """One batch of `size` realizations, drawn as far as association needs:
-    (layout, powers, d2).
+    (layout, powers, d2), flat per UAV in the order of `layout`.
 
-    Counts, positions and shadowing are drawn in that order, each for the
-    whole batch; the shadowing piece by piece.  Heights that are not fixed
-    come from the batch generator's first child (`rng.spawn`), so they
-    leave the draws of `rng` as a fixed height does.  `powers` are the
-    values of `_rx_powers`, their products grouped alike as
-    (S * K) * (d^2)^(-alpha/2), flat per UAV in the order of `layout`.  They
-    are written over the positions unless `keep_d2`, which keeps the squared
-    link distances as `d2` (None otherwise).  A fixed height draws nothing
-    and enters as a scalar, which gives the same d2.
+    Counts and positions are drawn for the whole batch; then, piece by
+    piece, a `ChannelParams` source draws shadowing S and gives the powers
+    (S * K) * (d^2)^(-alpha/2), and a `Trace` draws nothing and gives each
+    UAV the linear power and d2 of its nearest sample.  The channel model's
+    heights, if not fixed, come from the batch generator's first child
+    (`rng.spawn`), so they leave the draws of `rng` as a fixed height (a
+    scalar) does.  The powers are written over the positions; `keep_d2`
+    keeps the squared link distances as `d2` (None otherwise).
     """
     pos, counts = _draw_positions(spatial, geom, rng, size)
     layout = _Layout(counts)
+    if isinstance(source, Trace):
+        trace_power = db_to_linear(source.rx_power_dbm)
+        trace_d2 = source.position_m**2 + source.height_m**2
+        d2 = np.empty_like(pos) if keep_d2 else None
+        for x, d, _ in layout.pieces(pos, d2):
+            idx = source.nearest_index(x)
+            if keep_d2:
+                d[...] = trace_d2[idx]
+            x[...] = trace_power[idx]
+        return layout, pos, d2
     model = geom.height_model
     if isinstance(model, FixedHeight):
         heights = model.h
@@ -314,12 +312,12 @@ def _draw_batch(spatial, geom, channel, size, rng, keep_d2):
     d2 += heights * heights
     powers = np.empty_like(d2) if keep_d2 else d2
     for d, p, scratch in layout.pieces(d2, powers):
-        shadowing = sample_gamma(rng, channel.q, 1.0 / channel.gamma, scratch)
+        shadowing = sample_gamma(rng, source.q, 1.0 / source.gamma, scratch)
         np.divide(1.0, shadowing, out=shadowing)
-        shadowing *= channel.k_factor
+        shadowing *= source.k_factor
         if keep_d2:
             p[...] = d
-        p **= -0.5 * channel.alpha
+        p **= -0.5 * source.alpha
         p *= shadowing
     return layout, powers, d2 if keep_d2 else None
 
@@ -346,6 +344,36 @@ def _combine_sir(faded, serving):
     )
 
 
+def _simulate(spatial, geom, source, m, trials, seed, policy, batch_size, tally):
+    """(sirs, n_excluded) from the batch loop of every Monte Carlo entry
+    point: batches from `_draw_batch` with the power `source`, each piece
+    faded by Nakagami-`m` draws (none if `m` is None), served by `policy`
+    and combined into linear SIRs.  `sirs` holds them in trial order or,
+    given `tally`, a tally of no samples, their tally on its grids."""
+    if policy not in (MAX_POWER, MIN_DISTANCE):
+        raise ParameterError(f"unknown association policy {policy!r}")
+
+    def run(rng, size):
+        layout, powers, d2 = _draw_batch(
+            spatial, geom, source, size, rng, keep_d2=policy == MIN_DISTANCE
+        )
+        parts = []
+        for p, d, scratch in layout.pieces(powers, d2):
+            faded = p
+            if m is not None:
+                faded = sample_gamma(rng, m, 1.0 / m, scratch)
+                faded *= p
+            sirs = _combine_sir(faded, _serving(policy, p, d))
+            parts.append(sirs if tally is None else SirTally.of(sirs, tally.theta_db, tally.hist_db))
+        if tally is None:
+            return layout.unsort(parts), layout.kept
+        return sum(parts, tally), layout.kept
+
+    entry = "trace_replay" if isinstance(source, Trace) else "simulate_sir"
+    parts, kept = _map_batches(entry, run, trials, batch_size, seed)
+    return np.concatenate(parts) if tally is None else sum(parts, tally), trials - kept
+
+
 def simulate_sir(
     spatial,
     geom,
@@ -365,27 +393,8 @@ def simulate_sir(
     Calls with one seed share positions, shadowing and fading, whatever
     the policy or height model (common random numbers).
     """
-    _check_policy(policy)
-    if theta_db is not None:
-        theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
-
-    def run(rng, size):
-        layout, powers, d2 = _draw_batch(
-            spatial, geom, channel, size, rng, keep_d2=policy == MIN_DISTANCE
-        )
-        parts = []
-        for p, d, scratch in layout.pieces(powers, d2):
-            faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
-            faded *= p
-            sirs = _combine_sir(faded, _serving(policy, p, d))
-            parts.append(sirs if theta_db is None else SirTally.of(sirs, theta_db))
-        if theta_db is None:
-            return layout.unsort(parts), layout.kept
-        return SirTally.pooled(parts, theta_db), layout.kept
-
-    parts, kept = _map_batches("simulate_sir", run, trials, batch_size, seed)
-    sirs = np.concatenate(parts) if theta_db is None else SirTally.pooled(parts, theta_db)
-    return sirs, trials - kept
+    tally = None if theta_db is None else SirTally.of(np.empty(0), theta_db)
+    return _simulate(spatial, geom, channel, channel.m, trials, seed, policy, batch_size, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +420,31 @@ class CoverageCurve:
 @dataclass
 class SirTally:
     """Linear SIR samples reduced to what a coverage curve needs: how many
-    exceed each threshold of the dB grid `theta_db`.  len() is the number of
-    samples."""
+    exceed each threshold of the dB grid `theta_db`.  Given the bin edges
+    `hist_db` (dB), `hist` also counts the finite SIRs in each bin; SIRs
+    outside the bins are not counted.  len() is the number of samples."""
 
     theta_db: np.ndarray
     above: np.ndarray
     n: int
+    hist_db: Optional[np.ndarray] = None
+    hist: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, sirs, theta_db):
+    def of(cls, sirs, theta_db, hist_db=None):
+        """The tally of the linear SIRs `sirs` on the grids `theta_db` and `hist_db`."""
+        theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
         above = [np.count_nonzero(sirs > th) for th in db_to_linear(theta_db)]
-        return cls(theta_db, np.array(above, dtype=np.int64), len(sirs))
+        hist = None
+        if hist_db is not None:
+            kept = sirs[np.isfinite(sirs) & (sirs > 0)]
+            hist = np.histogram(linear_to_db(kept), bins=hist_db)[0]
+        return cls(theta_db, np.array(above, dtype=np.int64), len(sirs), hist_db, hist)
 
-    @classmethod
-    def pooled(cls, tallies, theta_db):
-        """One tally of the samples of several tallies on the grid `theta_db`."""
-        above = sum((t.above for t in tallies), np.zeros(theta_db.size, dtype=np.int64))
-        return cls(theta_db, above, sum(t.n for t in tallies))
+    def __add__(self, other):
+        """The tally of the samples of both, on their shared grids."""
+        hist = None if self.hist is None else self.hist + other.hist
+        return SirTally(self.theta_db, self.above + other.above, self.n + other.n, self.hist_db, hist)
 
     def __len__(self):
         return self.n
@@ -506,19 +523,22 @@ def height_model_kl_study(
 ):
     """KL comparison of fitted Normal vs Uniform height models.
 
-    Runs `simulate_sir` once per height model under one seed, so the three
-    runs share positions, shadowing and fading.  Their heights map the same
-    height-stream uniforms through the quantile function of (a) the data's
-    empirical distribution, (b) the moment-fitted Normal, (c) the
-    moment-fitted Uniform.  The coupling removes the shared Monte Carlo
-    noise, so the reported KL values isolate the height-model mismatch.
+    Runs `simulate_sir`'s batch loop once per height model under one seed,
+    so the three runs share positions, shadowing and fading.  Their heights
+    map the same height-stream uniforms through the quantile function of
+    (a) the data's empirical distribution, (b) the moment-fitted Normal,
+    (c) the moment-fitted Uniform.  The coupling removes the shared Monte
+    Carlo noise, so the reported KL values isolate the height-model
+    mismatch.  Each piece of a batch is reduced to SIR histogram counts
+    (1 dB bins over -30..30 dB) as it is drawn; no run's SIRs are kept.
     """
     from scipy.special import ndtri
 
     data = np.sort(np.asarray(data_heights, dtype=float))
     mu, sigma = fit_normal_height(data)
     lo, hi = fit_uniform_height(data)
-    edges_db = np.arange(-30.0, 30.5, 1.0)
+    hist_db = np.arange(-30.0, 30.5, 1.0)
+    no_sirs = SirTally.of(np.empty(0), [], hist_db)
     data_probs = np.linspace(0.0, 1.0, len(data))
     quantiles = {
         "true": lambda u: np.interp(u, data_probs, data),
@@ -528,8 +548,10 @@ def height_model_kl_study(
 
     def sir_distribution(quantile):
         geom = CorridorGeometry(R, _QuantileHeight(quantile))
-        sirs, _ = simulate_sir(spatial, geom, channel, trials, seed, batch_size=batch_size)
-        return EmpiricalDistribution.from_counts(_sir_db_counts(sirs, edges_db), edges_db)
+        tally, _ = _simulate(
+            spatial, geom, channel, channel.m, trials, seed, MAX_POWER, batch_size, no_sirs
+        )
+        return EmpiricalDistribution.from_counts(tally.hist, hist_db)
 
     dists = {key: sir_distribution(quantile) for key, quantile in quantiles.items()}
     return HeightKlResult(
@@ -579,13 +601,6 @@ class EmpiricalDistribution:
         return cls.from_counts(np.histogram(samples[np.isfinite(samples)], bins=edges)[0], edges)
 
 
-def _sir_db_counts(sirs, edges_db):
-    """Counts per dB bin of the linear SIRs; infinite SIRs and those outside
-    the grid are dropped."""
-    kept = sirs[np.isfinite(sirs) & (sirs > 0)]
-    return np.histogram(linear_to_db(kept), bins=edges_db)[0]
-
-
 def kl_divergence(p: EmpiricalDistribution, q: EmpiricalDistribution):
     """KL(p || q) in nats on a shared grid.
 
@@ -612,8 +627,9 @@ _TRACE_HEADER = ["position_m", "height_m", "rx_power_dbm"]
 class Trace:
     """A power-versus-position record along the corridor.
 
-    Positions are strictly increasing; nearest-sample mapping error is half
-    the sample spacing, which must not exceed the declared accuracy.
+    Every value is finite and the positions are strictly increasing;
+    nearest-sample mapping error is half the sample spacing, which must not
+    exceed the declared accuracy.
     """
 
     position_m: np.ndarray
@@ -622,8 +638,11 @@ class Trace:
     mapping_accuracy_m: float = 5e-4
 
     def __post_init__(self):
-        for name in ("position_m", "height_m", "rx_power_dbm"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in _TRACE_HEADER:
+            column = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(column)):
+                raise TraceFormatError(f"{name} holds a value that is not finite")
+            object.__setattr__(self, name, column)
         pos = self.position_m
         if len(pos) < 2:
             raise TraceFormatError("a trace needs at least two samples")
@@ -651,7 +670,7 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path, mapping_accuracy_m=None):
-        positions, heights, powers, line_nos = [], [], [], []
+        positions, heights, powers = [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -668,14 +687,14 @@ class Trace:
                     p, h, z = (float(v) for v in row)
                 except ValueError as exc:
                     raise TraceFormatError(str(exc), line_no=line_no) from None
+                if not all(map(math.isfinite, (p, h, z))):
+                    raise TraceFormatError("values must be finite", line_no=line_no)
+                if positions and p <= positions[-1]:
+                    raise TraceFormatError("positions must be strictly increasing", line_no=line_no)
                 positions.append(p)
                 heights.append(h)
                 powers.append(z)
-                line_nos.append(line_no)
         pos = np.array(positions)
-        if len(pos) >= 2 and np.any(np.diff(pos) <= 0):
-            bad = line_nos[int(np.argmax(np.diff(pos) <= 0)) + 1]
-            raise TraceFormatError("positions must be strictly increasing", line_no=bad)
         if mapping_accuracy_m is None:
             mapping_accuracy_m = float(np.diff(pos).max() / 2.0) if len(pos) >= 2 else 5e-4
         return cls(pos, np.array(heights), np.array(powers), mapping_accuracy_m)
@@ -714,7 +733,8 @@ def synthesize_trace(geom, channel, spacing, seed):
     pos = np.linspace(-geom.R, geom.R, n)
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
     shadowing = InverseGammaShadowing(channel.q, channel.gamma).sample(rng, n)
-    powers = _rx_powers(pos, heights, shadowing, channel)
+    d2 = pos * pos + heights * heights
+    powers = shadowing * channel.k_factor * d2 ** (-0.5 * channel.alpha)
     actual_spacing = pos[1] - pos[0]
     return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=actual_spacing / 2)
 
@@ -745,10 +765,11 @@ def trace_replay(
     serves and the rest interfere.  fading_mode="redraw" draws fresh
     Nakagami-m fading per mapped UAV (matching the simulator's SIR
     convention); "fromtrace" uses the recorded powers as-is, i.e. whatever
-    fast fading the trace embeds.  Each batch is reduced to threshold counts
-    and SIR histogram counts (0.5 dB bins over -40..40 dB) as it is drawn.
+    fast fading the trace embeds.  The trials run through `simulate_sir`'s
+    batch loop with the trace as the power source (see `_draw_batch`); each
+    piece is reduced to threshold counts and SIR histogram counts (0.5 dB
+    bins over -40..40 dB) as it is drawn.
     """
-    _check_policy(policy)
     if fading_mode not in ("redraw", "fromtrace"):
         raise ParameterError(f"unknown fading mode {fading_mode!r}")
     if trace.position_m[0] > -geom.R or trace.position_m[-1] < geom.R:
@@ -756,32 +777,10 @@ def trace_replay(
             f"trace extent [{trace.position_m[0]:.6g}, {trace.position_m[-1]:.6g}] m "
             f"does not cover the corridor [-{geom.R:.6g}, {geom.R:.6g}] m"
         )
-    theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
-    edges_db = np.arange(-40.0, 40.5, 0.5)
-    trace_power = np.asarray(db_to_linear(trace.rx_power_dbm))
-    trace_d2 = trace.position_m**2 + trace.height_m**2
-
-    def run(rng, size):
-        pos, counts = _draw_positions(spatial, geom, rng, size)
-        layout = _Layout(counts)
-        tallies, hist = [], np.zeros(edges_db.size - 1, dtype=np.int64)
-        for x, scratch in layout.pieces(pos):
-            idx = trace.nearest_index(x)
-            powers = trace_power[idx]
-            if fading_mode == "redraw":
-                faded = sample_gamma(rng, m, 1.0 / m, scratch)
-                faded *= powers
-            else:
-                faded = powers
-            d2 = trace_d2[idx] if policy == MIN_DISTANCE else None
-            sirs = _combine_sir(faded, _serving(policy, powers, d2))
-            tallies.append(SirTally.of(sirs, theta_db))
-            hist += _sir_db_counts(sirs, edges_db)
-        return (SirTally.pooled(tallies, theta_db), hist), layout.kept
-
-    results, _ = _map_batches("trace_replay", run, trials, batch_size, seed)
-    tallies, hists = zip(*results)
-    tally = SirTally.pooled(tallies, theta_db)
-    curve = coverage_from_sirs(tally, theta_db)
-    dist_est = EmpiricalDistribution.from_counts(sum(hists), edges_db)
+    hist_db = np.arange(-40.0, 40.5, 0.5)
+    no_sirs = SirTally.of(np.empty(0), theta_db, hist_db)
+    fading_m = m if fading_mode == "redraw" else None
+    tally, _ = _simulate(spatial, geom, trace, fading_m, trials, seed, policy, batch_size, no_sirs)
+    curve = coverage_from_sirs(tally, tally.theta_db)
+    dist_est = EmpiricalDistribution.from_counts(tally.hist, hist_db)
     return ReplayResult(coverage=curve, sir=dist_est, n_trials=tally.n)

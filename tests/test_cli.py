@@ -240,6 +240,21 @@ class TestReplayCommand:
         bad.write_text("position_m,height_m,rx_power_dbm\n1.0,200,-50\n0.5,200,-51\n")
         assert run_cli(["replay", "--trace", str(bad), "--config", replay_config]) == 4
 
+    @pytest.mark.parametrize(
+        "rows", [["-0.5,200,-50", "nan,200,-51", "0.5,200,-52"],
+                 ["-0.5,200,-50", "0.0,nan,-51", "0.5,200,-52"]],
+    )
+    def test_non_finite_trace_is_io_error(self, tmp_path, rows, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("position_m,height_m,rx_power_dbm\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "replay.ini"
+        cfg.write_text("[geometry]\nr = 0.5\nheight = 200\n\n[run]\ntrials = 100\n")
+        out = tmp_path / "replay.csv"
+        assert run_cli(["replay", "--trace", str(bad), "--config", str(cfg),
+                        "--out", str(out)]) == 4
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_theta_sweep_axis_is_config_error(self, tmp_path, trace_csv, replay_config, capsys):
         cfg = tmp_path / "replay_r.ini"
         with open(replay_config) as fh:

@@ -8,8 +8,11 @@ from scipy import integrate as sp_integrate
 from scipy import stats
 
 from corridor_cov import (
+    BPP,
     ChannelParams,
     CorridorGeometry,
+    Disc2D,
+    FiniteHPPP,
     FixedHeight,
     InverseGammaShadowing,
     LinkDistanceDistribution,
@@ -20,6 +23,7 @@ from corridor_cov import (
     UniformHeight,
     carrier_factor_from_frequency,
     db_to_linear,
+    empirical_coverage,
     integrate,
     linear_to_db,
     link_distance_cdf,
@@ -244,3 +248,39 @@ class TestTypes:
     @settings(max_examples=50, deadline=None)
     def test_db_round_trip(self, x_db):
         assert linear_to_db(db_to_linear(x_db)) == pytest.approx(x_db, abs=1e-9)
+
+
+# Each constructor with valid arguments, and the numeric fields to spoil.
+CONSTRUCTORS = [
+    (ChannelParams, dict(alpha=2.2, q=2.0, gamma=1.0, m=1.0, carrier_factor=1e-4),
+     ["alpha", "q", "gamma", "m", "carrier_factor"]),
+    (CorridorGeometry, dict(R=500.0, height_model=FixedHeight(100.0)), ["R"]),
+    (FixedHeight, dict(h=100.0), ["h"]),
+    (UniformHeight, dict(low=80.0, high=120.0), ["low", "high"]),
+    (NormalHeight, dict(mu=100.0, sigma=10.0), ["mu", "sigma"]),
+    (FiniteHPPP, dict(intensity=0.01), ["intensity"]),
+    (Disc2D, dict(n=10, radius=500.0), ["radius"]),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, field) for cls, _, fields in CONSTRUCTORS for field in fields],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_constructors_reject_non_finite_values(cls, field, value):
+    kwargs = dict(next(valid for c, valid, _ in CONSTRUCTORS if c is cls))
+    cls(**kwargs)  # the valid arguments construct
+    kwargs[field] = value
+    with pytest.raises(ParameterError, match="finite"):
+        cls(**kwargs)
+
+
+def test_nan_fading_shape_gives_no_coverage():
+    # a nan m once passed every check, and every SIR came out covered
+    with pytest.raises(ParameterError):
+        empirical_coverage(
+            BPP(10), CorridorGeometry(500.0, FixedHeight(100.0)),
+            ChannelParams(alpha=2.2, q=2, m=math.nan), [0.0], 1000, seed=1,
+        )

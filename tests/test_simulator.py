@@ -15,6 +15,7 @@ from corridor_cov import (
     GridMismatchError,
     NormalHeight,
     ParameterError,
+    SirTally,
     UniformHeight,
     coverage_from_sirs,
     db_to_linear,
@@ -38,6 +39,7 @@ from corridor_cov.simulator import (
     _draw_positions,
     _map_batches,
     _serving,
+    _simulate,
     _substream,
     sample_heights,
 )
@@ -246,6 +248,25 @@ class TestSirSample:
         sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(counts.sum()))
         assert engine.random() == rng.random()
 
+    @pytest.mark.parametrize("keep_d2", [False, True])
+    def test_trace_batch_maps_each_uav_to_its_nearest_sample(self, geom, channel, keep_d2):
+        # a trace source consumes the counts and the positions, and nothing
+        # more; each UAV takes the power and d^2 of its nearest trace sample
+        trace = synthesize_trace(geom, channel, spacing=1.0, seed=80)
+        engine = _substream(79, 0)
+        layout, powers, d2 = _draw_batch(FiniteHPPP(0.01), geom, trace, 200, engine, keep_d2)
+        counts = layout.counts
+        rng = _substream(79, 0)
+        assert np.array_equal(rng.poisson(0.01 * geom.length, 200), counts)
+        pos = rng.uniform(-geom.R, geom.R, counts.sum())
+        assert engine.random() == rng.random()
+        nearest = np.argmin(np.abs(pos[:, None] - trace.position_m), axis=1)
+        assert np.array_equal(powers, db_to_linear(trace.rx_power_dbm)[nearest])
+        if keep_d2:
+            assert np.array_equal(d2, trace.position_m[nearest] ** 2 + trace.height_m[nearest] ** 2)
+        else:
+            assert d2 is None
+
 
 class TestEmpiricalCoverage:
     def test_matches_analytic_twin(self, geom, channel, model10):
@@ -276,6 +297,23 @@ class TestEmpiricalCoverage:
         assert np.array_equal(
             pooled.coverage, [np.mean(sirs > th) for th in db_to_linear(thetas)]
         )
+
+    @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.0005)])
+    def test_streamed_histogram_equals_histogram_of_all_sirs(self, geom, channel, spatial, set_cpus):
+        # per-piece histogram counts must pool to the histogram of the run's
+        # SIRs; the HPPP batches hold empty and single-UAV (SIR = inf) trials
+        set_cpus(2)
+        thetas, hist_db = np.arange(-10.0, 11.0, 2.5), np.arange(-40.0, 40.5, 0.5)
+        no_sirs = SirTally.of(np.empty(0), thetas, hist_db)
+        tally, excluded = _simulate(
+            spatial, geom, channel, channel.m, 20_000, 30, MAX_POWER, 3000, no_sirs
+        )
+        sirs, _ = simulate_sir(spatial, geom, channel, 20_000, seed=30, batch_size=3000)
+        assert tally.n == len(sirs) == 20_000 - excluded
+        finite = sirs[np.isfinite(sirs)]
+        assert np.array_equal(tally.hist, np.histogram(10.0 * np.log10(finite), bins=hist_db)[0])
+        assert tally.hist.sum() > 0
+        assert np.array_equal(tally.above, [np.sum(sirs > th) for th in db_to_linear(thetas)])
 
     def test_min_distance_underestimates_coverage(self, geom, channel):
         mp, md = policy_pair(BPP(10), geom, channel, 200_000, seed=14)

@@ -73,6 +73,22 @@ class TestTraceType:
             Trace.from_csv(path)
         assert err.value.line_no == 6
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_values_rejected(self, column, value):
+        columns = [np.array([-0.5, 0.0, 0.5]), np.full(3, 200.0), np.full(3, -50.0)]
+        columns[column][1] = value
+        with pytest.raises(TraceFormatError, match="not finite"):
+            Trace(*columns, mapping_accuracy_m=0.25)
+
+    @pytest.mark.parametrize("row", ["nan,200.0,-51.0", "0.0,inf,-51.0", "0.0,200.0,-inf"])
+    def test_non_finite_value_reports_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"position_m,height_m,rx_power_dbm\n-0.5,200.0,-50.0\n\n{row}\n")
+        with pytest.raises(TraceFormatError, match="finite") as err:
+            Trace.from_csv(path)
+        assert err.value.line_no == 4
+
     def test_spacing_must_honor_accuracy(self):
         with pytest.raises(TraceFormatError):
             Trace(
