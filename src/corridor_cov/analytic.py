@@ -66,6 +66,7 @@ from .core import (
     InverseGammaShadowing,
     ParameterError,
     SpatialModel,
+    _require,
     pathloss_value_pdf,
 )
 from .quadrature import QuadratureConfig, QuadratureError, integrate, integrate_batch
@@ -92,7 +93,9 @@ _PDF_QUAD = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
 _PDF_EXACT_QUAD = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-280, max_subdivisions=4000)
 _LAPLACE_QUAD = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-280)
 _COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
-_DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7)
+# The dominant rule starts both of its levels from 3 panels, not 8 (see
+# `_coverage_dominant_generic`).
+_DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
 # Generalized Gauss-Laguerre nodes for the mean-residual fading expectation
 # at non-integer m, where each coverage value is certified against a rule
 # with twice as many; integer m takes the ceil(m/2)-node rule, which is exact.
@@ -602,8 +605,7 @@ class _CoverageModel:
         without density (or with less than 1e-12 mass below them) contribute
         0.  Logs the work done at debug level.
         """
-        if theta <= 0:
-            raise ParameterError("theta must be positive (linear scale)")
+        _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         m = self.channel.require_integer_m()
         self.laplace  # noqa: B018 -- a 1-UAV BPP raises here, before any quadrature
         lo, hi = self._outer_bounds()
@@ -681,6 +683,15 @@ class _CoverageModel:
         the Jacobian), which keeps the scalar rule's panels.  f(x0) is read
         once per row, and F(x_i) once per node.
 
+        Both levels start from `_DOMINANT_QUAD`'s 3 panels, not the default
+        8.  At this tolerance most rows converge on their first sweep, so at
+        BPP 10, m = 2.5, 0 dB a value costs 75 outer and 3,405 inner nodes
+        where 8 panels cost 120 and 14,400.  Values moved by at most 5e-12
+        for m from 0.5 to 8, N from 2 to 200 and theta from -20 to +20 dB,
+        and by 3e-8 at the domain's corners, inside the 1e-7 absolute
+        tolerance.  Fewer than 3 panels need refinement sweeps that cost
+        more than the nodes they save.
+
         With a residual the fading expectation uses a `laguerre_nodes` rule,
         by default ceil(m/2) nodes for integer m and `_LAGUERRE_NODES`
         otherwise.  For integer m <= 2 `laguerre_nodes` the rule is exact:
@@ -692,8 +703,7 @@ class _CoverageModel:
         values must agree to the `_DOMINANT_QUAD` tolerance, and the first
         is returned.  Logs the work done at debug level.
         """
-        if theta <= 0:
-            raise ParameterError("theta must be positive (linear scale)")
+        _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         law = self.law
         if law.n < 2:
             raise ParameterError("needs n >= 2")
@@ -932,8 +942,7 @@ class CoverageQuery:
     method: str = "exact"  # exact | dominant | single_dominant, for BPP and HPPP
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ParameterError("theta must be positive (linear scale)")
+        _require(self.theta > 0, "theta must be positive and finite (linear scale)", self.theta)
         if self.method not in _METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
 

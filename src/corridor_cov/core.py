@@ -417,10 +417,8 @@ class InverseGammaShadowing:
     """
 
     def __init__(self, q, gamma):
-        if q <= 1:
-            raise ParameterError("inverse-gamma shape q must exceed 1")
-        if gamma <= 0:
-            raise ParameterError("inverse-gamma scale must be positive")
+        _require(q > 1, "inverse-gamma shape q must be finite and exceed 1", q)
+        _require(gamma > 0, "inverse-gamma scale must be positive and finite", gamma)
         self.q = float(q)
         self.gamma = float(gamma)
         self._log_norm = self.q * math.log(self.gamma) - math.lgamma(self.q)
@@ -464,8 +462,7 @@ class NakagamiFadingPower:
     Sampling uses `sample_gamma`."""
 
     def __init__(self, m):
-        if m <= 0:
-            raise ParameterError("fading shape m must be positive")
+        _require(m > 0, "fading shape m must be positive and finite", m)
         self.m = float(m)
         self._log_norm = self.m * math.log(self.m) - math.lgamma(self.m)
 

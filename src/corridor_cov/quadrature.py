@@ -19,7 +19,7 @@ scalar rows whenever the components share work (a density lookup, an exp).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,31 +62,37 @@ _GAUSS_W[[3, 11]] = _WG_HALF[1]
 _GAUSS_W[[5, 9]] = _WG_HALF[2]
 _GAUSS_W[7] = _WG_CENTER
 
-_INITIAL_PANELS = 8
-# Rows per batch in `integrate_batch`: about 15k nodes per initial sweep,
-# enough to amortize the per-sweep overhead while keeping memory flat.
+# Rows per batch in `integrate_batch`: about 15k nodes per initial sweep at
+# the default 8 panels, enough to amortize the per-sweep overhead while
+# keeping memory flat.
 _BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances and panel counts of one adaptive rule: a row starts from
+    `initial_panels` equal panels and is bisected up to `max_subdivisions`
+    panels until its error is within max(abs_tol, rel_tol |value|).  A row
+    that converges on its first sweep costs 15 nodes per initial panel, so a
+    loose rule over a smooth integrand gains from fewer than the default 8.
+    """
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
+    initial_panels: int = 8
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        if not isinstance(self.initial_panels, int) or self.initial_panels < 1:
+            raise ValueError(f"initial_panels must be an integer >= 1, got {self.initial_panels!r}")
 
     def scaled(self, factor):
         """Config with tolerances tightened by `factor` (used by nested rules)."""
-        return QuadratureConfig(
-            rel_tol=self.rel_tol * factor,
-            abs_tol=self.abs_tol * factor,
-            max_subdivisions=self.max_subdivisions,
-        )
+        return replace(self, rel_tol=self.rel_tol * factor, abs_tol=self.abs_tol * factor)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -154,19 +160,19 @@ def _adaptive_rows(f, rows, a, b, cfg):
     """The adaptive rule for every row of `rows` at once; returns (values,
     errors, nev, vector), values and errors as (k, rows) arrays.
 
-    Each row starts from `_INITIAL_PANELS` equal panels and stops once the
-    summed error estimate of every component c is within
-    max(abs_tol, rel_tol |value_c|).  Panels of all unfinished rows are
-    evaluated in one batch per sweep; each row keeps its own stop rule,
-    bisection set and subdivision limit.
+    Each row starts from `cfg.initial_panels` equal panels, 15 nodes each
+    on the first sweep, and stops once the summed error estimate of every
+    component c is within max(abs_tol, rel_tol |value_c|).  Panels of all
+    unfinished rows are evaluated in one batch per sweep; each row keeps its
+    own stop rule, bisection set and subdivision limit.
     """
-    n = len(rows)
-    width = (b - a) / _INITIAL_PANELS
-    lo = a + width * np.arange(_INITIAL_PANELS)
+    n, panels = len(rows), cfg.initial_panels
+    width = (b - a) / panels
+    lo = a + width * np.arange(panels)
     hi = lo + width
     hi[-1] = b
     lo, hi = np.tile(lo, n), np.tile(hi, n)
-    owner = np.repeat(np.arange(n), _INITIAL_PANELS)  # local row of each panel
+    owner = np.repeat(np.arange(n), panels)  # local row of each panel
 
     def evaluate(owner, lo, hi):
         node_rows = np.repeat(rows[owner], len(_NODES))

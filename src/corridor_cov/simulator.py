@@ -82,6 +82,7 @@ from .core import (
     FixedHeight,
     InverseGammaShadowing,
     ParameterError,
+    _require,
     db_to_linear,
     linear_to_db,
     sample_gamma,
@@ -393,7 +394,7 @@ def simulate_sir(
     Calls with one seed share positions, shadowing and fading, whatever
     the policy or height model (common random numbers).
     """
-    tally = None if theta_db is None else SirTally.of(np.empty(0), theta_db)
+    tally = None if theta_db is None else SirTally.of(np.empty(0), _theta_grid(theta_db))
     return _simulate(spatial, geom, channel, channel.m, trials, seed, policy, batch_size, tally)
 
 
@@ -450,10 +451,19 @@ class SirTally:
         return self.n
 
 
+def _theta_grid(theta_db):
+    """The dB thresholds `theta_db` as a 1-D float array; raises
+    ParameterError unless all are finite.  The entry points check once per
+    call, before any draw; `SirTally.of`, which runs per piece, does not."""
+    theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
+    _require(np.isfinite(theta_db).all(), "SIR thresholds theta_db (dB) must be finite")
+    return theta_db
+
+
 def coverage_from_sirs(sirs, theta_db):
     """Empirical survival function of the SIR samples on a dB grid.  `sirs`
     is an array of linear SIRs or their `SirTally` on the same grid."""
-    theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
+    theta_db = _theta_grid(theta_db)
     if not isinstance(sirs, SirTally):
         sirs = SirTally.of(sirs, theta_db)
     elif not np.array_equal(sirs.theta_db, theta_db):
@@ -502,6 +512,27 @@ class _QuantileHeight:
         return self.quantile(rng.uniform(0.0, 1.0, size))
 
 
+def _grid_quantile(data):
+    """The quantile function u -> np.interp(u, linspace(0, 1, n), data) of
+    the sorted `data`, bit for bit for u in [0, 1].  The grid is uniform, so
+    u (n - 1) locates each bracket to within one step, and one correction
+    each way replaces np.interp's binary search over the n points; the
+    value is np.interp's own slope (u - xp[j]) + data[j].  A slope of 0
+    past the last point returns data[-1] at u = 1."""
+    n = len(data)
+    xp = np.linspace(0.0, 1.0, n)
+    xp_next = np.append(xp[1:], np.inf)
+    slopes = np.append(np.diff(data) / np.diff(xp), 0.0)
+
+    def quantile(u):
+        j = (u * (n - 1)).astype(np.intp)
+        j -= xp[j] > u
+        j += xp_next[j] <= u
+        return slopes[j] * (u - xp[j]) + data[j]
+
+    return quantile
+
+
 @dataclass
 class HeightKlResult:
     mu: float
@@ -539,9 +570,8 @@ def height_model_kl_study(
     lo, hi = fit_uniform_height(data)
     hist_db = np.arange(-30.0, 30.5, 1.0)
     no_sirs = SirTally.of(np.empty(0), [], hist_db)
-    data_probs = np.linspace(0.0, 1.0, len(data))
     quantiles = {
-        "true": lambda u: np.interp(u, data_probs, data),
+        "true": _grid_quantile(data),
         "normal": lambda u: np.maximum(mu + sigma * ndtri(u), 1e-9),
         "uniform": lambda u: np.maximum(lo + (hi - lo) * u, 1e-9),
     }
@@ -643,6 +673,8 @@ class Trace:
             if not np.all(np.isfinite(column)):
                 raise TraceFormatError(f"{name} holds a value that is not finite")
             object.__setattr__(self, name, column)
+        if not math.isfinite(self.mapping_accuracy_m):
+            raise TraceFormatError("mapping_accuracy_m is not finite")
         pos = self.position_m
         if len(pos) < 2:
             raise TraceFormatError("a trace needs at least two samples")
@@ -778,7 +810,7 @@ def trace_replay(
             f"does not cover the corridor [-{geom.R:.6g}, {geom.R:.6g}] m"
         )
     hist_db = np.arange(-40.0, 40.5, 0.5)
-    no_sirs = SirTally.of(np.empty(0), theta_db, hist_db)
+    no_sirs = SirTally.of(np.empty(0), _theta_grid(theta_db), hist_db)
     fading_m = m if fading_mode == "redraw" else None
     tally, _ = _simulate(spatial, geom, trace, fading_m, trials, seed, policy, batch_size, no_sirs)
     curve = coverage_from_sirs(tally, tally.theta_db)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -491,6 +492,42 @@ def test_dominant_grid_converges(geom, m):
             assert single >= dominant - 1e-4, (n, theta_db)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["coverage", "coverage_dominant", "coverage_single_dominant"])
+@pytest.mark.parametrize("make", [bpp_model, hppp_model])
+def test_non_finite_theta_rejected(geom, channel, make, method, theta):
+    # nan once surfaced as a QuadratureError from the integrand, and an
+    # infinite theta gave single-dominant coverage 0
+    model = make(N if make is bpp_model else 0.01, geom, channel)
+    with pytest.raises(ParameterError, match="finite"):
+        getattr(model, method)(theta)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.3, 2.5, 8.0])
+def test_dominant_panels_keep_their_tolerance(geom, monkeypatch, m):
+    # the dominant rule starts each level from fewer panels than the
+    # default 8; its values must stay within its own tolerance of the
+    # 8-panel rule's, here and at one corner of the parameter domain
+    ch = ChannelParams(alpha=2.2, q=2.0, m=m)
+    cases = [(model, th) for model in (bpp_model(2, geom, ch), bpp_model(200, geom, ch),
+                                       hppp_model(0.01, geom, ch))
+             for th in (0.01, 1.0, 100.0)]
+    if m == 2.5:
+        corner = CorridorGeometry(500 * H, FixedHeight(H))
+        cases.append((bpp_model(N, corner, ChannelParams(alpha=6.0, q=1.05, m=m)), 1.0))
+
+    def values():
+        return [(model.coverage_dominant(th), model.coverage_single_dominant(th))
+                for model, th in cases]
+
+    shipped = values()
+    cfg = analytic._DOMINANT_QUAD
+    monkeypatch.setattr(analytic, "_DOMINANT_QUAD", dataclasses.replace(cfg, initial_panels=8))
+    for got, ref in zip(shipped, values()):
+        for v, r in zip(got, ref):
+            assert abs(v - r) <= max(cfg.abs_tol, cfg.rel_tol * abs(r)), (m, got, ref)
+
+
 class TestBatchedDominantIntegral:
     """The dominant-interferer 2D integral with one batched inner rule per
     outer-integrand call, against the nested scalar rule it replaced."""
@@ -553,7 +590,8 @@ class TestBatchedDominantIntegral:
         assert 0 < int(kept) < int(n_rule)
         assert int(outer) % 15 == 0  # one G7/K15 panel is 15 nodes
         assert int(rows) == int(outer)  # one inner row per outer node
-        assert int(inner) >= 120 * int(rows)  # at least 8 panels per row
+        # at least the first sweep's panels per row
+        assert int(inner) >= 15 * analytic._DOMINANT_QUAD.initial_panels * int(rows)
         res, outer, rows, inner, kept, n_rule, cert = single
         assert (res, kept, n_rule, cert) == ("dropped", "0", "0", "no")
         assert int(rows) == int(outer) > 0 and int(inner) > 0

@@ -260,6 +260,8 @@ CONSTRUCTORS = [
     (NormalHeight, dict(mu=100.0, sigma=10.0), ["mu", "sigma"]),
     (FiniteHPPP, dict(intensity=0.01), ["intensity"]),
     (Disc2D, dict(n=10, radius=500.0), ["radius"]),
+    (NakagamiFadingPower, dict(m=1.0), ["m"]),
+    (InverseGammaShadowing, dict(q=2.0, gamma=1.0), ["q", "gamma"]),
 ]
 
 

@@ -149,3 +149,28 @@ def test_vector_integrand_failure_names_row_and_component():
     with pytest.raises(QuadratureError, match="row 5 component 1") as err:
         integrate_batch(f, 9, 0.0, 1.0, cfg)
     assert abs(err.value.best_estimate[1] - 2.0) < 0.05
+
+
+@pytest.mark.parametrize("panels", [0, -1, 2.0, "3", None])
+def test_initial_panels_must_be_a_positive_integer(panels):
+    with pytest.raises(ValueError, match="initial_panels"):
+        QuadratureConfig(initial_panels=panels)
+
+
+def test_initial_panels_survive_scaling():
+    cfg = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, max_subdivisions=50, initial_panels=3)
+    inner = cfg.scaled(0.1)
+    assert (inner.initial_panels, inner.max_subdivisions) == (3, 50)
+    assert inner.rel_tol == pytest.approx(1e-5) and inner.abs_tol == pytest.approx(1e-8)
+    assert QuadratureConfig().initial_panels == 8
+
+
+@pytest.mark.parametrize("panels", [1, 3, 8])
+def test_first_sweep_has_15_nodes_per_initial_panel(panels):
+    # a cubic is integrated exactly by every panel, so each row stops after
+    # its first sweep
+    cfg = QuadratureConfig(initial_panels=panels)
+    res = integrate_batch(lambda rows, x: (1.0 + rows) * x**3, 4, 0.0, 2.0, cfg)
+    assert res.n_evals == 4 * 15 * panels
+    np.testing.assert_allclose(res.value, 4.0 * np.arange(1, 5), rtol=1e-14)
+    assert integrate(lambda x: x**3, 0.0, 2.0, cfg).n_evals == 15 * panels

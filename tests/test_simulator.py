@@ -37,6 +37,7 @@ from corridor_cov.simulator import (
     _combine_sir,
     _draw_batch,
     _draw_positions,
+    _grid_quantile,
     _map_batches,
     _serving,
     _simulate,
@@ -352,6 +353,25 @@ class TestEmpiricalCoverage:
         assert len(sirs) == 50_000 - excluded
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["simulate_sir", "empirical_coverage", "coverage_from_sirs",
+                                   "coverage_from_tally", "trace_replay"])
+def test_non_finite_threshold_rejected(geom, channel, entry, threshold):
+    # a nan threshold once raised GridMismatchError, and +inf gave coverage 0
+    thetas = [0.0, threshold]
+    calls = {
+        "simulate_sir": lambda: simulate_sir(BPP(10), geom, channel, 100, seed=1, theta_db=thetas),
+        "empirical_coverage": lambda: empirical_coverage(BPP(10), geom, channel, thetas, 100, seed=1),
+        "coverage_from_sirs": lambda: coverage_from_sirs(np.ones(5), thetas),
+        "coverage_from_tally": lambda: coverage_from_sirs(SirTally.of(np.ones(5), [0.0]), thetas),
+        "trace_replay": lambda: trace_replay(
+            synthesize_trace(geom, channel, spacing=1.0, seed=2), BPP(10), geom, 100, thetas, seed=1
+        ),
+    }
+    with pytest.raises(ParameterError, match="finite"):
+        calls[entry]()
+
+
 class TestVariableHeight:
     def test_uniform_close_to_fixed(self, channel):
         gap = fixed_vs_variable_gap(
@@ -404,6 +424,21 @@ class TestVariableHeight:
         data = rng.uniform(160.0, 240.0, 50_000)
         res = height_model_kl_study(BPP(10), 200.0, data, channel, 50_000, seed=24)
         assert res.kl_uniform < res.kl_normal
+
+
+@pytest.mark.parametrize("n", [2, 3, 5000])
+def test_grid_quantile_is_np_interp_bit_for_bit(n):
+    # the KL study's data quantile finds each bracket arithmetically; it
+    # must return exactly what np.interp returns, at and between grid points
+    rng = np.random.default_rng(40)
+    data = np.sort(rng.normal(100.0, 20.0, n))
+    xp = np.linspace(0.0, 1.0, n)
+    u = np.concatenate([
+        rng.uniform(0.0, 1.0, 200_000), [0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0],
+        xp, np.nextafter(xp[1:], 0.0), np.nextafter(xp[:-1], 1.0),
+    ])
+    got, want = _grid_quantile(data)(u), np.interp(u, xp, data)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestKlDivergence:

@@ -81,6 +81,13 @@ class TestTraceType:
         with pytest.raises(TraceFormatError, match="not finite"):
             Trace(*columns, mapping_accuracy_m=0.25)
 
+    @pytest.mark.parametrize("accuracy", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mapping_accuracy_rejected(self, accuracy):
+        # nan and inf once passed the spacing check
+        columns = [np.array([-0.5, 0.0, 0.5]), np.full(3, 200.0), np.full(3, -50.0)]
+        with pytest.raises(TraceFormatError, match="mapping_accuracy_m is not finite"):
+            Trace(*columns, mapping_accuracy_m=accuracy)
+
     @pytest.mark.parametrize("row", ["nan,200.0,-51.0", "0.0,inf,-51.0", "0.0,200.0,-inf"])
     def test_non_finite_value_reports_its_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
