@@ -67,6 +67,7 @@ from .core import (
     ParameterError,
     SpatialModel,
     _require,
+    _require_count,
     pathloss_value_pdf,
 )
 from .quadrature import QuadratureConfig, QuadratureError, integrate, integrate_batch
@@ -873,6 +874,7 @@ class InterferenceLaplaceBPP(_ConditionalLaplace):
     """The BPP's conditional Laplace transform, n UAVs: G(z) = z^n."""
 
     def __init__(self, dist: ReceivedPowerDistribution, n: int, m: float, config=None):
+        _require_count(n, "the BPP Laplace transform")
         super().__init__(dist, _CountLaw(n=int(n)), m, config)
 
 
@@ -880,8 +882,7 @@ class InterferenceLaplaceHPPP(_ConditionalLaplace):
     """The finite HPPP's conditional Laplace transform, mean UAV count mu: G(z) = e^(mu (z - 1))."""
 
     def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float, config=None):
-        if mean_count <= 0:
-            raise ParameterError("the mean UAV count must be positive")
+        _require(mean_count > 0, "the mean UAV count must be positive and finite", mean_count)
         super().__init__(dist, _CountLaw(mu=float(mean_count)), m, config)
 
 
@@ -889,8 +890,7 @@ class BppCoverageModel(_CoverageModel):
     """All analytic BPP quantities for one (n, geometry, channel) triple."""
 
     def __init__(self, n: int, geom: CorridorGeometry, channel: ChannelParams):
-        if n < 1:
-            raise ParameterError("n must be >= 1")
+        _require_count(n, "the BPP coverage model")
         self.n = int(n)
         super().__init__(_CountLaw(n=self.n), geom, channel)
 
@@ -900,8 +900,7 @@ class HpppCoverageModel(_CoverageModel):
     channel) triple; everything is conditioned on a non-empty corridor."""
 
     def __init__(self, intensity, geom: CorridorGeometry, channel: ChannelParams):
-        if intensity <= 0:
-            raise ParameterError("intensity must be positive")
+        _require(intensity > 0, "intensity must be positive and finite", intensity)
         self.mu = float(intensity) * geom.length  # mean UAV count
         super().__init__(_CountLaw(mu=self.mu), geom, channel)
 
@@ -916,7 +915,9 @@ def _cached_dist(geom, channel):
     return ReceivedPowerDistribution(geom, channel)
 
 
-@lru_cache(maxsize=32)
+# typed: a key equal to the int n, such as 10.0 or True, must reach the
+# model's check of n, not the model cached for n
+@lru_cache(maxsize=32, typed=True)
 def bpp_model(n, geom, channel) -> BppCoverageModel:
     return BppCoverageModel(n, geom, channel)
 

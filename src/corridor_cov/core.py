@@ -12,6 +12,7 @@ the caller, so everything here is safe to use from concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -57,6 +58,13 @@ def _require(ok, message, *values):
     finite: nan passes no `x <= bound` check, and inf passes most."""
     if not (ok and all(map(math.isfinite, values))):
         raise ParameterError(message)
+
+
+def _require_count(n, what):
+    """Raise ParameterError unless the UAV count `n` is an integer >= 1: a
+    Python or numpy integer, not a bool or a float."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"{what} needs an integer UAV count n >= 1, got {n!r}")
 
 
 def db_to_linear(value_db):
@@ -226,8 +234,7 @@ class BPP:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("BPP needs at least one UAV")
+        _require_count(self.n, "BPP")
 
 
 @dataclass(frozen=True)
@@ -252,8 +259,7 @@ class Disc2D:
     radius: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("Disc2D needs at least one UAV")
+        _require_count(self.n, "Disc2D")
         _require(self.radius > 0, "disc radius must be positive and finite", self.radius)
 
 

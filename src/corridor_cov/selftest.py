@@ -178,10 +178,11 @@ def run(trials=200_000, seed=20250811):
     exact = hppp.coverage(theta)
     checks.append((f"exact HPPP coverage vs MC ({exact:.4f} vs {mc:.4f})", abs(exact - mc) <= tol))
 
-    # determinism
-    a, _ = simulate_sir(BPP(10), geom, channel, 20_000, seed=123)
-    b, _ = simulate_sir(BPP(10), geom, channel, 20_000, seed=123)
-    checks.append(("deterministic reseeded rerun", bool(np.array_equal(a, b))))
+    # determinism, with fixed counts and with Poisson counts
+    for name, spatial in (("BPP", BPP(10)), ("HPPP", FiniteHPPP(lam))):
+        a, _ = simulate_sir(spatial, geom, channel, 20_000, seed=123)
+        b, _ = simulate_sir(spatial, geom, channel, 20_000, seed=123)
+        checks.append((f"deterministic reseeded rerun, {name}", bool(np.array_equal(a, b))))
 
     failures = 0
     for name, ok in checks:

@@ -18,13 +18,20 @@ differ.  `sample_heights` draws from SeedSequence(seed) with an empty spawn
 key, a stream apart from every batch's.  `_map_batches` runs one
 thread per CPU the process may use, and no more than there are batches;
 `taskset` limits it.  With CORRIDOR_COV_LOG=debug it logs one line per
-call.  Within a batch the UAV count of every trial is drawn first (HPPP
-only; BPP and Disc2D counts are fixed).  The trials are then sorted stably
-by count, and every per-UAV quantity is drawn as one flat stream of
-counts.sum() values, holding the UAVs of the sorted trials one after
-another.  The trials of each count form a dense block, with no padding;
-SIRs are returned in trial order.  A BPP or Disc2D batch is one block in
-trial order.  The per-UAV draws come in a fixed order per entry point:
+call.  Within a batch the number of trials of each UAV count is drawn
+first (finite HPPP only, as one multinomial over the Poisson pmf of the
+mean count; BPP and Disc2D counts are fixed).  The trials are taken in
+order of count, and every per-UAV quantity is drawn as one flat stream with
+one value per UAV of the batch, holding the UAVs of those trials one after
+another (`_Layout`).  The trials of each count form a dense block, with no
+padding.  A BPP or Disc2D batch is one block, and its SIRs are returned in
+that order.  A finite-HPPP batch returns the SIRs of its non-empty trials
+permuted by a permutation from the batch's order stream (spawn key (b, 1),
+see `_Layout.ordered`), so no SIR's place depends on its trial's count.
+Releases before the multinomial drew one Poisson count per trial from the
+batch stream and sorted the trials by count, so their finite-HPPP
+same-seed results differ; BPP, Disc2D and trace-on-BPP results do not.
+The per-UAV draws come in a fixed order per entry point:
 
 - `simulate_sir`: positions, shadowing, then fading.  Heights that are not
   fixed come from the batch's height stream, the first child of its
@@ -46,8 +53,8 @@ Memory: the blocks are cut at trial boundaries into pieces of about
 `_PIECE_UAVS` UAVs, and the per-UAV work after the whole-batch draws runs
 piece by piece.  Gamma draws made piece by piece give the values of one
 whole-batch call and leave the stream where it would, so the draw order
-above holds.  Besides the per-trial counts and sort order, these per-UAV
-arrays span a batch:
+above holds.  Besides the per-count trial numbers, these per-UAV arrays
+span a batch:
 
 - max-power: one array, which holds the positions, then (from the channel
   model) the squared distances, then the powers; drawn heights add a
@@ -58,7 +65,8 @@ Everything else (shadowing, fading, faded powers, serving indices, SIRs,
 tallies and histogram counts) is per piece, and so is the block of
 uniforms that an integer-shape Gamma draw takes them from, of at most
 4 * 2**13 values (256 KiB).  Only `simulate_sir` without a grid keeps a
-run's SIRs, to return them; the other entry points tally each piece.
+run's SIRs (and, for a finite HPPP, a batch's permutation), to return
+them; the other entry points tally each piece.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 
 from .core import (
     BPP,
@@ -211,51 +220,85 @@ def _map_batches(entry, fn, trials, batch_size, seed):
     return list(results), kept
 
 
-def _draw_positions(spatial, geom, rng, size):
-    """(positions, counts): the UAV count of each of `size` trials, then the
-    coordinates of all counts.sum() UAVs as one flat array, in the
-    count-sorted trial order of `_Layout`."""
-    if isinstance(spatial, BPP):
-        counts = np.full(size, spatial.n)
-        pos = rng.uniform(-geom.R, geom.R, size * spatial.n)
-    elif isinstance(spatial, FiniteHPPP):
-        counts = rng.poisson(spatial.intensity * geom.length, size)
-        pos = rng.uniform(-geom.R, geom.R, int(counts.sum()))
-    elif isinstance(spatial, Disc2D):
-        counts = np.full(size, spatial.n)
-        # Uniform in the disc: ground radius density 2r/radius^2.
-        pos = spatial.radius * np.sqrt(rng.uniform(0.0, 1.0, size * spatial.n))
+def _child(rng, key):
+    """Child `key` of the batch generator `rng`: SFC64 on the SeedSequence
+    whose spawn key is rng's with `key` appended, the one that rng.spawn
+    gives as its `key`-th child.  Key 0 is the height stream, key 1 the
+    order stream of a finite-HPPP batch's returned SIRs."""
+    seq = rng.bit_generator.seed_seq
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (key,)))
+    )
+
+
+def _poisson_pmf(mu):
+    """The Poisson(mu) pmf on 0..K, where K is the first count whose upper
+    tail P(N > K) underflows to 0 in double precision, so a multinomial over
+    it lumps no tail mass into its last category.  A value is a difference
+    of cdf values up to the mean and of upper-tail values above it, so both
+    tails keep their relative accuracy and the values sum to 1 within a few
+    roundings."""
+    K = max(1, math.ceil(mu))
+    while special.pdtrc(K, mu) > 0.0:
+        K *= 2
+    k = np.arange(K + 1)
+    tail = special.pdtrc(k, mu)
+    k = k[: int(np.argmax(tail == 0.0)) + 1]
+    tail = tail[: k.size]
+    return np.where(k <= mu, np.diff(special.pdtr(k, mu), prepend=0.0), -np.diff(tail, prepend=1.0))
+
+
+def _draw_positions(spatial, geom, rng, size, pmf=None):
+    """(positions, layout) of one batch of `size` trials: the number of
+    trials of each UAV count (see `_Layout`), then the coordinates of all
+    the batch's UAVs as one flat array in the layout's order.
+
+    A BPP or Disc2D batch draws no counts.  A finite-HPPP batch draws its
+    per-count trial numbers as one multinomial over `pmf`, the
+    `_poisson_pmf` of its mean count: the per-count numbers of `size` iid
+    Poisson counts follow exactly that multinomial law."""
+    if isinstance(spatial, FiniteHPPP):
+        n_trials = rng.multinomial(size, pmf)
+    elif isinstance(spatial, (BPP, Disc2D)):
+        n_trials = np.zeros(spatial.n + 1, dtype=np.int64)
+        n_trials[-1] = size
     else:
         raise ParameterError(f"unsupported spatial model {spatial!r}")
-    return pos, counts
+    layout = _Layout(n_trials, shuffled=isinstance(spatial, FiniteHPPP))
+    if isinstance(spatial, Disc2D):
+        # Uniform in the disc: ground radius density 2r/radius^2.
+        pos = spatial.radius * np.sqrt(rng.uniform(0.0, 1.0, layout.n_uavs))
+    else:
+        pos = rng.uniform(-geom.R, geom.R, layout.n_uavs)
+    return pos, layout
 
 
 class _Layout:
-    """Count-sorted layout of one batch, cut into pieces.
+    """Count-ordered layout of one batch, cut into pieces.
 
-    The trials are sorted stably by UAV count, and every flat per-UAV array
-    of the batch holds the UAVs of the sorted trials one after another.  The
-    trials of each count c > 0 then form one contiguous slice, which reshapes
-    without a copy into a dense (n_c, c) block.  A BPP or Disc2D batch is one
-    block in trial order.  Each block is cut at trial boundaries into
-    pieces of at most max(_PIECE_UAVS, c) UAVs.
+    `n_trials[c]` of the batch's trials hold c UAVs.  The layout takes the
+    trials in order of count, and every flat per-UAV array of the batch
+    holds their UAVs one after another: the trials of each count c > 0
+    form one contiguous slice, which reshapes without a copy into a dense
+    (n_trials[c], c) block.  A BPP or Disc2D batch is one block.  Each
+    block is cut at trial boundaries into pieces of at most
+    max(_PIECE_UAVS, c) UAVs.  No per-trial array is formed: the per-count
+    numbers are the whole layout.
     """
 
-    def __init__(self, counts):
-        self.counts = counts
-        # numpy sorts small integers stably by radix sort, several times
-        # faster than the timsort it uses for int64 keys
-        key = counts.astype(np.int16) if counts.max(initial=0) < 2**15 else counts
-        self.order = np.argsort(key, kind="stable")
-        n_trials = np.bincount(counts)  # per count c
+    def __init__(self, n_trials, shuffled):
+        self.n_trials = n_trials
         n_uavs = n_trials * np.arange(n_trials.size)
         first_uav = np.cumsum(n_uavs) - n_uavs
         self._blocks = [
-            (c, int(n_trials[c]), int(first_uav[c])) for c in range(1, n_trials.size) if n_trials[c]
+            (int(c), int(n_trials[c]), int(first_uav[c])) for c in np.flatnonzero(n_trials[1:]) + 1
         ]
         self.kept = sum(k for _, k, _ in self._blocks)
+        self.n_uavs = int(n_uavs.sum())
         # no piece holds more than the batch, or than max(_PIECE_UAVS, c)
-        self._largest_piece = min(int(n_uavs.sum()), max(_PIECE_UAVS, n_trials.size - 1))
+        largest_count = self._blocks[-1][0] if self._blocks else 0
+        self._largest_piece = min(self.n_uavs, max(_PIECE_UAVS, largest_count))
+        self._shuffled = shuffled
 
     def pieces(self, *flat):
         """Per piece, in the flat order: the dense (rows, c) view of each flat
@@ -269,30 +312,35 @@ class _Layout:
                 views = [None if a is None else a[uavs].reshape(-1, c) for a in flat]
                 yield (*views, buf[: uavs.stop - uavs.start].reshape(-1, c))
 
-    def unsort(self, parts):
-        """Per-trial values, given piece by piece, in trial order; empty
-        trials are dropped."""
+    def ordered(self, parts, rng):
+        """The per-trial values of the non-empty trials, given piece by
+        piece, in the order the entry points return them.  A BPP or Disc2D
+        batch keeps the layout's order.  A finite-HPPP batch returns
+        values[perm], perm = _child(rng, 1).permutation(kept), so that no
+        value's place depends on its trial's count; that stream is apart
+        from rng's own, so the draws do not depend on whether SIRs are
+        returned or tallied."""
         values = np.concatenate(parts) if parts else np.empty(0)
-        out = np.empty(self.counts.size, values.dtype)
-        out[self.order[self.counts.size - values.size :]] = values
-        return out[self.counts > 0]
+        if self._shuffled:
+            values = values[_child(rng, 1).permutation(values.size)]
+        return values
 
 
-def _draw_batch(spatial, geom, source, size, rng, keep_d2):
+def _draw_batch(spatial, geom, source, size, rng, keep_d2, pmf=None):
     """One batch of `size` realizations, drawn as far as association needs:
     (layout, powers, d2), flat per UAV in the order of `layout`.
 
-    Counts and positions are drawn for the whole batch; then, piece by
-    piece, a `ChannelParams` source draws shadowing S and gives the powers
-    (S * K) * (d^2)^(-alpha/2), and a `Trace` draws nothing and gives each
-    UAV the linear power and d2 of its nearest sample.  The channel model's
-    heights, if not fixed, come from the batch generator's first child
-    (`rng.spawn`), so they leave the draws of `rng` as a fixed height (a
-    scalar) does.  The powers are written over the positions; `keep_d2`
-    keeps the squared link distances as `d2` (None otherwise).
+    Counts (from `pmf`, as in `_draw_positions`) and positions are drawn for the
+    whole batch; then, piece by piece, a `ChannelParams` source draws
+    shadowing S and gives the powers (S * K) * (d^2)^(-alpha/2), and a
+    `Trace` draws nothing and gives each UAV the linear power and d2 of its
+    nearest sample.  The channel model's heights, if not fixed, come from
+    the batch generator's height stream `_child(rng, 0)`, so they leave the
+    draws of `rng` as a fixed height (a scalar) does.  The powers are
+    written over the positions; `keep_d2` keeps the squared link distances
+    as `d2` (None otherwise).
     """
-    pos, counts = _draw_positions(spatial, geom, rng, size)
-    layout = _Layout(counts)
+    pos, layout = _draw_positions(spatial, geom, rng, size, pmf)
     if isinstance(source, Trace):
         trace_power = db_to_linear(source.rx_power_dbm)
         trace_d2 = source.position_m**2 + source.height_m**2
@@ -307,7 +355,7 @@ def _draw_batch(spatial, geom, source, size, rng, keep_d2):
     if isinstance(model, FixedHeight):
         heights = model.h
     else:
-        heights = model.sample(rng.spawn(1)[0], pos.shape)
+        heights = model.sample(_child(rng, 0), pos.shape)
     d2 = pos  # formed in place
     d2 *= d2
     d2 += heights * heights
@@ -353,10 +401,11 @@ def _simulate(spatial, geom, source, m, trials, seed, policy, batch_size, tally)
     given `tally`, a tally of no samples, their tally on its grids."""
     if policy not in (MAX_POWER, MIN_DISTANCE):
         raise ParameterError(f"unknown association policy {policy!r}")
+    pmf = _poisson_pmf(spatial.mean_count(geom)) if isinstance(spatial, FiniteHPPP) else None
 
     def run(rng, size):
         layout, powers, d2 = _draw_batch(
-            spatial, geom, source, size, rng, keep_d2=policy == MIN_DISTANCE
+            spatial, geom, source, size, rng, keep_d2=policy == MIN_DISTANCE, pmf=pmf
         )
         parts = []
         for p, d, scratch in layout.pieces(powers, d2):
@@ -367,7 +416,7 @@ def _simulate(spatial, geom, source, m, trials, seed, policy, batch_size, tally)
             sirs = _combine_sir(faded, _serving(policy, p, d))
             parts.append(sirs if tally is None else SirTally.of(sirs, tally.theta_db, tally.hist_db))
         if tally is None:
-            return layout.unsort(parts), layout.kept
+            return layout.ordered(parts, rng), layout.kept
         return sum(parts, tally), layout.kept
 
     entry = "trace_replay" if isinstance(source, Trace) else "simulate_sir"
@@ -562,10 +611,15 @@ def height_model_kl_study(
     Carlo noise, so the reported KL values isolate the height-model
     mismatch.  Each piece of a batch is reduced to SIR histogram counts
     (1 dB bins over -30..30 dB) as it is drawn; no run's SIRs are kept.
+    `data_heights` must hold at least two heights, all finite and positive.
     """
     from scipy.special import ndtri
 
     data = np.sort(np.asarray(data_heights, dtype=float))
+    _require(
+        data.size >= 2 and np.all(np.isfinite(data) & (data > 0)),
+        "data_heights must hold at least two heights, all finite and positive",
+    )
     mu, sigma = fit_normal_height(data)
     lo, hi = fit_uniform_height(data)
     hist_db = np.arange(-30.0, 30.5, 1.0)

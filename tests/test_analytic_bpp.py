@@ -133,6 +133,15 @@ class TestMaxPowerPdf:
         with pytest.raises(ParameterError):
             bpp_model(0, geom, channel)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, np.float64(10.0), True, "10"])
+    def test_non_integer_n_rejected(self, geom, channel, model10, n):
+        # 2.5 once gave the N = 2 value; 10.0 and True equal cached keys
+        with pytest.raises(ParameterError, match="integer"):
+            bpp_model(n, geom, channel)
+        with pytest.raises(ParameterError, match="integer"):
+            analytic.InterferenceLaplaceBPP(model10.dist, n, channel.m)
+        assert bpp_model(np.int64(N), geom, channel).coverage(1.0) == model10.coverage(1.0)
+
 
 class TestLaplaceBPP:
     def test_unity_at_origin(self, model10):

@@ -8,6 +8,7 @@ from corridor_cov import (
     ChannelParams,
     FiniteHPPP,
     InterferenceLaplaceBPP,
+    InterferenceLaplaceHPPP,
     ParameterError,
     QuadratureConfig,
     bpp_model,
@@ -103,9 +104,13 @@ class TestMaxPowerPdfHPPP:
         d5, d10, d20 = sup_distance(5), sup_distance(10), sup_distance(20)
         assert d5 > d10 > d20
 
-    def test_invalid_intensity(self, geom, channel):
-        with pytest.raises(ParameterError):
-            hppp_model(0.0, geom, channel)
+    def test_invalid_intensity(self, geom, channel, hmodel):
+        # nan once gave a quadrature error, and a nan-count transform nan
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                hppp_model(bad, geom, channel)
+            with pytest.raises(ParameterError):
+                InterferenceLaplaceHPPP(hmodel.dist, bad, channel.m)
 
 
 class TestLaplaceHPPP:

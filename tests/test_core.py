@@ -286,3 +286,66 @@ def test_nan_fading_shape_gives_no_coverage():
             BPP(10), CorridorGeometry(500.0, FixedHeight(100.0)),
             ChannelParams(alpha=2.2, q=2, m=math.nan), [0.0], 1000, seed=1,
         )
+
+
+def _positive(high):
+    return st.floats(min_value=0.0, max_value=high, exclude_min=True)
+
+
+@st.composite
+def _uniform_height(draw):
+    low = draw(_positive(1e4))
+    return dict(low=low, high=low + draw(st.floats(min_value=0.0, max_value=1e4)))
+
+
+_COUNTS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**6).map(np.int64))
+_HEIGHT_MODELS = st.one_of(
+    st.builds(FixedHeight, _positive(1e4)),
+    _uniform_height().map(lambda kw: UniformHeight(**kw)),
+    st.builds(NormalHeight, _positive(1e4), _positive(1e4)),
+)
+
+# Per public constructor: a strategy of valid (finite, in-domain) keyword
+# arguments, its numeric fields and its UAV-count fields.
+DOMAINS = [
+    (ChannelParams, st.fixed_dictionaries(dict(
+        alpha=_positive(10.0), q=st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
+        gamma=st.none() | _positive(1e3), m=_positive(1e3),
+        carrier_factor=st.none() | _positive(1.0),
+    )), ["alpha", "q", "gamma", "m", "carrier_factor"], []),
+    (CorridorGeometry, st.fixed_dictionaries(dict(R=_positive(1e5), height_model=_HEIGHT_MODELS)),
+     ["R"], []),
+    (FixedHeight, st.fixed_dictionaries(dict(h=_positive(1e4))), ["h"], []),
+    (UniformHeight, _uniform_height(), ["low", "high"], []),
+    (NormalHeight, st.fixed_dictionaries(dict(mu=_positive(1e4), sigma=_positive(1e4))),
+     ["mu", "sigma"], []),
+    (BPP, st.fixed_dictionaries(dict(n=_COUNTS)), [], ["n"]),
+    (FiniteHPPP, st.fixed_dictionaries(dict(intensity=_positive(10.0))), ["intensity"], []),
+    (Disc2D, st.fixed_dictionaries(dict(n=_COUNTS, radius=_positive(1e5))), ["radius"], ["n"]),
+    (NakagamiFadingPower, st.fixed_dictionaries(dict(m=_positive(1e3))), ["m"], []),
+    (InverseGammaShadowing, st.fixed_dictionaries(dict(
+        q=st.floats(min_value=1.0, max_value=1e3, exclude_min=True), gamma=_positive(1e3),
+    )), ["q", "gamma"], []),
+]
+_NOT_A_COUNT = st.one_of(
+    st.floats(), st.booleans(), st.floats().map(np.float64), st.fractions(),
+    st.sampled_from([np.True_, "10"]),
+)
+
+
+@pytest.mark.parametrize("cls, valid, numeric, counts", DOMAINS, ids=[d[0].__name__ for d in DOMAINS])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_constructors_hold_their_domain(cls, valid, numeric, counts, data):
+    # finite in-domain values construct; a non-finite value in any numeric
+    # field, or a count that is not an integer, raises ParameterError
+    kwargs = data.draw(valid)
+    cls(**kwargs)
+    field = data.draw(st.sampled_from(numeric + counts))
+    spoiled = dict(kwargs)
+    if field in counts:
+        spoiled[field] = data.draw(_NOT_A_COUNT)
+    else:
+        spoiled[field] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    with pytest.raises(ParameterError):
+        cls(**spoiled)

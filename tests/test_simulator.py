@@ -34,11 +34,13 @@ from corridor_cov.simulator import (
     MAX_POWER,
     MIN_DISTANCE,
     _Layout,
+    _child,
     _combine_sir,
     _draw_batch,
     _draw_positions,
     _grid_quantile,
     _map_batches,
+    _poisson_pmf,
     _serving,
     _simulate,
     _substream,
@@ -60,15 +62,17 @@ def served_both_ways(spatial, geom, channel, trials, seed, batch_size):
     """SIRs under max-power and under min-distance association from a
     single draw, each realization served once per policy."""
 
+    pmf = _poisson_pmf(spatial.mean_count(geom)) if isinstance(spatial, FiniteHPPP) else None
+
     def run(rng, size):
-        layout, powers, d2 = _draw_batch(spatial, geom, channel, size, rng, keep_d2=True)
+        layout, powers, d2 = _draw_batch(spatial, geom, channel, size, rng, True, pmf)
         sir_mp, sir_md = [], []
         for p, d, scratch in layout.pieces(powers, d2):
             faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch)
             faded *= p
             sir_mp.append(_combine_sir(faded, _serving(MAX_POWER, p, d)))
             sir_md.append(_combine_sir(faded, _serving(MIN_DISTANCE, p, d)))
-        return (layout.unsort(sir_mp), layout.unsort(sir_md)), layout.kept
+        return (layout.ordered(sir_mp, rng), layout.ordered(sir_md, rng)), layout.kept
 
     batches, _ = _map_batches("test", run, trials, batch_size, seed)
     return [np.concatenate(sirs) for sirs in zip(*batches)]
@@ -87,13 +91,12 @@ def fixed_vs_variable_gap(spatial, R, fixed_h, height_model, channel, theta_db, 
 class TestSampleNetwork:
     def test_bpp_counts_and_support(self, geom, channel):
         layout, powers, d2 = _draw_batch(BPP(10), geom, channel, 1, _substream(1, 0), keep_d2=True)
-        counts = layout.counts
         # replay the batch's draws: positions, heights, then shadowing
         rng = _substream(1, 0)
         pos, _ = _draw_positions(BPP(10), geom, rng, 1)
         heights = geom.height_model.sample(rng, pos.shape)
         shadowing = 1.0 / sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(pos.shape))
-        assert counts[0] == 10 and powers.shape == (10,)
+        assert layout.n_trials.tolist() == [0] * 10 + [1] and powers.shape == (10,)
         assert np.all(np.abs(pos) <= geom.R)
         assert np.all(heights == 100.0)
         assert np.array_equal(d2, pos * pos + heights * heights)
@@ -107,7 +110,8 @@ class TestSampleNetwork:
 
     def test_hppp_count_mean_sanity(self, geom, channel):
         rng = _substream(3, 0)
-        _, counts = _draw_positions(FiniteHPPP(0.01), geom, rng, 10**6)
+        _, layout = _draw_positions(FiniteHPPP(0.01), geom, rng, 10**6, _poisson_pmf(10.0))
+        counts = np.repeat(np.arange(layout.n_trials.size), layout.n_trials)
         mean = counts.mean()
         band = 3.0 * math.sqrt(10.0 / 10**6)
         assert abs(mean - 10.0) < band
@@ -212,16 +216,15 @@ class TestSirSample:
             spatial, geom, channel, size, seed=78, policy=policy, batch_size=size
         )
         rng = _substream(78, 0)
-        counts = rng.poisson(spatial.intensity * geom.length, size)
+        n_trials = rng.multinomial(size, _poisson_pmf(spatial.intensity * geom.length))
+        counts = np.repeat(np.arange(n_trials.size), n_trials)  # the trials in count order
         n = counts.sum()
         pos = rng.uniform(-geom.R, geom.R, n)
         heights = geom.height_model.sample(rng, n)
         shadowing = 1.0 / sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(n))
         fading = sample_gamma(rng, channel.m, 1.0 / channel.m, np.empty(n))
-        # the UAVs of trial t follow those of every trial sorted before it
-        order = np.argsort(counts, kind="stable")
-        first = np.empty(size, dtype=int)
-        first[order] = np.cumsum(counts[order]) - counts[order]
+        # the UAVs of each trial follow those of every trial before it
+        first = np.cumsum(counts) - counts
         manual = []
         for t in range(size):
             if counts[t] == 0:
@@ -233,33 +236,39 @@ class TestSirSample:
             faded = fading[uavs] * powers
             interference = faded.sum() - faded[serving]
             manual.append(faded[serving] / interference if interference > 0 else np.inf)
+        # the non-empty trials come back permuted by the batch's order stream
+        perm = _child(_substream(78, 0), 1).permutation(len(manual))
         assert len(np.unique(counts)) > 5 and np.any(counts == 0) and np.any(counts == 1)
         assert excluded == np.count_nonzero(counts == 0)
-        assert np.allclose(sirs, manual, rtol=1e-12)
+        assert np.allclose(sirs, np.array(manual)[perm], rtol=1e-12)
 
     def test_hppp_batch_draws_one_value_per_uav(self, geom, channel):
-        # the batch consumes counts, then exactly counts.sum() positions and
-        # shadowing values (fixed heights draw nothing)
+        # the batch consumes one multinomial, then exactly one position and
+        # one shadowing value per UAV (fixed heights draw nothing)
+        pmf = _poisson_pmf(0.01 * geom.length)
         engine = _substream(79, 0)
-        layout, _, _ = _draw_batch(FiniteHPPP(0.01), geom, channel, 500, engine, keep_d2=False)
-        counts = layout.counts
+        layout, _, _ = _draw_batch(FiniteHPPP(0.01), geom, channel, 500, engine, False, pmf)
         rng = _substream(79, 0)
-        assert np.array_equal(rng.poisson(0.01 * geom.length, 500), counts)
-        rng.uniform(-geom.R, geom.R, counts.sum())
-        sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(counts.sum()))
+        n_trials = rng.multinomial(500, pmf)
+        assert np.array_equal(n_trials, layout.n_trials)
+        n = n_trials @ np.arange(n_trials.size)
+        rng.uniform(-geom.R, geom.R, n)
+        sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(n))
         assert engine.random() == rng.random()
 
     @pytest.mark.parametrize("keep_d2", [False, True])
     def test_trace_batch_maps_each_uav_to_its_nearest_sample(self, geom, channel, keep_d2):
-        # a trace source consumes the counts and the positions, and nothing
-        # more; each UAV takes the power and d^2 of its nearest trace sample
+        # a trace source consumes the multinomial and the positions, and
+        # nothing more; each UAV takes the power and d^2 of its nearest
+        # trace sample
         trace = synthesize_trace(geom, channel, spacing=1.0, seed=80)
+        pmf = _poisson_pmf(0.01 * geom.length)
         engine = _substream(79, 0)
-        layout, powers, d2 = _draw_batch(FiniteHPPP(0.01), geom, trace, 200, engine, keep_d2)
-        counts = layout.counts
+        layout, powers, d2 = _draw_batch(FiniteHPPP(0.01), geom, trace, 200, engine, keep_d2, pmf)
         rng = _substream(79, 0)
-        assert np.array_equal(rng.poisson(0.01 * geom.length, 200), counts)
-        pos = rng.uniform(-geom.R, geom.R, counts.sum())
+        n_trials = rng.multinomial(200, pmf)
+        assert np.array_equal(n_trials, layout.n_trials)
+        pos = rng.uniform(-geom.R, geom.R, n_trials @ np.arange(n_trials.size))
         assert engine.random() == rng.random()
         nearest = np.argmin(np.abs(pos[:, None] - trace.position_m), axis=1)
         assert np.array_equal(powers, db_to_linear(trace.rx_power_dbm)[nearest])
@@ -418,6 +427,15 @@ class TestVariableHeight:
         res = height_model_kl_study(BPP(10), 200.0, data, channel, 50_000, seed=23)
         assert res.kl_normal < res.kl_uniform
         assert res.mu == pytest.approx(200.0, abs=1.0)
+
+    @pytest.mark.parametrize(
+        "data", [[-50.0, 100.0, 120.0], [math.nan, 100.0, 120.0], [100.0, math.inf], [100.0], []]
+    )
+    def test_kl_study_rejects_bad_heights(self, channel, data):
+        # a negative height once gave KL values, and a nan one or a single
+        # height a histogram error that did not name the heights
+        with pytest.raises(ParameterError, match="data_heights"):
+            height_model_kl_study(BPP(10), 200.0, data, channel, 1000, seed=1)
 
     def test_kl_prefers_uniform_for_uniform_data(self, channel):
         rng = np.random.default_rng(23)
@@ -627,8 +645,11 @@ class TestPieceSize:
         return out
 
     def test_batches_hold_every_kind_of_piece(self, geom):
-        _, counts = _draw_positions(FiniteHPPP(0.005), geom, _substream(43, 0), 1024)
-        assert np.any(counts == 0) and np.any(counts == 1) and np.any(counts > 7)
+        _, layout = _draw_positions(
+            FiniteHPPP(0.005), geom, _substream(43, 0), 1024, _poisson_pmf(5.0)
+        )
+        n_trials = layout.n_trials
+        assert n_trials[0] > 0 and n_trials[1] > 0 and n_trials[8:].sum() > 0
 
     def test_outputs_do_not_depend_on_piece_size(self, monkeypatch, geom, channel):
         default = self.outputs(geom, channel)
@@ -726,7 +747,8 @@ class TestPinnedStreams:
     """Values the engine produces on its SFC64 batch substreams (see
     `_substream`), pinned when integer Gamma shapes from 2 to 4 moved to
     `sample_gamma`'s draw from uniforms and non-fixed heights to each
-    batch's height stream.
+    batch's height stream; the finite-HPPP values were pinned again when
+    each batch's UAV counts became one multinomial draw.
 
     The determinism tests compare two runs of the same code; these catch a
     change of draw order within a batch, of the batch layout or of the
@@ -740,10 +762,10 @@ class TestPinnedStreams:
              [1.2166104652355039, 1.2054685739284425, 2.9087395919772825, 0.4564436665132074]),
             (BPP(10), UniformHeight(80.0, 120.0), MAX_POWER, 3000, 0,
              [0.8712612870119855, 0.7217296330380203, 2.68822654601186, 0.7861215992945807]),
-            (FiniteHPPP(0.01), FixedHeight(100.0), MAX_POWER, 3000, 0,
-             [2.81873995489471, 0.10987308759926759, 0.5682369124902827, 1.0343281034385257]),
-            (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2596, 404,
-             [0.8425677783612727, 8.400319060940282, 7.831034869549338, 0.23585801042159735]),
+            (FiniteHPPP(0.01), FixedHeight(100.0), MAX_POWER, 2999, 1,
+             [9.845580722996504, 0.3147047367837182, 9.482132086943984, 0.6050605748622313]),
+            (FiniteHPPP(0.002), FixedHeight(100.0), MIN_DISTANCE, 2593, 407,
+             [5.55939221992415, math.inf, math.inf, 0.8149376123447746]),
             (Disc2D(10, 500.0), FixedHeight(100.0), MAX_POWER, 3000, 0,
              [0.5542248066907278, 0.4832045112268625, 0.20701387540853827, 0.10288888202341347]),
         ],
@@ -765,8 +787,8 @@ class TestPinnedStreams:
         res = height_model_kl_study(
             FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=2026, batch_size=8192
         )
-        assert res.kl_normal == pytest.approx(1.8991456958628917e-05, rel=1e-12)
-        assert res.kl_uniform == pytest.approx(0.00038678963309309765, rel=1e-12)
+        assert res.kl_normal == pytest.approx(1.762326809554032e-05, rel=1e-12)
+        assert res.kl_uniform == pytest.approx(0.0003939852803642533, rel=1e-12)
 
     @pytest.mark.parametrize(
         "fading_mode, pinned",
@@ -783,10 +805,98 @@ class TestPinnedStreams:
 
 
 class TestLayout:
-    @pytest.mark.parametrize("big", [False, True])
-    def test_order_is_the_stable_argsort_of_the_counts(self, big):
-        # small counts are sorted as int16 keys; one count >= 2**15 keeps int64
-        counts = np.random.default_rng(4).poisson(10, 65_536)
-        if big:
-            counts[1234] = 2**15
-        np.testing.assert_array_equal(_Layout(counts).order, np.argsort(counts, kind="stable"))
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_blocks_hold_the_trials_of_each_count(self, monkeypatch, shuffled):
+        # 3 empty trials, 2 of one UAV, 4 of three and 1 of four: 18 UAVs.
+        # Pieces of at most 6 UAVs cut the three-UAV block in two and leave
+        # the four-UAV trial a piece of its own
+        monkeypatch.setattr(simulator, "_PIECE_UAVS", 6)
+        layout = _Layout(np.array([3, 2, 0, 4, 1]), shuffled)
+        assert (layout.kept, layout.n_uavs) == (7, 18)
+        flat = np.arange(18.0)
+        views = [view for view, scratch in layout.pieces(flat)]
+        assert [view.shape for view in views] == [(2, 1), (2, 3), (2, 3), (1, 4)]
+        assert np.array_equal(np.concatenate([view.ravel() for view in views]), flat)
+        # one value per non-empty trial: the layout's order, or the order
+        # stream's permutation of it
+        values = [view[:, 0] for view in views]
+        rng = _substream(55, 0)
+        order = _child(rng, 1).permutation(7) if shuffled else np.arange(7)
+        assert np.array_equal(layout.ordered(values, rng), np.concatenate(values)[order])
+
+
+class TestCountSampler:
+    """A finite-HPPP batch draws its per-count trial numbers as one
+    multinomial over the Poisson pmf (`_poisson_pmf`)."""
+
+    @pytest.mark.parametrize("mu", [1e-6, 0.5, 2.0, 10.0, 300.0, 1e4])
+    def test_pmf_is_poisson_up_to_the_tail_underflow(self, mu):
+        pmf = _poisson_pmf(mu)
+        k = np.arange(pmf.size)
+        K = pmf.size - 1
+        assert stats.poisson.sf(K, mu) == 0.0 < stats.poisson.sf(K - 1, mu)
+        exact = stats.poisson.pmf(k, mu)
+        assert np.all(pmf >= 0.0) and abs(pmf.sum() - 1.0) < 1e-14
+        normal = exact > 1e-300
+        np.testing.assert_allclose(pmf[normal], exact[normal], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("mu", [2.0, 10.0, 300.0])
+    def test_count_histogram_is_poisson(self, geom, mu):
+        # chi-square over 50 batches of 2000 trials; cells below the 0.1%
+        # quantile and above the 99.9% one are pooled
+        spatial, batches, size = FiniteHPPP(mu / geom.length), 50, 2000
+        pmf = _poisson_pmf(mu)
+        observed = sum(
+            _draw_positions(spatial, geom, _substream(54, b), size, pmf)[1].n_trials
+            for b in range(batches)
+        )
+        lo, hi = (int(x) for x in stats.poisson.ppf([1e-3, 1 - 1e-3], mu))
+        inner = np.arange(lo + 1, hi)
+        cells = np.concatenate([[observed[: lo + 1].sum()], observed[inner], [observed[hi:].sum()]])
+        expected = batches * size * np.concatenate(
+            [[stats.poisson.cdf(lo, mu)], stats.poisson.pmf(inner, mu), [stats.poisson.sf(hi - 1, mu)]]
+        )
+        assert expected.min() >= 5.0
+        assert stats.chisquare(cells, expected * cells.sum() / expected.sum()).pvalue > 1e-3
+
+    def test_hppp_reruns_and_both_paths_agree(self, geom, channel, set_cpus):
+        # bit-identical at 1 and 2 CPUs, and the tally path sees the
+        # realizations whose SIRs the samples path returns
+        thetas = np.arange(-10.0, 11.0, 2.5)
+        kwargs = dict(seed=53, batch_size=4096)
+        runs = []
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            sirs, excluded = simulate_sir(FiniteHPPP(0.005), geom, channel, 20_000, **kwargs)
+            tally, tally_excluded = simulate_sir(
+                FiniteHPPP(0.005), geom, channel, 20_000, theta_db=thetas, **kwargs
+            )
+            runs.append([sirs, excluded, tally.above, tally.n, tally_excluded])
+        for a, b in zip(*runs, strict=True):
+            assert np.array_equal(a, b)
+        sirs, excluded, _, _, tally_excluded = runs[0]
+        assert excluded == tally_excluded > 0
+        streamed = coverage_from_sirs(tally, thetas)
+        pooled = coverage_from_sirs(sirs, thetas)
+        assert np.array_equal(streamed.coverage, pooled.coverage)
+        assert np.array_equal(streamed.stderr, pooled.stderr)
+
+    def test_returned_sirs_follow_the_order_stream(self, geom, channel):
+        # each batch's non-empty trials come back permuted by its order
+        # stream (spawn key (b, 1)), not in count order
+        spatial, seed, size = FiniteHPPP(0.005), 52, 2048
+        sirs, _ = simulate_sir(spatial, geom, channel, 3 * size, seed=seed, batch_size=size)
+        pmf = _poisson_pmf(spatial.mean_count(geom))
+        expected = []
+        for b in range(3):
+            rng = _substream(seed, b)
+            layout, powers, _ = _draw_batch(spatial, geom, channel, size, rng, False, pmf)
+            parts = []
+            for p, scratch in layout.pieces(powers):
+                faded = sample_gamma(rng, channel.m, 1.0 / channel.m, scratch) * p
+                parts.append(_combine_sir(faded, _serving(MAX_POWER, p, None)))
+            perm = _child(_substream(seed, b), 1).permutation(layout.kept)
+            expected.append(np.concatenate(parts)[perm])
+            counts = np.repeat(np.arange(layout.n_trials.size), layout.n_trials)[size - layout.kept :]
+            assert np.any(np.diff(counts[perm]) < 0)
+        assert np.array_equal(sirs, np.concatenate(expected))
