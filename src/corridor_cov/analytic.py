@@ -287,9 +287,9 @@ class ReceivedPowerDistribution:
             self._build_cache()
         return self._cache
 
-    def _interpolated(self, name, x, above, cap=math.inf):
-        """exp(interpolant `name`, capped at `cap`) at each x in (x_lo, x_hi),
-        0 below, and above(x) at the x >= x_hi."""
+    def _interpolated(self, name, x, above):
+        """exp of the log-interpolant `name` at each x in (x_lo, x_hi), 0
+        below, and above(x) at the x >= x_hi."""
         c = self._ensure()
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
@@ -298,8 +298,17 @@ class ReceivedPowerDistribution:
             out[high] = above(x[high])
         ok = (x > c["x_lo"]) & (x < c["x_hi"])
         if ok.any():
-            out[ok] = np.exp(np.minimum(c[name](np.log(x[ok])), cap))
+            out[ok] = np.exp(self._log_at(np.log(x[ok]), name)[0])
         return float(out) if out.ndim == 0 else out
+
+    def _log_at(self, t, *names):
+        """The interpolants `names` ("log_pdf", "log_cdf", "log_m1") at
+        log-abscissae t that all lie strictly inside (t_lo, t_hi), log F
+        capped at 0 as in `cdf`.  The hot loops integrate in t, so their nodes
+        are logs already and lie inside the range by construction: this
+        reader takes no exp -> log round trip, no masks and no scatter."""
+        c = self._ensure()
+        return [np.minimum(c[n](t), 0.0) if n == "log_cdf" else c[n](t) for n in names]
 
     # -- cached API ------------------------------------------------------------
 
@@ -318,7 +327,7 @@ class ReceivedPowerDistribution:
         """F(x), with log F capped at 0: F <= 1, and the excess the
         interpolant can show just below x_hi (up to about 3e-11 at q = 20,
         alpha = 6, R/h = 500) is the sampling rule's noise near F = 1."""
-        return self._interpolated("log_cdf", x, lambda x: 1.0, cap=0.0)
+        return self._interpolated("log_cdf", x, lambda x: 1.0)
 
     def mean_below(self, x):
         """int_0^x p f(p) dp (first moment of the truncated distribution).
@@ -414,9 +423,9 @@ def _moment_series(dist, m, s, tau, x0, order, cfg):
 
     Every integral runs in log space, and all of them in one `integrate_batch`
     call with one row per point i and the order + 1 kernels as its
-    components, so each node reads f(p) once (through `dist.pdf`) and forms
-    the kernels by the recurrence r^j (1 + y)^-m, y = s p / m,
-    r = tau p / (m (1 + y)).  Row i maps [log x_lo, log min(x0_i, x_hi)]
+    components, so each node t reads log f once (through `dist._log_at`) and
+    forms the kernels by the recurrence r^j (1 + y)^-m, y = s p / m,
+    r = tau p / (m (1 + y)).  Row i maps [t_lo, min(log x0_i, t_hi)]
     affinely onto [0, 1] (times the width as the Jacobian), which keeps the
     adaptive rule's panels and bisections; the row is refined until every
     kernel meets the tolerance, so each value matches a scalar `integrate`
@@ -429,23 +438,26 @@ def _moment_series(dist, m, s, tau, x0, order, cfg):
     if np.any(x0 <= 0):
         raise ParameterError("conditioning power must be positive")
     out = np.zeros((order + 1, x0.size))
-    t_lo = math.log(dist.x_lo)
-    t_hi = np.log(np.minimum(x0, dist.x_hi))
+    cache = dist._ensure()
+    t_lo = cache["t_lo"]
+    t_hi = np.minimum(np.log(x0), cache["t_hi"])
     live = np.flatnonzero(t_hi > t_lo)
     if live.size == 0:
         return out, 0
-    width, s_live, tau_live = t_hi[live] - t_lo, s[live], tau[live]
+    width, s_m, tau_m = t_hi[live] - t_lo, s[live] / m, tau[live] / m
 
     def integrand(i, u):
         w = width[i]
-        p = np.exp(t_lo + u * w)
-        y = s_live[i] * p / m
+        t = t_lo + u * w
+        p = np.exp(t)
+        y = s_m[i] * p
         log_base = -m * np.log1p(y)
-        density = dist.pdf(p) * p * w
+        (log_f,) = dist._log_at(t, "log_pdf")
+        density = np.exp(log_f + t) * w
         kern = np.empty((order + 1, p.size))
         kern[0] = -np.expm1(log_base) * density
         if order:
-            r = tau_live[i] * p / (m * (1.0 + y))
+            r = tau_m[i] * p / (1.0 + y)
             kern[1] = np.exp(log_base) * density * r
             for j in range(2, order + 1):
                 kern[j] = kern[j - 1] * r
@@ -560,12 +572,12 @@ class _CoverageModel:
         """Density G'(F(x0)) f(x0) / (1 - G(0)) of the strongest received
         power: n F^(n-1) f for the BPP, the void-conditioned
         mu f e^(mu (F - 1)) / (1 - e^-mu) for the finite HPPP."""
-        out = self._max_power_pdf(x0, self.dist.cdf(x0))
+        out = self._max_power_pdf(self.dist.pdf(x0), self.dist.cdf(x0))
         return float(out) if out.ndim == 0 else out
 
-    def _max_power_pdf(self, x0, fx0):
-        """`max_power_pdf` given F(x0) = fx0."""
-        return np.exp(self.law.log_derivative(1, fx0)) * self.dist.pdf(x0) / self.law.p_nonempty
+    def _max_power_pdf(self, f, cdf):
+        """`max_power_pdf` given f(x0) = f and F(x0) = cdf."""
+        return np.exp(self.law.log_derivative(1, cdf)) * f / self.law.p_nonempty
 
     def max_power_cdf(self, x0):
         """(G(F(x0)) - G(0)) / (1 - G(0)): F^n for the BPP,
@@ -575,8 +587,7 @@ class _CoverageModel:
         return float(out) if out.ndim == 0 else out
 
     def _outer_bounds(self, eps=1e-12):
-        lo, hi = self.law.quantile_levels(eps)
-        return self.dist.ppf(lo), self.dist.ppf(hi)
+        return self.dist.ppf(np.array(self.law.quantile_levels(eps)))
 
     def _conditional_coverage(self, theta, m, x0, fx0=None):
         """P(SIR > theta | serving power x0) at every x0 (F(x0) = fx0 if
@@ -616,8 +627,9 @@ class _CoverageModel:
         def integrand(t):
             nonlocal calls, rows, inner_nodes, floored
             x0 = np.exp(t)
-            fx0 = self.dist.cdf(x0)
-            f0 = self._max_power_pdf(x0, fx0)
+            log_f, log_cdf = self.dist._log_at(t, "log_pdf", "log_cdf")
+            fx0 = np.exp(log_cdf)
+            f0 = self._max_power_pdf(np.exp(log_f), fx0)
             out = np.zeros_like(x0)
             live = (f0 > 0) & (fx0 >= 1e-12)
             x0, f0 = x0[live], f0[live]
@@ -650,27 +662,29 @@ class _CoverageModel:
         x_i = np.asarray(x_i, dtype=float)
         if not np.all((0 < x_i) & (x_i <= x0)):
             raise ParameterError("require 0 < x_i <= x0")
-        out = self._residual_mean(x_i, self.dist.cdf(x_i))
+        out = self._residual_mean(self.dist.cdf(x_i), self.dist.mean_below(x_i))
         return float(out) if out.ndim == 0 else out
 
-    def _residual_mean(self, x_i, fxi):
-        """`residual_mean_interference` given F(x_i) = fxi."""
+    def _residual_mean(self, fxi, m1):
+        """`residual_mean_interference` given F(x_i) = fxi and M1(x_i) = m1."""
         ratio = self.law.derivative_ratio(2, np.maximum(fxi, 1e-250))
-        return np.where(fxi > 1e-250, ratio * self.dist.mean_below(x_i), 0.0)
+        return np.where(fxi > 1e-250, ratio * m1, 0.0)
 
     def joint_top_two_pdf(self, x0, x_i):
         """Joint density G''(F(x_i)) f(x0) f(x_i) / (1 - G(0)) of the top two
         powers on 0 < x_i < x0 (BPP: n (n-1) f f F^(n-2)); it integrates to
         1 - G'(0) / (1 - G(0)), the rest being a lone serving UAV."""
         x0, x_i = np.asarray(x0, dtype=float), np.asarray(x_i, dtype=float)
-        out = np.asarray(self._joint_top_two(x0, self.dist.pdf(x0), x_i, self.dist.cdf(x_i)))
+        dist = self.dist
+        joint = self._joint_top_two(dist.pdf(x0), dist.pdf(x_i), dist.cdf(x_i))
+        out = np.where(x_i < x0, joint, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def _joint_top_two(self, x0, fx0, x_i, fxi):
-        """`joint_top_two_pdf` given f(x0) = fx0 and F(x_i) = fxi."""
+    def _joint_top_two(self, fx0, f_i, fxi):
+        """`joint_top_two_pdf` on x_i < x0, given f(x0) = fx0, f(x_i) = f_i
+        and F(x_i) = fxi."""
         law = self.law
-        out = np.exp(law.log_derivative(2, fxi)) * fx0 * self.dist.pdf(x_i) / law.p_nonempty
-        return np.where(x_i < x0, out, 0.0)
+        return np.exp(law.log_derivative(2, fxi)) * fx0 * f_i / law.p_nonempty
 
     def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=None):
         """G'(0) / (1 - G(0)), the chance of a lone serving UAV, plus a 2D
@@ -681,8 +695,10 @@ class _CoverageModel:
         Each outer-integrand call over t0 integrates ti over [t_lo, t0_i] for
         all its nodes with one batched rule, at a nested rule's inner
         tolerance; row i maps [t_lo, t0_i] affinely onto [0, 1] (the width is
-        the Jacobian), which keeps the scalar rule's panels.  f(x0) is read
-        once per row, and F(x_i) once per node.
+        the Jacobian), which keeps the scalar rule's panels, and every inner
+        node ti < t0_i.  f(x0) is read once per row, and f, F and M1 once per
+        node, all through `ReceivedPowerDistribution._log_at` at nodes that
+        are logs already.
 
         Both levels start from `_DOMINANT_QUAD`'s 3 panels, not the default
         8.  At this tolerance most rows converge on their first sweep, so at
@@ -724,16 +740,21 @@ class _CoverageModel:
         def outer(t0):
             nonlocal rows, inner_nodes
             x0 = np.exp(t0)
-            fx0 = dist.pdf(x0)
+            fx0 = np.exp(dist._log_at(t0, "log_pdf")[0])
             width = t0 - t_lo
 
             def inner(r, u):
                 x0_r, w = x0[r], width[r]
-                xi = np.exp(t_lo + u * w)
-                fxi = dist.cdf(xi)
-                omega = self._residual_mean(xi, fxi) if with_residual_mean else 0.0
+                ti = t_lo + u * w
+                xi = np.exp(ti)
+                if with_residual_mean:
+                    f_i, fxi, m1 = np.exp(dist._log_at(ti, "log_pdf", "log_cdf", "log_m1"))
+                    omega = self._residual_mean(fxi, m1)
+                else:
+                    f_i, fxi = np.exp(dist._log_at(ti, "log_pdf", "log_cdf"))
+                    omega = 0.0
                 a, b = m * theta * omega / x0_r, theta * xi / x0_r
-                joint = self._joint_top_two(x0_r, fx0[r], xi, fxi)
+                joint = self._joint_top_two(fx0[r], f_i, fxi)
                 return np.array(
                     [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
                 )

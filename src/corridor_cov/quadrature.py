@@ -19,6 +19,7 @@ scalar rows whenever the components share work (a density lookup, an exp).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,8 @@ _GAUSS_W[[1, 13]] = _WG_HALF[0]
 _GAUSS_W[[3, 11]] = _WG_HALF[1]
 _GAUSS_W[[5, 9]] = _WG_HALF[2]
 _GAUSS_W[7] = _WG_CENTER
+# a panel's 15 node values times this (15, 2) matrix: its Kronrod and Gauss sums
+_KRONROD_GAUSS_W = np.column_stack([_KRONROD_W, _GAUSS_W])
 
 # Rows per batch in `integrate_batch`: about 15k nodes per initial sweep at
 # the default 8 panels, enough to amortize the per-sweep overhead while
@@ -83,12 +86,15 @@ class QuadratureConfig:
     initial_panels: int = 8
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not isinstance(self.initial_panels, int) or self.initial_panels < 1:
-            raise ValueError(f"initial_panels must be an integer >= 1, got {self.initial_panels!r}")
+        # nan passes no `<= 0` check, and an infinite tolerance accepts any error
+        if not all(0 < tol < math.inf for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError(
+                f"tolerances must be positive and finite, got {self.rel_tol!r}, {self.abs_tol!r}"
+            )
+        for name in ("max_subdivisions", "initial_panels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def scaled(self, factor):
         """Config with tolerances tightened by `factor` (used by nested rules)."""
@@ -127,6 +133,9 @@ def _evaluate_panels(f, lo, hi):
     integrand (k = 1 for a scalar one, which `vector` tells apart), and nev
     counts nodes.
 
+    The Kronrod and Gauss sums of all panels and components are one matrix
+    product with `_KRONROD_GAUSS_W`, and resasc is one more.
+
     The error estimate uses the QUADPACK rescaling: on panels where the
     integrand varies strongly (resasc comparable to |K - G|), the estimate
     is inflated towards resasc, which keeps it conservative for integrable
@@ -144,15 +153,16 @@ def _evaluate_panels(f, lo, hi):
         raise QuadratureError(
             f"integrand returned a non-finite value at x={bad!r}",
         )
-    kron = (fy * _KRONROD_W).sum(axis=-1) * half
-    gauss = (fy * _GAUSS_W).sum(axis=-1) * half
-    mean = kron / (2.0 * half)
-    resasc = (np.abs(fy - mean[..., None]) * _KRONROD_W).sum(axis=-1) * half
+    sums = fy @ _KRONROD_GAUSS_W  # (k, panels, 2)
+    kron = sums[..., 0] * half
+    gauss = sums[..., 1] * half
+    # |f - mean| in place: a fresh temporary of fy's size costs more than the product
+    deviation = fy - 0.5 * sums[..., :1]
+    resasc = (np.abs(deviation, out=deviation) @ _KRONROD_W) * half
     err = np.abs(kron - gauss)
-    scale = resasc > 0
-    ratio = np.empty_like(err)
-    ratio[scale] = np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
-    err[scale] = resasc[scale] * ratio[scale]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc > 0, resasc * ratio, err)
     return kron, err, x.size, vector
 
 

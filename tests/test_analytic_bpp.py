@@ -598,6 +598,9 @@ class TestBatchedDominantIntegral:
         assert (res, cert, int(n_rule)) == ("mean", "yes", 2 * _LAGUERRE_NODES)
         assert 0 < int(kept) < int(n_rule)
         assert int(outer) % 15 == 0  # one G7/K15 panel is 15 nodes
+        # the work at R = 500 m, h = 100 m, alpha = 2.2, q = 2, pinned: a change
+        # to the cost per node must not move it
+        assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 35)
         assert int(rows) == int(outer)  # one inner row per outer node
         # at least the first sweep's panels per row
         assert int(inner) >= 15 * analytic._DOMINANT_QUAD.initial_panels * int(rows)

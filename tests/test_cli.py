@@ -146,6 +146,24 @@ class TestCoverageCommand:
         assert d1 == d2  # byte-identical modulo the timestamp field
         assert d1["rows"][0]["coverage"] == pytest.approx(0.51, abs=0.05)
 
+    def test_analytic_json_does_not_depend_on_blas_threads(self, tmp_path):
+        # the quadrature's panel sums are BLAS matrix products: the analytic
+        # rows must not depend on how many threads the BLAS library runs
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            argv = [sys.executable, "-m", "corridor_cov.cli", "coverage", "--sweep", "theta",
+                    "--values=-10,0,10", "--methods", "exact,dominant", "--format", "json",
+                    "--out", str(out)]
+            env = dict(checkout_env(), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(argv, capture_output=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            d = json.loads(out.read_text())
+            d["metadata"].pop("generated_at")
+            outputs.append(d)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]["rows"]) == 6
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

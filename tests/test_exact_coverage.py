@@ -142,14 +142,26 @@ def test_bpp_coverage_matches_cache_free_oracle(geom, monkeypatch, n, m, theta_d
     model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=float(m)))
     value = model.coverage(theta)
     dist = model.dist
-    monkeypatch.setattr(dist, "pdf", dist._pdf_smooth)
-    monkeypatch.setattr(dist, "cdf", lambda x: closed_form_cdf_and_moment(dist, x)[0])
+    # the engine reads log f and log F at its log nodes through `_log_at`;
+    # the oracle's reader takes them from the closed forms instead
+    closed = {
+        "log_pdf": dist._pdf_smooth,
+        "log_cdf": lambda x: closed_form_cdf_and_moment(dist, x)[0],
+    }
+    read = set()
+
+    def closed_form_log_at(t, *names):
+        read.update(names)
+        return [np.log(closed[name](np.exp(t))) for name in names]
+
+    monkeypatch.setattr(dist, "_log_at", closed_form_log_at)
     monkeypatch.setattr(analytic, "_COVERAGE_QUAD", QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15))
     inner = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
     tight = analytic.BppCoverageModel(n, geom, model.channel)
     assert tight.dist is dist
     tight.laplace = analytic.InterferenceLaplaceBPP(dist, n, m, inner)
     oracle = tight.coverage(theta)
+    assert read == {"log_pdf", "log_cdf"}
     assert value == pytest.approx(oracle, rel=0.0, abs=1e-9)
 
 
@@ -222,8 +234,9 @@ def test_hppp_m1_coverage_pinned(hmodel):
     np.testing.assert_allclose(got, HPPP_M1_COVERAGE, rtol=0.0, atol=1e-12)
 
 
-def test_coverage_logs_its_work(geom, channel_m3, caplog):
-    model = bpp_model(N, geom, channel_m3)
+def exact_line(model, caplog):
+    """(calls, outer nodes, inner rows, inner node evaluations, floored) from
+    the debug line of one exact value at 0 dB, the cache built beforehand."""
     model.dist.x_lo  # build the cache outside the captured call
     with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
         model.coverage(1.0)
@@ -235,9 +248,21 @@ def test_coverage_logs_its_work(geom, channel_m3, caplog):
         lines[0],
     )
     assert fields is not None, lines[0]
-    calls, outer, rows, inner, floored = map(int, fields.groups())
+    return tuple(map(int, fields.groups()))
+
+
+# The work of one value at R = 500 m, h = 100 m, alpha = 2.2, q = 2, 0 dB is
+# pinned in the two tests below: a change to the cost per node must not move
+# the node counts.
+def test_coverage_logs_its_work(geom, channel_m3, caplog):
+    calls, outer, rows, inner, floored = exact_line(bpp_model(N, geom, channel_m3), caplog)
     assert calls >= 1 and outer % 15 == 0  # one G7/K15 panel is 15 nodes
     assert rows == 3 * outer  # m = 3: orders 0..2 at every outer node
-    assert inner > 0
+    assert (outer, inner) == (120, 15_450)
     # every Taylor coefficient is >= 0, and at m = 3 no kernel error needs flooring
     assert floored == 0
+
+
+def test_hppp_coverage_work_is_pinned(hmodel, caplog):
+    _, outer, rows, inner, floored = exact_line(hmodel, caplog)
+    assert (outer, rows, inner, floored) == (120, 120, 15_180, 0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from corridor_cov import (
     integrate,
     link_distance_pdf,
 )
+from corridor_cov import quadrature
 from corridor_cov.quadrature import integrate_batch, nested_integrate_2d
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
@@ -151,10 +153,27 @@ def test_vector_integrand_failure_names_row_and_component():
     assert abs(err.value.best_estimate[1] - 2.0) < 0.05
 
 
-@pytest.mark.parametrize("panels", [0, -1, 2.0, "3", None])
+@pytest.mark.parametrize("panels", [0, -1, 2.0, 2.5, True, "3", None])
 def test_initial_panels_must_be_a_positive_integer(panels):
     with pytest.raises(ValueError, match="initial_panels"):
         QuadratureConfig(initial_panels=panels)
+    assert QuadratureConfig(initial_panels=np.int64(3)).initial_panels == 3
+
+
+@pytest.mark.parametrize("limit", [0, -1, 2.0, 2.5, True, "3", None])
+def test_max_subdivisions_must_be_a_positive_integer(limit):
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        QuadratureConfig(max_subdivisions=limit)
+    assert QuadratureConfig(max_subdivisions=np.int64(3)).max_subdivisions == 3
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_tolerances_must_be_positive_and_finite(name, tol):
+    # nan once constructed and bisected to max_subdivisions before failing;
+    # an infinite tolerance accepted the first sweep whatever its error
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        QuadratureConfig(**{name: tol})
 
 
 def test_initial_panels_survive_scaling():
@@ -174,3 +193,53 @@ def test_first_sweep_has_15_nodes_per_initial_panel(panels):
     assert res.n_evals == 4 * 15 * panels
     np.testing.assert_allclose(res.value, 4.0 * np.arange(1, 5), rtol=1e-14)
     assert integrate(lambda x: x**3, 0.0, 2.0, cfg).n_evals == 15 * panels
+
+
+def _literal_panels(fy, half):
+    """The panel kernel written out as broadcast products and per-row sums:
+    Kronrod and Gauss values, the QUADPACK error estimate, and sum |w f| per
+    panel (the scale of the sums' rounding)."""
+    kron = (fy * quadrature._KRONROD_W).sum(axis=-1) * half
+    gauss = (fy * quadrature._GAUSS_W).sum(axis=-1) * half
+    mean = kron / (2.0 * half)
+    resasc = (np.abs(fy - mean[..., None]) * quadrature._KRONROD_W).sum(axis=-1) * half
+    err = np.abs(kron - gauss)
+    scale = resasc > 0
+    err[scale] = resasc[scale] * np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
+    return kron, err, (np.abs(fy) * quadrature._KRONROD_W).sum(axis=-1) * half
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_panel_kernel_matches_its_literal_form(k):
+    rng = np.random.default_rng(k)
+    lo = np.sort(rng.uniform(-5.0, 5.0, 200))
+    hi = lo + rng.uniform(1e-6, 2.0, lo.size)
+    # node values of both signs over 20 decades, and on every other panel a
+    # smooth exponential whose Kronrod and Gauss sums nearly agree, so that
+    # the error estimates span both branches of the rescaling
+    fy = rng.choice([-1.0, 1.0], (k, lo.size, 15)) * 10.0 ** rng.uniform(-10, 10, (k, lo.size, 15))
+    fy[:, ::2] = np.exp(rng.uniform(-1, 1, (k, 1, 1)) * quadrature._NODES)
+    values = fy.reshape(k, -1)
+
+    def integrand(x):
+        return values if k > 1 else values[0]
+
+    kron, err, nev, vector = quadrature._evaluate_panels(integrand, lo, hi)
+    assert (nev, vector) == (15 * lo.size, k > 1)
+    ref_kron, ref_err, scale = _literal_panels(fy, 0.5 * (hi - lo))
+    assert np.all(np.abs(kron - ref_kron) <= 1e-15 * scale)
+    resolved = ref_err > 1e-12 * np.abs(ref_kron)
+    assert 0 < resolved.sum() < resolved.size
+    np.testing.assert_allclose(err[resolved], ref_err[resolved], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_panel_kernel_names_the_first_non_finite_node(k):
+    lo = np.linspace(0.0, 1.0, 5)[:-1]
+    hi = lo + 0.25
+    x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._NODES
+    values = np.ones((k, x.size))
+    values[k - 1, 2 * 15 + 9] = np.inf
+    values[0, 3 * 15 + 1] = np.nan
+    with pytest.raises(QuadratureError, match=re.escape(f"x={x[2, 9]!r}")):
+        quadrature._evaluate_panels(lambda _: values if k > 1 else values[0], lo, hi)

@@ -44,6 +44,9 @@ def test_build_logs_its_work(caplog):
     # one 3-component integral (pdf, cdf, first moment) per Chebyshev point,
     # each at least the initial 8 G7/K15 panels, whose nodes all three share
     assert nodes % 15 == 0 and nodes >= pieces * analytic._CHEB_POINTS * 8 * 15
+    # the work at R = 500 m, h = 100 m, alpha = 2.2, q = 2, pinned: a change to
+    # the cost per node must not move the node count
+    assert (pieces, rounds, nodes) == (12, 3, 30_780)
 
 
 # The documented domain's corners and middle: q down to 1.05, alpha 2 to 6,
@@ -63,6 +66,25 @@ def test_cache_matches_closed_forms(caplog, q, alpha, r_over_h):
     x = dist.ppf(p)
     np.testing.assert_allclose(dist.cdf(x), p, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(closed_form_cdf_and_moment(dist, x)[0], p, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("r_over_h", [1.0, 500.0])
+@pytest.mark.parametrize("alpha", [2.0, 6.0])
+@pytest.mark.parametrize("q", [1.05, 2.0, 20.0])
+def test_log_space_reader_matches_the_public_methods(caplog, q, alpha, r_over_h):
+    # the hot loops' reader at log-abscissae strictly inside the cache range,
+    # against pdf, cdf and mean_below at x = e^t
+    dist, _ = build(q, alpha, r_over_h, caplog)
+    c = dist._ensure()
+    t = np.linspace(c["t_lo"], c["t_hi"], 2003)[1:-1]
+    f, cdf, m1 = np.exp(dist._log_at(t, "log_pdf", "log_cdf", "log_m1"))
+    x = np.exp(t)
+    np.testing.assert_allclose(f, dist.pdf(x), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(cdf, dist.cdf(x), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(m1, dist.mean_below(x), rtol=1e-13, atol=0.0)
+    # F <= 1 everywhere, also in the last nat below t_hi, where log F is nearest 0
+    top = c["t_hi"] - np.geomspace(1e-14, 1.0, 200)
+    assert np.all(cdf <= 1.0) and np.all(dist._log_at(top, "log_cdf")[0] <= 0.0)
 
 
 def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
