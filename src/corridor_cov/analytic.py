@@ -15,11 +15,13 @@ function) when the residual is dropped, and by a fixed generalized
 Gauss-Laguerre rule when it is replaced by its mean.  Where 2m is an
 integer the rule's terms are elementary, e^x Q(m, x) summed by the order
 recurrence of Q, and for integer m they are polynomials of degree m - 1,
-which the ceil(m/2)-node rule integrates exactly; non-integer m takes a
-32-node rule, certified against twice its nodes as a second component of the
-same integral, on the same panels.  What remains is a 2D integral over the
-top-two received powers; each call of its outer integrand computes the inner
-integrals of all its nodes with one batched rule.
+which the ceil(m/2)-node rule integrates exactly.  Non-integer m takes an
+8-node rule certified against twice its nodes, as a second component of the
+same integral on the same panels, and returns the 16-node value; where that
+pair disagrees it falls back to a 32-node rule certified against 64 nodes.
+What remains is a 2D integral over the top-two received powers; each call of
+its outer integrand computes the inner integrals of all its nodes with one
+batched rule.
 
 The two spatial models differ only in their UAV count law, through its
 probability generating function G: z^n for the BPP, e^(mu (z - 1)) for the
@@ -99,8 +101,10 @@ _COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
 _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
 # Generalized Gauss-Laguerre nodes for the mean-residual fading expectation
 # at non-integer m, where each coverage value is certified against a rule
-# with twice as many; integer m takes the ceil(m/2)-node rule, which is exact.
+# with twice as many: the ladder's first rung where that pair agrees, else
+# the next.  Integer m takes the ceil(m/2)-node rule, which is exact.
 _LAGUERRE_NODES = 32
+_LAGUERRE_LADDER = (8, _LAGUERRE_NODES)
 _LAGUERRE_DROP = 1e-17
 _TERM_BLOCK = 8192
 
@@ -709,16 +713,23 @@ class _CoverageModel:
         tolerance.  Fewer than 3 panels need refinement sweeps that cost
         more than the nodes they save.
 
-        With a residual the fading expectation uses a `laguerre_nodes` rule,
-        by default ceil(m/2) nodes for integer m and `_LAGUERRE_NODES`
-        otherwise.  For integer m <= 2 `laguerre_nodes` the rule is exact:
-        the rescaled integrand exp(beta z) Q(m, a + beta z) is e^-a times
-        the order recurrence's polynomial S(a + beta z) of degree m - 1, so
-        there is no certification.  Otherwise the integrand has two
-        components, the fading expectation by twice the nodes and by the
-        rule itself, integrated on the same panels in one 2D pass; the two
-        values must agree to the `_DOMINANT_QUAD` tolerance, and the first
-        is returned.  Logs the work done at debug level.
+        With a residual the fading expectation uses an n-node Laguerre rule:
+        ceil(m/2) nodes for integer m, the `_LAGUERRE_LADDER` for any other
+        m, or one given `laguerre_nodes` rule with no ladder.  For integer
+        m <= 2 n the rule is exact: the rescaled integrand
+        exp(beta z) Q(m, a + beta z) is e^-a times the order recurrence's
+        polynomial S(a + beta z) of degree m - 1, so there is no
+        certification.  Otherwise the integrand has two components, the
+        fading expectation by 2 n nodes and by n, integrated on the same
+        panels in one 2D pass; the two values must agree to the
+        `_DOMINANT_QUAD` tolerance, and the first is returned.  A pair that
+        disagrees passes to the ladder's next rung, a new 2D pass, and the
+        last rung's disagreement raises.  At m = 2.5 the first rung costs
+        23 fading terms per inner node (16 nodes, 15 kept, and 8), where
+        the 64/32 pair costs 59 (35 and 24 kept), and its values lie
+        within 1e-14 of the 64-node ones for N from 2 to 200 and theta
+        from -20 to +20 dB.  Logs the work done at debug level, summed
+        over the passes, and the rule returned.
         """
         _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         law = self.law
@@ -727,15 +738,16 @@ class _CoverageModel:
         start = time.perf_counter()
         m, dist = self.m, self.dist
         integer_m = float(m).is_integer()
-        if laguerre_nodes is None:
-            laguerre_nodes = math.ceil(m / 2) if integer_m else _LAGUERRE_NODES
+        if laguerre_nodes is not None:
+            ladder = (laguerre_nodes,)
+        else:
+            ladder = (math.ceil(m / 2),) if integer_m else _LAGUERRE_LADDER
         lo, hi = self._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         with_residual_mean = with_residual_mean and law.n > 2
-        certified = with_residual_mean and not (integer_m and m <= 2 * laguerre_nodes)
-        rules = [2 * laguerre_nodes, laguerre_nodes] if certified else [laguerre_nodes]
+        certified = with_residual_mean and not (integer_m and m <= 2 * ladder[0])
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
-        rows = inner_nodes = 0
+        outer_nodes = rows = inner_nodes = 0
 
         def outer(t0):
             nonlocal rows, inner_nodes
@@ -764,24 +776,28 @@ class _CoverageModel:
             inner_nodes += res.n_evals
             return res.value
 
-        res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
-        value = res.value[0]
-        if certified:
+        for n_nodes in ladder:
+            rules = [2 * n_nodes, n_nodes] if certified else [n_nodes]  # read by `inner`
+            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
+            outer_nodes += res.n_evals
+            value, gap = res.value[0], abs(res.value[0] - res.value[-1])
             tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(value))
-            if abs(value - res.value[1]) > tol:
-                raise QuadratureError(
-                    f"{laguerre_nodes}- and {rules[0]}-node fading rules disagree "
-                    f"({res.value[1]:.10g} vs {value:.10g}, tolerance {tol:.3e})",
-                    best_estimate=value,
-                    error_estimate=abs(value - res.value[1]),
-                    level="fading",
-                )
+            if gap <= tol:
+                break
+        else:
+            raise QuadratureError(
+                f"{n_nodes}- and {rules[0]}-node fading rules disagree "
+                f"({res.value[1]:.10g} vs {value:.10g}, tolerance {tol:.3e})",
+                best_estimate=value,
+                error_estimate=gap,
+                level="fading",
+            )
         alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
         value, clamp_note = _clamp(float(alone + value))
         log.debug(
             "dominant coverage at theta=%.6g: residual %s, %d outer nodes, %d inner rows, "
             "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s%s",
-            theta, "mean" if with_residual_mean else "dropped", res.n_evals, rows, inner_nodes,
+            theta, "mean" if with_residual_mean else "dropped", outer_nodes, rows, inner_nodes,
             _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
             rules[0] if with_residual_mean else 0, "yes" if certified else "no",
             time.perf_counter() - start, clamp_note,

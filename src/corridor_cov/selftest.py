@@ -126,14 +126,16 @@ def run(trials=200_000, seed=20250811):
     )
     checks.append(("elementary fading-tail terms vs gammaincc", ok))
 
-    # batched mean-residual dominant coverage against the nested scalar rule
+    # batched mean-residual dominant coverage against the nested scalar rule,
+    # on the 16-node rule that certifies it here (the ladder's first rung)
     bpp25 = analytic.bpp_model(10, geom, ChannelParams(alpha=2.2, q=2.0, m=2.5))
     t_lo, t_hi = np.log(bpp25._outer_bounds(1e-10))
+    n_rule = 2 * analytic._LAGUERRE_LADDER[0]
 
     def top_two(t0, ti):
         x0, xi = math.exp(t0), np.exp(ti)
         omega = 8 * bpp25.dist.mean_below(xi) / np.maximum(bpp25.dist.cdf(xi), 1e-250)
-        tail = analytic._fading_tail_expectation(2.5, 2.5 * omega / x0, xi / x0, 64)
+        tail = analytic._fading_tail_expectation(2.5, 2.5 * omega / x0, xi / x0, n_rule)
         return tail * bpp25.joint_top_two_pdf(x0, xi) * x0 * xi
 
     nested = nested_integrate_2d(top_two, (t_lo, t_hi), lambda t0: (t_lo, t0), analytic._DOMINANT_QUAD)

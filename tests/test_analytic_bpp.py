@@ -542,14 +542,15 @@ class TestBatchedDominantIntegral:
     outer-integrand call, against the nested scalar rule it replaced."""
 
     @staticmethod
-    def nested(model, theta, with_residual_mean):
+    def nested(model, theta, with_residual_mean, n_rule):
         """The former per-outer-node `integrate` loop over the old integrand,
-        with the untrimmed Laguerre rule whose value the method returns."""
+        with the untrimmed Laguerre rule whose value the method returns: the
+        `n_rule`-node rule that its debug line names as certified."""
         dist, m, n = model.dist, model.m, model.n
         lo, hi = model._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         residual = with_residual_mean and n > 2
-        n_nodes = _LAGUERRE_NODES if float(m).is_integer() or not residual else 2 * _LAGUERRE_NODES
+        n_nodes = _LAGUERRE_NODES if float(m).is_integer() or not residual else n_rule
 
         def integrand(t0, ti):
             x0 = math.exp(t0)
@@ -570,12 +571,15 @@ class TestBatchedDominantIntegral:
 
     @pytest.mark.parametrize("n", [2, 10])
     @pytest.mark.parametrize("m", [0.5, 2.5, 3.0])
-    def test_matches_nested_scalar_rule(self, geom, m, n):
+    def test_matches_nested_scalar_rule(self, geom, caplog, m, n):
         model = bpp_model(n, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
-        dominant = model.coverage_dominant(1.0)
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            dominant = model.coverage_dominant(1.0)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        n_rule = int(self.LINE.fullmatch(line).group(6))
         single = model.coverage_single_dominant(1.0)
-        assert dominant == pytest.approx(self.nested(model, 1.0, True), rel=1e-12, abs=0.0)
-        assert single == pytest.approx(self.nested(model, 1.0, False), rel=1e-12, abs=0.0)
+        assert dominant == pytest.approx(self.nested(model, 1.0, True, n_rule), rel=1e-12, abs=0.0)
+        assert single == pytest.approx(self.nested(model, 1.0, False, n_rule), rel=1e-12, abs=0.0)
 
     LINE = re.compile(
         r"dominant coverage at theta=1: residual (mean|dropped), (\d+) outer nodes, "
@@ -594,13 +598,14 @@ class TestBatchedDominantIntegral:
         fields = [self.LINE.fullmatch(line) for line in lines]
         assert all(fields), lines
         (res, outer, rows, inner, kept, n_rule, cert), single = (f.groups() for f in fields)
-        # m = 2.5: two 2D passes, the second with the 64-node rule
-        assert (res, cert, int(n_rule)) == ("mean", "yes", 2 * _LAGUERRE_NODES)
+        # m = 2.5: the ladder's first rung, 8 nodes checked against 16,
+        # certifies the value in one 2D pass
+        assert (res, cert, int(n_rule)) == ("mean", "yes", 2 * analytic._LAGUERRE_LADDER[0])
         assert 0 < int(kept) < int(n_rule)
         assert int(outer) % 15 == 0  # one G7/K15 panel is 15 nodes
         # the work at R = 500 m, h = 100 m, alpha = 2.2, q = 2, pinned: a change
         # to the cost per node must not move it
-        assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 35)
+        assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 15)
         assert int(rows) == int(outer)  # one inner row per outer node
         # at least the first sweep's panels per row
         assert int(inner) >= 15 * analytic._DOMINANT_QUAD.initial_panels * int(rows)
@@ -667,6 +672,60 @@ class TestExactFadingRuleAtIntegerM:
         assert value == pytest.approx(self.CERTIFIED_VALUES[(3.0, 10, 0.0)], rel=1e-9)
 
 
+class TestFadingRuleLadder:
+    """At non-integer m the mean-residual fading rule is certified on a
+    ladder: 8 nodes checked against 16 first, and 32 against 64 where that
+    pair disagrees.  An explicit `laguerre_nodes` is one pair, no ladder."""
+
+    def test_fallback_repeats_the_top_rung(self, geom, monkeypatch, caplog):
+        # at BPP 3, m = 0.5, 0 dB the 8- and 16-node values disagree, so the
+        # value is the 32/64 pair's, bit for bit, after both 2D passes
+        model = bpp_model(3, geom, ChannelParams(alpha=2.2, q=2.0, m=0.5))
+        with pytest.raises(QuadratureError) as err:
+            model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=8)
+        assert err.value.level == "fading"
+        top = model._coverage_dominant_generic(1.0, with_residual_mean=True,
+                                               laguerre_nodes=_LAGUERRE_NODES)
+        work = {"integrate": [], "integrate_batch": []}
+
+        def counted(name):
+            rule = getattr(analytic, name)
+
+            def wrapper(*args, **kwargs):
+                res = rule(*args, **kwargs)
+                work[name].append(res.n_evals)
+                return res
+
+            return wrapper
+
+        for name in work:
+            monkeypatch.setattr(analytic, name, counted(name))
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            value = model.coverage_dominant(1.0)
+        assert value == top
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        res, outer, _, inner, kept, n_rule, cert = TestBatchedDominantIntegral.LINE.fullmatch(line).groups()
+        assert (res, int(n_rule), cert) == ("mean", 2 * _LAGUERRE_NODES, "yes")
+        assert int(kept) == analytic._gen_laguerre_rule(0.5, 2 * _LAGUERRE_NODES)[0].size
+        assert len(work["integrate"]) == 2  # one outer integral per pass
+        assert (int(outer), int(inner)) == (sum(work["integrate"]), sum(work["integrate_batch"]))
+
+    @pytest.mark.parametrize("m", [0.5, 1.3, 2.5, 8.5])
+    def test_ladder_within_tolerance_of_top_rung(self, geom, m):
+        # every value the ladder returns, first rung or fallback, lies within
+        # the dominant tolerance of the 32/64 pair's, with no QuadratureError
+        ch = ChannelParams(alpha=2.2, q=2.0, m=m)
+        cfg = analytic._DOMINANT_QUAD
+        models = [bpp_model(n, geom, ch) for n in (2, 10, 200)] + [hppp_model(0.01, geom, ch)]
+        for model in models:
+            for theta_db in (-20.0, 0.0, 20.0):
+                th = 10 ** (theta_db / 10)
+                got = model.coverage_dominant(th)
+                ref = model._coverage_dominant_generic(th, with_residual_mean=True,
+                                                       laguerre_nodes=_LAGUERRE_NODES)
+                assert abs(got - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref)), (model.law, theta_db)
+
+
 @pytest.mark.parametrize("method, shift, clipped", [("coverage", 1.0, 1.0), ("coverage_dominant", -1.0, 0.0)])
 def test_clamp_reports_the_unclipped_value(geom, monkeypatch, caplog, method, shift, clipped):
     # an outer integral shifted out of [0, 1] is clipped, and its debug line
@@ -717,6 +776,19 @@ class TestFadingTailExpectation:
                 # 2n-node gap, which certifies the coverage, bounds the error
                 assert abs(fine - ref) <= 1e-4
                 assert abs(fine - ref) <= abs(coarse - fine) + 1e-9 * ref
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.3, 1.5, 2.5, 8.0])
+    def test_gap_bounds_the_error_on_each_rung(self, m):
+        # what the certification relies on: on both rungs of the ladder
+        # (n = 8 and 32) and between them, the n- vs 2n-node gap bounds the
+        # 2n-node rule's error
+        for a in (0.0, 1e-2, 1.0, 10.0):
+            for b in (1e-4, 1e-2, 1.0, 100.0):
+                ref = self.adaptive(m, a, b)
+                for n_nodes in (8, 16, 32):
+                    coarse = _fading_tail_expectation(m, a, b, n_nodes)
+                    fine = _fading_tail_expectation(m, a, b, 2 * n_nodes)
+                    assert abs(fine - ref) <= abs(coarse - fine) + 1e-9 * ref, (a, b, n_nodes)
 
     @staticmethod
     def gammaincc_tail(m, a, b, n_nodes):
