@@ -410,7 +410,12 @@ class _CountLaw:
         (G(F) - G(0)) / (1 - G(0)), below the first and above the second."""
         mu = self.mu
         if mu:
-            return math.log1p(eps * math.expm1(mu)) / mu, 1.0 - eps * (-math.expm1(-mu)) / mu
+            upper = 1.0 - eps * (-math.expm1(-mu)) / mu
+            try:
+                return math.log1p(eps * math.expm1(mu)) / mu, upper
+            except OverflowError:  # e^mu > DBL_MAX (mu > 709.78): the same level in log space
+                log_term = math.log(eps) + mu + math.log(-math.expm1(-mu))
+                return float(np.logaddexp(0.0, log_term)) / mu, upper
         return eps ** (1.0 / self.n), 1.0 - eps / self.n
 
 
@@ -567,6 +572,7 @@ class _CoverageModel:
         self.channel = channel
         self.m = channel.m
         self.dist = _cached_dist(geom, channel)
+        self._bounds = {}  # eps -> `_outer_bounds(eps)`
 
     @cached_property
     def laplace(self) -> _ConditionalLaplace:
@@ -591,7 +597,13 @@ class _CoverageModel:
         return float(out) if out.ndim == 0 else out
 
     def _outer_bounds(self, eps=1e-12):
-        return self.dist.ppf(np.array(self.law.quantile_levels(eps)))
+        """The powers at `law.quantile_levels(eps)`; they do not depend on
+        theta, so each eps is looked up once per model."""
+        bounds = self._bounds.get(eps)
+        if bounds is None:
+            levels = np.array(self.law.quantile_levels(eps))
+            bounds = self._bounds[eps] = tuple(self.dist.ppf(levels))
+        return bounds
 
     def _conditional_coverage(self, theta, m, x0, fx0=None):
         """P(SIR > theta | serving power x0) at every x0 (F(x0) = fx0 if

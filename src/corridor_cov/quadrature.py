@@ -65,10 +65,12 @@ _GAUSS_W[7] = _WG_CENTER
 # a panel's 15 node values times this (15, 2) matrix: its Kronrod and Gauss sums
 _KRONROD_GAUSS_W = np.column_stack([_KRONROD_W, _GAUSS_W])
 
-# Rows per batch in `integrate_batch`: about 15k nodes per initial sweep at
-# the default 8 panels, enough to amortize the per-sweep overhead while
-# keeping memory flat.
-_BATCH_ROWS = 128
+# First-sweep nodes per chunk of rows in `integrate_batch`: 64 rows at the
+# default 8 panels.  A sweep keeps about ten node-sized temporaries live at
+# once.  With glibc's default malloc, chunks of 13,440 nodes and more made
+# them fault their pages in afresh on every call, and 11,520 or fewer did
+# not; much smaller chunks pay more per-sweep overhead.
+_BATCH_NODES = 7680
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,12 @@ def _evaluate_panels(f, lo, hi):
     sums = fy @ _KRONROD_GAUSS_W  # (k, panels, 2)
     kron = sums[..., 0] * half
     gauss = sums[..., 1] * half
-    # |f - mean| in place: a fresh temporary of fy's size costs more than the product
+    # |f - mean| in place: a fresh temporary of fy's size costs more than the product.
+    # Its Kronrod sum goes through the same two-column product as `sums`: a
+    # matrix-vector product rounds a panel differently by its position in
+    # the batch, so a row's error estimate would depend on its chunk.
     deviation = fy - 0.5 * sums[..., :1]
-    resasc = (np.abs(deviation, out=deviation) @ _KRONROD_W) * half
+    resasc = (np.abs(deviation, out=deviation) @ _KRONROD_GAUSS_W)[..., 0] * half
     err = np.abs(kron - gauss)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -269,10 +274,12 @@ def integrate_batch(f, n_rows, a, b, config=None):
     once every component meets its own tolerance, and a panel is bisected
     where any component's error is above its share.  Each row keeps its own
     stop rule, bisection set and subdivision limit, so its value does not
-    depend on the other rows.  Rows run in chunks of `_BATCH_ROWS` to bound
-    memory.  Returns an IntegralResult whose value and error are arrays over
-    the rows, (k, n_rows) for a k-component f, and whose n_evals counts
-    nodes; raises ValueError on infinite, reversed or equal bounds and
+    depend on the other rows or on how they are chunked.  Rows run in chunks
+    whose first sweep has at most `_BATCH_NODES` nodes (at least one row per
+    chunk), which bounds memory and keeps each sweep's temporaries small.
+    Returns an IntegralResult whose value and error are arrays over the
+    rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;
+    raises ValueError on infinite, reversed or equal bounds and
     QuadratureError naming the first row that does not converge.
     """
     cfg = config or DEFAULT_CONFIG
@@ -280,9 +287,10 @@ def integrate_batch(f, n_rows, a, b, config=None):
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"quadrature needs finite bounds a < b, got [{a!r}, {b!r}]")
+    chunk = max(1, _BATCH_NODES // (len(_NODES) * cfg.initial_panels))
     chunks = [
-        _adaptive_rows(f, np.arange(start, min(start + _BATCH_ROWS, n_rows)), a, b, cfg)
-        for start in range(0, n_rows, _BATCH_ROWS)
+        _adaptive_rows(f, np.arange(start, min(start + chunk, n_rows)), a, b, cfg)
+        for start in range(0, n_rows, chunk)
     ]
     if not chunks:
         return IntegralResult(np.empty(0), np.empty(0), 0)

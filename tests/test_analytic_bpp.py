@@ -12,6 +12,7 @@ from corridor_cov import (
     BPP,
     ChannelParams,
     CorridorGeometry,
+    FiniteHPPP,
     FixedHeight,
     InverseGammaShadowing,
     ParameterError,
@@ -399,7 +400,8 @@ class TestDominantInterferer:
         x0, xi = np.empty(counts.size), np.zeros(counts.size)
         for n in np.unique(counts):
             rows = counts == n
-            p = np.sort(draw_powers(rng, np.count_nonzero(rows), n=n), axis=1)
+            p = np.sort(draw_powers(rng, np.count_nonzero(rows), n=n, h=model.dist.h, r=model.dist.R),
+                        axis=1)
             x0[rows] = p[:, -1]
             if n > 1:
                 xi[rows] = p[:, -2]
@@ -418,6 +420,20 @@ class TestDominantInterferer:
             th = 10 ** (th_db / 10)
             assert model.coverage_dominant(th) == pytest.approx((sir > th).mean(), abs=0.01)
         assert model.coverage_dominant(1e-6) == pytest.approx(1.0, abs=1e-3)
+
+    def test_hppp_mean_count_beyond_exp_overflow(self, channel):
+        # mu = 1000: e^mu overflows a double, so the outer bounds' quantile
+        # level is taken in log space; exact and dominant both still match
+        # their simulations
+        geom = CorridorGeometry(50_000.0, FixedHeight(H))
+        model = hppp_model(0.01, geom, channel)
+        assert model.mu == 1000.0
+        sirs, _ = simulate_sir(FiniteHPPP(0.01), geom, channel, 40_000, seed=23, batch_size=4096)
+        approx = self.mc_approximate_sir_hppp(model, 40_000, 24)
+        for th_db in (-3.0, 3.0):
+            th = 10 ** (th_db / 10)
+            assert model.coverage(th) == pytest.approx((sirs > th).mean(), abs=0.01)
+            assert model.coverage_dominant(th) == pytest.approx((approx > th).mean(), abs=0.01)
 
     def test_single_dominant_matches_its_simulation(self, model10):
         sir = self.mc_approximate_sir(model10, 400_000, 16, single=True)

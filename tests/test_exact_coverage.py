@@ -20,7 +20,7 @@ from corridor_cov import (
     integrate,
     simulate_sir,
 )
-from corridor_cov import analytic
+from corridor_cov import analytic, quadrature
 from conftest import closed_form_cdf_and_moment
 
 N = 10
@@ -266,3 +266,25 @@ def test_coverage_logs_its_work(geom, channel_m3, caplog):
 def test_hppp_coverage_work_is_pinned(hmodel, caplog):
     _, outer, rows, inner, floored = exact_line(hmodel, caplog)
     assert (outer, rows, inner, floored) == (120, 120, 15_180, 0)
+
+
+def test_quadrature_sweeps_stay_within_the_node_budget(geom, channel_m3, monkeypatch):
+    # The largest node array of any sweep, in a cold cache build and in an
+    # exact BPP m = 3 value: both run more rows than fit one chunk, and no
+    # sweep exceeds the budget (larger temporaries were faulted in afresh on
+    # every call).
+    budget = quadrature._BATCH_NODES
+    sizes = []
+    evaluate = quadrature._evaluate_panels
+
+    def recording(f, lo, hi):
+        sizes.append(15 * lo.size)
+        return evaluate(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_evaluate_panels", recording)
+    analytic.ReceivedPowerDistribution(geom, channel_m3)._ensure()
+    build = sizes.copy()
+    sizes.clear()
+    bpp_model(N, geom, channel_m3).coverage(1.0)
+    for work in (build, sizes):
+        assert budget // 2 < max(work) <= budget

@@ -96,9 +96,9 @@ def _gaussian_peaks(n):
 
 
 def test_integrate_batch_matches_integrate_row_by_row():
-    n = 300  # more than two chunks of rows
-    f = _gaussian_peaks(n)
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    n = 2 * (quadrature._BATCH_NODES // (15 * cfg.initial_panels)) + 44  # more than two chunks of rows
+    f = _gaussian_peaks(n)
     batch = integrate_batch(f, n, 0.0, 1.0, cfg)
     single = [integrate(lambda x, i=i: f(np.full(x.shape, i), x), 0.0, 1.0, cfg) for i in range(n)]
     assert len({r.n_evals for r in single}) > 3  # rows refine to different depths
@@ -141,6 +141,25 @@ def test_vector_integrand_matches_its_scalar_runs():
     one = integrate(lambda x: np.array([g(np.full(x.shape, 7), x) for g in comps]), 0.0, 1.0, cfg)
     assert one.value.shape == one.error.shape == (3,)
     np.testing.assert_allclose(one.value, joint.value[:, 7], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_integrate_batch_does_not_depend_on_chunking(monkeypatch, vector):
+    n = 150
+    if vector:
+        comps = _three_components(n)
+        f = lambda rows, x: np.array([g(rows, x) for g in comps])  # noqa: E731
+    else:
+        f = _gaussian_peaks(n)
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    runs = []
+    for rows in (1, 64, n):  # one row per chunk, three chunks, one chunk
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", rows * 15 * cfg.initial_panels)
+        runs.append(integrate_batch(f, n, 0.0, 1.0, cfg))
+    for res in runs[1:]:
+        assert np.array_equal(res.value, runs[0].value)
+        assert np.array_equal(res.error, runs[0].error)
+        assert res.n_evals == runs[0].n_evals
 
 
 def test_vector_integrand_failure_names_row_and_component():
