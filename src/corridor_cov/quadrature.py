@@ -14,6 +14,12 @@ sweep, and `integrate` is its one-row case.  An integrand may be
 vector-valued, returning a (k, nodes) array: the k integrals of a row then
 share its panels and each node is evaluated once, which is cheaper than k
 scalar rows whenever the components share work (a density lookup, an exp).
+
+Every row starts from the same equal panels, so every first sweep evaluates
+a row at the same nodes.  A caller that integrates one family many times,
+changing only a parameter, can pass a `first` integrand for the first
+sweeps, which reuses what it tabulated there on an earlier call; refinement
+sweeps call f.
 """
 
 from __future__ import annotations
@@ -171,15 +177,16 @@ def _evaluate_panels(f, lo, hi):
     return kron, err, x.size, vector
 
 
-def _adaptive_rows(f, rows, a, b, cfg):
+def _adaptive_rows(f, rows, a, b, cfg, first=None):
     """The adaptive rule for every row of `rows` at once; returns (values,
     errors, nev, vector), values and errors as (k, rows) arrays.
 
     Each row starts from `cfg.initial_panels` equal panels, 15 nodes each
-    on the first sweep, and stops once the summed error estimate of every
-    component c is within max(abs_tol, rel_tol |value_c|).  Panels of all
-    unfinished rows are evaluated in one batch per sweep; each row keeps its
-    own stop rule, bisection set and subdivision limit.
+    on the first sweep (evaluated by `first` if given), and stops once the
+    summed error estimate of every component c is within
+    max(abs_tol, rel_tol |value_c|).  Panels of all unfinished rows are
+    evaluated in one batch per sweep; each row keeps its own stop rule,
+    bisection set and subdivision limit.
     """
     n, panels = len(rows), cfg.initial_panels
     width = (b - a) / panels
@@ -189,14 +196,14 @@ def _adaptive_rows(f, rows, a, b, cfg):
     lo, hi = np.tile(lo, n), np.tile(hi, n)
     owner = np.repeat(np.arange(n), panels)  # local row of each panel
 
-    def evaluate(owner, lo, hi):
+    def evaluate(owner, lo, hi, f=f):
         node_rows = np.repeat(rows[owner], len(_NODES))
         return _evaluate_panels(lambda x: f(node_rows, x), lo, hi)
 
     def per_row(panel_values):  # (k, panels) -> (k, rows) sums
         return np.array([np.bincount(owner, v, n) for v in panel_values])
 
-    values, errors, n_evals, vector = evaluate(owner, lo, hi)
+    values, errors, n_evals, vector = evaluate(owner, lo, hi, first or f)
     out_values = np.empty((len(values), n))
     out_errors = np.empty((len(values), n))
     while True:
@@ -249,21 +256,23 @@ def _adaptive_rows(f, rows, a, b, cfg):
         errors = np.concatenate([errors[:, ~split], new_errs], axis=1)
 
 
-def integrate(f, a, b, config=None):
+def integrate(f, a, b, config=None, first=None):
     """Integrate a vectorized f (ndarray in, ndarray out) over a finite
-    [a, b], a < b: the one-row case of `integrate_batch`.  f may return a
-    (k, nodes) array, and value and error are then (k,) arrays.  Integrable
-    endpoint singularities are allowed: nodes are strictly interior.  Raises
-    QuadratureError (carrying the best estimate) on non-convergence.
+    [a, b], a < b: the one-row case of `integrate_batch`, whose `first`
+    hook this takes in f's form.  f may return a (k, nodes) array, and value
+    and error are then (k,) arrays.  Integrable endpoint singularities are
+    allowed: nodes are strictly interior.  Raises QuadratureError (carrying
+    the best estimate) on non-convergence.
     """
-    res = integrate_batch(lambda rows, x: f(x), 1, a, b, config)
+    hook = None if first is None else lambda rows, x: first(x)
+    res = integrate_batch(lambda rows, x: f(x), 1, a, b, config, hook)
     value, error = res.value[..., 0], res.error[..., 0]
     if value.ndim == 0:
         value, error = float(value), float(error)
     return IntegralResult(value, error, res.n_evals)
 
 
-def integrate_batch(f, n_rows, a, b, config=None):
+def integrate_batch(f, n_rows, a, b, config=None, first=None):
     """Integrate f(rows, x) over a finite [a, b], a < b, for every row
     0..n_rows-1; `integrate` is the one-row case.
 
@@ -277,6 +286,15 @@ def integrate_batch(f, n_rows, a, b, config=None):
     depend on the other rows or on how they are chunked.  Rows run in chunks
     whose first sweep has at most `_BATCH_NODES` nodes (at least one row per
     chunk), which bounds memory and keeps each sweep's temporaries small.
+
+    A `first` integrand, if given, takes f's place on each chunk's first
+    sweep, with f's arguments.  That sweep evaluates each of the chunk's
+    rows, in order, at the same nodes on every call with the same bounds and
+    config, 15 per initial panel, so `first` may return values that it
+    tabulated on an earlier call, keyed by the chunk's rows, in place of
+    computing them.  Refinement sweeps call f.  A `first` that returns what
+    f would gives the same result, bit for bit.
+
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;
     raises ValueError on infinite, reversed or equal bounds and
@@ -289,7 +307,7 @@ def integrate_batch(f, n_rows, a, b, config=None):
         raise ValueError(f"quadrature needs finite bounds a < b, got [{a!r}, {b!r}]")
     chunk = max(1, _BATCH_NODES // (len(_NODES) * cfg.initial_panels))
     chunks = [
-        _adaptive_rows(f, np.arange(start, min(start + chunk, n_rows)), a, b, cfg)
+        _adaptive_rows(f, np.arange(start, min(start + chunk, n_rows)), a, b, cfg, first)
         for start in range(0, n_rows, chunk)
     ]
     if not chunks:

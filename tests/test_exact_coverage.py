@@ -288,3 +288,47 @@ def test_quadrature_sweeps_stay_within_the_node_budget(geom, channel_m3, monkeyp
     bpp_model(N, geom, channel_m3).coverage(1.0)
     for work in (build, sizes):
         assert budget // 2 < max(work) <= budget
+
+
+# -20 dB needs a second outer sweep on every model below; the others do not
+SWEEP_DB = list(range(-20, 21, 4))
+
+
+@pytest.mark.parametrize(
+    "models, m",
+    [((("bpp", 10), ("bpp", 20)), 1), ((("bpp", 10), ("bpp", 20)), 3), ((("hppp", LAM),), 1)],
+)
+def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
+    # A model's first exact value builds its first-sweep table and every
+    # later one reuses it; values and node counts are those of a fresh model
+    # per theta, bit for bit.  BPP 10 and 20 share one received-power cache
+    # and take their values in turn.
+    ch = ChannelParams(alpha=2.2, q=2.0, m=float(m))
+    classes = {"bpp": analytic.BppCoverageModel, "hppp": analytic.HpppCoverageModel}
+
+    def make(kind, size):
+        return classes[kind](size, geom, ch)
+
+    shared = [make(*spec) for spec in models]
+    assert all(model.dist is shared[0].dist for model in shared)
+
+    def value_and_line(model, theta):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            value = model.coverage(theta)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact")]
+        table = re.search(r": first-sweep table (built|reused), ", line)
+        assert table is not None, line
+        return value, table.group(1), re.sub(r"[0-9.]+ s$", "", line.replace(table.group(0), ": "))
+
+    refined = set()
+    for k, db in enumerate(SWEEP_DB):
+        theta = 10 ** (db / 10)
+        for spec, model in zip(models, shared):
+            value, table, work = value_and_line(model, theta)
+            fresh_value, fresh_table, fresh_work = value_and_line(make(*spec), theta)
+            assert (table, fresh_table) == ("reused" if k else "built", "built")
+            assert value == fresh_value and work == fresh_work, (spec, db)
+            if int(re.search(r"(\d+) outer nodes", work).group(1)) > 120:
+                refined.add(db)
+    assert -20 in refined and len(refined) < len(SWEEP_DB)

@@ -162,6 +162,68 @@ def test_integrate_batch_does_not_depend_on_chunking(monkeypatch, vector):
         assert res.n_evals == runs[0].n_evals
 
 
+def _refining_and_settled(n, vector):
+    """Odd rows a peak, the narrow ones of which refine; even rows a cubic,
+    which every panel integrates exactly, so they stop after the first
+    sweep."""
+    peaks = _gaussian_peaks(n)
+
+    def f(rows, x):
+        cubic = (1.0 + rows) * x**3
+        row = np.where(rows % 2 == 1, peaks(rows, x), cubic)
+        return np.array([row, x * row, cubic]) if vector else row
+
+    return f
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 64])
+@pytest.mark.parametrize("vector", [False, True])
+def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows):
+    # The hook serves each chunk's first sweep from a table of g, filled on
+    # the first call, for integrands c g with c changed between calls: the
+    # caller's pattern.  It gives the plain rule's value, error and node
+    # count bit for bit, and a hook wrong at one node changes the result.
+    n = 150
+    g = _refining_and_settled(n, vector)
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    monkeypatch.setattr(quadrature, "_BATCH_NODES", chunk_rows * 15 * cfg.initial_panels)
+    evals = [integrate(lambda x, i=i: g(np.full(x.shape, i), x), 0.0, 1.0, cfg).n_evals
+             for i in (0, n - 1)]
+    assert evals[0] == 15 * cfg.initial_panels < evals[1]
+    table = {}
+
+    def tabulated(c, bad_node=None):
+        def first(rows, x):
+            key = (rows[0], rows.size)
+            if key not in table:
+                table[key] = x, g(rows, x)
+            nodes, values = table[key]
+            assert np.array_equal(x, nodes)  # every call's first sweep has the same nodes
+            values = c * values
+            if bad_node is not None and key[0] == 0:
+                values[..., bad_node] += 1.0
+            return values
+
+        return first
+
+    for c in (1.0, 2.5, 0.5):
+        def f(rows, x):
+            return c * g(rows, x)
+
+        plain = integrate_batch(f, n, 0.0, 1.0, cfg)
+        hooked = integrate_batch(f, n, 0.0, 1.0, cfg, tabulated(c))
+        assert np.array_equal(hooked.value, plain.value)
+        assert np.array_equal(hooked.error, plain.error)
+        assert hooked.n_evals == plain.n_evals
+    assert len(table) == -(-n // chunk_rows)
+    wrong = integrate_batch(f, n, 0.0, 1.0, cfg, tabulated(c, bad_node=7))
+    assert not np.array_equal(wrong.value, plain.value)
+    # the one-row case takes the hook in f's form
+    one = integrate(lambda x: f(np.zeros(x.shape, int), x), 0.0, 1.0, cfg,
+                    first=lambda x: tabulated(c)(np.zeros(x.shape, int), x))
+    assert np.array_equal(one.value, plain.value[..., 0]) and one.n_evals == evals[0]
+
+
 def test_vector_integrand_failure_names_row_and_component():
     def f(rows, x):
         return np.array([np.ones_like(x), np.where(rows == 5, 1.0 / np.sqrt(x), 1.0)])
