@@ -108,8 +108,7 @@ _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
 # at non-integer m, where each coverage value is certified against a rule
 # with twice as many: the ladder's first rung where that pair agrees, else
 # the next.  Integer m takes the ceil(m/2)-node rule, which is exact.
-_LAGUERRE_NODES = 32
-_LAGUERRE_LADDER = (8, _LAGUERRE_NODES)
+_LAGUERRE_LADDER = (8, 32)
 _LAGUERRE_DROP = 1e-17
 _TERM_BLOCK = 8192
 
@@ -364,9 +363,9 @@ class ReceivedPowerDistribution:
         out = np.exp(t)
         return float(out) if out.ndim == 0 else out
 
-    def normalization(self, config=None):
+    def normalization(self):
         """Adaptive-quadrature check value of int_0^inf pdf_exact (should be 1)."""
-        cfg = config or QuadratureConfig(rel_tol=1e-7, abs_tol=1e-12)
+        cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-12)
         c = self._ensure()
 
         def f(t):
@@ -536,13 +535,12 @@ class _ConditionalLaplace:
     and counts it as floored: z^n needs z >= 0, e^(mu (z - 1)) does not.
     """
 
-    def __init__(self, dist: ReceivedPowerDistribution, law: _CountLaw, m: float, config=None):
+    def __init__(self, dist: ReceivedPowerDistribution, law: _CountLaw, m: float):
         if law.n < 2:
             raise ParameterError("interference needs n >= 2 UAVs")
         self.dist = dist
         self.law = law
         self.m = float(m)
-        self.cfg = config or _LAPLACE_QUAD
 
     def _series(self, s, tau, x0, order, fx0=None, first=None):
         """Taylor coefficients (-tau)^k / k! L^(k)(s | x0), k <= order, of
@@ -551,10 +549,10 @@ class _ConditionalLaplace:
         the count of floored points; and the number of node evaluations."""
         law = self.law
         fx0 = self.dist.cdf(x0) if fx0 is None else fx0
-        log_g1 = law.log_derivative(1, fx0) if first is None else first.log_g1
+        log_g1 = law.log_derivative(1, fx0)
         if np.any(np.isneginf(log_g1)):
             raise ParameterError("conditioning power x0 has zero mass below it")
-        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, self.cfg, first)
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, _LAPLACE_QUAD, first)
         y = fx0 - rows[0]
         floored = np.count_nonzero(y < 0.0) if law.n < math.inf else 0
         weights = [np.exp(law.log_derivative(r + 1, y) - log_g1 - math.lgamma(r + 1))
@@ -565,11 +563,9 @@ class _ConditionalLaplace:
         """[L, L', ..., L^(order)] at (s | x0), as floats: L(s | x0) is
         element 0 and its k-th derivative in s element k, for s >= 0, x0 > 0
         and the coverage theorem's orders 0 <= order <= m - 1."""
+        _require(s >= 0, "Laplace argument s must be >= 0 and finite", s)
+        _require(x0 > 0, "conditioning power must be positive and finite", x0)
         order = int(order)
-        if s < 0:
-            raise ParameterError("Laplace argument s must be >= 0")
-        if x0 <= 0:
-            raise ParameterError("conditioning power must be positive")
         if not 0 <= order < self.m:
             raise ParameterError(
                 f"derivative order {order} violates the 0 <= k <= m-1 contract (m={self.m})"
@@ -580,6 +576,7 @@ class _ConditionalLaplace:
     def mean_interference(self, x0):
         """E[I | Pr0 = x0] = -dL/ds at s = 0 = G''(F) / G'(F) int_0^{x0} p f(p) dp:
         (n - 1) E[P | P <= x0] for the BPP, mu int_0^{x0} p f(p) dp for the HPPP."""
+        _require(x0 > 0, "conditioning power must be positive and finite", x0)
         coeffs, _, _ = self._series(np.array([0.0]), 1.0, np.array([float(x0)]), 1)
         return float(coeffs[1, 0])
 
@@ -590,20 +587,20 @@ class _FirstSweep:
     powers, and the first sweeps of the inner moment integrals that it
     calls.  `_CoverageModel.coverage` fills it on a model's first value and
     reads it on every later one, so that both levels compute only the
-    kernel there.  `key` holds the rules it was built under.
+    kernel there.  The first-sweep nodes depend only on the model's bounds
+    and the rules' `initial_panels`, not on their tolerances.
 
     Outer level, `outer` at the live first-sweep nodes (see
     `_outer_reads`): the powers x0, F(x0), the maximum-power density f0 and
-    the live mask; and `log_g1`, log G'(F).  Inner level, `inner`, per chunk
-    of `_moment_series` rows that `integrate_batch` runs, keyed by its first
-    row and row count: p and the density at the chunk's first-sweep nodes,
-    the arrays that the reads made.  About 0.22 MiB at the default rules,
-    120 rows of 120 nodes.  `fills` counts the parts filled.
+    the live mask.  Inner level, `inner`, per chunk of `_moment_series` rows
+    that `integrate_batch` runs, keyed by its first row and row count: p and
+    the density at the chunk's first-sweep nodes, the arrays that the reads
+    made.  About 0.22 MiB at the default rules, 120 rows of 120 nodes.
+    `fills` counts the parts filled.
     """
 
-    def __init__(self, key):
-        self.key = key
-        self.outer = self.log_g1 = None
+    def __init__(self):
+        self.outer = None
         self.inner = {}
         self.fills = 0
 
@@ -619,7 +616,7 @@ class _CoverageModel:
         self.m = channel.m
         self.dist = _cached_dist(geom, channel)
         self._bounds = {}  # eps -> `_outer_bounds(eps)`
-        self._first = None  # exact coverage's `_FirstSweep`, filled lazily
+        self._first = _FirstSweep()  # exact coverage's, filled by its first value
 
     @cached_property
     def laplace(self) -> _ConditionalLaplace:
@@ -678,6 +675,8 @@ class _CoverageModel:
 
     def conditional_coverage(self, theta, x0):
         """P(SIR > theta | Pr0 = x0), for integer m."""
+        _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
+        _require(x0 > 0, "conditioning power must be positive and finite", x0)
         m = self.channel.require_integer_m()
         cov, _, _ = self._conditional_coverage(theta, m, np.array([x0], dtype=float))
         return float(cov[0])
@@ -704,9 +703,6 @@ class _CoverageModel:
         m = self.channel.require_integer_m()
         self.laplace  # noqa: B018 -- a 1-UAV BPP raises here, before any quadrature
         lo, hi = self._outer_bounds()
-        key = (_COVERAGE_QUAD, self.laplace.cfg)  # a table built under other rules is dropped
-        if self._first is None or self._first.key != key:
-            self._first = _FirstSweep(key)
         table, fills = self._first, self._first.fills
         start = time.perf_counter()
         calls = rows = inner_nodes = floored = 0
@@ -728,7 +724,6 @@ class _CoverageModel:
         def first_sweep(t):  # the same nodes t on every call
             if table.outer is None:
                 table.outer = self._outer_reads(t)
-                table.log_g1 = self.law.log_derivative(1, table.outer[1])
                 table.fills += 1
             return conditional(*table.outer, table)
 
@@ -777,7 +772,7 @@ class _CoverageModel:
         law = self.law
         return np.exp(law.log_derivative(2, fxi)) * fx0 * f_i / law.p_nonempty
 
-    def _coverage_dominant_generic(self, theta, with_residual_mean, laguerre_nodes=None):
+    def _coverage_dominant_generic(self, theta, with_residual_mean):
         """G'(0) / (1 - G(0)), the chance of a lone serving UAV, plus a 2D
         integral over the top-two powers (t0, ti) = log(x0, x_i) of
         E[Q(m, a + b Y)], Y = m H1, a = m theta omega / x0, b = theta x_i / x0
@@ -802,10 +797,9 @@ class _CoverageModel:
 
         With a residual the fading expectation uses an n-node Laguerre rule:
         ceil(m/2) nodes for integer m, the `_LAGUERRE_LADDER` for any other
-        m, or one given `laguerre_nodes` rule with no ladder.  For integer
-        m <= 2 n the rule is exact: the rescaled integrand
+        m.  For integer m the rule is exact: the rescaled integrand
         exp(beta z) Q(m, a + beta z) is e^-a times the order recurrence's
-        polynomial S(a + beta z) of degree m - 1, so there is no
+        polynomial S(a + beta z) of degree m - 1 <= 2 n - 1, so there is no
         certification.  Otherwise the integrand has two components, the
         fading expectation by 2 n nodes and by n, integrated on the same
         panels in one 2D pass; the two values must agree to the
@@ -825,14 +819,11 @@ class _CoverageModel:
         start = time.perf_counter()
         m, dist = self.m, self.dist
         integer_m = float(m).is_integer()
-        if laguerre_nodes is not None:
-            ladder = (laguerre_nodes,)
-        else:
-            ladder = (math.ceil(m / 2),) if integer_m else _LAGUERRE_LADDER
+        ladder = (math.ceil(m / 2),) if integer_m else _LAGUERRE_LADDER
         lo, hi = self._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         with_residual_mean = with_residual_mean and law.n > 2
-        certified = with_residual_mean and not (integer_m and m <= 2 * ladder[0])
+        certified = with_residual_mean and not integer_m
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
         outer_nodes = rows = inner_nodes = 0
 
@@ -975,7 +966,7 @@ def _laguerre_tail(m, a, b, z, w):
     return np.exp(-a) * scale * sums if elementary else scale * sums
 
 
-def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
+def _fading_tail_expectation(m, a, b, n_nodes):
     """T(a, b) = E[Q(m, a + b Y)] for Y ~ Gamma(m, 1), elementwise over
     broadcast arrays a >= 0, b > 0; Q is the regularized upper incomplete
     gamma function.
@@ -997,17 +988,17 @@ def _fading_tail_expectation(m, a, b, n_nodes=_LAGUERRE_NODES):
 class InterferenceLaplaceBPP(_ConditionalLaplace):
     """The BPP's conditional Laplace transform, n UAVs: G(z) = z^n."""
 
-    def __init__(self, dist: ReceivedPowerDistribution, n: int, m: float, config=None):
+    def __init__(self, dist: ReceivedPowerDistribution, n: int, m: float):
         _require_count(n, "the BPP Laplace transform")
-        super().__init__(dist, _CountLaw(n=int(n)), m, config)
+        super().__init__(dist, _CountLaw(n=int(n)), m)
 
 
 class InterferenceLaplaceHPPP(_ConditionalLaplace):
     """The finite HPPP's conditional Laplace transform, mean UAV count mu: G(z) = e^(mu (z - 1))."""
 
-    def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float, config=None):
+    def __init__(self, dist: ReceivedPowerDistribution, mean_count, m: float):
         _require(mean_count > 0, "the mean UAV count must be positive and finite", mean_count)
-        super().__init__(dist, _CountLaw(mu=float(mean_count)), m, config)
+        super().__init__(dist, _CountLaw(mu=float(mean_count)), m)
 
 
 class BppCoverageModel(_CoverageModel):
@@ -1073,7 +1064,9 @@ class CoverageQuery:
 
 
 def coverage_probability(query: CoverageQuery) -> float:
-    """Dispatch a CoverageQuery to the matching analytic engine."""
+    """Dispatch a CoverageQuery to the matching analytic engine.  A
+    QuadratureError is re-raised naming the method and theta, with the
+    original's estimates and level."""
     spatial = query.spatial
     if isinstance(spatial, BPP):
         model = bpp_model(spatial.n, query.geom, query.channel)
@@ -1083,4 +1076,12 @@ def coverage_probability(query: CoverageQuery) -> float:
         raise ParameterError("the 2D disc baseline has no analytic engine; use method mc")
     else:
         raise ParameterError(f"unsupported spatial model {spatial!r}")
-    return getattr(model, _METHODS[query.method])(query.theta)
+    try:
+        return getattr(model, _METHODS[query.method])(query.theta)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"coverage method {query.method!r} failed at theta={query.theta!r}: {exc}",
+            best_estimate=exc.best_estimate,
+            error_estimate=exc.error_estimate,
+            level=exc.level,
+        ) from exc

@@ -327,19 +327,6 @@ def _parse_methods(cfg):
     return methods
 
 
-def _analytic_coverage(method, theta_linear, spatial, geom, channel):
-    query = analytic.CoverageQuery(theta_linear, spatial, channel, geom, method)
-    try:
-        return analytic.coverage_probability(query)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"coverage method {method!r} failed at theta={theta_linear!r}: {exc}",
-            best_estimate=exc.best_estimate,
-            error_estimate=exc.error_estimate,
-            level=exc.level,
-        ) from exc
-
-
 def _with_sweep_value(cfg, axis, value):
     """Geometry/spatial/channel rebuilt with one sweep axis overridden."""
     cfg = {s: dict(v) for s, v in cfg.items()}
@@ -390,7 +377,8 @@ def cmd_coverage(args):
                     rows.append(_row(v, "mc", c, se, seed, chash))
             else:
                 for v, th in zip(sweep_values, db_to_linear(np.array(thetas_db))):
-                    cov = _analytic_coverage(method, float(th), spatial, geom, channel)
+                    query = analytic.CoverageQuery(float(th), spatial, channel, geom, method)
+                    cov = analytic.coverage_probability(query)
                     rows.append(_row(v, method, cov, None, seed, chash))
 
     metadata = {

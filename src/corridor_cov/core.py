@@ -173,9 +173,8 @@ class CorridorGeometry:
             )
         return self.height_model.h
 
-    def max_link_distance(self, h=None):
-        h = self.fixed_height if h is None else h
-        return math.hypot(h, self.R)
+    def max_link_distance(self):
+        return math.hypot(self.fixed_height, self.R)
 
 
 @dataclass(frozen=True)

@@ -233,15 +233,15 @@ def _adaptive_rows(f, rows, a, b, cfg, first=None):
         order = live[np.lexsort((-excess, owner[live]))]
         owner, lo, hi = (v[order] for v in (owner, lo, hi))
         values, errors = values[:, order], errors[:, order]
-        first = np.concatenate([[True], owner[1:] != owner[:-1]])
+        head = np.concatenate([[True], owner[1:] != owner[:-1]])  # each row's first panel
         # Per row, split every panel where some component is above its fair
         # share of that component's budget (the worst panel if none is), at
         # most as many as the subdivision limit leaves room for; this keeps
         # the number of refinement sweeps small.
         split = (errors > tol[:, owner] / n_panels[owner]).any(axis=0)
-        split |= first & (np.bincount(owner, split, n) == 0)[owner]
+        split |= head & (np.bincount(owner, split, n) == 0)[owner]
         before = np.cumsum(split) - split
-        rank = before - before[first][np.cumsum(first) - 1]
+        rank = before - before[head][np.cumsum(head) - 1]
         split &= rank < (cfg.max_subdivisions - n_panels)[owner]
         mid = 0.5 * (lo[split] + hi[split])
         new_owner = np.concatenate([owner[split], owner[split]])

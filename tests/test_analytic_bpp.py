@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from corridor_cov import (
     simulate_sir,
 )
 from corridor_cov import analytic
-from corridor_cov.analytic import _LAGUERRE_NODES, _fading_tail_expectation
+from corridor_cov.analytic import _LAGUERRE_LADDER, _fading_tail_expectation
 from corridor_cov.quadrature import IntegralResult, nested_integrate_2d
 from conftest import ks_statistic
 
 N = 10
 H, R, ALPHA = 100.0, 500.0, 2.2
+TOP_RUNG = _LAGUERRE_LADDER[-1]  # the fading rule ladder's fallback: 32 nodes
 
 
 def draw_powers(rng, trials, n=N, h=H, r=R, alpha=ALPHA, q=2.0, gamma=1.0):
@@ -495,12 +497,13 @@ class TestDominantInterferer:
             assert abs(value - ref) <= 1e-5
             assert abs(value - ref) <= 1e-3 * ref
 
-    def test_coarse_fading_rule_fails_certification(self, geom):
+    def test_coarse_fading_rule_fails_certification(self, geom, monkeypatch):
         # at m=0.5 a 2-node rule is off by ~3e-4 in the integrated value,
         # far beyond the dominant tolerance, so the 2- vs 4-node check trips
         model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=0.5))
+        monkeypatch.setattr(analytic, "_LAGUERRE_LADDER", (2,))
         with pytest.raises(QuadratureError) as err:
-            model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=2)
+            model.coverage_dominant(1.0)
         assert err.value.level == "fading"
 
 
@@ -526,6 +529,28 @@ def test_non_finite_theta_rejected(geom, channel, make, method, theta):
     model = make(N if make is bpp_model else 0.01, geom, channel)
     with pytest.raises(ParameterError, match="finite"):
         getattr(model, method)(theta)
+
+
+CONDITIONAL_CALLS = {
+    "conditional_coverage-theta": lambda model, v: model.conditional_coverage(v, 3e-6),
+    "conditional_coverage-x0": lambda model, v: model.conditional_coverage(1.0, v),
+    "derivative_series-s": lambda model, v: model.laplace.derivative_series(v, 3e-6, 0),
+    "derivative_series-x0": lambda model, v: model.laplace.derivative_series(1e6, v, 0),
+    "mean_interference-x0": lambda model, v: model.laplace.mean_interference(v),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in CONDITIONAL_CALLS for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    if (name, bad) != ("derivative_series-s", 0.0)  # L(0 | x0) = 1
+])
+def test_conditional_methods_reject_bad_inputs(model10, name, bad):
+    # these once raised QuadratureError, warned of a division by zero, or
+    # returned a number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            CONDITIONAL_CALLS[name](model10, bad)
 
 
 @pytest.mark.parametrize("m", [0.5, 1.3, 2.5, 8.0])
@@ -566,7 +591,7 @@ class TestBatchedDominantIntegral:
         lo, hi = model._outer_bounds(1e-10)
         t_lo, t_hi = math.log(lo), math.log(hi)
         residual = with_residual_mean and n > 2
-        n_nodes = _LAGUERRE_NODES if float(m).is_integer() or not residual else n_rule
+        n_nodes = TOP_RUNG if float(m).is_integer() or not residual else n_rule
 
         def integrand(t0, ti):
             x0 = math.exp(t0)
@@ -681,27 +706,34 @@ class TestExactFadingRuleAtIntegerM:
         assert (res, int(kept), int(n_rule), cert) == ("mean", math.ceil(m / 2), math.ceil(m / 2), "no")
 
     def test_two_node_rule_exact_up_to_m4(self, geom):
-        # a 2-node Gauss rule integrates polynomials of degree <= 3 exactly,
-        # which covers the degree m-1 = 2 integrand at m = 3
+        # m = 3 takes the ceil(m/2) = 2-node rule: a 2-node Gauss rule
+        # integrates polynomials of degree <= 3 exactly, which covers the
+        # degree m-1 = 2 integrand
         model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=3.0))
-        value = model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=2)
+        value = model.coverage_dominant(1.0)
         assert value == pytest.approx(self.CERTIFIED_VALUES[(3.0, 10, 0.0)], rel=1e-9)
 
 
 class TestFadingRuleLadder:
     """At non-integer m the mean-residual fading rule is certified on a
     ladder: 8 nodes checked against 16 first, and 32 against 64 where that
-    pair disagrees.  An explicit `laguerre_nodes` is one pair, no ladder."""
+    pair disagrees.  A one-rung `_LAGUERRE_LADDER` is one pair."""
+
+    @staticmethod
+    def one_rung(monkeypatch, model, theta, n_nodes):
+        """Mean-residual dominant coverage on the single rung `n_nodes`."""
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "_LAGUERRE_LADDER", (n_nodes,))
+            return model.coverage_dominant(theta)
 
     def test_fallback_repeats_the_top_rung(self, geom, monkeypatch, caplog):
         # at BPP 3, m = 0.5, 0 dB the 8- and 16-node values disagree, so the
         # value is the 32/64 pair's, bit for bit, after both 2D passes
         model = bpp_model(3, geom, ChannelParams(alpha=2.2, q=2.0, m=0.5))
         with pytest.raises(QuadratureError) as err:
-            model._coverage_dominant_generic(1.0, with_residual_mean=True, laguerre_nodes=8)
+            self.one_rung(monkeypatch, model, 1.0, 8)
         assert err.value.level == "fading"
-        top = model._coverage_dominant_generic(1.0, with_residual_mean=True,
-                                               laguerre_nodes=_LAGUERRE_NODES)
+        top = self.one_rung(monkeypatch, model, 1.0, TOP_RUNG)
         work = {"integrate": [], "integrate_batch": []}
 
         def counted(name):
@@ -721,13 +753,13 @@ class TestFadingRuleLadder:
         assert value == top
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
         res, outer, _, inner, kept, n_rule, cert = TestBatchedDominantIntegral.LINE.fullmatch(line).groups()
-        assert (res, int(n_rule), cert) == ("mean", 2 * _LAGUERRE_NODES, "yes")
-        assert int(kept) == analytic._gen_laguerre_rule(0.5, 2 * _LAGUERRE_NODES)[0].size
+        assert (res, int(n_rule), cert) == ("mean", 2 * TOP_RUNG, "yes")
+        assert int(kept) == analytic._gen_laguerre_rule(0.5, 2 * TOP_RUNG)[0].size
         assert len(work["integrate"]) == 2  # one outer integral per pass
         assert (int(outer), int(inner)) == (sum(work["integrate"]), sum(work["integrate_batch"]))
 
     @pytest.mark.parametrize("m", [0.5, 1.3, 2.5, 8.5])
-    def test_ladder_within_tolerance_of_top_rung(self, geom, m):
+    def test_ladder_within_tolerance_of_top_rung(self, geom, monkeypatch, m):
         # every value the ladder returns, first rung or fallback, lies within
         # the dominant tolerance of the 32/64 pair's, with no QuadratureError
         ch = ChannelParams(alpha=2.2, q=2.0, m=m)
@@ -737,8 +769,7 @@ class TestFadingRuleLadder:
             for theta_db in (-20.0, 0.0, 20.0):
                 th = 10 ** (theta_db / 10)
                 got = model.coverage_dominant(th)
-                ref = model._coverage_dominant_generic(th, with_residual_mean=True,
-                                                       laguerre_nodes=_LAGUERRE_NODES)
+                ref = self.one_rung(monkeypatch, model, th, TOP_RUNG)
                 assert abs(got - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref)), (model.law, theta_db)
 
 
@@ -785,8 +816,8 @@ class TestFadingTailExpectation:
         for a in (0.0, 1e-2, 1.0, 10.0):
             for b in (1e-4, 1e-2, 1.0, 100.0):
                 ref = self.adaptive(m, a, b)
-                coarse = _fading_tail_expectation(m, a, b)
-                fine = _fading_tail_expectation(m, a, b, 2 * _LAGUERRE_NODES)
+                coarse = _fading_tail_expectation(m, a, b, TOP_RUNG)
+                fine = _fading_tail_expectation(m, a, b, 2 * TOP_RUNG)
                 # the rule converges slowly only for m < 1 near a = 0 (the
                 # integrand has a y^m kink at y = 0); there the n- vs
                 # 2n-node gap, which certifies the coverage, bounds the error
@@ -816,7 +847,7 @@ class TestFadingTailExpectation:
         terms = np.exp(beta * z) * special.gammaincc(m, a[:, None] + beta * z)
         return np.where(a > 0, (1.0 + b) ** -m * (terms @ w), special.betainc(m, m, 1.0 / (1.0 + b)))
 
-    @pytest.mark.parametrize("n_nodes", [_LAGUERRE_NODES, 2 * _LAGUERRE_NODES])
+    @pytest.mark.parametrize("n_nodes", [TOP_RUNG, 2 * TOP_RUNG])
     @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 8.0])
     def test_elementary_terms_match_gammaincc(self, m, n_nodes):
         # where 2m is an integer the terms are e^-a S(a + beta z), S from the
@@ -837,23 +868,23 @@ class TestFadingTailExpectation:
         # 2m not an integer: the terms are still exp(beta z) gammaincc(m, .),
         # bit for bit
         a, b = np.meshgrid(np.geomspace(1e-4, 1e3, 15), np.geomspace(1e-4, 1e4, 17))
-        got = _fading_tail_expectation(1.3, a, b).ravel()
-        np.testing.assert_array_equal(got, self.gammaincc_tail(1.3, a, b, _LAGUERRE_NODES))
+        got = _fading_tail_expectation(1.3, a, b, TOP_RUNG).ravel()
+        np.testing.assert_array_equal(got, self.gammaincc_tail(1.3, a, b, TOP_RUNG))
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 8.0])
     def test_zero_offset_is_incomplete_beta(self, m):
         b = np.array([1e-4, 1e-2, 1.0, 100.0])
         a = np.array([0.0, 1.0, 0.0, 1.0])  # closed form also inside a mixed batch
-        got = _fading_tail_expectation(m, a, b)
+        got = _fading_tail_expectation(m, a, b, TOP_RUNG)
         expected = special.betainc(m, m, 1.0 / (1.0 + b))
         assert got[0] == expected[0] and got[2] == expected[2]
-        assert _fading_tail_expectation(m, 0.0, 3.0) == special.betainc(m, m, 0.25)
+        assert _fading_tail_expectation(m, 0.0, 3.0, TOP_RUNG) == special.betainc(m, m, 0.25)
 
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 8.0])
     def test_trimmed_rule_matches_full_rule(self, m):
         a, b = np.meshgrid(np.geomspace(1e-4, 1e3, 15), np.geomspace(1e-4, 1e4, 17))
-        for n_nodes in (_LAGUERRE_NODES, 2 * _LAGUERRE_NODES):
+        for n_nodes in (TOP_RUNG, 2 * TOP_RUNG):
             z, w = analytic._gen_laguerre_rule(m, n_nodes)
             z_full, w_full = special.roots_genlaguerre(n_nodes, m - 1.0)
             kept = z.size
@@ -900,6 +931,21 @@ class TestCoverageQueryDispatch:
         assert coverage_probability(q) == pytest.approx(model.coverage(th), rel=1e-9)
         q_dom = CoverageQuery(th, FiniteHPPP(0.01), channel, geom, "dominant")
         assert coverage_probability(q_dom) == pytest.approx(model.coverage_dominant(th), rel=1e-6)
+
+    def test_quadrature_error_names_method_and_theta(self, geom, monkeypatch):
+        # a 2-node fading rule cannot certify m = 0.5: the dispatcher's error
+        # names the query and keeps the engine's estimates and level
+        from corridor_cov import CoverageQuery, coverage_probability
+
+        ch = ChannelParams(alpha=2.2, q=2.0, m=0.5)
+        monkeypatch.setattr(analytic, "_LAGUERRE_LADDER", (2,))
+        with pytest.raises(QuadratureError) as engine:
+            bpp_model(N, geom, ch).coverage_dominant(1.0)
+        with pytest.raises(QuadratureError) as err:
+            coverage_probability(CoverageQuery(1.0, BPP(N), ch, geom, "dominant"))
+        assert str(err.value) == f"[fading] coverage method 'dominant' failed at theta=1.0: {engine.value}"
+        assert (err.value.best_estimate, err.value.error_estimate, err.value.level) == (
+            engine.value.best_estimate, engine.value.error_estimate, "fading")
 
     def test_disc_is_simulation_only(self, geom, channel):
         from corridor_cov import CoverageQuery, Disc2D, coverage_probability

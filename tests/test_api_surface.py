@@ -83,7 +83,8 @@ def test_removed_names_are_gone(path):
 
 
 # Settings that are derived (the thread count is the CPU count) or that no
-# caller set.
+# caller set: the analytic engine's rules are its module constants.  A bare
+# name is a simulator function; any other is module-qualified.
 REMOVED_PARAMETERS = [
     ("_map_batches", "workers"),
     ("simulate_sir", "workers"),
@@ -93,14 +94,22 @@ REMOVED_PARAMETERS = [
     ("trace_replay", "sir_edges_db"),
     ("synthesize_trace", "include_fading"),
     ("kl_divergence", "epsilon"),
+    ("analytic._ConditionalLaplace", "config"),
+    ("analytic.InterferenceLaplaceBPP", "config"),
+    ("analytic.InterferenceLaplaceHPPP", "config"),
+    ("analytic._CoverageModel._coverage_dominant_generic", "laguerre_nodes"),
+    ("analytic.ReceivedPowerDistribution.normalization", "config"),
+    ("core.CorridorGeometry.max_link_distance", "h"),
 ]
 
 
-@pytest.mark.parametrize("function, parameter", REMOVED_PARAMETERS)
-def test_removed_parameters_are_gone(function, parameter):
-    from corridor_cov import simulator
-
-    assert parameter not in inspect.signature(getattr(simulator, function)).parameters
+@pytest.mark.parametrize("path, parameter", REMOVED_PARAMETERS)
+def test_removed_parameters_are_gone(path, parameter):
+    module, *attrs = path.split(".") if "." in path else ("simulator", path)
+    obj = importlib.import_module(f"corridor_cov.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert parameter not in inspect.signature(obj).parameters
 
 
 def test_kl_result_keeps_no_distributions():

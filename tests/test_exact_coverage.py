@@ -156,10 +156,9 @@ def test_bpp_coverage_matches_cache_free_oracle(geom, monkeypatch, n, m, theta_d
 
     monkeypatch.setattr(dist, "_log_at", closed_form_log_at)
     monkeypatch.setattr(analytic, "_COVERAGE_QUAD", QuadratureConfig(rel_tol=1e-9, abs_tol=1e-15))
-    inner = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
+    monkeypatch.setattr(analytic, "_LAPLACE_QUAD", QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280))
     tight = analytic.BppCoverageModel(n, geom, model.channel)
     assert tight.dist is dist
-    tight.laplace = analytic.InterferenceLaplaceBPP(dist, n, m, inner)
     oracle = tight.coverage(theta)
     assert read == {"log_pdf", "log_cdf"}
     assert value == pytest.approx(oracle, rel=0.0, abs=1e-9)
