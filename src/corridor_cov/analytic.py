@@ -423,7 +423,7 @@ class _CountLaw:
         return eps ** (1.0 / self.n), 1.0 - eps / self.n
 
 
-def _moment_series(dist, m, s, tau, x0, order, cfg, first=None):
+def _moment_series(dist, m, s, tau, x0, order, first=None):
     """Rows [D, h_1, ..., h_order] at every triple (s_i, tau_i, x0_i) of the
     broadcast arrays s, tau, x0, the Taylor coefficients of
 
@@ -493,7 +493,7 @@ def _moment_series(dist, m, s, tau, x0, order, cfg, first=None):
         return kernel(i, *first.inner[key])
 
     hook = None if first is None else first_sweep
-    res = integrate_batch(integrand, live.size, 0.0, 1.0, cfg, hook)
+    res = integrate_batch(integrand, live.size, 0.0, 1.0, _LAPLACE_QUAD, hook)
     coeff = np.array([special.poch(m, j) / math.factorial(j) for j in range(order + 1)])
     out[:, live] = coeff[:, None] * res.value
     return out, res.n_evals
@@ -552,7 +552,7 @@ class _ConditionalLaplace:
         log_g1 = law.log_derivative(1, fx0)
         if np.any(np.isneginf(log_g1)):
             raise ParameterError("conditioning power x0 has zero mass below it")
-        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, _LAPLACE_QUAD, first)
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, first)
         y = fx0 - rows[0]
         floored = np.count_nonzero(y < 0.0) if law.n < math.inf else 0
         weights = [np.exp(law.log_derivative(r + 1, y) - log_g1 - math.lgamma(r + 1))
@@ -1066,7 +1066,7 @@ class CoverageQuery:
 def coverage_probability(query: CoverageQuery) -> float:
     """Dispatch a CoverageQuery to the matching analytic engine.  A
     QuadratureError is re-raised naming the method and theta, with the
-    original's estimates and level."""
+    original's estimates and level; its level tag is written once."""
     spatial = query.spatial
     if isinstance(spatial, BPP):
         model = bpp_model(spatial.n, query.geom, query.channel)
@@ -1079,8 +1079,9 @@ def coverage_probability(query: CoverageQuery) -> float:
     try:
         return getattr(model, _METHODS[query.method])(query.theta)
     except QuadratureError as exc:
+        reason = str(exc).removeprefix(f"[{exc.level}] ")
         raise QuadratureError(
-            f"coverage method {query.method!r} failed at theta={query.theta!r}: {exc}",
+            f"coverage method {query.method!r} failed at theta={query.theta!r}: {reason}",
             best_estimate=exc.best_estimate,
             error_estimate=exc.error_estimate,
             level=exc.level,

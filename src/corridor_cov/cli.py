@@ -1,8 +1,15 @@
 """Command-line front end: coverage experiments, trace replay, height studies.
 
 Configuration is an INI file (key-value with sections, see README for the
-schema) plus flag overrides; flags win.  Thresholds are accepted in dB at
-every interface and converted once; all internal math is linear.
+schema) plus flag overrides; flags win.  A flag's argparse dest is the
+"section.key" it overrides.  Thresholds are accepted in dB at every
+interface and converted once; all internal math is linear.
+
+The table commands (coverage, replay, height-study) share one pipeline:
+config, overrides, [run] seed and config hash, then the command's
+(sweep_value, method, coverage, stderr) rows, written as CSV or JSON to
+--out or stdout.  A command's one side output (replay's SIR pdf table,
+height-study's report) lands next to --out, or after the table on stdout.
 
 Exit codes: 0 ok, 2 configuration, 3 numerical failure, 4 I/O, 5 data
 insufficiency.  Set CORRIDOR_COV_LOG=debug|info|warning for verbosity.
@@ -141,21 +148,10 @@ def _load_config(path):
 
 
 def _apply_overrides(cfg, args):
-    pairs = [
-        ("run", "seed", "seed"),
-        ("run", "trials", "trials"),
-        ("run", "theta_db", "theta_db"),
-        ("sweep", "axis", "sweep"),
-        ("sweep", "start", "start"),
-        ("sweep", "stop", "stop"),
-        ("sweep", "step", "step"),
-        ("sweep", "values", "values"),
-        ("sweep", "methods", "methods"),
-        ("replay", "fading", "fading"),
-    ]
-    for section, key, attr in pairs:
-        value = getattr(args, attr, None)
-        if value is not None:
+    """Flags win over the file: each flag's dest is the "section.key" it sets."""
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
             cfg[section][key] = str(value)
     return cfg
 
@@ -249,19 +245,9 @@ def _format_value(value):
     return str(value)
 
 
-def render_csv(rows):
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in CSV_COLUMNS))
+def _csv_text(columns, rows):
+    lines = [",".join(columns)] + [",".join(map(_format_value, row)) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def render_json(rows, metadata):
-    payload = {
-        "metadata": dict(metadata, generated_at=datetime.now(timezone.utc).isoformat()),
-        "rows": rows,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_output(text, out):
@@ -273,7 +259,7 @@ def write_output(text, out):
 
 
 # ---------------------------------------------------------------------------
-# coverage subcommand
+# sweeps and rows
 # ---------------------------------------------------------------------------
 
 
@@ -299,18 +285,29 @@ def _sweep_values(cfg):
     return values
 
 
-def _theta_grid_db(cfg, command):
-    """The [sweep] values of a command whose only sweep axis is theta (dB)."""
+def _mc_theta_grid(cfg, command):
+    """The [sweep] values of a command that sweeps theta (dB) only and runs
+    Monte Carlo only, so its [sweep] methods must include mc."""
     axis = cfg["sweep"]["axis"].strip()
     if axis != "theta":
         raise ConfigError(f"{command} sweeps theta only, not [sweep] axis = {axis!r}")
-    return _sweep_values(cfg)
-
-
-def _require_mc(cfg, command):
-    """Reject a [sweep] methods list without mc: `command` only simulates."""
+    values = _sweep_values(cfg)
     if "mc" not in _parse_methods(cfg):
         raise ConfigError(f"{command} runs Monte Carlo only; [sweep] methods must include mc")
+    return values
+
+
+def _corridor_spatial(cfg, geom, command):
+    """The [spatial] model of a command defined on the corridor only."""
+    spatial = build_spatial(cfg, geom)
+    if isinstance(spatial, Disc2D):
+        raise ConfigError(f"{command} is defined for corridor models (bpp or hppp)")
+    return spatial
+
+
+def _curve_rows(values, method, curve):
+    """(sweep_value, method, coverage, stderr) rows of a CoverageCurve."""
+    return [(v, method, c, se) for v, c, se in zip(values, curve.coverage, curve.stderr)]
 
 
 def _parse_methods(cfg):
@@ -325,6 +322,11 @@ def _parse_methods(cfg):
     if not methods:
         raise ConfigError("no methods requested")
     return methods
+
+
+# ---------------------------------------------------------------------------
+# coverage subcommand
+# ---------------------------------------------------------------------------
 
 
 def _with_sweep_value(cfg, axis, value):
@@ -348,17 +350,13 @@ def _with_sweep_value(cfg, axis, value):
     return build_spatial(cfg, geom), geom, build_channel(cfg)
 
 
-def cmd_coverage(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
+def cmd_coverage(cfg, args, seed):
     axis = cfg["sweep"]["axis"].strip()
     values = _sweep_values(cfg)
     methods = _parse_methods(cfg)
-    seed = _get_int(cfg, "run", "seed")
     trials = _get_int(cfg, "run", "trials")
     batch_size = _get_int(cfg, "run", "batch_size")
     theta_db = _get_float(cfg, "run", "theta_db")
-    chash = config_hash(cfg)
-    t0 = time.perf_counter()
 
     # one operating point for the whole theta grid, or one per sweep value at theta_db
     if axis == "theta":
@@ -373,40 +371,12 @@ def cmd_coverage(args):
                 curve = simulator.empirical_coverage(
                     spatial, geom, channel, thetas_db, trials, seed, batch_size
                 )
-                for v, c, se in zip(sweep_values, curve.coverage, curve.stderr):
-                    rows.append(_row(v, "mc", c, se, seed, chash))
+                rows += _curve_rows(sweep_values, "mc", curve)
             else:
                 for v, th in zip(sweep_values, db_to_linear(np.array(thetas_db))):
                     query = analytic.CoverageQuery(float(th), spatial, channel, geom, method)
-                    cov = analytic.coverage_probability(query)
-                    rows.append(_row(v, method, cov, None, seed, chash))
-
-    metadata = {
-        "command": "coverage",
-        "config": cfg,
-        "config_hash": chash,
-        "seed": seed,
-    }
-    log.info("coverage: %d rows in %.3f s", len(rows), time.perf_counter() - t0)
-    _emit(rows, metadata, args)
-    return EXIT_OK
-
-
-def _row(sweep_value, method, coverage, stderr, seed, chash):
-    return {
-        "sweep_value": float(sweep_value),
-        "method": method,
-        "coverage": float(coverage),
-        "stderr": None if stderr is None else float(stderr),
-        "seed": seed,
-        "config_hash": chash,
-    }
-
-
-def _emit(rows, metadata, args):
-    fmt = args.format
-    text = render_csv(rows) if fmt == "csv" else render_json(rows, metadata)
-    write_output(text, args.out)
+                    rows.append((v, method, analytic.coverage_probability(query), None))
+    return rows, {}, None
 
 
 # ---------------------------------------------------------------------------
@@ -414,60 +384,34 @@ def _emit(rows, metadata, args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_replay(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
+def cmd_replay(cfg, args, seed):
     geom = build_geometry(cfg)
-    spatial = build_spatial(cfg, geom)
-    if isinstance(spatial, Disc2D):
-        raise ConfigError("trace replay is defined for corridor models (bpp or hppp)")
-    seed = _get_int(cfg, "run", "seed")
+    spatial = _corridor_spatial(cfg, geom, "replay")
     trials = _get_int(cfg, "run", "trials")
     batch_size = _get_int(cfg, "run", "batch_size")
     channel = build_channel(cfg)
     fading_mode = cfg["replay"]["fading"].strip().lower()
-    values = _theta_grid_db(cfg, "replay")
-    _require_mc(cfg, "replay")
-    chash = config_hash(cfg)
+    values = _mc_theta_grid(cfg, "replay")
     trace = Trace.from_csv(args.trace)
-    t0 = time.perf_counter()
 
     rows = []
-    sir_tables = {}
+    sir = {}
     for policy in (simulator.MAX_POWER, simulator.MIN_DISTANCE):
         result = simulator.trace_replay(
             trace, spatial, geom, trials, values, seed,
             policy=policy, fading_mode=fading_mode, m=channel.m, batch_size=batch_size,
         )
-        method = f"replay_{policy}"
-        for v, c, se in zip(values, result.coverage.coverage, result.coverage.stderr):
-            rows.append(_row(v, method, c, se, seed, chash))
-        sir_tables[policy] = result.sir
+        rows += _curve_rows(values, f"replay_{policy}", result.coverage)
+        sir[policy] = result.sir
+    extra = {"trace": args.trace, "n_trace_samples": trace.n_samples}
+    if args.out is None:  # the SIR table is a file next to the coverage table, never stdout
+        return rows, extra, None
 
-    metadata = {
-        "command": "replay",
-        "trace": args.trace,
-        "n_trace_samples": trace.n_samples,
-        "config": cfg,
-        "config_hash": chash,
-        "seed": seed,
-    }
-    log.info("replay: %d rows in %.3f s", len(rows), time.perf_counter() - t0)
-    _emit(rows, metadata, args)
-
-    if args.out is not None:
-        stem, _ = os.path.splitext(args.out)
-        sir_path = stem + "_sir_pdf.csv"
-        edges = sir_tables[simulator.MAX_POWER].edges
-        with open(sir_path, "w") as fh:
-            fh.write("bin_left_db,bin_right_db,density_max_power,density_min_distance\n")
-            dmax = sir_tables[simulator.MAX_POWER].density
-            dmin = sir_tables[simulator.MIN_DISTANCE].density
-            for i in range(len(dmax)):
-                fh.write(
-                    f"{_format_value(float(edges[i]))},{_format_value(float(edges[i + 1]))},"
-                    f"{_format_value(float(dmax[i]))},{_format_value(float(dmin[i]))}\n"
-                )
-    return EXIT_OK
+    edges = sir[simulator.MAX_POWER].edges
+    bins = zip(edges[:-1], edges[1:], sir[simulator.MAX_POWER].density,
+               sir[simulator.MIN_DISTANCE].density)
+    columns = ["bin_left_db", "bin_right_db", "density_max_power", "density_min_distance"]
+    return rows, extra, ("_sir_pdf.csv", _csv_text(columns, ([float(x) for x in b] for b in bins)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +419,7 @@ def cmd_replay(args):
 # ---------------------------------------------------------------------------
 
 
-def _height_samples(cfg, args):
+def _height_samples(cfg, args, seed):
     if args.trace is not None:
         trace = Trace.from_csv(args.trace)
         return np.asarray(trace.height_m, dtype=float), f"trace:{args.trace}"
@@ -483,7 +427,6 @@ def _height_samples(cfg, args):
     count = _get_int(cfg, "height_study", "count")
     if count < 0:
         raise ConfigError(f"[height_study] count={count!r} must be >= 0")
-    seed = _get_int(cfg, "run", "seed")
     if dist == "normal":
         mu = _get_float(cfg, "height_study", "mean")
         sigma = _get_float(cfg, "height_study", "sigma")
@@ -502,31 +445,24 @@ def _height_samples(cfg, args):
     return samples, f"synthetic:{dist}"
 
 
-def cmd_height_study(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
-    values = _theta_grid_db(cfg, "height-study")
-    _require_mc(cfg, "height-study")
+def cmd_height_study(cfg, args, seed):
+    values = _mc_theta_grid(cfg, "height-study")
     batch_size = _get_int(cfg, "run", "batch_size")
-    heights, source = _height_samples(cfg, args)
+    heights, source = _height_samples(cfg, args, seed)
     if len(heights) < 30:
         raise DataInsufficiencyError(
             f"need at least 30 height samples to fit a model, got {len(heights)}"
         )
-    seed = _get_int(cfg, "run", "seed")
     channel = build_channel(cfg)
     radius = _get_float(cfg, "height_study", "r")
     curve_trials = _get_int(cfg, "height_study", "curve_trials")
     kl_trials = _get_int(cfg, "height_study", "kl_trials")
-    chash = config_hash(cfg)
-    t0 = time.perf_counter()
 
     mu, sigma = simulator.fit_normal_height(heights)
     lo, hi = simulator.fit_uniform_height(heights)
     cfg_geom = {s: dict(v) for s, v in cfg.items()}
     cfg_geom["geometry"]["r"] = repr(radius)
-    spatial = build_spatial(cfg_geom, build_geometry(cfg_geom))
-    if isinstance(spatial, Disc2D):
-        raise ConfigError("height studies are defined for corridor models (bpp or hppp)")
+    spatial = _corridor_spatial(cfg_geom, build_geometry(cfg_geom), "height-study")
 
     rows = []
     fits = {}
@@ -542,8 +478,7 @@ def cmd_height_study(args):
             spatial, CorridorGeometry(radius, hm), channel, values, curve_trials, seed,
             batch_size,
         )
-        for v, c, se in zip(values, curve.coverage, curve.stderr):
-            rows.append(_row(v, name, c, se, seed, chash))
+        rows += _curve_rows(values, name, curve)
         fits[name] = curve
 
     gaps = {
@@ -567,38 +502,46 @@ def cmd_height_study(args):
         "kl_normal": kl_normal,
         "kl_uniform": kl_uniform,
         "normal_preferred": bool(kl_normal <= kl_uniform),
-        "config_hash": chash,
+        "config_hash": config_hash(cfg),
     }
-    log.info("height-study: %d rows in %.3f s", len(rows), time.perf_counter() - t0)
-
-    metadata = {"command": "height-study", "config": cfg, "config_hash": chash, "seed": seed}
-    metadata["report"] = report
-    _emit(rows, metadata, args)
-    if args.out is not None:
-        stem, _ = os.path.splitext(args.out)
-        with open(stem + "_report.json", "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# selftest subcommand
-# ---------------------------------------------------------------------------
-
-
-def cmd_selftest(args):
-    from . import selftest
-
-    failures = selftest.run(trials=args.trials)
-    return EXIT_OK if failures == 0 else EXIT_NUMERIC
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return rows, {"report": report}, ("_report.json", text)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+def _run_table_command(args):
+    """Run a table command, (cfg, args, seed) -> (rows, extra metadata,
+    (file suffix, side text) or None), and write its table, then its side
+    text to --out's stem plus the suffix, or to stdout after the table."""
+    command = {"coverage": cmd_coverage, "replay": cmd_replay, "height-study": cmd_height_study}
+    cfg = _apply_overrides(_load_config(args.config), args)
+    seed = _get_int(cfg, "run", "seed")
+    chash = config_hash(cfg)
+    t0 = time.perf_counter()
+    rows, extra, side = command[args.command](cfg, args, seed)
+    log.info("%s: %d rows in %.3f s", args.command, len(rows), time.perf_counter() - t0)
+
+    rows = [
+        {"sweep_value": float(v), "method": method, "coverage": float(c),
+         "stderr": None if se is None else float(se), "seed": seed, "config_hash": chash}
+        for v, method, c, se in rows
+    ]
+    if args.format == "csv":
+        text = _csv_text(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in rows))
+    else:
+        metadata = dict(extra, command=args.command, config=cfg, config_hash=chash, seed=seed,
+                        generated_at=datetime.now(timezone.utc).isoformat())
+        text = json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    write_output(text, args.out)
+    if side is not None:
+        suffix, side_text = side
+        side_out = None if args.out is None else os.path.splitext(args.out)[0] + suffix
+        write_output(side_text, side_out)
+    return EXIT_OK
 
 
 def build_parser():
@@ -609,38 +552,38 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a dotted dest is the "section.key" of the config value the flag overrides
     def common(p):
         p.add_argument("--config", help="INI configuration file")
-        p.add_argument("--seed", type=int, help="master RNG seed")
+        p.add_argument("--seed", dest="run.seed", type=int, help="master RNG seed")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--from", dest="sweep.start", type=float, help="sweep start")
+        p.add_argument("--to", dest="sweep.stop", type=float, help="sweep end (inclusive)")
+        p.add_argument("--step", dest="sweep.step", type=float, help="sweep step")
 
     p_cov = sub.add_parser("coverage", help="coverage-probability sweeps")
     common(p_cov)
-    p_cov.add_argument("--trials", type=int, help="Monte Carlo trials")
-    p_cov.add_argument("--sweep", choices=("theta", "lambda", "R", "h", "N"))
-    p_cov.add_argument("--from", dest="start", type=float, help="sweep start")
-    p_cov.add_argument("--to", dest="stop", type=float, help="sweep end (inclusive)")
-    p_cov.add_argument("--step", type=float, help="sweep step")
-    p_cov.add_argument("--values", help="explicit comma-separated sweep values")
-    p_cov.add_argument("--methods", help="comma list: exact,dominant,single-dominant,mc")
-    p_cov.add_argument("--theta-db", dest="theta_db", type=float, help="fixed theta for non-theta sweeps")
+    p_cov.add_argument("--trials", dest="run.trials", type=int, help="Monte Carlo trials")
+    p_cov.add_argument("--sweep", dest="sweep.axis", choices=("theta", "lambda", "R", "h", "N"))
+    p_cov.add_argument("--values", dest="sweep.values",
+                       help="explicit comma-separated sweep values")
+    p_cov.add_argument("--methods", dest="sweep.methods",
+                       help="comma list: exact,dominant,single-dominant,mc")
+    p_cov.add_argument("--theta-db", dest="run.theta_db", type=float,
+                       help="fixed theta for non-theta sweeps")
 
     p_rep = sub.add_parser("replay", help="measurement-trace replay")
     common(p_rep)
-    p_rep.add_argument("--trials", type=int, help="Monte Carlo trials per association policy")
+    p_rep.add_argument("--trials", dest="run.trials", type=int,
+                       help="Monte Carlo trials per association policy")
     p_rep.add_argument("--trace", required=True, help="trace CSV (position_m,height_m,rx_power_dbm)")
-    p_rep.add_argument("--fading", choices=("redraw", "fromtrace"), help="fading mode")
-    p_rep.add_argument("--from", dest="start", type=float, help="theta grid start (dB)")
-    p_rep.add_argument("--to", dest="stop", type=float, help="theta grid end (dB)")
-    p_rep.add_argument("--step", type=float, help="theta grid step (dB)")
+    p_rep.add_argument("--fading", dest="replay.fading", choices=("redraw", "fromtrace"),
+                       help="fading mode")
 
     p_h = sub.add_parser("height-study", help="variable-height model fitting and comparison")
     common(p_h)
     p_h.add_argument("--trace", help="take height samples from this trace CSV")
-    p_h.add_argument("--from", dest="start", type=float, help="theta grid start (dB)")
-    p_h.add_argument("--to", dest="stop", type=float, help="theta grid end (dB)")
-    p_h.add_argument("--step", type=float, help="theta grid step (dB)")
 
     p_st = sub.add_parser("selftest", help="run the built-in oracle suite")
     p_st.add_argument("--trials", type=int, default=200_000, help="Monte Carlo trials per check")
@@ -653,14 +596,12 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "coverage": cmd_coverage,
-        "replay": cmd_replay,
-        "height-study": cmd_height_study,
-        "selftest": cmd_selftest,
-    }
     try:
-        return handlers[args.command](args)
+        if args.command == "selftest":
+            from . import selftest
+
+            return EXIT_OK if selftest.run(trials=args.trials) == 0 else EXIT_NUMERIC
+        return _run_table_command(args)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,10 +60,14 @@ def _require(ok, message, *values):
         raise ParameterError(message)
 
 
+def _is_integer(n):
+    """A Python or numpy integer, not a bool or a float."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _require_count(n, what):
-    """Raise ParameterError unless the UAV count `n` is an integer >= 1: a
-    Python or numpy integer, not a bool or a float."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    """Raise ParameterError unless the UAV count `n` is an integer >= 1."""
+    if not _is_integer(n) or n < 1:
         raise ParameterError(f"{what} needs an integer UAV count n >= 1, got {n!r}")
 
 

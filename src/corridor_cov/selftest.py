@@ -98,7 +98,7 @@ def run(trials=200_000, seed=20250811):
     # tau = s) against one scalar integral per point
     dist, cfg = bpp3.dist, analytic._LAPLACE_QUAD
     x0s = np.geomspace(1e-7, 1e-4, 5)
-    batched, _ = analytic._moment_series(dist, 3.0, sarg, sarg, x0s, 2, cfg)
+    batched, _ = analytic._moment_series(dist, 3.0, sarg, sarg, x0s, 2)
 
     def moment(j, x0):
         def f(t):

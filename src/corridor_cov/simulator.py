@@ -11,8 +11,8 @@ The loop runs the trials through `_map_batches` in fixed-size batches;
 batch b draws from its own SFC64 generator, seeded by
 SeedSequence(seed) with spawn key (b,) (the b-th child of
 SeedSequence(seed).spawn), so the same master seed gives bit-identical
-results however many threads run the batches.  The seed must be >= 0 and
-may have any number of bits.  Releases before the SFC64 substreams drew
+results however many threads run the batches.  The seed must be an
+integer >= 0 of any number of bits.  Releases before the SFC64 substreams drew
 batch b from Philox(key=seed).jumped(b), so their same-seed results
 differ.  `sample_heights` draws from SeedSequence(seed) with an empty spawn
 key, a stream apart from every batch's.  `_map_batches` runs one
@@ -91,6 +91,7 @@ from .core import (
     FixedHeight,
     InverseGammaShadowing,
     ParameterError,
+    _is_integer,
     _require,
     db_to_linear,
     linear_to_db,
@@ -149,9 +150,12 @@ class MappingError(ValueError):
     """A simulated position cannot be mapped onto the trace."""
 
 
-def _check_seed(seed):
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
+def _check_integer(value, name, least):
+    """Raise ParameterError naming `name` unless `value` is an integer >= `least`."""
+    if not _is_integer(value):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}")
 
 
 def _substream(seed, batch_index):
@@ -167,7 +171,7 @@ def sample_heights(height_model, count, seed):
     """`count` heights from `height_model`, as data apart from any
     simulation: drawn by SFC64 on SeedSequence(seed) with an empty spawn
     key, a stream disjoint from every batch's `_substream(seed, b)`."""
-    _check_seed(seed)
+    _check_integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     return np.asarray(height_model.sample(rng, count), dtype=float)
 
@@ -194,11 +198,9 @@ def _map_batches(entry, fn, trials, batch_size, seed):
     count: min(number of batches, `_cpu_count()`).  Logs one debug line per
     call, naming the calling `entry` point.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
-    _check_seed(seed)
+    _check_integer(trials, "trials", 1)
+    _check_integer(batch_size, "batch_size", 1)
+    _check_integer(seed, "seed", 0)
     start = time.perf_counter()
     sizes = [min(batch_size, trials - first) for first in range(0, trials, batch_size)]
 
@@ -813,7 +815,7 @@ def synthesize_trace(geom, channel, spacing, seed):
     """Model-generated trace without fast fading: one shadowing draw per
     recorded position, powers from the channel model, heights from the
     geometry's height model.  Used for replay closure tests."""
-    _check_seed(seed)
+    _check_integer(seed, "seed", 0)
     rng = _substream(seed, 0)
     n = int(round(geom.length / spacing)) + 1
     pos = np.linspace(-geom.R, geom.R, n)

@@ -99,6 +99,7 @@ REMOVED_PARAMETERS = [
     ("analytic.InterferenceLaplaceHPPP", "config"),
     ("analytic._CoverageModel._coverage_dominant_generic", "laguerre_nodes"),
     ("analytic.ReceivedPowerDistribution.normalization", "config"),
+    ("analytic._moment_series", "cfg"),
     ("core.CorridorGeometry.max_link_distance", "h"),
 ]
 

@@ -54,7 +54,7 @@ def test_batched_moment_series_matches_scalar_integrals(geom, m, tau_is_s):
     s = m * np.array([0.3, 1.0, 0.1, 1.0, 10.0, 100.0, 1.0]) / x0
     tau = s if tau_is_s else np.ones_like(s)
     order = m - 1
-    got, n_evals = analytic._moment_series(dist, float(m), s, tau, x0, order, cfg)
+    got, n_evals = analytic._moment_series(dist, float(m), s, tau, x0, order)
     assert got.shape == (order + 1, x0.size)
     assert n_evals > 0
     assert np.all(got[:, 0] == 0.0)
@@ -64,14 +64,14 @@ def test_batched_moment_series_matches_scalar_integrals(geom, m, tau_is_s):
             ref = scalar_moment(dist, float(m), j, s[i], tau[i], x0[i], cfg)
             assert got[j, i] == pytest.approx(ref, rel=1e-12, abs=0.0), (i, j)
     # the last point lies above the support: its integrals stop at x_hi
-    full, _ = analytic._moment_series(dist, float(m), s[-1], tau[-1], dist.x_hi, order, cfg)
+    full, _ = analytic._moment_series(dist, float(m), s[-1], tau[-1], dist.x_hi, order)
     np.testing.assert_allclose(got[:, -1], full[:, 0], rtol=1e-12)
 
 
 def test_batched_moment_series_without_live_points_is_zero(model10):
     dist = model10.dist
     got, n_evals = analytic._moment_series(
-        dist, 1.0, 1e6, 1e6, [0.1 * dist.x_lo, 0.5 * dist.x_lo], 2, analytic._LAPLACE_QUAD
+        dist, 1.0, 1e6, 1e6, [0.1 * dist.x_lo, 0.5 * dist.x_lo], 2
     )
     assert n_evals == 0
     assert np.all(got == 0.0)

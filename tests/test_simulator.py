@@ -546,6 +546,38 @@ class TestSeeds:
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             self.calls(geom, channel, -1)[entry]()
 
+    # the counts and the seed are integers: a bool or a float is rejected by
+    # name, where True would run 1 trial and 1000.0 fail inside numpy
+    @pytest.mark.parametrize(
+        "entry, argument",
+        [("simulate_sir", a) for a in ("trials", "batch_size", "seed")]
+        + [("empirical_coverage", a) for a in ("trials", "batch_size", "seed")]
+        + [("trace_replay", a) for a in ("trials", "batch_size", "seed")]
+        + [("sample_heights", "seed"), ("synthesize_trace", "seed")],
+    )
+    @pytest.mark.parametrize("bad", ["bool", "float"])
+    def test_counts_and_seed_must_be_integers(self, geom, channel, entry, argument, bad):
+        small = CorridorGeometry(200.0, FixedHeight(200.0))
+        trace = synthesize_trace(small, channel, spacing=0.5, seed=1)
+        kw = {"trials": 100, "batch_size": 64, "seed": 1}
+        kw[argument] = True if bad == "bool" else {"trials": 1000.0, "batch_size": 256.5,
+                                                   "seed": 1.5}[argument]
+        calls = {
+            "simulate_sir": lambda: simulate_sir(BPP(10), geom, channel, **kw),
+            "empirical_coverage": lambda: empirical_coverage(BPP(10), geom, channel, [0.0], **kw),
+            "trace_replay": lambda: trace_replay(trace, BPP(10), small, theta_db=[0.0], **kw),
+            "sample_heights": lambda: sample_heights(UniformHeight(80.0, 120.0), 10, kw["seed"]),
+            "synthesize_trace": lambda: synthesize_trace(small, channel, 0.5, kw["seed"]),
+        }
+        with pytest.raises(ParameterError, match=f"^{argument} must be an integer, got "):
+            calls[entry]()
+
+    def test_numpy_integer_counts_give_the_same_stream(self, geom, channel):
+        a, _ = simulate_sir(BPP(10), geom, channel, 300, seed=5, batch_size=128)
+        b, _ = simulate_sir(BPP(10), geom, channel, np.int64(300), seed=np.uint64(5),
+                            batch_size=np.int32(128))
+        assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**200])
     def test_seeds_of_64_bits_and_more_work(self, geom, channel, seed):
         for call in self.calls(geom, channel, seed).values():
