@@ -15,10 +15,10 @@ function) when the residual is dropped, and by a fixed generalized
 Gauss-Laguerre rule when it is replaced by its mean.  Where 2m is an
 integer the rule's terms are elementary, e^x Q(m, x) summed by the order
 recurrence of Q, and for integer m they are polynomials of degree m - 1,
-which the ceil(m/2)-node rule integrates exactly.  Non-integer m takes an
-8-node rule certified against twice its nodes, as a second component of the
-same integral on the same panels, and returns the 16-node value; where that
-pair disagrees it falls back to a 32-node rule certified against 64 nodes.
+which the ceil(m/2)-node rule integrates exactly.  Non-integer m takes a
+4-node rule certified against twice its nodes, as a second component of the
+same integral on the same panels, and returns the 8-node value; where that
+pair disagrees it falls back to 8 nodes against 16, then to 32 against 64.
 What remains is a 2D integral over the top-two received powers; each call of
 its outer integrand computes the inner integrals of all its nodes with one
 batched rule.
@@ -46,7 +46,8 @@ first sweeps of exact coverage's two levels evaluate the same nodes at every
 theta, and most of the nodes: a model's first exact value keeps their
 interpolant reads in a first-sweep table (`_FirstSweep`), and later values
 pass it to `integrate`'s and `integrate_batch`'s `first` hooks, so that only
-the theta-dependent kernel is computed there.
+the theta-dependent kernel is computed there.  The dominant rule keeps a
+table of its own, shared by both of its methods.
 Laplace-transform derivatives are analytic Taylor coefficients: G' is
 expanded about F - D in the kernel's non-negative series, a truncated power
 series with no subtraction; finite differences are test oracles only.
@@ -106,9 +107,10 @@ _COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
 _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
 # Generalized Gauss-Laguerre nodes for the mean-residual fading expectation
 # at non-integer m, where each coverage value is certified against a rule
-# with twice as many: the ladder's first rung where that pair agrees, else
-# the next.  Integer m takes the ceil(m/2)-node rule, which is exact.
-_LAGUERRE_LADDER = (8, 32)
+# with twice as many, and takes that rule's value: the ladder's first rung
+# where that pair agrees, else the next.  Integer m takes the ceil(m/2)-node
+# rule, which is exact.
+_LAGUERRE_LADDER = (4, 8, 32)
 _LAGUERRE_DROP = 1e-17
 _TERM_BLOCK = 8192
 
@@ -486,11 +488,7 @@ def _moment_series(dist, m, s, tau, x0, order, first=None):
         return kernel(i, *reads(i, u))
 
     def first_sweep(i, u):  # a chunk's first sweep, at the same nodes u on every call
-        key = (i[0], i.size)
-        if key not in first.inner:
-            first.inner[key] = reads(i, u)
-            first.fills += 1
-        return kernel(i, *first.inner[key])
+        return kernel(i, *first.inner_part(i, lambda: reads(i, u)))
 
     hook = None if first is None else first_sweep
     res = integrate_batch(integrand, live.size, 0.0, 1.0, _LAPLACE_QUAD, hook)
@@ -582,20 +580,29 @@ class _ConditionalLaplace:
 
 
 class _FirstSweep:
-    """What exact coverage reads at its first sweeps on one model, none of
+    """What a coverage rule reads at its first sweeps on one model, none of
     it depending on theta: the outer rule's first sweep over the serving
-    powers, and the first sweeps of the inner moment integrals that it
-    calls.  `_CoverageModel.coverage` fills it on a model's first value and
-    reads it on every later one, so that both levels compute only the
-    kernel there.  The first-sweep nodes depend only on the model's bounds
-    and the rules' `initial_panels`, not on their tolerances.
+    powers, and the first sweeps of the inner integrals that it calls.  The
+    model's first value fills it and every later one reads it, so that
+    both levels compute only the kernel there.  The first-sweep nodes
+    depend only on the model's bounds and the rules' `initial_panels`, not
+    on their tolerances.
 
-    Outer level, `outer` at the live first-sweep nodes (see
-    `_outer_reads`): the powers x0, F(x0), the maximum-power density f0 and
-    the live mask.  Inner level, `inner`, per chunk of `_moment_series` rows
-    that `integrate_batch` runs, keyed by its first row and row count: p and
-    the density at the chunk's first-sweep nodes, the arrays that the reads
-    made.  About 0.22 MiB at the default rules, 120 rows of 120 nodes.
+    Exact coverage (`_CoverageModel.coverage`): `outer` holds, at the live
+    first-sweep nodes (see `_outer_reads`), the powers x0, F(x0), the
+    maximum-power density f0 and the live mask; `inner`, per chunk of
+    `_moment_series` rows that `integrate_batch` runs, keyed by its first
+    row and row count, p and the density at the chunk's first-sweep nodes,
+    the arrays that the reads made.  About 0.22 MiB at the default rules,
+    120 rows of 120 nodes.
+
+    Dominant coverage (`_CoverageModel._coverage_dominant_generic`, both
+    methods): `outer` holds x0, f(x0) and the inner rows' widths at the
+    outer first-sweep nodes; `inner`, per chunk keyed as above, x0_r, x_i,
+    the residual mean omega (0.0 where N <= 2 has no residual), the top-two
+    density and the width at the chunk's first-sweep nodes.  About 0.08 MiB
+    at the default rule, 45 rows of 45 nodes.
+
     `fills` counts the parts filled.
     """
 
@@ -603,6 +610,21 @@ class _FirstSweep:
         self.outer = None
         self.inner = {}
         self.fills = 0
+
+    def outer_part(self, read):
+        """`outer`, filled by read() if empty."""
+        if self.outer is None:
+            self.outer = read()
+            self.fills += 1
+        return self.outer
+
+    def inner_part(self, rows, read):
+        """The part of the chunk of rows `rows`, filled by read() if absent."""
+        key = (rows[0], rows.size)
+        if key not in self.inner:
+            self.inner[key] = read()
+            self.fills += 1
+        return self.inner[key]
 
 
 class _CoverageModel:
@@ -617,6 +639,9 @@ class _CoverageModel:
         self.dist = _cached_dist(geom, channel)
         self._bounds = {}  # eps -> `_outer_bounds(eps)`
         self._first = _FirstSweep()  # exact coverage's, filled by its first value
+        # both dominant methods' table, per `_DOMINANT_QUAD.initial_panels`,
+        # which sets its first-sweep nodes
+        self._dominant_first = {}
 
     @cached_property
     def laplace(self) -> _ConditionalLaplace:
@@ -722,10 +747,7 @@ class _CoverageModel:
             return conditional(*self._outer_reads(t))
 
         def first_sweep(t):  # the same nodes t on every call
-            if table.outer is None:
-                table.outer = self._outer_reads(t)
-                table.fills += 1
-            return conditional(*table.outer, table)
+            return conditional(*table.outer_part(lambda: self._outer_reads(t)), table)
 
         res = integrate(integrand, math.log(lo), math.log(hi), _COVERAGE_QUAD, first=first_sweep)
         value, clamp_note = _clamp(res.value)
@@ -795,6 +817,15 @@ class _CoverageModel:
         tolerance.  Fewer than 3 panels need refinement sweeps that cost
         more than the nodes they save.
 
+        Only the fading tail's arguments a and b depend on theta, so the
+        reads at both levels' first sweeps (45 outer nodes and 2,025 of the
+        3,405 inner ones above) go into the model's dominant `_FirstSweep`
+        table: the first value of either method fills it, with omega
+        wherever N > 2, and every later value, of either method, at any
+        theta and on every pass of the ladder, hands it to the `first`
+        hooks and forms only a, b and the tail there, multiplying the same
+        factors in the same order.  Refinement sweeps read as before.
+
         With a residual the fading expectation uses an n-node Laguerre rule:
         ceil(m/2) nodes for integer m, the `_LAGUERRE_LADDER` for any other
         m.  For integer m the rule is exact: the rescaled integrand
@@ -806,11 +837,11 @@ class _CoverageModel:
         `_DOMINANT_QUAD` tolerance, and the first is returned.  A pair that
         disagrees passes to the ladder's next rung, a new 2D pass, and the
         last rung's disagreement raises.  At m = 2.5 the first rung costs
-        23 fading terms per inner node (16 nodes, 15 kept, and 8), where
-        the 64/32 pair costs 59 (35 and 24 kept), and its values lie
-        within 1e-14 of the 64-node ones for N from 2 to 200 and theta
-        from -20 to +20 dB.  Logs the work done at debug level, summed
-        over the passes, and the rule returned.
+        12 fading terms per inner node (8 nodes and 4, none dropped), where
+        the 16/8 rung costs 23 (15 kept, and 8) and the 64/32 pair 59 (35
+        and 24 kept).  Logs the work done at debug level, summed over the
+        passes, whether the table was built or reused, and the rule
+        returned.
         """
         _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         law = self.law
@@ -825,38 +856,55 @@ class _CoverageModel:
         with_residual_mean = with_residual_mean and law.n > 2
         certified = with_residual_mean and not integer_m
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
+        table = self._dominant_first.setdefault(_DOMINANT_QUAD.initial_panels, _FirstSweep())
+        fills = table.fills
         outer_nodes = rows = inner_nodes = 0
 
-        def outer(t0):
+        def outer_reads(t0):  # x0, f(x0) and the inner rows' widths; no theta
+            return np.exp(t0), np.exp(dist._log_at(t0, "log_pdf")[0]), t0 - t_lo
+
+        def inner_reads(x0, fx0, width, r, u, residual):
+            """x0_r, x_i, omega (0.0 unless `residual`), the top-two density
+            and the width at nodes u of rows r; no theta."""
+            x0_r, w = x0[r], width[r]
+            ti = t_lo + u * w
+            xi = np.exp(ti)
+            if residual:
+                f_i, fxi, m1 = np.exp(dist._log_at(ti, "log_pdf", "log_cdf", "log_m1"))
+                omega = self._residual_mean(fxi, m1)
+            else:
+                f_i, fxi = np.exp(dist._log_at(ti, "log_pdf", "log_cdf"))
+                omega = 0.0
+            return x0_r, xi, omega, self._joint_top_two(fx0[r], f_i, fxi), w
+
+        def kernel(x0_r, xi, omega, joint, w):
+            omega = omega if with_residual_mean else 0.0  # the table's omega serves both methods
+            a, b = m * theta * omega / x0_r, theta * xi / x0_r
+            return np.array(
+                [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
+            )
+
+        def outer(x0, fx0, width, first=None):
             nonlocal rows, inner_nodes
-            x0 = np.exp(t0)
-            fx0 = np.exp(dist._log_at(t0, "log_pdf")[0])
-            width = t0 - t_lo
 
             def inner(r, u):
-                x0_r, w = x0[r], width[r]
-                ti = t_lo + u * w
-                xi = np.exp(ti)
-                if with_residual_mean:
-                    f_i, fxi, m1 = np.exp(dist._log_at(ti, "log_pdf", "log_cdf", "log_m1"))
-                    omega = self._residual_mean(fxi, m1)
-                else:
-                    f_i, fxi = np.exp(dist._log_at(ti, "log_pdf", "log_cdf"))
-                    omega = 0.0
-                a, b = m * theta * omega / x0_r, theta * xi / x0_r
-                joint = self._joint_top_two(fx0[r], f_i, fxi)
-                return np.array(
-                    [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
-                )
+                return kernel(*inner_reads(x0, fx0, width, r, u, with_residual_mean))
 
-            res = integrate_batch(inner, t0.size, 0.0, 1.0, inner_cfg)
-            rows += t0.size
+            res = integrate_batch(inner, x0.size, 0.0, 1.0, inner_cfg, first)
+            rows += x0.size
             inner_nodes += res.n_evals
             return res.value
 
+        def inner_first(r, u):  # a chunk's first sweep under the outer first sweep
+            return kernel(*table.inner_part(r, lambda: inner_reads(*table.outer, r, u, law.n > 2)))
+
+        def outer_first(t0):  # the same nodes t0 on every call
+            return outer(*table.outer_part(lambda: outer_reads(t0)), inner_first)
+
         for n_nodes in ladder:
-            rules = [2 * n_nodes, n_nodes] if certified else [n_nodes]  # read by `inner`
-            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
+            rules = [2 * n_nodes, n_nodes] if certified else [n_nodes]  # read by `kernel`
+            res = integrate(lambda t0: outer(*outer_reads(t0)), t_lo, t_hi, _DOMINANT_QUAD,
+                            first=outer_first)
             outer_nodes += res.n_evals
             value, gap = res.value[0], abs(res.value[0] - res.value[-1])
             tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(value))
@@ -873,9 +921,11 @@ class _CoverageModel:
         alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
         value, clamp_note = _clamp(float(alone + value))
         log.debug(
-            "dominant coverage at theta=%.6g: residual %s, %d outer nodes, %d inner rows, "
-            "%d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, %.3f s%s",
-            theta, "mean" if with_residual_mean else "dropped", outer_nodes, rows, inner_nodes,
+            "dominant coverage at theta=%.6g: first-sweep table %s, residual %s, %d outer nodes, "
+            "%d inner rows, %d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, "
+            "%.3f s%s",
+            theta, "reused" if table.fills == fills else "built",
+            "mean" if with_residual_mean else "dropped", outer_nodes, rows, inner_nodes,
             _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
             rules[0] if with_residual_mean else 0, "yes" if certified else "no",
             time.perf_counter() - start, clamp_note,

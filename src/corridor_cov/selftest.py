@@ -127,7 +127,7 @@ def run(trials=200_000, seed=20250811):
     checks.append(("elementary fading-tail terms vs gammaincc", ok))
 
     # batched mean-residual dominant coverage against the nested scalar rule,
-    # on the 16-node rule that certifies it here (the ladder's first rung)
+    # on the 8-node rule that certifies it here (the ladder's first rung)
     bpp25 = analytic.bpp_model(10, geom, ChannelParams(alpha=2.2, q=2.0, m=2.5))
     t_lo, t_hi = np.log(bpp25._outer_bounds(1e-10))
     n_rule = 2 * analytic._LAGUERRE_LADDER[0]

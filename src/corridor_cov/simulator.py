@@ -171,6 +171,7 @@ def sample_heights(height_model, count, seed):
     """`count` heights from `height_model`, as data apart from any
     simulation: drawn by SFC64 on SeedSequence(seed) with an empty spawn
     key, a stream disjoint from every batch's `_substream(seed, b)`."""
+    _check_integer(count, "count", 0)
     _check_integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     return np.asarray(height_model.sample(rng, count), dtype=float)

@@ -617,19 +617,20 @@ class TestBatchedDominantIntegral:
         with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
             dominant = model.coverage_dominant(1.0)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
-        n_rule = int(self.LINE.fullmatch(line).group(6))
+        n_rule = int(self.LINE.fullmatch(line).group(7))
         single = model.coverage_single_dominant(1.0)
         assert dominant == pytest.approx(self.nested(model, 1.0, True, n_rule), rel=1e-12, abs=0.0)
         assert single == pytest.approx(self.nested(model, 1.0, False, n_rule), rel=1e-12, abs=0.0)
 
     LINE = re.compile(
-        r"dominant coverage at theta=1: residual (mean|dropped), (\d+) outer nodes, "
-        r"(\d+) inner rows, (\d+) inner node evaluations, (\d+)/(\d+) Laguerre nodes kept, "
-        r"certified (yes|no), [0-9.]+ s"
+        r"dominant coverage at theta=1: first-sweep table (built|reused), residual (mean|dropped), "
+        r"(\d+) outer nodes, (\d+) inner rows, (\d+) inner node evaluations, "
+        r"(\d+)/(\d+) Laguerre nodes kept, certified (yes|no), [0-9.]+ s"
     )
 
-    def test_logs_its_work(self, geom, caplog):
-        model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=2.5))
+    def test_logs_its_work(self, geom, caplog, monkeypatch):
+        ch = ChannelParams(alpha=2.2, q=2.0, m=2.5)
+        model = analytic.BppCoverageModel(N, geom, ch)  # its dominant table not yet built
         model.dist.x_lo  # build the cache outside the captured calls
         with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
             model.coverage_dominant(1.0)
@@ -638,21 +639,32 @@ class TestBatchedDominantIntegral:
         assert len(lines) == 2
         fields = [self.LINE.fullmatch(line) for line in lines]
         assert all(fields), lines
-        (res, outer, rows, inner, kept, n_rule, cert), single = (f.groups() for f in fields)
-        # m = 2.5: the ladder's first rung, 8 nodes checked against 16,
+        (table, res, outer, rows, inner, kept, n_rule, cert), single = (f.groups() for f in fields)
+        # m = 2.5: the ladder's first rung, 4 nodes checked against 8,
         # certifies the value in one 2D pass
-        assert (res, cert, int(n_rule)) == ("mean", "yes", 2 * analytic._LAGUERRE_LADDER[0])
-        assert 0 < int(kept) < int(n_rule)
+        assert (table, res, cert, int(n_rule)) == ("built", "mean", "yes", 2 * analytic._LAGUERRE_LADDER[0])
         assert int(outer) % 15 == 0  # one G7/K15 panel is 15 nodes
         # the work at R = 500 m, h = 100 m, alpha = 2.2, q = 2, pinned: a change
         # to the cost per node must not move it
-        assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 15)
+        assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 8)
         assert int(rows) == int(outer)  # one inner row per outer node
         # at least the first sweep's panels per row
         assert int(inner) >= 15 * analytic._DOMINANT_QUAD.initial_panels * int(rows)
-        res, outer, rows, inner, kept, n_rule, cert = single
-        assert (res, kept, n_rule, cert) == ("dropped", "0", "0", "no")
+        table, res, outer, rows, inner, kept, n_rule, cert = single
+        # the single-dominant value reuses what the dominant one read
+        assert (table, res, kept, n_rule, cert) == ("reused", "dropped", "0", "0", "no")
         assert int(rows) == int(outer) > 0 and int(inner) > 0
+        # the 8-node rule drops nothing at m = 2.5; on a forced 8/16 rung the
+        # 16-node rule drops its largest nodes
+        caplog.clear()
+        monkeypatch.setattr(analytic, "_LAGUERRE_LADDER", (8,))
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            model.coverage_dominant(1.0)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        table, res, outer, _, inner, kept, n_rule, cert = self.LINE.fullmatch(line).groups()
+        assert (table, res, cert, int(n_rule)) == ("reused", "mean", "yes", 16)
+        assert 0 < int(kept) < int(n_rule)
+        assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 15)
 
 
 class TestExactFadingRuleAtIntegerM:
@@ -702,7 +714,7 @@ class TestExactFadingRuleAtIntegerM:
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
         fields = TestBatchedDominantIntegral.LINE.fullmatch(line)
         assert fields, line
-        res, _, _, _, kept, n_rule, cert = fields.groups()
+        _, res, _, _, _, kept, n_rule, cert = fields.groups()
         assert (res, int(kept), int(n_rule), cert) == ("mean", math.ceil(m / 2), math.ceil(m / 2), "no")
 
     def test_two_node_rule_exact_up_to_m4(self, geom):
@@ -716,8 +728,10 @@ class TestExactFadingRuleAtIntegerM:
 
 class TestFadingRuleLadder:
     """At non-integer m the mean-residual fading rule is certified on a
-    ladder: 8 nodes checked against 16 first, and 32 against 64 where that
-    pair disagrees.  A one-rung `_LAGUERRE_LADDER` is one pair."""
+    ladder of three rungs: 4 nodes checked against 8 first, 8 against 16
+    where that pair disagrees, and 32 against 64 where that one does too;
+    each rung returns its finer rule's value.  A one-rung
+    `_LAGUERRE_LADDER` is one pair."""
 
     @staticmethod
     def one_rung(monkeypatch, model, theta, n_nodes):
@@ -727,8 +741,8 @@ class TestFadingRuleLadder:
             return model.coverage_dominant(theta)
 
     def test_fallback_repeats_the_top_rung(self, geom, monkeypatch, caplog):
-        # at BPP 3, m = 0.5, 0 dB the 8- and 16-node values disagree, so the
-        # value is the 32/64 pair's, bit for bit, after both 2D passes
+        # at BPP 3, m = 0.5, 0 dB the 4/8 and 8/16 pairs disagree, so the
+        # value is the 32/64 pair's, bit for bit, after all three 2D passes
         model = bpp_model(3, geom, ChannelParams(alpha=2.2, q=2.0, m=0.5))
         with pytest.raises(QuadratureError) as err:
             self.one_rung(monkeypatch, model, 1.0, 8)
@@ -752,10 +766,10 @@ class TestFadingRuleLadder:
             value = model.coverage_dominant(1.0)
         assert value == top
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
-        res, outer, _, inner, kept, n_rule, cert = TestBatchedDominantIntegral.LINE.fullmatch(line).groups()
+        _, res, outer, _, inner, kept, n_rule, cert = TestBatchedDominantIntegral.LINE.fullmatch(line).groups()
         assert (res, int(n_rule), cert) == ("mean", 2 * TOP_RUNG, "yes")
         assert int(kept) == analytic._gen_laguerre_rule(0.5, 2 * TOP_RUNG)[0].size
-        assert len(work["integrate"]) == 2  # one outer integral per pass
+        assert len(work["integrate"]) == 3  # one outer integral per pass
         assert (int(outer), int(inner)) == (sum(work["integrate"]), sum(work["integrate_batch"]))
 
     @pytest.mark.parametrize("m", [0.5, 1.3, 2.5, 8.5])
@@ -771,6 +785,51 @@ class TestFadingRuleLadder:
                 got = model.coverage_dominant(th)
                 ref = self.one_rung(monkeypatch, model, th, TOP_RUNG)
                 assert abs(got - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref)), (model.law, theta_db)
+
+
+BOTH_SIZES = ((analytic.BppCoverageModel, N), (analytic.HpppCoverageModel, 0.01))
+
+
+@pytest.mark.parametrize("order", [("dominant", "single"), ("single", "dominant")])
+@pytest.mark.parametrize(
+    "specs, m, thetas_db",
+    [(BOTH_SIZES, 1.0, range(-20, 21, 5)), (BOTH_SIZES, 2.5, range(-20, 21, 5)),
+     # the ladder's fallback: three 2D passes, the last two on the table
+     (((analytic.BppCoverageModel, 3),), 0.5, (0,))],
+    ids=["m1", "m2.5", "fallback"],
+)
+def test_dominant_table_matches_fresh_models(geom, caplog, specs, m, thetas_db, order):
+    # A model's first dominant or single-dominant value builds its dominant
+    # first-sweep table, and every later value of either method reuses it;
+    # values, node counts and debug lines are those of a fresh model per
+    # theta and method, bit for bit.  BPP 10 and HPPP 0.01 share one
+    # received-power cache and take their values in turn.
+    ch = ChannelParams(alpha=2.2, q=2.0, m=m)
+    methods = {"dominant": "coverage_dominant", "single": "coverage_single_dominant"}
+    shared = [cls(size, geom, ch) for cls, size in specs]
+    assert all(model.dist is shared[0].dist for model in shared)
+
+    def value_and_line(model, method, theta):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            value = getattr(model, methods[method])(theta)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
+        table = re.search(r": first-sweep table (built|reused), ", line)
+        assert table is not None, line
+        return value, table.group(1), re.sub(r"[0-9.]+ s$", "", line.replace(table.group(0), ": "))
+
+    refined = 0
+    for k, db in enumerate(thetas_db):
+        theta = 10 ** (db / 10)
+        for j, method in enumerate(order):
+            for (cls, size), model in zip(specs, shared):
+                value, table, work = value_and_line(model, method, theta)
+                fresh_value, fresh_table, fresh_work = value_and_line(cls(size, geom, ch), method, theta)
+                assert (table, fresh_table) == ("reused" if k or j else "built", "built")
+                assert value == fresh_value and work == fresh_work, (cls, method, db)
+                outer, inner = map(int, re.search(r"(\d+) outer nodes, \d+ inner rows, (\d+) inner", work).groups())
+                refined += outer > 45 and inner > 45 * 45  # both levels past their first sweep
+    assert refined
 
 
 @pytest.mark.parametrize("method, shift, clipped", [("coverage", 1.0, 1.0), ("coverage_dominant", -1.0, 0.0)])
@@ -826,13 +885,13 @@ class TestFadingTailExpectation:
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 1.3, 1.5, 2.5, 8.0])
     def test_gap_bounds_the_error_on_each_rung(self, m):
-        # what the certification relies on: on both rungs of the ladder
-        # (n = 8 and 32) and between them, the n- vs 2n-node gap bounds the
-        # 2n-node rule's error
+        # what the certification relies on: on every rung of the ladder
+        # (n = 4, 8 and 32) and between them, the n- vs 2n-node gap bounds
+        # the 2n-node rule's error
         for a in (0.0, 1e-2, 1.0, 10.0):
             for b in (1e-4, 1e-2, 1.0, 100.0):
                 ref = self.adaptive(m, a, b)
-                for n_nodes in (8, 16, 32):
+                for n_nodes in (4, 8, 16, 32):
                     coarse = _fading_tail_expectation(m, a, b, n_nodes)
                     fine = _fading_tail_expectation(m, a, b, 2 * n_nodes)
                     assert abs(fine - ref) <= abs(coarse - fine) + 1e-9 * ref, (a, b, n_nodes)

@@ -572,6 +572,17 @@ class TestSeeds:
         with pytest.raises(ParameterError, match=f"^{argument} must be an integer, got "):
             calls[entry]()
 
+    # these once raised numpy's TypeError (True, 2.5) or ValueError (-1)
+    @pytest.mark.parametrize("count, message", [
+        (True, r"^count must be an integer, got True$"),
+        (2.5, r"^count must be an integer, got 2\.5$"),
+        (-1, r"^count must be >= 0$"),
+    ])
+    def test_height_count_is_checked(self, count, message):
+        with pytest.raises(ParameterError, match=message):
+            sample_heights(UniformHeight(80.0, 120.0), count, 1)
+        assert sample_heights(UniformHeight(80.0, 120.0), 0, 1).shape == (0,)
+
     def test_numpy_integer_counts_give_the_same_stream(self, geom, channel):
         a, _ = simulate_sir(BPP(10), geom, channel, 300, seed=5, batch_size=128)
         b, _ = simulate_sir(BPP(10), geom, channel, np.int64(300), seed=np.uint64(5),
