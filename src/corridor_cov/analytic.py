@@ -63,7 +63,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PPoly
 
 from .core import (
     BPP,
@@ -132,6 +131,10 @@ _CHEB_TO_POWER = np.column_stack([
         np.polynomial.Chebyshev.basis(k, [0.0, 1.0]).convert(kind=np.polynomial.Polynomial).coef
         for k in range(_CHEB_POINTS))
 ])
+# The cache's interpolants, stacked in this order, and the most points that
+# `_read` evaluates at once.
+_LOG_NAMES = ("log_pdf", "log_cdf", "log_m1")
+_READ_BLOCK = 2048
 
 log = logging.getLogger(__name__)
 
@@ -269,21 +272,27 @@ class ReceivedPowerDistribution:
         left, coeffs, tail = (np.concatenate(parts) for parts in zip(*kept))
         order = np.argsort(left)
         breaks = np.append(left[order], t_hi)
-        # power-basis coefficients in t - left, highest power first, per function
+        # power-basis coefficients in t - left, lowest power first: (function, piece, k)
         scale = np.diff(breaks)[:, None, None] ** -np.arange(_CHEB_POINTS)
-        power = (coeffs[order] @ _CHEB_TO_POWER.T * scale)[..., ::-1].transpose(1, 2, 0)
-        log_pdf, log_cdf, log_m1 = (PPoly(c, breaks, extrapolate=False) for c in power)
+        power = (coeffs[order] @ _CHEB_TO_POWER.T * scale).transpose(1, 0, 2)
+        # `_read`'s tables, indexed by searchsorted(search, t, "right"): a NaN
+        # piece below t_lo and another above t_hi (and for NaN), and t = t_hi
+        # on the top piece, as scipy's PPoly(extrapolate=False) reads them
+        nan = np.full((len(_LOG_NAMES), 1, _CHEB_POINTS), np.nan)
+        pieces = (
+            np.append(breaks, np.nextafter(t_hi, math.inf)),
+            np.concatenate([[np.nan], breaks[:-1], breaks[-2:-1], [np.nan]]),
+            np.concatenate([nan, power, power[:, -1:], nan], axis=1),
+        )
         t_table = np.linspace(t_lo, t_hi, 4097)
         self._cache = {
             "t_lo": t_lo,
             "t_hi": t_hi,
             "x_lo": math.exp(t_lo),
             "x_hi": math.exp(t_hi),
-            "log_pdf": log_pdf,
-            "log_cdf": log_cdf,
-            "log_m1": log_m1,
+            "pieces": pieces,
             "t_table": t_table,
-            "log_cdf_table": log_cdf(t_table),
+            "log_cdf_table": _read(pieces, t_table, ("log_cdf",))[0],
         }
         log.debug(
             "received-power cache: %d pieces, %d rounds, worst trailing coefficient "
@@ -314,11 +323,15 @@ class ReceivedPowerDistribution:
     def _log_at(self, t, *names):
         """The interpolants `names` ("log_pdf", "log_cdf", "log_m1") at
         log-abscissae t that all lie strictly inside (t_lo, t_hi), log F
-        capped at 0 as in `cdf`.  The hot loops integrate in t, so their nodes
-        are logs already and lie inside the range by construction: this
-        reader takes no exp -> log round trip, no masks and no scatter."""
-        c = self._ensure()
-        return [np.minimum(c[n](t), 0.0) if n == "log_cdf" else c[n](t) for n in names]
+        capped at 0 as in `cdf`: a (len(names), *t.shape) array.  The hot
+        loops integrate in t, so their nodes are logs already and lie inside
+        the range by construction: this reader takes no exp -> log round
+        trip, no masks and no scatter."""
+        values = _read(self._ensure()["pieces"], t, names)
+        if "log_cdf" in names:
+            i = names.index("log_cdf")
+            np.minimum(values[i:i + 1], 0.0, out=values[i:i + 1])
+        return values
 
     # -- cached API ------------------------------------------------------------
 
@@ -359,8 +372,8 @@ class ReceivedPowerDistribution:
             log_p = np.log(p)
         t = np.interp(log_p, c["log_cdf_table"], c["t_table"])
         for _ in range(2):
-            log_cdf = c["log_cdf"](t)
-            step = (log_cdf - log_p) * np.exp(log_cdf - t - c["log_pdf"](t))
+            log_cdf, log_pdf = _read(c["pieces"], t, ("log_cdf", "log_pdf"))
+            step = (log_cdf - log_p) * np.exp(log_cdf - t - log_pdf)
             t = np.clip(t - step, c["t_lo"], c["t_hi"])
         out = np.exp(t)
         return float(out) if out.ndim == 0 else out
@@ -375,6 +388,47 @@ class ReceivedPowerDistribution:
             return self.pdf_exact(x) * x
 
         return integrate(f, c["t_lo"], c["t_hi"], cfg).value
+
+
+def _read(pieces, t, names):
+    """The cached interpolants `names` (of `_LOG_NAMES`) at log-abscissae t,
+    a (len(names), *t.shape) array, NaN outside [t_lo, t_hi]; `pieces` are
+    the cache's search, base and (function, piece, k) coefficient tables.
+
+    Repeats scipy's PPoly arithmetic bit for bit: with s = t - base of t's
+    piece, powers z_k = z_(k-1) s from z_0 = 1, and c_k z_k summed from
+    k = 0 upward.  All names share the piece search and the powers.  Points
+    run in blocks of `_READ_BLOCK` through a (16, block) array of powers and
+    a (block, 16) one of coefficients, which stay small enough not to be
+    faulted in afresh on every call.  einsum sums each point's 16 terms in
+    order as long as the powers of a point are not adjacent in memory, so a
+    lone point in the last block is read twice.
+    """
+    search, base, coef = pieces
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    n = flat.size
+    if n % _READ_BLOCK == 1:
+        flat = np.append(flat, flat[-1])
+    out = np.empty((len(names), flat.size))
+    size = min(flat.size, _READ_BLOCK)
+    powers = np.empty((_CHEB_POINTS, size))
+    powers[0] = 1.0
+    terms = np.empty((size, _CHEB_POINTS))
+    rows = [_LOG_NAMES.index(name) for name in names]
+    for start in range(0, flat.size, size):
+        tb = flat[start:start + size]
+        z, c = powers[:, :tb.size], terms[:tb.size]
+        piece = search.searchsorted(tb, "right")
+        s = tb - base.take(piece)
+        for k in range(1, _CHEB_POINTS):
+            np.multiply(z[k - 1], s, out=z[k])
+        for j, row in enumerate(rows):
+            # every piece index is in range; "clip" skips take's checked copy
+            coef[row].take(piece, axis=0, out=c, mode="clip")
+            np.einsum("ik,ki->i", c, z, out=out[j, start:start + tb.size])
+    return out[:, :n].reshape(len(names), *t.shape)
+
 
 # ---------------------------------------------------------------------------
 # Shared by both spatial models: the UAV count law, the Taylor-coefficient
@@ -834,7 +888,8 @@ class _CoverageModel:
         certification.  Otherwise the integrand has two components, the
         fading expectation by 2 n nodes and by n, integrated on the same
         panels in one 2D pass; the two values must agree to the
-        `_DOMINANT_QUAD` tolerance, and the first is returned.  A pair that
+        `_DOMINANT_QUAD` tolerance of the value returned, the lone UAV's
+        chance included, and the first is returned.  A pair that
         disagrees passes to the ladder's next rung, a new 2D pass, and the
         last rung's disagreement raises.  At m = 2.5 the first rung costs
         12 fading terms per inner node (8 nodes and 4, none dropped), where
@@ -901,13 +956,14 @@ class _CoverageModel:
         def outer_first(t0):  # the same nodes t0 on every call
             return outer(*table.outer_part(lambda: outer_reads(t0)), inner_first)
 
+        alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
         for n_nodes in ladder:
             rules = [2 * n_nodes, n_nodes] if certified else [n_nodes]  # read by `kernel`
             res = integrate(lambda t0: outer(*outer_reads(t0)), t_lo, t_hi, _DOMINANT_QUAD,
                             first=outer_first)
             outer_nodes += res.n_evals
             value, gap = res.value[0], abs(res.value[0] - res.value[-1])
-            tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(value))
+            tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(alone + value))
             if gap <= tol:
                 break
         else:
@@ -918,7 +974,6 @@ class _CoverageModel:
                 error_estimate=gap,
                 level="fading",
             )
-        alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
         value, clamp_note = _clamp(float(alone + value))
         log.debug(
             "dominant coverage at theta=%.6g: first-sweep table %s, residual %s, %d outer nodes, "

@@ -151,29 +151,39 @@ def _evaluate_panels(f, lo, hi):
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = center[:, None] + half[:, None] * _NODES[None, :]
+    x = np.multiply.outer(half, _NODES)
+    x += center[:, None]
     fy = np.asarray(f(x.ravel()), dtype=float)
     vector = fy.ndim == 2
     fy = fy.reshape(-1, *x.shape)
-    finite = np.isfinite(fy).all(axis=0)
-    if not finite.all():
-        bad = x[~finite][0]
-        raise QuadratureError(
-            f"integrand returned a non-finite value at x={bad!r}",
-        )
-    sums = fy @ _KRONROD_GAUSS_W  # (k, panels, 2)
-    kron = sums[..., 0] * half
-    gauss = sums[..., 1] * half
-    # |f - mean| in place: a fresh temporary of fy's size costs more than the product.
-    # Its Kronrod sum goes through the same two-column product as `sums`: a
-    # matrix-vector product rounds a panel differently by its position in
-    # the batch, so a row's error estimate would depend on its chunk.
-    deviation = fy - 0.5 * sums[..., :1]
-    resasc = (np.abs(deviation, out=deviation) @ _KRONROD_GAUSS_W)[..., 0] * half
-    err = np.abs(kron - gauss)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where(resasc > 0, resasc * ratio, err)
+        sums = fy @ _KRONROD_GAUSS_W  # (k, panels, 2)
+        # Every Kronrod weight is positive, so a non-finite node value leaves
+        # its panel's sum non-finite, with the product's warnings off; only
+        # then are the nodes scanned.
+        if not np.isfinite(sums).all():
+            finite = np.isfinite(fy).all(axis=0)
+            if not finite.all():
+                raise QuadratureError(
+                    f"integrand returned a non-finite value at x={x[~finite][0]!r}",
+                )
+        kron = sums[..., 0] * half
+        gauss = sums[..., 1] * half
+        # |f - mean| in place: a fresh temporary of fy's size costs more than the product.
+        # Its Kronrod sum goes through the same two-column product as `sums`: a
+        # matrix-vector product rounds a panel differently by its position in
+        # the batch, so a row's error estimate would depend on its chunk.
+        deviation = fy - (0.5 * sums[..., 0])[..., None]
+        resasc = (np.abs(deviation, out=deviation) @ _KRONROD_GAUSS_W)[..., 0] * half
+        raw = np.abs(kron - gauss)
+        err = 200.0 * raw
+        err /= resasc
+        err **= 1.5
+        np.minimum(err, 1.0, out=err)
+        err *= resasc
+    positive = resasc > 0
+    if not positive.all():
+        np.copyto(err, raw, where=~positive)
     return kron, err, x.size, vector
 
 
@@ -193,25 +203,26 @@ def _adaptive_rows(f, rows, a, b, cfg, first=None):
     lo = a + width * np.arange(panels)
     hi = lo + width
     hi[-1] = b
-    lo, hi = np.tile(lo, n), np.tile(hi, n)
+    lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
     owner = np.repeat(np.arange(n), panels)  # local row of each panel
 
     def evaluate(owner, lo, hi, f=f):
-        node_rows = np.repeat(rows[owner], len(_NODES))
+        node_rows = rows[owner].repeat(len(_NODES))
         return _evaluate_panels(lambda x: f(node_rows, x), lo, hi)
 
-    def per_row(panel_values):  # (k, panels) -> (k, rows) sums
-        return np.array([np.bincount(owner, v, n) for v in panel_values])
-
     values, errors, n_evals, vector = evaluate(owner, lo, hi, first or f)
-    out_values = np.empty((len(values), n))
-    out_errors = np.empty((len(values), n))
+    k = len(values)
+    component = n * np.arange(k)[:, None]
+    out_values = np.empty((k, n))
+    out_errors = np.empty((k, n))
     while True:
-        total = per_row(values)
-        err = per_row(errors)
+        key = (owner + component).ravel()  # one bin per (component, row)
+        total, err = (np.bincount(key, v.ravel(), k * n).reshape(k, n) for v in (values, errors))
         n_panels = np.bincount(owner, minlength=n)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         done = (err <= tol).all(axis=0) & (n_panels > 0)
+        if done.all():  # only on the first sweep: later ones have finished rows without panels
+            return total, err, n_evals, vector
         out_values[:, done] = total[:, done]
         out_errors[:, done] = err[:, done]
         failed = ~done & (n_panels >= cfg.max_subdivisions)

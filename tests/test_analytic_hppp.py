@@ -6,7 +6,9 @@ from scipy import special
 
 from corridor_cov import (
     ChannelParams,
+    CorridorGeometry,
     FiniteHPPP,
+    FixedHeight,
     InterferenceLaplaceBPP,
     InterferenceLaplaceHPPP,
     ParameterError,
@@ -236,6 +238,19 @@ class TestCoverageHPPP:
     def test_converges_at_domain_corners(self, geom, m, mean_count, theta_db):
         model = hppp_model(mean_count / geom.length, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
         assert 0.0 < model.coverage(10 ** (theta_db / 10)) < 1.0
+
+    # A mean count of 2 (R = h = 100 m) at high theta: the lone serving UAV
+    # carries about 0.313 of a dominant value of about 0.315.  Every fading
+    # rung raised while it was certified against the N >= 2 part alone
+    # (0.0017 at 20 dB), not against the value returned.
+    @pytest.mark.parametrize("alpha, theta_db", [(2.0, 18.0), (2.0, 19.0), (2.0, 20.0), (6.0, 20.0)])
+    def test_dominant_rung_tolerance_counts_the_lone_uav(self, alpha, theta_db):
+        geom = CorridorGeometry(100.0, FixedHeight(100.0))
+        model = hppp_model(LAM, geom, ChannelParams(alpha=alpha, q=5.0, m=0.5))
+        mu = LAM * geom.length
+        alone = mu * math.exp(-mu) / -math.expm1(-mu)
+        value = model.coverage_dominant(10 ** (theta_db / 10))
+        assert alone < value < alone + 0.01
 
     def test_requires_integer_m(self, geom):
         ch = ChannelParams(alpha=2.2, q=2.0, m=2.5)

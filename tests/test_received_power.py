@@ -5,6 +5,7 @@ import logging
 import re
 
 from scipy import integrate
+from scipy.interpolate import PPoly
 
 import numpy as np
 import pytest
@@ -85,6 +86,43 @@ def test_log_space_reader_matches_the_public_methods(caplog, q, alpha, r_over_h)
     # F <= 1 everywhere, also in the last nat below t_hi, where log F is nearest 0
     top = c["t_hi"] - np.geomspace(1e-14, 1.0, 200)
     assert np.all(cdf <= 1.0) and np.all(dist._log_at(top, "log_cdf")[0] <= 0.0)
+
+
+@pytest.mark.parametrize("r_over_h", [1.0, 500.0])
+@pytest.mark.parametrize("alpha", [2.0, 6.0])
+@pytest.mark.parametrize("q", [1.05, 20.0])
+def test_reader_repeats_ppoly_bit_for_bit(caplog, q, alpha, r_over_h):
+    # The oracle is scipy's PPoly on the cache's own breaks and coefficients:
+    # the reader repeats its arithmetic, so every read is equal, not close,
+    # for any number of names and any shape of t.
+    dist, _ = build(q, alpha, r_over_h, caplog)
+    c = dist._ensure()
+    search, _, coef = c["pieces"]
+    breaks = search[:-1]  # the last is the reader's sentinel just above t_hi
+    oracle = {
+        name: PPoly(coef[i, 1:-2, ::-1].T, breaks, extrapolate=False)
+        for i, name in enumerate(analytic._LOG_NAMES)
+    }
+
+    def want(t, name):
+        value = oracle[name](t)
+        return np.minimum(value, 0.0) if name == "log_cdf" else value
+
+    rng = np.random.default_rng(31)
+    t = np.concatenate([[c["t_lo"], c["t_hi"]], breaks, rng.uniform(c["t_lo"], c["t_hi"], 4500)])
+    assert t.size > 2 * analytic._READ_BLOCK  # three blocks
+    lone = t[:2 * analytic._READ_BLOCK + 1]  # a last block of one point
+    for names in (("log_pdf",), ("log_cdf", "log_m1"), analytic._LOG_NAMES):
+        for shaped in (t[1], t[7], t[:1], t[:2], lone, t, t[:4096].reshape(64, 64)):
+            got = dist._log_at(shaped, *names)
+            assert got.shape == (len(names),) + np.shape(shaped)
+            for value, name in zip(got, names):
+                assert np.asarray(value).tobytes() == want(shaped, name).tobytes(), (name, shaped)
+    # like PPoly(extrapolate=False), NaN outside [t_lo, t_hi] and at NaN
+    outside = np.array([np.nextafter(c["t_lo"], -np.inf), np.nextafter(c["t_hi"], np.inf), np.nan])
+    assert np.isnan(dist._log_at(outside, *analytic._LOG_NAMES)).all()
+    # the table that seeds `ppf`'s Newton steps comes from the same reader
+    assert c["log_cdf_table"].tobytes() == oracle["log_cdf"](c["t_table"]).tobytes()
 
 
 def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
