@@ -42,12 +42,13 @@ Integrals over the same nodes share one vector-valued integrand, so each node
 is evaluated once: the cache samples f, F and M1 as one 3-component integral,
 and exact coverage computes the inner moment integrals of one outer-integrand
 call with one batched rule whose rows carry all the Taylor orders.  The
-first sweeps of exact coverage's two levels evaluate the same nodes at every
-theta, and most of the nodes: a model's first exact value keeps their
-interpolant reads in a first-sweep table (`_FirstSweep`), and later values
-pass it to `integrate`'s and `integrate_batch`'s `first` hooks, so that only
-the theta-dependent kernel is computed there.  The dominant rule keeps a
-table of its own, shared by both of its methods.
+first sweeps of both levels of exact coverage, and of the dominant rule,
+evaluate the same nodes at every theta, and most of the nodes: each rule
+splits its integrands into theta-free interpolant reads and a kernel, and
+the model keeps one `integrate` memo per rule, so that a model's first value
+keeps the first-sweep reads and later values compute only the kernel there.
+An outer read returns the fresh dict that becomes the inner rule's memo at
+its nodes.  Both dominant methods share the dominant memo.
 Laplace-transform derivatives are analytic Taylor coefficients: G' is
 expanded about F - D in the kernel's non-negative series, a truncated power
 series with no subtraction; finite differences are test oracles only.
@@ -308,9 +309,11 @@ class ReceivedPowerDistribution:
 
     def _interpolated(self, name, x, above):
         """exp of the log-interpolant `name` at each x in (x_lo, x_hi), 0
-        below, and above(x) at the x >= x_hi."""
+        below, and above(x) at the x >= x_hi; NaN raises, as it lies in none."""
         c = self._ensure()
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ParameterError("received power must not be NaN")
         out = np.zeros(x.shape)
         high = x >= c["x_hi"]
         if high.any():
@@ -366,7 +369,7 @@ class ReceivedPowerDistribution:
         rounding; levels outside (F(x_lo), F(x_hi)) give x_lo or x_hi."""
         c = self._ensure()
         p = np.asarray(p, dtype=float)
-        if np.any((p < 0) | (p > 1)):
+        if not np.all((0 <= p) & (p <= 1)):
             raise ParameterError("quantile level must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             log_p = np.log(p)
@@ -479,7 +482,7 @@ class _CountLaw:
         return eps ** (1.0 / self.n), 1.0 - eps / self.n
 
 
-def _moment_series(dist, m, s, tau, x0, order, first=None):
+def _moment_series(dist, m, s, tau, x0, order, memo=None):
     """Rows [D, h_1, ..., h_order] at every triple (s_i, tau_i, x0_i) of the
     broadcast arrays s, tau, x0, the Taylor coefficients of
 
@@ -502,10 +505,9 @@ def _moment_series(dist, m, s, tau, x0, order, first=None):
     give 0.  Returns the (order + 1, n) array and the number of node
     evaluations.
 
-    A `_FirstSweep` table `first` for these x0 supplies p and the density
-    at every row's first-sweep nodes: the first call fills it, chunk by
-    chunk of `integrate_batch`, from the reads it makes anyway, and later
-    calls (other s and tau) form only the kernels there.
+    A `memo` for these x0, passed to `integrate_batch`, keeps p and the
+    density at every row's first-sweep nodes: the first call fills it, and
+    later calls (other s and tau) form only the kernels there.
     """
     s, tau, x0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
                                        for a in (s, tau, x0)))
@@ -538,14 +540,7 @@ def _moment_series(dist, m, s, tau, x0, order, first=None):
                 kern[j] = kern[j - 1] * r
         return kern
 
-    def integrand(i, u):
-        return kernel(i, *reads(i, u))
-
-    def first_sweep(i, u):  # a chunk's first sweep, at the same nodes u on every call
-        return kernel(i, *first.inner_part(i, lambda: reads(i, u)))
-
-    hook = None if first is None else first_sweep
-    res = integrate_batch(integrand, live.size, 0.0, 1.0, _LAPLACE_QUAD, hook)
+    res = integrate_batch(kernel, live.size, 0.0, 1.0, _LAPLACE_QUAD, reads, memo)
     coeff = np.array([special.poch(m, j) / math.factorial(j) for j in range(order + 1)])
     out[:, live] = coeff[:, None] * res.value
     return out, res.n_evals
@@ -594,17 +589,18 @@ class _ConditionalLaplace:
         self.law = law
         self.m = float(m)
 
-    def _series(self, s, tau, x0, order, fx0=None, first=None):
+    def _series(self, s, tau, x0, order, fx0=None, memo=None):
         """Taylor coefficients (-tau)^k / k! L^(k)(s | x0), k <= order, of
         z -> L(s - tau z) at every (s_i, tau_i, x0_i), given F(x0) = fx0 if
-        the caller has it, and its `_FirstSweep` table for these x0 if any;
-        the count of floored points; and the number of node evaluations."""
+        the caller has it, and its `_moment_series` memo for these x0 if
+        any; the count of floored points; and the number of node
+        evaluations."""
         law = self.law
         fx0 = self.dist.cdf(x0) if fx0 is None else fx0
         log_g1 = law.log_derivative(1, fx0)
         if np.any(np.isneginf(log_g1)):
             raise ParameterError("conditioning power x0 has zero mass below it")
-        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, first)
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, memo)
         y = fx0 - rows[0]
         floored = np.count_nonzero(y < 0.0) if law.n < math.inf else 0
         weights = [np.exp(law.log_derivative(r + 1, y) - log_g1 - math.lgamma(r + 1))
@@ -633,54 +629,6 @@ class _ConditionalLaplace:
         return float(coeffs[1, 0])
 
 
-class _FirstSweep:
-    """What a coverage rule reads at its first sweeps on one model, none of
-    it depending on theta: the outer rule's first sweep over the serving
-    powers, and the first sweeps of the inner integrals that it calls.  The
-    model's first value fills it and every later one reads it, so that
-    both levels compute only the kernel there.  The first-sweep nodes
-    depend only on the model's bounds and the rules' `initial_panels`, not
-    on their tolerances.
-
-    Exact coverage (`_CoverageModel.coverage`): `outer` holds, at the live
-    first-sweep nodes (see `_outer_reads`), the powers x0, F(x0), the
-    maximum-power density f0 and the live mask; `inner`, per chunk of
-    `_moment_series` rows that `integrate_batch` runs, keyed by its first
-    row and row count, p and the density at the chunk's first-sweep nodes,
-    the arrays that the reads made.  About 0.22 MiB at the default rules,
-    120 rows of 120 nodes.
-
-    Dominant coverage (`_CoverageModel._coverage_dominant_generic`, both
-    methods): `outer` holds x0, f(x0) and the inner rows' widths at the
-    outer first-sweep nodes; `inner`, per chunk keyed as above, x0_r, x_i,
-    the residual mean omega (0.0 where N <= 2 has no residual), the top-two
-    density and the width at the chunk's first-sweep nodes.  About 0.08 MiB
-    at the default rule, 45 rows of 45 nodes.
-
-    `fills` counts the parts filled.
-    """
-
-    def __init__(self):
-        self.outer = None
-        self.inner = {}
-        self.fills = 0
-
-    def outer_part(self, read):
-        """`outer`, filled by read() if empty."""
-        if self.outer is None:
-            self.outer = read()
-            self.fills += 1
-        return self.outer
-
-    def inner_part(self, rows, read):
-        """The part of the chunk of rows `rows`, filled by read() if absent."""
-        key = (rows[0], rows.size)
-        if key not in self.inner:
-            self.inner[key] = read()
-            self.fills += 1
-        return self.inner[key]
-
-
 class _CoverageModel:
     """All analytic quantities for one (UAV count law, geometry, channel)
     triple, conditioned on a non-empty corridor; each count-law quantity is a
@@ -692,10 +640,9 @@ class _CoverageModel:
         self.m = channel.m
         self.dist = _cached_dist(geom, channel)
         self._bounds = {}  # eps -> `_outer_bounds(eps)`
-        self._first = _FirstSweep()  # exact coverage's, filled by its first value
-        # both dominant methods' table, per `_DOMINANT_QUAD.initial_panels`,
-        # which sets its first-sweep nodes
-        self._dominant_first = {}
+        # the `integrate` memos of exact coverage and of both dominant methods
+        self._exact_memo = {}
+        self._dominant_memo = {}
 
     @cached_property
     def laplace(self) -> _ConditionalLaplace:
@@ -728,9 +675,9 @@ class _CoverageModel:
             bounds = self._bounds[eps] = tuple(self.dist.ppf(levels))
         return bounds
 
-    def _conditional_coverage(self, theta, m, x0, fx0=None, first=None):
+    def _conditional_coverage(self, theta, m, x0, fx0=None, memo=None):
         """P(SIR > theta | serving power x0) at every x0 (F(x0) = fx0 and
-        the `_FirstSweep` table `first` if given), for integer m: the
+        the `_moment_series` memo for these x0 if given), for integer m: the
         coverage theorem's sum_k (-s)^k / k! L^(k)(s | x0), k < m, at
         s = m theta / x0: the column sum of the Taylor coefficients of
         z -> L(s - s z), each >= 0 because L is completely monotone.  Returns
@@ -738,19 +685,20 @@ class _CoverageModel:
         evaluations.
         """
         s = m * theta / x0
-        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1, fx0, first)
+        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1, fx0, memo)
         return coeffs.sum(axis=0), floored, n_evals
 
     def _outer_reads(self, t):
-        """(x0, F(x0), f0, live) at log powers t: the powers, their cdf and
-        the maximum-power density at the live nodes, those with density and
-        at least 1e-12 of the mass below them, and the live mask."""
+        """(x0, F(x0), f0, live, memo) at log powers t: the powers, their cdf
+        and the maximum-power density at the live nodes, those with density
+        and at least 1e-12 of the mass below them, the live mask, and a fresh
+        memo for the inner integrals at these x0."""
         x0 = np.exp(t)
         log_f, log_cdf = self.dist._log_at(t, "log_pdf", "log_cdf")
         fx0 = np.exp(log_cdf)
         f0 = self._max_power_pdf(np.exp(log_f), fx0)
         live = (f0 > 0) & (fx0 >= 1e-12)
-        return x0[live], fx0[live], f0[live], live
+        return x0[live], fx0[live], f0[live], live, {}
 
     def conditional_coverage(self, theta, x0):
         """P(SIR > theta | Pr0 = x0), for integer m."""
@@ -773,23 +721,24 @@ class _CoverageModel:
         Neither level's first sweep depends on theta but through its kernel:
         the outer one reads the same nodes on every call, and so do the
         inner ones it calls, which carry most of the nodes.  The model's
-        `_FirstSweep` table keeps those reads; the first value fills it and
-        later ones hand it to both levels' `first` hooks, so that they redo
-        only the kernel there.  Refinement sweeps read as before.  Logs the
-        work done at debug level, and whether the table was built or reused.
+        exact memo keeps the outer reads, each with the memo of the inner
+        integrals at its x0; the first value fills them and later ones
+        compute only the kernel there.  Refinement sweeps read afresh, with a
+        throwaway inner memo.  Logs the work done at debug level, and whether
+        the first-sweep table was built or reused.
         """
         _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         m = self.channel.require_integer_m()
         self.laplace  # noqa: B018 -- a 1-UAV BPP raises here, before any quadrature
         lo, hi = self._outer_bounds()
-        table, fills = self._first, self._first.fills
+        memo, entries = self._exact_memo, len(self._exact_memo)
         start = time.perf_counter()
         calls = rows = inner_nodes = floored = 0
 
-        def conditional(x0, fx0, f0, live, first=None):
+        def conditional(x0, fx0, f0, live, inner_memo):
             nonlocal calls, rows, inner_nodes, floored
             out = np.zeros(live.shape)
-            cov, n_floored, n_evals = self._conditional_coverage(theta, m, x0, fx0, first)
+            cov, n_floored, n_evals = self._conditional_coverage(theta, m, x0, fx0, inner_memo)
             out[live] = cov * f0 * x0
             calls += 1
             rows += x0.size * m
@@ -797,18 +746,13 @@ class _CoverageModel:
             floored += n_floored
             return out
 
-        def integrand(t):
-            return conditional(*self._outer_reads(t))
-
-        def first_sweep(t):  # the same nodes t on every call
-            return conditional(*table.outer_part(lambda: self._outer_reads(t)), table)
-
-        res = integrate(integrand, math.log(lo), math.log(hi), _COVERAGE_QUAD, first=first_sweep)
+        res = integrate(conditional, math.log(lo), math.log(hi), _COVERAGE_QUAD,
+                        self._outer_reads, memo)
         value, clamp_note = _clamp(res.value)
         log.debug(
             "exact coverage at theta=%.6g: first-sweep table %s, %d outer-integrand calls, "
             "%d outer nodes, %d inner rows, %d inner node evaluations, %d floored, %.3f s%s",
-            theta, "reused" if table.fills == fills else "built", calls, res.n_evals, rows,
+            theta, "reused" if len(memo) == entries else "built", calls, res.n_evals, rows,
             inner_nodes, floored, time.perf_counter() - start, clamp_note,
         )
         return value
@@ -873,12 +817,11 @@ class _CoverageModel:
 
         Only the fading tail's arguments a and b depend on theta, so the
         reads at both levels' first sweeps (45 outer nodes and 2,025 of the
-        3,405 inner ones above) go into the model's dominant `_FirstSweep`
-        table: the first value of either method fills it, with omega
-        wherever N > 2, and every later value, of either method, at any
-        theta and on every pass of the ladder, hands it to the `first`
-        hooks and forms only a, b and the tail there, multiplying the same
-        factors in the same order.  Refinement sweeps read as before.
+        3,405 inner ones above) go into the model's dominant memo: the first
+        value of either method fills it, with omega wherever N > 2, and
+        every later value, of either method, at any theta and on every pass
+        of the ladder, forms only a, b and the tail there, multiplying the
+        same factors in the same order.  Refinement sweeps read afresh.
 
         With a residual the fading expectation uses an n-node Laguerre rule:
         ceil(m/2) nodes for integer m, the `_LAGUERRE_LADDER` for any other
@@ -911,56 +854,47 @@ class _CoverageModel:
         with_residual_mean = with_residual_mean and law.n > 2
         certified = with_residual_mean and not integer_m
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
-        table = self._dominant_first.setdefault(_DOMINANT_QUAD.initial_panels, _FirstSweep())
-        fills = table.fills
+        memo, entries = self._dominant_memo, len(self._dominant_memo)
         outer_nodes = rows = inner_nodes = 0
 
-        def outer_reads(t0):  # x0, f(x0) and the inner rows' widths; no theta
-            return np.exp(t0), np.exp(dist._log_at(t0, "log_pdf")[0]), t0 - t_lo
+        def outer_reads(t0):  # x0, f(x0), the inner rows' widths and their memo; no theta
+            return np.exp(t0), np.exp(dist._log_at(t0, "log_pdf")[0]), t0 - t_lo, {}
 
-        def inner_reads(x0, fx0, width, r, u, residual):
-            """x0_r, x_i, omega (0.0 unless `residual`), the top-two density
-            and the width at nodes u of rows r; no theta."""
-            x0_r, w = x0[r], width[r]
-            ti = t_lo + u * w
-            xi = np.exp(ti)
-            if residual:
-                f_i, fxi, m1 = np.exp(dist._log_at(ti, "log_pdf", "log_cdf", "log_m1"))
-                omega = self._residual_mean(fxi, m1)
-            else:
-                f_i, fxi = np.exp(dist._log_at(ti, "log_pdf", "log_cdf"))
-                omega = 0.0
-            return x0_r, xi, omega, self._joint_top_two(fx0[r], f_i, fxi), w
-
-        def kernel(x0_r, xi, omega, joint, w):
-            omega = omega if with_residual_mean else 0.0  # the table's omega serves both methods
+        def kernel(r, x0_r, xi, omega, joint, w):
+            omega = omega if with_residual_mean else 0.0  # the memo's omega serves both methods
             a, b = m * theta * omega / x0_r, theta * xi / x0_r
             return np.array(
                 [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
             )
 
-        def outer(x0, fx0, width, first=None):
+        def outer(x0, fx0, width, inner_memo):
             nonlocal rows, inner_nodes
 
-            def inner(r, u):
-                return kernel(*inner_reads(x0, fx0, width, r, u, with_residual_mean))
+            def inner_reads(r, u):
+                """x0_r, x_i, omega, the top-two density and the width at
+                nodes u of rows r; no theta.  omega is read where N > 2 and
+                the residual is kept or this value fills the model's memo,
+                whose entries serve both methods; it is 0.0 elsewhere."""
+                x0_r, w = x0[r], width[r]
+                ti = t_lo + u * w
+                xi = np.exp(ti)
+                if with_residual_mean or law.n > 2 and len(memo) > entries:
+                    f_i, fxi, m1 = np.exp(dist._log_at(ti, "log_pdf", "log_cdf", "log_m1"))
+                    omega = self._residual_mean(fxi, m1)
+                else:
+                    f_i, fxi = np.exp(dist._log_at(ti, "log_pdf", "log_cdf"))
+                    omega = 0.0
+                return x0_r, xi, omega, self._joint_top_two(fx0[r], f_i, fxi), w
 
-            res = integrate_batch(inner, x0.size, 0.0, 1.0, inner_cfg, first)
+            res = integrate_batch(kernel, x0.size, 0.0, 1.0, inner_cfg, inner_reads, inner_memo)
             rows += x0.size
             inner_nodes += res.n_evals
             return res.value
 
-        def inner_first(r, u):  # a chunk's first sweep under the outer first sweep
-            return kernel(*table.inner_part(r, lambda: inner_reads(*table.outer, r, u, law.n > 2)))
-
-        def outer_first(t0):  # the same nodes t0 on every call
-            return outer(*table.outer_part(lambda: outer_reads(t0)), inner_first)
-
         alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
         for n_nodes in ladder:
             rules = [2 * n_nodes, n_nodes] if certified else [n_nodes]  # read by `kernel`
-            res = integrate(lambda t0: outer(*outer_reads(t0)), t_lo, t_hi, _DOMINANT_QUAD,
-                            first=outer_first)
+            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD, outer_reads, memo)
             outer_nodes += res.n_evals
             value, gap = res.value[0], abs(res.value[0] - res.value[-1])
             tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(alone + value))
@@ -979,7 +913,7 @@ class _CoverageModel:
             "dominant coverage at theta=%.6g: first-sweep table %s, residual %s, %d outer nodes, "
             "%d inner rows, %d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, "
             "%.3f s%s",
-            theta, "reused" if table.fills == fills else "built",
+            theta, "reused" if len(memo) == entries else "built",
             "mean" if with_residual_mean else "dropped", outer_nodes, rows, inner_nodes,
             _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
             rules[0] if with_residual_mean else 0, "yes" if certified else "no",

@@ -8,8 +8,9 @@ interface and converted once; all internal math is linear.
 The table commands (coverage, replay, height-study) share one pipeline:
 config, overrides, [run] seed and config hash, then the command's
 (sweep_value, method, coverage, stderr) rows, written as CSV or JSON to
---out or stdout.  A command's one side output (replay's SIR pdf table,
-height-study's report) lands next to --out, or after the table on stdout.
+--out or stdout.  A command's one side output lands next to --out:
+replay's SIR pdf table only there, height-study's report after the table
+on stdout when there is no --out.
 
 Exit codes: 0 ok, 2 configuration, 3 numerical failure, 4 I/O, 5 data
 insufficiency.  Set CORRIDOR_COV_LOG=debug|info|warning for verbosity.

@@ -16,10 +16,12 @@ share its panels and each node is evaluated once, which is cheaper than k
 scalar rows whenever the components share work (a density lookup, an exp).
 
 Every row starts from the same equal panels, so every first sweep evaluates
-a row at the same nodes.  A caller that integrates one family many times,
-changing only a parameter, can pass a `first` integrand for the first
-sweeps, which reuses what it tabulated there on an earlier call; refinement
-sweeps call f.
+a row at the same nodes: the bounds, the initial panel count and the rows of
+its chunk fix them.  A caller that integrates one family many times,
+changing only a parameter, splits f into its parameter-free `reads` and a
+kernel, and passes a `memo` dict that keeps each chunk's first-sweep reads
+under that key, so later calls compute only the kernel there; refinement
+sweeps read afresh.
 """
 
 from __future__ import annotations
@@ -187,13 +189,13 @@ def _evaluate_panels(f, lo, hi):
     return kron, err, x.size, vector
 
 
-def _adaptive_rows(f, rows, a, b, cfg, first=None):
+def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
     """The adaptive rule for every row of `rows` at once; returns (values,
     errors, nev, vector), values and errors as (k, rows) arrays.
 
     Each row starts from `cfg.initial_panels` equal panels, 15 nodes each
-    on the first sweep (evaluated by `first` if given), and stops once the
-    summed error estimate of every component c is within
+    on the first sweep (whose reads are kept in `memo` if given), and stops
+    once the summed error estimate of every component c is within
     max(abs_tol, rel_tol |value_c|).  Panels of all unfinished rows are
     evaluated in one batch per sweep; each row keeps its own stop rule,
     bisection set and subdivision limit.
@@ -206,11 +208,20 @@ def _adaptive_rows(f, rows, a, b, cfg, first=None):
     lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
     owner = np.repeat(np.arange(n), panels)  # local row of each panel
 
-    def evaluate(owner, lo, hi, f=f):
+    def evaluate(owner, lo, hi, memo=None):  # the first sweep's memo; refinement reads afresh
         node_rows = rows[owner].repeat(len(_NODES))
-        return _evaluate_panels(lambda x: f(node_rows, x), lo, hi)
 
-    values, errors, n_evals, vector = evaluate(owner, lo, hi, first or f)
+        def integrand(x):
+            if memo is None:
+                return f(node_rows, *reads(node_rows, x))
+            key = (a, b, panels, int(rows[0]), n)  # these fix the first sweep's nodes
+            if key not in memo:
+                memo[key] = reads(node_rows, x)
+            return f(node_rows, *memo[key])
+
+        return _evaluate_panels(integrand, lo, hi)
+
+    values, errors, n_evals, vector = evaluate(owner, lo, hi, memo)
     k = len(values)
     component = n * np.arange(k)[:, None]
     out_values = np.empty((k, n))
@@ -267,23 +278,23 @@ def _adaptive_rows(f, rows, a, b, cfg, first=None):
         errors = np.concatenate([errors[:, ~split], new_errs], axis=1)
 
 
-def integrate(f, a, b, config=None, first=None):
+def integrate(f, a, b, config=None, reads=None, memo=None):
     """Integrate a vectorized f (ndarray in, ndarray out) over a finite
-    [a, b], a < b: the one-row case of `integrate_batch`, whose `first`
-    hook this takes in f's form.  f may return a (k, nodes) array, and value
-    and error are then (k,) arrays.  Integrable endpoint singularities are
-    allowed: nodes are strictly interior.  Raises QuadratureError (carrying
-    the best estimate) on non-convergence.
+    [a, b], a < b: the one-row case of `integrate_batch`, whose `reads` and
+    `memo` this takes with the rows left out, f(*reads(x)).  f may return a
+    (k, nodes) array, and value and error are then (k,) arrays.  Integrable
+    endpoint singularities are allowed: nodes are strictly interior.  Raises
+    QuadratureError (carrying the best estimate) on non-convergence.
     """
-    hook = None if first is None else lambda rows, x: first(x)
-    res = integrate_batch(lambda rows, x: f(x), 1, a, b, config, hook)
+    row_reads = None if reads is None else lambda rows, x: reads(x)
+    res = integrate_batch(lambda rows, *r: f(*r), 1, a, b, config, row_reads, memo)
     value, error = res.value[..., 0], res.error[..., 0]
     if value.ndim == 0:
         value, error = float(value), float(error)
     return IntegralResult(value, error, res.n_evals)
 
 
-def integrate_batch(f, n_rows, a, b, config=None, first=None):
+def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     """Integrate f(rows, x) over a finite [a, b], a < b, for every row
     0..n_rows-1; `integrate` is the one-row case.
 
@@ -298,13 +309,14 @@ def integrate_batch(f, n_rows, a, b, config=None, first=None):
     whose first sweep has at most `_BATCH_NODES` nodes (at least one row per
     chunk), which bounds memory and keeps each sweep's temporaries small.
 
-    A `first` integrand, if given, takes f's place on each chunk's first
-    sweep, with f's arguments.  That sweep evaluates each of the chunk's
-    rows, in order, at the same nodes on every call with the same bounds and
-    config, 15 per initial panel, so `first` may return values that it
-    tabulated on an earlier call, keyed by the chunk's rows, in place of
-    computing them.  Refinement sweeps call f.  A `first` that returns what
-    f would gives the same result, bit for bit.
+    With `reads`, the integrand is f(rows, *reads(rows, x)): reads returns a
+    tuple of what f needs at the nodes that does not change between calls.
+    A `memo` dict, owned by the caller and passed on every call, keeps each
+    chunk's first-sweep reads under the key (a, b, initial_panels, first
+    row, row count), which fixes that sweep's nodes, and later calls with
+    that key compute only f there; other bounds or panel counts read afresh,
+    as do refinement sweeps.  Reads that depend only on the rows and nodes
+    give the same result with or without a memo, bit for bit.
 
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;
@@ -316,9 +328,10 @@ def integrate_batch(f, n_rows, a, b, config=None, first=None):
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"quadrature needs finite bounds a < b, got [{a!r}, {b!r}]")
+    reads = reads or (lambda rows, x: (x,))
     chunk = max(1, _BATCH_NODES // (len(_NODES) * cfg.initial_panels))
     chunks = [
-        _adaptive_rows(f, np.arange(start, min(start + chunk, n_rows)), a, b, cfg, first)
+        _adaptive_rows(f, np.arange(start, min(start + chunk, n_rows)), a, b, cfg, reads, memo)
         for start in range(0, n_rows, chunk)
     ]
     if not chunks:

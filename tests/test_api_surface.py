@@ -69,6 +69,7 @@ def test_retired_names_are_gone(name):
 REMOVED = [
     "analytic._exact_coverage",
     "analytic._conditional_coverage",
+    "analytic._FirstSweep",
     "analytic.received_power_pdf",
     "analytic.BppCoverageModel.coverage_curve",
     "analytic.HpppCoverageModel.coverage_curve",
@@ -115,6 +116,8 @@ REMOVED_PARAMETERS = [
     ("analytic._CoverageModel._coverage_dominant_generic", "laguerre_nodes"),
     ("analytic.ReceivedPowerDistribution.normalization", "config"),
     ("analytic._moment_series", "cfg"),
+    ("quadrature.integrate", "first"),
+    ("quadrature.integrate_batch", "first"),
     ("core.CorridorGeometry.max_link_distance", "h"),
 ]
 

@@ -3,6 +3,7 @@ integrals, the array Laplace series against the scalar wrapper, coverage
 against a cache-free oracle, pinned coverage values and the per-call debug
 line."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -331,3 +332,18 @@ def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
             if int(re.search(r"(\d+) outer nodes", work).group(1)) > 120:
                 refined.add(db)
     assert -20 in refined and len(refined) < len(SWEEP_DB)
+
+
+@pytest.mark.parametrize("method, rule", [("coverage", "_COVERAGE_QUAD"),
+                                          ("coverage_dominant", "_DOMINANT_QUAD")])
+def test_cached_model_follows_a_new_initial_panel_count(geom, monkeypatch, method, rule):
+    # A model's memos key their first-sweep reads by the rule's initial panel
+    # count, so after the rule changes a cached model's next value is a
+    # fresh model's, bit for bit.
+    ch = ChannelParams(alpha=2.2, q=2.0, m=3.0)
+    model = bpp_model(N, geom, ch)
+    getattr(model, method)(1.0)
+    panels_4 = dataclasses.replace(getattr(analytic, rule), initial_panels=4)
+    monkeypatch.setattr(analytic, rule, panels_4)
+    fresh = analytic.BppCoverageModel(N, geom, ch)
+    assert getattr(model, method)(1.0) == getattr(fresh, method)(1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -179,10 +180,11 @@ def _refining_and_settled(n, vector):
 @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
 @pytest.mark.parametrize("vector", [False, True])
 def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows):
-    # The hook serves each chunk's first sweep from a table of g, filled on
-    # the first call, for integrands c g with c changed between calls: the
-    # caller's pattern.  It gives the plain rule's value, error and node
-    # count bit for bit, and a hook wrong at one node changes the result.
+    # A memo keeps each chunk's first-sweep reads of g, filled on the first
+    # call, for integrands c g with c changed between calls: the caller's
+    # pattern.  It gives the plain rule's value, error and node count bit
+    # for bit, a corrupted entry changes the result, and other bounds or
+    # panel counts never read an existing entry.
     n = 150
     g = _refining_and_settled(n, vector)
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
@@ -190,38 +192,42 @@ def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows
     evals = [integrate(lambda x, i=i: g(np.full(x.shape, i), x), 0.0, 1.0, cfg).n_evals
              for i in (0, n - 1)]
     assert evals[0] == 15 * cfg.initial_panels < evals[1]
-    table = {}
 
-    def tabulated(c, bad_node=None):
-        def first(rows, x):
-            key = (rows[0], rows.size)
-            if key not in table:
-                table[key] = x, g(rows, x)
-            nodes, values = table[key]
-            assert np.array_equal(x, nodes)  # every call's first sweep has the same nodes
-            values = c * values
-            if bad_node is not None and key[0] == 0:
-                values[..., bad_node] += 1.0
-            return values
+    def reads(rows, x):
+        return (g(rows, x),)
 
-        return first
+    def scaled(c, b=1.0, config=cfg, memo=None):
+        def kernel(rows, gx):
+            return c * gx
 
+        plain = integrate_batch(lambda rows, x: c * g(rows, x), n, 0.0, b, config)
+        return plain, integrate_batch(kernel, n, 0.0, b, config, reads, memo)
+
+    memo = {}
     for c in (1.0, 2.5, 0.5):
-        def f(rows, x):
-            return c * g(rows, x)
-
-        plain = integrate_batch(f, n, 0.0, 1.0, cfg)
-        hooked = integrate_batch(f, n, 0.0, 1.0, cfg, tabulated(c))
-        assert np.array_equal(hooked.value, plain.value)
-        assert np.array_equal(hooked.error, plain.error)
-        assert hooked.n_evals == plain.n_evals
-    assert len(table) == -(-n // chunk_rows)
-    wrong = integrate_batch(f, n, 0.0, 1.0, cfg, tabulated(c, bad_node=7))
+        plain, memoized = scaled(c, memo=memo)
+        assert np.array_equal(memoized.value, plain.value)
+        assert np.array_equal(memoized.error, plain.error)
+        assert memoized.n_evals == plain.n_evals
+    starts = range(0, n, chunk_rows)
+    assert sorted(memo) == [(0.0, 1.0, 8, i, min(chunk_rows, n - i)) for i in starts]
+    # every entry off at one node: a call that reads any of them changes
+    for key, (gx,) in memo.items():
+        memo[key] = (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),)
+    wrong = scaled(c, memo=memo)[1]
     assert not np.array_equal(wrong.value, plain.value)
-    # the one-row case takes the hook in f's form
-    one = integrate(lambda x: f(np.zeros(x.shape, int), x), 0.0, 1.0, cfg,
-                    first=lambda x: tabulated(c)(np.zeros(x.shape, int), x))
-    assert np.array_equal(one.value, plain.value[..., 0]) and one.n_evals == evals[0]
+    for b, config in ((0.5, cfg), (1.0, dataclasses.replace(cfg, initial_panels=4))):
+        entries = len(memo)
+        other_plain, other = scaled(c, b, config, memo)
+        assert np.array_equal(other.value, other_plain.value)
+        assert other.n_evals == other_plain.n_evals and len(memo) > entries
+    # the one-row case takes reads and kernel without the rows
+    one_memo = {}
+    for _ in range(2):
+        one = integrate(lambda gx: c * gx, 0.0, 1.0, cfg,
+                        lambda x: (g(np.zeros(x.shape, int), x),), one_memo)
+        assert np.array_equal(one.value, plain.value[..., 0]) and one.n_evals == evals[0]
+    assert list(one_memo) == [(0.0, 1.0, 8, 0, 1)]
 
 
 def test_vector_integrand_failure_names_row_and_component():

@@ -10,7 +10,13 @@ from scipy.interpolate import PPoly
 import numpy as np
 import pytest
 
-from corridor_cov import ChannelParams, CorridorGeometry, FixedHeight, ReceivedPowerDistribution
+from corridor_cov import (
+    ChannelParams,
+    CorridorGeometry,
+    FixedHeight,
+    ParameterError,
+    ReceivedPowerDistribution,
+)
 from corridor_cov import analytic
 from conftest import closed_form_cdf_and_moment
 
@@ -149,3 +155,26 @@ def test_cdf_is_at_most_one_below_the_cache_top(caplog):
     x = dist.x_hi * np.concatenate([1.0 - np.geomspace(1e-15, 1e-2, 200), np.geomspace(0.4, 0.99, 200)])
     assert np.all(dist.cdf(x) <= 1.0)
     assert dist.cdf(x[0]) <= 1.0
+
+
+NAN_CALLS = {
+    "pdf": lambda model, x: model.dist.pdf(x),
+    "cdf": lambda model, x: model.dist.cdf(x),
+    "mean_below": lambda model, x: model.dist.mean_below(x),
+    "ppf": lambda model, x: model.dist.ppf(x),
+    "max_power_pdf": lambda model, x: model.max_power_pdf(x),
+    "max_power_cdf": lambda model, x: model.max_power_cdf(x),
+    "joint_top_two_pdf": lambda model, x: model.joint_top_two_pdf(2.0 * model.dist.x_hi, x),
+}
+
+
+@pytest.mark.parametrize("name", NAN_CALLS)
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_nan_argument_raises(name, shape):
+    # NaN lies in no range of the cache, so an accessor raises rather than
+    # return a silent 0 (or a NaN quantile)
+    geom = CorridorGeometry(500.0, FixedHeight(H))
+    model = analytic.bpp_model(10, geom, ChannelParams(alpha=2.2, q=2.0, m=1.0))
+    x = np.nan if shape == "scalar" else np.array([0.5, np.nan])
+    with pytest.raises(ParameterError):
+        NAN_CALLS[name](model, x)
