@@ -20,7 +20,6 @@ from .core import (
     NormalHeight,
     ParameterError,
     UniformHeight,
-    carrier_factor_from_frequency,
     db_to_linear,
     linear_to_db,
     link_distance_cdf,

@@ -159,11 +159,12 @@ class ReceivedPowerDistribution:
     """Distribution of Pr = S * l(d) for one uniformly placed corridor UAV.
 
     Supported on (0, inf).  `pdf_exact` evaluates the product-distribution
-    integral over the path-loss value w,
+    integral over the path-loss value w = e^v,
 
-        f(x) = int_{w_min}^{w_max} (1/w) f_l(w) f_S(x/w) dw,
+        f(x) = int_{w_min}^{w_max} (1/w) f_l(w) f_S(x/w) dw
+             = int_{log w_min}^{log w_max} f_l(e^v) f_S(x e^-v) dv,
 
-    by adaptive quadrature.  `pdf`, `cdf`, `mean_below` and `ppf` use cached
+    by adaptive quadrature in v.  `pdf`, `cdf`, `mean_below` and `ppf` use cached
     piecewise Chebyshev interpolants, in t = log x, of log f, log F and
     log M1, M1(x) = int_0^x p f(p) dp, sampled from closed forms, all three
     from one 3-component integral per sample (`_smooth_integrals`).  These
@@ -177,12 +178,11 @@ class ReceivedPowerDistribution:
         self.h = geom.fixed_height
         self.R = geom.R
         self.alpha = channel.alpha
-        self.k = channel.k_factor
         self.q = channel.q
         self.gam = channel.gamma
         self.shadowing = InverseGammaShadowing(self.q, self.gam)
-        self.w_min = self.k * (self.h**2 + self.R**2) ** (-self.alpha / 2.0)
-        self.w_max = self.k * self.h ** (-self.alpha)
+        self.w_min = (self.h**2 + self.R**2) ** (-self.alpha / 2.0)
+        self.w_max = self.h ** (-self.alpha)
         self._lgamma_q = math.lgamma(self.q)
         self._elementary_q = self.q >= 1.5 and float(2.0 * self.q).is_integer()
         self._cache = None
@@ -190,21 +190,25 @@ class ReceivedPowerDistribution:
     # -- exact evaluations ---------------------------------------------------
 
     def pdf_exact(self, x):
-        """Product-distribution integral over w at each x, one batched quadrature."""
+        """Product-distribution integral over v = log w at each x, one batched
+        quadrature: in v it spans a few units however many decades of w the
+        corridor covers."""
         shadow = self.shadowing
 
-        def integrand(x, w):
-            fl = pathloss_value_pdf(w / self.k, self.h, self.R, self.alpha) / self.k
-            return fl * shadow.pdf(x / w) / w
+        def integrand(x, v):
+            w = np.exp(v)
+            return pathloss_value_pdf(w, self.h, self.R, self.alpha) * shadow.pdf(x / w)
 
-        out, _ = _integrate_at_points(x, integrand, self.w_min, self.w_max, _PDF_EXACT_QUAD)
+        out, _ = _integrate_at_points(
+            x, integrand, math.log(self.w_min), math.log(self.w_max), _PDF_EXACT_QUAD
+        )
         return float(out) if out.ndim == 0 else out
 
     def _pdf_smooth(self, x):
-        """Same integral after substituting w = K d(u)^-alpha, u in [0, R].
+        """Same integral after substituting w = d(u)^-alpha, u in [0, R].
 
         The substitution removes the inverse-square-root endpoint
-        singularity of f_l, leaving (1/R) * int_0^R (d^a/K) f_S(x d^a / K) du.
+        singularity of f_l, leaving (1/R) * int_0^R d^a f_S(x d^a) du.
         Used to build the cache; agrees with pdf_exact to quadrature accuracy.
         The pdf component of `_smooth_integrals`, at x > 0.
         """
@@ -220,7 +224,7 @@ class ReceivedPowerDistribution:
 
     def _smooth_integrand(self, x, u):
         """Rows g of f, F, M1 = (1/R) int_0^R g du: closed forms of the
-        shadowing S at y = x / w, w = K d(u)^-alpha, all from z = gamma / y:
+        shadowing S at y = x / w, w = d(u)^-alpha, all from z = gamma / y:
 
             f_S(y) / w = z e1 / x,   P(S <= y) = Q(q, z),
             w E[S; S <= y] = x z / (q - 1) Q(q - 1, z),
@@ -233,7 +237,7 @@ class ReceivedPowerDistribution:
         Q is up to 25 times slower near order 0, and the subtraction loses at
         most a factor z / (q - 1) in relative accuracy, only where Q is tiny."""
         q = self.q
-        z = self.gam * self.k * (self.h**2 + u**2) ** (-self.alpha / 2.0) / x
+        z = self.gam * (self.h**2 + u**2) ** (-self.alpha / 2.0) / x
         e1 = np.exp((q - 1.0) * np.log(z) - z - self._lgamma_q)
         out = np.empty((3, z.size))
         if self._elementary_q:

@@ -42,7 +42,6 @@ from .core import (
     NormalHeight,
     ParameterError,
     UniformHeight,
-    carrier_factor_from_frequency,
     db_to_linear,
 )
 from .quadrature import QuadratureError
@@ -58,12 +57,8 @@ log = logging.getLogger("corridor_cov")
 
 CSV_COLUMNS = ["sweep_value", "method", "coverage", "stderr", "seed", "config_hash"]
 
-_METHOD_ALIASES = {
-    "exact": "exact",
-    "dominant": "dominant",
-    "single-dominant": "single_dominant",
-    "mc": "mc",
-}
+# the analytic methods, spelled with hyphens, and Monte Carlo
+_METHOD_ALIASES = {name.replace("_", "-"): name for name in analytic._METHODS} | {"mc": "mc"}
 
 
 class ConfigError(ValueError):
@@ -87,9 +82,7 @@ DEFAULTS = {
     "channel": {
         "alpha": "2.2",
         "q": "2.0",
-        "gamma": "",  # blank -> q - 1 (unit-mean shadowing)
         "m": "1.0",
-        "carrier_frequency_hz": "",  # blank -> carrier factor off
     },
     "spatial": {
         "model": "bpp",  # bpp | hppp | disc
@@ -203,13 +196,12 @@ def build_geometry(cfg):
 
 
 def build_channel(cfg):
-    f_c = _get_float(cfg, "channel", "carrier_frequency_hz", allow_blank=True)
+    """The channel at the default shadowing scale gamma = q - 1: every output
+    is an SIR statistic, which no common power scale moves."""
     return ChannelParams(
         alpha=_get_float(cfg, "channel", "alpha"),
         q=_get_float(cfg, "channel", "q"),
-        gamma=_get_float(cfg, "channel", "gamma", allow_blank=True),
         m=_get_float(cfg, "channel", "m"),
-        carrier_factor=None if f_c is None else carrier_factor_from_frequency(f_c),
     )
 
 

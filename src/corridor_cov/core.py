@@ -20,7 +20,6 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "SPEED_OF_LIGHT",
     "ParameterError",
     "FixedHeight",
     "UniformHeight",
@@ -34,7 +33,6 @@ __all__ = [
     "SpatialModel",
     "db_to_linear",
     "linear_to_db",
-    "carrier_factor_from_frequency",
     "path_loss",
     "link_distance_pdf",
     "link_distance_cdf",
@@ -45,8 +43,6 @@ __all__ = [
     "NakagamiFadingPower",
     "sample_gamma",
 ]
-
-SPEED_OF_LIGHT = 299_792_458.0
 
 
 class ParameterError(ValueError):
@@ -183,20 +179,21 @@ class CorridorGeometry:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Path-loss exponent alpha, optional carrier factor K, shadowing shape q
-    and scale gamma, fading shape m.
+    """Path-loss exponent alpha, shadowing shape q and scale gamma, fading
+    shape m.
 
     gamma=None resolves to q - 1, which normalizes the shadowing mean to 1 so
     that path loss is the only deterministic driver of mean power.  The SIR
     is invariant to gamma (a common scale on all links cancels), so this
-    choice only matters for absolute-power outputs.
+    choice only matters for absolute-power outputs.  A path-loss constant K
+    (power gain K d^-alpha) is the shadowing scale K gamma, since K S is
+    inverse-gamma with that scale.
     """
 
     alpha: float
     q: float
     gamma: float | None = None
     m: float = 1.0
-    carrier_factor: float | None = None
 
     def __post_init__(self):
         _require(self.alpha > 0, "path-loss exponent alpha must be positive and finite", self.alpha)
@@ -205,14 +202,6 @@ class ChannelParams:
             object.__setattr__(self, "gamma", float(self.q - 1.0))
         _require(self.gamma > 0, "shadowing scale gamma must be positive and finite", self.gamma)
         _require(self.m > 0, "fading shape m must be positive and finite", self.m)
-        if self.carrier_factor is not None:
-            _require(self.carrier_factor > 0, "carrier factor must be positive and finite when set",
-                     self.carrier_factor)
-
-    @property
-    def k_factor(self):
-        """Multiplicative path-loss constant; 1.0 when the carrier factor is off."""
-        return 1.0 if self.carrier_factor is None else self.carrier_factor
 
     def require_integer_m(self):
         m = int(round(self.m))
@@ -221,13 +210,6 @@ class ChannelParams:
                 f"the exact coverage engine needs integer m >= 1, got m={self.m}"
             )
         return m
-
-
-def carrier_factor_from_frequency(f_c_hz):
-    """K = (c / (4 pi f_c))^2, the free-space carrier-frequency factor."""
-    if f_c_hz <= 0:
-        raise ParameterError("carrier frequency must be positive")
-    return (SPEED_OF_LIGHT / (4.0 * math.pi * f_c_hz)) ** 2
 
 
 @dataclass(frozen=True)
@@ -275,11 +257,11 @@ SpatialModel = Union[BPP, FiniteHPPP, Disc2D]
 
 
 def path_loss(d, params: ChannelParams):
-    """Power gain K * d^(-alpha); K defaults to 1 when the carrier factor is off."""
+    """Power gain d^(-alpha)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ParameterError("path loss needs a positive distance")
-    out = params.k_factor * d ** (-params.alpha)
+    out = d ** (-params.alpha)
     return float(out) if out.ndim == 0 else out
 
 
@@ -350,7 +332,7 @@ def pathloss_value_pdf(x, h, R, alpha):
     out = np.zeros_like(x)
     xs = x[inside]
     out[inside] = xs ** (-(alpha + 2.0) / alpha) / (
-        alpha * R * np.sqrt(xs ** (-2.0 / alpha) - h * h)
+        alpha * R * np.sqrt(_ground_distance_sq(xs / hi, h, alpha))
     )
     return float(out) if out.ndim == 0 else out
 
@@ -365,9 +347,16 @@ def pathloss_value_cdf(x, h, R, alpha):
     out = np.where(x >= hi, 1.0, 0.0)
     inside = (x > lo) & (x < hi)
     xs = x[inside]
-    out[inside] = 1.0 - np.sqrt(xs ** (-2.0 / alpha) - h * h) / R
+    out[inside] = 1.0 - np.sqrt(_ground_distance_sq(xs / hi, h, alpha)) / R
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _ground_distance_sq(ratio, h, alpha):
+    """u^2 = x^(-2/alpha) - h^2 at ratio = x / h^-alpha < 1, as h^2 expm1(-(2/alpha)
+    log ratio), which stays positive up to the top of the support, where the
+    difference cancels to 0 or below."""
+    return h * h * np.expm1((-2.0 / alpha) * np.log(ratio))
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def _draw_batch(spatial, geom, source, size, rng, keep_d2, pmf=None):
 
     Counts (from `pmf`, as in `_draw_positions`) and positions are drawn for the
     whole batch; then, piece by piece, a `ChannelParams` source draws
-    shadowing S and gives the powers (S * K) * (d^2)^(-alpha/2), and a
+    shadowing S and gives the powers S * (d^2)^(-alpha/2), and a
     `Trace` draws nothing and gives each UAV the linear power and d2 of its
     nearest sample.  The channel model's heights, if not fixed, come from
     the batch generator's height stream `_child(rng, 0)`, so they leave the
@@ -366,7 +366,6 @@ def _draw_batch(spatial, geom, source, size, rng, keep_d2, pmf=None):
     for d, p, scratch in layout.pieces(d2, powers):
         shadowing = sample_gamma(rng, source.q, 1.0 / source.gamma, scratch)
         np.divide(1.0, shadowing, out=shadowing)
-        shadowing *= source.k_factor
         if keep_d2:
             p[...] = d
         p **= -0.5 * source.alpha
@@ -823,7 +822,7 @@ def synthesize_trace(geom, channel, spacing, seed):
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
     shadowing = InverseGammaShadowing(channel.q, channel.gamma).sample(rng, n)
     d2 = pos * pos + heights * heights
-    powers = shadowing * channel.k_factor * d2 ** (-0.5 * channel.alpha)
+    powers = shadowing * d2 ** (-0.5 * channel.alpha)
     actual_spacing = pos[1] - pos[0]
     return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=actual_spacing / 2)
 

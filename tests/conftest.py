@@ -96,7 +96,7 @@ def ks_statistic(samples, cdf):
 def closed_form_cdf_and_moment(dist, x):
     """F(x) and M1(x) = int_0^x p f(p) dp of the received power of `dist` at
     each x, by scipy's quad over the corridor coordinate u of the inverse-
-    gamma shadowing's closed forms, with w = K (h^2 + u^2)^(-alpha/2):
+    gamma shadowing's closed forms, with w = (h^2 + u^2)^(-alpha/2):
 
         F  = (1/R) int_0^R Q(q, gamma w / x) du,
         M1 = (1/R) int_0^R w gamma / (q - 1) Q(q - 1, gamma w / x) du.
@@ -104,11 +104,11 @@ def closed_form_cdf_and_moment(dist, x):
     F comes from whichever of int Q and int P = R (1 - F) is smaller, so
     neither tail loses digits.  Independent of the received-power cache.
     """
-    h, r, alpha, k, q, gam = dist.h, dist.R, dist.alpha, dist.k, dist.q, dist.gam
+    h, r, alpha, q, gam = dist.h, dist.R, dist.alpha, dist.q, dist.gam
     edges = [0.0] + [e for e in h * 10.0 ** np.arange(4) if e < r] + [r]
 
     def w(u):
-        return k * (h * h + u * u) ** (-alpha / 2.0)
+        return (h * h + u * u) ** (-alpha / 2.0)
 
     def quad(f):
         return sum(

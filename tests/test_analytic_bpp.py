@@ -13,6 +13,7 @@ from corridor_cov import (
     BPP,
     ChannelParams,
     CorridorGeometry,
+    CoverageQuery,
     FiniteHPPP,
     FixedHeight,
     InverseGammaShadowing,
@@ -21,7 +22,8 @@ from corridor_cov import (
     QuadratureError,
     ReceivedPowerDistribution,
     bpp_model,
-    carrier_factor_from_frequency,
+    coverage_probability,
+    empirical_coverage,
     hppp_model,
     integrate,
     simulate_sir,
@@ -89,7 +91,7 @@ class TestReceivedPowerDistribution:
         for x in xs:
 
             def integrand(u, x=x):
-                da = (H**2 + u**2) ** (ALPHA / 2.0) / channel.k_factor
+                da = (H**2 + u**2) ** (ALPHA / 2.0)
                 return da * shadow.pdf(x * da)
 
             refs.append(integrate(integrand, 0.0, r, analytic._PDF_QUAD))
@@ -233,18 +235,34 @@ class TestCoverageBPP:
         assert np.all(np.diff(cov) <= 5e-6)
 
     def test_sir_invariant_to_shadowing_scale(self, geom):
-        # scaling gamma rescales every link power identically; SIR coverage
-        # must not move (supports the unit-mean default gamma = q - 1)
-        th = 10 ** (-3 / 10)
-        c1 = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, gamma=1.0)).coverage(th)
-        c5 = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, gamma=5.0)).coverage(th)
-        assert c1 == pytest.approx(c5, abs=2e-3)
+        # scaling gamma rescales every link power identically, so a Monte
+        # Carlo curve on one seed draws the same SIRs up to rounding
+        thetas = np.arange(-20.0, 21.0, 5.0)
+        for spatial in (BPP(N), FiniteHPPP(0.01)):
+            for m in (1.0, 2.5, 3.0):
+                c1, c5 = (
+                    empirical_coverage(spatial, geom, ChannelParams(alpha=2.2, q=2.0, m=m, gamma=g),
+                                       thetas, 200_000, seed=7).coverage
+                    for g in (1.0, 5.0)
+                )
+                np.testing.assert_array_equal(c1, c5)
 
-    def test_sir_invariant_to_carrier_factor(self, geom, channel, model10):
-        th = 10 ** (-3 / 10)
-        k = carrier_factor_from_frequency(2e9)
-        with_k = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, carrier_factor=k))
-        assert with_k.coverage(th) == pytest.approx(model10.coverage(th), abs=2e-3)
+    @pytest.mark.parametrize("m, method", [
+        (1.0, "exact"), (3.0, "exact"),
+        *((m, method) for m in (1.0, 2.5, 3.0) for method in ("dominant", "single_dominant")),
+    ])
+    @pytest.mark.parametrize("spatial", [BPP(N), FiniteHPPP(0.01)], ids=["bpp", "hppp"])
+    def test_analytic_sir_invariant_to_shadowing_scale(self, geom, spatial, m, method):
+        # the same for the analytic values, which support the unit-mean
+        # default gamma = q - 1 and a path-loss constant folded into gamma
+        for theta_db in (-20.0, -3.0, 20.0):
+            c1, c5 = (
+                coverage_probability(CoverageQuery(
+                    10 ** (theta_db / 10), spatial, ChannelParams(alpha=2.2, q=2.0, m=m, gamma=g),
+                    geom, method))
+                for g in (1.0, 5.0)
+            )
+            assert c1 == pytest.approx(c5, rel=1e-12, abs=0)
 
 
 class TestResidualMeanInterference:

@@ -41,10 +41,10 @@ def eta_series_2d(geom, channel, lam, s, s0, order):
 
         eta = -2 lam int_0^R int (1 - (1 + s a(u) gamma / (v m))^-m) g_q(v) dv du,
 
-    a(u) = K d^-alpha, g_q the Gamma(q, 1) density, and v above the value at
+    a(u) = d^-alpha, g_q the Gamma(q, 1) density, and v above the value at
     which the UAV's power reaches s0.  Independent of the received-power cache.
     """
-    h, R, alpha, k = geom.fixed_height, geom.R, channel.alpha, channel.k_factor
+    h, R, alpha = geom.fixed_height, geom.R, channel.alpha
     q, gam, m = channel.q, channel.gamma, float(channel.m)
     # the Gamma(q) weight is negligible beyond v_hi
     log_v_hi = math.log(q + 40.0 * math.sqrt(q) + 60.0)
@@ -52,13 +52,13 @@ def eta_series_2d(geom, channel, lam, s, s0, order):
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
 
     def v_bounds(u):
-        smax = s0 * (h**2 + u**2) ** (alpha / 2.0) / k
+        smax = s0 * (h**2 + u**2) ** (alpha / 2.0)
         return (min(math.log(gam / smax), log_v_hi), log_v_hi)
 
     def term(j):
         def integrand(u, y):
             v = np.exp(y)
-            a_sig = k * (h**2 + u**2) ** (-alpha / 2.0) * gam / v
+            a_sig = (h**2 + u**2) ** (-alpha / 2.0) * gam / v
             base = 1.0 + s * a_sig / m
             gamma_w = np.exp(q * y - v - log_gamma_q)
             if j == 0:

@@ -74,6 +74,9 @@ REMOVED = [
     "analytic.BppCoverageModel.coverage_curve",
     "analytic.HpppCoverageModel.coverage_curve",
     "core.DistributionHandle",
+    "core.carrier_factor_from_frequency",
+    "core.SPEED_OF_LIGHT",
+    "core.ChannelParams.k_factor",
     "core.shadowing_distribution",
     "core.fading_distribution",
     "core.NakagamiFadingPower.sf",
@@ -119,6 +122,7 @@ REMOVED_PARAMETERS = [
     ("quadrature.integrate", "first"),
     ("quadrature.integrate_batch", "first"),
     ("core.CorridorGeometry.max_link_distance", "h"),
+    ("core.ChannelParams", "carrier_factor"),
 ]
 
 

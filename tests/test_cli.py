@@ -88,6 +88,15 @@ class TestCoverageCommand:
         assert run_cli(["coverage", "--config", str(cfg)]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("gamma", "1.0"), ("carrier_frequency_hz", "2e9")])
+    def test_channel_scale_keys_are_gone(self, tmp_path, capsys, key, value):
+        # every output is an SIR statistic, which no common power scale moves
+        cfg = tmp_path / "scale.ini"
+        cfg.write_text(f"[channel]\n{key} = {value}\n")
+        assert run_cli(["coverage", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
+
     def test_dominant_covers_hppp_not_disc(self, tmp_path, geom, channel):
         from corridor_cov import hppp_model
 

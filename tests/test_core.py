@@ -21,7 +21,6 @@ from corridor_cov import (
     ParameterError,
     QuadratureConfig,
     UniformHeight,
-    carrier_factor_from_frequency,
     db_to_linear,
     empirical_coverage,
     integrate,
@@ -45,15 +44,6 @@ class TestPathLoss:
         assert path_loss(100.0, ChannelParams(alpha=2.2, q=2.0)) == pytest.approx(
             10.0**-4.4, rel=1e-12
         )
-
-    def test_carrier_factor(self):
-        # wavelength 0.15 m -> f_c = c / 0.15; K = (lambda / 4 pi)^2
-        f_c = 299_792_458.0 / 0.15
-        k = carrier_factor_from_frequency(f_c)
-        assert k == pytest.approx((0.15 / (4 * math.pi)) ** 2, rel=1e-12)
-        assert k == pytest.approx(1.4249e-4, rel=1e-4)
-        ch = ChannelParams(alpha=2.2, q=2.0, carrier_factor=k)
-        assert path_loss(100.0, ch) == pytest.approx(k * 10.0**-4.4, rel=1e-12)
 
     def test_nonpositive_distance_rejected(self):
         ch = ChannelParams(alpha=2.2, q=2.0)
@@ -111,6 +101,14 @@ class TestPathlossValuePdf:
     def test_out_of_support_zero(self):
         assert pathloss_value_pdf(self.W_LO / 2, H, R, ALPHA) == 0.0
         assert pathloss_value_pdf(self.W_HI * 2, H, R, ALPHA) == 0.0
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("h", [50.0, 100.0, 150.0, 200.0])
+    def test_finite_one_ulp_below_the_top(self, h, alpha):
+        # x^(-2/alpha) - h^2 cancelled there to 0 (inf pdf, cdf 1) or below (nan)
+        x = np.nextafter(h**-alpha, 0.0)
+        assert 0.0 < pathloss_value_pdf(x, h, R, alpha) < math.inf
+        assert 0.0 < 1.0 - pathloss_value_cdf(x, h, R, alpha) < 1e-8
 
     def test_endpoint_singularity_integrable(self):
         # density diverges at the upper support edge; quadrature of the last
@@ -252,8 +250,7 @@ class TestTypes:
 
 # Each constructor with valid arguments, and the numeric fields to spoil.
 CONSTRUCTORS = [
-    (ChannelParams, dict(alpha=2.2, q=2.0, gamma=1.0, m=1.0, carrier_factor=1e-4),
-     ["alpha", "q", "gamma", "m", "carrier_factor"]),
+    (ChannelParams, dict(alpha=2.2, q=2.0, gamma=1.0, m=1.0), ["alpha", "q", "gamma", "m"]),
     (CorridorGeometry, dict(R=500.0, height_model=FixedHeight(100.0)), ["R"]),
     (FixedHeight, dict(h=100.0), ["h"]),
     (UniformHeight, dict(low=80.0, high=120.0), ["low", "high"]),
@@ -311,8 +308,7 @@ DOMAINS = [
     (ChannelParams, st.fixed_dictionaries(dict(
         alpha=_positive(10.0), q=st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
         gamma=st.none() | _positive(1e3), m=_positive(1e3),
-        carrier_factor=st.none() | _positive(1.0),
-    )), ["alpha", "q", "gamma", "m", "carrier_factor"], []),
+    )), ["alpha", "q", "gamma", "m"], []),
     (CorridorGeometry, st.fixed_dictionaries(dict(R=_positive(1e5), height_model=_HEIGHT_MODELS)),
      ["R"], []),
     (FixedHeight, st.fixed_dictionaries(dict(h=_positive(1e4))), ["h"], []),

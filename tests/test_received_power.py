@@ -131,6 +131,18 @@ def test_reader_repeats_ppoly_bit_for_bit(caplog, q, alpha, r_over_h):
     assert c["log_cdf_table"].tobytes() == oracle["log_cdf"](c["t_table"]).tobytes()
 
 
+@pytest.mark.parametrize("q", [1.05, 5.0])
+@pytest.mark.parametrize("alpha", [2.0, 2.2, 6.0])
+@pytest.mark.parametrize("r", [100.0, 500.0, 50_000.0])
+def test_literal_integral_normalizes_and_matches_the_cache(q, alpha, r):
+    # `pdf_exact` integrates over the path-loss value, whose density is
+    # singular at the top of its support and which spans many decades at R/h = 500
+    dist = ReceivedPowerDistribution(CorridorGeometry(r, FixedHeight(H)), ChannelParams(alpha=alpha, q=q))
+    assert dist.normalization() == pytest.approx(1.0, abs=1e-6)
+    xs = np.geomspace(dist.x_lo, dist.x_hi, 41)[1:-1]
+    np.testing.assert_allclose(dist.pdf_exact(xs), dist.pdf(xs), rtol=1e-6, atol=0)
+
+
 def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
     # At q = 1.05 the mass above x_hi is below 1e-13, but the first moment
     # beyond x decays only like x^(1 - q): x_hi holds 0.76 of E[P] and
@@ -141,7 +153,7 @@ def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
     np.testing.assert_allclose(got, closed_form_cdf_and_moment(dist, x)[1], rtol=1e-9, atol=0.0)
     assert dist.mean_below(x[1]) == got[1] and got[1] > 1.03 * got[0]
     mean_w = integrate.quad(
-        lambda u: dist.k * (H * H + u * u) ** (-dist.alpha / 2.0), 0.0, dist.R,
+        lambda u: (H * H + u * u) ** (-dist.alpha / 2.0), 0.0, dist.R,
         epsabs=0.0, epsrel=1e-13,
     )[0] / dist.R
     assert got[2] == pytest.approx(dist.gam / (dist.q - 1.0) * mean_w, rel=1e-8)

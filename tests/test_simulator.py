@@ -201,7 +201,7 @@ class TestSirSample:
             pos = rng.uniform(-geom.R, geom.R, 10)
             heights = geom.height_model.sample(rng, 10)
             shadowing = 1.0 / sample_gamma(rng, channel.q, 1.0 / channel.gamma, np.empty(10))
-            powers = shadowing * channel.k_factor * np.hypot(pos, heights) ** -channel.alpha
+            powers = shadowing * np.hypot(pos, heights) ** -channel.alpha
             serving = int(np.argmax(powers))
             faded = sample_gamma(rng, channel.m, 1.0 / channel.m, np.empty(10)) * powers
             manual.append(faded[serving] / (faded.sum() - faded[serving]))
@@ -231,7 +231,7 @@ class TestSirSample:
                 continue
             uavs = slice(first[t], first[t] + counts[t])
             dist = np.hypot(pos[uavs], heights[uavs])
-            powers = shadowing[uavs] * channel.k_factor * dist**-channel.alpha
+            powers = shadowing[uavs] * dist**-channel.alpha
             serving = int(np.argmax(powers) if policy == MAX_POWER else np.argmin(dist))
             faded = fading[uavs] * powers
             interference = faded.sum() - faded[serving]
