@@ -10,7 +10,10 @@ config, overrides, [run] seed and config hash, then the command's
 (sweep_value, method, coverage, stderr) rows, written as CSV or JSON to
 --out or stdout.  A command's one side output lands next to --out:
 replay's SIR pdf table only there, height-study's report after the table
-on stdout when there is no --out.
+on stdout when there is no --out.  Every Monte Carlo run of a command
+takes [run] trials; height-study fits its height models to a trace's
+heights or to [height_study] count draws of the [geometry] height model,
+on the [geometry] corridor.
 
 Exit codes: 0 ok, 2 configuration, 3 numerical failure, 4 I/O, 5 data
 insufficiency.  Set CORRIDOR_COV_LOG=debug|info|warning for verbosity.
@@ -108,15 +111,7 @@ DEFAULTS = {
         "fading": "redraw",
     },
     "height_study": {
-        "dist": "normal",
-        "mean": "200.0",
-        "sigma": "15.0",
-        "low": "160.0",
-        "high": "240.0",
         "count": "100000",
-        "r": "200.0",
-        "kl_trials": "50000",
-        "curve_trials": "50000",
     },
 }
 
@@ -337,6 +332,7 @@ def _with_sweep_value(cfg, axis, value):
         if value != int(value) or value < 1:
             raise ConfigError("sweep over N needs positive integers")
         cfg["spatial"]["n"] = str(int(value))
+        cfg["spatial"]["intensity"] = ""  # an HPPP point's mean count is then N
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     geom = build_geometry(cfg)
@@ -412,50 +408,39 @@ def cmd_replay(cfg, args, seed):
 # ---------------------------------------------------------------------------
 
 
-def _height_samples(cfg, args, seed):
+def _height_samples(cfg, args, geom, seed):
+    """The trace's heights, or [height_study] count draws of the [geometry]
+    height model."""
     if args.trace is not None:
         trace = Trace.from_csv(args.trace)
         return np.asarray(trace.height_m, dtype=float), f"trace:{args.trace}"
-    dist = cfg["height_study"]["dist"].strip().lower()
     count = _get_int(cfg, "height_study", "count")
     if count < 0:
         raise ConfigError(f"[height_study] count={count!r} must be >= 0")
-    if dist == "normal":
-        mu = _get_float(cfg, "height_study", "mean")
-        sigma = _get_float(cfg, "height_study", "sigma")
-        if sigma < 0:
-            raise ConfigError(f"[height_study] sigma={sigma!r} must be >= 0")
-        if sigma > 0:
-            samples = simulator.sample_heights(NormalHeight(mu, sigma), count, seed)
-        else:
-            samples = np.full(count, mu)
-    elif dist == "uniform":
-        lo = _get_float(cfg, "height_study", "low")
-        hi = _get_float(cfg, "height_study", "high")
-        samples = simulator.sample_heights(UniformHeight(lo, hi), count, seed)
-    else:
-        raise ConfigError(f"unknown synthetic height distribution {dist!r}")
-    return samples, f"synthetic:{dist}"
+    kind = cfg["geometry"]["height_model"].strip().lower()
+    return simulator.sample_heights(geom.height_model, count, seed), f"synthetic:{kind}"
 
 
 def cmd_height_study(cfg, args, seed):
     values = _mc_theta_grid(cfg, "height-study")
+    trials = _get_int(cfg, "run", "trials")
     batch_size = _get_int(cfg, "run", "batch_size")
-    heights, source = _height_samples(cfg, args, seed)
+    geom = build_geometry(cfg)
+    spatial = _corridor_spatial(cfg, geom, "height-study")
+    channel = build_channel(cfg)
+    heights, source = _height_samples(cfg, args, geom, seed)
     if len(heights) < 30:
         raise DataInsufficiencyError(
             f"need at least 30 height samples to fit a model, got {len(heights)}"
         )
-    channel = build_channel(cfg)
-    radius = _get_float(cfg, "height_study", "r")
-    curve_trials = _get_int(cfg, "height_study", "curve_trials")
-    kl_trials = _get_int(cfg, "height_study", "kl_trials")
 
     mu, sigma = simulator.fit_normal_height(heights)
     lo, hi = simulator.fit_uniform_height(heights)
-    cfg_geom = {s: dict(v) for s, v in cfg.items()}
-    cfg_geom["geometry"]["r"] = repr(radius)
-    spatial = _corridor_spatial(cfg_geom, build_geometry(cfg_geom), "height-study")
+    if not lo > 0:
+        raise DataInsufficiencyError(
+            f"the moment-fitted uniform height model [{lo:.6g}, {hi:.6g}] m reaches the "
+            "ground: the heights are too spread for a uniform fit"
+        )
 
     rows = []
     fits = {}
@@ -468,8 +453,7 @@ def cmd_height_study(cfg, args, seed):
         ]
     for name, hm in model_list:
         curve = simulator.empirical_coverage(
-            spatial, CorridorGeometry(radius, hm), channel, values, curve_trials, seed,
-            batch_size,
+            spatial, CorridorGeometry(geom.R, hm), channel, values, trials, seed, batch_size
         )
         rows += _curve_rows(values, name, curve)
         fits[name] = curve
@@ -482,7 +466,7 @@ def cmd_height_study(cfg, args, seed):
         kl_normal = kl_uniform = 0.0
     else:
         kl = simulator.height_model_kl_study(
-            spatial, radius, heights, channel, kl_trials, seed, batch_size
+            spatial, geom.R, heights, channel, trials, seed, batch_size
         )
         kl_normal, kl_uniform = kl.kl_normal, kl.kl_uniform
 
@@ -554,10 +538,11 @@ def build_parser():
         p.add_argument("--from", dest="sweep.start", type=float, help="sweep start")
         p.add_argument("--to", dest="sweep.stop", type=float, help="sweep end (inclusive)")
         p.add_argument("--step", dest="sweep.step", type=float, help="sweep step")
+        p.add_argument("--trials", dest="run.trials", type=int,
+                       help="Monte Carlo trials of each simulation run")
 
     p_cov = sub.add_parser("coverage", help="coverage-probability sweeps")
     common(p_cov)
-    p_cov.add_argument("--trials", dest="run.trials", type=int, help="Monte Carlo trials")
     p_cov.add_argument("--sweep", dest="sweep.axis", choices=("theta", "lambda", "R", "h", "N"))
     p_cov.add_argument("--values", dest="sweep.values",
                        help="explicit comma-separated sweep values")
@@ -568,8 +553,6 @@ def build_parser():
 
     p_rep = sub.add_parser("replay", help="measurement-trace replay")
     common(p_rep)
-    p_rep.add_argument("--trials", dest="run.trials", type=int,
-                       help="Monte Carlo trials per association policy")
     p_rep.add_argument("--trace", required=True, help="trace CSV (position_m,height_m,rx_power_dbm)")
     p_rep.add_argument("--fading", dest="replay.fading", choices=("redraw", "fromtrace"),
                        help="fading mode")

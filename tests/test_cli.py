@@ -116,6 +116,22 @@ class TestCoverageCommand:
         # the 2D disc baseline stays simulation only
         assert run("model = disc\n", tmp_path / "disc.csv") == 2
 
+    def test_n_sweep_sets_the_hppp_mean_count(self, tmp_path, geom, channel):
+        # each N point is an HPPP of mean count N, whatever [spatial] intensity says
+        from corridor_cov import hppp_model
+
+        cfg = tmp_path / "hppp.ini"
+        cfg.write_text("[spatial]\nmodel = hppp\nintensity = 0.01\n")
+        out = tmp_path / "n.csv"
+        assert run_cli(["coverage", "--config", str(cfg), "--sweep", "N", "--values=5,10,20",
+                        "--methods", "exact", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        theta = 10 ** (-3 / 10)
+        assert [(float(r[0]), float(r[2])) for r in rows] == [
+            (n, hppp_model(n / geom.length, geom, channel).coverage(theta))
+            for n in (5.0, 10.0, 20.0)
+        ]
+
     def test_missing_config_file(self):
         assert run_cli(["coverage", "--config", "/nonexistent.ini"]) == 2
 
@@ -212,7 +228,7 @@ class TestCoverageCommand:
         cfg = tmp_path / "batch.ini"
         cfg.write_text(
             "[geometry]\nr = 200\nheight = 200\n\n[run]\ntrials = 1000\nbatch_size = 0\n\n"
-            "[height_study]\ncount = 1000\ncurve_trials = 1000\nkl_trials = 1000\n"
+            "[height_study]\ncount = 1000\n"
         )
         for argv in (
             ["coverage", "--methods", "mc", "--sweep", "theta", "--values", "-3"],
@@ -229,7 +245,7 @@ class TestCoverageCommand:
         cfg = tmp_path / "seed.ini"
         cfg.write_text(
             "[geometry]\nr = 200\nheight = 200\n\n[run]\ntrials = 1000\n\n"
-            "[height_study]\ncount = 1000\ncurve_trials = 1000\nkl_trials = 1000\n"
+            "[height_study]\ncount = 1000\n"
         )
         for argv in (
             ["coverage", "--methods", "mc", "--sweep", "theta", "--values", "-3"],
@@ -320,8 +336,8 @@ class TestHeightStudyCommand:
     def test_synthetic_normal_study(self, tmp_path):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\ndist = normal\nmean = 200\nsigma = 15\n"
-            "count = 100000\nr = 200\nkl_trials = 40000\ncurve_trials = 20000\n\n"
+            "[geometry]\nr = 200\nheight_model = normal\nheight_mu = 200\nheight_sigma = 15\n\n"
+            "[height_study]\ncount = 100000\n\n[run]\ntrials = 40000\n\n"
             "[sweep]\naxis = theta\nstart = -10\nstop = 10\nstep = 2\nmethods = mc\n"
         )
         out = tmp_path / "hs.csv"
@@ -340,25 +356,32 @@ class TestHeightStudyCommand:
     def test_constant_heights_degenerate(self, tmp_path):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\ndist = normal\nmean = 200\nsigma = 0\n"
-            "count = 1000\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
+            "[geometry]\nr = 200\nheight_model = fixed\nheight = 200\n\n"
+            "[height_study]\ncount = 1000\n\n[run]\ntrials = 2000\n\n"
             "[sweep]\naxis = theta\nvalues = -3\nmethods = mc\n"
         )
         out = tmp_path / "hs.csv"
         assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((tmp_path / "hs_report.json").read_text())
+        assert report["source"] == "synthetic:fixed"
+        assert report["max_gap_vs_fixed"] == {}
         assert report["fitted_normal"]["sigma"] == pytest.approx(0.0, abs=1e-9)
         assert report["kl_normal"] == 0.0 and report["kl_uniform"] == 0.0
 
-    def test_negative_sigma_is_config_error(self, tmp_path):
+    def test_negative_sigma_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "hs.ini"
-        cfg.write_text("[height_study]\ndist = normal\nsigma = -1\ncount = 1000\n")
+        cfg.write_text(
+            "[geometry]\nheight_model = normal\nheight_sigma = -1\n\n[height_study]\ncount = 1000\n"
+        )
         assert run_cli(["height-study", "--config", str(cfg)]) == 2
+        assert "normal height needs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["15", "0"])
     def test_negative_count_is_config_error(self, tmp_path, capsys, sigma):
+        # sigma = 0 is the constant heights of the fixed model
+        model = "fixed" if sigma == "0" else f"normal\nheight_sigma = {sigma}"
         cfg = tmp_path / "hs.ini"
-        cfg.write_text(f"[height_study]\ndist = normal\nsigma = {sigma}\ncount = -5\n")
+        cfg.write_text(f"[geometry]\nheight_model = {model}\n\n[height_study]\ncount = -5\n")
         assert run_cli(["height-study", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: [height_study] count=-5")
@@ -372,8 +395,8 @@ class TestHeightStudyCommand:
     def test_non_theta_sweep_axis_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\ndist = normal\nmean = 200\nsigma = 15\n"
-            "count = 1000\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
+            "[geometry]\nr = 200\nheight_model = normal\n\n"
+            "[height_study]\ncount = 1000\n\n[run]\ntrials = 2000\n\n"
             "[sweep]\naxis = R\nvalues = 250\nmethods = exact\n"
         )
         out = tmp_path / "hs.csv"
@@ -384,8 +407,8 @@ class TestHeightStudyCommand:
     def test_methods_without_mc_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\ndist = normal\nmean = 200\nsigma = 15\n"
-            "count = 1000\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
+            "[geometry]\nr = 200\nheight_model = normal\n\n"
+            "[height_study]\ncount = 1000\n\n[run]\ntrials = 2000\n\n"
             "[sweep]\naxis = theta\nvalues = -3\nmethods = exact\n"
         )
         out = tmp_path / "hs.csv"
@@ -397,8 +420,8 @@ class TestHeightStudyCommand:
         # 70,000 trials run as two batches, one per thread on 2 CPUs
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\ndist = normal\nmean = 200\nsigma = 0\n"
-            "count = 1000\nr = 200\ncurve_trials = 70000\nkl_trials = 1000\n\n"
+            "[geometry]\nr = 200\nheight_model = fixed\nheight = 200\n\n"
+            "[height_study]\ncount = 1000\n\n[run]\ntrials = 70000\n\n"
             "[sweep]\naxis = theta\nvalues = -3\n"
         )
         rows = []
@@ -418,7 +441,7 @@ class TestHeightStudyCommand:
     def test_trace_height_source(self, tmp_path, trace_csv):
         cfg = tmp_path / "hs.ini"
         cfg.write_text(
-            "[height_study]\nr = 200\ncurve_trials = 2000\nkl_trials = 1000\n\n"
+            "[geometry]\nr = 200\n\n[run]\ntrials = 2000\n\n"
             "[sweep]\naxis = theta\nvalues = -3\nmethods = mc\n"
         )
         out = tmp_path / "hs.csv"
@@ -429,13 +452,62 @@ class TestHeightStudyCommand:
         # synthesized trace has fixed 200 m heights -> degenerate sigma
         assert report["fitted_normal"]["mu"] == pytest.approx(200.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "key", ["dist", "mean", "sigma", "low", "high", "r", "kl_trials", "curve_trials"]
+    )
+    def test_keys_restating_geometry_and_run_are_gone(self, tmp_path, capsys, key):
+        # heights come from [geometry] height_*, the corridor from [geometry] r
+        # and every Monte Carlo run's trials from [run] trials
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(f"[height_study]\n{key} = 1\n")
+        assert run_cli(["height-study", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
 
-# height-study takes its trial counts from [height_study]; the Monte Carlo
-# thread count is the CPU count, so no command takes a worker count
+    def test_trials_flag_sets_run_trials(self, tmp_path):
+        base = (
+            "[geometry]\nr = 200\nheight_model = uniform\n\n[height_study]\ncount = 1000\n\n"
+            "[sweep]\naxis = theta\nvalues = -3,3\nmethods = mc\n"
+        )
+        flag, key = tmp_path / "flag.ini", tmp_path / "key.ini"
+        flag.write_text(base)
+        key.write_text(base + "\n[run]\ntrials = 3000\n")
+        out = {}
+        for name, argv in (("flag", ["--config", str(flag), "--trials", "3000"]),
+                           ("key", ["--config", str(key)])):
+            out[name] = tmp_path / f"{name}.csv"
+            assert run_cli(["height-study", "--out", str(out[name])] + argv) == 0
+        rows = {name: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+                for name, path in out.items()}
+        assert rows["flag"] == rows["key"]
+        assert {row.split(",")[1] for row in rows["flag"][1:]} == {
+            "fixed", "variable_normal", "variable_uniform"
+        }
+        reports = {name: json.loads((tmp_path / f"{name}_report.json").read_text())
+                   for name in out}
+        for report in reports.values():
+            del report["config_hash"]
+        assert reports["flag"] == reports["key"]
+
+    def test_uniform_fit_reaching_the_ground_is_data_error(self, tmp_path, capsys):
+        # U(1, 400) heights moment-fit to about [-0.25, 394.9] m
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(
+            "[geometry]\nheight_model = uniform\nheight_low = 1\nheight_high = 400\n\n"
+            "[height_study]\ncount = 2000\n\n[run]\nseed = 1\ntrials = 2000\n\n"
+            "[sweep]\nvalues = -3\nmethods = mc\n"
+        )
+        out = tmp_path / "hs.csv"
+        assert run_cli(["height-study", "--config", str(cfg), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("insufficient data: ") and "[-0.253237, 394.915] m" in err
+        assert not out.exists()
+
+
+# the Monte Carlo thread count is the CPU count, so no command takes a worker count
 @pytest.mark.parametrize(
     "argv",
     [
-        ["height-study", "--trials", "1000"],
         ["height-study", "--workers", "2"],
         ["replay", "--trace", "trace.csv", "--workers", "2"],
         ["coverage", "--workers", "2"],
