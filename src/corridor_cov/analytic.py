@@ -59,7 +59,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -642,7 +642,8 @@ class _CoverageModel:
         self.law = law
         self.channel = channel
         self.m = channel.m
-        self.dist = _cached_dist(geom, channel)
+        # the distribution reads alpha, q and gamma, not m: one cache serves every m
+        self.dist = _cached_dist(geom, replace(channel, m=1.0))
         self._bounds = {}  # eps -> `_outer_bounds(eps)`
         # the `integrate` memos of exact coverage and of both dominant methods
         self._exact_memo = {}

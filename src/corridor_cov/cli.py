@@ -13,7 +13,8 @@ replay's SIR pdf table only there, height-study's report after the table
 on stdout when there is no --out.  Every Monte Carlo run of a command
 takes [run] trials; height-study fits its height models to a trace's
 heights or to [height_study] count draws of the [geometry] height model,
-on the [geometry] corridor.
+on the [geometry] corridor; its variable_* rows are the coverage curves
+of simulator.height_model_kl_study's runs of the fitted models.
 
 Exit codes: 0 ok, 2 configuration, 3 numerical failure, 4 I/O, 5 data
 insufficiency.  Set CORRIDOR_COV_LOG=debug|info|warning for verbosity.
@@ -442,32 +443,19 @@ def cmd_height_study(cfg, args, seed):
             "ground: the heights are too spread for a uniform fit"
         )
 
-    rows = []
-    fits = {}
-    degenerate = sigma < 1e-9
-    model_list = [("fixed", FixedHeight(mu))]
-    if not degenerate:
-        model_list += [
-            ("variable_normal", NormalHeight(mu, sigma)),
-            ("variable_uniform", UniformHeight(lo, hi)),
-        ]
-    for name, hm in model_list:
-        curve = simulator.empirical_coverage(
-            spatial, CorridorGeometry(geom.R, hm), channel, values, trials, seed, batch_size
-        )
-        rows += _curve_rows(values, name, curve)
-        fits[name] = curve
-
-    gaps = {
-        name: fits[name].max_gap(fits["fixed"]) for name in fits if name != "fixed"
-    }
-
-    if degenerate:
-        kl_normal = kl_uniform = 0.0
-    else:
+    fixed = simulator.empirical_coverage(
+        spatial, CorridorGeometry(geom.R, FixedHeight(mu)), channel, values, trials, seed, batch_size
+    )
+    rows = _curve_rows(values, "fixed", fixed)
+    gaps, kl_normal, kl_uniform = {}, 0.0, 0.0
+    if sigma >= 1e-9:  # else the degenerate study: the fixed curve only
         kl = simulator.height_model_kl_study(
-            spatial, geom.R, heights, channel, trials, seed, batch_size
+            spatial, geom.R, heights, channel, values, trials, seed, batch_size
         )
+        for name, curve in (("variable_normal", kl.normal_coverage),
+                            ("variable_uniform", kl.uniform_coverage)):
+            rows += _curve_rows(values, name, curve)
+            gaps[name] = curve.max_gap(fixed)
         kl_normal, kl_uniform = kl.kl_normal, kl.kl_uniform
 
     report = {

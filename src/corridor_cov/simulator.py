@@ -592,6 +592,8 @@ class HeightKlResult:
     uniform_high: float
     kl_normal: float
     kl_uniform: float
+    normal_coverage: CoverageCurve
+    uniform_coverage: CoverageCurve
 
 
 def height_model_kl_study(
@@ -599,24 +601,28 @@ def height_model_kl_study(
     R,
     data_heights,
     channel,
+    theta_db,
     trials,
     seed,
     batch_size=DEFAULT_BATCH_SIZE,
 ):
-    """KL comparison of fitted Normal vs Uniform height models.
+    """KL comparison of fitted Normal vs Uniform height models, and their
+    coverage curves on the dB grid `theta_db`.
 
     Runs `simulate_sir`'s batch loop once per height model under one seed,
     so the three runs share positions, shadowing and fading.  Their heights
     map the same height-stream uniforms through the quantile function of
     (a) the data's empirical distribution, (b) the moment-fitted Normal,
-    (c) the moment-fitted Uniform.  The coupling removes the shared Monte
-    Carlo noise, so the reported KL values isolate the height-model
-    mismatch.  Each piece of a batch is reduced to SIR histogram counts
-    (1 dB bins over -30..30 dB) as it is drawn; no run's SIRs are kept.
+    clamped at 1e-9 m, (c) the moment-fitted Uniform, which draws what
+    UniformHeight(lo, hi) draws, bit for bit, when lo > 0.  The coupling
+    removes the shared Monte Carlo noise, so the KL values isolate the
+    height-model mismatch.  Each piece of a batch is reduced to threshold
+    and SIR histogram counts (1 dB bins over -30..30 dB) as it is drawn.
     `data_heights` must hold at least two heights, all finite and positive.
     """
     from scipy.special import ndtri
 
+    theta_db = _theta_grid(theta_db)
     data = np.sort(np.asarray(data_heights, dtype=float))
     _require(
         data.size >= 2 and np.all(np.isfinite(data) & (data > 0)),
@@ -625,21 +631,22 @@ def height_model_kl_study(
     mu, sigma = fit_normal_height(data)
     lo, hi = fit_uniform_height(data)
     hist_db = np.arange(-30.0, 30.5, 1.0)
-    no_sirs = SirTally.of(np.empty(0), [], hist_db)
+    no_sirs = SirTally.of(np.empty(0), theta_db, hist_db)
     quantiles = {
         "true": _grid_quantile(data),
         "normal": lambda u: np.maximum(mu + sigma * ndtri(u), 1e-9),
         "uniform": lambda u: np.maximum(lo + (hi - lo) * u, 1e-9),
     }
 
-    def sir_distribution(quantile):
+    def sir_tally(quantile):
         geom = CorridorGeometry(R, _QuantileHeight(quantile))
         tally, _ = _simulate(
             spatial, geom, channel, channel.m, trials, seed, MAX_POWER, batch_size, no_sirs
         )
-        return EmpiricalDistribution.from_counts(tally.hist, hist_db)
+        return tally
 
-    dists = {key: sir_distribution(quantile) for key, quantile in quantiles.items()}
+    tallies = {key: sir_tally(quantile) for key, quantile in quantiles.items()}
+    dists = {key: EmpiricalDistribution.from_counts(t.hist, hist_db) for key, t in tallies.items()}
     return HeightKlResult(
         mu=mu,
         sigma=sigma,
@@ -647,6 +654,8 @@ def height_model_kl_study(
         uniform_high=hi,
         kl_normal=kl_divergence(dists["true"], dists["normal"]),
         kl_uniform=kl_divergence(dists["true"], dists["uniform"]),
+        normal_coverage=coverage_from_sirs(tallies["normal"], theta_db),
+        uniform_coverage=coverage_from_sirs(tallies["uniform"], theta_db),
     )
 
 
@@ -860,6 +869,8 @@ def trace_replay(
     """
     if fading_mode not in ("redraw", "fromtrace"):
         raise ParameterError(f"unknown fading mode {fading_mode!r}")
+    if fading_mode == "redraw":
+        _require(m > 0, "fading shape m must be positive and finite", m)
     if trace.position_m[0] > -geom.R or trace.position_m[-1] < geom.R:
         raise MappingError(
             f"trace extent [{trace.position_m[0]:.6g}, {trace.position_m[-1]:.6g}] m "

@@ -232,6 +232,15 @@ class TestCoverageHPPP:
     def test_shares_received_power_cache_with_bpp(self, geom, channel):
         assert bpp_model(10, geom, channel).dist is hppp_model(0.01, geom, channel).dist
 
+    def test_models_differing_only_in_m_share_one_cache(self, geom):
+        # the received-power distribution does not depend on the fading shape
+        dists = [
+            model(size, geom, ChannelParams(alpha=2.2, q=2.0, m=m)).dist
+            for model, size in ((bpp_model, 10), (hppp_model, 0.01))
+            for m in (1.0, 2.5, 3.0)
+        ]
+        assert all(dist is dists[0] for dist in dists)
+
     @pytest.mark.parametrize("m", [1.0, 8.0])
     @pytest.mark.parametrize("mean_count", [2.0, 200.0])
     @pytest.mark.parametrize("theta_db", [-20.0, 20.0])

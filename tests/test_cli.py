@@ -1,11 +1,12 @@
 import json
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from corridor_cov import cli
+from corridor_cov import cli, simulator
 from conftest import checkout_env
 
 
@@ -352,6 +353,42 @@ class TestHeightStudyCommand:
         assert report["max_gap_vs_fixed"]["variable_uniform"] <= 0.02
         methods = {line.split(",")[1] for line in out.read_text().strip().splitlines()[1:]}
         assert methods == {"fixed", "variable_normal", "variable_uniform"}
+
+    STUDY = (
+        "[geometry]\nr = 200\nheight_model = normal\n\n[height_study]\ncount = 1000\n\n"
+        "[run]\ntrials = 2000\nseed = 3\n\n[sweep]\naxis = theta\nvalues = -3,0,3\nmethods = mc\n"
+    )
+
+    def test_study_runs_each_model_once(self, tmp_path, caplog):
+        # the fixed curve, then the KL study's empirical, normal and uniform
+        # runs, whose normal and uniform curves are the variable rows
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(self.STUDY)
+        caplog.set_level(logging.DEBUG, logger="corridor_cov.simulator")
+        assert run_cli(["height-study", "--config", str(cfg), "--out", str(tmp_path / "hs.csv")]) == 0
+        runs = [r for r in caplog.records if r.getMessage().startswith("simulate_sir:")]
+        assert len(runs) == 4
+
+    def test_variable_rows_are_the_kl_study_curves(self, tmp_path, monkeypatch):
+        studies, run_study = [], simulator.height_model_kl_study
+
+        def study(*args, **kwargs):
+            studies.append(run_study(*args, **kwargs))
+            return studies[-1]
+
+        monkeypatch.setattr(simulator, "height_model_kl_study", study)
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(self.STUDY)
+        out = tmp_path / "hs.json"
+        assert run_cli(["height-study", "--config", str(cfg), "--format", "json",
+                        "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        (kl,) = studies
+        for method, curve in (("variable_normal", kl.normal_coverage),
+                              ("variable_uniform", kl.uniform_coverage)):
+            got = [(r["sweep_value"], r["coverage"], r["stderr"]) for r in rows
+                   if r["method"] == method]
+            assert got == list(zip([-3.0, 0.0, 3.0], curve.coverage, curve.stderr))
 
     def test_constant_heights_degenerate(self, tmp_path):
         cfg = tmp_path / "hs.ini"

@@ -424,7 +424,7 @@ class TestVariableHeight:
     def test_kl_prefers_matching_model(self, channel):
         rng = np.random.default_rng(22)
         data = rng.normal(200.0, 15.0, 50_000)
-        res = height_model_kl_study(BPP(10), 200.0, data, channel, 50_000, seed=23)
+        res = height_model_kl_study(BPP(10), 200.0, data, channel, [0.0], 50_000, seed=23)
         assert res.kl_normal < res.kl_uniform
         assert res.mu == pytest.approx(200.0, abs=1.0)
 
@@ -435,13 +435,28 @@ class TestVariableHeight:
         # a negative height once gave KL values, and a nan one or a single
         # height a histogram error that did not name the heights
         with pytest.raises(ParameterError, match="data_heights"):
-            height_model_kl_study(BPP(10), 200.0, data, channel, 1000, seed=1)
+            height_model_kl_study(BPP(10), 200.0, data, channel, [0.0], 1000, seed=1)
 
     def test_kl_prefers_uniform_for_uniform_data(self, channel):
         rng = np.random.default_rng(23)
         data = rng.uniform(160.0, 240.0, 50_000)
-        res = height_model_kl_study(BPP(10), 200.0, data, channel, 50_000, seed=24)
+        res = height_model_kl_study(BPP(10), 200.0, data, channel, [0.0], 50_000, seed=24)
         assert res.kl_uniform < res.kl_normal
+
+    @pytest.mark.parametrize("spatial", [BPP(10), FiniteHPPP(0.025)], ids=["bpp", "hppp"])
+    def test_uniform_curve_is_empirical_coverage(self, channel, spatial):
+        # the study's map lo + (hi - lo) u draws UniformHeight(lo, hi)'s heights
+        # bit for bit, so its uniform run is the plain simulator's
+        data = np.random.default_rng(25).normal(200.0, 15.0, 2000)
+        theta_db = [-3.0, 0.0, 3.0]
+        res = height_model_kl_study(
+            spatial, 200.0, data, channel, theta_db, 5000, seed=26, batch_size=2048
+        )
+        geom = CorridorGeometry(200.0, UniformHeight(res.uniform_low, res.uniform_high))
+        direct = empirical_coverage(spatial, geom, channel, theta_db, 5000, seed=26, batch_size=2048)
+        assert np.array_equal(res.uniform_coverage.coverage, direct.coverage)
+        assert np.array_equal(res.uniform_coverage.stderr, direct.stderr)
+        assert res.uniform_coverage.n_trials == direct.n_trials
 
 
 @pytest.mark.parametrize("n", [2, 3, 5000])
@@ -506,7 +521,7 @@ class TestBatchRunner:
                 batch_size=batch_size,
             ),
             "height_model_kl_study": lambda: height_model_kl_study(
-                BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, trials, seed=1,
+                BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, [0.0], trials, seed=1,
                 batch_size=batch_size,
             ),
             "trace_replay": lambda: trace_replay(
@@ -530,7 +545,7 @@ class TestSeeds:
                 BPP(10), geom, channel, 100, seed=seed, policy=MIN_DISTANCE
             ),
             "height_model_kl_study": lambda: height_model_kl_study(
-                BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, 100, seed=seed
+                BPP(10), 200.0, np.linspace(180.0, 220.0, 50), channel, [0.0], 100, seed=seed
             ),
             "trace_replay": lambda: trace_replay(trace, BPP(10), small, 100, [0.0], seed=seed),
             "synthesize_trace": lambda: synthesize_trace(small, channel, spacing=0.5, seed=seed),
@@ -640,7 +655,8 @@ class TestCpuCount:
         for cpus in (1, 4):
             set_cpus(cpus)
             kl = height_model_kl_study(
-                FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=10, batch_size=4096
+                FiniteHPPP(0.025), 200.0, data, channel, [-3.0, 0.0, 3.0], 20_000, seed=10,
+                batch_size=4096,
             )
             out = [kl.kl_normal, kl.kl_uniform]
             for fading_mode in ("redraw", "fromtrace"):
@@ -675,7 +691,8 @@ class TestPieceSize:
                     )
                     out += [sirs if theta_db is None else sirs.above, len(sirs), excluded]
         kl = height_model_kl_study(
-            FiniteHPPP(0.0125), 200.0, data, channel, 3000, seed=45, batch_size=1024
+            FiniteHPPP(0.0125), 200.0, data, channel, [-3.0, 0.0, 3.0], 3000, seed=45,
+            batch_size=1024,
         )
         out += [kl.kl_normal, kl.kl_uniform]
         for fading_mode in ("redraw", "fromtrace"):
@@ -828,7 +845,8 @@ class TestPinnedStreams:
     def test_kl_study(self, channel):
         data = np.random.default_rng(7).normal(200.0, 15.0, 5000)
         res = height_model_kl_study(
-            FiniteHPPP(0.025), 200.0, data, channel, 20_000, seed=2026, batch_size=8192
+            FiniteHPPP(0.025), 200.0, data, channel, [-3.0, 0.0, 3.0], 20_000, seed=2026,
+            batch_size=8192,
         )
         assert res.kl_normal == pytest.approx(1.762326809554032e-05, rel=1e-12)
         assert res.kl_uniform == pytest.approx(0.0003939852803642533, rel=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from corridor_cov import (
     FiniteHPPP,
     FixedHeight,
     MappingError,
+    ParameterError,
     Trace,
     TraceFormatError,
     empirical_coverage,
@@ -172,6 +175,13 @@ class TestReplay:
         res_rd = trace_replay(small_trace, BPP(10), small_geom, 60_000, THETAS, seed=42,
                               fading_mode="redraw")
         assert res_ft.coverage.max_gap(res_rd.coverage) > 0.02
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_redraw_rejects_bad_fading_shape(self, small_geom, small_trace, m):
+        # m = 0 once raised ZeroDivisionError, m < 0 numpy's "shape < 0", and
+        # a nan or infinite m a histogram error that did not name m
+        with pytest.raises(ParameterError, match="fading shape m must be positive and finite"):
+            trace_replay(small_trace, BPP(10), small_geom, 2000, THETAS, seed=44, m=m)
 
     def test_replay_deterministic(self, small_geom, small_trace):
         a = trace_replay(small_trace, BPP(10), small_geom, 5_000, THETAS, seed=43)
