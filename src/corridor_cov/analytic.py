@@ -956,11 +956,41 @@ def _gen_laguerre_rule(m, n_nodes):
     0 <= g <= `_fading_term_bound`: the n-node generalized Gauss-Laguerre
     rule without its largest nodes whose summed w_k B(z_k) is at most
     `_LAGUERRE_DROP`, which bounds what they could add."""
-    z, w = special.roots_genlaguerre(n_nodes, m - 1.0)
+    z, w = _gen_laguerre_roots(n_nodes, m - 1.0)
     w = w / special.gamma(m)
     tail = np.cumsum((w * _fading_term_bound(m, z))[::-1])[::-1]
     keep = tail > _LAGUERRE_DROP
     return z[keep], w[keep]
+
+
+def _gen_laguerre_roots(n, alpha):
+    """The n-node generalized Gauss-Laguerre rule of weight z^alpha e^-z,
+    bit for bit what scipy.special's `roots_genlaguerre` returns, without
+    the `scipy.linalg` import of its eigensolver.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the Laguerre recurrence, improved by one Newton
+    step on L_n; the weights are 1 / (L_(n-1) L_n') there, each factor
+    scaled by the geometric middle of its range so that the product neither
+    overflows nor underflows, and normalized to sum to Gamma(alpha + 1)."""
+    mu0 = special.gamma(alpha + 1.0)
+    if n == 1:
+        return np.array([alpha + 1.0]), np.array([mu0])
+    k = np.arange(n, dtype=float)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = 2.0 * k + alpha + 1.0
+    jacobi.flat[n :: n + 1] = -np.sqrt(k[1:] * (k[1:] + alpha))
+    z = np.linalg.eigvalsh(jacobi)
+    y = special.eval_genlaguerre(n, alpha, z)
+    dy = (n * y - (n + alpha) * special.eval_genlaguerre(n - 1, alpha, z)) / z
+    z -= y / dy
+    fm = special.eval_genlaguerre(n - 1, alpha, z)
+    for f in (fm, dy):
+        logs = np.log(np.abs(f))
+        f /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= mu0 / w.sum()
+    return z, w
 
 
 def _scaled_upper_gamma(m, x):

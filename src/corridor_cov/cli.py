@@ -414,7 +414,14 @@ def _height_samples(cfg, args, geom, seed):
     height model."""
     if args.trace is not None:
         trace = Trace.from_csv(args.trace)
-        return np.asarray(trace.height_m, dtype=float), f"trace:{args.trace}"
+        grounded = np.flatnonzero(trace.height_m <= 0)
+        if grounded.size:
+            i = grounded[0]
+            raise DataInsufficiencyError(
+                f"trace {args.trace}: the sample at position {trace.position_m[i]:.6g} m has "
+                f"height {trace.height_m[i]:.6g} m; a height model needs positive heights"
+            )
+        return trace.height_m, f"trace:{args.trace}"
     count = _get_int(cfg, "height_study", "count")
     if count < 0:
         raise ConfigError(f"[height_study] count={count!r} must be >= 0")

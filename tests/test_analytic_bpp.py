@@ -979,6 +979,17 @@ class TestFadingTailExpectation:
             got = _fading_tail_expectation(m, a, b, n_nodes)
             assert np.all(np.abs(got - full) <= 1e-16 + 4 * np.finfo(float).eps * full)
 
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_rule_is_scipys_bit_for_bit(self, n_nodes):
+        # the numpy Golub-Welsch rule equals scipy's, which imports
+        # scipy.linalg for its eigenvalues, on m = 0.5, 0.55, ..., 8
+        for m in np.round(np.arange(0.5, 8.0 + 1e-9, 0.05), 10):
+            z, w = analytic._gen_laguerre_roots(n_nodes, m - 1.0)
+            z_ref, w_ref = special.roots_genlaguerre(n_nodes, m - 1.0)
+            assert z.shape == w.shape == (n_nodes,)
+            assert [v.hex() for v in z] == [v.hex() for v in z_ref], m
+            assert [v.hex() for v in w] == [v.hex() for v in w_ref], m
+
     @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 8.0])
     def test_term_bound_holds(self, m):
         # exp(beta z) Q(m, a + beta z) <= B(z) for a >= 0, 0 < beta < 1

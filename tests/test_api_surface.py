@@ -56,6 +56,27 @@ def test_package_import_leaves_out_scipy_interpolate():
     assert proc.stdout.strip() == "False"
 
 
+def test_dominant_values_import_nothing():
+    # scipy.special.roots_genlaguerre would import scipy.linalg (44 modules
+    # and about 5 MiB of peak RSS) for the fading rule's eigenvalues
+    script = (
+        "import sys, corridor_cov\n"
+        "from corridor_cov import ChannelParams, CorridorGeometry, FixedHeight, bpp_model, hppp_model\n"
+        "before = set(sys.modules)\n"
+        "geom = CorridorGeometry(500.0, FixedHeight(100.0))\n"
+        "for m in (1.3, 2.5, 3.0):\n"
+        "    channel = ChannelParams(alpha=2.2, q=2.0, m=m)\n"
+        "    for model in (bpp_model(10, geom, channel), hppp_model(0.01, geom, channel)):\n"
+        "        model.coverage_dominant(1.0), model.coverage_single_dominant(1.0)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=checkout_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("name", RETIRED)
 def test_retired_names_are_gone(name):
     from corridor_cov import simulator

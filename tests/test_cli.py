@@ -489,6 +489,21 @@ class TestHeightStudyCommand:
         # synthesized trace has fixed 200 m heights -> degenerate sigma
         assert report["fitted_normal"]["mu"] == pytest.approx(200.0, abs=1e-9)
 
+    def test_trace_height_at_or_below_ground_is_data_error(self, tmp_path, capsys, caplog):
+        heights = np.random.default_rng(5).normal(200.0, 15.0, 100)
+        heights[40] = -5.0
+        heights[60] = 0.0
+        path = tmp_path / "low.csv"
+        positions = np.arange(100) * 0.5
+        simulator.Trace(positions, heights, np.full(100, -60.0), 0.25).to_csv(path)
+        cfg = tmp_path / "hs.ini"
+        cfg.write_text(self.STUDY)
+        caplog.set_level(logging.DEBUG, logger="corridor_cov.simulator")
+        assert run_cli(["height-study", "--config", str(cfg), "--trace", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert str(path) in err and "position 20 m" in err and "height -5 m" in err
+        assert not [r for r in caplog.records if r.getMessage().startswith("simulate_sir:")]
+
     @pytest.mark.parametrize(
         "key", ["dist", "mean", "sigma", "low", "high", "r", "kl_trials", "curve_trials"]
     )
