@@ -10,18 +10,21 @@ Implements, for both spatial models, the chain
 plus the dominant-interferer approximations (second-strongest interferer
 kept exactly, the remaining ones replaced by their conditional mean, or
 dropped).  Their expectation over the dominant interferer's fading is taken
-outside the quadrature: in closed form (a regularized incomplete beta
-function) when the residual is dropped, and by a fixed generalized
-Gauss-Laguerre rule when it is replaced by its mean.  Where 2m is an
-integer the rule's terms are elementary, e^x Q(m, x) summed by the order
-recurrence of Q, and for integer m they are polynomials of degree m - 1,
-which the ceil(m/2)-node rule integrates exactly.  Non-integer m takes a
-4-node rule certified against twice its nodes, as a second component of the
-same integral on the same panels, and returns the 8-node value; where that
-pair disagrees it falls back to 8 nodes against 16, then to 32 against 64.
-What remains is a 2D integral over the top-two received powers; each call of
-its outer integrand computes the inner integrals of all its nodes with one
-batched rule.
+outside the quadrature: in closed form, the regularized incomplete beta
+function I_x(m, m), when the residual is dropped, and by a fixed
+generalized Gauss-Laguerre rule when it is replaced by its mean.  Where 2m
+is an integer both are elementary (I_x(m, m) up to m = 8).  I_x(m, m) is a
+finite sum of non-negative terms for integer m; for half-integer m it is an
+arctangent and its order recurrence, or a non-negative series where that
+recurrence would cancel.  The rule's terms are e^x Q(m, x) summed by the
+order recurrence of Q, and for integer m they are polynomials of degree
+m - 1, which the ceil(m/2)-node rule integrates exactly.  Non-integer m
+takes a 4-node rule certified against twice its nodes, as a second
+component of the same integral on the same panels, and returns the 8-node
+value; where that pair disagrees it falls back to 8 nodes against 16, then
+to 32 against 64.  What remains is a 2D integral over the top-two
+received powers; each call of its outer integrand computes the inner
+integrals of all its nodes with one batched rule.
 
 The two spatial models differ only in their UAV count law, through its
 probability generating function G: z^n for the BPP, e^(mu (z - 1)) for the
@@ -76,6 +79,7 @@ from .core import (
     SpatialModel,
     _require,
     _require_count,
+    _without_nan,
     pathloss_value_pdf,
 )
 from .quadrature import QuadratureConfig, QuadratureError, integrate, integrate_batch
@@ -112,6 +116,15 @@ _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
 # rule, which is exact.
 _LAGUERRE_LADDER = (4, 8, 32)
 _LAGUERRE_DROP = 1e-17
+# `_symmetric_beta`: the largest m of its elementary forms, the range the
+# tests hold to betainc (past m = 18.5 x^m turns subnormal while I_x(m, m)
+# is still above 1e-300, and 1/(m B(m, m)) ~ 4^m overflows near m = 512);
+# at half-integer m, the most its recurrence may cancel (the sum of its
+# terms' magnitudes over the value), and where the series that replaces it
+# is cut
+_BETA_ELEMENTARY_M = 8.0
+_BETA_CANCELLATION = 64.0
+_BETA_SERIES_TOL = 1e-17
 _TERM_BLOCK = 8192
 
 _TAIL_EPS = 1e-13
@@ -315,9 +328,7 @@ class ReceivedPowerDistribution:
         """exp of the log-interpolant `name` at each x in (x_lo, x_hi), 0
         below, and above(x) at the x >= x_hi; NaN raises, as it lies in none."""
         c = self._ensure()
-        x = np.asarray(x, dtype=float)
-        if np.isnan(x).any():
-            raise ParameterError("received power must not be NaN")
+        x = _without_nan(x, "received power")
         out = np.zeros(x.shape)
         high = x >= c["x_hi"]
         if high.any():
@@ -364,8 +375,26 @@ class ReceivedPowerDistribution:
 
         Above x_hi the mass is below 1e-13, but with heavy shadowing not the
         first moment (at q = 1.05 about a quarter of E[P]), so there M1 is
-        integrated from its closed form, as the cache samples it."""
-        return self._interpolated("log_m1", x, lambda x: self._smooth_integrals(x)[0][2])
+        integrated from its closed form, as the cache samples it, and at
+        x = inf it is its limit E[P] = E[S] E[l]."""
+        return self._interpolated("log_m1", x, self._mean_above)
+
+    def _mean_above(self, x):
+        """M1 at x >= x_hi (`mean_below`), and its limit `mean()` at x = inf."""
+        out = np.empty(x.shape)
+        top = np.isinf(x)
+        if top.any():
+            out[top] = self.mean()
+        if not top.all():
+            out[~top] = self._smooth_integrals(x[~top])[0][2]
+        return out
+
+    def mean(self):
+        """E[P] = E[S] E[l], E[l] = (1/R) int_0^R (h^2 + u^2)^(-alpha/2) du."""
+        pathloss = integrate(
+            lambda u: (self.h**2 + u**2) ** (-self.alpha / 2.0), 0.0, self.R, _PDF_QUAD
+        )
+        return self.shadowing.mean() * pathloss.value / self.R
 
     def ppf(self, p):
         """Quantile: two Newton steps on log F(e^t) = log p (slope x f / F) bring
@@ -1040,20 +1069,83 @@ def _laguerre_tail(m, a, b, z, w):
     return np.exp(-a) * scale * sums if elementary else scale * sums
 
 
+def _symmetric_beta(m, b):
+    """I_x(m, m), the regularized incomplete beta function, at x = 1/(1+b)
+    for a 1D array b > 0, with y = b/(1+b) formed from b, never as 1 - x.
+
+    Where 2m is an integer, up to m = `_BETA_ELEMENTARY_M`, it is
+    elementary (DLMF 8.17), and nothing subtracts more than a factor
+    `_BETA_CANCELLATION` of the value:
+
+    - integer m: x^m sum_{j<m} C(m-1+j, j) y^j, the chance that a negative
+      binomial count stays below m; every term is >= 0 and at most 1.
+    - half-integer m = k + 1/2: I_x(1/2, 1/2) = (2/pi) arctan(1/sqrt b),
+      well conditioned for every b, plus the k steps of
+      I_x(a+1, a+1) = I_x(a, a) + (x y)^a (x - y) / (a B(a, a)).  For
+      x >= 1/2 each step adds; below 1/2 each subtracts, and where the sum
+      of magnitudes exceeds `_BETA_CANCELLATION` times the result, the value
+      is the non-negative series (x y)^m / (m B(m, m)) sum_j (2m)_j /
+      (m+1)_j x^j, which converges fast there (the crossover lies below
+      x = 0.22 for m <= 7.5) and is cut where its next term falls below
+      `_BETA_SERIES_TOL` at the largest such x.
+
+    Any other m takes scipy's betainc at x.
+    """
+    if not float(2.0 * m).is_integer() or m > _BETA_ELEMENTARY_M:
+        return special.betainc(m, m, 1.0 / (1.0 + b))
+    ob = 1.0 + b
+    if float(m).is_integer():
+        y = b / ob
+        term = (1.0 / ob) ** m
+        out = term.copy()
+        for j in range(1, int(m)):
+            term *= (m - 1.0 + j) / j * y
+            out += term
+        return out
+    root = np.sqrt(b)
+    half = (2.0 / math.pi) * np.arctan2(1.0, root)  # I_x(1/2, 1/2)
+    r = root / ob  # sqrt(x y)
+    coef = 2.0 / math.pi  # 1 / (a B(a, a)) at a = 1/2, then up to a = m
+    term = coef * r * ((1.0 - b) / ob)  # the step from a to a + 1
+    steps = np.zeros(b.shape)
+    for a in np.arange(0.5, m - 0.5):
+        steps += term
+        ratio = 2.0 * (2.0 * a + 1.0) / (a + 1.0)
+        coef *= ratio
+        term *= ratio * r * r
+    out = half + steps
+    series = _BETA_CANCELLATION * out < half + np.abs(steps)
+    if series.any():
+        x = 1.0 / ob[series]
+        x_max, coeffs = float(x.max()), [1.0]  # coeffs[j] = (2m)_j / (m+1)_j
+        while coeffs[-1] * x_max ** (len(coeffs) - 1) > _BETA_SERIES_TOL:
+            j = len(coeffs) - 1
+            coeffs.append(coeffs[-1] * (2.0 * m + j) / (m + 1.0 + j))
+        total = np.full(x.size, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            total *= x
+            total += c
+        out[series] = coef * r[series] ** (2.0 * m) * total
+    return out
+
+
 def _fading_tail_expectation(m, a, b, n_nodes):
     """T(a, b) = E[Q(m, a + b Y)] for Y ~ Gamma(m, 1), elementwise over
     broadcast arrays a >= 0, b > 0; Q is the regularized upper incomplete
     gamma function.
 
     a = 0: T = P(G0 > b G1) for i.i.d. Gamma(m, 1) G0, G1, which is the
-    regularized incomplete beta function I_{1/(1+b)}(m, m), computed on
-    those elements only.  a > 0: `_laguerre_tail` with the trimmed
-    `n_nodes` rule.
+    regularized incomplete beta function I_{1/(1+b)}(m, m)
+    (`_symmetric_beta`: elementary where 2m is an integer and m <= 8,
+    scipy's betainc otherwise), computed on those elements only.  a > 0:
+    `_laguerre_tail` with the trimmed `n_nodes` rule.  Neither is called
+    without elements.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     out = np.empty(a.shape)
     shifted = a > 0
-    out[~shifted] = special.betainc(m, m, 1.0 / (1.0 + b[~shifted]))
+    if not shifted.all():
+        out[~shifted] = _symmetric_beta(m, b[~shifted])
     if shifted.any():
         out[shifted] = _laguerre_tail(m, a[shifted], b[shifted], *_gen_laguerre_rule(m, n_nodes))
     return float(out) if out.ndim == 0 else out

@@ -56,6 +56,15 @@ def _require(ok, message, *values):
         raise ParameterError(message)
 
 
+def _without_nan(x, what):
+    """x as a float array; ParameterError if any entry is NaN, which lies in
+    no support and would otherwise read as a density or probability of 0."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ParameterError(f"{what} must not be NaN")
+    return x
+
+
 def _is_integer(n):
     """A Python or numpy integer, not a bool or a float."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
@@ -422,7 +431,7 @@ class InverseGammaShadowing:
         self._log_norm = self.q * math.log(self.gamma) - math.lgamma(self.q)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _without_nan(x, "shadowing gain")
         out = np.zeros_like(x)
         pos = x > 0
         xp = x[pos]
@@ -430,7 +439,7 @@ class InverseGammaShadowing:
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _without_nan(x, "shadowing gain")
         out = np.zeros_like(x)
         pos = x > 0
         out[pos] = special.gammaincc(self.q, self.gamma / x[pos])
@@ -450,8 +459,12 @@ class InverseGammaShadowing:
         return self.gamma / special.gammainccinv(self.q, 0.5)
 
     def ppf(self, p):
+        """Quantile gamma / Q^-1(q, p): 0 at p = 0 and inf at p = 1."""
         p = np.asarray(p, dtype=float)
-        out = self.gamma / special.gammainccinv(self.q, p)
+        if not np.all((0 <= p) & (p <= 1)):
+            raise ParameterError("quantile level must lie in [0, 1]")
+        with np.errstate(divide="ignore"):
+            out = self.gamma / special.gammainccinv(self.q, p)
         return float(out) if out.ndim == 0 else out
 
 
@@ -465,7 +478,7 @@ class NakagamiFadingPower:
         self._log_norm = self.m * math.log(self.m) - math.lgamma(self.m)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _without_nan(x, "fading power")
         out = np.zeros_like(x)
         pos = x > 0
         xp = x[pos]
@@ -473,7 +486,7 @@ class NakagamiFadingPower:
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _without_nan(x, "fading power")
         out = special.gammainc(self.m, self.m * np.clip(x, 0.0, None))
         return float(out) if out.ndim == 0 else out
 

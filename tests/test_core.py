@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,27 @@ class TestShadowing:
         # KS critical value at significance 0.01 for n = 1e6
         assert ks_statistic(s, dist.cdf) < 1.63 / 1000.0
 
+    def test_ppf_inverts_cdf_on_0_to_1(self):
+        dist = InverseGammaShadowing(2.0, 1.0)
+        p = np.array([0.0, 1e-9, 0.5, 0.999, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = dist.ppf(p)
+            assert dist.ppf(1.0) == math.inf and dist.ppf(0.0) == 0.0
+        assert x[0] == 0.0 and x[-1] == math.inf
+        np.testing.assert_allclose(dist.cdf(x[1:-1]), p[1:-1], rtol=1e-12)
+        for bad in (-0.1, 1.5, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ParameterError, match=r"quantile level must lie in \[0, 1\]"):
+                dist.ppf(bad)
+
+    @pytest.mark.parametrize("method", ["pdf", "cdf"])
+    def test_nan_argument_raises(self, method):
+        # NaN once read as a density and a probability of 0
+        accessor = getattr(InverseGammaShadowing(2.0, 1.0), method)
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ParameterError, match="NaN"):
+                accessor(bad)
+
     def test_invalid_shape_rejected(self):
         with pytest.raises(ParameterError):
             InverseGammaShadowing(1.0, 1.0)
@@ -200,6 +222,14 @@ class TestFading:
         dist = NakagamiFadingPower(3.0)
         value = sp_integrate.quad(dist.pdf, 0.0, math.inf, epsabs=1e-14, epsrel=1e-9)[0]
         assert value == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["pdf", "cdf"])
+    def test_nan_argument_raises(self, method):
+        # NaN once gave a density of 0 and a NaN probability
+        accessor = getattr(NakagamiFadingPower(2.5), method)
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ParameterError, match="NaN"):
+                accessor(bad)
 
     def test_invalid_m_rejected(self):
         with pytest.raises(ParameterError):

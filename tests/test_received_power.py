@@ -3,6 +3,7 @@ and log M1 against closed forms computed without it, and its debug line."""
 
 import logging
 import re
+import warnings
 
 from scipy import integrate
 from scipy.interpolate import PPoly
@@ -157,6 +158,28 @@ def test_mean_below_keeps_the_first_moment_above_the_cache(caplog):
         epsabs=0.0, epsrel=1e-13,
     )[0] / dist.R
     assert got[2] == pytest.approx(dist.gam / (dist.q - 1.0) * mean_w, rel=1e-8)
+
+
+@pytest.mark.parametrize("q", [1.05, 2.0, 5.0])
+def test_mean_below_infinity_is_the_mean(caplog, q):
+    # M1(x) tends to E[P] = E[S] E[l]; at x = inf the closed form above the
+    # cache would form inf * 0, so mean_below returns that limit, warns of
+    # nothing, and keeps every finite x
+    dist, _ = build(q, 2.2, 5.0, caplog)
+    x = np.array([0.5 * dist.x_hi, 2.0 * dist.x_hi, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dist.mean_below(x)
+        top = dist.mean_below(np.inf)
+    assert top == got[3] == dist.mean()
+    assert [dist.mean_below(v) for v in x[:3]] == list(got[:3])
+    assert list(got[1:3]) == list(dist._smooth_integrals(x[1:3])[0][2])
+    assert top == pytest.approx(got[2], rel=1e-13)
+    mean_w = integrate.quad(
+        lambda u: (H * H + u * u) ** (-dist.alpha / 2.0), 0.0, dist.R,
+        epsabs=0.0, epsrel=1e-13,
+    )[0] / dist.R
+    assert top == pytest.approx(dist.gam / (dist.q - 1.0) * mean_w, rel=1e-12)
 
 
 def test_cdf_is_at_most_one_below_the_cache_top(caplog):
