@@ -12,19 +12,19 @@ kept exactly, the remaining ones replaced by their conditional mean, or
 dropped).  Their expectation over the dominant interferer's fading is taken
 outside the quadrature: in closed form, the regularized incomplete beta
 function I_x(m, m), when the residual is dropped, and by a fixed
-generalized Gauss-Laguerre rule when it is replaced by its mean.  Where 2m
-is an integer both are elementary (I_x(m, m) up to m = 8).  I_x(m, m) is a
-finite sum of non-negative terms for integer m; for half-integer m it is an
-arctangent and its order recurrence, or a non-negative series where that
-recurrence would cancel.  The rule's terms are e^x Q(m, x) summed by the
-order recurrence of Q, and for integer m they are polynomials of degree
-m - 1, which the ceil(m/2)-node rule integrates exactly.  Non-integer m
-takes a 4-node rule certified against twice its nodes, as a second
-component of the same integral on the same panels, and returns the 8-node
-value; where that pair disagrees it falls back to 8 nodes against 16, then
-to 32 against 64.  What remains is a 2D integral over the top-two
-received powers; each call of its outer integrand computes the inner
-integrals of all its nodes with one batched rule.
+generalized Gauss-Laguerre rule when it is replaced by its mean.  At
+half-integer m from 3/2 to 15/2, I_x(m, m) is elementary: an arctangent
+and its order recurrence, or a non-negative series where that recurrence
+would cancel; any other m takes scipy's betainc.  Where 2m is an integer
+the rule's terms are e^x Q(m, x) summed by the order recurrence of Q, and
+for integer m they are polynomials of degree m - 1, which the
+ceil(m/2)-node rule integrates exactly.  Non-integer m takes a 4-node
+rule certified against twice its nodes, as a second component of the same
+integral on the same panels, and returns the 8-node value; where that pair
+disagrees it falls back to 8 nodes against 16, then to 32 against 64.  What
+remains is a 2D integral over the top-two received powers; each call of its
+outer integrand computes the inner integrals of all its nodes with one
+batched rule.
 
 The two spatial models differ only in their UAV count law, through its
 probability generating function G: z^n for the BPP, e^(mu (z - 1)) for the
@@ -116,13 +116,12 @@ _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
 # rule, which is exact.
 _LAGUERRE_LADDER = (4, 8, 32)
 _LAGUERRE_DROP = 1e-17
-# `_symmetric_beta`: the largest m of its elementary forms, the range the
-# tests hold to betainc (past m = 18.5 x^m turns subnormal while I_x(m, m)
-# is still above 1e-300, and 1/(m B(m, m)) ~ 4^m overflows near m = 512);
-# at half-integer m, the most its recurrence may cancel (the sum of its
-# terms' magnitudes over the value), and where the series that replaces it
-# is cut
-_BETA_ELEMENTARY_M = 8.0
+# `_symmetric_beta`: the half-integer m of its elementary form, the range
+# the tests hold to betainc (past m = 18.5 x^m turns subnormal while
+# I_x(m, m) is still above 1e-300, and 1/(m B(m, m)) ~ 4^m overflows near
+# m = 512); the most its recurrence may cancel (the sum of its terms'
+# magnitudes over the value), and where the series that replaces it is cut
+_BETA_HALF_M = (1.5, 7.5)
 _BETA_CANCELLATION = 64.0
 _BETA_SERIES_TOL = 1e-17
 _TERM_BLOCK = 8192
@@ -380,21 +379,18 @@ class ReceivedPowerDistribution:
         return self._interpolated("log_m1", x, self._mean_above)
 
     def _mean_above(self, x):
-        """M1 at x >= x_hi (`mean_below`), and its limit `mean()` at x = inf."""
+        """M1 at x >= x_hi (`mean_below`), and at x = inf its limit E[P] =
+        E[S] E[l], E[l] = (1/R) int_0^R (h^2 + u^2)^(-alpha/2) du."""
         out = np.empty(x.shape)
         top = np.isinf(x)
         if top.any():
-            out[top] = self.mean()
+            pathloss = integrate(
+                lambda u: (self.h**2 + u**2) ** (-self.alpha / 2.0), 0.0, self.R, _PDF_QUAD
+            )
+            out[top] = self.shadowing.mean() * pathloss.value / self.R
         if not top.all():
             out[~top] = self._smooth_integrals(x[~top])[0][2]
         return out
-
-    def mean(self):
-        """E[P] = E[S] E[l], E[l] = (1/R) int_0^R (h^2 + u^2)^(-alpha/2) du."""
-        pathloss = integrate(
-            lambda u: (self.h**2 + u**2) ** (-self.alpha / 2.0), 0.0, self.R, _PDF_QUAD
-        )
-        return self.shadowing.mean() * pathloss.value / self.R
 
     def ppf(self, p):
         """Quantile: two Newton steps on log F(e^t) = log p (slope x f / F) bring
@@ -1071,37 +1067,29 @@ def _laguerre_tail(m, a, b, z, w):
 
 def _symmetric_beta(m, b):
     """I_x(m, m), the regularized incomplete beta function, at x = 1/(1+b)
-    for a 1D array b > 0, with y = b/(1+b) formed from b, never as 1 - x.
+    for a 1D array b >= 0, b = inf included.
 
-    Where 2m is an integer, up to m = `_BETA_ELEMENTARY_M`, it is
-    elementary (DLMF 8.17), and nothing subtracts more than a factor
-    `_BETA_CANCELLATION` of the value:
+    At half-integer m = k + 1/2 from 3/2 to 15/2 (`_BETA_HALF_M`) it is
+    elementary (DLMF 8.17), formed from b, never from x rounded, and nothing
+    subtracts more than a factor `_BETA_CANCELLATION` of the value:
+    I_x(1/2, 1/2) = (2/pi) arctan(1/sqrt b), well conditioned for every b,
+    plus the k steps of I_x(a+1, a+1) = I_x(a, a) + (x y)^a (x - y) /
+    (a B(a, a)), y = b/(1+b).  For x >= 1/2 each step adds; below 1/2 each
+    subtracts, and where the sum of magnitudes exceeds `_BETA_CANCELLATION`
+    times the result, the value is the non-negative series (x y)^m /
+    (m B(m, m)) sum_j (2m)_j / (m+1)_j x^j, which converges fast there (the
+    crossover lies below x = 0.22 for m <= 7.5) and is cut where its next
+    term falls below `_BETA_SERIES_TOL` at the largest such x.
 
-    - integer m: x^m sum_{j<m} C(m-1+j, j) y^j, the chance that a negative
-      binomial count stays below m; every term is >= 0 and at most 1.
-    - half-integer m = k + 1/2: I_x(1/2, 1/2) = (2/pi) arctan(1/sqrt b),
-      well conditioned for every b, plus the k steps of
-      I_x(a+1, a+1) = I_x(a, a) + (x y)^a (x - y) / (a B(a, a)).  For
-      x >= 1/2 each step adds; below 1/2 each subtracts, and where the sum
-      of magnitudes exceeds `_BETA_CANCELLATION` times the result, the value
-      is the non-negative series (x y)^m / (m B(m, m)) sum_j (2m)_j /
-      (m+1)_j x^j, which converges fast there (the crossover lies below
-      x = 0.22 for m <= 7.5) and is cut where its next term falls below
-      `_BETA_SERIES_TOL` at the largest such x.
-
-    Any other m takes scipy's betainc at x.
+    Any other m, integer m and m = 1/2 included, takes scipy's betainc at x.
     """
-    if not float(2.0 * m).is_integer() or m > _BETA_ELEMENTARY_M:
+    low, high = _BETA_HALF_M
+    if not (float(m - 0.5).is_integer() and low <= m <= high):
         return special.betainc(m, m, 1.0 / (1.0 + b))
+    # b = inf (x = 0) as the largest float, where the value is 0 as well:
+    # the forms below would read inf / inf
+    b = np.minimum(b, np.finfo(float).max)
     ob = 1.0 + b
-    if float(m).is_integer():
-        y = b / ob
-        term = (1.0 / ob) ** m
-        out = term.copy()
-        for j in range(1, int(m)):
-            term *= (m - 1.0 + j) / j * y
-            out += term
-        return out
     root = np.sqrt(b)
     half = (2.0 / math.pi) * np.arctan2(1.0, root)  # I_x(1/2, 1/2)
     r = root / ob  # sqrt(x y)
@@ -1136,7 +1124,7 @@ def _fading_tail_expectation(m, a, b, n_nodes):
 
     a = 0: T = P(G0 > b G1) for i.i.d. Gamma(m, 1) G0, G1, which is the
     regularized incomplete beta function I_{1/(1+b)}(m, m)
-    (`_symmetric_beta`: elementary where 2m is an integer and m <= 8,
+    (`_symmetric_beta`: elementary at half-integer m from 3/2 to 15/2,
     scipy's betainc otherwise), computed on those elements only.  a > 0:
     `_laguerre_tail` with the trimmed `n_nodes` rule.  Neither is called
     without elements.

@@ -36,8 +36,10 @@ from conftest import ks_statistic
 N = 10
 H, R, ALPHA = 100.0, 500.0, 2.2
 TOP_RUNG = _LAGUERRE_LADDER[-1]  # the fading rule ladder's fallback: 32 nodes
-# how far the elementary I_x(m, m), 2m an integer, may lie from scipy's betainc
-BETA_RTOL = 1e-12
+# the m of the elementary I_x(m, m), and how far it may lie from scipy's
+# betainc: relative wherever betainc >= 1e-300, absolute everywhere
+ELEMENTARY_M = [1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]
+BETA_RTOL, BETA_ATOL = 1e-12, 1e-15
 
 
 def draw_powers(rng, trials, n=N, h=H, r=R, alpha=ALPHA, q=2.0, gamma=1.0):
@@ -559,8 +561,9 @@ def test_single_dominant_elementary_beta_matches_betainc(geom, monkeypatch, n, m
     np.testing.assert_allclose(got, expected, rtol=BETA_RTOL, atol=0.0)
 
 
-def test_single_dominant_keeps_betainc_where_2m_is_not_an_integer(geom, monkeypatch):
-    model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=1.3))
+@pytest.mark.parametrize("m", [0.5, 1.3, 3.0])
+def test_single_dominant_keeps_betainc_off_the_elementary_orders(geom, monkeypatch, m):
+    model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
     thetas = [10 ** (theta_db / 10) for theta_db in (-20.0, 0.0, 20.0)]
     got = [model.coverage_single_dominant(th) for th in thetas]
     monkeypatch.setattr(analytic, "_symmetric_beta", betainc_branch)
@@ -984,43 +987,53 @@ class TestFadingTailExpectation:
         got = _fading_tail_expectation(m, a, b, TOP_RUNG)[[0, 2]]
         expected = special.betainc(m, m, 1.0 / (1.0 + b[[0, 2]]))
         scalar = _fading_tail_expectation(m, 0.0, 3.0, TOP_RUNG)
-        if m in (1.0, 1.3):
-            # I_x(1, 1) = x, and betainc itself where 2m is not an integer
-            assert list(got) == list(expected)
-            assert scalar == special.betainc(m, m, 0.25)
-        else:
-            # the elementary form where 2m is an integer, within its bound
+        if m in ELEMENTARY_M:
+            # the elementary form, within its bound
             np.testing.assert_allclose(got, expected, rtol=BETA_RTOL, atol=0.0)
             assert scalar == pytest.approx(special.betainc(m, m, 0.25), rel=BETA_RTOL, abs=0.0)
+        else:
+            assert list(got) == list(expected)
+            assert scalar == special.betainc(m, m, 0.25)
 
-    @pytest.mark.parametrize("two_m", range(1, 17))
-    def test_elementary_beta_matches_betainc(self, two_m):
-        # where 2m is an integer I_x(m, m) is elementary: within 1e-12
-        # relative of betainc wherever that is >= 1e-300, 1e-15 absolute below
-        m = two_m / 2
+    @pytest.mark.parametrize("m", ELEMENTARY_M)
+    def test_elementary_beta_matches_betainc(self, m):
         b = np.concatenate([np.geomspace(1e-8, 1e12, 2001), np.geomspace(1e13, 1e300, 30)])
         got = analytic._symmetric_beta(m, b)
         expected = special.betainc(m, m, 1.0 / (1.0 + b))
-        bound = np.where(expected >= 1e-300, BETA_RTOL * expected, 1e-15)
-        assert np.all(np.abs(got - expected) <= bound)
+        gap = np.abs(got - expected)
+        assert np.all(gap <= BETA_ATOL)
+        big = expected >= 1e-300
+        assert np.all(gap[big] <= BETA_RTOL * expected[big])
         # the same values through the fading tail, on a 2D batch of a = 0
         tail = _fading_tail_expectation(m, 0.0, b[:2000].reshape(40, 50), TOP_RUNG)
         np.testing.assert_array_equal(tail, got[:2000].reshape(40, 50))
 
-    @pytest.mark.parametrize("two_m", range(1, 17))
-    def test_elementary_beta_is_symmetric(self, two_m):
+    @pytest.mark.parametrize("m", ELEMENTARY_M)
+    def test_elementary_beta_is_symmetric(self, m):
         # I_x(m, m) + I_y(m, m) = 1 with y = b/(1+b) = 1/(1+1/b), to a few
-        # ulps, because the form reads b, not x = 1/(1+b) rounded.  betainc
-        # at that x misses by up to 6e-13 at m = 1/2, b = 1e-8, where
-        # I_x(1/2, 1/2) = (2/pi) arcsin sqrt(x) has an infinite slope at x = 1.
-        m = two_m / 2
+        # ulps, because the form reads b, not x = 1/(1+b) rounded
         b = np.geomspace(1e-12, 1e12, 481)
         total = analytic._symmetric_beta(m, b) + analytic._symmetric_beta(m, 1.0 / b)
         assert np.all(np.abs(total - 1.0) <= 16 * np.finfo(float).eps)
 
-    @pytest.mark.parametrize("m", [0.7, 1.3, 2.25, 7.9, 8.5, 9.0, 600.5])
+    @pytest.mark.parametrize("two_m", range(1, 17))
+    def test_beta_vanishes_at_infinite_b(self, two_m):
+        # x = 1/(1+b) = 0: every order gives betainc's 0, with no warning
+        m = two_m / 2
+        b = np.array([1e300, np.finfo(float).max, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analytic._symmetric_beta(m, b)
+            tail = _fading_tail_expectation(m, 0.0, np.inf, TOP_RUNG)
+        np.testing.assert_array_equal(got, special.betainc(m, m, 1.0 / (1.0 + b)))
+        assert got[2] == tail == 0.0
+
+    @pytest.mark.parametrize(
+        "m", [0.5, 0.7, 1.0, 1.3, 2.0, 2.25, 3.0, 4.0, 5.0, 6.0, 7.0, 7.9, 8.0, 8.5, 9.0, 600.5]
+    )
     def test_other_orders_keep_betainc(self, m):
-        # past m = 8 the elementary forms would underflow (x^m) or overflow
+        # integer m and m = 1/2 keep betainc, and so does every m past 15/2,
+        # where the half-integer form would underflow (x^m) or overflow
         # (1/(m B(m, m))) before I_x(m, m) does
         b = np.geomspace(1e-8, 1e12, 201)
         np.testing.assert_array_equal(
@@ -1030,7 +1043,7 @@ class TestFadingTailExpectation:
     @pytest.mark.parametrize("m", [1.3, 2.5, 3.0])
     def test_each_offset_branch_runs_only_on_its_elements(self, monkeypatch, m):
         # a > 0 everywhere (the mean-residual rule): no incomplete beta is
-        # formed; where 2m is an integer, a = 0 never reaches scipy's betainc
+        # formed; at an elementary order, a = 0 never reaches scipy's betainc
         a, b = np.full(5, 0.5), np.geomspace(1e-2, 1e2, 5)
         expected = _fading_tail_expectation(m, a, b, 4)
 
@@ -1042,7 +1055,7 @@ class TestFadingTailExpectation:
         monkeypatch.undo()
         monkeypatch.setattr(analytic, "_laguerre_tail", refuse)
         _fading_tail_expectation(m, 0.0 * a, b, 4)
-        if m != 1.3:
+        if m in ELEMENTARY_M:
             monkeypatch.setattr(analytic.special, "betainc", refuse)
             _fading_tail_expectation(m, 0.0 * a, b, 4)
 
