@@ -1081,11 +1081,15 @@ def _symmetric_beta(m, b):
     crossover lies below x = 0.22 for m <= 7.5) and is cut where its next
     term falls below `_BETA_SERIES_TOL` at the largest such x.
 
-    Any other m, integer m and m = 1/2 included, takes scipy's betainc at x.
+    Any other m, integer m and m = 1/2 included, takes scipy's betainc at x,
+    and below m = 1, where b < 1, 1 - betainc at y = b/(1+b) = 1 - x.
     """
     low, high = _BETA_HALF_M
     if not (float(m - 0.5).is_integer() and low <= m <= high):
-        return special.betainc(m, m, 1.0 / (1.0 + b))
+        out = special.betainc(m, m, 1.0 / (1.0 + b))
+        if m < 1:  # there x rounded near 1 loses relative accuracy; y does not
+            out[b < 1] = 1.0 - special.betainc(m, m, b[b < 1] / (1.0 + b[b < 1]))
+        return out
     # b = inf (x = 0) as the largest float, where the value is 0 as well:
     # the forms below would read inf / inf
     b = np.minimum(b, np.finfo(float).max)

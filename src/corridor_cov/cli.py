@@ -92,7 +92,6 @@ DEFAULTS = {
         "model": "bpp",  # bpp | hppp | disc
         "n": "10",
         "intensity": "",  # blank -> n / (2 R)
-        "disc_radius": "",  # blank -> geometry r
     },
     "run": {
         "theta_db": "-3.0",
@@ -210,9 +209,8 @@ def build_spatial(cfg, geom):
         if intensity is None:
             intensity = _get_int(cfg, "spatial", "n") / geom.length
         return FiniteHPPP(intensity)
-    if kind == "disc":
-        radius = _get_float(cfg, "spatial", "disc_radius", allow_blank=True)
-        return Disc2D(_get_int(cfg, "spatial", "n"), geom.R if radius is None else radius)
+    if kind == "disc":  # the disc baseline's radius is the corridor's half-length
+        return Disc2D(_get_int(cfg, "spatial", "n"), geom.R)
     raise ConfigError(f"unknown spatial model {kind!r}")
 
 
@@ -380,7 +378,9 @@ def cmd_replay(cfg, args, seed):
     trials = _get_int(cfg, "run", "trials")
     batch_size = _get_int(cfg, "run", "batch_size")
     channel = build_channel(cfg)
-    fading_mode = cfg["replay"]["fading"].strip().lower()
+    fading = cfg["replay"]["fading"].strip().lower()
+    if fading not in ("redraw", "fromtrace"):
+        raise ConfigError(f"unknown [replay] fading {fading!r}")
     values = _mc_theta_grid(cfg, "replay")
     trace = Trace.from_csv(args.trace)
 
@@ -389,7 +389,7 @@ def cmd_replay(cfg, args, seed):
     for policy in (simulator.MAX_POWER, simulator.MIN_DISTANCE):
         result = simulator.trace_replay(
             trace, spatial, geom, trials, values, seed,
-            policy=policy, fading_mode=fading_mode, m=channel.m, batch_size=batch_size,
+            policy=policy, m=channel.m if fading == "redraw" else None, batch_size=batch_size,
         )
         rows += _curve_rows(values, f"replay_{policy}", result.coverage)
         sir[policy] = result.sir

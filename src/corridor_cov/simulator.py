@@ -724,7 +724,7 @@ class Trace:
 
     Every value is finite and the positions are strictly increasing;
     nearest-sample mapping error is half the sample spacing, which must not
-    exceed the declared accuracy.
+    exceed the declared accuracy; `from_csv` declares half the largest gap.
     """
 
     position_m: np.ndarray
@@ -766,7 +766,7 @@ class Trace:
         return float(np.median(np.diff(self.position_m)))
 
     @classmethod
-    def from_csv(cls, path, mapping_accuracy_m=None):
+    def from_csv(cls, path):
         positions, heights, powers = [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -792,9 +792,8 @@ class Trace:
                 heights.append(h)
                 powers.append(z)
         pos = np.array(positions)
-        if mapping_accuracy_m is None:
-            mapping_accuracy_m = float(np.diff(pos).max() / 2.0) if len(pos) >= 2 else 5e-4
-        return cls(pos, np.array(heights), np.array(powers), mapping_accuracy_m)
+        accuracy = float(np.diff(pos).max(initial=0.0) / 2.0)
+        return cls(pos, np.array(heights), np.array(powers), accuracy)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -825,22 +824,22 @@ def synthesize_trace(geom, channel, spacing, seed):
     recorded position, powers from the channel model, heights from the
     geometry's height model.  Used for replay closure tests."""
     _check_integer(seed, "seed", 0)
-    rng = _substream(seed, 0)
+    _require(spacing > 0, "trace spacing must be positive and finite", spacing)
     n = int(round(geom.length / spacing)) + 1
+    _require(n >= 2, f"trace spacing {spacing!r} m leaves fewer than two samples on [-R, R]")
+    rng = _substream(seed, 0)
     pos = np.linspace(-geom.R, geom.R, n)
     heights = np.asarray(geom.height_model.sample(rng, n), dtype=float)
     shadowing = InverseGammaShadowing(channel.q, channel.gamma).sample(rng, n)
     d2 = pos * pos + heights * heights
     powers = shadowing * d2 ** (-0.5 * channel.alpha)
-    actual_spacing = pos[1] - pos[0]
-    return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=actual_spacing / 2)
+    return Trace(pos, heights, np.asarray(linear_to_db(powers)), mapping_accuracy_m=(pos[1] - pos[0]) / 2)
 
 
 @dataclass
 class ReplayResult:
     coverage: CoverageCurve
     sir: EmpiricalDistribution
-    n_trials: int
 
 
 def trace_replay(
@@ -851,7 +850,6 @@ def trace_replay(
     theta_db,
     seed,
     policy=MAX_POWER,
-    fading_mode="redraw",
     m=1.0,
     batch_size=DEFAULT_BATCH_SIZE,
 ):
@@ -859,17 +857,15 @@ def trace_replay(
 
     Per trial: draw spatial positions, map each to the nearest trace sample,
     take that sample's power (dBm -> linear); the strongest mapped power
-    serves and the rest interfere.  fading_mode="redraw" draws fresh
-    Nakagami-m fading per mapped UAV (matching the simulator's SIR
-    convention); "fromtrace" uses the recorded powers as-is, i.e. whatever
-    fast fading the trace embeds.  The trials run through `simulate_sir`'s
-    batch loop with the trace as the power source (see `_draw_batch`); each
-    piece is reduced to threshold counts and SIR histogram counts (0.5 dB
-    bins over -40..40 dB) as it is drawn.
+    serves and the rest interfere.  A finite m > 0 draws fresh Nakagami-m
+    fading per mapped UAV (matching the simulator's SIR convention); m=None
+    uses the recorded powers as they are, i.e. whatever fast fading the
+    trace embeds.  The trials run through `simulate_sir`'s batch loop with
+    the trace as the power source (see `_draw_batch`); each piece is reduced
+    to threshold counts and SIR histogram counts (0.5 dB bins over -40..40
+    dB) as it is drawn.
     """
-    if fading_mode not in ("redraw", "fromtrace"):
-        raise ParameterError(f"unknown fading mode {fading_mode!r}")
-    if fading_mode == "redraw":
+    if m is not None:
         _require(m > 0, "fading shape m must be positive and finite", m)
     if trace.position_m[0] > -geom.R or trace.position_m[-1] < geom.R:
         raise MappingError(
@@ -878,8 +874,7 @@ def trace_replay(
         )
     hist_db = np.arange(-40.0, 40.5, 0.5)
     no_sirs = SirTally.of(np.empty(0), _theta_grid(theta_db), hist_db)
-    fading_m = m if fading_mode == "redraw" else None
-    tally, _ = _simulate(spatial, geom, trace, fading_m, trials, seed, policy, batch_size, no_sirs)
+    tally, _ = _simulate(spatial, geom, trace, m, trials, seed, policy, batch_size, no_sirs)
     curve = coverage_from_sirs(tally, tally.theta_db)
     dist_est = EmpiricalDistribution.from_counts(tally.hist, hist_db)
-    return ReplayResult(coverage=curve, sir=dist_est, n_trials=tally.n)
+    return ReplayResult(coverage=curve, sir=dist_est)

@@ -547,6 +547,12 @@ def betainc_branch(m, b):
     return special.betainc(m, m, 1.0 / (1.0 + b))
 
 
+def half_order_branch(m, b):
+    """The a = 0 fading tail at m = 1/2 in closed form: (2/pi) arctan(1/sqrt b)."""
+    assert m == 0.5
+    return (2.0 / math.pi) * np.arctan2(1.0, np.sqrt(b))
+
+
 @pytest.mark.parametrize("n", [10, 200])
 @pytest.mark.parametrize("m", [2.5, 7.5, 8.0])
 def test_single_dominant_elementary_beta_matches_betainc(geom, monkeypatch, n, m):
@@ -563,11 +569,17 @@ def test_single_dominant_elementary_beta_matches_betainc(geom, monkeypatch, n, m
 
 @pytest.mark.parametrize("m", [0.5, 1.3, 3.0])
 def test_single_dominant_keeps_betainc_off_the_elementary_orders(geom, monkeypatch, m):
+    # below m = 1 betainc at x rounded near 1 loses relative accuracy, so
+    # m = 1/2 is held to its closed form instead
     model = bpp_model(N, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
     thetas = [10 ** (theta_db / 10) for theta_db in (-20.0, 0.0, 20.0)]
     got = [model.coverage_single_dominant(th) for th in thetas]
-    monkeypatch.setattr(analytic, "_symmetric_beta", betainc_branch)
-    assert got == [model.coverage_single_dominant(th) for th in thetas]
+    monkeypatch.setattr(analytic, "_symmetric_beta", half_order_branch if m < 1 else betainc_branch)
+    expected = [model.coverage_single_dominant(th) for th in thetas]
+    if m < 1:
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    else:
+        assert got == expected
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
@@ -991,6 +1003,10 @@ class TestFadingTailExpectation:
             # the elementary form, within its bound
             np.testing.assert_allclose(got, expected, rtol=BETA_RTOL, atol=0.0)
             assert scalar == pytest.approx(special.betainc(m, m, 0.25), rel=BETA_RTOL, abs=0.0)
+        elif m < 1:
+            # b < 1 is not betainc at x rounded near 1: the closed form bounds it
+            np.testing.assert_allclose(got, half_order_branch(m, b[[0, 2]]), rtol=1e-15, atol=0.0)
+            assert scalar == special.betainc(m, m, 0.25)
         else:
             assert list(got) == list(expected)
             assert scalar == special.betainc(m, m, 0.25)
@@ -1034,11 +1050,54 @@ class TestFadingTailExpectation:
     def test_other_orders_keep_betainc(self, m):
         # integer m and m = 1/2 keep betainc, and so does every m past 15/2,
         # where the half-integer form would underflow (x^m) or overflow
-        # (1/(m B(m, m))) before I_x(m, m) does
+        # (1/(m B(m, m))) before I_x(m, m) does.  Below m = 1 only b >= 1
+        # does; b < 1, where betainc's error reaches 1.7e-10, is held to
+        # references in `test_orders_below_one_match_references`
         b = np.geomspace(1e-8, 1e12, 201)
-        np.testing.assert_array_equal(
-            analytic._symmetric_beta(m, b), special.betainc(m, m, 1.0 / (1.0 + b))
-        )
+        got = analytic._symmetric_beta(m, b)
+        expected = special.betainc(m, m, 1.0 / (1.0 + b))
+        kept = b >= 1 if m < 1 else np.full(b.shape, True)
+        np.testing.assert_array_equal(got[kept], expected[kept])
+        np.testing.assert_allclose(got[~kept], expected[~kept], rtol=1e-9, atol=0.0)
+
+    # I_x(m, m) at x = 1/(1+b) for b = 10.0 ** np.arange(-14, 15, 2), from
+    # mpmath 1.3.0 at 50 digits, rounded to the nearest float
+    BELOW_ONE_REFERENCES = {
+        0.5: [
+            0.9999999363380228, 0.9999993633802277, 0.9999936338022766, 0.9999363380229754,
+            0.9993633804398389, 0.9936340144701835, 0.9365489651388929, 0.5, 0.06345103486110713,
+            0.00636598552981651, 0.0006366195601611178, 6.366197702455154e-05,
+            6.366197723463607e-06, 6.366197723673691e-07, 6.366197723675793e-08,
+        ],
+        0.55: [
+            0.9999999867861772, 0.9999998336478261, 0.9999979057502101, 0.9999736349573103,
+            0.9996680839060081, 0.995821585404823, 0.947598852727396, 0.5, 0.05240114727260403,
+            0.0041784145951769365, 0.0003319160939918853, 2.6365042689671553e-05,
+            2.0942497899042986e-06, 1.6635217387506603e-07, 1.3213822861677898e-08,
+        ],
+        0.7: [
+            0.9999999998807747, 0.9999999970051966, 0.9999999247739393, 0.9999981104067994,
+            0.9999525355918711, 0.9988078160097876, 0.9702233137262456, 0.5, 0.029776686273754373,
+            0.0011921839902123976, 4.746440812882109e-05, 1.8895932006172763e-06,
+            7.522606068880664e-08, 2.994803417441564e-09, 1.1922527148822857e-10,
+        ],
+        0.9: [
+            0.9999999999997724, 0.9999999999856374, 0.9999999990937825, 0.9999999428215361,
+            0.9999963922858713, 0.9997723878400917, 0.9857587662415151, 0.5, 0.014241233758484824,
+            0.00022761215990833278, 3.6077141286995634e-06, 5.7178463893815156e-08,
+            9.062175894563424e-10, 1.4362580885391123e-11, 2.2763156671447715e-13,
+        ],
+    }
+
+    @pytest.mark.parametrize("m", sorted(BELOW_ONE_REFERENCES))
+    def test_orders_below_one_match_references(self, m):
+        # betainc at x = 1/(1+b) rounded near 1 misses these by up to 2.8e-11
+        b = np.append(10.0 ** np.arange(-14, 15, 2), np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analytic._symmetric_beta(m, b)
+        np.testing.assert_allclose(got[:-1], self.BELOW_ONE_REFERENCES[m], rtol=1e-15, atol=0.0)
+        assert got[-1] == 0.0
 
     @pytest.mark.parametrize("m", [1.3, 2.5, 3.0])
     def test_each_offset_branch_runs_only_on_its_elements(self, monkeypatch, m):

@@ -133,6 +133,8 @@ REMOVED_PARAMETERS = [
     ("height_model_kl_study", "edges_db"),
     ("trace_replay", "sir_edges_db"),
     ("synthesize_trace", "include_fading"),
+    ("trace_replay", "fading_mode"),
+    ("simulator.Trace.from_csv", "mapping_accuracy_m"),
     ("kl_divergence", "epsilon"),
     ("analytic._ConditionalLaplace", "config"),
     ("analytic.InterferenceLaplaceBPP", "config"),
@@ -161,6 +163,13 @@ def test_kl_result_keeps_no_distributions():
 
     fields = {f.name for f in dataclasses.fields(simulator.HeightKlResult)}
     assert fields.isdisjoint({"sir_true", "sir_normal", "sir_uniform"})
+
+
+def test_replay_result_keeps_no_trial_count():
+    # the count is the coverage curve's n_trials
+    from corridor_cov import simulator
+
+    assert "n_trials" not in {f.name for f in dataclasses.fields(simulator.ReplayResult)}
 
 
 def test_coverage_curves_carry_no_provenance():

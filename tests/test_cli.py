@@ -117,6 +117,29 @@ class TestCoverageCommand:
         # the 2D disc baseline stays simulation only
         assert run("model = disc\n", tmp_path / "disc.csv") == 2
 
+    def test_disc_radius_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "disc.ini"
+        cfg.write_text("[spatial]\nmodel = disc\ndisc_radius = 250\n")
+        assert run_cli(["coverage", "--config", str(cfg), "--methods", "mc"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and "disc_radius" in err
+
+    def test_disc_radius_is_geometry_r(self, tmp_path, channel):
+        from corridor_cov import CorridorGeometry, Disc2D, FixedHeight
+
+        cfg = tmp_path / "disc.ini"
+        cfg.write_text("[geometry]\nr = 300\n\n[spatial]\nmodel = disc\nn = 7\n")
+        out = tmp_path / "disc.csv"
+        assert run_cli(["coverage", "--config", str(cfg), "--methods", "mc", "--values=-5,0,5",
+                        "--trials", "3000", "--seed", "12", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        curve = simulator.empirical_coverage(
+            Disc2D(7, 300.0), CorridorGeometry(300.0, FixedHeight(100.0)), channel,
+            [-5.0, 0.0, 5.0], 3000, 12,
+        )
+        assert [float(r[2]) for r in rows] == curve.coverage.tolist()
+        assert [float(r[3]) for r in rows] == curve.stderr.tolist()
+
     def test_n_sweep_sets_the_hppp_mean_count(self, tmp_path, geom, channel):
         # each N point is an HPPP of mean count N, whatever [spatial] intensity says
         from corridor_cov import hppp_model
@@ -278,6 +301,36 @@ class TestReplayCommand:
     def test_missing_trace_is_io_error(self, replay_config):
         assert run_cli(["replay", "--trace", "/no/such/file.csv",
                         "--config", replay_config]) == 4
+
+    def test_unknown_fading_is_config_error_before_the_trace_is_read(
+        self, tmp_path, replay_config, capsys
+    ):
+        cfg = tmp_path / "sideways.ini"
+        with open(replay_config) as fh:
+            cfg.write_text(fh.read() + "\n[replay]\nfading = sideways\n")
+        assert run_cli(["replay", "--trace", "/no/such/file.csv", "--config", str(cfg)]) == 2
+        assert "sideways" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fading, m", [("redraw", 2.5), ("fromtrace", None)])
+    def test_fading_sets_the_replay_m(self, tmp_path, trace_csv, replay_config, fading, m):
+        # redraw replays at [channel] m, fromtrace at m = None
+        from corridor_cov import BPP, CorridorGeometry, FixedHeight, Trace
+
+        cfg = tmp_path / "fading.ini"
+        with open(replay_config) as fh:
+            cfg.write_text(fh.read() + "\n[channel]\nm = 2.5\n")
+        out = tmp_path / "replay.csv"
+        assert run_cli(["replay", "--trace", trace_csv, "--config", str(cfg), "--fading", fading,
+                        "--from=-3", "--to=3", "--step=3", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        geom = CorridorGeometry(200.0, FixedHeight(200.0))
+        for policy in (simulator.MAX_POWER, simulator.MIN_DISTANCE):
+            result = simulator.trace_replay(
+                Trace.from_csv(trace_csv), BPP(10), geom, 5000, [-3.0, 0.0, 3.0], 7,
+                policy=policy, m=m,
+            )
+            got = [float(r[2]) for r in rows if r[1] == f"replay_{policy}"]
+            assert got == result.coverage.coverage.tolist()
 
     def test_malformed_trace_is_io_error(self, tmp_path, replay_config):
         bad = tmp_path / "bad.csv"

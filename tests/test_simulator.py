@@ -659,12 +659,13 @@ class TestCpuCount:
                 batch_size=4096,
             )
             out = [kl.kl_normal, kl.kl_uniform]
-            for fading_mode in ("redraw", "fromtrace"):
+            for m in (1.0, None):
                 res = trace_replay(
                     trace, FiniteHPPP(0.025), geom, 20_000, [-3.0, 0.0, 3.0], seed=11,
-                    fading_mode=fading_mode, batch_size=4096,
+                    m=m, batch_size=4096,
                 )
-                out += [res.coverage.coverage, res.coverage.stderr, res.sir.density, res.n_trials]
+                out += [res.coverage.coverage, res.coverage.stderr, res.sir.density,
+                        res.coverage.n_trials]
             results.append(out)
         for a, b in zip(*results):
             assert np.array_equal(a, b)
@@ -695,13 +696,13 @@ class TestPieceSize:
             batch_size=1024,
         )
         out += [kl.kl_normal, kl.kl_uniform]
-        for fading_mode in ("redraw", "fromtrace"):
+        for m in (1.0, None):
             for policy in (MAX_POWER, MIN_DISTANCE):
                 res = trace_replay(
                     trace, FiniteHPPP(0.0125), small, 3000, [-3.0, 0.0, 3.0], seed=46,
-                    policy=policy, fading_mode=fading_mode, batch_size=1024,
+                    policy=policy, m=m, batch_size=1024,
                 )
-                out += [res.coverage.coverage, res.sir.density, res.n_trials]
+                out += [res.coverage.coverage, res.sir.density, res.coverage.n_trials]
         return out
 
     def test_batches_hold_every_kind_of_piece(self, geom):
@@ -851,16 +852,18 @@ class TestPinnedStreams:
         assert res.kl_normal == pytest.approx(1.762326809554032e-05, rel=1e-12)
         assert res.kl_uniform == pytest.approx(0.0003939852803642533, rel=1e-12)
 
+    # m = 1 redraws the fading, m = None replays the recorded powers; the ids
+    # name the fading modes these streams were pinned under
     @pytest.mark.parametrize(
-        "fading_mode, pinned",
-        [("redraw", [0.353, 0.1742, 0.0672]), ("fromtrace", [0.3294, 0.0976, 0.0272])],
+        "m, pinned",
+        [(1.0, [0.353, 0.1742, 0.0672]), (None, [0.3294, 0.0976, 0.0272])],
+        ids=["redraw-pinned0", "fromtrace-pinned1"],
     )
-    def test_trace_replay(self, channel, fading_mode, pinned):
+    def test_trace_replay(self, channel, m, pinned):
         geom = CorridorGeometry(200.0, FixedHeight(200.0))
         trace = synthesize_trace(geom, channel, spacing=0.05, seed=2027)
         res = trace_replay(
-            trace, BPP(10), geom, 5000, [-3.0, 0.0, 3.0], seed=2028, fading_mode=fading_mode,
-            batch_size=2048,
+            trace, BPP(10), geom, 5000, [-3.0, 0.0, 3.0], seed=2028, m=m, batch_size=2048,
         )
         assert res.coverage.coverage == pytest.approx(pinned, rel=1e-12)
 

@@ -37,9 +37,11 @@ class TestTraceType:
     def test_round_trip_csv(self, tmp_path, small_trace):
         path = tmp_path / "trace.csv"
         small_trace.to_csv(path)
-        loaded = Trace.from_csv(path, mapping_accuracy_m=small_trace.mapping_accuracy_m)
+        loaded = Trace.from_csv(path)
         assert np.allclose(loaded.position_m, small_trace.position_m)
         assert np.allclose(loaded.rx_power_dbm, small_trace.rx_power_dbm)
+        # a loaded trace's accuracy is half its largest gap
+        assert loaded.mapping_accuracy_m == np.diff(loaded.position_m).max() / 2.0
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -132,12 +134,12 @@ class TestReplay:
         )
         result = trace_replay(
             trace, BPP(10), small_geom, trials=500, theta_db=[-10.0, -9.6, -9.5, -9.0],
-            seed=33, fading_mode="fromtrace",
+            seed=33, m=None,
         )
         # 10 mapped UAVs with equal powers and no fading: SIR = 1/9 = -9.54 dB
         # for every trial, so coverage is a step function around that value
         assert np.allclose(result.coverage.coverage, [1.0, 1.0, 0.0, 0.0])
-        assert result.n_trials == 500
+        assert result.coverage.n_trials == 500
 
     def test_replay_requires_covering_trace(self, small_trace, channel):
         big_geom = CorridorGeometry(300.0, FixedHeight(200.0))
@@ -148,7 +150,7 @@ class TestReplay:
         # a model-generated trace replayed through the mapping pipeline must
         # reproduce the plain simulator's coverage
         replay = trace_replay(
-            small_trace, BPP(10), small_geom, 60_000, THETAS, seed=35, fading_mode="redraw"
+            small_trace, BPP(10), small_geom, 60_000, THETAS, seed=35, m=1.0
         )
         direct = empirical_coverage(BPP(10), small_geom, channel, THETAS, 60_000, seed=36)
         assert replay.coverage.max_gap(direct) <= 0.015
@@ -166,14 +168,12 @@ class TestReplay:
     def test_fromtrace_mode_uses_recorded_powers(self, small_geom, channel, small_trace):
         # fromtrace replay of a clean (fading-free) trace must reproduce the
         # no-fast-fading network: direct simulation with m -> inf
-        res_ft = trace_replay(small_trace, BPP(10), small_geom, 60_000, THETAS, seed=40,
-                              fading_mode="fromtrace")
+        res_ft = trace_replay(small_trace, BPP(10), small_geom, 60_000, THETAS, seed=40, m=None)
         no_fading = ChannelParams(alpha=2.2, q=2.0, m=1e7)
         direct = empirical_coverage(BPP(10), small_geom, no_fading, THETAS, 60_000, seed=41)
         assert res_ft.coverage.max_gap(direct) <= 0.015
         # and it must differ visibly from the redraw mode (fading applied)
-        res_rd = trace_replay(small_trace, BPP(10), small_geom, 60_000, THETAS, seed=42,
-                              fading_mode="redraw")
+        res_rd = trace_replay(small_trace, BPP(10), small_geom, 60_000, THETAS, seed=42, m=1.0)
         assert res_ft.coverage.max_gap(res_rd.coverage) > 0.02
 
     @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
@@ -196,6 +196,15 @@ class TestSynthesizeTrace:
         assert small_trace.position_m[-1] == 200.0
         assert small_trace.spacing == pytest.approx(0.02, rel=1e-6)
         assert small_trace.mapping_accuracy_m == pytest.approx(0.01, rel=1e-6)
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf, 1e9, 2001.0])
+    def test_spacing_must_leave_two_samples(self, channel, spacing):
+        # on a 1000 m corridor these once raised ZeroDivisionError (0),
+        # ValueError (-1, nan) or IndexError (inf, 1e9, 2001: one sample)
+        geom = CorridorGeometry(500.0, FixedHeight(100.0))
+        with pytest.raises(ParameterError, match="spacing"):
+            synthesize_trace(geom, channel, spacing, seed=1)
+        assert synthesize_trace(geom, channel, 1999.0, seed=1).position_m.tolist() == [-500.0, 500.0]
 
     def test_powers_follow_model_scale(self, small_geom, channel, small_trace):
         # median received power should sit near S_med * l(d_med)
