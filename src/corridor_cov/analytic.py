@@ -46,12 +46,14 @@ is evaluated once: the cache samples f, F and M1 as one 3-component integral,
 and exact coverage computes the inner moment integrals of one outer-integrand
 call with one batched rule whose rows carry all the Taylor orders.  The
 first sweeps of both levels of exact coverage, and of the dominant rule,
-evaluate the same nodes at every theta, and most of the nodes: each rule
-splits its integrands into theta-free interpolant reads and a kernel, and
-the model keeps one `integrate` memo per rule, so that a model's first value
-keeps the first-sweep reads and later values compute only the kernel there.
-An outer read returns the fresh dict that becomes the inner rule's memo at
-its nodes.  Both dominant methods share the dominant memo.
+evaluate the same nodes at every theta, and most of the nodes; a sweep of
+thresholds mostly refines the same panels too.  Each rule splits its
+integrands into theta-free interpolant reads and a kernel, and the model
+keeps one `integrate` memo per rule, which holds every sweep's reads, so
+that later values compute only the kernel wherever they evaluate the
+panels of the value before.  An outer read returns the fresh dict that
+becomes the inner rule's memo at its nodes.  Both dominant methods share
+the dominant memo.
 Laplace-transform derivatives are analytic Taylor coefficients: G' is
 expanded about F - D in the kernel's non-negative series, a truncated power
 series with no subtraction; finite differences are test oracles only.
@@ -198,6 +200,7 @@ class ReceivedPowerDistribution:
         self._lgamma_q = math.lgamma(self.q)
         self._elementary_q = self.q >= 1.5 and float(2.0 * self.q).is_integer()
         self._cache = None
+        self.nodes_read = 0  # points `_log_at` has read, for the coverage debug lines
 
     # -- exact evaluations ---------------------------------------------------
 
@@ -345,6 +348,7 @@ class ReceivedPowerDistribution:
         the range by construction: this reader takes no exp -> log round
         trip, no masks and no scatter."""
         values = _read(self._ensure()["pieces"], t, names)
+        self.nodes_read += np.size(t)
         if "log_cdf" in names:
             i = names.index("log_cdf")
             np.minimum(values[i:i + 1], 0.0, out=values[i:i + 1])
@@ -535,8 +539,9 @@ def _moment_series(dist, m, s, tau, x0, order, memo=None):
     evaluations.
 
     A `memo` for these x0, passed to `integrate_batch`, keeps p and the
-    density at every row's first-sweep nodes: the first call fills it, and
-    later calls (other s and tau) form only the kernels there.
+    density at the nodes of every sweep: later calls (other s and tau) form
+    only the kernels on the first sweep and on each refinement sweep that
+    bisects the panels of the call before.
     """
     s, tau, x0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
                                        for a in (s, tau, x0)))
@@ -751,17 +756,17 @@ class _CoverageModel:
         Neither level's first sweep depends on theta but through its kernel:
         the outer one reads the same nodes on every call, and so do the
         inner ones it calls, which carry most of the nodes.  The model's
-        exact memo keeps the outer reads, each with the memo of the inner
-        integrals at its x0; the first value fills them and later ones
-        compute only the kernel there.  Refinement sweeps read afresh, with a
-        throwaway inner memo.  Logs the work done at debug level, and whether
-        the first-sweep table was built or reused.
+        exact memo keeps the reads of every outer sweep, each with the memo
+        of the inner integrals at its x0, which keeps theirs; later values
+        compute only the kernel wherever they evaluate the panels of the
+        value before, and read the rest afresh.  Logs the work done at debug
+        level, with the number of nodes whose reads this value computed.
         """
         _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         m = self.channel.require_integer_m()
         self.laplace  # noqa: B018 -- a 1-UAV BPP raises here, before any quadrature
         lo, hi = self._outer_bounds()
-        memo, entries = self._exact_memo, len(self._exact_memo)
+        memo, read = self._exact_memo, self.dist.nodes_read
         start = time.perf_counter()
         calls = rows = inner_nodes = floored = 0
 
@@ -780,9 +785,9 @@ class _CoverageModel:
                         self._outer_reads, memo)
         value, clamp_note = _clamp(res.value)
         log.debug(
-            "exact coverage at theta=%.6g: first-sweep table %s, %d outer-integrand calls, "
+            "exact coverage at theta=%.6g: %d nodes read, %d outer-integrand calls, "
             "%d outer nodes, %d inner rows, %d inner node evaluations, %d floored, %.3f s%s",
-            theta, "reused" if len(memo) == entries else "built", calls, res.n_evals, rows,
+            theta, self.dist.nodes_read - read, calls, res.n_evals, rows,
             inner_nodes, floored, time.perf_counter() - start, clamp_note,
         )
         return value
@@ -846,12 +851,13 @@ class _CoverageModel:
         more than the nodes they save.
 
         Only the fading tail's arguments a and b depend on theta, so the
-        reads at both levels' first sweeps (45 outer nodes and 2,025 of the
-        3,405 inner ones above) go into the model's dominant memo: the first
-        value of either method fills it, with omega wherever N > 2, and
-        every later value, of either method, at any theta and on every pass
-        of the ladder, forms only a, b and the tail there, multiplying the
-        same factors in the same order.  Refinement sweeps read afresh.
+        reads of every sweep at both levels go into the model's dominant
+        memo, with omega wherever N > 2: a later value, of either method, at
+        any theta and on every pass of the ladder, forms only a, b and the
+        tail on the first sweeps (45 outer nodes and 2,025 of the 3,405
+        inner ones above) and on each refinement sweep that bisects the
+        panels of the value before, multiplying the same factors in the same
+        order.
 
         With a residual the fading expectation uses an n-node Laguerre rule:
         ceil(m/2) nodes for integer m, the `_LAGUERRE_LADDER` for any other
@@ -868,8 +874,8 @@ class _CoverageModel:
         12 fading terms per inner node (8 nodes and 4, none dropped), where
         the 16/8 rung costs 23 (15 kept, and 8) and the 64/32 pair 59 (35
         and 24 kept).  Logs the work done at debug level, summed over the
-        passes, whether the table was built or reused, and the rule
-        returned.
+        passes, the number of nodes whose reads this value computed, and the
+        rule returned.
         """
         _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         law = self.law
@@ -884,7 +890,7 @@ class _CoverageModel:
         with_residual_mean = with_residual_mean and law.n > 2
         certified = with_residual_mean and not integer_m
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
-        memo, entries = self._dominant_memo, len(self._dominant_memo)
+        memo, read = self._dominant_memo, dist.nodes_read
         outer_nodes = rows = inner_nodes = 0
 
         def outer_reads(t0):  # x0, f(x0), the inner rows' widths and their memo; no theta
@@ -902,13 +908,12 @@ class _CoverageModel:
 
             def inner_reads(r, u):
                 """x0_r, x_i, omega, the top-two density and the width at
-                nodes u of rows r; no theta.  omega is read where N > 2 and
-                the residual is kept or this value fills the model's memo,
-                whose entries serve both methods; it is 0.0 elsewhere."""
+                nodes u of rows r; no theta.  omega is read wherever N > 2,
+                as the memo's entries serve both methods; it is 0.0 at N = 2."""
                 x0_r, w = x0[r], width[r]
                 ti = t_lo + u * w
                 xi = np.exp(ti)
-                if with_residual_mean or law.n > 2 and len(memo) > entries:
+                if law.n > 2:
                     f_i, fxi, m1 = np.exp(dist._log_at(ti, "log_pdf", "log_cdf", "log_m1"))
                     omega = self._residual_mean(fxi, m1)
                 else:
@@ -940,10 +945,10 @@ class _CoverageModel:
             )
         value, clamp_note = _clamp(float(alone + value))
         log.debug(
-            "dominant coverage at theta=%.6g: first-sweep table %s, residual %s, %d outer nodes, "
+            "dominant coverage at theta=%.6g: %d nodes read, residual %s, %d outer nodes, "
             "%d inner rows, %d inner node evaluations, %d/%d Laguerre nodes kept, certified %s, "
             "%.3f s%s",
-            theta, "reused" if len(memo) == entries else "built",
+            theta, dist.nodes_read - read,
             "mean" if with_residual_mean else "dropped", outer_nodes, rows, inner_nodes,
             _gen_laguerre_rule(m, rules[0])[0].size if with_residual_mean else 0,
             rules[0] if with_residual_mean else 0, "yes" if certified else "no",

@@ -396,6 +396,10 @@ def cmd_replay(cfg, args, seed):
     extra = {"trace": args.trace, "n_trace_samples": trace.n_samples}
     if args.out is None:  # the SIR table is a file next to the coverage table, never stdout
         return rows, extra, None
+    if any(result is None for result in sir.values()):
+        print("note: no SIR fell inside the histogram grid of -40..40 dB (as with one UAV per "
+              "trial, whose SIR is infinite); no _sir_pdf.csv is written", file=sys.stderr)
+        return rows, extra, None
 
     edges = sir[simulator.MAX_POWER].edges
     bins = zip(edges[:-1], edges[1:], sir[simulator.MAX_POWER].density,

@@ -19,13 +19,15 @@ Every row starts from the same equal panels, so every first sweep evaluates
 a row at the same nodes: the bounds, the initial panel count and the rows of
 its chunk fix them.  A caller that integrates one family many times,
 changing only a parameter, splits f into its parameter-free `reads` and a
-kernel, and passes a `memo` dict that keeps each chunk's first-sweep reads
-under that key, so later calls compute only the kernel there; refinement
-sweeps read afresh.
+kernel, and passes a `memo` dict that keeps each chunk's reads sweep by
+sweep, so later calls compute only the kernel wherever they evaluate the
+panels of the call the memo holds: on every first sweep, and on each
+refinement sweep that bisects the same panels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -137,11 +139,19 @@ class IntegralResult:
     n_evals: int
 
 
-def _evaluate_panels(f, lo, hi):
-    """Gauss-Kronrod pair on a batch of panels. Returns (kronrod, err, nev,
-    vector): kronrod and err are (k, panels) arrays for a k-component
-    integrand (k = 1 for a scalar one, which `vector` tells apart), and nev
-    counts nodes.
+def _nodes(lo, hi):
+    """The 15 Kronrod nodes of each panel [lo, hi], a (panels, 15) array."""
+    x = np.multiply.outer(0.5 * (hi - lo), _NODES)
+    x += (0.5 * (lo + hi))[:, None]
+    return x
+
+
+def _evaluate_panels(fy, lo, hi):
+    """Gauss-Kronrod pair on a batch of panels, given the integrand's values
+    fy at their `_nodes`, one per node or a (k, nodes) array for a
+    k-component integrand.  Returns (kronrod, err, nev, vector): kronrod and
+    err are (k, panels) arrays (k = 1 for a scalar integrand, which `vector`
+    tells apart), and nev counts nodes.
 
     The Kronrod and Gauss sums of all panels and components are one matrix
     product with `_KRONROD_GAUSS_W`, and resasc is one more.
@@ -151,13 +161,10 @@ def _evaluate_panels(f, lo, hi):
     is inflated towards resasc, which keeps it conservative for integrable
     endpoint singularities where the raw |K - G| difference undershoots.
     """
-    center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = np.multiply.outer(half, _NODES)
-    x += center[:, None]
-    fy = np.asarray(f(x.ravel()), dtype=float)
+    fy = np.asarray(fy, dtype=float)
     vector = fy.ndim == 2
-    fy = fy.reshape(-1, *x.shape)
+    fy = fy.reshape(-1, lo.size, len(_NODES))
     with np.errstate(divide="ignore", invalid="ignore"):
         sums = fy @ _KRONROD_GAUSS_W  # (k, panels, 2)
         # Every Kronrod weight is positive, so a non-finite node value leaves
@@ -167,7 +174,7 @@ def _evaluate_panels(f, lo, hi):
             finite = np.isfinite(fy).all(axis=0)
             if not finite.all():
                 raise QuadratureError(
-                    f"integrand returned a non-finite value at x={x[~finite][0]!r}",
+                    f"integrand returned a non-finite value at x={_nodes(lo, hi)[~finite][0]!r}",
                 )
         kron = sums[..., 0] * half
         gauss = sums[..., 1] * half
@@ -186,7 +193,7 @@ def _evaluate_panels(f, lo, hi):
     positive = resasc > 0
     if not positive.all():
         np.copyto(err, raw, where=~positive)
-    return kron, err, x.size, vector
+    return kron, err, lo.size * len(_NODES), vector
 
 
 def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
@@ -194,11 +201,11 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
     errors, nev, vector), values and errors as (k, rows) arrays.
 
     Each row starts from `cfg.initial_panels` equal panels, 15 nodes each
-    on the first sweep (whose reads are kept in `memo` if given), and stops
-    once the summed error estimate of every component c is within
-    max(abs_tol, rel_tol |value_c|).  Panels of all unfinished rows are
-    evaluated in one batch per sweep; each row keeps its own stop rule,
-    bisection set and subdivision limit.
+    on the first sweep, and stops once the summed error estimate of every
+    component c is within max(abs_tol, rel_tol |value_c|).  Panels of all
+    unfinished rows are evaluated in one batch per sweep; each row keeps its
+    own stop rule, bisection set and subdivision limit.  A `memo` keeps each
+    sweep's reads by position (see `integrate_batch`).
     """
     n, panels = len(rows), cfg.initial_panels
     width = (b - a) / panels
@@ -208,25 +215,25 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
     lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
     owner = np.repeat(np.arange(n), panels)  # local row of each panel
 
-    def evaluate(owner, lo, hi, memo=None):  # the first sweep's memo; refinement reads afresh
+    def evaluate(owner, lo, hi, sweep):
         node_rows = rows[owner].repeat(len(_NODES))
+        if memo is None:
+            return _evaluate_panels(f(node_rows, *reads(node_rows, _nodes(lo, hi).ravel())), lo, hi)
+        # the key fixes the first sweep's panels; a refinement sweep's are
+        # held with its reads, and other panels replace them
+        key = (a, b, panels, int(rows[0]), n, sweep)
+        at = None if sweep == 0 else b"".join(v.tobytes() for v in (owner, lo, hi))
+        held = memo.get(key)
+        if held is None or held[0] != at:
+            held = memo[key] = (at, reads(node_rows, _nodes(lo, hi).ravel()))
+        return _evaluate_panels(f(node_rows, *held[1]), lo, hi)
 
-        def integrand(x):
-            if memo is None:
-                return f(node_rows, *reads(node_rows, x))
-            key = (a, b, panels, int(rows[0]), n)  # these fix the first sweep's nodes
-            if key not in memo:
-                memo[key] = reads(node_rows, x)
-            return f(node_rows, *memo[key])
-
-        return _evaluate_panels(integrand, lo, hi)
-
-    values, errors, n_evals, vector = evaluate(owner, lo, hi, memo)
+    values, errors, n_evals, vector = evaluate(owner, lo, hi, 0)
     k = len(values)
     component = n * np.arange(k)[:, None]
     out_values = np.empty((k, n))
     out_errors = np.empty((k, n))
-    while True:
+    for sweep in itertools.count(1):
         key = (owner + component).ravel()  # one bin per (component, row)
         total, err = (np.bincount(key, v.ravel(), k * n).reshape(k, n) for v in (values, errors))
         n_panels = np.bincount(owner, minlength=n)
@@ -269,7 +276,7 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
         new_owner = np.concatenate([owner[split], owner[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, nev, _ = evaluate(new_owner, new_lo, new_hi)
+        new_vals, new_errs, nev, _ = evaluate(new_owner, new_lo, new_hi, sweep)
         n_evals += nev
         owner = np.concatenate([owner[~split], new_owner])
         lo = np.concatenate([lo[~split], new_lo])
@@ -312,11 +319,14 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     With `reads`, the integrand is f(rows, *reads(rows, x)): reads returns a
     tuple of what f needs at the nodes that does not change between calls.
     A `memo` dict, owned by the caller and passed on every call, keeps each
-    chunk's first-sweep reads under the key (a, b, initial_panels, first
-    row, row count), which fixes that sweep's nodes, and later calls with
-    that key compute only f there; other bounds or panel counts read afresh,
-    as do refinement sweeps.  Reads that depend only on the rows and nodes
-    give the same result with or without a memo, bit for bit.
+    chunk's sweeps by position, under the key (a, b, initial_panels, first
+    row, row count, sweep index), with the panels they were read at.  The
+    key fixes the first sweep's nodes, so later calls with that key compute
+    only f there.  A refinement sweep whose panels equal the held ones
+    reuses their reads, and other panels replace them, so the memo holds
+    one call's reads per chunk and sweep.  Other bounds or panel counts read
+    afresh.  Reads that depend only on the rows and nodes give the same
+    result with or without a memo, bit for bit.
 
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;

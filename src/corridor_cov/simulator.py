@@ -839,7 +839,7 @@ def synthesize_trace(geom, channel, spacing, seed):
 @dataclass
 class ReplayResult:
     coverage: CoverageCurve
-    sir: EmpiricalDistribution
+    sir: EmpiricalDistribution | None  # None when no SIR falls in the histogram grid
 
 
 def trace_replay(
@@ -863,7 +863,8 @@ def trace_replay(
     trace embeds.  The trials run through `simulate_sir`'s batch loop with
     the trace as the power source (see `_draw_batch`); each piece is reduced
     to threshold counts and SIR histogram counts (0.5 dB bins over -40..40
-    dB) as it is drawn.
+    dB) as it is drawn.  The result's `sir` is None when no SIR falls in that
+    grid, as with one UAV per trial, whose SIR is infinite.
     """
     if m is not None:
         _require(m > 0, "fading shape m must be positive and finite", m)
@@ -876,5 +877,5 @@ def trace_replay(
     no_sirs = SirTally.of(np.empty(0), _theta_grid(theta_db), hist_db)
     tally, _ = _simulate(spatial, geom, trace, m, trials, seed, policy, batch_size, no_sirs)
     curve = coverage_from_sirs(tally, tally.theta_db)
-    dist_est = EmpiricalDistribution.from_counts(tally.hist, hist_db)
-    return ReplayResult(coverage=curve, sir=dist_est)
+    sir = EmpiricalDistribution.from_counts(tally.hist, hist_db) if tally.hist.any() else None
+    return ReplayResult(coverage=curve, sir=sir)

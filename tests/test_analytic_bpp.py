@@ -685,7 +685,7 @@ class TestBatchedDominantIntegral:
         assert single == pytest.approx(self.nested(model, 1.0, False, n_rule), rel=1e-12, abs=0.0)
 
     LINE = re.compile(
-        r"dominant coverage at theta=1: first-sweep table (built|reused), residual (mean|dropped), "
+        r"dominant coverage at theta=1: (\d+) nodes read, residual (mean|dropped), "
         r"(\d+) outer nodes, (\d+) inner rows, (\d+) inner node evaluations, "
         r"(\d+)/(\d+) Laguerre nodes kept, certified (yes|no), [0-9.]+ s"
     )
@@ -701,10 +701,11 @@ class TestBatchedDominantIntegral:
         assert len(lines) == 2
         fields = [self.LINE.fullmatch(line) for line in lines]
         assert all(fields), lines
-        (table, res, outer, rows, inner, kept, n_rule, cert), single = (f.groups() for f in fields)
+        (read, res, outer, rows, inner, kept, n_rule, cert), single = (f.groups() for f in fields)
         # m = 2.5: the ladder's first rung, 4 nodes checked against 8,
-        # certifies the value in one 2D pass
-        assert (table, res, cert, int(n_rule)) == ("built", "mean", "yes", 2 * analytic._LAGUERRE_LADDER[0])
+        # certifies the value in one 2D pass, which reads every node
+        assert (res, cert, int(n_rule)) == ("mean", "yes", 2 * analytic._LAGUERRE_LADDER[0])
+        assert int(read) == int(outer) + int(inner)
         assert int(outer) % 15 == 0  # one G7/K15 panel is 15 nodes
         # the work at R = 500 m, h = 100 m, alpha = 2.2, q = 2, pinned: a change
         # to the cost per node must not move it
@@ -712,9 +713,9 @@ class TestBatchedDominantIntegral:
         assert int(rows) == int(outer)  # one inner row per outer node
         # at least the first sweep's panels per row
         assert int(inner) >= 15 * analytic._DOMINANT_QUAD.initial_panels * int(rows)
-        table, res, outer, rows, inner, kept, n_rule, cert = single
+        read, res, outer, rows, inner, kept, n_rule, cert = single
         # the single-dominant value reuses what the dominant one read
-        assert (table, res, kept, n_rule, cert) == ("reused", "dropped", "0", "0", "no")
+        assert (read, res, kept, n_rule, cert) == ("0", "dropped", "0", "0", "no")
         assert int(rows) == int(outer) > 0 and int(inner) > 0
         # the 8-node rule drops nothing at m = 2.5; on a forced 8/16 rung the
         # 16-node rule drops its largest nodes
@@ -723,8 +724,8 @@ class TestBatchedDominantIntegral:
         with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
             model.coverage_dominant(1.0)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
-        table, res, outer, _, inner, kept, n_rule, cert = self.LINE.fullmatch(line).groups()
-        assert (table, res, cert, int(n_rule)) == ("reused", "mean", "yes", 16)
+        read, res, outer, _, inner, kept, n_rule, cert = self.LINE.fullmatch(line).groups()
+        assert (read, res, cert, int(n_rule)) == ("0", "mean", "yes", 16)
         assert 0 < int(kept) < int(n_rule)
         assert tuple(map(int, (outer, inner, kept))) == (75, 3_405, 15)
 
@@ -861,11 +862,11 @@ BOTH_SIZES = ((analytic.BppCoverageModel, N), (analytic.HpppCoverageModel, 0.01)
     ids=["m1", "m2.5", "fallback"],
 )
 def test_dominant_table_matches_fresh_models(geom, caplog, specs, m, thetas_db, order):
-    # A model's first dominant or single-dominant value builds its dominant
-    # first-sweep table, and every later value of either method reuses it;
-    # values, node counts and debug lines are those of a fresh model per
-    # theta and method, bit for bit.  BPP 10 and HPPP 0.01 share one
-    # received-power cache and take their values in turn.
+    # A fresh model's value reads at most every node it evaluates, and a
+    # warm one's, of either method, no more; values, node counts and debug
+    # lines are those of a fresh model per theta and method, bit for bit.
+    # BPP 10 and HPPP 0.01 share one received-power cache and take their
+    # values in turn.
     ch = ChannelParams(alpha=2.2, q=2.0, m=m)
     methods = {"dominant": "coverage_dominant", "single": "coverage_single_dominant"}
     shared = [cls(size, geom, ch) for cls, size in specs]
@@ -876,20 +877,21 @@ def test_dominant_table_matches_fresh_models(geom, caplog, specs, m, thetas_db, 
         with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
             value = getattr(model, methods[method])(theta)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dominant")]
-        table = re.search(r": first-sweep table (built|reused), ", line)
-        assert table is not None, line
-        return value, table.group(1), re.sub(r"[0-9.]+ s$", "", line.replace(table.group(0), ": "))
+        read = re.search(r": (\d+) nodes read, ", line)
+        assert read is not None, line
+        return value, int(read.group(1)), re.sub(r"[0-9.]+ s$", "", line.replace(read.group(0), ": "))
 
     refined = 0
     for k, db in enumerate(thetas_db):
         theta = 10 ** (db / 10)
         for j, method in enumerate(order):
             for (cls, size), model in zip(specs, shared):
-                value, table, work = value_and_line(model, method, theta)
-                fresh_value, fresh_table, fresh_work = value_and_line(cls(size, geom, ch), method, theta)
-                assert (table, fresh_table) == ("reused" if k or j else "built", "built")
+                value, read, work = value_and_line(model, method, theta)
+                fresh_value, fresh_read, fresh_work = value_and_line(cls(size, geom, ch), method, theta)
                 assert value == fresh_value and work == fresh_work, (cls, method, db)
                 outer, inner = map(int, re.search(r"(\d+) outer nodes, \d+ inner rows, (\d+) inner", work).groups())
+                assert 0 < fresh_read <= outer + inner
+                assert read == fresh_read if k == j == 0 else read <= fresh_read
                 refined += outer > 45 and inner > 45 * 45  # both levels past their first sweep
     assert refined
 

@@ -386,6 +386,25 @@ class TestReplayCommand:
         assert np.sum(dens[:, 3] * widths) == pytest.approx(1.0, rel=1e-9)
 
 
+    def test_one_uav_per_trial_writes_no_sir_table(self, tmp_path, trace_csv, capsys):
+        # a lone UAV's SIR is infinite: its coverage rows are 1.0, and with
+        # --out no SIR pdf table is written, with a note on stderr
+        cfg = tmp_path / "one.ini"
+        cfg.write_text("[geometry]\nr = 200\nheight = 200\n\n[spatial]\nmodel = bpp\nn = 1\n\n"
+                       "[run]\ntrials = 2000\nseed = 7\n")
+        out = tmp_path / "replay.csv"
+        assert run_cli(["replay", "--trace", trace_csv, "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert {r[1] for r in rows} == {"replay_max_power", "replay_min_distance"}
+        assert all(float(r[2]) == 1.0 for r in rows)
+        assert not (tmp_path / "replay_sir_pdf.csv").exists()
+        assert "no _sir_pdf.csv is written" in capsys.readouterr().err
+        # without --out the rows go to stdout, as for any replay
+        assert run_cli(["replay", "--trace", trace_csv, "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+        assert printed[1:] == out.read_text().strip().splitlines()[1:]
+
+
 class TestHeightStudyCommand:
     def test_synthetic_normal_study(self, tmp_path):
         cfg = tmp_path / "hs.ini"

@@ -299,10 +299,11 @@ SWEEP_DB = list(range(-20, 21, 4))
     [((("bpp", 10), ("bpp", 20)), 1), ((("bpp", 10), ("bpp", 20)), 3), ((("hppp", LAM),), 1)],
 )
 def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
-    # A model's first exact value builds its first-sweep table and every
-    # later one reuses it; values and node counts are those of a fresh model
-    # per theta, bit for bit.  BPP 10 and 20 share one received-power cache
-    # and take their values in turn.
+    # A fresh model reads every node it evaluates, and a warm one no more;
+    # values and node counts are those of a fresh model per theta, bit for
+    # bit.  A warm BPP 10, m = 3 model reads nothing: every theta of the
+    # sweep refines the panels of the theta before.  BPP 10 and 20 share one
+    # received-power cache and take their values in turn.
     ch = ChannelParams(alpha=2.2, q=2.0, m=float(m))
     classes = {"bpp": analytic.BppCoverageModel, "hppp": analytic.HpppCoverageModel}
 
@@ -317,21 +318,64 @@ def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
         with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
             value = model.coverage(theta)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact")]
-        table = re.search(r": first-sweep table (built|reused), ", line)
-        assert table is not None, line
-        return value, table.group(1), re.sub(r"[0-9.]+ s$", "", line.replace(table.group(0), ": "))
+        read = re.search(r": (\d+) nodes read, ", line)
+        assert read is not None, line
+        return value, int(read.group(1)), re.sub(r"[0-9.]+ s$", "", line.replace(read.group(0), ": "))
 
     refined = set()
     for k, db in enumerate(SWEEP_DB):
         theta = 10 ** (db / 10)
         for spec, model in zip(models, shared):
-            value, table, work = value_and_line(model, theta)
-            fresh_value, fresh_table, fresh_work = value_and_line(make(*spec), theta)
-            assert (table, fresh_table) == ("reused" if k else "built", "built")
+            value, read, work = value_and_line(model, theta)
+            fresh_value, fresh_read, fresh_work = value_and_line(make(*spec), theta)
             assert value == fresh_value and work == fresh_work, (spec, db)
-            if int(re.search(r"(\d+) outer nodes", work).group(1)) > 120:
+            outer, inner = (int(re.search(rf"(\d+) {name}", work).group(1))
+                            for name in ("outer nodes", "inner node evaluations"))
+            assert fresh_read == outer + inner
+            assert read == fresh_read if k == 0 else read <= fresh_read
+            if k and spec == ("bpp", 10) and m == 3:
+                assert read == 0, db
+            if outer > 120:
                 refined.add(db)
     assert -20 in refined and len(refined) < len(SWEEP_DB)
+
+
+def _held_bytes(memo):
+    """The bytes of every array a memo holds, its inner memos' included."""
+    if isinstance(memo, np.ndarray):
+        return memo.nbytes
+    if isinstance(memo, dict):
+        memo = memo.values()
+    elif not isinstance(memo, tuple):
+        return 0
+    return sum(_held_bytes(v) for v in memo)
+
+
+@pytest.mark.parametrize(
+    "cls, size, m, method",
+    [(analytic.BppCoverageModel, 10, 3.0, "coverage"),
+     (analytic.HpppCoverageModel, LAM, 1.0, "coverage"),
+     (analytic.BppCoverageModel, 10, 2.5, "coverage_dominant"),
+     (analytic.BppCoverageModel, 10, 2.5, "coverage_single_dominant")],
+    ids=["exact-bpp", "exact-hppp", "dominant", "single-dominant"],
+)
+def test_memo_stays_bounded_over_a_dense_sweep(geom, cls, size, m, method):
+    # A memo holds one value's reads per chunk and sweep: 201 thresholds
+    # that refine different panels replace its refinement entries instead of
+    # adding to them.  A repeated threshold refines the panels it holds, so
+    # it reads nothing.
+    model = cls(size, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
+    memo = model._exact_memo if method == "coverage" else model._dominant_memo
+    coverage = getattr(model, method)
+    thetas = 10 ** (np.linspace(-20.0, 20.0, 201) / 10)
+    coverage(thetas[0])
+    first = _held_bytes(memo)
+    read = model.dist.nodes_read
+    coverage(thetas[0])
+    assert model.dist.nodes_read == read
+    for theta in thetas[1:]:
+        coverage(theta)
+    assert 0 < first and _held_bytes(memo) <= 1.5 * first, (first, _held_bytes(memo))
 
 
 @pytest.mark.parametrize("method, rule", [("coverage", "_COVERAGE_QUAD"),

@@ -180,11 +180,13 @@ def _refining_and_settled(n, vector):
 @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
 @pytest.mark.parametrize("vector", [False, True])
 def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows):
-    # A memo keeps each chunk's first-sweep reads of g, filled on the first
-    # call, for integrands c g with c changed between calls: the caller's
-    # pattern.  It gives the plain rule's value, error and node count bit
-    # for bit, a corrupted entry changes the result, and other bounds or
-    # panel counts never read an existing entry.
+    # A memo keeps each chunk's reads of g sweep by sweep, with the panels
+    # of its refinement sweeps, for integrands c g with c changed between
+    # calls: the caller's pattern.  It gives the plain rule's value, error
+    # and node count bit for bit; a corrupted first-sweep or refinement
+    # entry changes the result, a refinement entry held at other panels is
+    # read afresh, and other bounds or panel counts never read an existing
+    # entry.
     n = 150
     g = _refining_and_settled(n, vector)
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
@@ -210,12 +212,31 @@ def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows
         assert np.array_equal(memoized.error, plain.error)
         assert memoized.n_evals == plain.n_evals
     starts = range(0, n, chunk_rows)
-    assert sorted(memo) == [(0.0, 1.0, 8, i, min(chunk_rows, n - i)) for i in starts]
-    # every entry off at one node: a call that reads any of them changes
-    for key, (gx,) in memo.items():
-        memo[key] = (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),)
-    wrong = scaled(c, memo=memo)[1]
-    assert not np.array_equal(wrong.value, plain.value)
+    chunks = [(0.0, 1.0, 8, i, min(chunk_rows, n - i)) for i in starts]
+    assert sorted(key for key in memo if key[-1] == 0) == [chunk + (0,) for chunk in chunks]
+    assert {key[:-1] for key in memo} == set(chunks)
+    refinements = [key for key in memo if key[-1] > 0]
+    assert refinements and all(memo[key][0] for key in refinements)
+    assert all(memo[key][0] is None for key in memo if key[-1] == 0)
+
+    def corrupt(keys, at=None):
+        # every entry of `keys` off at one node, and its panels set to `at` if given
+        held = {key: memo[key] for key in keys}
+        for key, (panels, (gx,)) in held.items():
+            memo[key] = (panels if at is None else at,
+                         (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),))
+        return held
+
+    for keys in ([key for key in memo if key[-1] == 0], refinements):
+        held = corrupt(keys)
+        wrong = scaled(c, memo=memo)[1]
+        assert not np.array_equal(wrong.value, plain.value)
+        memo.update(held)
+    # refinement entries held at other panels are replaced, not read
+    corrupt(refinements, at=b"other panels")
+    again = scaled(c, memo=memo)[1]
+    assert np.array_equal(again.value, plain.value) and again.n_evals == plain.n_evals
+    assert all(memo[key][0] != b"other panels" for key in refinements)
     for b, config in ((0.5, cfg), (1.0, dataclasses.replace(cfg, initial_panels=4))):
         entries = len(memo)
         other_plain, other = scaled(c, b, config, memo)
@@ -227,7 +248,7 @@ def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows
         one = integrate(lambda gx: c * gx, 0.0, 1.0, cfg,
                         lambda x: (g(np.zeros(x.shape, int), x),), one_memo)
         assert np.array_equal(one.value, plain.value[..., 0]) and one.n_evals == evals[0]
-    assert list(one_memo) == [(0.0, 1.0, 8, 0, 1)]
+    assert list(one_memo) == [(0.0, 1.0, 8, 0, 1, 0)]
 
 
 def test_vector_integrand_failure_names_row_and_component():
@@ -308,10 +329,7 @@ def test_panel_kernel_matches_its_literal_form(k):
     fy[:, ::2] = np.exp(rng.uniform(-1, 1, (k, 1, 1)) * quadrature._NODES)
     values = fy.reshape(k, -1)
 
-    def integrand(x):
-        return values if k > 1 else values[0]
-
-    kron, err, nev, vector = quadrature._evaluate_panels(integrand, lo, hi)
+    kron, err, nev, vector = quadrature._evaluate_panels(values if k > 1 else values[0], lo, hi)
     assert (nev, vector) == (15 * lo.size, k > 1)
     ref_kron, ref_err, scale = _literal_panels(fy, 0.5 * (hi - lo))
     assert np.all(np.abs(kron - ref_kron) <= 1e-15 * scale)
@@ -329,4 +347,4 @@ def test_panel_kernel_names_the_first_non_finite_node(k):
     values[k - 1, 2 * 15 + 9] = np.inf
     values[0, 3 * 15 + 1] = np.nan
     with pytest.raises(QuadratureError, match=re.escape(f"x={x[2, 9]!r}")):
-        quadrature._evaluate_panels(lambda _: values if k > 1 else values[0], lo, hi)
+        quadrature._evaluate_panels(values if k > 1 else values[0], lo, hi)

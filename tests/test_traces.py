@@ -183,6 +183,14 @@ class TestReplay:
         with pytest.raises(ParameterError, match="fading shape m must be positive and finite"):
             trace_replay(small_trace, BPP(10), small_geom, 2000, THETAS, seed=44, m=m)
 
+    def test_one_uav_per_trial_has_no_sir_distribution(self, small_geom, small_trace):
+        # a lone UAV has no interference: every SIR is infinite, so the
+        # coverage is 1 and no SIR falls in the histogram grid (this raised
+        # ParameterError)
+        result = trace_replay(small_trace, BPP(1), small_geom, 2000, THETAS, seed=45)
+        assert result.sir is None
+        assert result.coverage.coverage.tolist() == [1.0] * THETAS.size
+
     def test_replay_deterministic(self, small_geom, small_trace):
         a = trace_replay(small_trace, BPP(10), small_geom, 5_000, THETAS, seed=43)
         b = trace_replay(small_trace, BPP(10), small_geom, 5_000, THETAS, seed=43)
