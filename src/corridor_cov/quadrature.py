@@ -219,10 +219,9 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
         node_rows = rows[owner].repeat(len(_NODES))
         if memo is None:
             return _evaluate_panels(f(node_rows, *reads(node_rows, _nodes(lo, hi).ravel())), lo, hi)
-        # the key fixes the first sweep's panels; a refinement sweep's are
-        # held with its reads, and other panels replace them
-        key = (a, b, panels, int(rows[0]), n, sweep)
-        at = None if sweep == 0 else b"".join(v.tobytes() for v in (owner, lo, hi))
+        # a sweep's panels are held with its reads, and other panels replace them
+        key = (a, b, int(rows[0]), n, sweep)
+        at = b"".join(v.tobytes() for v in (owner, lo, hi))
         held = memo.get(key)
         if held is None or held[0] != at:
             held = memo[key] = (at, reads(node_rows, _nodes(lo, hi).ravel()))
@@ -319,14 +318,13 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     With `reads`, the integrand is f(rows, *reads(rows, x)): reads returns a
     tuple of what f needs at the nodes that does not change between calls.
     A `memo` dict, owned by the caller and passed on every call, keeps each
-    chunk's sweeps by position, under the key (a, b, initial_panels, first
-    row, row count, sweep index), with the panels they were read at.  The
-    key fixes the first sweep's nodes, so later calls with that key compute
-    only f there.  A refinement sweep whose panels equal the held ones
-    reuses their reads, and other panels replace them, so the memo holds
-    one call's reads per chunk and sweep.  Other bounds or panel counts read
-    afresh.  Reads that depend only on the rows and nodes give the same
-    result with or without a memo, bit for bit.
+    chunk's sweeps by position, under the key (a, b, first row, row count,
+    sweep index), with the panels they were read at.  A sweep whose panels
+    equal the held ones reuses their reads and computes only f; other
+    panels, as after a change of initial_panels, replace them, so the memo
+    holds one call's reads per chunk and sweep.  Reads that depend only on
+    the rows and nodes give the same result with or without a memo, bit
+    for bit.
 
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;

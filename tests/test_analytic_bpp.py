@@ -863,10 +863,10 @@ BOTH_SIZES = ((analytic.BppCoverageModel, N), (analytic.HpppCoverageModel, 0.01)
 )
 def test_dominant_table_matches_fresh_models(geom, caplog, specs, m, thetas_db, order):
     # A fresh model's value reads at most every node it evaluates, and a
-    # warm one's, of either method, no more; values, node counts and debug
-    # lines are those of a fresh model per theta and method, bit for bit.
-    # BPP 10 and HPPP 0.01 share one received-power cache and take their
-    # values in turn.
+    # warm one's, of either method, fewer, since at least its first sweeps
+    # come from the memo; values, node counts and debug lines are those of
+    # a fresh model per theta and method, bit for bit.  BPP 10 and HPPP 0.01
+    # share one received-power cache and take their values in turn.
     ch = ChannelParams(alpha=2.2, q=2.0, m=m)
     methods = {"dominant": "coverage_dominant", "single": "coverage_single_dominant"}
     shared = [cls(size, geom, ch) for cls, size in specs]
@@ -891,7 +891,7 @@ def test_dominant_table_matches_fresh_models(geom, caplog, specs, m, thetas_db, 
                 assert value == fresh_value and work == fresh_work, (cls, method, db)
                 outer, inner = map(int, re.search(r"(\d+) outer nodes, \d+ inner rows, (\d+) inner", work).groups())
                 assert 0 < fresh_read <= outer + inner
-                assert read == fresh_read if k == j == 0 else read <= fresh_read
+                assert read == fresh_read if k == j == 0 else read < fresh_read
                 refined += outer > 45 and inner > 45 * 45  # both levels past their first sweep
     assert refined
 

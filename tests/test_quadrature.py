@@ -181,12 +181,11 @@ def _refining_and_settled(n, vector):
 @pytest.mark.parametrize("vector", [False, True])
 def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows):
     # A memo keeps each chunk's reads of g sweep by sweep, with the panels
-    # of its refinement sweeps, for integrands c g with c changed between
-    # calls: the caller's pattern.  It gives the plain rule's value, error
-    # and node count bit for bit; a corrupted first-sweep or refinement
-    # entry changes the result, a refinement entry held at other panels is
-    # read afresh, and other bounds or panel counts never read an existing
-    # entry.
+    # they were read at, for integrands c g with c changed between calls:
+    # the caller's pattern.  It gives the plain rule's value, error and node
+    # count bit for bit; a corrupted first-sweep or refinement entry changes
+    # the result, an entry held at other panels is read afresh, and other
+    # bounds or panel counts never read an existing entry.
     n = 150
     g = _refining_and_settled(n, vector)
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
@@ -212,43 +211,48 @@ def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows
         assert np.array_equal(memoized.error, plain.error)
         assert memoized.n_evals == plain.n_evals
     starts = range(0, n, chunk_rows)
-    chunks = [(0.0, 1.0, 8, i, min(chunk_rows, n - i)) for i in starts]
+    chunks = [(0.0, 1.0, i, min(chunk_rows, n - i)) for i in starts]
     assert sorted(key for key in memo if key[-1] == 0) == [chunk + (0,) for chunk in chunks]
     assert {key[:-1] for key in memo} == set(chunks)
-    refinements = [key for key in memo if key[-1] > 0]
-    assert refinements and all(memo[key][0] for key in refinements)
-    assert all(memo[key][0] is None for key in memo if key[-1] == 0)
+    visited = list(memo)  # the sweeps every call with these rows reads
+    refinements = [key for key in visited if key[-1] > 0]
+    assert refinements and all(memo[key][0] for key in visited)
 
     def corrupt(keys, at=None):
         # every entry of `keys` off at one node, and its panels set to `at` if given
         held = {key: memo[key] for key in keys}
         for key, (panels, (gx,)) in held.items():
-            memo[key] = (panels if at is None else at,
-                         (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),))
+            memo[key] = (at or panels, (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),))
         return held
 
-    for keys in ([key for key in memo if key[-1] == 0], refinements):
+    for keys in ([key for key in visited if key[-1] == 0], refinements):
         held = corrupt(keys)
         wrong = scaled(c, memo=memo)[1]
         assert not np.array_equal(wrong.value, plain.value)
         memo.update(held)
-    # refinement entries held at other panels are replaced, not read
-    corrupt(refinements, at=b"other panels")
+    # entries held at other panels are replaced, not read
+    corrupt(visited, at=b"other panels")
     again = scaled(c, memo=memo)[1]
     assert np.array_equal(again.value, plain.value) and again.n_evals == plain.n_evals
-    assert all(memo[key][0] != b"other panels" for key in refinements)
+    assert all(memo[key][0] != b"other panels" for key in visited)
+    # other bounds take keys of their own; another panel count replaces the
+    # entries of chunks that keep their rows
     for b, config in ((0.5, cfg), (1.0, dataclasses.replace(cfg, initial_panels=4))):
-        entries = len(memo)
+        entries = dict(memo)
         other_plain, other = scaled(c, b, config, memo)
         assert np.array_equal(other.value, other_plain.value)
-        assert other.n_evals == other_plain.n_evals and len(memo) > entries
+        assert np.array_equal(other.error, other_plain.error)
+        assert other.n_evals == other_plain.n_evals and len(memo) > len(entries)
+        size = quadrature._BATCH_NODES // (15 * config.initial_panels)
+        firsts = [(0.0, b, i, min(size, n - i), 0) for i in range(0, n, size)]
+        assert all(memo[key][0] != entries.get(key, (None,))[0] for key in firsts)
     # the one-row case takes reads and kernel without the rows
     one_memo = {}
     for _ in range(2):
         one = integrate(lambda gx: c * gx, 0.0, 1.0, cfg,
                         lambda x: (g(np.zeros(x.shape, int), x),), one_memo)
         assert np.array_equal(one.value, plain.value[..., 0]) and one.n_evals == evals[0]
-    assert list(one_memo) == [(0.0, 1.0, 8, 0, 1, 0)]
+    assert list(one_memo) == [(0.0, 1.0, 0, 1, 0)]
 
 
 def test_vector_integrand_failure_names_row_and_component():
