@@ -64,6 +64,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -494,8 +495,7 @@ class _CountLaw:
             return k * math.log(self.mu) + self.mu * (np.asarray(y) - 1.0)
         if k > self.n:
             return np.full(np.shape(y), -np.inf)
-        log_falling = math.fsum(math.log(self.n - j) for j in range(k))
-        return log_falling + special.xlogy(self.n - k, np.maximum(y, 0.0))
+        return _log_falling(self.n, k) + special.xlogy(self.n - k, np.maximum(y, 0.0))
 
     def derivative_ratio(self, k, y):
         """G^(k+1)(y) / G^(k)(y): (n - k) / y, or mu."""
@@ -513,6 +513,21 @@ class _CountLaw:
                 log_term = math.log(eps) + mu + math.log(-math.expm1(-mu))
                 return float(np.logaddexp(0.0, log_term)) / mu, upper
         return eps ** (1.0 / self.n), 1.0 - eps / self.n
+
+
+@lru_cache(maxsize=256)
+def _log_falling(n, k):
+    """log(n! / (n - k)!), summed exactly rounded."""
+    return math.fsum(math.log(n - j) for j in range(k))
+
+
+@lru_cache(maxsize=64)
+def _pochhammer_column(m, order):
+    """The factors poch(m, j) / j!, j <= order, of `_moment_series`' rows,
+    as a read-only column."""
+    coeff = np.array([special.poch(m, j) / math.factorial(j) for j in range(order + 1)])[:, None]
+    coeff.flags.writeable = False
+    return coeff
 
 
 def _moment_series(dist, m, s, tau, x0, order, memo=None):
@@ -541,20 +556,23 @@ def _moment_series(dist, m, s, tau, x0, order, memo=None):
     A `memo` for these x0, passed to `integrate_batch`, keeps p and the
     density at the nodes of every sweep: later calls (other s and tau) form
     only the kernels on the first sweep and on each refinement sweep that
-    bisects the panels of the call before.
+    bisects the panels of the call before.  Where tau is s, as in exact
+    coverage, tau p / m is y bit for bit, so r is formed as y / (1 + y).
     """
-    s, tau, x0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
-                                       for a in (s, tau, x0)))
+    same = tau is s
+    s, tau, x0 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (s, tau, x0))
+    if not s.shape == tau.shape == x0.shape:
+        s, tau, x0 = np.broadcast_arrays(s, tau, x0)
     if np.any(x0 <= 0):
         raise ParameterError("conditioning power must be positive")
-    out = np.zeros((order + 1, x0.size))
     cache = dist._ensure()
     t_lo = cache["t_lo"]
     t_hi = np.minimum(np.log(x0), cache["t_hi"])
     live = np.flatnonzero(t_hi > t_lo)
     if live.size == 0:
-        return out, 0
-    width, s_m, tau_m = t_hi[live] - t_lo, s[live] / m, tau[live] / m
+        return np.zeros((order + 1, x0.size)), 0
+    width, s_m = t_hi[live] - t_lo, s[live] / m
+    tau_m = s_m if same else tau[live] / m
 
     def reads(i, u):  # p and the density at nodes u of rows i; no s or tau
         w = width[i]
@@ -563,20 +581,29 @@ def _moment_series(dist, m, s, tau, x0, order, memo=None):
         return np.exp(t), np.exp(log_f + t) * w
 
     def kernel(i, p, density):
-        y = s_m[i] * p
-        log_base = -m * np.log1p(y)
+        y = s_m.take(i)
+        y *= p
+        log_base = np.log1p(y)
+        log_base *= -m
         kern = np.empty((order + 1, p.size))
-        kern[0] = -np.expm1(log_base) * density
+        np.expm1(log_base, out=kern[0])
+        np.negative(kern[0], out=kern[0])
+        kern[0] *= density
         if order:
-            r = tau_m[i] * p / (1.0 + y)
-            kern[1] = np.exp(log_base) * density * r
+            r = (y if same else tau_m.take(i) * p) / (1.0 + y)
+            np.exp(log_base, out=kern[1])
+            kern[1] *= density
+            kern[1] *= r
             for j in range(2, order + 1):
-                kern[j] = kern[j - 1] * r
+                np.multiply(kern[j - 1], r, out=kern[j])
         return kern
 
     res = integrate_batch(kernel, live.size, 0.0, 1.0, _LAPLACE_QUAD, reads, memo)
-    coeff = np.array([special.poch(m, j) / math.factorial(j) for j in range(order + 1)])
-    out[:, live] = coeff[:, None] * res.value
+    rows = _pochhammer_column(m, order) * res.value
+    if live.size == x0.size:
+        return rows, res.n_evals
+    out = np.zeros((order + 1, x0.size))
+    out[:, live] = rows
     return out, res.n_evals
 
 
@@ -590,14 +617,20 @@ def _clamp(value):
 def _taylor_sum(weights, h):
     """Taylor coefficients up to z^order of sum_r weights[r] h(z)^r, h the
     (order + 1, n) coefficient rows of a series whose constant row is ignored:
-    the Toeplitz form of Yu, Zhang, Haenggi & Letaief (IEEE JSAC 2017)."""
+    the Toeplitz form of Yu, Zhang, Haenggi & Letaief (IEEE JSAC 2017).  Row
+    k of each power is the sum over j of the products power[j] h[k - j], the
+    j = k one included, reduced over j as one (k + 1, n) array."""
     h = np.concatenate([np.zeros_like(h[:1]), h[1:]])
     power = np.zeros_like(h)
     power[0] = 1.0
     out = weights[0] * power
+    terms = np.empty_like(h)
     for w in weights[1:]:
-        power = np.array([(power[: k + 1] * h[k::-1]).sum(axis=0) for k in range(len(h))])
-        out = out + w * power
+        power, previous = np.empty_like(h), power
+        for k in range(len(h)):
+            np.multiply(previous[: k + 1], h[k::-1], out=terms[: k + 1])
+            np.add.reduce(terms[: k + 1], axis=0, out=power[k])
+        out += w * power
     return out
 
 
@@ -1188,9 +1221,19 @@ class HpppCoverageModel(_CoverageModel):
 # ---------------------------------------------------------------------------
 
 
+# Every distribution that some model or `_cached_dist` still holds, so that
+# all models of one (geometry, channel) share one cache while any of them
+# lives, however many other pairs the LRU has seen since; once nothing holds
+# a distribution, it is dropped here too.
+_live_dists = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=32)
 def _cached_dist(geom, channel):
-    return ReceivedPowerDistribution(geom, channel)
+    dist = _live_dists.get((geom, channel))
+    if dist is None:
+        dist = _live_dists[geom, channel] = ReceivedPowerDistribution(geom, channel)
+    return dist
 
 
 # typed: a key equal to the int n, such as 10.0 or True, must reach the

@@ -19,10 +19,11 @@ Every row starts from the same equal panels, so every first sweep evaluates
 a row at the same nodes: the bounds, the initial panel count and the rows of
 its chunk fix them.  A caller that integrates one family many times,
 changing only a parameter, splits f into its parameter-free `reads` and a
-kernel, and passes a `memo` dict that keeps each chunk's reads sweep by
-sweep, so later calls compute only the kernel wherever they evaluate the
-panels of the call the memo holds: on every first sweep, and on each
-refinement sweep that bisects the same panels.
+kernel, and passes a `memo` dict that keeps each chunk's panels and reads
+sweep by sweep, so later calls compute only the kernel wherever they
+evaluate the panels of the call the memo holds: on every first sweep, which
+then builds no panel, and on each refinement sweep that bisects the same
+panels.
 """
 
 from __future__ import annotations
@@ -177,14 +178,15 @@ def _evaluate_panels(fy, lo, hi):
                     f"integrand returned a non-finite value at x={_nodes(lo, hi)[~finite][0]!r}",
                 )
         kron = sums[..., 0] * half
-        gauss = sums[..., 1] * half
+        raw = sums[..., 1] * half  # the Gauss sums, then |K - G| in place
+        np.subtract(kron, raw, out=raw)
+        np.abs(raw, out=raw)
         # |f - mean| in place: a fresh temporary of fy's size costs more than the product.
         # Its Kronrod sum goes through the same two-column product as `sums`: a
         # matrix-vector product rounds a panel differently by its position in
         # the batch, so a row's error estimate would depend on its chunk.
-        deviation = fy - (0.5 * sums[..., 0])[..., None]
+        deviation = fy - 0.5 * sums[..., :1]
         resasc = (np.abs(deviation, out=deviation) @ _KRONROD_GAUSS_W)[..., 0] * half
-        raw = np.abs(kron - gauss)
         err = 200.0 * raw
         err /= resasc
         err **= 1.5
@@ -204,84 +206,116 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
     on the first sweep, and stops once the summed error estimate of every
     component c is within max(abs_tol, rel_tol |value_c|).  Panels of all
     unfinished rows are evaluated in one batch per sweep; each row keeps its
-    own stop rule, bisection set and subdivision limit.  A `memo` keeps each
-    sweep's reads by position (see `integrate_batch`).
+    own stop rule, bisection set and subdivision limit.
+
+    A `memo` keeps each sweep's layout and reads by position (see
+    `integrate_batch`): the first sweep's entry is tagged with the initial
+    panel count, which with the chunk's key fixes its panels, so a call at
+    that count takes the held panels, node rows and reads and builds
+    nothing; a refinement sweep's entry is tagged with the bytes of its
+    panels, which the call forms and compares.  Panels are kept in one
+    order, on which the rounding of the per-row sums depends: after each
+    sweep, the rows' kept panels by row and decreasing error, then the left
+    and the right halves of those it bisects.
     """
     n, panels = len(rows), cfg.initial_panels
-    width = (b - a) / panels
-    lo = a + width * np.arange(panels)
-    hi = lo + width
-    hi[-1] = b
-    lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
-    owner = np.repeat(np.arange(n), panels)  # local row of each panel
+    chunk = (a, b, int(rows[0]), n)
 
-    def evaluate(owner, lo, hi, sweep):
-        node_rows = rows[owner].repeat(len(_NODES))
-        if memo is None:
-            return _evaluate_panels(f(node_rows, *reads(node_rows, _nodes(lo, hi).ravel())), lo, hi)
-        # a sweep's panels are held with its reads, and other panels replace them
-        key = (a, b, int(rows[0]), n, sweep)
-        at = b"".join(v.tobytes() for v in (owner, lo, hi))
-        held = memo.get(key)
+    def sweep_reads(sweep, at, layout):
+        """The held layout (owner, lo, hi, node rows) and reads of `sweep`
+        where its entry is tagged `at`; else those of the panels layout()
+        returns, read afresh and held."""
+        held = None if memo is None else memo.get(chunk + (sweep,))
         if held is None or held[0] != at:
-            held = memo[key] = (at, reads(node_rows, _nodes(lo, hi).ravel()))
-        return _evaluate_panels(f(node_rows, *held[1]), lo, hi)
+            owner, lo, hi = layout()
+            node_rows = rows[owner].repeat(len(_NODES))
+            held = (at, (owner, lo, hi, node_rows), reads(node_rows, _nodes(lo, hi).ravel()))
+            if memo is not None:
+                memo[chunk + (sweep,)] = held
+        return held[1], held[2]
 
-    values, errors, n_evals, vector = evaluate(owner, lo, hi, 0)
+    def first_panels():
+        width = (b - a) / panels
+        lo = a + width * np.arange(panels)
+        hi = lo + width
+        hi[-1] = b
+        lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
+        return np.repeat(np.arange(n), panels), lo, hi  # the local row of each panel
+
+    (owner, lo, hi, node_rows), fixed = sweep_reads(0, panels, first_panels)
+    values, errors, n_evals, vector = _evaluate_panels(f(node_rows, *fixed), lo, hi)
     k = len(values)
     component = n * np.arange(k)[:, None]
-    out_values = np.empty((k, n))
-    out_errors = np.empty((k, n))
+    out = None
     for sweep in itertools.count(1):
         key = (owner + component).ravel()  # one bin per (component, row)
         total, err = (np.bincount(key, v.ravel(), k * n).reshape(k, n) for v in (values, errors))
-        n_panels = np.bincount(owner, minlength=n)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        done = (err <= tol).all(axis=0) & (n_panels > 0)
-        if done.all():  # only on the first sweep: later ones have finished rows without panels
-            return total, err, n_evals, vector
-        out_values[:, done] = total[:, done]
-        out_errors[:, done] = err[:, done]
-        failed = ~done & (n_panels >= cfg.max_subdivisions)
-        if failed.any():
-            i = np.flatnonzero(failed)[0]
-            c = np.argmax(err[:, i] / tol[:, i])
-            raise QuadratureError(
-                f"row {rows[i]}{f' component {c}' if vector else ''}: no convergence after "
-                f"{n_panels[i]} subdivisions (error {err[c, i]:.3e} > tolerance {tol[c, i]:.3e})",
-                best_estimate=total[:, i] if vector else total[0, i],
-                error_estimate=err[:, i] if vector else err[0, i],
-            )
+        done = (err <= tol).all(axis=0)
+        if out is None:  # the first sweep: every row has its panels
+            if done.all():
+                return total, err, n_evals, vector
+            n_panels = np.full(n, panels)
+            out = total, err  # rows not done now are written when they are
+        else:
+            n_panels = np.bincount(owner, minlength=n)
+            done &= n_panels > 0  # rows finished before have no panels
+            np.copyto(out[0], total, where=done)
+            np.copyto(out[1], err, where=done)
+        most = n_panels.max()
+        if most >= cfg.max_subdivisions:
+            failed = ~done & (n_panels >= cfg.max_subdivisions)
+            if failed.any():
+                i = np.flatnonzero(failed)[0]
+                c = np.argmax(err[:, i] / tol[:, i])
+                raise QuadratureError(
+                    f"row {rows[i]}{f' component {c}' if vector else ''}: no convergence after "
+                    f"{n_panels[i]} subdivisions (error {err[c, i]:.3e} > tolerance {tol[c, i]:.3e})",
+                    best_estimate=total[:, i] if vector else total[0, i],
+                    error_estimate=err[:, i] if vector else err[0, i],
+                )
         # Drop finished rows; order the rest by row, largest error first (in
         # units of its component's budget).
         live = np.flatnonzero(~done[owner])
         if live.size == 0:
-            return out_values, out_errors, n_evals, vector
-        excess = (errors[:, live] / tol[:, owner[live]]).max(axis=0)
-        order = live[np.lexsort((-excess, owner[live]))]
-        owner, lo, hi = (v[order] for v in (owner, lo, hi))
-        values, errors = values[:, order], errors[:, order]
-        head = np.concatenate([[True], owner[1:] != owner[:-1]])  # each row's first panel
+            return out[0], out[1], n_evals, vector
+        owner = owner[live]
+        excess = (errors[:, live] / tol[:, owner]).max(axis=0)
+        order = np.lexsort((-excess, owner))
+        owner, order = owner[order], live[order]
+        errors = errors[:, order]
+        head = np.empty(owner.size, dtype=bool)  # each row's first panel
+        head[0] = True
+        np.not_equal(owner[1:], owner[:-1], out=head[1:])
         # Per row, split every panel where some component is above its fair
         # share of that component's budget (the worst panel if none is), at
         # most as many as the subdivision limit leaves room for; this keeps
-        # the number of refinement sweeps small.
+        # the number of refinement sweeps small.  A row splits at most the
+        # panels it has, so the limit binds only on a row past half of it.
         split = (errors > tol[:, owner] / n_panels[owner]).any(axis=0)
         split |= head & (np.bincount(owner, split, n) == 0)[owner]
-        before = np.cumsum(split) - split
-        rank = before - before[head][np.cumsum(head) - 1]
-        split &= rank < (cfg.max_subdivisions - n_panels)[owner]
-        mid = 0.5 * (lo[split] + hi[split])
+        if 2 * most > cfg.max_subdivisions:
+            before = np.cumsum(split) - split
+            rank = before - before[head][np.cumsum(head) - 1]
+            split &= rank < (cfg.max_subdivisions - n_panels)[owner]
+        keep = ~split
+        bisect, order = order[split], order[keep]
+        lo_s, hi_s = lo[bisect], hi[bisect]
+        mid = 0.5 * (lo_s + hi_s)
         new_owner = np.concatenate([owner[split], owner[split]])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, nev, _ = evaluate(new_owner, new_lo, new_hi, sweep)
+        new_lo = np.concatenate([lo_s, mid])
+        new_hi = np.concatenate([mid, hi_s])
+        (*_, node_rows), fixed = sweep_reads(
+            sweep, b"".join(v.tobytes() for v in (new_owner, new_lo, new_hi)),
+            lambda: (new_owner, new_lo, new_hi),
+        )
+        new_vals, new_errs, nev, _ = _evaluate_panels(f(node_rows, *fixed), new_lo, new_hi)
         n_evals += nev
-        owner = np.concatenate([owner[~split], new_owner])
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        values = np.concatenate([values[:, ~split], new_vals], axis=1)
-        errors = np.concatenate([errors[:, ~split], new_errs], axis=1)
+        owner = np.concatenate([owner[keep], new_owner])
+        lo = np.concatenate([lo[order], new_lo])
+        hi = np.concatenate([hi[order], new_hi])
+        values = np.concatenate([values[:, order], new_vals], axis=1)
+        errors = np.concatenate([errors[:, keep], new_errs], axis=1)
 
 
 def integrate(f, a, b, config=None, reads=None, memo=None):
@@ -319,12 +353,14 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     tuple of what f needs at the nodes that does not change between calls.
     A `memo` dict, owned by the caller and passed on every call, keeps each
     chunk's sweeps by position, under the key (a, b, first row, row count,
-    sweep index), with the panels they were read at.  A sweep whose panels
-    equal the held ones reuses their reads and computes only f; other
-    panels, as after a change of initial_panels, replace them, so the memo
-    holds one call's reads per chunk and sweep.  Reads that depend only on
-    the rows and nodes give the same result with or without a memo, bit
-    for bit.
+    sweep index), as (tag, layout, reads): the layout is every panel's row,
+    lo and hi and every node's row, and the tag is the initial panel count
+    for the first sweep, whose panels the key and that count fix, and the
+    bytes of its panels for a refinement sweep.  A sweep whose tag matches
+    reuses the held layout and reads and computes only f; another tag, as
+    after a change of initial_panels, replaces the entry, so the memo holds
+    one call's sweeps per chunk.  Reads that depend only on the rows and
+    nodes give the same result with or without a memo, bit for bit.
 
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;
@@ -344,7 +380,10 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     ]
     if not chunks:
         return IntegralResult(np.empty(0), np.empty(0), 0)
-    values, errors = (np.concatenate(parts, axis=1) for parts in zip(*(c[:2] for c in chunks)))
+    if len(chunks) == 1:
+        values, errors = chunks[0][:2]
+    else:
+        values, errors = (np.concatenate(parts, axis=1) for parts in zip(*(c[:2] for c in chunks)))
     if not chunks[0][3]:
         values, errors = values[0], errors[0]
     return IntegralResult(values, errors, sum(c[2] for c in chunks))

@@ -20,9 +20,8 @@ METHODS = [
 
 @pytest.fixture(autouse=True, scope="module")
 def fresh_model_caches():
-    # the grid builds more received-power caches than `_cached_dist` keeps,
-    # so a model cached before it would no longer share its cache with a
-    # model built after it
+    # the grid fills `_cached_dist` with the corners' received-power caches,
+    # which later tests do not use
     yield
     for cache in (analytic._cached_dist, analytic.bpp_model, analytic.hppp_model):
         cache.cache_clear()

@@ -395,3 +395,50 @@ def test_cached_model_follows_a_new_initial_panel_count(geom, monkeypatch, metho
     monkeypatch.setattr(analytic, rule, panels_4)
     fresh = analytic.BppCoverageModel(N, geom, ch)
     assert getattr(model, method)(1.0) == getattr(fresh, method)(1.0)
+
+
+@pytest.mark.parametrize("rule", ["_LAPLACE_QUAD", "_COVERAGE_QUAD"])
+def test_warm_model_follows_the_panel_count_between_values(geom, monkeypatch, rule):
+    # The first sweep's held layout is tagged with the initial panel count:
+    # with the count changed between values, to 4 and back to 8, every value
+    # of a warm model is a fresh model's, bit for bit.  At -20 dB the outer
+    # rule refines, and its second call's 30 inner rows fit one chunk at
+    # either count, so an inner layout held without its count would be
+    # taken there at the other count.
+    ch = ChannelParams(alpha=2.2, q=2.0, m=3.0)
+    model = analytic.BppCoverageModel(N, geom, ch)
+    default = getattr(analytic, rule)
+    thetas = [10 ** (db / 10) for db in (-20.0, 0.0)]
+    for theta in thetas:
+        model.coverage(theta)
+    for panels in (4, 8, 4):
+        monkeypatch.setattr(analytic, rule, dataclasses.replace(default, initial_panels=panels))
+        for theta in thetas:
+            assert model.coverage(theta) == analytic.BppCoverageModel(N, geom, ch).coverage(theta)
+
+
+def _listed_taylor_sum(weights, h):
+    """`analytic._taylor_sum` as each power's rows were once formed: a list
+    of (k + 1, n) products summed over their first axis, stacked."""
+    h = np.concatenate([np.zeros_like(h[:1]), h[1:]])
+    power = np.zeros_like(h)
+    power[0] = 1.0
+    out = weights[0] * power
+    for w in weights[1:]:
+        power = np.array([(power[: k + 1] * h[k::-1]).sum(axis=0) for k in range(len(h))])
+        out = out + w * power
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 120])
+@pytest.mark.parametrize("order", range(8))
+def test_taylor_sum_matches_its_listed_form(order, n):
+    # the same products, summed in the same order: equal bit for bit, also
+    # for one point, where numpy's sum over the first axis runs pairwise
+    # from eight terms on
+    rng = np.random.default_rng(100 * order + n)
+    for _ in range(5):
+        h = rng.random((order + 1, n)) * 10.0 ** rng.uniform(-8, 2, (order + 1, 1))
+        weights = list(rng.random((order + 1, n)) * 10.0 ** rng.uniform(-3, 3, (order + 1, 1)))
+        got = analytic._taylor_sum(weights, h)
+        assert got.tobytes() == _listed_taylor_sum(weights, h).tobytes()

@@ -180,12 +180,14 @@ def _refining_and_settled(n, vector):
 @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
 @pytest.mark.parametrize("vector", [False, True])
 def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows):
-    # A memo keeps each chunk's reads of g sweep by sweep, with the panels
-    # they were read at, for integrands c g with c changed between calls:
-    # the caller's pattern.  It gives the plain rule's value, error and node
-    # count bit for bit; a corrupted first-sweep or refinement entry changes
-    # the result, an entry held at other panels is read afresh, and other
-    # bounds or panel counts never read an existing entry.
+    # A memo keeps each chunk's layout and reads of g sweep by sweep, tagged
+    # with the initial panel count on the first sweep and with the panels
+    # they were read at on the others, for integrands c g with c changed
+    # between calls: the caller's pattern.  It gives the plain rule's value,
+    # error and node count bit for bit, and a later call takes the first
+    # sweep's held layout as it is; a corrupted first-sweep or refinement
+    # entry changes the result, an entry held at other panels is read
+    # afresh, and other bounds or panel counts never read an existing entry.
     n = 150
     g = _refining_and_settled(n, vector)
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
@@ -217,12 +219,16 @@ def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows
     visited = list(memo)  # the sweeps every call with these rows reads
     refinements = [key for key in visited if key[-1] > 0]
     assert refinements and all(memo[key][0] for key in visited)
+    assert all(memo[key][0] == cfg.initial_panels for key in visited if key[-1] == 0)
+    layouts = {key: memo[key][1] for key in visited}
+    assert scaled(c, memo=memo)[1].n_evals == plain.n_evals
+    assert all(memo[key][1] is layouts[key] for key in visited if key[-1] == 0)
 
     def corrupt(keys, at=None):
-        # every entry of `keys` off at one node, and its panels set to `at` if given
+        # every entry of `keys` off at one node, and its tag set to `at` if given
         held = {key: memo[key] for key in keys}
-        for key, (panels, (gx,)) in held.items():
-            memo[key] = (at or panels, (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),))
+        for key, (tag, layout, (gx,)) in held.items():
+            memo[key] = (at or tag, layout, (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),))
         return held
 
     for keys in ([key for key in visited if key[-1] == 0], refinements):

@@ -4,6 +4,7 @@ and log M1 against closed forms computed without it, and its debug line."""
 import logging
 import re
 import warnings
+import weakref
 
 from scipy import integrate
 from scipy.interpolate import PPoly
@@ -213,3 +214,58 @@ def test_nan_argument_raises(name, shape):
     x = np.nan if shape == "scalar" else np.array([0.5, np.nan])
     with pytest.raises(ParameterError):
         NAN_CALLS[name](model, x)
+
+
+@pytest.fixture()
+def cold_model_caches():
+    # the tests below fill the model caches from empty; later tests build
+    # their own models again
+    def clear():
+        for obj in vars(analytic).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_live_models_share_one_distribution(cold_model_caches, monkeypatch):
+    # While a model holds a (geometry, channel)'s distribution, every new
+    # model of that pair takes it and its cache, however many other
+    # geometries `_cached_dist` has seen since.
+    builds = []
+    build_cache = ReceivedPowerDistribution._build_cache
+
+    def counted(dist):
+        builds.append(dist)
+        build_cache(dist)
+
+    monkeypatch.setattr(ReceivedPowerDistribution, "_build_cache", counted)
+    ch = ChannelParams(alpha=2.2, q=2.0, m=1.0)
+    geom = CorridorGeometry(433.0, FixedHeight(H))  # a pair no other test holds
+    first = analytic.bpp_model(10, geom, ch)
+    first.dist.cdf(1.0)
+    others = [analytic.hppp_model(0.01, CorridorGeometry(100.0 + r, FixedHeight(H)), ch)
+              for r in range(32)]
+    assert all(model.dist is not first.dist for model in others)
+    second = analytic.bpp_model(5, geom, ch)
+    second.dist.cdf(1.0)
+    assert second.dist is first.dist and builds == [first.dist]
+
+
+def test_cleared_caches_build_a_fresh_distribution(cold_model_caches):
+    # Once every cache of the module is cleared and no model is held, the
+    # next model of the same pair builds its distribution afresh, as a
+    # benchmark sweep from cold caches needs.
+    ch = ChannelParams(alpha=2.2, q=2.0, m=1.0)
+    geom = CorridorGeometry(433.0, FixedHeight(H))  # a pair no other test holds
+    model = analytic.bpp_model(10, geom, ch)
+    model.coverage(1.0)
+    held = weakref.ref(model.dist)
+    del model
+    for obj in vars(analytic).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    assert held() is None
+    assert analytic.bpp_model(10, geom, ch).dist._cache is None
