@@ -360,7 +360,8 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     reuses the held layout and reads and computes only f; another tag, as
     after a change of initial_panels, replaces the entry, so the memo holds
     one call's sweeps per chunk.  Reads that depend only on the rows and
-    nodes give the same result with or without a memo, bit for bit.
+    nodes give the same result with or without a memo, bit for bit; f must
+    not write into its arguments, which the memo holds.
 
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;
