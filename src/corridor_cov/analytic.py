@@ -42,18 +42,20 @@ integral layers and naive nesting would be cubic in quadrature cost.  Every
 integral against the received-power density runs in log space so that
 distributions spanning many decades cannot alias past the adaptive rule.
 Integrals over the same nodes share one vector-valued integrand, so each node
-is evaluated once: the cache samples f, F and M1 as one 3-component integral,
-and exact coverage computes the inner moment integrals of one outer-integrand
-call with one batched rule whose rows carry all the Taylor orders.  The
-first sweeps of both levels of exact coverage, and of the dominant rule,
-evaluate the same nodes at every theta, and most of the nodes; a sweep of
+is evaluated once: the cache samples f, F and M1 as one 3-component integral.
+Exact coverage's inner moment integrals are one causal convolution per
+threshold: at s = m theta / x0 every kernel is a function of theta p / x0
+alone, so in log power each row is a theta-only kernel convolved with the
+theta-free g(t) = f(e^t) e^t, which the model samples once on a uniform grid;
+one FFT product gives every row at every grid point, Gregory's end weights
+correct the cuts, and Lagrange polynomials carry the rows to the outer nodes.
+The outer rule of exact coverage and both levels of the dominant rule
+evaluate the same first-sweep nodes at every theta, and a sweep of
 thresholds mostly refines the same panels too.  Each rule splits its
 integrands into theta-free interpolant reads and a kernel, and the model
 keeps one `integrate` memo per rule, which holds every sweep's reads, so
 that later values compute only the kernel wherever they evaluate the
-panels of the value before.  An outer read returns the fresh dict that
-becomes the inner rule's memo at its nodes.  Both dominant methods share
-the dominant memo.
+panels of the value before.  Both dominant methods share the dominant memo.
 Laplace-transform derivatives are analytic Taylor coefficients: G' is
 expanded about F - D in the kernel's non-negative series, a truncated power
 series with no subtraction; finite differences are test oracles only.
@@ -85,7 +87,8 @@ from .core import (
     _without_nan,
     pathloss_value_pdf,
 )
-from .quadrature import QuadratureConfig, QuadratureError, integrate, integrate_batch
+from .quadrature import (QuadratureConfig, QuadratureError, causal_convolution, convolution_rule,
+                         integrate, integrate_batch, interpolate_uniform)
 
 __all__ = [
     "ReceivedPowerDistribution",
@@ -128,6 +131,12 @@ _BETA_HALF_M = (1.5, 7.5)
 _BETA_CANCELLATION = 64.0
 _BETA_SERIES_TOL = 1e-17
 _TERM_BLOCK = 8192
+
+# Exact coverage's inner rows (`_CoverageModel._inner_rows`): the uniform
+# log-power grid's first spacing, which a value halves while its error
+# estimate exceeds `_LAPLACE_QUAD.rel_tol`, and the most points a grid may take.
+_GRID_SPACING = 1.0 / 40.0
+_GRID_POINTS = 1 << 17
 
 _TAIL_EPS = 1e-13
 # Received-power cache: pieces of first-kind Chebyshev points, halved until
@@ -530,7 +539,7 @@ def _pochhammer_column(m, order):
     return coeff
 
 
-def _moment_series(dist, m, s, tau, x0, order, memo=None):
+def _moment_series(dist, m, s, tau, x0, order):
     """Rows [D, h_1, ..., h_order] at every triple (s_i, tau_i, x0_i) of the
     broadcast arrays s, tau, x0, the Taylor coefficients of
 
@@ -544,20 +553,14 @@ def _moment_series(dist, m, s, tau, x0, order, memo=None):
     Every integral runs in log space, and all of them in one `integrate_batch`
     call with one row per point i and the order + 1 kernels as its
     components, so each node t reads log f once (through `dist._log_at`) and
-    forms the kernels by the recurrence r^j (1 + y)^-m, y = s p / m,
-    r = tau p / (m (1 + y)).  Row i maps [t_lo, min(log x0_i, t_hi)]
-    affinely onto [0, 1] (times the width as the Jacobian), which keeps the
-    adaptive rule's panels and bisections; the row is refined until every
-    kernel meets the tolerance, so each value matches a scalar `integrate`
-    over the log interval to well within it.  Points with an empty interval
-    give 0.  Returns the (order + 1, n) array and the number of node
-    evaluations.
-
-    A `memo` for these x0, passed to `integrate_batch`, keeps p and the
-    density at the nodes of every sweep: later calls (other s and tau) form
-    only the kernels on the first sweep and on each refinement sweep that
-    bisects the panels of the call before.  Where tau is s, as in exact
-    coverage, tau p / m is y bit for bit, so r is formed as y / (1 + y).
+    forms the kernels (`_moment_kernels`) at y = s p / m, r = tau p / (m (1 + y)).
+    Row i maps [t_lo, min(log x0_i, t_hi)] affinely onto [0, 1] (times the
+    width as the Jacobian), which keeps the adaptive rule's panels and
+    bisections; the row is refined until every kernel meets the tolerance,
+    so each value matches a scalar `integrate` over the log interval to well
+    within it.  Points with an empty interval give 0.  Returns the
+    (order + 1, n) array and the number of node evaluations.  Where tau is
+    s, tau p / m is y bit for bit, so r is formed as y / (1 + y).
     """
     same = tau is s
     s, tau, x0 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (s, tau, x0))
@@ -574,37 +577,42 @@ def _moment_series(dist, m, s, tau, x0, order, memo=None):
     width, s_m = t_hi[live] - t_lo, s[live] / m
     tau_m = s_m if same else tau[live] / m
 
-    def reads(i, u):  # p and the density at nodes u of rows i; no s or tau
+    def integrand(i, u):
         w = width[i]
         t = t_lo + u * w
         (log_f,) = dist._log_at(t, "log_pdf")
-        return np.exp(t), np.exp(log_f + t) * w
-
-    def kernel(i, p, density):
+        p = np.exp(t)
         y = s_m.take(i)
         y *= p
-        log_base = np.log1p(y)
-        log_base *= -m
-        kern = np.empty((order + 1, p.size))
-        np.expm1(log_base, out=kern[0])
-        np.negative(kern[0], out=kern[0])
-        kern[0] *= density
-        if order:
-            r = (y if same else tau_m.take(i) * p) / (1.0 + y)
-            np.exp(log_base, out=kern[1])
-            kern[1] *= density
-            kern[1] *= r
-            for j in range(2, order + 1):
-                np.multiply(kern[j - 1], r, out=kern[j])
-        return kern
+        r = (y if same else tau_m.take(i) * p) / (1.0 + y)
+        return _moment_kernels(m, y, r, order, np.exp(log_f + t) * w)
 
-    res = integrate_batch(kernel, live.size, 0.0, 1.0, _LAPLACE_QUAD, reads, memo)
+    res = integrate_batch(integrand, live.size, 0.0, 1.0, _LAPLACE_QUAD)
     rows = _pochhammer_column(m, order) * res.value
     if live.size == x0.size:
         return rows, res.n_evals
     out = np.zeros((order + 1, x0.size))
     out[:, live] = rows
     return out, res.n_evals
+
+
+def _moment_kernels(m, y, r, order, scale):
+    """The kernels of `_moment_series`' rows before their Pochhammer
+    factors, [-expm1(-m log1p y), r (1 + y)^-m, ..., r^order (1 + y)^-m],
+    times scale: an (order + 1, y.size) array."""
+    log_base = np.log1p(y)
+    log_base *= -m
+    kern = np.empty((order + 1, y.size))
+    np.expm1(log_base, out=kern[0])
+    np.negative(kern[0], out=kern[0])
+    kern[0] *= scale
+    if order:
+        np.exp(log_base, out=kern[1])
+        kern[1] *= scale
+        kern[1] *= r
+        for j in range(2, order + 1):
+            np.multiply(kern[j - 1], r, out=kern[j])
+    return kern
 
 
 def _clamp(value):
@@ -619,13 +627,17 @@ def _taylor_sum(weights, h):
     (order + 1, n) coefficient rows of a series whose constant row is ignored:
     the Toeplitz form of Yu, Zhang, Haenggi & Letaief (IEEE JSAC 2017).  Row
     k of each power is the sum over j of the products power[j] h[k - j], the
-    j = k one included, reduced over j as one (k + 1, n) array."""
+    j = k one included, reduced over j as one (k + 1, n) array.  The first
+    power is h itself, the zeroth the unit row."""
     h = np.concatenate([np.zeros_like(h[:1]), h[1:]])
-    power = np.zeros_like(h)
-    power[0] = 1.0
-    out = weights[0] * power
+    out = np.zeros_like(h)
+    out[0] = weights[0]
+    if len(weights) == 1:
+        return out
+    power = h
+    out += weights[1] * power
     terms = np.empty_like(h)
-    for w in weights[1:]:
+    for w in weights[2:]:
         power, previous = np.empty_like(h), power
         for k in range(len(h)):
             np.multiply(previous[: k + 1], h[k::-1], out=terms[: k + 1])
@@ -656,23 +668,25 @@ class _ConditionalLaplace:
         self.law = law
         self.m = float(m)
 
-    def _series(self, s, tau, x0, order, fx0=None, memo=None):
+    def _series(self, s, tau, x0, order):
         """Taylor coefficients (-tau)^k / k! L^(k)(s | x0), k <= order, of
-        z -> L(s - tau z) at every (s_i, tau_i, x0_i), given F(x0) = fx0 if
-        the caller has it, and its `_moment_series` memo for these x0 if
-        any; the count of floored points; and the number of node
-        evaluations."""
+        z -> L(s - tau z) at every (s_i, tau_i, x0_i); the count of floored
+        points; and the number of node evaluations."""
+        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order)
+        return (*self._taylor(rows, self.dist.cdf(x0), order), n_evals)
+
+    def _taylor(self, rows, fx0, order):
+        """`_series`' coefficients and floored count from the kernel rows
+        [D, h_1, ..., h_order] at powers x0 with F(x0) = fx0."""
         law = self.law
-        fx0 = self.dist.cdf(x0) if fx0 is None else fx0
         log_g1 = law.log_derivative(1, fx0)
         if np.any(np.isneginf(log_g1)):
             raise ParameterError("conditioning power x0 has zero mass below it")
-        rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order, memo)
         y = fx0 - rows[0]
         floored = np.count_nonzero(y < 0.0) if law.n < math.inf else 0
         weights = [np.exp(law.log_derivative(r + 1, y) - log_g1 - math.lgamma(r + 1))
                    for r in range(min(order, law.n - 1) + 1)]
-        return _taylor_sum(weights, rows), floored, n_evals
+        return _taylor_sum(weights, rows), floored
 
     def derivative_series(self, s, x0, order):
         """[L, L', ..., L^(order)] at (s | x0), as floats: L(s | x0) is
@@ -708,9 +722,11 @@ class _CoverageModel:
         # the distribution reads alpha, q and gamma, not m: one cache serves every m
         self.dist = _cached_dist(geom, replace(channel, m=1.0))
         self._bounds = {}  # eps -> `_outer_bounds(eps)`
-        # the `integrate` memos of exact coverage and of both dominant methods
+        # the `integrate` memos of exact coverage's outer rule and of both
+        # dominant methods, and exact coverage's density grids (`_grid`)
         self._exact_memo = {}
         self._dominant_memo = {}
+        self._grids = {}
 
     @cached_property
     def laplace(self) -> _ConditionalLaplace:
@@ -743,9 +759,8 @@ class _CoverageModel:
             bounds = self._bounds[eps] = tuple(self.dist.ppf(levels))
         return bounds
 
-    def _conditional_coverage(self, theta, m, x0, fx0=None, memo=None):
-        """P(SIR > theta | serving power x0) at every x0 (F(x0) = fx0 and
-        the `_moment_series` memo for these x0 if given), for integer m: the
+    def _conditional_coverage(self, theta, m, x0):
+        """P(SIR > theta | serving power x0) at every x0, for integer m: the
         coverage theorem's sum_k (-s)^k / k! L^(k)(s | x0), k < m, at
         s = m theta / x0: the column sum of the Taylor coefficients of
         z -> L(s - s z), each >= 0 because L is completely monotone.  Returns
@@ -753,20 +768,60 @@ class _CoverageModel:
         evaluations.
         """
         s = m * theta / x0
-        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1, fx0, memo)
+        coeffs, floored, n_evals = self.laplace._series(s, s, x0, m - 1)
         return coeffs.sum(axis=0), floored, n_evals
 
     def _outer_reads(self, t):
-        """(x0, F(x0), f0, live, memo) at log powers t: the powers, their cdf
-        and the maximum-power density at the live nodes, those with density
-        and at least 1e-12 of the mass below them, the live mask, and a fresh
-        memo for the inner integrals at these x0."""
+        """(t, x0, F(x0), f0, live) at log powers t: the live nodes, those
+        with density and at least 1e-12 of the mass below them, their powers,
+        cdf and maximum-power density, and the live mask."""
         x0 = np.exp(t)
         log_f, log_cdf = self.dist._log_at(t, "log_pdf", "log_cdf")
         fx0 = np.exp(log_cdf)
         f0 = self._max_power_pdf(np.exp(log_f), fx0)
         live = (f0 > 0) & (fx0 >= 1e-12)
-        return x0[live], fx0[live], f0[live], live, {}
+        return t[live], x0[live], fx0[live], f0[live], live
+
+    def _grid(self, level):
+        """The theta-free half of exact coverage's inner rows on the grid
+        t_k = t_lo + k step, step = `_GRID_SPACING` / 2^level, from the
+        cache's t_lo to the interpolation stencil's half past the outer upper
+        bound: (step, F at the points, and the `convolution_rule` of
+        g(t) = f(e^t) e^t).  g and F are read once per model and level, and
+        are 0 and 1 from t_hi on.  Level -1, at twice level 0's spacing, is
+        level 0's even points, read with it.  A grid of more than
+        `_GRID_POINTS` points raises QuadratureError."""
+        if level not in self._grids:
+            cache = self.dist._ensure()
+            step = _GRID_SPACING * 0.5 ** max(level, 0)
+            n = math.ceil((math.log(self._outer_bounds()[1]) - cache["t_lo"]) / step) + 5
+            if n > _GRID_POINTS:
+                raise QuadratureError(
+                    f"the inner grid at spacing {step:.3g} needs {n} points, more than "
+                    f"{_GRID_POINTS}", level="inner")
+            t = cache["t_lo"] + step * np.arange(n)
+            inside = t < cache["t_hi"]
+            g, fx = np.zeros(n), np.ones(n)
+            log_f, log_cdf = self.dist._log_at(t[inside], "log_pdf", "log_cdf")
+            g[inside] = np.exp(log_f + t[inside])
+            fx[inside] = np.exp(log_cdf)
+            self._grids[max(level, 0)] = (step, fx, *convolution_rule(g, step))
+            if level <= 0:
+                self._grids[-1] = (2.0 * step, fx[::2], *convolution_rule(g[::2], 2.0 * step))
+        return self._grids[level]
+
+    def _inner_rows(self, theta, m, level):
+        """Exact coverage's kernel rows [D, h_1, ..., h_(m-1)] of
+        `_moment_series`, at s = tau = m theta / x0, for x0 at every point of
+        the level's grid (`_grid`).  With p = x0 e^(-w) each kernel is a
+        function of y = s p / m = theta e^(-w) alone, so in t = log p each row
+        is a causal convolution in w of that kernel with g, Gregory's rule
+        at both cuts: at w = 0, where the integrand is cut at p = x0, and at
+        t_lo."""
+        step, _, weights, spectrum, size = self._grid(level)
+        y = theta * np.exp(-step * np.arange(weights.size))
+        kernels = _moment_kernels(m, y, y / (1.0 + y), m - 1, weights)
+        return _pochhammer_column(m, m - 1) * causal_convolution(kernels, spectrum, size)
 
     def conditional_coverage(self, theta, x0):
         """P(SIR > theta | Pr0 = x0), for integer m."""
@@ -781,47 +836,62 @@ class _CoverageModel:
 
         The integral of the conditional coverage against the maximum-power
         density, in log space over the quantile range that carries all but
-        ~1e-12 of its mass.  Each call of the outer integrand computes the
-        inner moment integrals of all its nodes in one batched rule; nodes
-        without density (or with less than 1e-12 mass below them) contribute
-        0.
+        ~1e-12 of its mass, by the adaptive rule; nodes without density (or
+        with less than 1e-12 mass below them) contribute 0.  The outer rule
+        reads the same nodes at every theta, so the model's exact memo keeps
+        the reads of every outer sweep, and later values read only the
+        panels that the value before did not refine.
 
-        Neither level's first sweep depends on theta but through its kernel:
-        the outer one reads the same nodes on every call, and so do the
-        inner ones it calls, which carry most of the nodes.  The model's
-        exact memo keeps the reads of every outer sweep, each with the memo
-        of the inner integrals at its x0, which keeps theirs; later values
-        compute only the kernel wherever they evaluate the panels of the
-        value before, and read the rest afresh.  Logs the work done at debug
-        level, with the number of nodes whose reads this value computed.
+        The inner moment rows come from one causal convolution per grid
+        (`_inner_rows`), interpolated to the outer nodes by 8-point Lagrange
+        polynomials.  Every value starts from `_GRID_SPACING` and halves it
+        while the rows' largest difference from those at twice the spacing,
+        at the shared points of the outer range, exceeds `_LAPLACE_QUAD.rel_tol`
+        on the scale on which it moves the conditional coverage, G'(F) /
+        G''(F): F(x0) / (n - 1) for the BPP, 1 / mu for the HPPP.  So a warm
+        model's value is a fresh model's, bit for bit.  Logs the work done at
+        debug level, with the number of nodes whose reads this value computed.
         """
         _require(theta > 0, "theta must be positive and finite (linear scale)", theta)
         m = self.channel.require_integer_m()
         self.laplace  # noqa: B018 -- a 1-UAV BPP raises here, before any quadrature
         lo, hi = self._outer_bounds()
-        memo, read = self._exact_memo, self.dist.nodes_read
+        read = self.dist.nodes_read
         start = time.perf_counter()
-        calls = rows = inner_nodes = floored = 0
+        t_lo = self.dist._ensure()["t_lo"]
+        coarse, level = self._inner_rows(theta, m, -1), 0
+        while True:
+            rows = self._inner_rows(theta, m, level)
+            step, fx = self._grid(level)[:2]
+            shared = slice(math.ceil((math.log(lo) - t_lo) / (2.0 * step)),
+                           math.floor((math.log(hi) - t_lo) / (2.0 * step)) + 1)
+            gap = np.abs(rows[:, ::2][:, shared] - coarse[:, shared]).max(axis=0)
+            estimate = float((gap * self.law.derivative_ratio(1, fx[::2][shared])).max())
+            if estimate <= _LAPLACE_QUAD.rel_tol:
+                break
+            coarse, level = rows, level + 1
+        calls = n_rows = floored = 0
 
-        def conditional(x0, fx0, f0, live, inner_memo):
-            nonlocal calls, rows, inner_nodes, floored
+        def conditional(t, x0, fx0, f0, live):
+            nonlocal calls, n_rows, floored
             out = np.zeros(live.shape)
-            cov, n_floored, n_evals = self._conditional_coverage(theta, m, x0, fx0, inner_memo)
-            out[live] = cov * f0 * x0
+            coeffs, n_floored = self.laplace._taylor(
+                interpolate_uniform(rows, (t - t_lo) / step), fx0, m - 1)
+            out[live] = coeffs.sum(axis=0) * f0 * x0
             calls += 1
-            rows += x0.size * m
-            inner_nodes += n_evals
+            n_rows += x0.size * m
             floored += n_floored
             return out
 
         res = integrate(conditional, math.log(lo), math.log(hi), _COVERAGE_QUAD,
-                        self._outer_reads, memo)
+                        self._outer_reads, self._exact_memo)
         value, clamp_note = _clamp(res.value)
         log.debug(
             "exact coverage at theta=%.6g: %d nodes read, %d outer-integrand calls, "
-            "%d outer nodes, %d inner rows, %d inner node evaluations, %d floored, %.3f s%s",
-            theta, self.dist.nodes_read - read, calls, res.n_evals, rows,
-            inner_nodes, floored, time.perf_counter() - start, clamp_note,
+            "%d outer nodes, %d inner rows, %d grid points at spacing %.6g after %d "
+            "halvings, estimate %.2e, %d floored, %.3f s%s",
+            theta, self.dist.nodes_read - read, calls, res.n_evals, n_rows, rows.shape[1],
+            step, level, estimate, floored, time.perf_counter() - start, clamp_note,
         )
         return value
 

@@ -24,6 +24,12 @@ sweep by sweep, so later calls compute only the kernel wherever they
 evaluate the panels of the call the memo holds: on every first sweep, which
 then builds no panel, and on each refinement sweep that bisects the same
 panels.
+
+A causal convolution c(u) = int_0^inf K(w) g(u - w) dw of samples on a
+uniform grid, cut at both ends, is a third rule: `convolution_rule` folds
+Gregory's end weights (`gregory_weights`) into both factors of the
+trapezoid sums, `causal_convolution` takes them all as one FFT product, and
+`interpolate_uniform` reads the result between the grid points.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ __all__ = [
     "IntegralResult",
     "integrate",
     "integrate_batch",
+    "gregory_weights",
+    "convolution_rule",
+    "causal_convolution",
+    "interpolate_uniform",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -82,6 +92,19 @@ _KRONROD_GAUSS_W = np.column_stack([_KRONROD_W, _GAUSS_W])
 # them fault their pages in afresh on every call, and 11,520 or fewer did
 # not; much smaller chunks pay more per-sweep overhead.
 _BATCH_NODES = 7680
+
+# Gregory's end corrections: the first coefficients G_1, G_2, ... of
+# x / log(1 + x) = 1 + sum_n G_n x^n, which correct the trapezoid rule at a
+# cut end by its forward differences (Henrici, Applied and Computational
+# Complex Analysis, vol. 2, 1977, sect. 11.12); with p of them the rule's
+# error at that end is O(h^(p + 1)).
+_GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480)
+# Points of `interpolate_uniform`'s Lagrange polynomial, and its
+# denominators prod_{i != j} (j - i).
+_LAGRANGE_POINTS = 8
+_LAGRANGE_SCALE = np.array([
+    math.prod(j - i for i in range(_LAGRANGE_POINTS) if i != j) for j in range(_LAGRANGE_POINTS)
+], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -418,3 +441,61 @@ def nested_integrate_2d(f, outer_bounds, inner_bounds, config=None):
         return out
 
     return integrate(outer_integrand, outer_bounds[0], outer_bounds[1], cfg)
+
+
+def gregory_weights():
+    """Weights w_0 .. w_(p-1) that make h sum_(k >= 0) w_k phi(k h), w_k = 1
+    past them, Gregory's rule for int_0^inf phi: the trapezoid rule with its
+    p = len(`_GREGORY`) end corrections -h G_n Delta^(n-1) phi(0), each
+    forward difference written out in the samples.  phi must decay at the
+    far end, or be cut there by the same weights reversed."""
+    w = np.ones(len(_GREGORY))
+    for n, g in enumerate(_GREGORY):  # Delta^n phi_0 = sum_i (-1)^(n-i) C(n, i) phi_i
+        for i in range(n + 1):
+            w[i] -= g * (-1) ** (n - i) * math.comb(n, i)
+    return w
+
+
+def convolution_rule(signal, step):
+    """Gregory's rule for the causal convolutions c_n = int_0^(n step)
+    K(w) s(n step - w) dw of a signal sampled at the points k step, which
+    starts with a cut: (weights, spectrum, size) for `causal_convolution`.
+    The weights, for the kernel samples K(k step), are step times Gregory's
+    end weights at w = 0, where the integrand is cut; the spectrum is the
+    signal's with the same end weights at its own cut; and size is the
+    power of two that holds the convolution without wrap-around."""
+    gregory = gregory_weights()
+    cut = np.array(signal, dtype=float)
+    cut[:gregory.size] *= gregory
+    weights = np.full(cut.size, float(step))
+    weights[:gregory.size] *= gregory
+    size = 1 << (2 * cut.size - 2).bit_length()
+    return weights, np.fft.rfft(cut, size), size
+
+
+def causal_convolution(kernels, spectrum, size):
+    """c[..., n] = sum_(k <= n) kernels[..., k] s[n - k] for every n below
+    kernels.shape[-1], given spectrum = rfft(s, size) of a signal s of at
+    most that many points: one FFT product, without wrap-around while size
+    is at least twice the points less one.  Its rounding error is absolute,
+    about 1e-16 of the largest terms, not relative to each c[n]."""
+    n = kernels.shape[-1]
+    return np.fft.irfft(np.fft.rfft(kernels, size) * spectrum, size)[..., :n]
+
+
+def interpolate_uniform(values, x):
+    """values[..., i], samples at the points i = 0 .. n-1 of a uniform grid
+    (n >= 8), interpolated at the positions x (a 1D array, in grid units) by
+    the Lagrange polynomial on the 8 points around each x, kept on the grid
+    at its ends.  Each basis polynomial prod_(i != j) (x - i) / (j - i) is
+    formed as its prefix and suffix products, so a position on a grid point
+    takes that sample exactly."""
+    k = _LAGRANGE_POINTS
+    start = np.clip(np.floor(x).astype(int) - (k // 2 - 1), 0, values.shape[-1] - k)
+    points = start[:, None] + np.arange(k)
+    d = x[:, None] - points
+    before, after = np.ones_like(d), np.ones_like(d)
+    np.cumprod(d[:, :-1], axis=1, out=before[:, 1:])
+    np.cumprod(d[:, :0:-1], axis=1, out=after[:, -2::-1])
+    basis = before * after / _LAGRANGE_SCALE
+    return np.einsum("...pk,pk->...p", values[..., points], basis)

@@ -142,6 +142,11 @@ REMOVED_PARAMETERS = [
     ("analytic._CoverageModel._coverage_dominant_generic", "laguerre_nodes"),
     ("analytic.ReceivedPowerDistribution.normalization", "config"),
     ("analytic._moment_series", "cfg"),
+    ("analytic._moment_series", "memo"),
+    ("analytic._ConditionalLaplace._series", "memo"),
+    ("analytic._ConditionalLaplace._series", "fx0"),
+    ("analytic._CoverageModel._conditional_coverage", "memo"),
+    ("analytic._CoverageModel._conditional_coverage", "fx0"),
     ("quadrature.integrate", "first"),
     ("quadrature.integrate_batch", "first"),
     ("core.CorridorGeometry.max_link_distance", "h"),

@@ -235,7 +235,7 @@ def test_hppp_m1_coverage_pinned(hmodel):
 
 
 def exact_line(model, caplog):
-    """(calls, outer nodes, inner rows, inner node evaluations, floored) from
+    """(calls, outer nodes, inner rows, grid points, halvings, floored) from
     the debug line of one exact value at 0 dB, the cache built beforehand."""
     model.dist.x_lo  # build the cache outside the captured call
     with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
@@ -243,8 +243,8 @@ def exact_line(model, caplog):
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact coverage")]
     assert len(lines) == 1
     fields = re.search(
-        r"(\d+) outer-integrand calls, (\d+) outer nodes, (\d+) inner rows, "
-        r"(\d+) inner node evaluations, (\d+) floored, [0-9.]+ s",
+        r"(\d+) outer-integrand calls, (\d+) outer nodes, (\d+) inner rows, (\d+) grid "
+        r"points at spacing [0-9.e-]+ after (\d+) halvings, estimate [0-9.e+-]+, (\d+) floored, [0-9.]+ s",
         lines[0],
     )
     assert fields is not None, lines[0]
@@ -253,26 +253,28 @@ def exact_line(model, caplog):
 
 # The work of one value at R = 500 m, h = 100 m, alpha = 2.2, q = 2, 0 dB is
 # pinned in the two tests below: a change to the cost per node must not move
-# the node counts.
+# the node counts.  Both laws share the outer range's upper end, and so the
+# inner grid: t_lo to a few points past log hi at the first spacing.
 def test_coverage_logs_its_work(geom, channel_m3, caplog):
-    calls, outer, rows, inner, floored = exact_line(bpp_model(N, geom, channel_m3), caplog)
+    calls, outer, rows, points, halvings, floored = exact_line(bpp_model(N, geom, channel_m3), caplog)
     assert calls >= 1 and outer % 15 == 0  # one G7/K15 panel is 15 nodes
     assert rows == 3 * outer  # m = 3: orders 0..2 at every outer node
-    assert (outer, inner) == (120, 15_450)
+    assert (outer, points, halvings) == (120, 836, 0)
     # every Taylor coefficient is >= 0, and at m = 3 no kernel error needs flooring
     assert floored == 0
 
 
 def test_hppp_coverage_work_is_pinned(hmodel, caplog):
-    _, outer, rows, inner, floored = exact_line(hmodel, caplog)
-    assert (outer, rows, inner, floored) == (120, 120, 15_180, 0)
+    _, outer, rows, points, halvings, floored = exact_line(hmodel, caplog)
+    assert (outer, rows, points, halvings, floored) == (120, 120, 836, 0, 0)
 
 
 def test_quadrature_sweeps_stay_within_the_node_budget(geom, channel_m3, monkeypatch):
-    # The largest node array of any sweep, in a cold cache build and in an
-    # exact BPP m = 3 value: both run more rows than fit one chunk, and no
-    # sweep exceeds the budget (larger temporaries were faulted in afresh on
-    # every call).
+    # The largest node array of any sweep, in a cold cache build and in the
+    # batched moment rows of 150 serving powers: both run more rows than fit
+    # one chunk, and no sweep exceeds the budget (larger temporaries were
+    # faulted in afresh on every call).  An exact value's only adaptive rule
+    # is the outer one, whose sweeps stay far below it.
     budget = quadrature._BATCH_NODES
     sizes = []
     evaluate = quadrature._evaluate_panels
@@ -285,9 +287,14 @@ def test_quadrature_sweeps_stay_within_the_node_budget(geom, channel_m3, monkeyp
     analytic.ReceivedPowerDistribution(geom, channel_m3)._ensure()
     build = sizes.copy()
     sizes.clear()
-    bpp_model(N, geom, channel_m3).coverage(1.0)
-    for work in (build, sizes):
+    model = bpp_model(N, geom, channel_m3)
+    model._conditional_coverage(1.0, 3, np.geomspace(1e-7, 1e-3, 150))
+    rows = sizes.copy()
+    sizes.clear()
+    model.coverage(1.0)
+    for work in (build, rows):
         assert budget // 2 < max(work) <= budget
+    assert 0 < max(sizes) <= budget // 8
 
 
 # -20 dB needs a second outer sweep on every model below; the others do not
@@ -299,12 +306,14 @@ SWEEP_DB = list(range(-20, 21, 4))
     [((("bpp", 10), ("bpp", 20)), 1), ((("bpp", 10), ("bpp", 20)), 3), ((("hppp", LAM),), 1)],
 )
 def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
-    # A fresh model reads every node it evaluates, and a warm one fewer,
-    # since at least its first sweeps come from the memo; values and node
-    # counts are those of a fresh model per theta, bit for bit.  A warm
-    # BPP 10, m = 3 model reads nothing: every theta of the sweep refines
-    # the panels of the theta before.  BPP 10 and 20 share one received-power
-    # cache and take their values in turn.
+    # A fresh model reads every outer node and grid point it evaluates, and
+    # a warm one fewer, since it holds the grid and at least its outer
+    # rule's first sweeps come from the memo; values, node counts and grids
+    # are those of a fresh model per theta, bit for bit.  A warm BPP 10,
+    # m = 3 model reads nothing: every theta of the sweep refines the panels
+    # of the theta before.  No value of the sweep halves the grid's spacing.
+    # BPP 10 and 20 share one received-power cache and take their values in
+    # turn.
     ch = ChannelParams(alpha=2.2, q=2.0, m=float(m))
     classes = {"bpp": analytic.BppCoverageModel, "hppp": analytic.HpppCoverageModel}
 
@@ -330,9 +339,9 @@ def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
             value, read, work = value_and_line(model, theta)
             fresh_value, fresh_read, fresh_work = value_and_line(make(*spec), theta)
             assert value == fresh_value and work == fresh_work, (spec, db)
-            outer, inner = (int(re.search(rf"(\d+) {name}", work).group(1))
-                            for name in ("outer nodes", "inner node evaluations"))
-            assert fresh_read == outer + inner
+            outer, points, halvings = (int(re.search(rf"(\d+) {name}", work).group(1))
+                                       for name in ("outer nodes", "grid points", "halvings"))
+            assert halvings == 0 and fresh_read == outer + points
             assert read == fresh_read if k == 0 else read < fresh_read
             if k and spec == ("bpp", 10) and m == 3:
                 assert read == 0, db
@@ -367,9 +376,10 @@ def test_memo_stays_bounded_over_a_dense_sweep(geom, cls, size, m, method):
     # A memo holds one value's reads per chunk and sweep: 201 thresholds
     # that refine different panels replace its refinement entries instead of
     # adding to them.  A repeated threshold refines the panels it holds, so
-    # it reads nothing.
+    # it reads nothing.  Exact coverage's memo is its outer rule's, and its
+    # grids, which no value of this sweep refines, are held beside it.
     model = cls(size, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
-    memo = model._exact_memo if method == "coverage" else model._dominant_memo
+    memo = (model._exact_memo, model._grids) if method == "coverage" else model._dominant_memo
     coverage = getattr(model, method)
     thetas = 10 ** (np.linspace(-20.0, 20.0, 201) / 10)
     coverage(thetas[0])
@@ -397,24 +407,81 @@ def test_cached_model_follows_a_new_initial_panel_count(geom, monkeypatch, metho
     assert getattr(model, method)(1.0) == getattr(fresh, method)(1.0)
 
 
-@pytest.mark.parametrize("rule", ["_LAPLACE_QUAD", "_COVERAGE_QUAD"])
-def test_warm_model_follows_the_panel_count_between_values(geom, monkeypatch, rule):
-    # The first sweep's held layout is tagged with the initial panel count:
-    # with the count changed between values, to 4 and back to 8, every value
-    # of a warm model is a fresh model's, bit for bit.  At -20 dB the outer
-    # rule refines, and its second call's 30 inner rows fit one chunk at
-    # either count, so an inner layout held without its count would be
-    # taken there at the other count.
+@pytest.mark.parametrize("rule, field, values", [("_LAPLACE_QUAD", "rel_tol", (1e-10, 1e-7, 1e-10)),
+                                                  ("_COVERAGE_QUAD", "initial_panels", (4, 8, 4))],
+                         ids=["_LAPLACE_QUAD", "_COVERAGE_QUAD"])
+def test_warm_model_follows_the_panel_count_between_values(geom, monkeypatch, rule, field, values):
+    # The outer rule's first-sweep layout is tagged with the initial panel
+    # count, and every value halves the inner grid's spacing from the first
+    # on its own estimate against the Laplace tolerance: with either changed
+    # between values and back, every value of a warm model is a fresh
+    # model's, bit for bit.  At 1e-10 a value takes finer grids than the
+    # default's, which the warm model holds from then on.
     ch = ChannelParams(alpha=2.2, q=2.0, m=3.0)
     model = analytic.BppCoverageModel(N, geom, ch)
     default = getattr(analytic, rule)
     thetas = [10 ** (db / 10) for db in (-20.0, 0.0)]
     for theta in thetas:
         model.coverage(theta)
-    for panels in (4, 8, 4):
-        monkeypatch.setattr(analytic, rule, dataclasses.replace(default, initial_panels=panels))
+    levels = set(model._grids)
+    for value in values:
+        monkeypatch.setattr(analytic, rule, dataclasses.replace(default, **{field: value}))
         for theta in thetas:
             assert model.coverage(theta) == analytic.BppCoverageModel(N, geom, ch).coverage(theta)
+    assert (set(model._grids) > levels) == (rule == "_LAPLACE_QUAD")
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("spatial", ["bpp", "hppp"])
+def test_grid_rows_match_the_adaptive_rows(geom, spatial, m):
+    # Exact coverage's inner rows on the first grid, interpolated to random
+    # serving powers of the outer range, against `_moment_series` at the
+    # Laplace tolerance, on the scale on which a row error moves the
+    # conditional coverage: G'(F) / G''(F), F(x0) / (n - 1) for the BPP and
+    # 1 / mu for the HPPP.  None of these values halves the spacing.
+    ch = ChannelParams(alpha=2.2, q=2.0, m=float(m))
+    model = bpp_model(N, geom, ch) if spatial == "bpp" else hppp_model(LAM, geom, ch)
+    lo, hi = model._outer_bounds()
+    t_lo = model.dist._ensure()["t_lo"]
+    step = model._grid(0)[0]
+    t = np.sort(np.random.default_rng(7 * m).uniform(math.log(lo), math.log(hi), 40))
+    x0 = np.exp(t)
+    scale = 1.0 / model.law.derivative_ratio(1, model.dist.cdf(x0))
+    for theta_db in (-20, 0, 20):
+        theta = 10 ** (theta_db / 10)
+        got = quadrature.interpolate_uniform(model._inner_rows(theta, m, 0), (t - t_lo) / step)
+        s = m * theta / x0
+        ref, _ = analytic._moment_series(model.dist, float(m), s, s, x0, m - 1)
+        assert np.all(np.abs(got - ref) <= analytic._LAPLACE_QUAD.rel_tol * scale), theta_db
+
+
+def test_first_exact_value_reads_few_points(geom, channel):
+    # 150 outer nodes and one grid of 836 points at the defaults, where the
+    # per-node inner rows read 19,200
+    model = analytic.BppCoverageModel(N, geom, channel)
+    model.dist.x_lo
+    read = model.dist.nodes_read
+    model.coverage(10 ** -0.3)
+    assert 0 < model.dist.nodes_read - read < 2000
+
+
+def test_coarse_first_spacing_halves_within_tolerance(geom, channel_m3, monkeypatch, caplog):
+    theta = 10 ** -0.3
+    default = analytic.BppCoverageModel(N, geom, channel_m3).coverage(theta)
+    monkeypatch.setattr(analytic, "_GRID_SPACING", 0.5)
+    with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+        value = analytic.BppCoverageModel(N, geom, channel_m3).coverage(theta)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact")]
+    step, halvings = re.search(r"spacing ([0-9.e-]+) after (\d+) halvings", line).groups()
+    assert int(halvings) >= 2 and float(step) == 0.5 / 2 ** int(halvings), line
+    cfg = analytic._COVERAGE_QUAD
+    assert abs(value - default) <= max(cfg.abs_tol, cfg.rel_tol * default)
+
+
+def test_grid_past_its_cap_raises(geom, channel, monkeypatch):
+    monkeypatch.setattr(analytic, "_GRID_POINTS", 100)
+    with pytest.raises(quadrature.QuadratureError, match="inner grid"):
+        analytic.BppCoverageModel(N, geom, channel).coverage(1.0)
 
 
 def _listed_taylor_sum(weights, h):

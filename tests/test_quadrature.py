@@ -358,3 +358,47 @@ def test_panel_kernel_names_the_first_non_finite_node(k):
     values[0, 3 * 15 + 1] = np.nan
     with pytest.raises(QuadratureError, match=re.escape(f"x={x[2, 9]!r}")):
         quadrature._evaluate_panels(values if k > 1 else values[0], lo, hi)
+
+
+def test_gregory_rule_integrates_low_degree_polynomials_exactly():
+    # Gregory's end weights at both cuts of [0, 1]: the rule's error at each
+    # end is O(h^(terms + 1)), and a polynomial of degree below the number
+    # of terms has no error term at all
+    w = quadrature.gregory_weights()
+    h, n = 1 / 40, 41
+    weights = np.ones(n)
+    weights[: w.size] *= w
+    weights[n - w.size :] *= w[::-1]
+    x = h * np.arange(n)
+    for degree in range(w.size):
+        assert h * (weights * x**degree).sum() == pytest.approx(1 / (degree + 1), rel=1e-14, abs=0.0)
+    # and a smooth function converges at that order
+    errors = []
+    for h in (1 / 8, 1 / 16):
+        k = np.arange(int(40 / h))
+        ones = np.ones(k.size)
+        ones[: w.size] = w
+        errors.append(abs(h * (ones * np.exp(-h * k)).sum() - 1.0))
+    assert errors[1] < errors[0] / 2 ** w.size
+
+
+def test_causal_convolution_matches_the_direct_sum():
+    rng = np.random.default_rng(3)
+    kernels, signal = rng.random((3, 50)), rng.random(50)
+    size = 128
+    got = quadrature.causal_convolution(kernels, np.fft.rfft(signal, size), size)
+    want = np.array([np.convolve(k, signal)[:50] for k in kernels])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_uniform_interpolation_is_exact_for_degree_seven():
+    # the 8-point Lagrange polynomial reproduces degree 7, at the grid's
+    # ends too, and a position on a grid point takes that sample bit for bit
+    grid = np.arange(30.0)
+    poly = np.polynomial.Polynomial([0.3, -1.0, 0.5, 0.2, -0.05, 0.01, -0.001, 2e-5])
+    values = np.array([poly(grid), 2.0 * poly(grid)])
+    x = np.array([0.0, 0.25, 3.5, 17.9, 28.5, 29.0])
+    got = quadrature.interpolate_uniform(values, x)
+    np.testing.assert_allclose(got, [poly(x), 2.0 * poly(x)], rtol=1e-10)
+    on_points = quadrature.interpolate_uniform(values, grid[[0, 5, 29]])
+    assert np.array_equal(on_points, values[:, [0, 5, 29]])

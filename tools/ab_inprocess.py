@@ -19,8 +19,11 @@ cache build, its first (cold) value, the mean of its later (warm) values on
 the same model, and for `r-sweep` the builds and values of all its radii.
 
 Per step it prints each tree's median time, the median over rounds of the
-ratio B / A, its quartiles, and whether every value of B equals A's bit for
-bit.  Exits 1 when some value differs, else 0.
+ratio B / A, its quartiles, the largest relative difference |B - A| / |A|
+over the values the step computed in any round ("-" for a step that
+computes none), and whether every value of the case in B equals A's bit for
+bit.  A change that moves values within tolerance can so still be timed.
+Exits 1 when some value differs, else 0.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def load_trees(sources, tmp):
 
 
 def run_case(bench, w, analytic, core):
-    """One case from cold model caches: ([(step, seconds)], values)."""
+    """One case from cold model caches: ([(step, seconds)], [(step, value)])."""
     for obj in vars(analytic).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
@@ -92,14 +95,18 @@ def run_case(bench, w, analytic, core):
             for db in w.values:
                 theta = 10.0 ** (db / 10.0)
                 t0 = time.perf_counter()
-                values.append(getattr(first, analytic._METHODS[method.replace("-", "_")])(theta))
+                value = getattr(first, analytic._METHODS[method.replace("-", "_")])(theta)
                 dt = time.perf_counter() - t0
-                if len(values) == 1:
-                    steps.append(("cold value", dt))
+                if not values:
+                    step = "cold value"
+                    steps.append((step, dt))
                 elif len(methods) > 1:
-                    steps.append((f"{method} value, warm", dt))
+                    step = f"{method} value, warm"
+                    steps.append((step, dt))
                 else:
+                    step = "warm value (mean)"
                     warm.append(dt)
+                values.append((step, value))
         if warm:
             steps.append(("warm value (mean)", statistics.fmean(warm)))
     else:
@@ -109,7 +116,7 @@ def run_case(bench, w, analytic, core):
             timed("builds", lambda: built.dist.cdf(1.0))
             for method in methods:
                 name = analytic._METHODS[method.replace("-", "_")]
-                values.append(timed("cold values", lambda: getattr(built, name)(theta)))
+                values.append(("cold values", timed("cold values", lambda: getattr(built, name)(theta))))
     totals = {}
     for step, dt in steps:
         totals[step] = totals.get(step, 0.0) + dt
@@ -132,6 +139,7 @@ def main(argv=None):
         workloads = list(bench.WORKLOADS.values())
         times = {}  # (case, step) -> ([A seconds], [B seconds])
         equal = {w.name: True for w in workloads}
+        gaps = {}  # (case, step) -> the largest relative difference of its values
         for r in range(args.rounds + 1):  # round 0 warms both trees and is not timed
             for w in workloads:
                 sides = [None, None]
@@ -139,7 +147,10 @@ def main(argv=None):
                     gc.collect()
                     sides[side] = run_case(bench, w, *trees[side])
                 (steps_a, values_a), (steps_b, values_b) = sides
-                equal[w.name] &= [v.hex() for v in values_a] == [v.hex() for v in values_b]
+                equal[w.name] &= [v.hex() for _, v in values_a] == [v.hex() for _, v in values_b]
+                for (step, a), (_, b) in zip(values_a, values_b):
+                    gap = abs(b - a) / abs(a) if a else abs(b - a)
+                    gaps[w.name, step] = max(gaps.get((w.name, step), 0.0), gap)
                 if r == 0:
                     continue
                 for (step, ta), (_, tb) in zip(steps_a, steps_b):
@@ -147,13 +158,15 @@ def main(argv=None):
                     pair[0].append(ta)
                     pair[1].append(tb)
 
-    print(f"{'case':16s} {'step':28s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s} {'quartiles':>15s}  bit-equal")
+    print(f"{'case':16s} {'step':28s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s} {'quartiles':>15s} "
+          f"{'max rel diff':>12s}  bit-equal")
     for (case, step), (ta, tb) in times.items():
         ratios = [b / a for a, b in zip(ta, tb)]
         q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        gap = f"{gaps[case, step]:.2e}" if (case, step) in gaps else "-"
         print(f"{case:16s} {step:28s} {statistics.median(ta) * 1e3:9.3f} "
               f"{statistics.median(tb) * 1e3:9.3f} {statistics.median(ratios):7.3f} "
-              f"{q[0]:7.3f}-{q[2]:<7.3f}  {'yes' if equal[case] else 'NO'}")
+              f"{q[0]:7.3f}-{q[2]:<7.3f} {gap:>12s}  {'yes' if equal[case] else 'NO'}")
     return 0 if all(equal.values()) else 1
 
 
