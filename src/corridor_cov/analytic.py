@@ -50,12 +50,15 @@ theta-free g(t) = f(e^t) e^t, which the model samples once on a uniform grid;
 one FFT product gives every row at every grid point, Gregory's end weights
 correct the cuts, and Lagrange polynomials carry the rows to the outer nodes.
 The outer rule of exact coverage and both levels of the dominant rule
-evaluate the same first-sweep nodes at every theta, and a sweep of
-thresholds mostly refines the same panels too.  Each rule splits its
-integrands into theta-free interpolant reads and a kernel, and the model
-keeps one `integrate` memo per rule, which holds every sweep's reads, so
-that later values compute only the kernel wherever they evaluate the
-panels of the value before.  Both dominant methods share the dominant memo.
+evaluate the same first-sweep nodes at every theta.  Exact coverage's
+outer rule starts from enough panels that a typical value takes that sweep
+alone; the dominant rule's values mostly refine the same panels as the
+value before.  Each rule splits its integrands into theta-free reads and a
+kernel, and the model keeps one `integrate` memo per rule, which holds
+every sweep's reads, so that later values compute only the kernel wherever
+they evaluate the panels of the value before: for exact coverage the reads
+include the Lagrange stencils from the first grid to the outer nodes.
+Both dominant methods share the dominant memo.
 Laplace-transform derivatives are analytic Taylor coefficients: G' is
 expanded about F - D in the kernel's non-negative series, a truncated power
 series with no subtraction; finite differences are test oracles only.
@@ -87,8 +90,8 @@ from .core import (
     _without_nan,
     pathloss_value_pdf,
 )
-from .quadrature import (QuadratureConfig, QuadratureError, causal_convolution, convolution_rule,
-                         integrate, integrate_batch, interpolate_uniform)
+from .quadrature import (QuadratureConfig, QuadratureError, apply_stencil, causal_convolution,
+                         convolution_rule, integrate, integrate_batch, lagrange_stencil)
 
 __all__ = [
     "ReceivedPowerDistribution",
@@ -111,7 +114,11 @@ _PDF_QUAD = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
 # singularity; honest error accounting needs a looser target there
 _PDF_EXACT_QUAD = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-280, max_subdivisions=4000)
 _LAPLACE_QUAD = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-280)
-_COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
+# Exact coverage's outer rule starts from 12 panels.  On the 1,050 values of
+# `tools/domain_sample.py` a second sweep follows on 71% of values from 8,
+# 44% from 10, 24% from 12 and 5% from 16; 12 and 16 take about the same
+# time, and 12 takes a fifth fewer nodes.
+_COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9, initial_panels=12)
 # The dominant rule starts both of its levels from 3 panels, not 8 (see
 # `_coverage_dominant_generic`).
 _DOMINANT_QUAD = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7, initial_panels=3)
@@ -675,11 +682,13 @@ class _ConditionalLaplace:
         rows, n_evals = _moment_series(self.dist, self.m, s, tau, x0, order)
         return (*self._taylor(rows, self.dist.cdf(x0), order), n_evals)
 
-    def _taylor(self, rows, fx0, order):
+    def _taylor(self, rows, fx0, order, log_g1=None):
         """`_series`' coefficients and floored count from the kernel rows
-        [D, h_1, ..., h_order] at powers x0 with F(x0) = fx0."""
+        [D, h_1, ..., h_order] at powers x0 with F(x0) = fx0, and log G'(F)
+        = log_g1 where the caller holds it."""
         law = self.law
-        log_g1 = law.log_derivative(1, fx0)
+        if log_g1 is None:
+            log_g1 = law.log_derivative(1, fx0)
         if np.any(np.isneginf(log_g1)):
             raise ParameterError("conditioning power x0 has zero mass below it")
         y = fx0 - rows[0]
@@ -736,12 +745,12 @@ class _CoverageModel:
         """Density G'(F(x0)) f(x0) / (1 - G(0)) of the strongest received
         power: n F^(n-1) f for the BPP, the void-conditioned
         mu f e^(mu (F - 1)) / (1 - e^-mu) for the finite HPPP."""
-        out = self._max_power_pdf(self.dist.pdf(x0), self.dist.cdf(x0))
+        out = self._max_power_pdf(self.dist.pdf(x0), self.law.log_derivative(1, self.dist.cdf(x0)))
         return float(out) if out.ndim == 0 else out
 
-    def _max_power_pdf(self, f, cdf):
-        """`max_power_pdf` given f(x0) = f and F(x0) = cdf."""
-        return np.exp(self.law.log_derivative(1, cdf)) * f / self.law.p_nonempty
+    def _max_power_pdf(self, f, log_g1):
+        """`max_power_pdf` given f(x0) = f and log G'(F(x0)) = log_g1."""
+        return np.exp(log_g1) * f / self.law.p_nonempty
 
     def max_power_cdf(self, x0):
         """(G(F(x0)) - G(0)) / (1 - G(0)): F^n for the BPP,
@@ -772,15 +781,21 @@ class _CoverageModel:
         return coeffs.sum(axis=0), floored, n_evals
 
     def _outer_reads(self, t):
-        """(t, x0, F(x0), f0, live) at log powers t: the live nodes, those
-        with density and at least 1e-12 of the mass below them, their powers,
-        cdf and maximum-power density, and the live mask."""
+        """(t, x0, F(x0), f0, log G'(F(x0)), stencil, live) at log powers t:
+        the live nodes, those with density and at least 1e-12 of the mass
+        below them, their powers, cdf, maximum-power density and log G'(F),
+        the `lagrange_stencil` that carries the level-0 grid's rows to them,
+        and the live mask.  None of these depends on theta."""
         x0 = np.exp(t)
         log_f, log_cdf = self.dist._log_at(t, "log_pdf", "log_cdf")
         fx0 = np.exp(log_cdf)
-        f0 = self._max_power_pdf(np.exp(log_f), fx0)
+        log_g1 = self.law.log_derivative(1, fx0)
+        f0 = self._max_power_pdf(np.exp(log_f), log_g1)
         live = (f0 > 0) & (fx0 >= 1e-12)
-        return t[live], x0[live], fx0[live], f0[live], live
+        t = t[live]
+        step, fx = self._grid(0)[:2]
+        stencil = lagrange_stencil((t - self.dist._ensure()["t_lo"]) / step, fx.size)
+        return t, x0[live], fx0[live], f0[live], log_g1[live], stencil, live
 
     def _grid(self, level):
         """The theta-free half of exact coverage's inner rows on the grid
@@ -838,13 +853,17 @@ class _CoverageModel:
         density, in log space over the quantile range that carries all but
         ~1e-12 of its mass, by the adaptive rule; nodes without density (or
         with less than 1e-12 mass below them) contribute 0.  The outer rule
-        reads the same nodes at every theta, so the model's exact memo keeps
-        the reads of every outer sweep, and later values read only the
-        panels that the value before did not refine.
+        starts from `_COVERAGE_QUAD`'s 12 panels, on which a typical value
+        converges in one sweep of 180 nodes.  It reads the same nodes at
+        every theta, so the model's exact memo keeps the reads of every
+        outer sweep (`_outer_reads`), and later values read only the panels
+        that the value before did not refine.
 
         The inner moment rows come from one causal convolution per grid
         (`_inner_rows`), interpolated to the outer nodes by 8-point Lagrange
-        polynomials.  Every value starts from `_GRID_SPACING` and halves it
+        polynomials.  Their stencil on the first grid depends on the nodes
+        alone, so the memo holds it; a value on a halved grid forms its
+        own.  Every value starts from `_GRID_SPACING` and halves it
         while the rows' largest difference from those at twice the spacing,
         at the shared points of the outer range, exceeds `_LAPLACE_QUAD.rel_tol`
         on the scale on which it moves the conditional coverage, G'(F) /
@@ -872,11 +891,12 @@ class _CoverageModel:
             coarse, level = rows, level + 1
         calls = n_rows = floored = 0
 
-        def conditional(t, x0, fx0, f0, live):
+        def conditional(t, x0, fx0, f0, log_g1, stencil, live):
             nonlocal calls, n_rows, floored
             out = np.zeros(live.shape)
-            coeffs, n_floored = self.laplace._taylor(
-                interpolate_uniform(rows, (t - t_lo) / step), fx0, m - 1)
+            if level:  # the held stencil is the level-0 grid's
+                stencil = lagrange_stencil((t - t_lo) / step, rows.shape[-1])
+            coeffs, n_floored = self.laplace._taylor(apply_stencil(rows, stencil), fx0, m - 1, log_g1)
             out[live] = coeffs.sum(axis=0) * f0 * x0
             calls += 1
             n_rows += x0.size * m

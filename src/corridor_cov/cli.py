@@ -7,10 +7,11 @@ interface and converted once; all internal math is linear.
 
 The table commands (coverage, replay, height-study) share one pipeline:
 config, overrides, [run] seed and config hash, then the command's
-(sweep_value, method, coverage, stderr) rows, written as CSV or JSON to
---out or stdout.  A command's one side output lands next to --out:
-replay's SIR pdf table only there, height-study's report after the table
-on stdout when there is no --out.  Every Monte Carlo run of a command
+(sweep_value, method, coverage, stderr, ci_low, ci_high) rows, written as
+CSV or JSON to --out or stdout; Monte Carlo rows carry a 95% Wilson
+interval, which analytic rows leave blank.  A command's one side output
+lands next to --out: replay's SIR pdf table only there, height-study's
+report after the table on stdout when there is no --out.  Every Monte Carlo run of a command
 takes [run] trials; height-study fits its height models to a trace's
 heights or to [height_study] count draws of the [geometry] height model,
 on the [geometry] corridor; its variable_* rows are the coverage curves
@@ -59,7 +60,8 @@ EXIT_DATA = 5
 
 log = logging.getLogger("corridor_cov")
 
-CSV_COLUMNS = ["sweep_value", "method", "coverage", "stderr", "seed", "config_hash"]
+# the interval's columns come last, so readers of the first six still parse
+CSV_COLUMNS = ["sweep_value", "method", "coverage", "stderr", "seed", "config_hash", "ci_low", "ci_high"]
 
 # the analytic methods, spelled with hyphens, and Monte Carlo
 _METHOD_ALIASES = {name.replace("_", "-"): name for name in analytic._METHODS} | {"mc": "mc"}
@@ -293,8 +295,10 @@ def _corridor_spatial(cfg, geom, command):
 
 
 def _curve_rows(values, method, curve):
-    """(sweep_value, method, coverage, stderr) rows of a CoverageCurve."""
-    return [(v, method, c, se) for v, c, se in zip(values, curve.coverage, curve.stderr)]
+    """(sweep_value, method, coverage, stderr, ci_low, ci_high) rows of a
+    Monte Carlo CoverageCurve."""
+    return list(zip(values, [method] * len(values), curve.coverage, curve.stderr,
+                    curve.ci_low, curve.ci_high))
 
 
 def _parse_methods(cfg):
@@ -363,7 +367,7 @@ def cmd_coverage(cfg, args, seed):
             else:
                 for v, th in zip(sweep_values, db_to_linear(np.array(thetas_db))):
                     query = analytic.CoverageQuery(float(th), spatial, channel, geom, method)
-                    rows.append((v, method, analytic.coverage_probability(query), None))
+                    rows.append((v, method, analytic.coverage_probability(query), None, None, None))
     return rows, {}, None
 
 
@@ -501,10 +505,13 @@ def _run_table_command(args):
     rows, extra, side = command[args.command](cfg, args, seed)
     log.info("%s: %d rows in %.3f s", args.command, len(rows), time.perf_counter() - t0)
 
+    def number(x):
+        return None if x is None else float(x)
+
     rows = [
-        {"sweep_value": float(v), "method": method, "coverage": float(c),
-         "stderr": None if se is None else float(se), "seed": seed, "config_hash": chash}
-        for v, method, c, se in rows
+        {"sweep_value": float(v), "method": method, "coverage": float(c), "stderr": number(se),
+         "seed": seed, "config_hash": chash, "ci_low": number(lo), "ci_high": number(hi)}
+        for v, method, c, se, lo, hi in rows
     ]
     if args.format == "csv":
         text = _csv_text(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in rows))

@@ -29,7 +29,9 @@ A causal convolution c(u) = int_0^inf K(w) g(u - w) dw of samples on a
 uniform grid, cut at both ends, is a third rule: `convolution_rule` folds
 Gregory's end weights (`gregory_weights`) into both factors of the
 trapezoid sums, `causal_convolution` takes them all as one FFT product, and
-`interpolate_uniform` reads the result between the grid points.
+`interpolate_uniform` reads the result between the grid points, by a
+`lagrange_stencil` that `apply_stencil` can reuse for other samples on the
+same grid and positions.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
     "gregory_weights",
     "convolution_rule",
     "causal_convolution",
+    "lagrange_stencil",
+    "apply_stencil",
     "interpolate_uniform",
 ]
 
@@ -99,7 +103,7 @@ _BATCH_NODES = 7680
 # Complex Analysis, vol. 2, 1977, sect. 11.12); with p of them the rule's
 # error at that end is O(h^(p + 1)).
 _GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480)
-# Points of `interpolate_uniform`'s Lagrange polynomial, and its
+# Points of `lagrange_stencil`'s Lagrange polynomial, and its
 # denominators prod_{i != j} (j - i).
 _LAGRANGE_POINTS = 8
 _LAGRANGE_SCALE = np.array([
@@ -483,19 +487,35 @@ def causal_convolution(kernels, spectrum, size):
     return np.fft.irfft(np.fft.rfft(kernels, size) * spectrum, size)[..., :n]
 
 
-def interpolate_uniform(values, x):
-    """values[..., i], samples at the points i = 0 .. n-1 of a uniform grid
-    (n >= 8), interpolated at the positions x (a 1D array, in grid units) by
-    the Lagrange polynomial on the 8 points around each x, kept on the grid
-    at its ends.  Each basis polynomial prod_(i != j) (x - i) / (j - i) is
-    formed as its prefix and suffix products, so a position on a grid point
-    takes that sample exactly."""
+def lagrange_stencil(x, n):
+    """The stencil that carries samples at the points i = 0 .. n-1 of a
+    uniform grid (n >= 8) to the positions x (a 1D array, in grid units):
+    (points, basis), each (positions, 8), the 8 grid points around each x,
+    kept on the grid at its ends, and their Lagrange basis polynomials
+    prod_(i != j) (x - i) / (j - i) at x.  Each is formed as its prefix and
+    suffix products, so a position on a grid point takes that sample
+    exactly.  It depends on x and n alone, so one stencil serves any
+    samples on the same grid (`apply_stencil`)."""
     k = _LAGRANGE_POINTS
-    start = np.clip(np.floor(x).astype(int) - (k // 2 - 1), 0, values.shape[-1] - k)
+    start = np.clip(np.floor(x).astype(int) - (k // 2 - 1), 0, n - k)
     points = start[:, None] + np.arange(k)
     d = x[:, None] - points
     before, after = np.ones_like(d), np.ones_like(d)
     np.cumprod(d[:, :-1], axis=1, out=before[:, 1:])
     np.cumprod(d[:, :0:-1], axis=1, out=after[:, -2::-1])
-    basis = before * after / _LAGRANGE_SCALE
+    return points, before * after / _LAGRANGE_SCALE
+
+
+def apply_stencil(values, stencil):
+    """values[..., i], samples on the grid of a `lagrange_stencil`,
+    interpolated at its positions: a (..., positions) array."""
+    points, basis = stencil
     return np.einsum("...pk,pk->...p", values[..., points], basis)
+
+
+def interpolate_uniform(values, x):
+    """values[..., i], samples at the points i = 0 .. n-1 of a uniform grid
+    (n >= 8), interpolated at the positions x (a 1D array, in grid units) by
+    the Lagrange polynomial on the 8 points around each x
+    (`lagrange_stencil`), kept on the grid at its ends."""
+    return apply_stencil(values, lagrange_stencil(x, values.shape[-1]))

@@ -127,6 +127,9 @@ DEFAULT_BATCH_SIZE = 1 << 16
 # float64 values, 256 KiB each, stay in a 2 MiB L2 cache together.
 _PIECE_UAVS = 1 << 15
 
+# The two-sided 95% normal quantile of `coverage_from_sirs`' Wilson interval
+_WILSON_Z = 1.959963984540054
+
 MAX_POWER = "max_power"
 MIN_DISTANCE = "min_distance"
 
@@ -456,12 +459,16 @@ def simulate_sir(
 
 @dataclass
 class CoverageCurve:
-    """Coverage values over a theta grid (dB)."""
+    """Coverage values over a theta grid (dB); a Monte Carlo curve also
+    carries each value's binomial standard error and its 95% interval
+    [ci_low, ci_high]."""
 
     theta_db: np.ndarray
     coverage: np.ndarray
     n_trials: int = 0
     stderr: Optional[np.ndarray] = None
+    ci_low: Optional[np.ndarray] = None
+    ci_high: Optional[np.ndarray] = None
 
     def max_gap(self, other: "CoverageCurve"):
         if not np.array_equal(self.theta_db, other.theta_db):
@@ -511,9 +518,25 @@ def _theta_grid(theta_db):
     return theta_db
 
 
+def _wilson_interval(k, n):
+    """The Wilson score interval of a binomial proportion with k successes
+    in n trials (Brown, Cai & DasGupta, Statistical Science 16, 2001):
+    (p + z^2/2n -+ z sqrt(p (1 - p) / n + z^2 / 4n^2)) / (1 + z^2/n), p = k/n.
+    It is never zero-width: at k = 0 it is [0, z^2 / (n + z^2)], and its
+    ends are exactly 0 at k = 0 and 1 at k = n."""
+    k = np.asarray(k)
+    p = k / n
+    z = _WILSON_Z
+    z2n = z * z / n
+    center = (p + 0.5 * z2n) / (1.0 + z2n)
+    half = z / (1.0 + z2n) * np.sqrt(p * (1.0 - p) / n + 0.25 * z2n / n)
+    return np.where(k == 0, 0.0, center - half), np.where(k == n, 1.0, center + half)
+
+
 def coverage_from_sirs(sirs, theta_db):
-    """Empirical survival function of the SIR samples on a dB grid.  `sirs`
-    is an array of linear SIRs or their `SirTally` on the same grid."""
+    """Empirical survival function of the SIR samples on a dB grid, with its
+    standard error and Wilson interval (`_wilson_interval`).  `sirs` is an
+    array of linear SIRs or their `SirTally` on the same grid."""
     theta_db = _theta_grid(theta_db)
     if not isinstance(sirs, SirTally):
         sirs = SirTally.of(sirs, theta_db)
@@ -524,7 +547,8 @@ def coverage_from_sirs(sirs, theta_db):
         raise ParameterError("no SIR samples (all realizations empty?)")
     cov = sirs.above / n
     stderr = np.sqrt(cov * (1.0 - cov) / n)
-    return CoverageCurve(theta_db, cov, n_trials=n, stderr=stderr)
+    ci_low, ci_high = _wilson_interval(sirs.above, n)
+    return CoverageCurve(theta_db, cov, n_trials=n, stderr=stderr, ci_low=ci_low, ci_high=ci_high)
 
 
 def empirical_coverage(

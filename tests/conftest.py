@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,17 @@ def checkout_env():
     a subprocess imports the code under test, not an installed copy."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def domain_sample():
+    """The module tools/domain_sample.py, imported once."""
+    name = "domain_sample"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "tools" / "domain_sample.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def ks_statistic(samples, cdf):

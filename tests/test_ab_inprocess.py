@@ -41,7 +41,8 @@ def test_a_changed_value_is_reported(tmp_path):
     text = analytic.read_text()
     rule = "_COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-6,"
     assert rule in text
-    analytic.write_text(text.replace(rule, "_COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-8,"))
+    # a rule tight enough to refine some first sweep of bpp-theta's values
+    analytic.write_text(text.replace(rule, "_COVERAGE_QUAD = QuadratureConfig(rel_tol=1e-10,"))
     code, equal, gaps = ab(ROOT / "src", tmp_path, 1)
     assert code == 1 and not equal["bpp-theta"] and equal["dominant-theta"]
     # a tighter outer rule moves the exact values by far less than its tolerance

@@ -48,7 +48,7 @@ class TestCoverageCommand:
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "sweep_value,method,coverage,stderr,seed,config_hash"
+        assert lines[0] == "sweep_value,method,coverage,stderr,seed,config_hash,ci_low,ci_high"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 42  # 21 sweep points x 2 methods
         exact = {float(r[0]): float(r[2]) for r in rows if r[1] == "exact"}
@@ -59,6 +59,33 @@ class TestCoverageCommand:
         # analytic rows carry no Monte Carlo stderr
         assert all(r[3] == "" for r in rows if r[1] == "exact")
         assert all(r[3] != "" for r in rows if r[1] == "mc")
+
+    def test_mc_rows_carry_a_wilson_interval(self, tmp_path):
+        # no threshold above 30 dB is exceeded in 20,000 trials (k = 0): the
+        # standard error is 0, the interval is not; analytic rows leave both
+        # of its columns blank, and JSON rows carry the same numbers
+        argv = ["coverage", "--methods", "exact,mc", "--from", "10", "--to", "40", "--step", "10",
+                "--trials", "20000", "--seed", "1"]
+        out = tmp_path / "cov.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        header, *lines = out.read_text().strip().splitlines()
+        columns = header.split(",")
+        rows = [dict(zip(columns, line.split(","))) for line in lines]
+        assert all(r["ci_low"] == r["ci_high"] == "" for r in rows if r["method"] == "exact")
+        mc = {float(r["sweep_value"]): r for r in rows if r["method"] == "mc"}
+        for db in (30.0, 40.0):
+            assert float(mc[db]["coverage"]) == float(mc[db]["stderr"]) == 0.0
+            assert float(mc[db]["ci_low"]) == 0.0 < float(mc[db]["ci_high"])
+            assert float(mc[db]["ci_high"]) == pytest.approx(1.92e-4, rel=1e-3)
+        for r in mc.values():
+            assert float(r["ci_low"]) <= float(r["coverage"]) < float(r["ci_high"])
+        out_json = tmp_path / "cov.json"
+        assert run_cli(argv + ["--format", "json", "--out", str(out_json)]) == 0
+        got = {(r["method"], r["sweep_value"]): (r["ci_low"], r["ci_high"])
+               for r in json.loads(out_json.read_text())["rows"]}
+        for (method, v), pair in got.items():
+            row = mc[v] if method == "mc" else None
+            assert pair == ((None, None) if row is None else (float(row["ci_low"]), float(row["ci_high"])))
 
     def test_h_sweep_ordering(self, tmp_path):
         out = tmp_path / "h.csv"

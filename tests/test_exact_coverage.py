@@ -254,19 +254,25 @@ def exact_line(model, caplog):
 # The work of one value at R = 500 m, h = 100 m, alpha = 2.2, q = 2, 0 dB is
 # pinned in the two tests below: a change to the cost per node must not move
 # the node counts.  Both laws share the outer range's upper end, and so the
-# inner grid: t_lo to a few points past log hi at the first spacing.
+# inner grid: t_lo to a few points past log hi at the first spacing.  Both
+# values take the outer rule's first sweep alone: 15 nodes (one G7/K15
+# panel) per initial panel.
+FIRST_SWEEP = 15 * analytic._COVERAGE_QUAD.initial_panels
+
+
 def test_coverage_logs_its_work(geom, channel_m3, caplog):
     calls, outer, rows, points, halvings, floored = exact_line(bpp_model(N, geom, channel_m3), caplog)
-    assert calls >= 1 and outer % 15 == 0  # one G7/K15 panel is 15 nodes
     assert rows == 3 * outer  # m = 3: orders 0..2 at every outer node
-    assert (outer, points, halvings) == (120, 836, 0)
+    assert (calls, outer, points, halvings) == (1, FIRST_SWEEP, 836, 0)
+    assert outer == 180
     # every Taylor coefficient is >= 0, and at m = 3 no kernel error needs flooring
     assert floored == 0
 
 
 def test_hppp_coverage_work_is_pinned(hmodel, caplog):
-    _, outer, rows, points, halvings, floored = exact_line(hmodel, caplog)
-    assert (outer, rows, points, halvings, floored) == (120, 120, 836, 0, 0)
+    calls, outer, rows, points, halvings, floored = exact_line(hmodel, caplog)
+    assert (calls, outer, rows, points, halvings, floored) == (1, FIRST_SWEEP, FIRST_SWEEP, 836, 0, 0)
+    assert outer == 180
 
 
 def test_quadrature_sweeps_stay_within_the_node_budget(geom, channel_m3, monkeypatch):
@@ -297,24 +303,34 @@ def test_quadrature_sweeps_stay_within_the_node_budget(geom, channel_m3, monkeyp
     assert 0 < max(sizes) <= budget // 8
 
 
-# -20 dB needs a second outer sweep on every model below; the others do not
 SWEEP_DB = list(range(-20, 21, 4))
+# A corridor ten times longer, at alpha = 4 and q = 1.05, where a BPP 10
+# value takes a second outer sweep at every threshold of the sweep
+WIDE = (5000.0, 4.0, 1.05)
 
 
 @pytest.mark.parametrize(
-    "models, m",
-    [((("bpp", 10), ("bpp", 20)), 1), ((("bpp", 10), ("bpp", 20)), 3), ((("hppp", LAM),), 1)],
+    "models, m, wide",
+    [((("bpp", 10), ("bpp", 20)), 1, False), ((("bpp", 10), ("bpp", 20)), 3, False),
+     ((("hppp", LAM),), 1, False), ((("bpp", 10),), 1, True)],
+    ids=["models0-1", "models1-3", "models2-1", "wide-1"],
 )
-def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
+def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m, wide):
     # A fresh model reads every outer node and grid point it evaluates, and
     # a warm one fewer, since it holds the grid and at least its outer
     # rule's first sweeps come from the memo; values, node counts and grids
-    # are those of a fresh model per theta, bit for bit.  A warm BPP 10,
-    # m = 3 model reads nothing: every theta of the sweep refines the panels
-    # of the theta before.  No value of the sweep halves the grid's spacing.
-    # BPP 10 and 20 share one received-power cache and take their values in
-    # turn.
-    ch = ChannelParams(alpha=2.2, q=2.0, m=float(m))
+    # are those of a fresh model per theta, bit for bit.  At the default
+    # corridor every value takes one outer sweep, so a warm model reads
+    # nothing; on the wide one every value refines, and a warm model reads
+    # only the panels that the value before did not refine.  No value of
+    # the sweep halves the grid's spacing.  BPP 10 and 20 share one
+    # received-power cache and take their values in turn.
+    if wide:
+        R, alpha, q = WIDE
+        geom = dataclasses.replace(geom, R=R)
+    else:
+        alpha, q = 2.2, 2.0
+    ch = ChannelParams(alpha=alpha, q=q, m=float(m))
     classes = {"bpp": analytic.BppCoverageModel, "hppp": analytic.HpppCoverageModel}
 
     def make(kind, size):
@@ -332,7 +348,7 @@ def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
         assert read is not None, line
         return value, int(read.group(1)), re.sub(r"[0-9.]+ s$", "", line.replace(read.group(0), ": "))
 
-    refined = set()
+    refined, warm_reads = set(), set()
     for k, db in enumerate(SWEEP_DB):
         theta = 10 ** (db / 10)
         for spec, model in zip(models, shared):
@@ -343,11 +359,14 @@ def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m):
                                        for name in ("outer nodes", "grid points", "halvings"))
             assert halvings == 0 and fresh_read == outer + points
             assert read == fresh_read if k == 0 else read < fresh_read
-            if k and spec == ("bpp", 10) and m == 3:
-                assert read == 0, db
-            if outer > 120:
+            if k and not wide:
+                assert read == 0, (spec, db)
+            if outer > FIRST_SWEEP:
                 refined.add(db)
-    assert -20 in refined and len(refined) < len(SWEEP_DB)
+                warm_reads.add(read)
+    assert refined == (set(SWEEP_DB) if wide else set())
+    # some warm value refines the panels of the value before from the memo
+    assert (0 in warm_reads) == wide
 
 
 def _held_bytes(memo):
@@ -408,7 +427,7 @@ def test_cached_model_follows_a_new_initial_panel_count(geom, monkeypatch, metho
 
 
 @pytest.mark.parametrize("rule, field, values", [("_LAPLACE_QUAD", "rel_tol", (1e-10, 1e-7, 1e-10)),
-                                                  ("_COVERAGE_QUAD", "initial_panels", (4, 8, 4))],
+                                                  ("_COVERAGE_QUAD", "initial_panels", (4, 12, 4))],
                          ids=["_LAPLACE_QUAD", "_COVERAGE_QUAD"])
 def test_warm_model_follows_the_panel_count_between_values(geom, monkeypatch, rule, field, values):
     # The outer rule's first-sweep layout is tagged with the initial panel
@@ -456,7 +475,7 @@ def test_grid_rows_match_the_adaptive_rows(geom, spatial, m):
 
 
 def test_first_exact_value_reads_few_points(geom, channel):
-    # 150 outer nodes and one grid of 836 points at the defaults, where the
+    # 180 outer nodes and one grid of 836 points at the defaults, where the
     # per-node inner rows read 19,200
     model = analytic.BppCoverageModel(N, geom, channel)
     model.dist.x_lo
@@ -476,6 +495,46 @@ def test_coarse_first_spacing_halves_within_tolerance(geom, channel_m3, monkeypa
     assert int(halvings) >= 2 and float(step) == 0.5 / 2 ** int(halvings), line
     cfg = analytic._COVERAGE_QUAD
     assert abs(value - default) <= max(cfg.abs_tol, cfg.rel_tol * default)
+
+
+def test_halved_values_form_their_own_stencils(geom, channel_m3, monkeypatch, caplog):
+    # The memo holds the level-0 grid's stencils; a value that halves the
+    # spacing interpolates its finer rows with stencils of its own, and a
+    # warm model's values are a fresh model's, bit for bit.
+    monkeypatch.setattr(analytic, "_GRID_SPACING", 0.5)
+    applied = []
+    apply_stencil = analytic.apply_stencil
+
+    def recording(values, stencil):
+        applied.append(stencil)
+        return apply_stencil(values, stencil)
+
+    monkeypatch.setattr(analytic, "apply_stencil", recording)
+    warm = analytic.BppCoverageModel(N, geom, channel_m3)
+    for db in (-10, 0, 10):
+        theta = 10 ** (db / 10)
+        applied.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="corridor_cov.analytic"):
+            value = warm.coverage(theta)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact")]
+        assert int(re.search(r"after (\d+) halvings", line).group(1)) >= 1, line
+        held = {id(reads[-2][1]) for _, _, reads in warm._exact_memo.values()}
+        assert applied and held and not held & {id(basis) for _, basis in applied}
+        assert value == analytic.BppCoverageModel(N, geom, channel_m3).coverage(theta)
+
+
+@pytest.mark.parametrize("spatial, m", [("bpp", 3), ("hppp", 1)])
+def test_held_stencil_matches_interpolate_uniform(geom, spatial, m):
+    ch = ChannelParams(alpha=2.2, q=2.0, m=float(m))
+    model = (analytic.BppCoverageModel(N, geom, ch) if spatial == "bpp"
+             else analytic.HpppCoverageModel(LAM, geom, ch))
+    model.coverage(0.5)
+    step, t_lo = model._grid(0)[0], model.dist._ensure()["t_lo"]
+    rows = model._inner_rows(2.0, m, 0)
+    for _, _, (t, *_, stencil, _) in model._exact_memo.values():
+        got = quadrature.apply_stencil(rows, stencil)
+        assert np.array_equal(got, quadrature.interpolate_uniform(rows, (t - t_lo) / step))
 
 
 def test_grid_past_its_cap_raises(geom, channel, monkeypatch):

@@ -287,6 +287,25 @@ class TestEmpiricalCoverage:
         curve = empirical_coverage(BPP(10), geom, channel, [-60.0], 20_000, seed=12)
         assert curve.coverage[0] > 0.999
 
+    def test_wilson_interval_is_never_zero_width(self):
+        # k = 0, 0 < k < n and k = n of 20,000 samples: the interval holds
+        # the estimate, its ends are exactly 0 and 1 at the extremes, and
+        # the standard error is unchanged
+        sirs = np.concatenate([np.full(19_990, np.inf), np.ones(10)])
+        curve = coverage_from_sirs(sirs, [-30.0, 300.0])
+        n, z = 20_000, 1.959963984540054
+        assert np.array_equal(curve.coverage, [1.0, 19_990 / n])
+        assert curve.stderr[0] == 0.0 < curve.stderr[1]
+        assert curve.ci_low[1] < curve.coverage[1] < curve.ci_high[1] < 1.0 == curve.ci_high[0]
+        assert 0.0 < curve.ci_low[0] < 1.0
+        p = 19_990 / n
+        center = (p + z * z / (2 * n)) / (1 + z * z / n)
+        half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        assert curve.ci_low[1] == pytest.approx(center - half, rel=1e-12)
+        assert curve.ci_high[1] == pytest.approx(center + half, rel=1e-12)
+        none = coverage_from_sirs(np.zeros(n), [0.0])
+        assert none.ci_low[0] == 0.0 and none.ci_high[0] == pytest.approx(z * z / (n + z * z), rel=1e-12)
+
     def test_monotone_by_construction(self, geom, channel):
         curve = empirical_coverage(BPP(10), geom, channel, np.arange(-10, 11.0), 20_000, seed=13)
         assert np.all(np.diff(curve.coverage) <= 0.0)
