@@ -53,12 +53,12 @@ The outer rule of exact coverage and both levels of the dominant rule
 evaluate the same first-sweep nodes at every theta.  Exact coverage's
 outer rule starts from enough panels that a typical value takes that sweep
 alone; the dominant rule's values mostly refine the same panels as the
-value before.  Each rule splits its integrands into theta-free reads and a
-kernel, and the model keeps one `integrate` memo per rule, which holds
-every sweep's reads, so that later values compute only the kernel wherever
-they evaluate the panels of the value before: for exact coverage the reads
-include the Lagrange stencils from the first grid to the outer nodes.
-Both dominant methods share the dominant memo.
+value before.  So the model holds, per rule, what the last value's
+integrands read that does not depend on theta, keyed by the bytes of the
+nodes read (`_held`), and a later value reads afresh only nodes that the
+value before did not evaluate: for exact coverage the reads include the
+Lagrange stencils from the first grid to the outer nodes.  Both dominant
+methods share one store.
 Laplace-transform derivatives are analytic Taylor coefficients: G' is
 expanded about F - D in the kernel's non-negative series, a truncated power
 series with no subtraction; finite differences are test oracles only.
@@ -719,6 +719,15 @@ class _ConditionalLaplace:
         return float(coeffs[1, 0])
 
 
+def _held(held, read, *nodes):
+    """read(*nodes), theta-free reads at the node arrays `nodes`, or what
+    held = (this value's store, the last value's) keeps under their bytes;
+    kept in this value's, so that a store holds one value's reads."""
+    key = tuple(v.tobytes() for v in nodes)
+    held[0][key] = out = held[0].get(key) or held[1].get(key) or read(*nodes)
+    return out
+
+
 class _CoverageModel:
     """All analytic quantities for one (UAV count law, geometry, channel)
     triple, conditioned on a non-empty corridor; each count-law quantity is a
@@ -731,10 +740,9 @@ class _CoverageModel:
         # the distribution reads alpha, q and gamma, not m: one cache serves every m
         self.dist = _cached_dist(geom, replace(channel, m=1.0))
         self._bounds = {}  # eps -> `_outer_bounds(eps)`
-        # the `integrate` memos of exact coverage's outer rule and of both
-        # dominant methods, and exact coverage's density grids (`_grid`)
-        self._exact_memo = {}
-        self._dominant_memo = {}
+        # per rule, the last value's theta-free reads (`_held`), and exact
+        # coverage's density grids (`_grid`)
+        self._reads = {"exact": {}, "dominant": {}}
         self._grids = {}
 
     @cached_property
@@ -855,15 +863,15 @@ class _CoverageModel:
         with less than 1e-12 mass below them) contribute 0.  The outer rule
         starts from `_COVERAGE_QUAD`'s 12 panels, on which a typical value
         converges in one sweep of 180 nodes.  It reads the same nodes at
-        every theta, so the model's exact memo keeps the reads of every
-        outer sweep (`_outer_reads`), and later values read only the panels
-        that the value before did not refine.
+        every theta, so the model holds the reads of every outer sweep
+        (`_outer_reads`, `_held`), and later values read only the nodes
+        that the value before did not evaluate.
 
         The inner moment rows come from one causal convolution per grid
         (`_inner_rows`), interpolated to the outer nodes by 8-point Lagrange
         polynomials.  Their stencil on the first grid depends on the nodes
-        alone, so the memo holds it; a value on a halved grid forms its
-        own.  Every value starts from `_GRID_SPACING` and halves it
+        alone, so it is held with the reads; a value on a halved grid forms
+        its own.  Every value starts from `_GRID_SPACING` and halves it
         while the rows' largest difference from those at twice the spacing,
         at the shared points of the outer range, exceeds `_LAPLACE_QUAD.rel_tol`
         on the scale on which it moves the conditional coverage, G'(F) /
@@ -890,9 +898,11 @@ class _CoverageModel:
                 break
             coarse, level = rows, level + 1
         calls = n_rows = floored = 0
+        held = {}, self._reads["exact"]
 
-        def conditional(t, x0, fx0, f0, log_g1, stencil, live):
+        def conditional(t):
             nonlocal calls, n_rows, floored
+            t, x0, fx0, f0, log_g1, stencil, live = _held(held, self._outer_reads, t)
             out = np.zeros(live.shape)
             if level:  # the held stencil is the level-0 grid's
                 stencil = lagrange_stencil((t - t_lo) / step, rows.shape[-1])
@@ -903,8 +913,8 @@ class _CoverageModel:
             floored += n_floored
             return out
 
-        res = integrate(conditional, math.log(lo), math.log(hi), _COVERAGE_QUAD,
-                        self._outer_reads, self._exact_memo)
+        res = integrate(conditional, math.log(lo), math.log(hi), _COVERAGE_QUAD)
+        self._reads["exact"] = held[0]
         value, clamp_note = _clamp(res.value)
         log.debug(
             "exact coverage at theta=%.6g: %d nodes read, %d outer-integrand calls, "
@@ -974,13 +984,13 @@ class _CoverageModel:
         more than the nodes they save.
 
         Only the fading tail's arguments a and b depend on theta, so the
-        reads of every sweep at both levels go into the model's dominant
-        memo, with omega wherever N > 2: a later value, of either method, at
-        any theta and on every pass of the ladder, forms only a, b and the
-        tail on the first sweeps (45 outer nodes and 2,025 of the 3,405
-        inner ones above) and on each refinement sweep that bisects the
-        panels of the value before, multiplying the same factors in the same
-        order.
+        model holds the reads of every sweep at both levels (`_held`), with
+        omega wherever N > 2, an inner sweep's keyed by its outer sweep's
+        nodes as well as its own: a later value, of either method, at any
+        theta and on every pass of the ladder, forms only a, b and the tail
+        on the first sweeps (45 outer nodes and 2,025 of the 3,405 inner
+        ones above) and on each refinement sweep that evaluates the nodes of
+        the value before, multiplying the same factors in the same order.
 
         With a residual the fading expectation uses an n-node Laguerre rule:
         ceil(m/2) nodes for integer m, the `_LAGUERRE_LADDER` for any other
@@ -1013,26 +1023,21 @@ class _CoverageModel:
         with_residual_mean = with_residual_mean and law.n > 2
         certified = with_residual_mean and not integer_m
         inner_cfg = _DOMINANT_QUAD.scaled(0.1)
-        memo, read = self._dominant_memo, dist.nodes_read
+        held, read = ({}, self._reads["dominant"]), dist.nodes_read
         outer_nodes = rows = inner_nodes = 0
 
-        def outer_reads(t0):  # x0, f(x0), the inner rows' widths and their memo; no theta
-            return np.exp(t0), np.exp(dist._log_at(t0, "log_pdf")[0]), t0 - t_lo, {}
+        def outer_reads(t0):  # x0, f(x0) and the inner rows' widths; no theta
+            return np.exp(t0), np.exp(dist._log_at(t0, "log_pdf")[0]), t0 - t_lo
 
-        def kernel(r, x0_r, xi, omega, joint, w):
-            omega = omega if with_residual_mean else 0.0  # the memo's omega serves both methods
-            a, b = m * theta * omega / x0_r, theta * xi / x0_r
-            return np.array(
-                [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
-            )
-
-        def outer(x0, fx0, width, inner_memo):
+        def outer(t0):
             nonlocal rows, inner_nodes
+            x0, fx0, width = _held(held, outer_reads, t0)
 
-            def inner_reads(r, u):
+            def inner_reads(_, r, u):
                 """x0_r, x_i, omega, the top-two density and the width at
-                nodes u of rows r; no theta.  omega is read wherever N > 2,
-                as the memo's entries serve both methods; it is 0.0 at N = 2."""
+                nodes u of rows r; no theta, and the outer nodes t0 only key
+                them.  omega is read wherever N > 2, as the held reads serve
+                both methods; it is 0.0 at N = 2."""
                 x0_r, w = x0[r], width[r]
                 ti = t_lo + u * w
                 xi = np.exp(ti)
@@ -1044,7 +1049,15 @@ class _CoverageModel:
                     omega = 0.0
                 return x0_r, xi, omega, self._joint_top_two(fx0[r], f_i, fxi), w
 
-            res = integrate_batch(kernel, x0.size, 0.0, 1.0, inner_cfg, inner_reads, inner_memo)
+            def kernel(r, u):
+                x0_r, xi, omega, joint, w = _held(held, inner_reads, t0, r, u)
+                omega = omega if with_residual_mean else 0.0  # the held omega serves both methods
+                a, b = m * theta * omega / x0_r, theta * xi / x0_r
+                return np.array(
+                    [_fading_tail_expectation(m, a, b, n) * joint * x0_r * xi * w for n in rules]
+                )
+
+            res = integrate_batch(kernel, x0.size, 0.0, 1.0, inner_cfg)
             rows += x0.size
             inner_nodes += res.n_evals
             return res.value
@@ -1052,7 +1065,7 @@ class _CoverageModel:
         alone = float(np.exp(law.log_derivative(1, 0.0))) / law.p_nonempty
         for n_nodes in ladder:
             rules = [2 * n_nodes, n_nodes] if certified else [n_nodes]  # read by `kernel`
-            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD, outer_reads, memo)
+            res = integrate(outer, t_lo, t_hi, _DOMINANT_QUAD)
             outer_nodes += res.n_evals
             value, gap = res.value[0], abs(res.value[0] - res.value[-1])
             tol = max(_DOMINANT_QUAD.abs_tol, _DOMINANT_QUAD.rel_tol * abs(alone + value))
@@ -1066,6 +1079,7 @@ class _CoverageModel:
                 error_estimate=gap,
                 level="fading",
             )
+        self._reads["dominant"] = held[0]
         value, clamp_note = _clamp(float(alone + value))
         log.debug(
             "dominant coverage at theta=%.6g: %d nodes read, residual %s, %d outer nodes, "

@@ -15,15 +15,13 @@ vector-valued, returning a (k, nodes) array: the k integrals of a row then
 share its panels and each node is evaluated once, which is cheaper than k
 scalar rows whenever the components share work (a density lookup, an exp).
 
-Every row starts from the same equal panels, so every first sweep evaluates
-a row at the same nodes: the bounds, the initial panel count and the rows of
-its chunk fix them.  A caller that integrates one family many times,
-changing only a parameter, splits f into its parameter-free `reads` and a
-kernel, and passes a `memo` dict that keeps each chunk's panels and reads
-sweep by sweep, so later calls compute only the kernel wherever they
-evaluate the panels of the call the memo holds: on every first sweep, which
-then builds no panel, and on each refinement sweep that bisects the same
-panels.
+Every row starts from the same equal panels, so a first sweep's layout is a
+pure function of the bounds, the initial panel count and its chunk's row
+count: a small cache holds it, and every call and chunk of that shape takes
+the same read-only arrays.  The rule keeps no other state between calls:
+a caller that integrates one family many times, changing only a
+parameter, holds what its integrand reads at given nodes itself, keyed by
+those nodes.
 
 A causal convolution c(u) = int_0^inf K(w) g(u - w) dw of samples on a
 uniform grid, cut at both ends, is a third rule: `convolution_rule` folds
@@ -36,10 +34,10 @@ same grid and positions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,56 +223,48 @@ def _evaluate_panels(fy, lo, hi):
     return kron, err, lo.size * len(_NODES), vector
 
 
-def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
-    """The adaptive rule for every row of `rows` at once; returns (values,
-    errors, nev, vector), values and errors as (k, rows) arrays.
+def _frozen(*arrays):
+    """arrays, made read-only: an integrand must not write into its arguments."""
+    for v in arrays:
+        v.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _first_sweep(a, b, n, panels):
+    """The first sweep of n rows of [a, b], each from `panels` equal panels:
+    every panel's local row, lo and hi, and every node's local row and
+    abscissa, read-only and shared by every chunk of that shape."""
+    width = (b - a) / panels
+    lo = a + width * np.arange(panels)
+    hi = lo + width
+    hi[-1] = b
+    lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
+    owner = np.repeat(np.arange(n), panels)
+    return _frozen(owner, lo, hi, owner.repeat(len(_NODES)), _nodes(lo, hi).ravel())
+
+
+def _adaptive_rows(f, start, n, a, b, cfg):
+    """The adaptive rule for the rows start..start+n-1 at once; returns
+    (values, errors, nev, vector), values and errors as (k, n) arrays.
 
     Each row starts from `cfg.initial_panels` equal panels, 15 nodes each
-    on the first sweep, and stops once the summed error estimate of every
-    component c is within max(abs_tol, rel_tol |value_c|).  Panels of all
-    unfinished rows are evaluated in one batch per sweep; each row keeps its
-    own stop rule, bisection set and subdivision limit.
-
-    A `memo` keeps each sweep's layout and reads by position (see
-    `integrate_batch`): the first sweep's entry is tagged with the initial
-    panel count, which with the chunk's key fixes its panels, so a call at
-    that count takes the held panels, node rows and reads and builds
-    nothing; a refinement sweep's entry is tagged with the bytes of its
-    panels, which the call forms and compares.  Panels are kept in one
-    order, on which the rounding of the per-row sums depends: after each
-    sweep, the rows' kept panels by row and decreasing error, then the left
-    and the right halves of those it bisects.
+    on the first sweep (`_first_sweep`), and stops once the summed error
+    estimate of every component c is within max(abs_tol, rel_tol |value_c|).
+    Panels of all unfinished rows are evaluated in one batch per sweep; each
+    row keeps its own stop rule, bisection set and subdivision limit.
+    Panels are kept in one order, on which the rounding of the per-row sums
+    depends: after each sweep, the rows' kept panels by row and decreasing
+    error, then the left and the right halves of those it bisects.
     """
-    n, panels = len(rows), cfg.initial_panels
-    chunk = (a, b, int(rows[0]), n)
-
-    def sweep_reads(sweep, at, layout):
-        """The held layout (owner, lo, hi, node rows) and reads of `sweep`
-        where its entry is tagged `at`; else those of the panels layout()
-        returns, read afresh and held."""
-        held = None if memo is None else memo.get(chunk + (sweep,))
-        if held is None or held[0] != at:
-            owner, lo, hi = layout()
-            node_rows = rows[owner].repeat(len(_NODES))
-            held = (at, (owner, lo, hi, node_rows), reads(node_rows, _nodes(lo, hi).ravel()))
-            if memo is not None:
-                memo[chunk + (sweep,)] = held
-        return held[1], held[2]
-
-    def first_panels():
-        width = (b - a) / panels
-        lo = a + width * np.arange(panels)
-        hi = lo + width
-        hi[-1] = b
-        lo, hi = np.repeat(np.array([lo, hi])[:, None], n, axis=1).reshape(2, -1)  # every row's panels
-        return np.repeat(np.arange(n), panels), lo, hi  # the local row of each panel
-
-    (owner, lo, hi, node_rows), fixed = sweep_reads(0, panels, first_panels)
-    values, errors, n_evals, vector = _evaluate_panels(f(node_rows, *fixed), lo, hi)
+    owner, lo, hi, node_rows, x = _first_sweep(a, b, n, cfg.initial_panels)
+    if start:
+        (node_rows,) = _frozen(node_rows + start)
+    values, errors, n_evals, vector = _evaluate_panels(f(node_rows, x), lo, hi)
     k = len(values)
     component = n * np.arange(k)[:, None]
     out = None
-    for sweep in itertools.count(1):
+    while True:
         key = (owner + component).ravel()  # one bin per (component, row)
         total, err = (np.bincount(key, v.ravel(), k * n).reshape(k, n) for v in (values, errors))
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
@@ -282,7 +272,7 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
         if out is None:  # the first sweep: every row has its panels
             if done.all():
                 return total, err, n_evals, vector
-            n_panels = np.full(n, panels)
+            n_panels = np.full(n, cfg.initial_panels)
             out = total, err  # rows not done now are written when they are
         else:
             n_panels = np.bincount(owner, minlength=n)
@@ -296,7 +286,7 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
                 i = np.flatnonzero(failed)[0]
                 c = np.argmax(err[:, i] / tol[:, i])
                 raise QuadratureError(
-                    f"row {rows[i]}{f' component {c}' if vector else ''}: no convergence after "
+                    f"row {start + i}{f' component {c}' if vector else ''}: no convergence after "
                     f"{n_panels[i]} subdivisions (error {err[c, i]:.3e} > tolerance {tol[c, i]:.3e})",
                     best_estimate=total[:, i] if vector else total[0, i],
                     error_estimate=err[:, i] if vector else err[0, i],
@@ -332,11 +322,8 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
         new_owner = np.concatenate([owner[split], owner[split]])
         new_lo = np.concatenate([lo_s, mid])
         new_hi = np.concatenate([mid, hi_s])
-        (*_, node_rows), fixed = sweep_reads(
-            sweep, b"".join(v.tobytes() for v in (new_owner, new_lo, new_hi)),
-            lambda: (new_owner, new_lo, new_hi),
-        )
-        new_vals, new_errs, nev, _ = _evaluate_panels(f(node_rows, *fixed), new_lo, new_hi)
+        node_rows, x = _frozen((new_owner + start).repeat(len(_NODES)), _nodes(new_lo, new_hi).ravel())
+        new_vals, new_errs, nev, _ = _evaluate_panels(f(node_rows, x), new_lo, new_hi)
         n_evals += nev
         owner = np.concatenate([owner[keep], new_owner])
         lo = np.concatenate([lo[order], new_lo])
@@ -345,23 +332,22 @@ def _adaptive_rows(f, rows, a, b, cfg, reads, memo):
         errors = np.concatenate([errors[:, keep], new_errs], axis=1)
 
 
-def integrate(f, a, b, config=None, reads=None, memo=None):
+def integrate(f, a, b, config=None):
     """Integrate a vectorized f (ndarray in, ndarray out) over a finite
-    [a, b], a < b: the one-row case of `integrate_batch`, whose `reads` and
-    `memo` this takes with the rows left out, f(*reads(x)).  f may return a
-    (k, nodes) array, and value and error are then (k,) arrays.  Integrable
-    endpoint singularities are allowed: nodes are strictly interior.  Raises
-    QuadratureError (carrying the best estimate) on non-convergence.
+    [a, b], a < b: the one-row case of `integrate_batch`, f(x).  f may
+    return a (k, nodes) array, and value and error are then (k,) arrays.
+    Integrable endpoint singularities are allowed: nodes are strictly
+    interior.  Raises QuadratureError (carrying the best estimate) on
+    non-convergence.
     """
-    row_reads = None if reads is None else lambda rows, x: reads(x)
-    res = integrate_batch(lambda rows, *r: f(*r), 1, a, b, config, row_reads, memo)
+    res = integrate_batch(lambda rows, x: f(x), 1, a, b, config)
     value, error = res.value[..., 0], res.error[..., 0]
     if value.ndim == 0:
         value, error = float(value), float(error)
     return IntegralResult(value, error, res.n_evals)
 
 
-def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
+def integrate_batch(f, n_rows, a, b, config=None):
     """Integrate f(rows, x) over a finite [a, b], a < b, for every row
     0..n_rows-1; `integrate` is the one-row case.
 
@@ -376,19 +362,10 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     whose first sweep has at most `_BATCH_NODES` nodes (at least one row per
     chunk), which bounds memory and keeps each sweep's temporaries small.
 
-    With `reads`, the integrand is f(rows, *reads(rows, x)): reads returns a
-    tuple of what f needs at the nodes that does not change between calls.
-    A `memo` dict, owned by the caller and passed on every call, keeps each
-    chunk's sweeps by position, under the key (a, b, first row, row count,
-    sweep index), as (tag, layout, reads): the layout is every panel's row,
-    lo and hi and every node's row, and the tag is the initial panel count
-    for the first sweep, whose panels the key and that count fix, and the
-    bytes of its panels for a refinement sweep.  A sweep whose tag matches
-    reuses the held layout and reads and computes only f; another tag, as
-    after a change of initial_panels, replaces the entry, so the memo holds
-    one call's sweeps per chunk.  Reads that depend only on the rows and
-    nodes give the same result with or without a memo, bit for bit; f must
-    not write into its arguments, which the memo holds.
+    Both arrays f receives are read-only, as the first sweep's are shared
+    by every call of the same shape: an f that writes into them raises
+    ValueError.  Equal nodes and rows always come as equal bytes, so a
+    caller may hold what f reads at them, keyed by their bytes.
 
     Returns an IntegralResult whose value and error are arrays over the
     rows, (k, n_rows) for a k-component f, and whose n_evals counts nodes;
@@ -400,12 +377,9 @@ def integrate_batch(f, n_rows, a, b, config=None, reads=None, memo=None):
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"quadrature needs finite bounds a < b, got [{a!r}, {b!r}]")
-    reads = reads or (lambda rows, x: (x,))
     chunk = max(1, _BATCH_NODES // (len(_NODES) * cfg.initial_panels))
-    chunks = [
-        _adaptive_rows(f, np.arange(start, min(start + chunk, n_rows)), a, b, cfg, reads, memo)
-        for start in range(0, n_rows, chunk)
-    ]
+    chunks = [_adaptive_rows(f, start, min(chunk, n_rows - start), a, b, cfg)
+              for start in range(0, n_rows, chunk)]
     if not chunks:
         return IntegralResult(np.empty(0), np.empty(0), 0)
     if len(chunks) == 1:

@@ -863,8 +863,8 @@ BOTH_SIZES = ((analytic.BppCoverageModel, N), (analytic.HpppCoverageModel, 0.01)
 )
 def test_dominant_table_matches_fresh_models(geom, caplog, specs, m, thetas_db, order):
     # A fresh model's value reads at most every node it evaluates, and a
-    # warm one's, of either method, fewer, since at least its first sweeps
-    # come from the memo; values, node counts and debug lines are those of
+    # warm one's, of either method, fewer, since at least its first sweeps'
+    # reads are held; values, node counts and debug lines are those of
     # a fresh model per theta and method, bit for bit.  BPP 10 and HPPP 0.01
     # share one received-power cache and take their values in turn.
     ch = ChannelParams(alpha=2.2, q=2.0, m=m)

@@ -149,6 +149,10 @@ REMOVED_PARAMETERS = [
     ("analytic._CoverageModel._conditional_coverage", "fx0"),
     ("quadrature.integrate", "first"),
     ("quadrature.integrate_batch", "first"),
+    ("quadrature.integrate", "reads"),
+    ("quadrature.integrate", "memo"),
+    ("quadrature.integrate_batch", "reads"),
+    ("quadrature.integrate_batch", "memo"),
     ("core.CorridorGeometry.max_link_distance", "h"),
     ("core.ChannelParams", "carrier_factor"),
 ]
@@ -161,6 +165,20 @@ def test_removed_parameters_are_gone(path, parameter):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert parameter not in inspect.signature(obj).parameters
+
+
+def test_quadrature_is_a_pure_rule():
+    # the rules take no caller state, and a model keeps its held reads in
+    # one store per rule, not in memos of the rule's own layout
+    from corridor_cov import analytic, quadrature
+
+    assert list(inspect.signature(quadrature.integrate).parameters) == ["f", "a", "b", "config"]
+    assert list(inspect.signature(quadrature.integrate_batch).parameters) == [
+        "f", "n_rows", "a", "b", "config"]
+    geom = corridor_cov.CorridorGeometry(500.0, corridor_cov.FixedHeight(100.0))
+    model = analytic.BppCoverageModel(10, geom, corridor_cov.ChannelParams(alpha=2.2, q=2.0, m=1.0))
+    model.coverage(1.0), model.coverage_dominant(1.0)
+    assert not {"_exact_memo", "_dominant_memo"} & set(vars(model))
 
 
 def test_kl_result_keeps_no_distributions():

@@ -1,10 +1,13 @@
-"""The corners of the documented parameter domain: every analytic method
-returns a value in [0, 1] and raises no QuadratureError at UAV counts 2 and
-300, q 1.05 and 5, alpha 2 and 6, R/h 1 and 500, and -20 and +20 dB."""
+"""The documented parameter domain: every analytic method returns a value
+in [0, 1] and raises no QuadratureError at its corners, UAV counts 2 and
+300, q 1.05 and 5, alpha 2 and 6, R/h 1 and 500, and -20 and +20 dB; and,
+at points drawn across it, coverage does not rise with theta."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridor_cov import ChannelParams, CorridorGeometry, FixedHeight, analytic
 
@@ -50,3 +53,29 @@ def test_every_method_is_a_probability_at_the_corners(kind, count):
                     assert 0.0 <= value <= 1.0, (q, alpha, r_over_h, method, m, theta_db, value)
                     values += 1
     assert values == 96
+
+
+@given(
+    kind=st.sampled_from(["bpp", "hppp"]),
+    count=st.floats(2.0, 300.0),
+    q=st.floats(1.05, 5.0),
+    alpha=st.floats(2.0, 6.0),
+    r_over_h=st.floats(1.0, 500.0),
+    m=st.integers(1, 8),
+    dominant_m=st.floats(0.5, 8.0),
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_every_method_is_a_falling_probability_across_the_domain(
+        kind, count, q, alpha, r_over_h, m, dominant_m):
+    # exact coverage at an integer m, the dominant approximations at any m
+    # from 0.5; a rise between thresholds within the rule's tolerance is
+    # rounding, not a rise
+    count = round(count) if kind == "bpp" else count
+    for method, shape, cfg in (("coverage", m, analytic._COVERAGE_QUAD),
+                               ("coverage_dominant", dominant_m, analytic._DOMINANT_QUAD),
+                               ("coverage_single_dominant", dominant_m, analytic._DOMINANT_QUAD)):
+        coverage = getattr(model(kind, count, r_over_h * H, ChannelParams(alpha=alpha, q=q, m=shape)), method)
+        values = [coverage(10 ** (db / 10)) for db in (-20.0, 0.0, 20.0)]
+        assert all(0.0 <= v <= 1.0 for v in values), (method, shape, values)
+        assert all(b <= a + max(cfg.abs_tol, cfg.rel_tol * a) for a, b in zip(values, values[1:])), (
+            method, shape, values)

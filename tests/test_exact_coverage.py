@@ -317,12 +317,12 @@ WIDE = (5000.0, 4.0, 1.05)
 )
 def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m, wide):
     # A fresh model reads every outer node and grid point it evaluates, and
-    # a warm one fewer, since it holds the grid and at least its outer
-    # rule's first sweeps come from the memo; values, node counts and grids
-    # are those of a fresh model per theta, bit for bit.  At the default
-    # corridor every value takes one outer sweep, so a warm model reads
-    # nothing; on the wide one every value refines, and a warm model reads
-    # only the panels that the value before did not refine.  No value of
+    # a warm one fewer, since it holds the grid and at least the reads of
+    # its outer rule's first sweep; values, node counts and grids are those
+    # of a fresh model per theta, bit for bit.  At the default corridor
+    # every value takes one outer sweep, so a warm model reads nothing; on
+    # the wide one every value refines, and a warm model reads only the
+    # nodes that the value before did not evaluate.  No value of
     # the sweep halves the grid's spacing.  BPP 10 and 20 share one
     # received-power cache and take their values in turn.
     if wide:
@@ -365,22 +365,21 @@ def test_theta_sweep_on_one_model_matches_fresh_models(geom, caplog, models, m, 
                 refined.add(db)
                 warm_reads.add(read)
     assert refined == (set(SWEEP_DB) if wide else set())
-    # some warm value refines the panels of the value before from the memo
+    # some warm value refines the panels of the value before from held reads
     assert (0 in warm_reads) == wide
 
 
-def _held_bytes(memo):
-    """The bytes of every array and panel key a memo holds, its inner memos'
-    included."""
-    if isinstance(memo, np.ndarray):
-        return memo.nbytes
-    if isinstance(memo, bytes):
-        return len(memo)
-    if isinstance(memo, dict):
-        memo = memo.values()
-    elif not isinstance(memo, tuple):
+def _held_bytes(held):
+    """The bytes of every array and node key a held store keeps."""
+    if isinstance(held, np.ndarray):
+        return held.nbytes
+    if isinstance(held, bytes):
+        return len(held)
+    if isinstance(held, dict):
+        held = [*held, *held.values()]
+    elif not isinstance(held, tuple):
         return 0
-    return sum(_held_bytes(v) for v in memo)
+    return sum(_held_bytes(v) for v in held)
 
 
 @pytest.mark.parametrize(
@@ -392,31 +391,36 @@ def _held_bytes(memo):
     ids=["exact-bpp", "exact-hppp", "dominant", "single-dominant"],
 )
 def test_memo_stays_bounded_over_a_dense_sweep(geom, cls, size, m, method):
-    # A memo holds one value's reads per chunk and sweep: 201 thresholds
-    # that refine different panels replace its refinement entries instead of
-    # adding to them.  A repeated threshold refines the panels it holds, so
-    # it reads nothing.  Exact coverage's memo is its outer rule's, and its
-    # grids, which no value of this sweep refines, are held beside it.
+    # A rule's store keeps the reads of its last value only: 201 thresholds
+    # that refine different panels replace the refinement entries instead of
+    # adding to them.  A repeated threshold evaluates the nodes it holds, so
+    # it reads nothing.  Exact coverage's grids, which no value of this
+    # sweep refines, are held beside its store.
     model = cls(size, geom, ChannelParams(alpha=2.2, q=2.0, m=m))
-    memo = (model._exact_memo, model._grids) if method == "coverage" else model._dominant_memo
+    rule = "exact" if method == "coverage" else "dominant"
+
+    def held():
+        return _held_bytes((model._reads[rule], model._grids) if rule == "exact" else model._reads[rule])
+
     coverage = getattr(model, method)
     thetas = 10 ** (np.linspace(-20.0, 20.0, 201) / 10)
     coverage(thetas[0])
-    first = _held_bytes(memo)
+    first = held()
     read = model.dist.nodes_read
     coverage(thetas[0])
-    assert model.dist.nodes_read == read
+    assert model.dist.nodes_read == read and held() == first
     for theta in thetas[1:]:
         coverage(theta)
-    assert 0 < first and _held_bytes(memo) <= 1.5 * first, (first, _held_bytes(memo))
+    assert 0 < first and held() <= 1.5 * first, (first, held())
+    assert not model._reads["dominant" if rule == "exact" else "exact"]  # one store per rule
 
 
 @pytest.mark.parametrize("method, rule", [("coverage", "_COVERAGE_QUAD"),
                                           ("coverage_dominant", "_DOMINANT_QUAD")])
 def test_cached_model_follows_a_new_initial_panel_count(geom, monkeypatch, method, rule):
-    # A model's memos hold the panels their reads were taken at, so after
-    # the rule's initial panel count changes a cached model's next value is
-    # a fresh model's, bit for bit.
+    # A model holds its reads by the nodes they were taken at, so after the
+    # rule's initial panel count changes a cached model's next value is a
+    # fresh model's, bit for bit.
     ch = ChannelParams(alpha=2.2, q=2.0, m=3.0)
     model = bpp_model(N, geom, ch)
     getattr(model, method)(1.0)
@@ -430,8 +434,9 @@ def test_cached_model_follows_a_new_initial_panel_count(geom, monkeypatch, metho
                                                   ("_COVERAGE_QUAD", "initial_panels", (4, 12, 4))],
                          ids=["_LAPLACE_QUAD", "_COVERAGE_QUAD"])
 def test_warm_model_follows_the_panel_count_between_values(geom, monkeypatch, rule, field, values):
-    # The outer rule's first-sweep layout is tagged with the initial panel
-    # count, and every value halves the inner grid's spacing from the first
+    # The outer rule's held reads are keyed by their nodes, which the
+    # initial panel count moves, and every value halves the inner grid's
+    # spacing from the first
     # on its own estimate against the Laplace tolerance: with either changed
     # between values and back, every value of a warm model is a fresh
     # model's, bit for bit.  At 1e-10 a value takes finer grids than the
@@ -498,7 +503,7 @@ def test_coarse_first_spacing_halves_within_tolerance(geom, channel_m3, monkeypa
 
 
 def test_halved_values_form_their_own_stencils(geom, channel_m3, monkeypatch, caplog):
-    # The memo holds the level-0 grid's stencils; a value that halves the
+    # The held reads include the level-0 grid's stencils; a value that halves the
     # spacing interpolates its finer rows with stencils of its own, and a
     # warm model's values are a fresh model's, bit for bit.
     monkeypatch.setattr(analytic, "_GRID_SPACING", 0.5)
@@ -519,7 +524,7 @@ def test_halved_values_form_their_own_stencils(geom, channel_m3, monkeypatch, ca
             value = warm.coverage(theta)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact")]
         assert int(re.search(r"after (\d+) halvings", line).group(1)) >= 1, line
-        held = {id(reads[-2][1]) for _, _, reads in warm._exact_memo.values()}
+        held = {id(reads[-2][1]) for reads in warm._reads["exact"].values()}
         assert applied and held and not held & {id(basis) for _, basis in applied}
         assert value == analytic.BppCoverageModel(N, geom, channel_m3).coverage(theta)
 
@@ -532,7 +537,7 @@ def test_held_stencil_matches_interpolate_uniform(geom, spatial, m):
     model.coverage(0.5)
     step, t_lo = model._grid(0)[0], model.dist._ensure()["t_lo"]
     rows = model._inner_rows(2.0, m, 0)
-    for _, _, (t, *_, stencil, _) in model._exact_memo.values():
+    for t, *_, stencil, _ in model._reads["exact"].values():
         got = quadrature.apply_stencil(rows, stencil)
         assert np.array_equal(got, quadrature.interpolate_uniform(rows, (t - t_lo) / step))
 

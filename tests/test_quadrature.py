@@ -180,85 +180,70 @@ def _refining_and_settled(n, vector):
 @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
 @pytest.mark.parametrize("vector", [False, True])
 def test_first_sweep_hook_matches_the_plain_rule(monkeypatch, vector, chunk_rows):
-    # A memo keeps each chunk's layout and reads of g sweep by sweep, tagged
-    # with the initial panel count on the first sweep and with the panels
-    # they were read at on the others, for integrands c g with c changed
-    # between calls: the caller's pattern.  It gives the plain rule's value,
-    # error and node count bit for bit, and a later call takes the first
-    # sweep's held layout as it is; a corrupted first-sweep or refinement
-    # entry changes the result, an entry held at other panels is read
-    # afresh, and other bounds or panel counts never read an existing entry.
+    # Every chunk's first sweep takes its layout from the hook `_first_sweep`,
+    # a pure function of the bounds, the chunk's row count and the initial
+    # panel count, cached as read-only arrays: the cached layout gives the
+    # uncached rule's value, error and node count bit for bit, every chunk
+    # of one shape is handed the same nodes, on every call, and other
+    # bounds, row counts or panel counts get a layout of their own.
     n = 150
     g = _refining_and_settled(n, vector)
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-280)
     monkeypatch.setattr(quadrature, "_BATCH_NODES", chunk_rows * 15 * cfg.initial_panels)
-    evals = [integrate(lambda x, i=i: g(np.full(x.shape, i), x), 0.0, 1.0, cfg).n_evals
-             for i in (0, n - 1)]
-    assert evals[0] == 15 * cfg.initial_panels < evals[1]
+    cached, seen, layouts = quadrature._first_sweep, [], {}
 
-    def reads(rows, x):
-        return (g(rows, x),)
+    def f(rows, x):
+        seen.append(x)
+        return g(rows, x)
 
-    def scaled(c, b=1.0, config=cfg, memo=None):
-        def kernel(rows, gx):
-            return c * gx
+    for b, config in ((1.0, cfg), (0.5, cfg), (1.0, dataclasses.replace(cfg, initial_panels=4))):
+        monkeypatch.setattr(quadrature, "_first_sweep", cached.__wrapped__)
+        plain = integrate_batch(g, n, 0.0, b, config)
+        monkeypatch.setattr(quadrature, "_first_sweep", cached)
+        rows = quadrature._BATCH_NODES // (15 * config.initial_panels)
+        chunks = [min(rows, n - start) for start in range(0, n, rows)]
+        for _ in range(2):
+            seen.clear()
+            res = integrate_batch(f, n, 0.0, b, config)
+            assert np.array_equal(res.value, plain.value)
+            assert np.array_equal(res.error, plain.error)
+            assert res.n_evals == plain.n_evals
+            assert not any(x.flags.writeable for x in seen)
+            firsts = [x for x in seen if any(x is cached(0.0, b, size, config.initial_panels)[4]
+                                             for size in chunks)]
+            assert len(firsts) == len(chunks) < len(seen)
+        layouts.update({(b, size, config.initial_panels): cached(0.0, b, size, config.initial_panels)
+                        for size in chunks})
+    nodes = [layout[4] for layout in layouts.values()]
+    assert len(layouts) >= 3 and len({id(x) for x in nodes}) == len(nodes)
+    assert not any(np.array_equal(x, y) for i, x in enumerate(nodes) for y in nodes[:i])
 
-        plain = integrate_batch(lambda rows, x: c * g(rows, x), n, 0.0, b, config)
-        return plain, integrate_batch(kernel, n, 0.0, b, config, reads, memo)
 
-    memo = {}
-    for c in (1.0, 2.5, 0.5):
-        plain, memoized = scaled(c, memo=memo)
-        assert np.array_equal(memoized.value, plain.value)
-        assert np.array_equal(memoized.error, plain.error)
-        assert memoized.n_evals == plain.n_evals
-    starts = range(0, n, chunk_rows)
-    chunks = [(0.0, 1.0, i, min(chunk_rows, n - i)) for i in starts]
-    assert sorted(key for key in memo if key[-1] == 0) == [chunk + (0,) for chunk in chunks]
-    assert {key[:-1] for key in memo} == set(chunks)
-    visited = list(memo)  # the sweeps every call with these rows reads
-    refinements = [key for key in visited if key[-1] > 0]
-    assert refinements and all(memo[key][0] for key in visited)
-    assert all(memo[key][0] == cfg.initial_panels for key in visited if key[-1] == 0)
-    layouts = {key: memo[key][1] for key in visited}
-    assert scaled(c, memo=memo)[1].n_evals == plain.n_evals
-    assert all(memo[key][1] is layouts[key] for key in visited if key[-1] == 0)
+def test_integrand_cannot_write_into_its_arguments():
+    # The rule hands f read-only rows and nodes, on every sweep, since the
+    # first sweep's are shared by later calls: writing into them raises
+    # instead of changing what a later call integrates.
+    def scaled(x):
+        x *= 2.0
+        return x
 
-    def corrupt(keys, at=None):
-        # every entry of `keys` off at one node, and its tag set to `at` if given
-        held = {key: memo[key] for key in keys}
-        for key, (tag, layout, (gx,)) in held.items():
-            memo[key] = (at or tag, layout, (gx + np.where(np.arange(gx.shape[-1]) == 7, 1.0, 0.0),))
-        return held
+    def shifted(rows, x):
+        rows += 1
+        return x
 
-    for keys in ([key for key in visited if key[-1] == 0], refinements):
-        held = corrupt(keys)
-        wrong = scaled(c, memo=memo)[1]
-        assert not np.array_equal(wrong.value, plain.value)
-        memo.update(held)
-    # entries held at other panels are replaced, not read
-    corrupt(visited, at=b"other panels")
-    again = scaled(c, memo=memo)[1]
-    assert np.array_equal(again.value, plain.value) and again.n_evals == plain.n_evals
-    assert all(memo[key][0] != b"other panels" for key in visited)
-    # other bounds take keys of their own; another panel count replaces the
-    # entries of chunks that keep their rows
-    for b, config in ((0.5, cfg), (1.0, dataclasses.replace(cfg, initial_panels=4))):
-        entries = dict(memo)
-        other_plain, other = scaled(c, b, config, memo)
-        assert np.array_equal(other.value, other_plain.value)
-        assert np.array_equal(other.error, other_plain.error)
-        assert other.n_evals == other_plain.n_evals and len(memo) > len(entries)
-        size = quadrature._BATCH_NODES // (15 * config.initial_panels)
-        firsts = [(0.0, b, i, min(size, n - i), 0) for i in range(0, n, size)]
-        assert all(memo[key][0] != entries.get(key, (None,))[0] for key in firsts)
-    # the one-row case takes reads and kernel without the rows
-    one_memo = {}
-    for _ in range(2):
-        one = integrate(lambda gx: c * gx, 0.0, 1.0, cfg,
-                        lambda x: (g(np.zeros(x.shape, int), x),), one_memo)
-        assert np.array_equal(one.value, plain.value[..., 0]) and one.n_evals == evals[0]
-    assert list(one_memo) == [(0.0, 1.0, 0, 1, 0)]
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(scaled, 0.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_batch(shifted, 3, 0.0, 1.0)
+    writeable = []
+
+    def singular(x):
+        writeable.append(x.flags.writeable)
+        return 1.0 / np.sqrt(x)
+
+    assert integrate(singular, 0.0, 1.0).value == pytest.approx(2.0)
+    assert len(writeable) > 1 and not any(writeable)
+    assert integrate(lambda x: x, 0.0, 1.0).value == pytest.approx(0.5)
 
 
 def test_vector_integrand_failure_names_row_and_component():

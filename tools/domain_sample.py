@@ -1,4 +1,4 @@
-"""Exact coverage over a deterministic sample of the model's domain.
+"""Analytic coverage over a deterministic sample of the model's domain.
 
 Run from the repository root against the source tree, or anywhere against
 an installed package:
@@ -11,21 +11,25 @@ domain the engine is built for: the BPP and the finite HPPP in turn, a UAV
 count (the HPPP's mean count) from 2 to 300, shadowing shape q from 1.05
 to 5, path-loss exponent alpha from 2 to 6, corridor half-length over
 height R/h from 1 to 500 (h = 100 m), and integer fading shape m from 1 to
-8; counts and R/h log-uniform, the rest uniform.  Every point takes exact
-coverage at the thresholds `THETA_DB`, on a cold model.
+8; counts and R/h log-uniform, the rest uniform.  Every point takes its
+values at the thresholds `THETA_DB`, starting from a cold model.
 
---table evaluates the sample once per initial panel count of the outer
-rule in `PANELS`, the counts interleaved per point on fresh models that
-share the point's received-power cache (whose build is not timed), and
-prints per count: the mean number of outer sweeps per value (outer-integrand
-calls, from the engine's debug line), the share of values that take more
-than one, the mean outer nodes, the seconds for all values, and the
-largest relative move of a value against the shipped count.
+--table evaluates exact coverage over the sample once per initial panel
+count of the outer rule in `PANELS`, the counts interleaved per point on
+fresh models that share the point's received-power cache (whose build is
+not timed), and prints per count: the mean number of outer sweeps per
+value (outer-integrand calls, from the engine's debug line), the share of
+values that take more than one, the mean outer nodes, the seconds for all
+values, and the largest relative move of a value against the shipped count.
 
---check evaluates the first --points points at the shipped rule and exits
-1 on a QuadratureError, on a value outside [0, 1], or on coverage that
-rises from one threshold to the next by more than the outer rule's
-tolerance.
+--check evaluates the first --points points at the shipped rules: exact
+coverage at the point's m on one model, and then the dominant and the
+single-dominant approximations at m - 1/2 on another, each at every
+threshold.  It exits 1 on a QuadratureError, on a value outside [0, 1], on
+coverage that rises from one threshold to the next by more than its rule's
+tolerance (the outer rule's for exact coverage, the dominant rule's for the
+approximations), or on a value of a warm model (every value but a model's
+first) that differs in any bit from the same value on a fresh model.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ SEED = 20251021
 THETA_DB = tuple(float(db) for db in np.linspace(-20.0, 20.0, 7))
 HEIGHT = 100.0
 PANELS = (8, 10, 12, 16)
+# What --check runs per point, in order: the method, how far below the
+# point's m its fading shape lies, and the rule whose tolerance bounds a rise
+CHECKS = (("coverage", 0.0, "_COVERAGE_QUAD"),
+          ("coverage_dominant", 0.5, "_DOMINANT_QUAD"),
+          ("coverage_single_dominant", 0.5, "_DOMINANT_QUAD"))
 
 _LINE = re.compile(r"(\d+) outer-integrand calls, (\d+) outer nodes")
 
@@ -66,12 +75,13 @@ class Point:
     def geometry(self):
         return CorridorGeometry(HEIGHT * self.r_over_h, FixedHeight(HEIGHT))
 
-    def channel(self):
-        return ChannelParams(alpha=self.alpha, q=self.q, m=float(self.m))
+    def channel(self, m=None):
+        return ChannelParams(alpha=self.alpha, q=self.q, m=float(self.m if m is None else m))
 
-    def model(self):
-        """A fresh exact-coverage model at this point."""
-        geom, channel = self.geometry(), self.channel()
+    def model(self, m=None):
+        """A fresh coverage model at this point, at fading shape m (the
+        point's own by default)."""
+        geom, channel = self.geometry(), self.channel(m)
         if self.spatial == "bpp":
             return analytic.BppCoverageModel(int(self.count), geom, channel)
         return analytic.HpppCoverageModel(self.count / geom.length, geom, channel)
@@ -107,24 +117,31 @@ class _Lines(logging.Handler):
             self.work.append(tuple(map(int, found.groups())))
 
 
-def evaluate(model, lines):
-    """Exact coverage at every `THETA_DB` on model: (values, [(sweeps,
-    outer nodes)], seconds); a QuadratureError propagates."""
+def evaluate(model, lines, method="coverage"):
+    """`method` at every `THETA_DB` on model: (values, [(sweeps, outer
+    nodes)] of exact coverage, seconds); a QuadratureError propagates."""
     del lines.work[:]
     start = time.perf_counter()
-    values = [model.coverage(10.0 ** (db / 10.0)) for db in THETA_DB]
+    values = [getattr(model, method)(10.0 ** (db / 10.0)) for db in THETA_DB]
     return values, list(lines.work), time.perf_counter() - start
 
 
-def problems(point, values):
-    """What --check rejects in one point's values."""
-    cfg = analytic._COVERAGE_QUAD
-    out = [f"{point.name}: value {v!r} at {db:g} dB outside [0, 1]"
+def problems(name, values, cfg):
+    """What --check rejects in the values named `name`, of a rule with
+    tolerances cfg."""
+    out = [f"{name}: value {v!r} at {db:g} dB outside [0, 1]"
            for db, v in zip(THETA_DB, values) if not 0.0 <= v <= 1.0]
     for (db0, v0), (db1, v1) in zip(zip(THETA_DB, values), zip(THETA_DB[1:], values[1:])):
         if v1 > v0 + max(cfg.abs_tol, cfg.rel_tol * v0):
-            out.append(f"{point.name}: coverage rises from {v0!r} at {db0:g} dB to {v1!r} at {db1:g} dB")
+            out.append(f"{name}: coverage rises from {v0!r} at {db0:g} dB to {v1!r} at {db1:g} dB")
     return out
+
+
+def differences(name, values, fresh, skip):
+    """What --check rejects in the values named `name` against a fresh
+    model's, `fresh`, past the first `skip` thresholds: any bit that differs."""
+    return [f"{name}: {v!r} at {db:g} dB on a warm model, {f!r} on a fresh one"
+            for db, v, f in zip(THETA_DB[skip:], values[skip:], fresh) if v.hex() != f.hex()]
 
 
 def table(points, lines):
@@ -165,19 +182,29 @@ def table(points, lines):
 
 def check(points, lines):
     failures = []
-    seconds = 0.0
+    seconds = {method: 0.0 for method, _, _ in CHECKS}
     for point in points:
-        try:
-            values, _, dt = evaluate(point.model(), lines)
-        except QuadratureError as exc:
-            failures.append(f"{point.name}: {exc}")
-            continue
-        seconds += dt
-        failures += problems(point, values)
+        models = {}
+        for method, below, rule in CHECKS:
+            m = point.m - below
+            cold = m not in models
+            if cold:
+                models[m] = point.model(m)
+            model = models[m]
+            name = f"{point.name} {method}"
+            try:
+                values, _, dt = evaluate(model, lines, method)
+                fresh = [getattr(point.model(m), method)(10.0 ** (db / 10.0)) for db in THETA_DB[cold:]]
+            except QuadratureError as exc:
+                failures.append(f"{name}: {exc}")
+                continue
+            seconds[method] += dt
+            failures += problems(name, values, getattr(analytic, rule))
+            failures += differences(name, values, fresh, cold)
     for failure in failures:
         print(failure)
-    print(f"{len(points)} points x {len(THETA_DB)} thresholds: {len(failures)} failures, "
-          f"{seconds:.2f} s of exact values")
+    print(f"{len(points)} points x {len(THETA_DB)} thresholds: {len(failures)} failures; "
+          + ", ".join(f"{s:.2f} s of {method} values" for method, s in seconds.items()))
     return 1 if failures else 0
 
 
