@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = {"bpp-theta", "hppp-theta", "dominant-theta", "r-sweep"}
+CASES = {"bpp-theta", "hppp-theta", "dominant-theta", "r-sweep", "dominant-m1.3", "dominant-m3"}
 
 
 def ab(a, b, rounds):

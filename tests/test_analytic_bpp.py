@@ -1114,7 +1114,7 @@ class TestFadingTailExpectation:
         monkeypatch.setattr(analytic, "_symmetric_beta", refuse)
         np.testing.assert_array_equal(_fading_tail_expectation(m, a, b, 4), expected)
         monkeypatch.undo()
-        monkeypatch.setattr(analytic, "_laguerre_tail", refuse)
+        monkeypatch.setattr(analytic, "_laguerre_tails", refuse)
         _fading_tail_expectation(m, 0.0 * a, b, 4)
         if m in ELEMENTARY_M:
             monkeypatch.setattr(analytic.special, "betainc", refuse)
@@ -1162,6 +1162,122 @@ class TestFadingTailExpectation:
             for beta in (1e-3, 0.1, 0.5, 0.9, 0.999):
                 term = np.exp(beta * z) * special.gammaincc(m, a + beta * z)
                 assert np.all(term <= bound * (1.0 + 1e-12)), (a, beta)
+
+def listed_scaled_upper_gamma(m, x):
+    """`_scaled_upper_gamma` as an out-of-place recurrence: every partial
+    sum and term a fresh array, and the term past the last one formed."""
+    k = math.ceil(m) - 1
+    f = m - k
+    if f == 1.0:
+        out, term = np.ones_like(x), x
+    else:
+        root = np.sqrt(x)
+        out, term = special.erfcx(root), root * (2.0 / math.sqrt(math.pi))
+    for j in range(k):
+        out = out + term
+        term = term * x / (f + j + 1.0)
+    return out
+
+
+def masked_fading_tail(m, a, b, n_nodes):
+    """T(a, b) as `_fading_tail_expectation` formed it with masks: the
+    incomplete beta on the elements with a = 0, one `_laguerre_tail` on the
+    rest, each scattered into place."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.empty(a.shape)
+    shifted = a > 0
+    if not shifted.all():
+        out[~shifted] = analytic._symmetric_beta(m, b[~shifted])
+    if shifted.any():
+        out[shifted] = analytic._laguerre_tail(m, a[shifted], b[shifted], *analytic._gen_laguerre_rule(m, n_nodes))
+    return float(out) if out.ndim == 0 else out
+
+
+class TestOnePassFadingTails:
+    """The dominant rule's kernel forms every rule of a ladder rung in one
+    pass (`_fading_tails`); each value must stay what the rules give one
+    at a time."""
+
+    ORDERS = [0.5, 1.3, 1.5, 2.5, 3.7, 7.5, 8.5]
+    RUNGS = [(2 * n, n) for n in _LAGUERRE_LADDER]
+
+    @staticmethod
+    def offsets(rows, seed):
+        # a and b over the kernel's range, a reaching past e^-a's underflow
+        rng = np.random.default_rng(seed)
+        return 10.0 ** rng.uniform(-6.0, 3.0, rows), 10.0 ** rng.uniform(-4.0, 4.0, rows)
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000, 3405, 9000])
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_one_pass_equals_each_rule_alone(self, m, rows):
+        # a BLAS dot product rounds a row by where it lies in its block, so
+        # each rule keeps its own row blocks inside the rung's shared terms
+        a, b = self.offsets(rows, int(10 * m) + rows)
+        for rung in self.RUNGS:
+            rules = [analytic._gen_laguerre_rule(m, n) for n in rung]
+            got = analytic._laguerre_tails(m, a, b, rules)
+            assert got.shape == (len(rung), rows)
+            for tail, (z, w) in zip(got, rules):
+                expected = analytic._laguerre_tail(m, a, b, z, w)
+                assert [v.hex() for v in tail] == [v.hex() for v in expected], (rung, z.size)
+            np.testing.assert_array_equal(analytic._fading_tails(m, a, b, rung), got)
+
+    @pytest.mark.parametrize(
+        "m, rung, calls",
+        [
+            (2.5, (8, 4), 2),  # 12 nodes in blocks of 2,048 rows: one pass
+            (3.5, (16, 8), 4),  # 24 nodes in blocks of 1,024 rows: one pass
+            (2.5, (16, 8), 7 + 4),  # 15 nodes and 8 have no small common block
+            (2.5, (64, 32), 15 + 10),
+        ],
+    )
+    def test_rules_share_a_pass_where_their_blocks_allow(self, monkeypatch, m, rung, calls):
+        # the order recurrence runs once per block of the rung's shared terms
+        # where its rules' blocks have a common multiple of at most
+        # `_FUSED_TERMS` terms, else once per block of each rule
+        seen = []
+        recurrence = analytic._scaled_upper_gamma
+        monkeypatch.setattr(analytic, "_scaled_upper_gamma", lambda m, x: seen.append(x.shape) or recurrence(m, x))
+        a, b = self.offsets(3405, 1)
+        analytic._fading_tails(m, a, b, rung)
+        assert len(seen) == calls
+        if calls == 2:
+            assert seen == [(2048, 12), (3405 - 2048, 12)]
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.3, 2.5, 3.0, 8.5])
+    def test_dispatch_equals_the_masked_form(self, m):
+        # every a = 0 (single-dominant), every a > 0 and a mix, as 2D arrays
+        # and scalars, equal the masked form bit for bit
+        a, b = (v.reshape(40, 50) for v in self.offsets(2000, 3))
+        mixed = np.where(np.arange(a.size).reshape(a.shape) % 3 == 0, 0.0, a)
+        for n_nodes in (4, 8, 32):
+            for offsets in (0.0 * a, a, mixed, 0.0):
+                got = _fading_tail_expectation(m, offsets, b, n_nodes)
+                np.testing.assert_array_equal(got, masked_fading_tail(m, offsets, b, n_nodes))
+            for scalars in ((0.0, 3.0), (0.5, 3.0)):
+                got = _fading_tail_expectation(m, *scalars, n_nodes)
+                assert isinstance(got, float) and got == masked_fading_tail(m, *scalars, n_nodes)
+        # every a = 0 gives every rule the incomplete beta
+        rows = b.ravel()
+        got = analytic._fading_tails(m, 0.0 * rows, rows, (8, 4))
+        assert got.shape == (2, rows.size)
+        for tail in got:
+            np.testing.assert_array_equal(tail, masked_fading_tail(m, 0.0, rows, 4))
+
+    @pytest.mark.parametrize("two_m", range(1, 17))
+    def test_scaled_upper_gamma_is_the_listed_recurrence(self, two_m):
+        # in place, and without the unused last term, the recurrence gives
+        # the same bits at every order, the k = 0 orders m = 1/2 and 1
+        # included, and leaves its argument as it was
+        m = two_m / 2
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 403), [1e4]]).reshape(3, 135)
+        before = x.copy()
+        got = analytic._scaled_upper_gamma(m, x)
+        np.testing.assert_array_equal(x, before)
+        assert got.shape == x.shape
+        expected = listed_scaled_upper_gamma(m, x)
+        assert [v.hex() for v in got.ravel()] == [v.hex() for v in expected.ravel()]
+
 
 class TestCoverageQueryDispatch:
     def test_bpp_methods(self, geom, channel, model10):

@@ -2,6 +2,7 @@
 and log M1 against closed forms computed without it, and its debug line."""
 
 import logging
+import math
 import re
 import warnings
 import weakref
@@ -56,6 +57,31 @@ def test_build_logs_its_work(caplog):
     # the work at R = 500 m, h = 100 m, alpha = 2.2, q = 2, pinned: a change to
     # the cost per node must not move the node count
     assert (pieces, rounds, nodes) == (12, 3, 30_780)
+
+
+def listed_smooth_integrand(dist, x, u):
+    """`_smooth_integrand` with Q(q - 1, z) taken as exp(log S(z) - z) at
+    every q >= 1.5 with 2q an integer, q = 2 (S = 1) included."""
+    q = dist.q
+    z = dist.gam * (dist.h**2 + u**2) ** (-dist.alpha / 2.0) / x
+    e1 = np.exp((q - 1.0) * np.log(z) - z - dist._lgamma_q)
+    with np.errstate(over="ignore"):
+        scaled = np.minimum(analytic._scaled_upper_gamma(q - 1.0, z), np.finfo(float).max)
+    below = np.exp(np.log(scaled) - z)
+    return np.stack([z * e1 / x, below + e1, x * z / (q - 1.0) * below])
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 20.0])
+def test_smooth_integrand_is_the_listed_form(q):
+    # at q = 2 the integrand takes exp(-z) for exp(log 1 - z), the same
+    # bits; the other elementary orders keep the log/exp form
+    dist = ReceivedPowerDistribution(CorridorGeometry(500.0, FixedHeight(H)), ChannelParams(alpha=2.2, q=q, m=1.0))
+    rng = np.random.default_rng(5)
+    x = np.exp(rng.uniform(math.log(dist.x_lo), math.log(dist.x_hi), 3000))
+    u = rng.uniform(0.0, dist.R, x.size)
+    got = dist._smooth_integrand(x, u)
+    expected = listed_smooth_integrand(dist, x, u)
+    assert [v.hex() for v in got.ravel()] == [v.hex() for v in expected.ravel()]
 
 
 # The documented domain's corners and middle: q down to 1.05, alpha 2 to 6,

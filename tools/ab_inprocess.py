@@ -14,9 +14,13 @@ Each round runs every case on both trees, the order alternating from round
 to round.  The cases are the analytic steps of covbench's workloads
 (`covbench/run.py`), each from cold model caches: `bpp-theta`'s 11
 thresholds, `hppp-theta`'s 3, `dominant-theta`'s two methods and `r-sweep`'s
-3 radii.  Each case is split into steps: the first model's received-power
-cache build, its first (cold) value, the mean of its later (warm) values on
-the same model, and for `r-sweep` the builds and values of all its radii.
+3 radii.  Two more run `dominant-theta` at orders covbench does not, so that
+every branch of the fading tail is timed and bit-checked: `dominant-m1.3`
+(scipy's betainc and gammaincc) and `dominant-m3` (the exact 2-node rule,
+with no certification).  Each case is split into steps: the first model's
+received-power cache build, its first (cold) value, the mean of its later
+(warm) values on the same model, and for `r-sweep` the builds and values of
+all its radii.
 
 Per step it prints each tree's median time, the median over rounds of the
 ratio B / A, its quartiles, the largest relative difference |B - A| / |A|
@@ -29,6 +33,7 @@ Exits 1 when some value differs, else 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -41,6 +46,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# dominant-theta's cases at other orders: name -> m
+DOMINANT_ORDERS = {"dominant-m1.3": 1.3, "dominant-m3": 3.0}
 
 
 def _covbench():
@@ -136,7 +143,10 @@ def main(argv=None):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
         trees = load_trees((args.a, args.b), tmp)
-        workloads = list(bench.WORKLOADS.values())
+        dominant = bench.WORKLOADS["dominant-theta"]
+        workloads = list(bench.WORKLOADS.values()) + [
+            dataclasses.replace(dominant, name=name, m=m) for name, m in DOMINANT_ORDERS.items()
+        ]
         times = {}  # (case, step) -> ([A seconds], [B seconds])
         equal = {w.name: True for w in workloads}
         gaps = {}  # (case, step) -> the largest relative difference of its values
